@@ -30,7 +30,9 @@ from pathlib import Path
 
 from zerokit import constants
 from zerokit.constants import FieldParams
+from zerokit.dirichlet.characters import enumerate_characters
 from zerokit.dirichlet.zerocache import ENV_CACHE_DIR, DependencyError, ZeroLibrary
+from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, CountCertificationError
 from zerokit.verify import default_suite, reports_to_json, summary_table
 
 EXIT_OK = 0
@@ -39,7 +41,6 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 
 DESK_Q_LIMIT = 200
-DESK_HEIGHT_LIMIT = 1e3
 
 HEURISTIC_NOTE = "implied-constant inputs are heuristic, not certified"
 
@@ -96,15 +97,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _guard(cfg: RunConfig, q: int | None = None, height: float | None = None) -> None:
+def _guard(cfg: RunConfig, q: int | None = None, height: float | None = None) -> float:
+    """Refuse a request beyond the desk scale (a usage error) unless --unsafe.
+
+    Returns the height guard the scans of this run are held to.
+    """
     if cfg.unsafe:
-        return
+        return math.inf
     if q is not None and q > DESK_Q_LIMIT:
-        raise SystemExit(f"modulus {q} exceeds the desk-scale guard ({DESK_Q_LIMIT}); pass --unsafe to override")
+        raise ValueError(f"modulus {q} exceeds the desk-scale guard ({DESK_Q_LIMIT}); pass --unsafe to override")
     if height is not None and height > DESK_HEIGHT_LIMIT:
-        raise SystemExit(
+        raise ValueError(
             f"height {height} exceeds the desk-scale guard ({DESK_HEIGHT_LIMIT}); pass --unsafe to override"
         )
+    return DESK_HEIGHT_LIMIT
 
 
 # -- commands -----------------------------------------------------------------
@@ -176,12 +182,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_zeros_scan(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     q_values = [args.q] if args.q is not None else list(range(args.qmin, args.qmax + 1))
-    for q in q_values:
-        _guard(cfg, q=q)
-    _guard(cfg, height=args.height)
+    guard = _guard(cfg, q=max(q_values, default=None), height=args.height)
     library = ZeroLibrary(cfg.cache_dir)
     status = EXIT_OK
-    guard = math.inf if cfg.unsafe else 1e3
     for q in q_values:
         summary = library.ensure(q, args.height, height_guard=guard)
         for label in sorted(summary):
@@ -198,7 +201,7 @@ def cmd_zeros_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _guard(cfg, q=args.qmax, height=args.height)
+    guard = _guard(cfg, q=args.qmax, height=args.height)
     library = ZeroLibrary(cfg.cache_dir)
     suites = (
         ("circle", "explicit_formula", "hadamard", "repulsion", "density", "largesieve", "selberg", "detector")
@@ -211,10 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         if args.scan_missing:
             for q, h in needed:
-                library.ensure(q, h)
+                library.ensure(q, h, height_guard=guard)
         else:
-            from zerokit.dirichlet.characters import enumerate_characters
-
             for q, h in needed:
                 for chi in enumerate_characters(q):
                     library.get(chi, h)
@@ -338,11 +339,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, DependencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CountCertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

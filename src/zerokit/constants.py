@@ -288,17 +288,19 @@ def derive_shortsum_thresholds(c: DetectorConstants) -> tuple[ErrorBounded, Erro
 def derive_density_exponent(epsilon: float, slack_eta: float = 0.0) -> ErrorBounded:
     """(detection exponent * phi(eps) + slack) * (1 + slack).
 
-    At the stated epsilon choices the result is certified against the
-    published exponents: <= 81 at eps = 0.05 and <= 74 at eps = 0.001, both
-    for slack_eta <= 1e-3.
+    With slack_eta = 0 this is exactly detection exponent * phi(eps), the
+    value certification_report prints.  At the stated epsilon choices the
+    result is certified against the published exponents: <= 81 at eps = 0.05
+    and <= 74 at eps = 0.001, both for slack_eta <= 1e-3.
     """
     if not 0.0 <= epsilon < 0.25:
         raise ValueError("epsilon must lie in [0, 1/4)")
     if slack_eta < 0.0:
         raise ValueError("slack_eta must be non-negative")
-    base = ErrorBounded(float(PUBLISHED["detect_exp_squared"]))
-    slack = ErrorBounded(float(slack_eta))
-    result = (base * _phi_eb(epsilon) + slack) * (ErrorBounded(1.0) + slack)
+    result = ErrorBounded(float(PUBLISHED["detect_exp_squared"])) * _phi_eb(epsilon)
+    if slack_eta > 0.0:
+        slack = ErrorBounded(float(slack_eta))
+        result = (result + slack) * (ErrorBounded(1.0) + slack)
     if slack_eta <= 1e-3:
         target = None
         if epsilon == DENSITY_EPS_WIDE:
@@ -663,13 +665,8 @@ def certification_report(
         _entry("tail_exp", c.tail_exp, float(PUBLISHED["tail_exp"]), ">="),
     ]
 
-    for name, eps, key in (
-        ("density_exponent_wide", DENSITY_EPS_WIDE, "density_exponent_wide"),
-        ("density_exponent_narrow", DENSITY_EPS_NARROW, "density_exponent_narrow"),
-    ):
-        base = ErrorBounded(float(PUBLISHED["detect_exp_squared"]))
-        derived = base * _phi_eb(eps)
-        rows.append(_entry(name, derived, float(PUBLISHED[key]), "<="))
+    for name, eps in (("density_exponent_wide", DENSITY_EPS_WIDE), ("density_exponent_narrow", DENSITY_EPS_NARROW)):
+        rows.append(_entry(name, derive_density_exponent(eps), float(PUBLISHED[name]), "<="))
 
     for kind in ("quadratic", "trivial"):
         coeffs = derive_repulsion_coeffs(kind)

@@ -3,7 +3,9 @@
 These are the degree-one instances of the ideal sums the inequalities quote:
 the von Mangoldt harmonic sum, the smoothed harmonic sum with polynomial
 cutoff, the plain harmonic sum V(z), and the prime windows used by the
-detector and the large-sieve checks.  Everything is direct sieve-and-sum;
+detector and the large-sieve checks.  The integer factorisation and the walk
+over prime powers that the character, L-function and harness code share
+live here too.  Everything is direct sieve-and-sum;
 desk-scale guards keep runtimes predictable.
 """
 
@@ -11,13 +13,16 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "DESK_SUM_LIMIT",
+    "factorize",
     "harmonic_sum",
     "int_nth_root",
+    "prime_powers",
     "primes_in_window",
     "primes_up_to",
     "rough_mask",
@@ -34,6 +39,24 @@ def int_nth_root(x: int, m: int) -> int:
     while (r + 1) ** m <= x:
         r += 1
     return r
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 as (p, e) pairs with p increasing."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
 
 DESK_SUM_LIMIT = 10**8
 
@@ -71,21 +94,25 @@ def primes_in_window(lo: float, hi: float) -> np.ndarray:
     return primes[(primes >= lo) & (primes < hi)]
 
 
+def prime_powers(cutoff: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For m = 1, 2, ...: (m, the primes p with p^m <= cutoff, their p^m).
+
+    Both arrays are exact int64; iteration stops at the first empty m.
+    """
+    primes = primes_up_to(cutoff)
+    for m in range(1, int(cutoff).bit_length()):
+        if m > 1:
+            primes = primes[primes <= int_nth_root(cutoff, m)]
+        if len(primes) == 0:
+            return
+        yield m, primes, primes**m
+
+
 def von_mangoldt_sum(y: float) -> float:
     """sum_{n <= y} Lambda(n)/n by sieving the prime powers."""
-    if y < 2.0:
-        return 0.0
-    if y > DESK_SUM_LIMIT:
-        raise ValueError(f"von_mangoldt_sum limited to y <= {DESK_SUM_LIMIT}")
-    primes = primes_up_to(int(y))
-    logs = np.log(primes.astype(float))
-    # First powers vectorised, higher powers per prime (only p <= sqrt(y)).
-    total = float(np.sum(logs / primes))
-    for p, logp in zip(primes[primes * primes <= y], logs[primes * primes <= y]):
-        pm = int(p) * int(p)
-        while pm <= y:
-            total += logp / pm
-            pm *= int(p)
+    total = 0.0
+    for _m, primes, powers in prime_powers(int(y)):
+        total += float(np.sum(np.log(primes.astype(float)) / powers))
     return total
 
 

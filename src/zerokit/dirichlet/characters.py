@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from zerokit.dirichlet.arith import factorize
+
 __all__ = [
     "DirichletCharacter",
     "char_label",
@@ -27,33 +29,17 @@ __all__ = [
     "char_value_vec",
     "conjugate_character",
     "enumerate_characters",
+    "exponent_key",
     "primitive_characters",
     "primitive_inducer",
     "product_character",
 ]
 
 
-def _factorize(q: int) -> list[tuple[int, int]]:
-    factors = []
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    return factors
-
-
 def _primitive_root(pe: int, p: int) -> int:
     """Smallest primitive root modulo the odd prime power pe."""
     phi = pe - pe // p
-    prime_divs = [f for f, _ in _factorize(phi)]
+    prime_divs = [f for f, _ in factorize(phi)]
     for g in range(2, pe):
         if math.gcd(g, pe) != 1:
             continue
@@ -75,7 +61,7 @@ class _UnitGroup:
         self.component_mod: list[int] = []
         self._dlogs: list[dict[int, int]] = []
 
-        for p, e in _factorize(q):
+        for p, e in factorize(q):
             pe = p**e
             cof = q // pe
             if p == 2 and e == 1:
@@ -255,7 +241,11 @@ def primitive_inducer(chi: DirichletCharacter) -> DirichletCharacter:
     raise ArithmeticError(f"no inducing character found for {chi}")
 
 
+def exponent_key(chi: DirichletCharacter) -> str:
+    """The exponent vector joined by ';', e.g. '1;2'; '-' for the mod-1 character."""
+    return ";".join(str(e) for e in chi.exponents) if chi.exponents else "-"
+
+
 def char_label(chi: DirichletCharacter) -> str:
     """Deterministic text label, e.g. 'q5.e1' for exponent vector (1,)."""
-    exps = ";".join(str(e) for e in chi.exponents) if chi.exponents else "-"
-    return f"q{chi.modulus}.e{exps}"
+    return f"q{chi.modulus}.e{exponent_key(chi)}"

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import gammaincc, loggamma
 
-from zerokit.dirichlet.arith import int_nth_root, primes_up_to
+from zerokit.dirichlet.arith import factorize, prime_powers
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
     char_value,
@@ -160,26 +160,10 @@ def l_eval_by_inducer(s: complex, chi: DirichletCharacter) -> complex:
     """Cross-check route: L(s,chi) = L(s,chi*) * prod_{p | q, p coprime to f} (1 - chi*(p) p^-s)."""
     star = primitive_inducer(chi)
     value = l_eval(s, star)
-    for p, _ in _factor_pairs(chi.modulus):
+    for p, _ in factorize(chi.modulus):
         if chi.conductor % p != 0:
             value *= 1.0 - char_value(star, p) * p ** (-complex(s))
     return value
-
-
-def _factor_pairs(q: int) -> list[tuple[int, int]]:
-    out = []
-    n, p = q, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 # -- gamma factor and completed function ------------------------------------
@@ -350,23 +334,12 @@ def log_deriv_series(s: complex, chi: DirichletCharacter, k: int, cutoff: int) -
         raise ValueError("log_deriv_series requires Re s > 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if cutoff < 2:
-        return 0j
-    primes = primes_up_to(cutoff)
     total = 0j
     inv_kfac = 1.0 / math.factorial(k)
-    for m in range(1, math.floor(math.log2(cutoff)) + 1):
-        pm = primes[primes <= int_nth_root(cutoff, m)] if m > 1 else primes
-        if len(pm) == 0:
-            break
-        logs = np.log(pm.astype(float))
+    for m, primes, powers in prime_powers(cutoff):
+        logs = np.log(primes.astype(float))
         weights = logs * (m * logs) ** k if k > 0 else logs
-        if m == 1:
-            chi_vals = char_value_vec(chi, pm)
-        else:
-            q = max(chi.modulus, 1)
-            chi_vals = char_value_vec(chi, np.array([pow(int(p), m, q) for p in pm]))
-        terms = weights * chi_vals * np.exp(-(m * s) * logs)
+        terms = weights * char_value_vec(chi, powers) * np.exp(-(m * s) * logs)
         total += complex(terms.sum())
     return inv_kfac * total
 

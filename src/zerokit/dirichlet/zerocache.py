@@ -25,10 +25,11 @@ from zerokit.dirichlet.characters import (
     char_label,
     conjugate_character,
     enumerate_characters,
+    exponent_key,
     primitive_characters,
     primitive_inducer,
 )
-from zerokit.dirichlet.zeros import ZeroRecord, ZeroSet, scan_zeros
+from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, ZeroRecord, ZeroSet, scan_zeros
 
 __all__ = ["DependencyError", "ZeroLibrary", "read_zero_cache", "write_zero_cache", "CACHE_HEADER"]
 
@@ -38,10 +39,6 @@ ENV_CACHE_DIR = "EXPLICIT_ZERO_CACHE"
 
 class DependencyError(RuntimeError):
     """Zero data required by a computation is missing from the cache."""
-
-
-def _exp_key(chi: DirichletCharacter) -> str:
-    return ";".join(str(e) for e in chi.exponents) if chi.exponents else "-"
 
 
 def _cache_path(cache_dir: Path, q: int) -> Path:
@@ -62,7 +59,7 @@ def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], Zero
     lines = [CACHE_HEADER]
     for exps in sorted(zerosets):
         zs = zerosets[exps]
-        key = _exp_key(zs.character)
+        key = exponent_key(zs.character)
         if zs.zeros:
             for z in zs.zeros:
                 lines.append(
@@ -93,10 +90,12 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
             by_key.setdefault(key, []).append((float(beta_s), float(gamma_s), float(radius_s)))
         else:
             by_key.setdefault(key, [])
-    chars = {_exp_key(chi): chi for chi in enumerate_characters(q)}
+    chars = {exponent_key(chi): chi for chi in enumerate_characters(q)}
     out: dict[tuple[int, ...], ZeroSet] = {}
     for key, rows in by_key.items():
-        chi = chars[key]
+        chi = chars.get(key)
+        if chi is None:
+            raise ValueError(f"{path} has a row for character key {key!r}, which is no character mod {q}")
         zeros = tuple(
             ZeroRecord(beta, gamma, 1, radius) for beta, gamma, radius in sorted(rows, key=lambda r: r[1])
         )
@@ -149,7 +148,7 @@ class ZeroLibrary:
     # -- scanning ---------------------------------------------------------------
 
     def ensure(
-        self, q: int, height: float, grid_step: float = 0.05, height_guard: float = 1e3
+        self, q: int, height: float, grid_step: float = 0.05, height_guard: float = DESK_HEIGHT_LIMIT
     ) -> dict[str, int | str]:
         """Scan all primitive characters mod q up to `height` (idempotent).
 
@@ -187,12 +186,6 @@ class ZeroLibrary:
             if sets:
                 write_zero_cache(self.cache_dir, sets)
         return summary
-
-    def ensure_range(self, q_values, height: float) -> dict[str, int | str]:
-        out: dict[str, int | str] = {}
-        for q in q_values:
-            out.update(self.ensure(q, height))
-        return out
 
     def certified(self) -> bool:
         return all(zs.certified for zs in self._memory.values())

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from zerokit.constants import FieldParams, evaluate_density_bound, zero_circle_bound
-from zerokit.dirichlet.arith import harmonic_sum, int_nth_root, primes_in_window, primes_up_to, rough_mask
+from zerokit.dirichlet.arith import factorize, harmonic_sum, prime_powers, primes_in_window, rough_mask
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
     char_label,
@@ -52,7 +52,7 @@ from zerokit.dirichlet.lfunctions import (
 )
 from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.dirichlet.zeros import count_zeros_circle
-from zerokit.kernels import WeightParams, e_kernel, psi_weight, psi_weight_vec
+from zerokit.kernels import WeightParams, e_kernel, psi_weight_vec
 
 __all__ = [
     "CheckReport",
@@ -156,51 +156,34 @@ def circle_lemma_check(
     bound variant, counts zeros from the library (complete to T + 1), and
     reports the worst sample per (character, variant).
     """
+    # (name, bound kind, r range, sigma - 1 range, extra bound arguments)
+    variants = [("classical", "classical", (1e-3, 1.0), (1e-6, 1.0), {})]
+    for eps in epsilons:
+        variants.append((f"convexity.eps{eps}", "convexity", (1e-6, eps * (1.0 - 1e-9)), (1e-9, eps), {"epsilon": eps}))
     rng = np.random.default_rng(seed)
     reports = []
     for q in range(1, q_max + 1):
         for chi in primitive_characters(q):
             zs = library.get(chi, T + 1.0)
             p = FieldParams(n_K=1, D_K=1.0, implied_nk_constant=implied_nk)
-            worst = None
-            for _ in range(samples):
-                r = float(rng.uniform(1e-3, 1.0))
-                sigma = 1.0 + float(rng.uniform(1e-6, 1.0))
-                t = float(rng.uniform(-T, T))
-                lhs = count_zeros_circle(zs, r, complex(sigma, t))
-                rhs = zero_circle_bound(r, p, chi.conductor, t, chi.is_principal, "classical")
-                if worst is None or rhs - lhs < worst[0]:
-                    worst = (rhs - lhs, lhs, rhs, r, sigma, t)
-            reports.append(
-                _report(
-                    f"circle.classical.{char_label(chi)}",
-                    worst[1],
-                    worst[2],
-                    "<=",
-                    samples=samples,
-                    r=worst[3],
-                    sigma=worst[4],
-                    t=worst[5],
-                )
-            )
-            for eps in epsilons:
+            for name, kind, r_range, sigma_range, extra in variants:
                 worst = None
                 for _ in range(samples):
-                    r = float(rng.uniform(1e-6, eps * (1.0 - 1e-9)))
-                    sigma = 1.0 + float(rng.uniform(1e-9, eps))
+                    r = float(rng.uniform(*r_range))
+                    sigma = 1.0 + float(rng.uniform(*sigma_range))
                     t = float(rng.uniform(-T, T))
                     lhs = count_zeros_circle(zs, r, complex(sigma, t))
-                    rhs = zero_circle_bound(r, p, chi.conductor, t, chi.is_principal, "convexity", eps)
+                    rhs = zero_circle_bound(r, p, chi.conductor, t, chi.is_principal, kind, **extra)
                     if worst is None or rhs - lhs < worst[0]:
                         worst = (rhs - lhs, lhs, rhs, r, sigma, t)
                 reports.append(
                     _report(
-                        f"circle.convexity.eps{eps}.{char_label(chi)}",
+                        f"circle.{name}.{char_label(chi)}",
                         worst[1],
                         worst[2],
                         "<=",
                         samples=samples,
-                        epsilon=eps,
+                        **extra,
                         r=worst[3],
                         sigma=worst[4],
                         t=worst[5],
@@ -349,19 +332,13 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
         total = float(digamma(complex(u, v)).imag / (4.0 * v))
 
     # Euler-factor ladders for p | q with p coprime to the conductor.
-    q = chi.modulus
-    n, p = q, 2
-    while p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            if chi.conductor % p != 0:
-                theta = float(np.angle(char_value(star, p)))
-                logp = math.log(p)
-                big_x = (t * logp - theta) / (2.0 * math.pi)
-                big_y = sigma * logp / (2.0 * math.pi)
-                total += (logp / (2.0 * math.pi)) ** 2 * _lattice_inverse_square(big_x, big_y)
-        p += 1 if p == 2 else 2
+    for p, _ in factorize(chi.modulus):
+        if chi.conductor % p != 0:
+            theta = float(np.angle(char_value(star, p)))
+            logp = math.log(p)
+            big_x = (t * logp - theta) / (2.0 * math.pi)
+            big_y = sigma * logp / (2.0 * math.pi)
+            total += (logp / (2.0 * math.pi)) ** 2 * _lattice_inverse_square(big_x, big_y)
     return total
 
 
@@ -671,11 +648,8 @@ def selberg_smoothed_sum_check(
     n = n[(n % q) == (coset % q)]
     if len(n):
         n = n[rough_mask(n, z)]
-    lhs = 0.0
-    for m in n:
-        ratio = x / float(m)
-        if math.exp(-half) < ratio < math.exp(half):
-            lhs += psi_weight(ratio, params) / float(m)
+    m = n.astype(float)
+    lhs = float(np.sum(psi_weight_vec(x / m, params) / m))
     phi_q = sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
     main = 1.0 / (phi_q * harmonic_sum(z))
     rhs = main + error_budget * z ** (2.0 + 2.0 * eps) / x
@@ -699,8 +673,6 @@ def detector_window_sum(chi: DirichletCharacter, tau: float, y: float, u: float)
     """W(u) = sum_{y <= p < u} chi(p) log p / p^(1 + i tau), by direct sieve."""
     if u < y:
         raise ValueError("window requires u >= y")
-    if u > 1e8:
-        raise ValueError("window sums limited to u <= 1e8 at desk scale")
     primes = primes_in_window(y, u)
     if len(primes) == 0:
         return 0j
@@ -734,21 +706,12 @@ def detector_series_identity_check(
     if tolerance is None:
         tolerance = 1e-8 if k == 0 else 1e-6
 
-    primes = primes_up_to(cutoff)
     lhs = 0j
-    q = max(star.modulus, 1)
-    for m in range(1, int(math.log2(max(cutoff, 2))) + 1):
-        pm = primes[primes <= int_nth_root(cutoff, m)] if m > 1 else primes
-        if len(pm) == 0:
-            break
-        logn = m * np.log(pm.astype(float))
-        lam = np.log(pm.astype(float))
-        if m == 1:
-            chi_vals = char_value_vec(star, pm)
-        else:
-            chi_vals = char_value_vec(star, np.array([pow(int(p), m, q) for p in pm]))
+    for m, primes, powers in prime_powers(cutoff):
+        lam = np.log(primes.astype(float))
+        logn = m * lam
         kernel = np.array([e_kernel(float(r * ln), k) for ln in logn])
-        lhs += complex(np.sum(lam * chi_vals * np.exp(-(1.0 + 1j * tau) * logn) * r * kernel))
+        lhs += complex(np.sum(lam * char_value_vec(star, powers) * np.exp(-(1.0 + 1j * tau) * logn) * r * kernel))
 
     xi = 1.0 + r + 1j * tau
     rhs = r ** (k + 1) * log_deriv_series(xi, star, k, cutoff)

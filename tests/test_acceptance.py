@@ -29,7 +29,6 @@ from zerokit.dirichlet.characters import (
     primitive_characters,
 )
 from zerokit.dirichlet.lfunctions import completed_l, root_number
-from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.kernels import (
     WeightParams,
     e_kernel_bound_check,
@@ -124,17 +123,15 @@ def test_criterion_4_power_sum_suite():
     _stamp(4, "power-sum witness suite", started, 30.0)
 
 
-def test_criterion_5_zero_numerics(tmp_path):
+def test_criterion_5_zero_numerics(zero_library):
+    # The session library holds every primitive character with q <= 20 to height 51.
     started = time.perf_counter()
-    library = ZeroLibrary(tmp_path / "acceptance_cache")
-    for q in range(1, 21):
-        library.ensure(q, 50.0)
-    assert library.certified()
+    assert zero_library.certified()
 
     zeta = enumerate_characters(1)[0]
     chi4 = enumerate_characters(4)[1]
-    zeta_zeros = library.get(zeta, 50.0)
-    chi4_zeros = library.get(chi4, 50.0)
+    zeta_zeros = zero_library.get(zeta, 50.0)
+    chi4_zeros = zero_library.get(chi4, 50.0)
     first_zeta = min(z.gamma for z in zeta_zeros.zeros if z.gamma > 0)
     first_chi4 = min(z.gamma for z in chi4_zeros.zeros if z.gamma > 0)
     assert first_zeta == pytest.approx(14.134725, abs=1e-6)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from zerokit.dirichlet.arith import (
+    factorize,
     harmonic_sum,
     int_nth_root,
+    prime_powers,
     primes_in_window,
     primes_up_to,
     rough_mask,
@@ -14,6 +16,10 @@ from zerokit.dirichlet.arith import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class TestPrimes:
@@ -34,6 +40,34 @@ class TestPrimes:
         assert int_nth_root(10**6, 2) == 1000
         assert int_nth_root(10**6 - 1, 2) == 999
         assert int_nth_root(2**40, 40) == 2
+
+    def test_factorize_matches_trial_division(self):
+        assert factorize(1) == []
+        for n in range(2, 2001):
+            expected, rest, d = [], n, 2
+            while rest > 1:
+                e = 0
+                while rest % d == 0:
+                    rest //= d
+                    e += 1
+                if e:
+                    expected.append((d, e))
+                d += 1
+            assert factorize(n) == expected, n
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 10, 2**10, 3**7, 10**5])
+    def test_prime_powers_match_enumeration(self, cutoff):
+        expected: dict[int, list[tuple[int, int]]] = {}
+        for p in filter(_is_prime, range(2, cutoff + 1)):
+            m, pm = 1, p
+            while pm <= cutoff:
+                expected.setdefault(m, []).append((p, pm))
+                m, pm = m + 1, pm * p
+        got = {}
+        for m, primes, powers in prime_powers(cutoff):
+            assert primes.dtype == powers.dtype == np.int64
+            got[m] = list(zip(primes.tolist(), powers.tolist()))
+        assert got == expected
 
 
 class TestVonMangoldt:

@@ -8,6 +8,7 @@ from zerokit.dirichlet.characters import (
     char_value,
     conjugate_character,
     enumerate_characters,
+    exponent_key,
     primitive_characters,
     primitive_inducer,
     product_character,
@@ -119,3 +120,5 @@ class TestStructure:
         assert char_label(enumerate_characters(1)[0]) == "q1.e-"
         assert char_label(enumerate_characters(4)[1]) == "q4.e1"
         assert char_label(enumerate_characters(8)[3]) == "q8.e1;1"
+        assert exponent_key(enumerate_characters(1)[0]) == "-"
+        assert exponent_key(enumerate_characters(8)[3]) == "1;1"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -107,8 +108,39 @@ class TestZerosAndVerify:
         assert (tmp_path / "zeros_q0005.csv").exists()
 
     def test_guard_refuses_large_modulus(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["zeros", "scan", "--q", "500", "--height", "5", "--cache-dir", str(tmp_path)])
+        code, _, err = run(capsys, "zeros", "scan", "--q", "500", "--height", "5", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "--unsafe" in err
+
+    def test_unsafe_lifts_the_height_guard_of_verify(self, capsys, tmp_path, monkeypatch):
+        import zerokit.dirichlet.zerocache as cmod
+
+        guards = []
+        monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h, height_guard: guards.append(height_guard))
+        argv = ["verify", "--suite", "detector", "--qmax", "1", "--height", "1500", "--scan-missing"]
+        code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE and "desk-scale guard" in err
+        assert guards == []
+        code, _, _ = run(capsys, *argv, "--unsafe", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert guards == [math.inf]
+
+    def test_unknown_cache_key_is_a_usage_error(self, capsys, tmp_path):
+        assert run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))[0] == EXIT_OK
+        path = tmp_path / "zeros_q0005.csv"
+        header, first, *rest = path.read_text().splitlines()
+        fields = first.split(",")
+        fields[1] = "9"
+        path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "zeros_q0005.csv" in err and "'9'" in err
+
+    def test_uncertified_count_exits_one(self, capsys, tmp_path):
+        # At this height the winding count of two characters mod 5 does not settle.
+        code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "51.089999", "--cache-dir", str(tmp_path))
+        assert code == EXIT_FAIL
+        assert err.startswith("error:") and "phase tracking" in err
 
     def test_verify_missing_data_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", "detector", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))

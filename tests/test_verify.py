@@ -7,7 +7,7 @@ import pytest
 from zerokit.dirichlet.arith import primes_in_window
 from zerokit.dirichlet.characters import enumerate_characters
 from zerokit.dirichlet.hurwitz import hurwitz_zeta
-from zerokit.kernels import WeightParams
+from zerokit.kernels import WeightParams, psi_weight
 from zerokit.verify import (
     CheckReport,
     _lattice_inverse_square,
@@ -236,6 +236,11 @@ class TestSelberg:
         r = selberg_smoothed_sum_check(3, 1, 10.0, 1e4, params)
         assert r.passed
         assert r.context["main_term"] == pytest.approx(1.0 / (2.0 * sum(1.0 / n for n in range(1, 11))))
+        # scalar reference: the weighted sum over the 10-rough n = 1 mod 3 in the support window
+        lo, hi = r.context["support"]
+        rough = [n for n in range(lo, hi + 1) if n % 3 == 1 and all(n % p for p in (2, 3, 5, 7))]
+        assert r.context["survivors"] == len(rough)
+        assert r.lhs == pytest.approx(sum(psi_weight(1e4 / n, params) / n for n in rough), rel=1e-14, abs=0.0)
 
     def test_sieve_kills_window(self):
         # z beyond the support window removes every admissible n
