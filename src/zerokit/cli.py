@@ -148,9 +148,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         p = FieldParams(
             n_K=args.nk, D_K=args.dk, Q=args.q, T=args.t, implied_nk_constant=args.implied_nk
         )
-        exponent = args.exponent
-        if exponent is None:
-            exponent = 74.0 if args.sigma >= 1.0 - 1e-3 else 81.0
+        exponent = args.exponent if args.exponent is not None else constants.density_exponent_for(args.sigma)
         bound = constants.evaluate_density_bound(args.sigma, p, exponent, args.leading)
         payload = {
             "bound": bound.value,

@@ -52,6 +52,7 @@ __all__ = [
     "calc_script_L",
     "certification_report",
     "convexity_rhs",
+    "density_exponent_for",
     "derive_density_exponent",
     "derive_detector_constants",
     "derive_repulsion_coeffs",
@@ -283,6 +284,12 @@ def derive_shortsum_thresholds(c: DetectorConstants) -> tuple[ErrorBounded, Erro
     if failures:
         raise CertificationError(f"short-sum threshold(s) failed certification: {', '.join(failures)}", failures)
     return c.y_coeff, c.x_coeff, c.tail_exp
+
+
+def density_exponent_for(sigma: float) -> float:
+    """Published density exponent at sigma: narrow (74) within DENSITY_EPS_NARROW of 1, else wide (81)."""
+    key = "density_exponent_narrow" if sigma >= 1.0 - DENSITY_EPS_NARROW else "density_exponent_wide"
+    return float(PUBLISHED[key])
 
 
 def derive_density_exponent(epsilon: float, slack_eta: float = 0.0) -> ErrorBounded:

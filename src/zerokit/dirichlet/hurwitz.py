@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_zeta_ds_vec", "hurwitz_error_bound"]
+__all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_error_bound"]
 
 DEFAULT_ORDER = 20
 _CHUNK = 8_000_000  # complex entries per term-matrix chunk
@@ -99,48 +99,6 @@ def hurwitz_error_bound(s: np.ndarray, a: float, shift: int | None = None, order
         poch = poch * (s + i)
     mag = abs(coeffs[order]) * np.abs(poch) * w ** (-(s.real + 2 * order + 1))
     return mag * np.abs(s + 2 * order + 1) / np.maximum(s.real + 2 * order + 1, 1e-300)
-
-
-def hurwitz_zeta_ds_vec(
-    s: np.ndarray,
-    a: float,
-    shift: int | None = None,
-    order: int = DEFAULT_ORDER,
-) -> np.ndarray:
-    """d/ds zeta(s, a): the Euler--Maclaurin expansion differentiated term by term."""
-    s = np.asarray(s, dtype=complex)
-    if a <= 0.0:
-        raise ValueError("hurwitz_zeta requires a > 0")
-    if np.any(s == 1.0):
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = shift if shift is not None else _shift_for(s)
-
-    flat = s.reshape(-1)
-    out = np.zeros(flat.shape, dtype=complex)
-    log_ns = np.log(np.arange(n_shift) + a)
-    rows_per_chunk = max(1, _CHUNK // max(len(log_ns), 1))
-    for start in range(0, len(flat), rows_per_chunk):
-        blk = flat[start : start + rows_per_chunk, None]
-        out[start : start + rows_per_chunk] = -(log_ns[None, :] * np.exp(-blk * log_ns[None, :])).sum(axis=1)
-
-    w = n_shift + a
-    logw = math.log(w)
-    w1s = np.exp((1.0 - flat) * logw)
-    out += -logw * w1s / (flat - 1.0) - w1s / (flat - 1.0) ** 2
-    w_pow = np.exp(-flat * logw)
-    out += -0.5 * logw * w_pow
-
-    coeffs = _bernoulli_over_factorial()
-    poch = flat.copy()
-    dpoch = np.ones(flat.shape, dtype=complex)
-    w_fac = w_pow / w
-    for j in range(1, order + 1):
-        out += coeffs[j - 1] * (dpoch - poch * logw) * w_fac
-        u, v = flat + (2 * j - 1), flat + 2 * j
-        dpoch = dpoch * u * v + poch * (u + v)
-        poch = poch * u * v
-        w_fac = w_fac / (w * w)
-    return out.reshape(s.shape)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:

@@ -10,6 +10,13 @@ is entire for primitive chi and satisfies xi(s, chi) = w(chi) xi(1-s, bar chi)
 with |w(chi)| = 1; the root number is computed as that quotient at a
 reference point.  Gamma factors follow the parity convention a(chi)=1 for
 even characters and b(chi)=1 for odd ones (degree one: a + b = 1).
+
+Logarithmic derivatives (d/ds)^k L'/L come from two independent routes: the
+prime-power series (`log_deriv_series`, Re s > 1) and Cauchy differentiation
+of log L on a circle (`log_deriv_by_contour`).  The contour route needs only
+values of L, so the value kernel is the only Hurwitz kernel; it raises
+ArithmeticError when the phase of L does not close around the circle, i.e.
+when a zero or the pole lies inside it.
 """
 
 from __future__ import annotations
@@ -18,17 +25,18 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import gammaincc, loggamma
+from scipy.special import gammaincc, loggamma, psi
 
 from zerokit.dirichlet.arith import factorize, prime_powers
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
+    char_label,
     char_value,
     char_value_vec,
     conjugate_character,
     primitive_inducer,
 )
-from zerokit.dirichlet.hurwitz import hurwitz_zeta_ds_vec, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import hurwitz_zeta_vec
 
 __all__ = [
     "GammaPoleError",
@@ -97,25 +105,6 @@ def _l_at_one(chi: DirichletCharacter) -> complex:
     return -sum(char_value(chi, a) * digamma(a / q) for a in range(1, q) if char_value(chi, a) != 0) / q
 
 
-def l_prime_vec(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
-    """L'(s, chi), from the differentiated Hurwitz expansion."""
-    s = np.asarray(s, dtype=complex)
-    if np.any(s == 1.0):
-        raise ValueError("L' evaluation at s = 1 is not supported")
-    q = chi.modulus
-    if q == 1:
-        return hurwitz_zeta_ds_vec(s, 1.0)
-    acc = np.zeros(s.shape, dtype=complex)
-    d_acc = np.zeros(s.shape, dtype=complex)
-    for a in range(1, q + 1):
-        c = char_value(chi, a)
-        if c != 0:
-            acc += c * hurwitz_zeta_vec(s, a / q)
-            d_acc += c * hurwitz_zeta_ds_vec(s, a / q)
-    scale = np.exp(-s * math.log(q))
-    return scale * (d_acc - math.log(q) * acc)
-
-
 def log_deriv_by_contour(
     s: complex,
     chi: DirichletCharacter,
@@ -123,33 +112,39 @@ def log_deriv_by_contour(
     radius: float | None = None,
     nodes: int = 128,
 ) -> complex:
-    """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation.
+    """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L.
 
-    Trapezoidal quadrature of the Cauchy integral on a circle around s; the
-    circle must avoid the pole at 1 (principal chi) and the zero region
-    Re w <= 1/2, which the default radius guarantees for Re s > 1.  The
-    quadrature error decays geometrically in `nodes`, so this route reaches
-    ~1e-10 and is independent of both the prime series and any zero data.
+    (d/ds)^k L'/L is the (k+1)-th derivative of log L, so trapezoidal
+    quadrature of the Cauchy integral of log L(w) on a circle around s gives
+    it from values of L alone: one Hurwitz kernel serves L and all of its
+    log-derivatives.  log L is log|L| plus the phase of L unwrapped along the
+    circle.  That branch is analytic inside the circle only when the circle
+    encloses no zero and no pole, which is exactly when the unwrapped phase
+    closes; otherwise ArithmeticError is raised.  The default radius keeps the
+    circle inside Re w > 1/2 and away from w = 1 for Re s > 1.  The quadrature
+    error decays geometrically in `nodes`, so this route reaches ~1e-13 and is
+    independent of both the prime series and any zero data.
     """
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("requires Re s > 1")
-
-    def f_values(w: np.ndarray) -> np.ndarray:
-        return l_prime_vec(w, chi) / l_eval_vec(w, chi)
-
-    if k == 0:
-        return complex(-f_values(np.array([s]))[0])
     if radius is None:
         # Keep the circle away from w = 1: even without a pole there, the
         # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
         # nearby.  0.4 of the distance keeps the quadrature error geometric.
         radius = 0.4 * min(s.real - 0.5, abs(s - 1.0))
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    w = s + radius * np.exp(1j * theta)
-    vals = f_values(w)
-    deriv_over_kfac = np.sum(vals * np.exp(-1j * k * theta)) / (nodes * radius**k)
-    return complex((-1.0) ** (k + 1) * deriv_over_kfac)
+    values = l_eval_vec(s + radius * np.exp(1j * theta), chi)
+    phase = np.unwrap(np.angle(np.append(values, values[0])))
+    winding = (phase[-1] - phase[0]) / (2.0 * math.pi)
+    if abs(winding) > 0.5:
+        raise ArithmeticError(
+            f"L(w, {char_label(chi)}) winds {winding:+.0f} times around |w - {s}| = {radius}: "
+            "a zero or pole lies inside the circle"
+        )
+    log_l = np.log(np.abs(values)) + 1j * phase[:-1]
+    coeff = np.sum(log_l * np.exp(-1j * (k + 1) * theta)) / (nodes * radius ** (k + 1))
+    return complex((-1.0) ** (k + 1) * (k + 1) * coeff)
 
 
 def l_eval(s: complex, chi: DirichletCharacter) -> complex:
@@ -268,38 +263,12 @@ def trivial_zeros(chi: DirichletCharacter, depth: int) -> list[tuple[float, int]
 
 # -- digamma -----------------------------------------------------------------
 
-# B_2j / (2j) for the digamma asymptotic series, j = 1..7.
-_DIGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
 def digamma(s: complex) -> complex:
-    """Gamma'/Gamma(s) by the asymptotic series with recurrence shift.
-
-    Accurate to ~1e-12 for Re s > 0 (shift to |s| >= 12, seven correction
-    terms).
-    """
+    """Gamma'/Gamma(s), from scipy.special.psi."""
     s = complex(s)
     if s.real <= 0.0 and s.imag == 0.0 and s.real == int(s.real):
         raise GammaPoleError(s)
-    acc = 0j
-    while abs(s) < 12.0:
-        acc -= 1.0 / s
-        s += 1.0
-    inv2 = 1.0 / (s * s)
-    series = 0j
-    power = inv2
-    for c in _DIGAMMA_COEF:
-        series += c * power
-        power *= inv2
-    return acc + cmath.log(s) - 0.5 / s - series
+    return complex(psi(s))
 
 
 def digamma_real_part(s: complex) -> float:

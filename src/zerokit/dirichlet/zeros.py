@@ -239,6 +239,8 @@ def scan_zeros(
     """
     if not chi.is_primitive:
         raise ValueError("scan_zeros requires a primitive character")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"scan height must be finite and positive, got {T}")
     if T > height_guard:
         raise ValueError(f"scan limited to T <= {height_guard} (guard is configuration, raise it to override)")
 

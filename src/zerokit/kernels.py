@@ -168,20 +168,23 @@ def psi_mellin_bounds_check(s: complex, p: WeightParams) -> tuple[bool, bool | N
     return decay_ok, small_ok, strip_ok
 
 
-def e_kernel(u: float, k: int) -> float:
+def e_kernel(u: float | np.ndarray, k: int) -> float | np.ndarray:
     """E_k(u) = u^k e^-u / k!, evaluated in log space (overflow-free in k).
 
-    E_0(0) = 1 by the 0^0 convention; E_k(0) = 0 exactly for k >= 1.
+    Takes a float or an array of u and returns the same kind.  E_0(0) = 1 by
+    the 0^0 convention; E_k(0) = 0 exactly for k >= 1.
     """
-    if u < 0.0:
+    x = np.asarray(u, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError("e_kernel requires u >= 0")
     if k < 0:
         raise ValueError("e_kernel requires k >= 0")
-    if u == 0.0:
-        return 1.0 if k == 0 else 0.0
     if k == 0:
-        return math.exp(-u)
-    return math.exp(k * math.log(u) - u - math.lgamma(k + 1))
+        out = np.exp(-x)
+    else:
+        with np.errstate(divide="ignore"):  # log 0 = -inf gives E_k(0) = 0
+            out = np.exp(k * np.log(x) - x - math.lgamma(k + 1))
+    return float(out) if out.ndim == 0 else out
 
 
 def e_kernel_bound_check(k: int, eta: float, delta: float, u: float) -> bool | None:

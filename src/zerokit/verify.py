@@ -28,8 +28,9 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.special import polygamma
 
-from zerokit.constants import FieldParams, evaluate_density_bound, zero_circle_bound
+from zerokit.constants import FieldParams, density_exponent_for, evaluate_density_bound, zero_circle_bound
 from zerokit.dirichlet.arith import factorize, harmonic_sum, prime_powers, primes_in_window, rough_mask
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
@@ -156,6 +157,8 @@ def circle_lemma_check(
     bound variant, counts zeros from the library (complete to T + 1), and
     reports the worst sample per (character, variant).
     """
+    if samples < 1:
+        raise ValueError("circle_lemma_check needs samples >= 1")
     # (name, bound kind, r range, sigma - 1 range, extra bound arguments)
     variants = [("classical", "classical", (1e-3, 1.0), (1e-6, 1.0), {})]
     for eps in epsilons:
@@ -324,9 +327,7 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
         c = 2.0  # order at 0 is a - delta = 0: ladder starts at -2
     u = (sigma + c) / 2.0
     if t == 0.0:
-        from zerokit.dirichlet.hurwitz import hurwitz_zeta
-
-        total = 0.25 * hurwitz_zeta(2.0, u).real
+        total = 0.25 * float(polygamma(1, u))
     else:
         v = t / 2.0
         total = float(digamma(complex(u, v)).imag / (4.0 * v))
@@ -473,7 +474,7 @@ def density_theorem_check(
             for chi in enumerate_characters(q):
                 zs = library.get(chi, T)
                 lhs += zs.count_above(sigma, T)
-            exponent = 74.0 if sigma >= 1.0 - 1e-3 else 81.0
+            exponent = density_exponent_for(sigma)
             p = FieldParams(n_K=1, D_K=1.0, Q=float(q), T=float(T), implied_nk_constant=implied_nk)
             bound = evaluate_density_bound(sigma, p, exponent, leading_constant)
             minimal_leading = lhs / (bound.value / leading_constant) if bound.value > 0 else 0.0
@@ -710,7 +711,7 @@ def detector_series_identity_check(
     for m, primes, powers in prime_powers(cutoff):
         lam = np.log(primes.astype(float))
         logn = m * lam
-        kernel = np.array([e_kernel(float(r * ln), k) for ln in logn])
+        kernel = e_kernel(r * logn, k)
         lhs += complex(np.sum(lam * char_value_vec(star, powers) * np.exp(-(1.0 + 1j * tau) * logn) * r * kernel))
 
     xi = 1.0 + r + 1j * tau

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from zerokit.cli import EXIT_FAIL, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
+from zerokit.constants import density_exponent_for
 
 
 def run(capsys, *argv):
@@ -79,6 +80,20 @@ class TestBounds:
         payload = json.loads(out)
         assert payload["vacuous"] is True and payload["bound"] == 1.0
 
+    def test_density_exponent_on_both_sides_of_the_threshold(self, capsys, tmp_path):
+        assert density_exponent_for(1.0 - 1e-3) == 74.0
+        assert density_exponent_for(0.9989) == 81.0
+        code, out, _ = run(capsys, "bounds", "density", "--sigma", "0.6", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["exponent"] == 81.0
+        argv = ["verify", "--suite", "density", "--qmax", "2", "--height", "5", "--scan-missing", "--json"]
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK
+        rows = {r["name"]: r for r in json.loads(out)}
+        for q in (1, 2):
+            assert rows[f"density.q{q}.sigma0.999"]["context"]["exponent"] == 74.0
+            assert rows[f"density.q{q}.sigma0.8"]["context"]["exponent"] == 81.0
+
     def test_usage_error_on_bad_parameter(self, capsys):
         code, _, err = run(capsys, "bounds", "density", "--sigma", "0.2", "--json")
         assert code == EXIT_USAGE
@@ -141,6 +156,18 @@ class TestZerosAndVerify:
         code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "51.089999", "--cache-dir", str(tmp_path))
         assert code == EXIT_FAIL
         assert err.startswith("error:") and "phase tracking" in err
+
+    @pytest.mark.parametrize("height", ["inf", "nan", "0", "-3"])
+    def test_scan_height_not_finite_positive_is_a_usage_error(self, capsys, tmp_path, height):
+        code, _, err = run(capsys, "zeros", "scan", "--q", "3", "--height", height, "--unsafe", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "finite and positive" in err
+
+    def test_circle_suite_without_samples_is_a_usage_error(self, capsys, tmp_path):
+        argv = ["verify", "--suite", "circle", "--samples", "0", "--qmax", "2", "--height", "5", "--scan-missing"]
+        code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "samples" in err
 
     def test_verify_missing_data_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", "detector", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))

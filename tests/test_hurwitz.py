@@ -7,7 +7,6 @@ import pytest
 from zerokit.dirichlet.hurwitz import (
     hurwitz_error_bound,
     hurwitz_zeta,
-    hurwitz_zeta_ds_vec,
     hurwitz_zeta_vec,
 )
 
@@ -79,10 +78,3 @@ class TestCertifiedTruncation:
                 bound = float(hurwitz_error_bound(np.array([s]), a)[0])
                 assert err <= bound + 1e-11
 
-
-class TestDerivative:
-    @pytest.mark.parametrize("s,a", [(2.0 + 0.0j, 1.0), (1.5 + 3.0j, 0.3), (3.0 - 2.0j, 0.9), (0.5 + 20.0j, 1.0)])
-    def test_against_mpmath(self, s, a):
-        mine = complex(hurwitz_zeta_ds_vec(np.array([s]), a)[0])
-        ref = complex(mp.diff(lambda w: mp.zeta(w, a), s))
-        assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))

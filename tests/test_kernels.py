@@ -181,6 +181,19 @@ class TestEKernel:
             e_kernel(-1.0, 0)
         with pytest.raises(ValueError):
             e_kernel(1.0, -1)
+        with pytest.raises(ValueError):
+            e_kernel(np.array([1.0, -1.0]), 2)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 100])
+    def test_array_matches_scalar(self, k):
+        u = np.concatenate([[0.0, 1.0, float(k)], np.random.default_rng(k).uniform(0.0, 200.0, 500)])
+        values = e_kernel(u, k)
+        assert isinstance(values, np.ndarray) and values.shape == u.shape
+        for x, v in zip(u, values):
+            scalar = e_kernel(float(x), k)
+            assert isinstance(scalar, float)
+            assert v == pytest.approx(scalar, rel=1e-15, abs=0.0)
+        assert values[0] == (1.0 if k == 0 else 0.0)
 
 
 class TestEKernelBounds:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -223,6 +224,33 @@ class TestLogDerivSeries:
             log_deriv_series(1.0, ZETA, 0, 100)
         with pytest.raises(ValueError):
             log_deriv_series(0.9, CHI4, 2, 100)
+
+
+class TestLogDerivContour:
+    @staticmethod
+    def reference(chi, s, k):
+        # (-1)^(k+1)/k! (d/ds)^k L'/L = (-1)^(k+1)/k! (d/ds)^(k+1) log L, in mpmath
+        with mp.workdps(30):
+            if chi.modulus == 1:
+                log_l = lambda w: mp.log(mp.zeta(w))
+            else:
+                log_l = lambda w: mp.log(mp.dirichlet(w, [0, 1, 0, -1]))
+            return complex((-1) ** (k + 1) * mp.diff(log_l, s, k + 1) / mp.factorial(k))
+
+    @pytest.mark.parametrize("chi", [ZETA, CHI4], ids=["zeta", "chi4"])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 1.5 + 3.0j])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_against_mpmath(self, chi, s, k):
+        ref = self.reference(chi, s, k)
+        assert abs(log_deriv_by_contour(s, chi, k) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_circle_around_the_pole_raises(self):
+        with pytest.raises(ArithmeticError, match="winds"):
+            log_deriv_by_contour(1.2, ZETA, 0, radius=0.5)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            log_deriv_by_contour(1.0, CHI4, 1)
 
 
 class TestConvexityEnvelope:
