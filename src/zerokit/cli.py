@@ -12,10 +12,10 @@ Commands:
 Exit codes: 0 pass, 1 certification/verification failure, 2 usage error,
 3 missing dependency (zero data absent without --scan-missing).
 
-Configuration: flat key=value file via --config; values are overridden by
-environment (EXPLICIT_ZERO_CACHE for the cache directory) and then by
-command-line flags.  Output is deterministic for a given configuration and
-cache state: fixed orderings, no timestamps.
+Configuration: flat key=value file via --config (an unknown key is a usage
+error); values are overridden by environment (EXPLICIT_ZERO_CACHE for the
+cache directory) and then by command-line flags.  Output is deterministic for
+a given configuration and cache state: fixed orderings, no timestamps.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ DESK_Q_LIMIT = 200
 
 HEURISTIC_NOTE = "implied-constant inputs are heuristic, not certified"
 
+# cache_dir and output_format apply to every command; the tolerances feed `verify`.
+CONFIG_KEYS = ("cache_dir", "output_format", "tolerance.explicit_formula", "tolerance.hadamard")
+
 
 @dataclass
 class RunConfig:
@@ -51,9 +54,6 @@ class RunConfig:
 
     cache_dir: str = "zero_cache"
     output_format: str = "table"
-    q_max: int = 10
-    height_T: float = 30.0
-    samples: int = 10
     unsafe: bool = False
     tolerances: dict = field(default_factory=dict)
 
@@ -76,14 +76,13 @@ def _load_config_file(path: str | None) -> dict[str, str]:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     file_values = _load_config_file(getattr(args, "config", None))
+    unknown = sorted(set(file_values) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; known keys: {', '.join(CONFIG_KEYS)}")
     if "cache_dir" in file_values:
         cfg.cache_dir = file_values["cache_dir"]
     if "output_format" in file_values:
         cfg.output_format = file_values["output_format"]
-    if "q_max" in file_values:
-        cfg.q_max = int(file_values["q_max"])
-    if "height" in file_values:
-        cfg.height_T = float(file_values["height"])
     for key, value in file_values.items():
         if key.startswith("tolerance."):
             cfg.tolerances[key.removeprefix("tolerance.")] = float(value)

@@ -21,7 +21,6 @@ from zerokit.dirichlet.lfunctions import (
     GammaPoleError,
     completed_l,
     digamma,
-    digamma_real_part,
     gamma_factor,
     gamma_factor_log_deriv,
     l_eval,
@@ -61,7 +60,6 @@ __all__ = [
     "count_zeros_circle",
     "count_zeros_rectangle",
     "digamma",
-    "digamma_real_part",
     "enumerate_characters",
     "gamma_factor",
     "gamma_factor_log_deriv",

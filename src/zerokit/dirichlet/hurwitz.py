@@ -15,6 +15,7 @@ t-grid is a single (len(s), N) matrix sum.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -23,13 +24,14 @@ import numpy as np
 
 __all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_error_bound"]
 
-DEFAULT_ORDER = 20
+ORDER = 20  # Euler--Maclaurin correction order M
 _CHUNK = 8_000_000  # complex entries per term-matrix chunk
 
 
 @lru_cache(maxsize=1)
-def _bernoulli_over_factorial(count: int = DEFAULT_ORDER + 2) -> tuple[float, ...]:
-    """B_{2j}/(2j)! for j = 1..count, exactly computed then rounded once."""
+def _bernoulli_over_factorial() -> tuple[float, ...]:
+    """B_{2j}/(2j)! for j = 1..ORDER+2, exactly computed then rounded once."""
+    count = ORDER + 2
     top = 2 * count
     bern = [Fraction(1)]
     for m in range(1, top + 1):
@@ -48,20 +50,14 @@ def _shift_for(s: np.ndarray) -> int:
     return max(20, math.ceil(2.0 * tmax))
 
 
-def hurwitz_zeta_vec(
-    s: np.ndarray,
-    a: float,
-    shift: int | None = None,
-    order: int = DEFAULT_ORDER,
-) -> np.ndarray:
-    """zeta(s, a) for an array of complex s (no entry may equal 1)."""
+def hurwitz_zeta_vec(s: np.ndarray, a: complex) -> np.ndarray:
+    """zeta(s, a) for an array of complex s (no entry may equal 1) and Re a > 0."""
     s = np.asarray(s, dtype=complex)
-    if a <= 0.0:
-        # The expansion works for any a > 0; the toolkit only needs (0, 1].
-        raise ValueError("hurwitz_zeta requires a > 0")
+    if a.real <= 0.0:
+        raise ValueError("hurwitz_zeta requires Re a > 0")
     if np.any(s == 1.0):
         raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = shift if shift is not None else _shift_for(s)
+    n_shift = _shift_for(s)
 
     flat = s.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
@@ -73,7 +69,7 @@ def hurwitz_zeta_vec(
         out[start : start + rows_per_chunk] = np.exp(-blk * log_ns[None, :]).sum(axis=1)
 
     w = n_shift + a
-    logw = math.log(w)
+    logw = cmath.log(w)
     out += np.exp((1.0 - flat) * logw) / (flat - 1.0)
     w_pow = np.exp(-flat * logw)
     out += 0.5 * w_pow
@@ -81,26 +77,27 @@ def hurwitz_zeta_vec(
     coeffs = _bernoulli_over_factorial()
     poch = flat.copy()  # (s)_1
     w_fac = w_pow / w  # (N+a)^(-s-1)
-    for j in range(1, order + 1):
+    for j in range(1, ORDER + 1):
         out += coeffs[j - 1] * poch * w_fac
         poch = poch * (flat + (2 * j - 1)) * (flat + 2 * j)
         w_fac = w_fac / (w * w)
     return out.reshape(s.shape)
 
 
-def hurwitz_error_bound(s: np.ndarray, a: float, shift: int | None = None, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Certified bound on the truncation remainder of hurwitz_zeta_vec."""
+def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
+    """Certified bound on the truncation remainder of hurwitz_zeta_vec (real a > 0)."""
+    if isinstance(a, complex):
+        raise ValueError("hurwitz_error_bound requires a real a")
     s = np.asarray(s, dtype=complex)
-    n_shift = shift if shift is not None else _shift_for(s)
-    w = n_shift + a
+    w = _shift_for(s) + a
     coeffs = _bernoulli_over_factorial()
     poch = np.ones(s.shape, dtype=complex)
-    for i in range(2 * order + 1):
+    for i in range(2 * ORDER + 1):
         poch = poch * (s + i)
-    mag = abs(coeffs[order]) * np.abs(poch) * w ** (-(s.real + 2 * order + 1))
-    return mag * np.abs(s + 2 * order + 1) / np.maximum(s.real + 2 * order + 1, 1e-300)
+    mag = abs(coeffs[ORDER]) * np.abs(poch) * w ** (-(s.real + 2 * ORDER + 1))
+    return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
+def hurwitz_zeta(s: complex, a: complex) -> complex:
     """Scalar Hurwitz zeta; pole error at s = 1."""
     return complex(hurwitz_zeta_vec(np.array([complex(s)]), a)[0])

@@ -36,14 +36,13 @@ from zerokit.dirichlet.characters import (
     conjugate_character,
     primitive_inducer,
 )
-from zerokit.dirichlet.hurwitz import hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import hurwitz_zeta, hurwitz_zeta_vec
 
 __all__ = [
     "GammaPoleError",
     "completed_l",
     "completed_prefactor_phase",
     "digamma",
-    "digamma_real_part",
     "gamma_factor",
     "gamma_factor_log_deriv",
     "l_eval",
@@ -53,6 +52,8 @@ __all__ = [
     "log_deriv_series",
     "log_deriv_tail_bound",
     "root_number",
+    "trivial_ladder_start",
+    "trivial_zero_sum",
     "trivial_zeros",
 ]
 
@@ -65,10 +66,6 @@ class GammaPoleError(ArithmeticError):
     def __init__(self, location: complex):
         super().__init__(f"gamma factor pole at s = {location}")
         self.location = location
-
-
-def _parity_ab(chi: DirichletCharacter) -> tuple[int, int]:
-    return (1, 0) if chi.parity == "even" else (0, 1)
 
 
 # -- L-function evaluation ---------------------------------------------------
@@ -89,8 +86,6 @@ def l_eval_vec(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
             out[~at_pole] = l_eval_vec(s[~at_pole], chi)
         return out
     q = chi.modulus
-    if q == 1:
-        return hurwitz_zeta_vec(s, 1.0)
     acc = np.zeros(s.shape, dtype=complex)
     for a in range(1, q + 1):
         c = char_value(chi, a)
@@ -110,7 +105,6 @@ def log_deriv_by_contour(
     chi: DirichletCharacter,
     k: int,
     radius: float | None = None,
-    nodes: int = 128,
 ) -> complex:
     """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L.
 
@@ -122,8 +116,8 @@ def log_deriv_by_contour(
     encloses no zero and no pole, which is exactly when the unwrapped phase
     closes; otherwise ArithmeticError is raised.  The default radius keeps the
     circle inside Re w > 1/2 and away from w = 1 for Re s > 1.  The quadrature
-    error decays geometrically in `nodes`, so this route reaches ~1e-13 and is
-    independent of both the prime series and any zero data.
+    error decays geometrically in the node count, so this route reaches ~1e-13
+    and is independent of both the prime series and any zero data.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -133,6 +127,7 @@ def log_deriv_by_contour(
         # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
         # nearby.  0.4 of the distance keeps the quadrature error geometric.
         radius = 0.4 * min(s.real - 0.5, abs(s - 1.0))
+    nodes = 128
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     values = l_eval_vec(s + radius * np.exp(1j * theta), chi)
     phase = np.unwrap(np.angle(np.append(values, values[0])))
@@ -166,9 +161,8 @@ def l_eval_by_inducer(s: complex, chi: DirichletCharacter) -> complex:
 
 def gamma_factor(s: complex, chi: DirichletCharacter) -> complex:
     """gamma_chi(s) = [pi^(-s/2) Gamma(s/2)]^a [pi^(-(s+1)/2) Gamma((s+1)/2)]^b."""
-    a, _ = _parity_ab(chi)
     s = complex(s)
-    half = s / 2.0 if a else (s + 1.0) / 2.0
+    half = s / 2.0 if chi.parity == "even" else (s + 1.0) / 2.0
     if half.imag == 0.0 and half.real <= 0.0 and half.real == int(half.real):
         raise GammaPoleError(s)
     return cmath.exp(-half * _LOG_PI + loggamma(half))
@@ -198,8 +192,7 @@ def completed_prefactor_phase(s: np.ndarray, chi: DirichletCharacter) -> np.ndar
     Computed from logarithms so the gamma-factor magnitude never overflows.
     """
     s = np.asarray(s, dtype=complex)
-    a, _ = _parity_ab(chi)
-    half = s / 2.0 if a else (s + 1.0) / 2.0
+    half = s / 2.0 if chi.parity == "even" else (s + 1.0) / 2.0
     phase = (-half * _LOG_PI + loggamma(half)).imag
     phase = phase + (s.imag / 2.0) * math.log(chi.conductor)
     if chi.is_principal:
@@ -213,52 +206,53 @@ def log_completed_phase(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
     return completed_prefactor_phase(s, chi) + np.angle(l_eval_vec(s, chi))
 
 
-def root_number(chi: DirichletCharacter, reference: complex = 0.3 + 0.7j, tol: float = 1e-8) -> complex:
-    """w(chi) = xi(s, chi) / xi(1-s, bar chi), |w| = 1 to tol.
+def root_number(chi: DirichletCharacter) -> complex:
+    """w(chi) = xi(s, chi) / xi(1-s, bar chi), |w| = 1 to 1e-8.
 
-    Retries at shifted reference points if the evaluation point lands too
-    close to a zero of the completed function.
+    Evaluated at s = 0.3 + 0.7i; retries at shifted points if the evaluation
+    point lands too close to a zero of the completed function.
     """
     if not chi.is_primitive:
         raise ValueError("root number requires a primitive character")
     bar = conjugate_character(chi)
-    s0 = complex(reference)
     for attempt in range(8):
-        s = s0 + attempt * (0.07 + 0.11j)
+        s = 0.3 + 0.7j + attempt * (0.07 + 0.11j)
         num = completed_l(s, chi)
         den = completed_l(1.0 - s, bar)
         if abs(den) < 1e-12 or abs(num) < 1e-12:
             continue
         w = num / den
-        if abs(abs(w) - 1.0) <= tol:
+        if abs(abs(w) - 1.0) <= 1e-8:
             return w
     raise ArithmeticError(f"root number did not stabilise for {chi}")
 
 
-def trivial_zeros(chi: DirichletCharacter, depth: int) -> list[tuple[float, int]]:
-    """First `depth` trivial zeros (location, order), by increasing |location|.
+def trivial_ladder_start(chi: DirichletCharacter) -> int:
+    """c such that the trivial zeros of L(s, chi) are simple at s = -c, -c-2, ...
 
-    Even chi: s = 0 with order a - delta, then -2, -4, ... with order a;
-    odd chi: s = -1, -3, -5, ... with order b.
+    0 for even chi, 1 for odd chi, 2 for the principal one (whose pole factor
+    s(s-1) in the completed function cancels the gamma-factor zero at s = 0).
     """
+    if chi.parity == "odd":
+        return 1
+    return 2 if chi.is_principal else 0
+
+
+def trivial_zeros(chi: DirichletCharacter, depth: int) -> list[float]:
+    """First `depth` trivial zeros, all simple, by increasing |location|."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    a, b = _parity_ab(chi)
-    out: list[tuple[float, int]] = []
-    if a:
-        order0 = a - (1 if chi.is_principal else 0)
-        if order0 > 0:
-            out.append((0.0, order0))
-        k = 1
-        while len(out) < depth:
-            out.append((-2.0 * k, a))
-            k += 1
-    else:
-        k = 0
-        while len(out) < depth:
-            out.append((-1.0 - 2.0 * k, b))
-            k += 1
-    return out[:depth]
+    c = trivial_ladder_start(chi)
+    return [float(-c - 2 * j) for j in range(depth)]
+
+
+def trivial_zero_sum(chi: DirichletCharacter, s: complex, k: int) -> complex:
+    """sum over the trivial zeros omega of 1/(s - omega)^(k+1), exactly.
+
+    Equals 2^-(k+1) zeta(k+1, (s+c)/2); needs k >= 1 and Re s + c > 0.
+    """
+    a = (complex(s) + trivial_ladder_start(chi)) / 2.0
+    return hurwitz_zeta(k + 1.0, a) / 2.0 ** (k + 1)
 
 
 # -- digamma -----------------------------------------------------------------
@@ -271,19 +265,10 @@ def digamma(s: complex) -> complex:
     return complex(psi(s))
 
 
-def digamma_real_part(s: complex) -> float:
-    """Re{Gamma'/Gamma(s)} for Re s > 1 (error <= 1e-10)."""
-    s = complex(s)
-    if s.real <= 1.0:
-        raise ValueError("digamma_real_part requires Re s > 1")
-    return digamma(s).real
-
-
 def gamma_factor_log_deriv(s: complex, chi: DirichletCharacter) -> complex:
     """gamma_chi'/gamma_chi(s) from the parity data."""
-    a, _ = _parity_ab(chi)
     s = complex(s)
-    if a:
+    if chi.parity == "even":
         return 0.5 * (digamma(s / 2.0) - _LOG_PI)
     return 0.5 * (digamma((s + 1.0) / 2.0) - _LOG_PI)
 

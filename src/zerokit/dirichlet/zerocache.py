@@ -67,7 +67,14 @@ def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], Zero
                 )
         else:
             lines.append(f"{q},{key},,,,{zs.complete_to_height!r}")
-    path.write_text("\n".join(lines) + "\n")
+    # Write beside the file, then replace it in one step: a crash mid-write
+    # leaves the previous file whole, never a truncated one that reloads.
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
     return path
 
 
@@ -97,7 +104,7 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
         if chi is None:
             raise ValueError(f"{path} has a row for character key {key!r}, which is no character mod {q}")
         zeros = tuple(
-            ZeroRecord(beta, gamma, 1, radius) for beta, gamma, radius in sorted(rows, key=lambda r: r[1])
+            ZeroRecord(beta, gamma, radius) for beta, gamma, radius in sorted(rows, key=lambda r: r[1])
         )
         out[chi.exponents] = ZeroSet(chi, zeros, heights[key], True, ())
     return out
@@ -147,9 +154,7 @@ class ZeroLibrary:
 
     # -- scanning ---------------------------------------------------------------
 
-    def ensure(
-        self, q: int, height: float, grid_step: float = 0.05, height_guard: float = DESK_HEIGHT_LIMIT
-    ) -> dict[str, int | str]:
+    def ensure(self, q: int, height: float, height_guard: float = DESK_HEIGHT_LIMIT) -> dict[str, int | str]:
         """Scan all primitive characters mod q up to `height` (idempotent).
 
         Conjugate pairs are scanned once and mirrored.  Returns a summary
@@ -168,7 +173,7 @@ class ZeroLibrary:
             canon_key = (q, canon.exponents)
             cached_canon = self._memory.get(canon_key)
             if cached_canon is None or cached_canon.complete_to_height + 1e-12 < height:
-                cached_canon = scan_zeros(canon, height, grid_step, height_guard)
+                cached_canon = scan_zeros(canon, height, height_guard)
                 self._memory[canon_key] = cached_canon
                 changed = True
             if chi.exponents != canon.exponents:

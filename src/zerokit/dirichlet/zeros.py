@@ -45,10 +45,14 @@ __all__ = [
 
 # Bisection stops when the bracket is this tight.
 TARGET_RADIUS = 1e-9
+# Ordinate step of the sign-change grid (a quarter of it on the one refinement).
+GRID_STEP = 0.05
 # Boundary-proximity guard for the rectangle: |L| on the horizontal edges.
 BOUNDARY_MIN = 1e-6
 # A winding integral must land this close to an integer.
 WINDING_TOL = 0.1
+# Midpoint-insertion rounds before phase tracking on a contour gives up.
+WINDING_ROUNDS = 14
 DESK_HEIGHT_LIMIT = 1e3
 
 
@@ -58,18 +62,15 @@ class CountCertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A nontrivial zero beta + i gamma with a certified ordinate radius."""
+    """A simple nontrivial zero beta + i gamma with a certified ordinate radius."""
 
     beta: float
     gamma: float
-    multiplicity: int = 1
     certified_radius: float = TARGET_RADIUS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError("nontrivial zeros satisfy 0 < beta < 1")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class ZeroSet:
             raise ValueError("zeros must be sorted by ordinate")
 
     def count_above(self, sigma: float, T: float) -> int:
-        """Zeros with beta > sigma and |gamma| <= T, counted with multiplicity.
+        """Zeros with beta > sigma and |gamma| <= T.
 
         A zero whose enclosure [beta - r, beta + r] straddles sigma is counted
         (conservative for upper-bound comparisons) — at desk scale every zero
@@ -96,31 +97,25 @@ class ZeroSet:
         """
         if T > self.complete_to_height + 1e-12:
             raise ValueError("request exceeds the certified height")
-        return sum(
-            z.multiplicity
-            for z in self.zeros
-            if abs(z.gamma) <= T and z.beta + z.certified_radius > sigma
-        )
+        return sum(1 for z in self.zeros if abs(z.gamma) <= T and z.beta + z.certified_radius > sigma)
 
     def mirrored(self, character: DirichletCharacter) -> "ZeroSet":
         """The zero set of the conjugate character (ordinates negated)."""
         flipped = tuple(
-            ZeroRecord(z.beta, -z.gamma, z.multiplicity, z.certified_radius)
+            ZeroRecord(z.beta, -z.gamma, z.certified_radius)
             for z in reversed(self.zeros)
         )
         return ZeroSet(character, flipped, self.complete_to_height, self.certified, self.unverified_windows)
 
 
 def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
-    """Zeros in the closed disk |s - rho| <= r, with multiplicity."""
+    """Zeros in the closed disk |s - rho| <= r."""
     if r <= 0.0:
         raise ValueError("radius must be positive")
     center = complex(center)
     if abs(center.imag) + r > zs.complete_to_height + 1e-12:
         raise ValueError("disk exceeds the zero set's certified height")
-    return sum(
-        z.multiplicity for z in zs.zeros if abs(center - complex(z.beta, z.gamma)) <= r
-    )
+    return sum(1 for z in zs.zeros if abs(center - complex(z.beta, z.gamma)) <= r)
 
 
 # -- argument principle -------------------------------------------------------
@@ -139,7 +134,7 @@ def _effective_height(chi: DirichletCharacter, T: float) -> float:
     raise CountCertificationError(f"could not find a zero-free horizontal boundary near T={T}")
 
 
-def _winding_number(points: np.ndarray, chi: DirichletCharacter, max_rounds: int = 14) -> float:
+def _winding_number(points: np.ndarray, chi: DirichletCharacter) -> float:
     """Total phase change of xi along a closed polyline, in turns.
 
     Adds midpoints wherever adjacent sampled phases differ by more than one
@@ -147,7 +142,7 @@ def _winding_number(points: np.ndarray, chi: DirichletCharacter, max_rounds: int
     """
     pts = points
     phases = log_completed_phase(pts, chi)
-    for _ in range(max_rounds):
+    for _ in range(WINDING_ROUNDS):
         diffs = np.angle(np.exp(1j * np.diff(phases)))
         bad = np.abs(diffs) > 1.0
         if not bad.any():
@@ -219,12 +214,7 @@ def _rotated_line(chi: DirichletCharacter, ts: np.ndarray, half_phase: float) ->
     return rotated.real
 
 
-def scan_zeros(
-    chi: DirichletCharacter,
-    T: float,
-    grid_step: float = 0.05,
-    height_guard: float = DESK_HEIGHT_LIMIT,
-) -> ZeroSet:
+def scan_zeros(chi: DirichletCharacter, T: float, height_guard: float = DESK_HEIGHT_LIMIT) -> ZeroSet:
     """Locate the critical-line zeros with |gamma| <= T for primitive chi.
 
     Sign changes of the rotated completed function are bisected to ordinate
@@ -245,20 +235,22 @@ def scan_zeros(
         raise ValueError(f"scan limited to T <= {height_guard} (guard is configuration, raise it to override)")
 
     t_eff = _effective_height(chi, T)
-    expected = count_zeros_rectangle(chi, 0.0, T)
+    # t_eff already clears the boundary guard, so the count's own height
+    # search stops at its first check and the rectangle is the same.
+    expected = count_zeros_rectangle(chi, 0.0, t_eff)
     half_phase = cmath.phase(root_number(chi)) / 2.0
     is_real = conjugate_character(chi) == chi
 
-    step = grid_step
+    step = GRID_STEP
     for _attempt in range(2):
         ordinates = _scan_once(chi, t_eff, step, half_phase, is_real)
         if len(ordinates) == expected:
-            zeros = tuple(ZeroRecord(0.5, g, 1, TARGET_RADIUS) for g in sorted(ordinates))
+            zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in sorted(ordinates))
             _warn_close_pairs(chi, zeros)
             return ZeroSet(chi, zeros, t_eff, True, ())
         step /= 4.0
 
-    zeros = tuple(ZeroRecord(0.5, g, 1, TARGET_RADIUS) for g in sorted(ordinates))
+    zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in sorted(ordinates))
     warnings.warn(
         f"scan of {chi} found {len(ordinates)} critical-line zeros but the winding count "
         f"is {expected}: possible off-line zeros in |t| <= {t_eff}",

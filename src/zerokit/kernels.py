@@ -47,28 +47,21 @@ _CHECK_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Parameters of the smoothing weight.
-
-    ``scale_A`` is derived as height_T * sqrt(2 * degree_n); passing it
-    explicitly is allowed but it must agree with the derived value to 1 ulp.
-    """
+    """Parameters of the smoothing weight: degree n >= 1 and height T >= 1."""
 
     degree_n: int
     height_T: float
-    scale_A: float = 0.0
 
     def __post_init__(self) -> None:
         if self.degree_n < 1:
             raise ValueError("degree_n must be a positive integer")
         if self.height_T < 1.0:
             raise ValueError("height_T must be >= 1")
-        derived = self.height_T * math.sqrt(2.0 * self.degree_n)
-        if self.scale_A == 0.0:
-            object.__setattr__(self, "scale_A", derived)
-        elif abs(self.scale_A - derived) > math.ulp(derived):
-            raise ValueError("scale_A inconsistent with height_T * sqrt(2*degree_n)")
-        if self.scale_A < math.sqrt(2.0) * (1.0 - 1e-15):
-            raise ValueError("scale_A must be >= sqrt(2)")
+
+    @property
+    def scale_A(self) -> float:
+        """A = height_T * sqrt(2 * degree_n), at least sqrt(2)."""
+        return self.height_T * math.sqrt(2.0 * self.degree_n)
 
 
 def _irwin_hall_pdf(m: int, t: float) -> float:

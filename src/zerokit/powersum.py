@@ -128,13 +128,6 @@ def power_sum(z: ComplexSeq | Sequence[complex], m: int) -> complex:
     return complex(math.fsum(p.real for p in powers), math.fsum(p.imag for p in powers))
 
 
-def _normalised(vals: tuple[complex, ...]) -> tuple[complex, ...]:
-    top = max(abs(v) for v in vals)
-    if top == 0:
-        raise ValueError("all entries are zero")
-    return tuple(v / top for v in vals)
-
-
 def lmo_witness(z: ComplexSeq | Sequence[complex], eps: float) -> PowerSumWitness:
     """Smallest m0 <= ceil((12+eps) M) with Re{s_m0} >= eps/(48+5 eps) |z_1|^m0.
 

@@ -30,13 +30,21 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.special import polygamma
 
-from zerokit.constants import FieldParams, density_exponent_for, evaluate_density_bound, zero_circle_bound
+from zerokit.constants import (
+    DENSITY_EPS_NARROW,
+    DENSITY_EPS_WIDE,
+    FieldParams,
+    density_exponent_for,
+    evaluate_density_bound,
+    zero_circle_bound,
+)
 from zerokit.dirichlet.arith import factorize, harmonic_sum, prime_powers, primes_in_window, rough_mask
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
     char_label,
     char_value,
     char_value_vec,
+    conjugate_character,
     enumerate_characters,
     primitive_characters,
     primitive_inducer,
@@ -49,7 +57,8 @@ from zerokit.dirichlet.lfunctions import (
     log_deriv_by_contour,
     log_deriv_series,
     log_deriv_tail_bound,
-    trivial_zeros,
+    trivial_ladder_start,
+    trivial_zero_sum,
 )
 from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.dirichlet.zeros import count_zeros_circle
@@ -146,24 +155,24 @@ def circle_lemma_check(
     q_max: int,
     T: float,
     samples: int,
-    seed: int = 2054,
-    epsilons: tuple[float, ...] = (0.05, 0.001),
     implied_nk: float = 0.0,
 ) -> list[CheckReport]:
     """Counted zeros in disks versus the two counting bounds.
 
     For each primitive character with modulus <= q_max, draws `samples`
     random configurations (r, s = sigma + it) with sigma > 1 and |t| <= T per
-    bound variant, counts zeros from the library (complete to T + 1), and
-    reports the worst sample per (character, variant).
+    bound variant (the classical bound, and the convexity bound at the two
+    density epsilons), counts zeros from the library (complete to T + 1), and
+    reports the worst sample per (character, variant).  The draws come from
+    the fixed seed 2054, so the report is deterministic.
     """
     if samples < 1:
         raise ValueError("circle_lemma_check needs samples >= 1")
     # (name, bound kind, r range, sigma - 1 range, extra bound arguments)
     variants = [("classical", "classical", (1e-3, 1.0), (1e-6, 1.0), {})]
-    for eps in epsilons:
+    for eps in (DENSITY_EPS_WIDE, DENSITY_EPS_NARROW):
         variants.append((f"convexity.eps{eps}", "convexity", (1e-6, eps * (1.0 - 1e-9)), (1e-9, eps), {"epsilon": eps}))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2054)
     reports = []
     for q in range(1, q_max + 1):
         for chi in primitive_characters(q):
@@ -221,18 +230,14 @@ def explicit_formula_residual(
 
     lhs = log_deriv_by_contour(s, chi, 0).real  # -Re{L'/L(s)}
     delta = 1.0 if chi.is_principal else 0.0
-    zero_sum = sum(
-        z.multiplicity * (1.0 / (s - complex(z.beta, z.gamma))).real
-        for z in zs.zeros
-        if abs(z.gamma) <= T_zeros
-    )
+    zero_sum = sum((1.0 / (s - complex(z.beta, z.gamma))).real for z in zs.zeros if abs(z.gamma) <= T_zeros)
     rhs = (
         0.5 * math.log(chi.conductor)
         + delta * ((1.0 / (s - 1.0)).real + (1.0 / s).real)
         - zero_sum
         + gamma_factor_log_deriv(s, chi).real
     )
-    n_trunc = sum(z.multiplicity for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    n_trunc = sum(1 for z in zs.zeros if abs(z.gamma) <= T_zeros)
     tail_estimate = 2.0 * n_trunc / T_zeros
     residual = abs(lhs - rhs)
     return _report(
@@ -262,7 +267,7 @@ def hadamard_derivative_check(
     lhs: (-1)^(k+1)/k! (d/ds)^k L'/L(s) by contour differentiation (route
     independent of zero data and of the prime series).  rhs:
     delta/(s-1)^(k+1) - sum over nontrivial zeros (|gamma| <= T_zeros)
-    - sum over trivial zeros (depth for a 1e-10 tail).  Requires k >= 2 for
+    - sum over trivial zeros (exact, in closed form).  Requires k >= 2 for
     absolute convergence of the zero sum; the nontrivial tail bound is added
     to the context.
     """
@@ -278,15 +283,8 @@ def hadamard_derivative_check(
     lhs = log_deriv_by_contour(s, chi, k)
     delta = 1.0 if chi.is_principal else 0.0
 
-    nontrivial = sum(
-        z.multiplicity / (s - complex(z.beta, z.gamma)) ** (k + 1)
-        for z in zs.zeros
-        if abs(z.gamma) <= T_zeros
-    )
-    # Trivial zeros at negative reals: partial sum to a depth leaving < 1e-10.
-    depth = int(((1.0 / (2.0 * k * 1e-10)) ** (1.0 / k) - s.real) / 2.0) + 2
-    trivial = sum(order / (s - loc) ** (k + 1) for loc, order in trivial_zeros(chi, depth))
-    rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial
+    nontrivial = sum(1.0 / (s - complex(z.beta, z.gamma)) ** (k + 1) for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial_zero_sum(chi, s, k)
 
     # Tail of the nontrivial sum: |s - rho| >= |gamma| - |Im s| for tall zeros.
     t_gap = T_zeros - abs(s.imag)
@@ -305,7 +303,6 @@ def hadamard_derivative_check(
         lhs_value=str(lhs),
         rhs_value=str(rhs),
         nontrivial_tail_bound=tail_bound,
-        trivial_depth=depth,
     )
 
 
@@ -320,12 +317,9 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
     the conductor, the vertical ladders of the finite Euler factor.
     """
     star = primitive_inducer(chi)
-    # Gamma-factor ladder: starts at 0 or -1 by parity, step 2.
+    # Gamma-factor ladder at -c, -c-2, ...:
     # sum_{k>=0} 1/((sigma+c+2k)^2 + t^2) = Im psi(u+iv)/(4v), u=(sigma+c)/2, v=t/2.
-    c = 0.0 if star.parity == "even" else 1.0
-    if star.is_principal:
-        c = 2.0  # order at 0 is a - delta = 0: ladder starts at -2
-    u = (sigma + c) / 2.0
+    u = (sigma + trivial_ladder_start(star)) / 2.0
     if t == 0.0:
         total = 0.25 * float(polygamma(1, u))
     else:
@@ -430,8 +424,6 @@ def repulsion_sums_check(
 
 
 def _is_real_character(chi: DirichletCharacter) -> bool:
-    from zerokit.dirichlet.characters import conjugate_character
-
     return conjugate_character(chi) == chi
 
 
@@ -442,11 +434,7 @@ def _principal(q: int) -> DirichletCharacter:
 def _zero_square_sum(library: ZeroLibrary, chi: DirichletCharacter, sigma: float, t: float, T_zeros: float) -> float:
     zs = library.get(chi, T_zeros)
     center = complex(sigma, t)
-    return sum(
-        z.multiplicity / abs(center - complex(z.beta, z.gamma)) ** 2
-        for z in zs.zeros
-        if abs(z.gamma) <= T_zeros
-    )
+    return sum(1.0 / abs(center - complex(z.beta, z.gamma)) ** 2 for z in zs.zeros if abs(z.gamma) <= T_zeros)
 
 
 # -- density ------------------------------------------------------------------
@@ -496,8 +484,8 @@ def density_theorem_check(
 # -- large sieve --------------------------------------------------------------
 
 
-def _simpson_doubling(f, a: float, b: float, rel_tol: float = 1e-8, n0: int = 64, max_doublings: int = 14) -> float:
-    """Composite Simpson with interval doubling until relative agreement."""
+def _simpson_doubling(f, a: float, b: float, n0: int = 64) -> float:
+    """Composite Simpson, doubling the grid until successive values agree to 1e-8 (at most 14 times)."""
     n = n0
     prev = None
     while True:
@@ -505,11 +493,11 @@ def _simpson_doubling(f, a: float, b: float, rel_tol: float = 1e-8, n0: int = 64
         y = f(x)
         h = (b - a) / n
         val = float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-300):
             return val
         prev = val
         n *= 2
-        if n > n0 * 2**max_doublings:
+        if n > n0 * 2**14:
             return val
 
 

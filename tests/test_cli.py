@@ -219,6 +219,16 @@ class TestZerosAndVerify:
         assert (tmp_path / "flag" / "zeros_q0004.csv").exists()
         assert not (tmp_path / "from_config").exists()
 
+    @pytest.mark.parametrize("line", ["qmax = 3", "q_max = 2", "height = 5", "tolerance.density = 1e-3"])
+    def test_unknown_config_key_is_a_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        key = line.split("=")[0].strip()
+        code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", "density", "--json")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and key in err
+
     def test_tolerance_override_from_config(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("EXPLICIT_ZERO_CACHE", raising=False)
         cfg = tmp_path / "run.cfg"

@@ -78,3 +78,9 @@ class TestCertifiedTruncation:
                 bound = float(hurwitz_error_bound(np.array([s]), a)[0])
                 assert err <= bound + 1e-11
 
+
+    @pytest.mark.parametrize("a", [3.0 + 0.0j, 0.5 + 1.0j])
+    def test_bound_refuses_complex_shift(self, a):
+        # the bound raises w = N + a to a real power, so it holds only for real a
+        with pytest.raises(ValueError):
+            hurwitz_error_bound(np.array([2.0 + 3.0j]), a)

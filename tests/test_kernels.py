@@ -57,7 +57,7 @@ class TestWeightParams:
         assert P21.scale_A == pytest.approx(2.0)
 
     def test_scale_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # A is derived, not set
             WeightParams(degree_n=1, height_T=1.0, scale_A=1.5)
         with pytest.raises(ValueError):
             WeightParams(degree_n=0, height_T=1.0)

@@ -14,7 +14,6 @@ from zerokit.dirichlet.lfunctions import (
     GammaPoleError,
     completed_l,
     digamma,
-    digamma_real_part,
     gamma_factor,
     gamma_factor_log_deriv,
     l_eval,
@@ -24,11 +23,13 @@ from zerokit.dirichlet.lfunctions import (
     log_deriv_series,
     log_deriv_tail_bound,
     root_number,
+    trivial_zero_sum,
     trivial_zeros,
 )
 
 ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]
+CHI5_EVEN = next(c for c in enumerate_characters(5) if c.parity == "even" and not c.is_principal)
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -140,31 +141,46 @@ class TestRootNumber:
 
 class TestTrivialZeros:
     def test_zeta(self):
-        assert trivial_zeros(ZETA, 3) == [(-2.0, 1), (-4.0, 1), (-6.0, 1)]
+        assert trivial_zeros(ZETA, 3) == [-2.0, -4.0, -6.0]
 
     def test_odd(self):
-        assert trivial_zeros(CHI4, 3) == [(-1.0, 1), (-3.0, 1), (-5.0, 1)]
+        assert trivial_zeros(CHI4, 3) == [-1.0, -3.0, -5.0]
 
     def test_even_nonprincipal(self):
         chi5_even = next(c for c in enumerate_characters(5) if c.parity == "even" and not c.is_principal)
-        assert trivial_zeros(chi5_even, 3) == [(0.0, 1), (-2.0, 1), (-4.0, 1)]
+        assert trivial_zeros(chi5_even, 3) == [0.0, -2.0, -4.0]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 1.5 + 3.0j])
+    @pytest.mark.parametrize("chi,c", [(ZETA, 2), (CHI4, 1), (CHI5_EVEN, 0)], ids=["zeta", "chi4", "chi5_even"])
+    def test_closed_form_sum_against_mpmath(self, chi, c, s, k):
+        # sum_j (s + c + 2j)^-(k+1) over the ladder -c, -c-2, ...
+        with mp.workdps(30):
+            ref = complex(mp.zeta(k + 1, (mp.mpc(s) + c) / 2) / 2 ** (k + 1))
+        assert abs(trivial_zero_sum(chi, s, k) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("chi", [ZETA, CHI4, CHI5_EVEN], ids=["zeta", "chi4", "chi5_even"])
+    def test_closed_form_sum_matches_the_ladder(self, chi):
+        # 2000 ladder points leave a tail below 3e-12 at k = 3
+        s = 1.5 + 3.0j
+        partial = sum(1.0 / (s - loc) ** 4 for loc in trivial_zeros(chi, 2000))
+        assert abs(trivial_zero_sum(chi, s, 3) - partial) <= 1e-11
 
     def test_l_vanishes_at_them(self):
         # evaluator accuracy degrades with very negative Re s, so only the
         # first two ladder points are spot-checked
         for chi in (CHI4, next(c for c in enumerate_characters(5) if c.parity == "even" and not c.is_principal)):
-            for loc, order in trivial_zeros(chi, 2):
+            for loc in trivial_zeros(chi, 2):
                 assert abs(l_eval(complex(loc), chi)) < 1e-8
-                assert order == 1
 
 
 class TestDigamma:
     def test_at_two(self):
-        assert digamma_real_part(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
+        assert digamma(2.0).real == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
 
     def test_at_three_halves(self):
         # recurrence from psi(1/2) = -gamma - 2 log 2
-        assert digamma_real_part(1.5) == pytest.approx(2.0 - EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
+        assert digamma(1.5).real == pytest.approx(2.0 - EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
 
     def test_recurrence_identity(self):
         # psi(s+1) = psi(s) + 1/s on random complex points
@@ -174,15 +190,16 @@ class TestDigamma:
             assert digamma(s + 1.0) == pytest.approx(digamma(s) + 1.0 / s, rel=1e-11)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma_real_part(1.0)
+        for pole in (0.0, -1.0, -7.0):
+            with pytest.raises(GammaPoleError):
+                digamma(pole)
 
     def test_upper_bound_random_points(self):
         # Re psi(s) <= log|s| + 1/sigma for Re s > 1
         rng = np.random.default_rng(17)
         for _ in range(10_000):
             s = complex(rng.uniform(1.0 + 1e-6, 40.0), rng.uniform(-50.0, 50.0))
-            assert digamma_real_part(s) <= math.log(abs(s)) + 1.0 / s.real + 1e-12
+            assert digamma(s).real <= math.log(abs(s)) + 1.0 / s.real + 1e-12
 
     def test_gamma_factor_log_deriv_bound(self):
         # Re gamma'/gamma(s) <= (1/2)(log(|s|+1) + 1/sigma - log pi)
