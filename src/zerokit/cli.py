@@ -46,6 +46,7 @@ HEURISTIC_NOTE = "implied-constant inputs are heuristic, not certified"
 
 # cache_dir and output_format apply to every command; the tolerances feed `verify`.
 CONFIG_KEYS = ("cache_dir", "output_format", "tolerance.explicit_formula", "tolerance.hadamard")
+OUTPUT_FORMATS = ("table", "json")
 
 
 @dataclass
@@ -83,6 +84,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.cache_dir = file_values["cache_dir"]
     if "output_format" in file_values:
         cfg.output_format = file_values["output_format"]
+        if cfg.output_format not in OUTPUT_FORMATS:
+            raise ValueError(f"unknown output_format {cfg.output_format!r}; known formats: {', '.join(OUTPUT_FORMATS)}")
     for key, value in file_values.items():
         if key.startswith("tolerance."):
             cfg.tolerances[key.removeprefix("tolerance.")] = float(value)

@@ -1,21 +1,28 @@
-"""Hurwitz zeta by Euler--Maclaurin, vectorised over the argument s.
+"""Hurwitz zeta by Euler--Maclaurin, vectorised over the argument s and the shift a.
 
 zeta(s, a) = sum_{n=0}^{N-1} (n+a)^-s + (N+a)^(1-s)/(s-1) + (N+a)^-s / 2
            + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} (N+a)^(-s-2j+1) + R_M
 
-with the shift N = max(20, ceil(2 |Im s|)) and correction order M = 20.  The
-remainder satisfies |R_M| <= |B_{2M+2}/(2M+2)! (s)_{2M+1} (N+a)^(-s-2M-1)|
-* |s+2M+1| / (Re s + 2M+1); with these choices it stays below 1e-12
-throughout the working window |Im s| <= 1e3, 0 <= Re s <= 3 (and degrades
-gracefully outside it — the bound itself is returned on request).
+with correction order M = 20.  The remainder satisfies
+|R_M| <= |B_{2M+2}/(2M+2)! (s)_{2M+1} (N+a)^(-s-2M-1)| * |s+2M+1| / (Re s + 2M+1)
+for real a > 0 and Re s + 2M + 1 > 1.  The shift N is chosen at runtime as the
+smallest one for which this bound is <= TARGET = 1e-13 for every entry of s and
+every real a > 0: the worst case is a -> 0 (the bound falls as N + a grows), and
+each factor of the Pochhammer product is taken at its worst corner of the
+(Re s, |Im s|) box, so the choice costs O(M) scalar operations.  Where
+Re s + 2M + 1 <= 1 the bound is not valid and N = max(20, ceil(2 |Im s|)).
+No larger floor is imposed for Re s < 0: there the direct terms (n+a)^-s grow
+like n^|Re s|, so a larger N only adds rounding error (the bound is exactly 0
+at the negative integers, where the formula is a polynomial identity and N = 1
+serves).  `hurwitz_error_bound` reports the bound per entry at the same N.
 
-The vector path shares the shift across all entries, so evaluation on a
-t-grid is a single (len(s), N) matrix sum.
+The vector path shares the shift across all entries of s and a, and adds the
+direct block one n at a time on a (len(s), len(a)) array, so no term matrix is
+ever built.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +32,7 @@ import numpy as np
 __all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_error_bound"]
 
 ORDER = 20  # Euler--Maclaurin correction order M
-_CHUNK = 8_000_000  # complex entries per term-matrix chunk
+TARGET = 1e-13  # certified bound on the remainder R_M
 
 
 @lru_cache(maxsize=1)
@@ -46,30 +53,46 @@ def _bernoulli_over_factorial() -> tuple[float, ...]:
 
 
 def _shift_for(s: np.ndarray) -> int:
-    tmax = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    return max(20, math.ceil(2.0 * tmax))
+    """Smallest N whose remainder bound is <= TARGET for every entry of s and real a > 0."""
+    if not s.size:
+        return 1
+    lo, hi = float(np.min(s.real)), float(np.max(s.real))
+    tmax = float(np.max(np.abs(s.imag)))
+    expo = lo + 2 * ORDER + 1
+    if expo <= 1.0:
+        return max(20, math.ceil(2.0 * tmax))
+    # N^expo >= |B_{2M+2}/(2M+2)!| |(s)_{2M+1}| |s+2M+1| / ((Re s+2M+1) TARGET),
+    # each factor |s+i| at its worst corner (|s+i| is convex in Re s); the
+    # expo-th root is taken factor by factor so that nothing overflows.
+    root = 1.0 / expo
+    shift = (abs(_bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root
+    for i in range(2 * ORDER + 2):
+        shift *= math.hypot(max(abs(lo + i), abs(hi + i)), tmax) ** root
+    return max(1, math.ceil(shift))
 
 
-def hurwitz_zeta_vec(s: np.ndarray, a: complex) -> np.ndarray:
-    """zeta(s, a) for an array of complex s (no entry may equal 1) and Re a > 0."""
+def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
+    """zeta(s, a) for an array of complex s (no entry may equal 1) and Re a > 0.
+
+    `a` is a scalar or an array; the result has shape s.shape + np.shape(a).
+    """
     s = np.asarray(s, dtype=complex)
-    if a.real <= 0.0:
+    a = np.asarray(a)
+    if np.any(a.real <= 0.0):
         raise ValueError("hurwitz_zeta requires Re a > 0")
     if np.any(s == 1.0):
         raise ValueError("hurwitz_zeta has a pole at s = 1")
     n_shift = _shift_for(s)
 
-    flat = s.reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    # Direct block: sum_{n<N} (n+a)^-s, chunked to bound the matrix size.
-    log_ns = np.log(np.arange(n_shift) + a)
-    rows_per_chunk = max(1, _CHUNK // max(len(log_ns), 1))
-    for start in range(0, len(flat), rows_per_chunk):
-        blk = flat[start : start + rows_per_chunk, None]
-        out[start : start + rows_per_chunk] = np.exp(-blk * log_ns[None, :]).sum(axis=1)
+    flat = s.reshape(-1, 1)
+    shifts = a.reshape(1, -1)
+    out = np.zeros((flat.shape[0], shifts.shape[1]), dtype=complex)
+    # Direct block: sum_{n<N} (n+a)^-s, one n at a time.
+    for log_n in np.log(np.arange(n_shift)[:, None] + shifts):
+        out += np.exp(-flat * log_n)
 
-    w = n_shift + a
-    logw = cmath.log(w)
+    w = n_shift + shifts
+    logw = np.log(w)
     out += np.exp((1.0 - flat) * logw) / (flat - 1.0)
     w_pow = np.exp(-flat * logw)
     out += 0.5 * w_pow
@@ -81,7 +104,7 @@ def hurwitz_zeta_vec(s: np.ndarray, a: complex) -> np.ndarray:
         out += coeffs[j - 1] * poch * w_fac
         poch = poch * (flat + (2 * j - 1)) * (flat + 2 * j)
         w_fac = w_fac / (w * w)
-    return out.reshape(s.shape)
+    return out.reshape(s.shape + a.shape)
 
 
 def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:

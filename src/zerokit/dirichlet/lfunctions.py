@@ -85,13 +85,11 @@ def l_eval_vec(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
         if np.any(~at_pole):
             out[~at_pole] = l_eval_vec(s[~at_pole], chi)
         return out
+    # One Hurwitz call over the units a mod q, then one product with chi(a).
     q = chi.modulus
-    acc = np.zeros(s.shape, dtype=complex)
-    for a in range(1, q + 1):
-        c = char_value(chi, a)
-        if c != 0:
-            acc += c * hurwitz_zeta_vec(s, a / q)
-    return np.exp(-s * math.log(q)) * acc
+    values = char_value_vec(chi, np.arange(1, q + 1))
+    units = np.flatnonzero(values) + 1
+    return np.exp(-s * math.log(q)) * (hurwitz_zeta_vec(s, units / q) @ values[units - 1])
 
 
 def _l_at_one(chi: DirichletCharacter) -> complex:

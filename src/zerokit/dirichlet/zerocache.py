@@ -85,7 +85,12 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
         return {}
     by_key: dict[str, list[tuple[float, float, float]]] = {}
     heights: dict[str, float] = {}
-    lines = path.read_text().strip().splitlines()
+    text = path.read_text()
+    # The writer ends every file with a newline; without one the last row may
+    # have been cut inside a field and would reload with a wrong value.
+    if not text.endswith("\n"):
+        raise ValueError(f"{path} does not end in a newline: its last row is cut off")
+    lines = text.splitlines()
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"{path} does not carry the expected cache header")
     for line in lines[1:]:

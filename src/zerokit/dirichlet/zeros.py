@@ -1,7 +1,9 @@
 """Zero location and counting for Dirichlet L-functions.
 
-Two independent routes are kept deliberately separate so they can certify
-each other:
+Two routes are kept separate so they can cross-check each other.  Both take
+their L-values from `l_eval_vec`, so they are independent in method (sign
+changes on the critical line against a winding count) but not in the
+evaluator: a fault in `l_eval_vec` can reach both.
 
 * `count_zeros_rectangle` counts zeros of the completed function by the
   argument principle: the winding number of xi around a rectangle, computed

@@ -5,6 +5,7 @@ import pytest
 
 from zerokit.cli import EXIT_FAIL, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from zerokit.constants import density_exponent_for
+from zerokit.dirichlet.zerocache import read_zero_cache
 
 
 def run(capsys, *argv):
@@ -151,6 +152,21 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert "zeros_q0005.csv" in err and "'9'" in err
 
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 12, 30])
+    def test_cut_off_last_row_is_a_usage_error(self, capsys, tmp_path, cut):
+        # Drop the last `cut` bytes: the newline, then into the height, radius
+        # and ordinate fields of the last row.
+        assert run(capsys, "zeros", "scan", "--q", "5", "--height", "8.5", "--cache-dir", str(tmp_path))[0] == EXIT_OK
+        path = tmp_path / "zeros_q0005.csv"
+        text = path.read_text()
+        assert cut <= len(text.splitlines()[-1])
+        path.write_text(text[:-cut])
+        with pytest.raises(ValueError, match="zeros_q0005.csv"):
+            read_zero_cache(tmp_path, 5)
+        code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "8.5", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "zeros_q0005.csv" in err
+
     def test_uncertified_count_exits_one(self, capsys, tmp_path):
         # At this height the winding count of two characters mod 5 does not settle.
         code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "51.089999", "--cache-dir", str(tmp_path))
@@ -228,6 +244,22 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("value", ["xml", "JSON", ""])
+    def test_unknown_output_format_is_a_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output_format = {value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "constants", "optimize-alpha")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and repr(value) in err
+
+    def test_output_format_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output_format = json\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "constants", "optimize-alpha")
+        assert code == EXIT_OK
+        assert 0.13 <= json.loads(out)["argmin"] <= 0.17
 
     def test_tolerance_override_from_config(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("EXPLICIT_ZERO_CACHE", raising=False)

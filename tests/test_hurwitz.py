@@ -4,7 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.hurwitz import (
+    TARGET,
     hurwitz_error_bound,
     hurwitz_zeta,
     hurwitz_zeta_vec,
@@ -50,6 +52,21 @@ class TestValues:
         ref = complex(mp.zeta(s, a))
         assert abs(mine - ref) <= 1e-11 * max(1.0, abs(ref))
 
+    def test_array_shift_matches_stacked_scalar_calls(self):
+        s = np.array([[0.5 + 14.1j, 2.0 - 3.0j, -0.25 + 280.0j], [1.25 + 0.0j, 0.5 - 77.0j, 3.0 + 1.0j]])
+        a = np.array([0.05, 0.2, 0.5, 0.75, 1.0])
+        mine = hurwitz_zeta_vec(s, a)
+        assert mine.shape == s.shape + a.shape
+        # One shared shift for every (s, a), as for a scalar a on the same s.
+        stacked = np.stack([hurwitz_zeta_vec(s, aj) for aj in a], axis=-1)
+        assert np.allclose(mine, stacked, rtol=1e-15, atol=0.0)
+        # Each scalar call chooses its own shift; both sides are within the
+        # 1e-13 truncation target.
+        for idx in np.ndindex(*s.shape):
+            for j, aj in enumerate(a):
+                ref = hurwitz_zeta(s[idx], aj)
+                assert abs(mine[idx + (j,)] - ref) <= 1e-12 * max(1.0, abs(ref))
+
     def test_pole_raises(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 0.5)
@@ -63,12 +80,24 @@ class TestValues:
 
 class TestCertifiedTruncation:
     def test_bound_small_inside_window(self):
-        # |Im s| <= 1e3, 0 <= Re s <= 3: remainder certified below 1e-12
-        ts = np.array([0.0, 1.0, 10.0, 100.0, 1000.0])
-        for sigma in (0.0, 0.5, 1.5, 3.0):
+        # |Im s| <= 1e3, -0.25 <= Re s <= 3: the chosen shift certifies the
+        # remainder below 1e-13, for a whole grid and for each point alone.
+        ts = np.array([0.0, 1.0, 10.0, 100.0, 300.0, 1000.0])
+        for sigma in (-0.25, 0.5, 1.25, 3.0):
             s = sigma + 1j * ts
-            for a in (0.125, 0.5, 1.0):
-                assert np.all(hurwitz_error_bound(s, a) <= 1e-12)
+            for a in (0.05, 0.5, 1.0):
+                assert np.all(hurwitz_error_bound(s, a) <= TARGET)
+                for point in s:
+                    assert hurwitz_error_bound(np.array([point]), a)[0] <= TARGET
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.25, 3.0])
+    @pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
+    def test_shift_is_the_smallest_certified(self, monkeypatch, sigma, t):
+        # One shift less breaks the 1e-13 target as a -> 0.
+        s = np.array([complex(sigma, t)])
+        n_shift = hurwitz._shift_for(s)
+        monkeypatch.setattr(hurwitz, "_shift_for", lambda s: n_shift - 1)
+        assert hurwitz_error_bound(s, 1e-9)[0] > TARGET
 
     def test_bound_is_honest(self):
         # observed error never exceeds bound + rounding on a sample grid

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zerokit.dirichlet.characters import (
+    char_value,
     conjugate_character,
     enumerate_characters,
     primitive_characters,
@@ -33,6 +34,11 @@ CHI5_EVEN = next(c for c in enumerate_characters(5) if c.parity == "even" and no
 EULER_GAMMA = 0.5772156649015329
 
 
+def _values(chi) -> list[complex]:
+    """chi(0), ..., chi(q-1): one period, as mpmath.dirichlet takes it."""
+    return [complex(char_value(chi, n)) for n in range(chi.modulus)]
+
+
 def leibniz_quarter_pi(terms: int = 2_000_000) -> float:
     """Averaged partial sums of 1 - 1/3 + 1/5 - ...: error O(1/terms^2)."""
     k = np.arange(terms)
@@ -57,6 +63,22 @@ class TestLEvaluation:
             l_eval(1.0, ZETA)
         with pytest.raises(ValueError):
             l_eval(1.0, enumerate_characters(12)[0])
+
+    @pytest.mark.parametrize("q", [5, 11, 19])
+    def test_against_mpmath_in_the_working_window(self, q):
+        # Seeded random points with -0.25 <= Re s <= 1.25 and |Im s| <= 300,
+        # for the quadratic character and a complex one mod q.
+        rng = np.random.default_rng(q)
+        chars = enumerate_characters(q)
+        quadratic = next(c for c in chars if not c.is_principal and all(v.imag == 0 for v in _values(c)))
+        complex_char = next(c for c in chars if any(v.imag != 0 for v in _values(c)))
+        for chi in (quadratic, complex_char):
+            s = rng.uniform(-0.25, 1.25, 4) + 1j * rng.uniform(-300.0, 300.0, 4)
+            mine = l_eval_vec(s, chi)
+            with mp.workdps(20):
+                for point, value in zip(s, mine):
+                    ref = complex(mp.dirichlet(point, _values(chi)))
+                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("q", [6, 9, 12, 15, 20])
     def test_euler_factor_relation(self, q):
@@ -167,10 +189,10 @@ class TestTrivialZeros:
         assert abs(trivial_zero_sum(chi, s, 3) - partial) <= 1e-11
 
     def test_l_vanishes_at_them(self):
-        # evaluator accuracy degrades with very negative Re s, so only the
-        # first two ladder points are spot-checked
+        # rounding grows with -Re s (the direct terms grow like n^-Re s), so
+        # the first four ladder points are spot-checked
         for chi in (CHI4, next(c for c in enumerate_characters(5) if c.parity == "even" and not c.is_principal)):
-            for loc in trivial_zeros(chi, 2):
+            for loc in trivial_zeros(chi, 4):
                 assert abs(l_eval(complex(loc), chi)) < 1e-8
 
 
