@@ -182,7 +182,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_zeros_scan(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     q_values = [args.q] if args.q is not None else list(range(args.qmin, args.qmax + 1))
-    guard = _guard(cfg, q=max(q_values, default=None), height=args.height)
+    if not q_values:
+        raise ValueError(f"empty modulus range: --qmin {args.qmin} exceeds --qmax {args.qmax}")
+    guard = _guard(cfg, q=max(q_values), height=args.height)
     library = ZeroLibrary(cfg.cache_dir)
     status = EXIT_OK
     for q in q_values:
@@ -201,6 +203,10 @@ def cmd_zeros_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    if args.qmax < 1:
+        raise ValueError(f"--qmax must be at least 1, got {args.qmax}")
+    if not (math.isfinite(args.height) and args.height > 0.0):
+        raise ValueError(f"--height must be finite and positive, got {args.height}")
     guard = _guard(cfg, q=args.qmax, height=args.height)
     library = ZeroLibrary(cfg.cache_dir)
     suites = (

@@ -41,7 +41,6 @@ from zerokit.dirichlet.zeros import (
     ZeroRecord,
     ZeroSet,
     count_zeros_circle,
-    count_zeros_rectangle,
     scan_zeros,
 )
 from zerokit.dirichlet.zerocache import DependencyError, ZeroLibrary, read_zero_cache, write_zero_cache
@@ -58,7 +57,6 @@ __all__ = [
     "completed_l",
     "conjugate_character",
     "count_zeros_circle",
-    "count_zeros_rectangle",
     "digamma",
     "enumerate_characters",
     "gamma_factor",

@@ -7,9 +7,9 @@ function
     xi(s, chi) = [s(s-1)]^delta(chi) * D_chi^(s/2) * gamma_chi(s) * L(s, chi)
 
 is entire for primitive chi and satisfies xi(s, chi) = w(chi) xi(1-s, bar chi)
-with |w(chi)| = 1; the root number is computed as that quotient at a
-reference point.  Gamma factors follow the parity convention a(chi)=1 for
-even characters and b(chi)=1 for odd ones (degree one: a + b = 1).
+with |w(chi)| = 1.  Gamma factors follow the parity convention a(chi)=1 for
+even characters and b(chi)=1 for odd ones (degree one: a + b = 1), and the
+root number is the normalised Gauss sum w(chi) = tau(chi) / (i^b sqrt(q)).
 
 Logarithmic derivatives (d/ds)^k L'/L come from two independent routes: the
 prime-power series (`log_deriv_series`, Re s > 1) and Cauchy differentiation
@@ -33,7 +33,6 @@ from zerokit.dirichlet.characters import (
     char_label,
     char_value,
     char_value_vec,
-    conjugate_character,
     primitive_inducer,
 )
 from zerokit.dirichlet.hurwitz import hurwitz_zeta, hurwitz_zeta_vec
@@ -205,24 +204,17 @@ def log_completed_phase(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
 
 
 def root_number(chi: DirichletCharacter) -> complex:
-    """w(chi) = xi(s, chi) / xi(1-s, bar chi), |w| = 1 to 1e-8.
+    """w(chi) = tau(chi) / (i^b sqrt(q)), with b = 1 for odd chi and 0 otherwise.
 
-    Evaluated at s = 0.3 + 0.7i; retries at shifted points if the evaluation
-    point lands too close to a zero of the completed function.
+    tau(chi) = sum_a chi(a) e^(2 pi i a / q) is the Gauss sum (Davenport,
+    Multiplicative Number Theory, ch. 9); |w| = 1 exactly for primitive chi.
     """
     if not chi.is_primitive:
         raise ValueError("root number requires a primitive character")
-    bar = conjugate_character(chi)
-    for attempt in range(8):
-        s = 0.3 + 0.7j + attempt * (0.07 + 0.11j)
-        num = completed_l(s, chi)
-        den = completed_l(1.0 - s, bar)
-        if abs(den) < 1e-12 or abs(num) < 1e-12:
-            continue
-        w = num / den
-        if abs(abs(w) - 1.0) <= 1e-8:
-            return w
-    raise ArithmeticError(f"root number did not stabilise for {chi}")
+    q = chi.modulus
+    a = np.arange(1, q + 1)
+    w = complex(np.sum(char_value_vec(chi, a) * np.exp(2j * math.pi * a / q))) / math.sqrt(q)
+    return w / 1j if chi.parity == "odd" else w
 
 
 def trivial_ladder_start(chi: DirichletCharacter) -> int:

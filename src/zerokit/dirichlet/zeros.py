@@ -5,18 +5,24 @@ their L-values from `l_eval_vec`, so they are independent in method (sign
 changes on the critical line against a winding count) but not in the
 evaluator: a fault in `l_eval_vec` can reach both.
 
-* `count_zeros_rectangle` counts zeros of the completed function by the
-  argument principle: the winding number of xi around a rectangle, computed
-  from adaptively sampled phases (the gamma-factor magnitude is never
-  materialised, only its log-phase, so tall rectangles do not underflow).
+* `count_zeros` counts zeros of the completed function by the argument
+  principle.  The functional equation halves the contour: the count is the
+  phase change of xi along 1/2 - iT -> 5/4 - iT -> 5/4 + iT -> 1/2 + iT,
+  divided by pi.  The right edge is sampled at a fixed step that an a-priori
+  bound on |L'/L| makes provably fine enough; nothing is evaluated left of
+  the critical line, and only the gamma factor's log-phase is materialised,
+  so tall contours do not underflow.
 * `scan_zeros` locates critical-line zeros as sign changes of the rotated
   completed function Z(t) = Re[e^{i theta(t)} L(1/2+it)], where theta is the
   phase of the completed prefactor minus half the root-number phase; Z is
   real-valued in exact arithmetic for any primitive character.
 
-A scan is *complete* when the number of located zeros matches the rectangle
-count at sigma0 = 0.  Mismatches are reported as unverified windows
-(potential off-line zeros) rather than silently accepted.
+A scan to height T is *complete* when the number of zeros it locates on
+[-t_eff, t_eff] matches the count there.  The count edge t_eff is the height
+among T, T + GRID_STEP, ..., T + 10 GRID_STEP where |Z| is largest at both
+t_eff and -t_eff.  The stored set keeps the zeros with |gamma| <= T, and its
+`complete_to_height` is the requested T.  Mismatches are reported as
+unverified windows (potential off-line zeros) rather than silently accepted.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 from zerokit.dirichlet.characters import DirichletCharacter, conjugate_character
 from zerokit.dirichlet.lfunctions import (
     completed_prefactor_phase,
+    gamma_factor_log_deriv,
     l_eval_vec,
     log_completed_phase,
     root_number,
@@ -40,8 +47,8 @@ __all__ = [
     "CountCertificationError",
     "ZeroRecord",
     "ZeroSet",
+    "count_zeros",
     "count_zeros_circle",
-    "count_zeros_rectangle",
     "scan_zeros",
 ]
 
@@ -49,17 +56,19 @@ __all__ = [
 TARGET_RADIUS = 1e-9
 # Ordinate step of the sign-change grid (a quarter of it on the one refinement).
 GRID_STEP = 0.05
-# Boundary-proximity guard for the rectangle: |L| on the horizontal edges.
-BOUNDARY_MIN = 1e-6
-# A winding integral must land this close to an integer.
+# The count's right edge, Re s = RIGHT, and -zeta'/zeta(RIGHT) rounded up: a
+# bound on |L'/L(RIGHT + it, chi)| for every chi and every t.
+RIGHT = 1.25
+LOG_DERIV_BOUND = 3.4666545
+# A phase change in units of pi must land this close to an integer.
 WINDING_TOL = 0.1
-# Midpoint-insertion rounds before phase tracking on a contour gives up.
-WINDING_ROUNDS = 14
+# The scan counts at the best of T + k * GRID_STEP, k = 0 .. EDGE_CANDIDATES - 1.
+EDGE_CANDIDATES = 11
 DESK_HEIGHT_LIMIT = 1e3
 
 
 class CountCertificationError(RuntimeError):
-    """The winding integral did not stabilise near an integer."""
+    """The phase change along the counting contour is not a proven integer."""
 
 
 @dataclass(frozen=True)
@@ -123,83 +132,51 @@ def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
 # -- argument principle -------------------------------------------------------
 
 
-def _effective_height(chi: DirichletCharacter, T: float) -> float:
-    """Perturb T upward by multiples of 1e-3 until the horizontal edges of
-    the counting rectangle stay away from zeros (|L| > BOUNDARY_MIN)."""
-    t_eff = float(T)
-    sigmas = np.linspace(0.05, 0.95, 19)
-    for _ in range(2000):
-        edges = np.concatenate([sigmas + 1j * t_eff, sigmas - 1j * t_eff])
-        if np.min(np.abs(l_eval_vec(edges, chi))) > BOUNDARY_MIN:
-            return t_eff
-        t_eff += 1e-3
-    raise CountCertificationError(f"could not find a zero-free horizontal boundary near T={T}")
+def _phase_speed_bound(chi: DirichletCharacter, T: float) -> float:
+    """Bound on |theta'(t)| for |t| <= T, theta the prefactor phase on Re s = RIGHT.
 
-
-def _winding_number(points: np.ndarray, chi: DirichletCharacter) -> float:
-    """Total phase change of xi along a closed polyline, in turns.
-
-    Adds midpoints wherever adjacent sampled phases differ by more than one
-    radian, so the final phase differences are unambiguous lifts.
+    theta' is the real part of the prefactor's log-derivative: the gamma term
+    plus (1/2) log q, plus Re(1/s + 1/(s-1)) for the principal character.  Re
+    psi(x + iy) increases with |y|, so the gamma term's extremes sit at t = 0
+    and t = T; the principal term is positive and largest at t = 0.
     """
-    pts = points
-    phases = log_completed_phase(pts, chi)
-    for _ in range(WINDING_ROUNDS):
-        diffs = np.angle(np.exp(1j * np.diff(phases)))
-        bad = np.abs(diffs) > 1.0
-        if not bad.any():
-            return float(np.sum(diffs) / (2.0 * math.pi))
-        mids = 0.5 * (pts[:-1][bad] + pts[1:][bad])
-        mid_phases = log_completed_phase(mids, chi)
-        order = np.argsort(np.concatenate([np.arange(len(pts)), np.flatnonzero(bad) + 0.5]))
-        pts = np.concatenate([pts, mids])[order]
-        phases = np.concatenate([phases, mid_phases])[order]
-    raise CountCertificationError("phase tracking did not stabilise on the contour")
+    half_log_q = 0.5 * math.log(chi.modulus)
+    bound = max(abs(gamma_factor_log_deriv(complex(RIGHT, t), chi).real + half_log_q) for t in (0.0, T))
+    if chi.is_principal:
+        bound += 1.0 / RIGHT + 1.0 / (RIGHT - 1.0)
+    return bound
 
 
-def count_zeros_rectangle(chi: DirichletCharacter, sigma0: float, T: float) -> int:
-    """Argument-principle count of nontrivial zeros with sigma0 < beta < 1,
-    |gamma| <= T, counted with multiplicity.
+def count_zeros(chi: DirichletCharacter, T: float) -> int:
+    """Nontrivial zeros with |gamma| < T, counted with multiplicity.
 
-    The returned integer is certified: the winding integral lands within
-    WINDING_TOL of it.  The height is auto-perturbed upward (steps of 1e-3)
-    if the boundary runs too close to a zero.
+    The functional equation maps the left half of the argument-principle
+    rectangle onto the right half, so the count is Delta arg xi / pi along
+    1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  On the vertical edge
+    |Re L'/L| <= LOG_DERIV_BOUND, so one fixed step proves every phase lift.
+    The horizontal edges are sampled at GRID_STEP; a phase step there above
+    one radian raises CountCertificationError.  xi e^(-i arg w / 2) is real on
+    the critical line, so the total must land within WINDING_TOL of an
+    integer.
     """
     if not chi.is_primitive:
         raise ValueError("argument-principle counting requires a primitive character")
-    if not 0.0 <= sigma0 < 1.0:
-        raise ValueError("sigma0 must lie in [0, 1)")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"count height must be finite and positive, got {T}")
 
-    t_eff = _effective_height(chi, T)
-    # All nontrivial zeros lie in 0 < beta < 1, so push the vertical edges
-    # outside [0, 1]: the left edge at sigma0 only when it separates zeros.
-    left = sigma0 if sigma0 > 0.0 else -0.25
-    right = 1.25
+    h = 0.5 * math.pi / (LOG_DERIV_BOUND + _phase_speed_bound(chi, T))
+    right = RIGHT + 1j * np.linspace(-T, T, int(math.ceil(2.0 * T / h)) + 1)
+    edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
+    path = np.concatenate([edge - 1j * T, right[1:-1], edge[::-1] + 1j * T])
+    steps = np.angle(np.exp(1j * np.diff(log_completed_phase(path, chi))))
 
-    step = 0.25
-    corners = [
-        complex(left, -t_eff),
-        complex(right, -t_eff),
-        complex(right, t_eff),
-        complex(left, t_eff),
-        complex(left, -t_eff),
-    ]
-    pieces = []
-    for a, b in zip(corners[:-1], corners[1:]):
-        n = max(2, int(abs(b - a) / step) + 1)
-        seg = a + (b - a) * np.linspace(0.0, 1.0, n, endpoint=False)
-        pieces.append(seg)
-    pieces.append(np.array([corners[-1]]))
-    contour = np.concatenate(pieces)
-
-    winding = _winding_number(contour, chi)
-    count = round(winding)
-    if abs(winding - count) > WINDING_TOL:
-        raise CountCertificationError(
-            f"winding integral {winding:.4f} is not within {WINDING_TOL} of an integer"
-        )
+    horizontal = np.concatenate([steps[: len(edge) - 1], steps[-(len(edge) - 1) :]])
+    if np.max(np.abs(horizontal)) > 1.0:
+        raise CountCertificationError(f"phase step on a horizontal edge at height {T} exceeds one radian")
+    total = float(np.sum(steps)) / math.pi
+    count = round(total)
+    if abs(total - count) > WINDING_TOL:
+        raise CountCertificationError(f"phase change {total:.4f} pi is not within {WINDING_TOL} of an integer")
     return int(count)
 
 
@@ -220,14 +197,18 @@ def scan_zeros(chi: DirichletCharacter, T: float, height_guard: float = DESK_HEI
     """Locate the critical-line zeros with |gamma| <= T for primitive chi.
 
     Sign changes of the rotated completed function are bisected to ordinate
-    radius 1e-9; completeness is certified against the argument-principle
-    count at sigma0 = 0.  On a count mismatch the grid is refined once; a
-    persisting mismatch is recorded as an unverified window (`certified` is
-    False) rather than raised.
+    radius 1e-9.  Completeness is certified against `count_zeros` on the half
+    contour at the count edge t_eff: of the heights T + k * GRID_STEP, the one
+    where min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay clear
+    of zeros.  The grid on [-T, T] is extended at its own spacing to t_eff and
+    the zeros found on [-t_eff, t_eff] are compared with the count.  On a
+    mismatch the grid is refined once; a persisting mismatch is recorded as
+    an unverified window (`certified` is False) rather than raised.  Only the
+    zeros with |gamma| <= T are kept, and `complete_to_height` is T.
 
-    Real characters are scanned on [0, T] and mirrored (their zeros come in
-    conjugate pairs); the conjugate of a complex character should reuse this
-    scan via ZeroSet.mirrored.
+    Real characters are scanned on [0, t_eff] and mirrored (their zeros come
+    in conjugate pairs); the conjugate of a complex character should reuse
+    this scan via ZeroSet.mirrored.
     """
     if not chi.is_primitive:
         raise ValueError("scan_zeros requires a primitive character")
@@ -236,37 +217,43 @@ def scan_zeros(chi: DirichletCharacter, T: float, height_guard: float = DESK_HEI
     if T > height_guard:
         raise ValueError(f"scan limited to T <= {height_guard} (guard is configuration, raise it to override)")
 
-    t_eff = _effective_height(chi, T)
-    # t_eff already clears the boundary guard, so the count's own height
-    # search stops at its first check and the rectangle is the same.
-    expected = count_zeros_rectangle(chi, 0.0, t_eff)
     half_phase = cmath.phase(root_number(chi)) / 2.0
     is_real = conjugate_character(chi) == chi
+    heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
+    clearance = np.abs(_rotated_line(chi, np.concatenate([heights, -heights]), half_phase))
+    t_eff = float(heights[np.argmax(np.minimum(clearance[:EDGE_CANDIDATES], clearance[EDGE_CANDIDATES:]))])
+    expected = count_zeros(chi, t_eff)
 
     step = GRID_STEP
     for _attempt in range(2):
-        ordinates = _scan_once(chi, t_eff, step, half_phase, is_real)
+        ordinates = _scan_once(chi, T, t_eff, step, half_phase, is_real)
         if len(ordinates) == expected:
-            zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in sorted(ordinates))
+            zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
             _warn_close_pairs(chi, zeros)
-            return ZeroSet(chi, zeros, t_eff, True, ())
+            return ZeroSet(chi, zeros, T, True, ())
         step /= 4.0
 
-    zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in sorted(ordinates))
+    zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
     warnings.warn(
         f"scan of {chi} found {len(ordinates)} critical-line zeros but the winding count "
         f"is {expected}: possible off-line zeros in |t| <= {t_eff}",
         stacklevel=2,
     )
-    return ZeroSet(chi, zeros, t_eff, False, ((-t_eff, t_eff),))
+    return ZeroSet(chi, zeros, T, False, ((-t_eff, t_eff),))
 
 
 def _scan_once(
-    chi: DirichletCharacter, t_eff: float, step: float, half_phase: float, is_real: bool
+    chi: DirichletCharacter, T: float, t_eff: float, step: float, half_phase: float, is_real: bool
 ) -> list[float]:
-    lo = 0.0 if is_real else -t_eff
-    n = int(math.ceil((t_eff - lo) / step)) + 1
-    grid = np.linspace(lo, t_eff, n)
+    """Sorted ordinates in [-t_eff, t_eff], on linspace(lo, T) extended to t_eff."""
+    lo = 0.0 if is_real else -T
+    n = int(math.ceil((T - lo) / step)) + 1
+    grid = np.linspace(lo, T, n)
+    spacing = (T - lo) / (n - 1)
+    # Points past T at the same spacing, the last at or just past t_eff.
+    extra = spacing * np.arange(1, int(math.ceil((t_eff - T) / spacing - 1e-9)) + 1)
+    below = np.array([]) if is_real else lo - extra[::-1]
+    grid = np.concatenate([below, grid, T + extra])
     vals = _rotated_line(chi, grid, half_phase)
 
     signs = np.sign(vals)

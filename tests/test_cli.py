@@ -167,11 +167,45 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "zeros_q0005.csv" in err
 
-    def test_uncertified_count_exits_one(self, capsys, tmp_path):
-        # At this height the winding count of two characters mod 5 does not settle.
-        code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "51.089999", "--cache-dir", str(tmp_path))
+    def test_scan_near_zeros_of_two_characters_is_certified(self, capsys, tmp_path):
+        # -51.089999 lies 1.1e-5 from a zero of q5.e1 and of q5.e3: the count
+        # edge must move clear of both.
+        code, out, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "51.089999", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK, err
+        assert out.splitlines() == [
+            "q5.e1: 45 zeros to height 51.089999",
+            "q5.e2: 44 zeros to height 51.089999",
+            "q5.e3: 45 zeros to height 51.089999",
+        ]
+
+    def test_uncertified_count_exits_one(self, capsys, tmp_path, monkeypatch):
+        import zerokit.dirichlet.zeros as zmod
+
+        def unsettled(chi, T):
+            raise zmod.CountCertificationError("phase step on a horizontal edge exceeds one radian")
+
+        monkeypatch.setattr(zmod, "count_zeros", unsettled)
+        code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "10", "--cache-dir", str(tmp_path))
         assert code == EXIT_FAIL
-        assert err.startswith("error:") and "phase tracking" in err
+        assert err.startswith("error:") and "one radian" in err
+
+    def test_empty_modulus_range_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "zeros", "scan", "--qmin", "5", "--qmax", "3", "--height", "5", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "--qmin 5" in err
+
+    def test_verify_without_moduli_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--qmax", "0", "--scan-missing", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "--qmax" in err
+
+    @pytest.mark.parametrize("height", ["-5", "0", "nan", "inf"])
+    def test_verify_height_not_finite_positive_is_a_usage_error(self, capsys, tmp_path, height):
+        code, _, err = run(capsys, "verify", "--height", height, "--scan-missing", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and f"got {float(height)}" in err
 
     @pytest.mark.parametrize("height", ["inf", "nan", "0", "-3"])
     def test_scan_height_not_finite_positive_is_a_usage_error(self, capsys, tmp_path, height):

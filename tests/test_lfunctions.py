@@ -160,6 +160,17 @@ class TestRootNumber:
             for chi in primitive_characters(q):
                 assert abs(abs(root_number(chi)) - 1.0) <= 1e-8
 
+    def test_gauss_sum_matches_functional_equation_quotient(self):
+        # independent oracle: w = xi(s, chi) / xi(1 - s, bar chi) at one point
+        s = 0.3 + 0.7j
+        checked = 0
+        for q in range(1, 61):
+            for chi in primitive_characters(q):
+                quotient = completed_l(s, chi) / completed_l(1.0 - s, conjugate_character(chi))
+                assert abs(root_number(chi) - quotient) <= 1e-12
+                checked += 1
+        assert checked >= 600
+
 
 class TestTrivialZeros:
     def test_zeta(self):

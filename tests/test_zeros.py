@@ -6,10 +6,11 @@ import pytest
 from zerokit.dirichlet.characters import conjugate_character, enumerate_characters, primitive_characters
 from zerokit.dirichlet.zerocache import CACHE_HEADER, ZeroLibrary, read_zero_cache, write_zero_cache
 from zerokit.dirichlet.zeros import (
+    CountCertificationError,
     ZeroRecord,
     ZeroSet,
+    count_zeros,
     count_zeros_circle,
-    count_zeros_rectangle,
     scan_zeros,
 )
 
@@ -35,28 +36,48 @@ class TestRecords:
 
 
 class TestRectangleCounts:
+    """Zeros in the rectangle 0 < beta < 1, |gamma| < T, from the half contour."""
+
     def test_zeta_first_window(self):
-        assert count_zeros_rectangle(ZETA, 0.4, 15.0) == 2
+        assert count_zeros(ZETA, 15.0) == 2
 
     def test_zeta_below_first_zero(self):
-        assert count_zeros_rectangle(ZETA, 0.4, 10.0) == 0
+        assert count_zeros(ZETA, 10.0) == 0
 
     def test_chi4_first_window(self):
-        assert count_zeros_rectangle(CHI4, 0.4, 7.0) == 2
+        assert count_zeros(CHI4, 7.0) == 2
 
     def test_requires_primitive(self):
         with pytest.raises(ValueError):
-            count_zeros_rectangle(enumerate_characters(12)[0], 0.0, 10.0)
+            count_zeros(enumerate_characters(12)[0], 10.0)
 
     def test_monotone_in_height(self):
-        counts = [count_zeros_rectangle(ZETA, 0.0, t) for t in (10.0, 15.0, 22.0, 30.0)]
+        counts = [count_zeros(ZETA, t) for t in (10.0, 15.0, 22.0, 30.0)]
         assert counts == sorted(counts)
         assert counts[-1] >= 6
 
+    @pytest.mark.parametrize("T", [20.0, 51.0, 100.5, 300.0])
+    def test_zeta_against_mpmath_nzeros(self, T):
+        # independent oracle: mpmath counts the zeros with 0 < gamma < T
+        import mpmath as mp
+
+        assert count_zeros(ZETA, T) == 2 * mp.nzeros(T)
+
     def test_boundary_on_zero_is_perturbed_upward(self):
-        # height placed exactly on the first ordinate: the boundary guard
-        # steps T upward until the edge clears the zero, so the pair counts
-        assert count_zeros_rectangle(ZETA, 0.0, 14.134725) == 2
+        # The requested height sits 1.4e-7 below the first ordinate.  A count
+        # there refuses the edge; the scan moves its count edge upward, clear
+        # of the zero, and still stores the set to the height asked for.
+        # Just above the ordinate the pair is stored.
+        with pytest.raises(CountCertificationError):
+            count_zeros(ZETA, 14.134725)
+        zs = scan_zeros(ZETA, 14.134725)
+        assert zs.certified
+        assert zs.zeros == ()
+        assert zs.complete_to_height == 14.134725
+        above = scan_zeros(ZETA, 14.1347252)
+        assert above.certified
+        assert len(above.zeros) == 2
+        assert above.complete_to_height == 14.1347252
 
 
 class TestScan:
@@ -111,7 +132,7 @@ class TestScan:
         # instead of raising or silently accepting
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "count_zeros_rectangle", lambda chi, s0, T: 99)
+        monkeypatch.setattr(zmod, "count_zeros", lambda chi, T: 99)
         with pytest.warns(UserWarning, match="winding count"):
             zs = scan_zeros(CHI4, 10.0)
         assert not zs.certified
@@ -231,7 +252,9 @@ class TestAgainstLibrary:
         assert zero_library.certified()
 
     def test_counts_match_scans_for_modulus_nine(self, zero_library):
+        # 50.5 lies at least 0.2 from every zero mod 9 (50.0 is 0.0097 from
+        # one of q9.e2), so the count's horizontal edges are clear of zeros.
         for chi in primitive_characters(9):
-            zs = zero_library.get(chi, 50.0)
-            expected = count_zeros_rectangle(chi, 0.0, 50.0)
-            assert sum(1 for z in zs.zeros if abs(z.gamma) <= 50.0) == expected
+            zs = zero_library.get(chi, 50.5)
+            expected = count_zeros(chi, 50.5)
+            assert sum(1 for z in zs.zeros if abs(z.gamma) <= 50.5) == expected
