@@ -21,7 +21,7 @@ from zerokit.dirichlet.characters import enumerate_characters, primitive_charact
 from zerokit.dirichlet.lfunctions import l_eval, l_eval_vec
 from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.kernels import WeightParams, psi_weight_vec
-from zerokit.verify import largesieve_smoothing_check, selberg_smoothed_sum_check
+from zerokit.verify import SELBERG_EPS, largesieve_smoothing_check, selberg_smoothed_sum_check
 
 SAFETY = 1.5
 EULER_GAMMA = 0.5772156649015329
@@ -66,7 +66,7 @@ def selberg_constant() -> float:
         params = WeightParams(degree_n=1, height_T=1.0)
         report = selberg_smoothed_sum_check(q, coset, z, x, params, error_budget=0.0)
         overshoot = report.lhs - report.context["main_term"]
-        worst = max(worst, overshoot / (z**2.1 / x))
+        worst = max(worst, overshoot / (z ** (2.0 + 2.0 * SELBERG_EPS) / x))
     return max(worst, 0.1)
 
 

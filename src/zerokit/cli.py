@@ -9,8 +9,9 @@ Commands:
 * ``zeros scan``              populate / update the zero cache (idempotent)
 * ``verify``                  run the verification harness
 
-Exit codes: 0 pass, 1 certification/verification failure, 2 usage error,
-3 missing dependency (zero data absent without --scan-missing).
+Exit codes: 0 pass, 1 certification/verification failure or an uncertified
+zero set, 2 usage error or an unusable path, 3 missing dependency (a selected
+suite reads zero data absent without --scan-missing).
 
 Configuration: flat key=value file via --config (an unknown key is a usage
 error); values are overridden by environment (EXPLICIT_ZERO_CACHE for the
@@ -30,10 +31,9 @@ from pathlib import Path
 
 from zerokit import constants
 from zerokit.constants import FieldParams
-from zerokit.dirichlet.characters import enumerate_characters
 from zerokit.dirichlet.zerocache import ENV_CACHE_DIR, DependencyError, ZeroLibrary
 from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, CountCertificationError
-from zerokit.verify import default_suite, reports_to_json, summary_table
+from zerokit.verify import SUITES, TOLERANCES, default_suite, reports_to_json, summary_table, zero_data_needed
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,7 +45,7 @@ DESK_Q_LIMIT = 200
 HEURISTIC_NOTE = "implied-constant inputs are heuristic, not certified"
 
 # cache_dir and output_format apply to every command; the tolerances feed `verify`.
-CONFIG_KEYS = ("cache_dir", "output_format", "tolerance.explicit_formula", "tolerance.hadamard")
+CONFIG_KEYS = ("cache_dir", "output_format", *(f"tolerance.{suite}" for suite in TOLERANCES))
 OUTPUT_FORMATS = ("table", "json")
 
 
@@ -209,27 +209,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--height must be finite and positive, got {args.height}")
     guard = _guard(cfg, q=args.qmax, height=args.height)
     library = ZeroLibrary(cfg.cache_dir)
-    suites = (
-        ("circle", "explicit_formula", "hadamard", "repulsion", "density", "largesieve", "selberg", "detector")
-        if args.suite == "all"
-        else (args.suite,)
-    )
-    needed = [(q, args.height + 1.0) for q in range(1, args.qmax + 1)]
-    if {"explicit_formula", "hadamard"} & set(suites):
-        needed += [(1, 101.0), (4, 101.0)]  # deep sets for the derivative/formula checks
-    try:
-        if args.scan_missing:
-            for q, h in needed:
-                library.ensure(q, h, height_guard=guard)
-        else:
-            for q, h in needed:
-                for chi in enumerate_characters(q):
-                    library.get(chi, h)
-    except DependencyError as exc:
-        print(f"missing zero data: {exc}", file=sys.stderr)
-        print("re-run with --scan-missing to populate the cache", file=sys.stderr)
-        return EXIT_MISSING
-
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    if args.scan_missing:
+        for q, h in zero_data_needed(suites, args.qmax, args.height):
+            library.ensure(q, h, height_guard=guard)
     reports = default_suite(
         library,
         q_max=args.qmax,
@@ -311,21 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_zeros_scan)
 
     verify_p = sub.add_parser("verify", help="run the verification harness")
-    verify_p.add_argument(
-        "--suite",
-        default="all",
-        choices=(
-            "all",
-            "circle",
-            "explicit_formula",
-            "hadamard",
-            "repulsion",
-            "density",
-            "largesieve",
-            "selberg",
-            "detector",
-        ),
-    )
+    verify_p.add_argument("--suite", default="all", choices=("all", *SUITES))
     verify_p.add_argument("--qmax", type=int, default=10)
     verify_p.add_argument("--height", type=float, default=30.0)
     verify_p.add_argument("--samples", type=int, default=10)
@@ -345,9 +314,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DependencyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DependencyError as exc:
+        print(f"missing zero data: {exc}", file=sys.stderr)
+        print("re-run with --scan-missing to populate the cache", file=sys.stderr)
+        return EXIT_MISSING
     except CountCertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -29,7 +29,7 @@ from zerokit.dirichlet.characters import (
     primitive_characters,
     primitive_inducer,
 )
-from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, ZeroRecord, ZeroSet, scan_zeros
+from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, CountCertificationError, ZeroRecord, ZeroSet, scan_zeros
 
 __all__ = ["DependencyError", "ZeroLibrary", "read_zero_cache", "write_zero_cache", "CACHE_HEADER"]
 
@@ -143,18 +143,21 @@ class ZeroLibrary:
     def get(self, chi: DirichletCharacter, height: float) -> ZeroSet:
         """Zero set of chi complete to `height` (resolving imprimitive chi).
 
-        Raises DependencyError when the cache has no certified data deep
-        enough; use `ensure` first (or scan_missing in the harness/CLI).
+        Raises DependencyError when the library has no data deep enough (use
+        `ensure` first, or --scan-missing in the CLI), and
+        CountCertificationError when the set holds an unverified window.
         """
         star = primitive_inducer(chi)
         key = (star.modulus, star.exponents)
         if key not in self._memory:
             self._load_modulus(star.modulus)
         zs = self._memory.get(key)
-        if zs is None or zs.complete_to_height + 1e-12 < height:
+        if zs is None or not zs.covers(height):
             raise DependencyError(
                 f"no zero data for {char_label(star)} up to height {height}; run a scan first"
             )
+        if not zs.certified:
+            raise CountCertificationError(f"{char_label(star)} is not certified: unverified windows {zs.unverified_windows}")
         return zs
 
     # -- scanning ---------------------------------------------------------------
@@ -171,13 +174,13 @@ class ZeroLibrary:
         for chi in primitive_characters(q):
             key = (q, chi.exponents)
             cached = self._memory.get(key)
-            if cached is not None and cached.complete_to_height + 1e-12 >= height and cached.certified:
+            if cached is not None and cached.covers(height) and cached.certified:
                 summary[char_label(chi)] = "cached"
                 continue
             canon = _canonical_of_pair(chi)
             canon_key = (q, canon.exponents)
             cached_canon = self._memory.get(canon_key)
-            if cached_canon is None or cached_canon.complete_to_height + 1e-12 < height:
+            if cached_canon is None or not cached_canon.covers(height):
                 cached_canon = scan_zeros(canon, height, height_guard)
                 self._memory[canon_key] = cached_canon
                 changed = True

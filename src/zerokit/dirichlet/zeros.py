@@ -99,6 +99,10 @@ class ZeroSet:
         if gammas != sorted(gammas):
             raise ValueError("zeros must be sorted by ordinate")
 
+    def covers(self, height: float) -> bool:
+        """Whether the set is complete to `height`, up to a 1e-12 rounding slack."""
+        return height <= self.complete_to_height + 1e-12
+
     def count_above(self, sigma: float, T: float) -> int:
         """Zeros with beta > sigma and |gamma| <= T.
 
@@ -106,7 +110,7 @@ class ZeroSet:
         (conservative for upper-bound comparisons) — at desk scale every zero
         sits at beta = 1/2, so this resolves the sigma = 1/2 boundary.
         """
-        if T > self.complete_to_height + 1e-12:
+        if not self.covers(T):
             raise ValueError("request exceeds the certified height")
         return sum(1 for z in self.zeros if abs(z.gamma) <= T and z.beta + z.certified_radius > sigma)
 
@@ -124,7 +128,7 @@ def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
     if r <= 0.0:
         raise ValueError("radius must be positive")
     center = complex(center)
-    if abs(center.imag) + r > zs.complete_to_height + 1e-12:
+    if not zs.covers(abs(center.imag) + r):
         raise ValueError("disk exceeds the zero set's certified height")
     return sum(1 for z in zs.zeros if abs(center - complex(z.beta, z.gamma)) <= r)
 

@@ -13,6 +13,9 @@ conductor-aggregates), so the chain's ingredients are verified separately —
 the series identity, the kernel envelopes, the window sums, the power-sum
 witnesses, and the certified constants.  Every detector report records this.
 
+The module owns what a run reads: the suite names (`SUITES`), the default
+tolerances (`TOLERANCES`) and the zero data each suite reads (`zero_data_needed`).
+
 Empirical implied constants (the <<-budgets) live in
 fixtures/empirical_budgets.json: scripts/record_budgets.py records the maxima
 observed across the default grid, and the checks assert against those frozen
@@ -79,7 +82,17 @@ __all__ = [
     "reports_to_json",
     "selberg_smoothed_sum_check",
     "summary_table",
+    "zero_data_needed",
 ]
+
+SUITES = ("circle", "explicit_formula", "hadamard", "repulsion", "density", "largesieve", "selberg", "detector")
+TOLERANCES = {"explicit_formula": 0.05, "hadamard": 1e-4}
+# The circle check's largest disk radius: its disks reach T + CIRCLE_REACH.
+CIRCLE_REACH = 1.0
+# The explicit-formula and Hadamard checks read zeta and chi mod 4 to height 100 at most.
+DEEP_HEIGHT = 101.0
+# eps of the sieve error term z^(2 + 2 eps) / x.
+SELBERG_EPS = 0.05
 
 DETECTOR_SCALE_NOTE = (
     "detector chain verified by ingredient: the nominal scale (log x >= 122 phi L) is out of "
@@ -155,7 +168,6 @@ def circle_lemma_check(
     q_max: int,
     T: float,
     samples: int,
-    implied_nk: float = 0.0,
 ) -> list[CheckReport]:
     """Counted zeros in disks versus the two counting bounds.
 
@@ -169,15 +181,15 @@ def circle_lemma_check(
     if samples < 1:
         raise ValueError("circle_lemma_check needs samples >= 1")
     # (name, bound kind, r range, sigma - 1 range, extra bound arguments)
-    variants = [("classical", "classical", (1e-3, 1.0), (1e-6, 1.0), {})]
+    variants = [("classical", "classical", (1e-3, CIRCLE_REACH), (1e-6, 1.0), {})]
     for eps in (DENSITY_EPS_WIDE, DENSITY_EPS_NARROW):
         variants.append((f"convexity.eps{eps}", "convexity", (1e-6, eps * (1.0 - 1e-9)), (1e-9, eps), {"epsilon": eps}))
     rng = np.random.default_rng(2054)
     reports = []
     for q in range(1, q_max + 1):
         for chi in primitive_characters(q):
-            zs = library.get(chi, T + 1.0)
-            p = FieldParams(n_K=1, D_K=1.0, implied_nk_constant=implied_nk)
+            zs = library.get(chi, T + CIRCLE_REACH)
+            p = FieldParams(n_K=1, D_K=1.0)
             for name, kind, r_range, sigma_range, extra in variants:
                 worst = None
                 for _ in range(samples):
@@ -212,7 +224,7 @@ def explicit_formula_residual(
     chi: DirichletCharacter,
     s: complex,
     T_zeros: float,
-    tolerance: float = 0.05,
+    tolerance: float = TOLERANCES["explicit_formula"],
 ) -> CheckReport:
     """Residual of the log-derivative explicit formula at s, zeros to T_zeros.
 
@@ -260,7 +272,7 @@ def hadamard_derivative_check(
     k: int,
     s: complex,
     T_zeros: float,
-    tolerance: float = 1e-4,
+    tolerance: float = TOLERANCES["hadamard"],
 ) -> CheckReport:
     """Derivative-side vs zero-side of the higher-derivative identity.
 
@@ -445,8 +457,6 @@ def density_theorem_check(
     q_max: int,
     T: float,
     sigma_grid: Iterable[float],
-    leading_constant: float = 1.0,
-    implied_nk: float = 0.0,
 ) -> list[CheckReport]:
     """Aggregated zero counts against the density bound, modulus by modulus.
 
@@ -463,9 +473,9 @@ def density_theorem_check(
                 zs = library.get(chi, T)
                 lhs += zs.count_above(sigma, T)
             exponent = density_exponent_for(sigma)
-            p = FieldParams(n_K=1, D_K=1.0, Q=float(q), T=float(T), implied_nk_constant=implied_nk)
-            bound = evaluate_density_bound(sigma, p, exponent, leading_constant)
-            minimal_leading = lhs / (bound.value / leading_constant) if bound.value > 0 else 0.0
+            p = FieldParams(n_K=1, D_K=1.0, Q=float(q), T=float(T))
+            bound = evaluate_density_bound(sigma, p, exponent, 1.0)
+            minimal_leading = lhs / bound.value if bound.value > 0 else 0.0
             reports.append(
                 _report(
                     f"density.q{q}.sigma{sigma}",
@@ -617,7 +627,6 @@ def selberg_smoothed_sum_check(
     z: float,
     x: float,
     params: WeightParams,
-    eps: float = 0.05,
     error_budget: float | None = None,
 ) -> CheckReport:
     """Weighted count of z-rough integers in a congruence class.
@@ -641,7 +650,7 @@ def selberg_smoothed_sum_check(
     lhs = float(np.sum(psi_weight_vec(x / m, params) / m))
     phi_q = sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
     main = 1.0 / (phi_q * harmonic_sum(z))
-    rhs = main + error_budget * z ** (2.0 + 2.0 * eps) / x
+    rhs = main + error_budget * z ** (2.0 + 2.0 * SELBERG_EPS) / x
     return _report(
         f"selberg.q{q}.coset{coset}.z{z}.x{x}",
         lhs,
@@ -649,7 +658,7 @@ def selberg_smoothed_sum_check(
         "<=",
         main_term=main,
         error_budget=error_budget,
-        eps=eps,
+        eps=SELBERG_EPS,
         support=(lo, hi),
         survivors=int(len(n)),
     )
@@ -677,7 +686,6 @@ def detector_series_identity_check(
     tau: float,
     k: int,
     cutoff: int,
-    tolerance: float | None = None,
 ) -> CheckReport:
     """Kernel-weighted prime series versus the normalised k-th derivative.
 
@@ -688,12 +696,12 @@ def detector_series_identity_check(
 
     lhs = sum_n Lambda(n) chi*(n) n^(-1-i tau) r E_k(r log n);
     rhs = r^(k+1) * series for (-1)^(k+1)/k! (d/ds)^k L'/L at 1 + r + i tau.
+    The tolerance is 1e-8 for k = 0 and 1e-6 otherwise.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     star = primitive_inducer(chi)
-    if tolerance is None:
-        tolerance = 1e-8 if k == 0 else 1e-6
+    tolerance = 1e-8 if k == 0 else 1e-6
 
     lhs = 0j
     for m, primes, powers in prime_powers(cutoff):
@@ -726,19 +734,19 @@ def default_suite(
     q_max: int = 10,
     T: float = 30.0,
     samples: int = 10,
-    suites: tuple[str, ...] = ("circle", "explicit_formula", "hadamard", "repulsion", "density", "largesieve", "selberg", "detector"),
+    suites: tuple[str, ...] = SUITES,
     hadamard_k: int = 2,
     tolerances: Mapping[str, float] | None = None,
 ) -> list[CheckReport]:
     """Run the selected checks at the default desk grid; deterministic order.
 
     ``tolerances`` overrides the default comparison tolerances by suite name
-    (keys: explicit_formula, hadamard).
+    (the keys of TOLERANCES).
     """
     reports: list[CheckReport] = []
-    tolerances = dict(tolerances or {})
-    ef_tol = tolerances.get("explicit_formula", 0.05)
-    hd_tol = tolerances.get("hadamard", 1e-4)
+    tolerances = {**TOLERANCES, **(tolerances or {})}
+    ef_tol = tolerances["explicit_formula"]
+    hd_tol = tolerances["hadamard"]
     zeta = _principal(1)
     chi4 = enumerate_characters(4)[1]
 
@@ -775,3 +783,14 @@ def default_suite(
         reports.append(detector_series_identity_check(chi4, 0.5, 1.0, 3, 10**5))
         reports.append(detector_series_identity_check(zeta, 0.3, 0.0, 0, 10**5))
     return sorted(reports, key=lambda r: r.name)
+
+
+def zero_data_needed(suites: Iterable[str], q_max: int, T: float) -> list[tuple[int, float]]:
+    """The (modulus, height) scans that cover every zero set `default_suite` reads for these suites."""
+    suites = set(suites)
+    needed = []
+    if suites & {"circle", "repulsion", "density"}:
+        needed += [(q, T + CIRCLE_REACH) for q in range(1, q_max + 1)]
+    if suites & {"explicit_formula", "hadamard"}:
+        needed += [(1, DEEP_HEIGHT), (4, DEEP_HEIGHT)]
+    return needed

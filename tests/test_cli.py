@@ -130,10 +130,13 @@ class TestZerosAndVerify:
 
     def test_unsafe_lifts_the_height_guard_of_verify(self, capsys, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
+        from zerokit.dirichlet.characters import primitive_inducer
+        from zerokit.dirichlet.zeros import ZeroSet
 
         guards = []
         monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h, height_guard: guards.append(height_guard))
-        argv = ["verify", "--suite", "detector", "--qmax", "1", "--height", "1500", "--scan-missing"]
+        monkeypatch.setattr(cmod.ZeroLibrary, "get", lambda self, chi, h: ZeroSet(primitive_inducer(chi), (), h))
+        argv = ["verify", "--suite", "density", "--qmax", "1", "--height", "1500", "--scan-missing"]
         code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == EXIT_USAGE and "desk-scale guard" in err
         assert guards == []
@@ -220,9 +223,39 @@ class TestZerosAndVerify:
         assert err.startswith("error:") and "samples" in err
 
     def test_verify_missing_data_exit_code(self, capsys, tmp_path):
-        code, _, err = run(capsys, "verify", "--suite", "detector", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))
+        code, out, err = run(capsys, "verify", "--suite", "density", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))
         assert code == EXIT_MISSING
-        assert "scan" in err
+        assert out == ""
+        first, second = err.splitlines()
+        assert first.startswith("missing zero data: no zero data for q1.e-")
+        assert second == "re-run with --scan-missing to populate the cache"
+
+    @pytest.mark.parametrize("suite", ["largesieve", "selberg", "detector"])
+    def test_zero_free_suites_need_no_cache(self, capsys, tmp_path, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--scan-missing", "--cache-dir", str(tmp_path / "cache"))
+        assert code == EXIT_OK
+        assert f"{suite}." in out
+        assert not (tmp_path / "cache").exists()
+        code, _, _ = run(capsys, "verify", "--suite", suite, "--cache-dir", str(tmp_path / "cache"))
+        assert code == EXIT_OK
+
+    def test_scan_missing_scans_only_what_the_suites_read(self, capsys, tmp_path):
+        argv = ["verify", "--suite", "hadamard", "--qmax", "10", "--height", "30", "--scan-missing"]
+        code, _, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros_q0001.csv", "zeros_q0004.csv"]
+
+    def test_verify_refuses_an_uncertified_zero_set(self, capsys, tmp_path, monkeypatch):
+        import zerokit.dirichlet.zeros as zmod
+
+        true_count = zmod.count_zeros
+        monkeypatch.setattr(zmod, "count_zeros", lambda chi, T: true_count(chi, T) + 2 * (chi.modulus == 5))
+        argv = ["verify", "--suite", "density", "--qmax", "5", "--height", "10", "--scan-missing"]
+        with pytest.warns(UserWarning, match="winding count"):
+            code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error:") and "q5." in err and "not certified" in err
 
     def test_verify_detector_with_scan(self, capsys, tmp_path):
         code, out, _ = run(
@@ -278,6 +311,24 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and key in err
+
+    def test_missing_config_file_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--config", str(tmp_path / "absent.cfg"), "constants", "optimize-alpha")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "absent.cfg" in err
+
+    def test_unwritable_report_file_is_a_usage_error(self, capsys, tmp_path):
+        report = tmp_path / "absent" / "r.json"
+        code, _, err = run(capsys, "verify", "--suite", "selberg", "--report-file", str(report), "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "r.json" in err
+
+    def test_cache_dir_below_a_file_is_a_usage_error(self, capsys, tmp_path):
+        (tmp_path / "afile").write_text("")
+        code, _, err = run(capsys, "zeros", "scan", "--q", "3", "--height", "5", "--cache-dir", str(tmp_path / "afile" / "sub"))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "afile" in err
 
     @pytest.mark.parametrize("value", ["xml", "JSON", ""])
     def test_unknown_output_format_is_a_usage_error(self, capsys, tmp_path, value):

@@ -9,11 +9,13 @@ from zerokit.dirichlet.characters import enumerate_characters
 from zerokit.dirichlet.hurwitz import hurwitz_zeta
 from zerokit.kernels import WeightParams, psi_weight
 from zerokit.verify import (
+    SUITES,
     CheckReport,
     _lattice_inverse_square,
     _trivial_zero_square_sum_exact,
     _zero_square_sum,
     circle_lemma_check,
+    default_suite,
     density_theorem_check,
     detector_series_identity_check,
     detector_window_sum,
@@ -25,6 +27,7 @@ from zerokit.verify import (
     reports_to_json,
     selberg_smoothed_sum_check,
     summary_table,
+    zero_data_needed,
 )
 
 ZETA = enumerate_characters(1)[0]
@@ -306,9 +309,26 @@ def test_budgets_fixture_loads():
 
 
 def test_suite_output_is_deterministic(zero_library):
-    from zerokit.verify import default_suite
-
     first = default_suite(zero_library, q_max=4, T=15.0, samples=5, suites=("circle", "density"))
     second = default_suite(zero_library, q_max=4, T=15.0, samples=5, suites=("circle", "density"))
     assert reports_to_json(first) == reports_to_json(second)
     assert [r.name for r in first] == sorted(r.name for r in first)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_zero_data_plan_covers_every_read(zero_library, monkeypatch, suite):
+    q_max, T = 6, 20.0
+    reads = []
+    get = zero_library.get
+
+    def recording_get(chi, height):
+        zs = get(chi, height)
+        reads.append((zs.character.modulus, height))
+        return zs
+
+    monkeypatch.setattr(zero_library, "get", recording_get)
+    default_suite(zero_library, q_max=q_max, T=T, samples=2, suites=(suite,))
+    needed = zero_data_needed((suite,), q_max, T)
+    assert bool(reads) == bool(needed)
+    for modulus, height in reads:
+        assert any(q == modulus and height <= h for q, h in needed), (modulus, height)

@@ -147,6 +147,8 @@ class TestScan:
         lib.ensure(4, 10.0)
         assert not lib.certified()
         assert not (tmp_path / "cache" / "zeros_q0004.csv").exists()
+        with pytest.raises(CountCertificationError, match=r"q4\.e1 is not certified.*-10\.0, 10\.0"):
+            lib.get(CHI4, 10.0)
 
 
 @pytest.fixture(scope="module")
