@@ -207,11 +207,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--qmax must be at least 1, got {args.qmax}")
     if not (math.isfinite(args.height) and args.height > 0.0):
         raise ValueError(f"--height must be finite and positive, got {args.height}")
-    guard = _guard(cfg, q=args.qmax, height=args.height)
-    library = ZeroLibrary(cfg.cache_dir)
     suites = SUITES if args.suite == "all" else (args.suite,)
+    # The guard applies to the zero data the suites read, not to the raw flags.
+    needed = zero_data_needed(suites, args.qmax, args.height)
+    guard = _guard(cfg)
+    for q, h in needed:
+        _guard(cfg, q=q, height=h)
+    library = ZeroLibrary(cfg.cache_dir)
     if args.scan_missing:
-        for q, h in zero_data_needed(suites, args.qmax, args.height):
+        for q, h in needed:
             library.ensure(q, h, height_guard=guard)
     reports = default_suite(
         library,

@@ -14,7 +14,8 @@ Re s + 2M + 1 <= 1 the bound is not valid and N = max(20, ceil(2 |Im s|)).
 No larger floor is imposed for Re s < 0: there the direct terms (n+a)^-s grow
 like n^|Re s|, so a larger N only adds rounding error (the bound is exactly 0
 at the negative integers, where the formula is a polynomial identity and N = 1
-serves).  `hurwitz_error_bound` reports the bound per entry at the same N.
+serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
+`hurwitz_rounding_bound` the floating-point error of the sum itself.
 
 The vector path shares the shift across all entries of s and a, and adds the
 direct block one n at a time on a (len(s), len(a)) array, so no term matrix is
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_error_bound"]
+__all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_error_bound", "hurwitz_rounding_bound"]
 
 ORDER = 20  # Euler--Maclaurin correction order M
 TARGET = 1e-13  # certified bound on the remainder R_M
@@ -119,6 +120,51 @@ def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
         poch = poch * (s + i)
     mag = abs(coeffs[ORDER]) * np.abs(poch) * w ** (-(s.real + 2 * ORDER + 1))
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
+
+
+def hurwitz_rounding_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_vec(s, a) for real a > 0.
+
+    The result has shape s.shape + np.shape(a), like the kernel's, and takes
+    the shift N the kernel takes for the same s.  With u = 2^-53, each direct
+    term exp(-s log(n+a)) is off by at most (4 + |s| (1 + 4 |log(n+a)|)) u of
+    its magnitude (n+a)^-Re s: log, the product with s and the complex exp
+    each round once, and the phase error |s| |log(n+a)| u is what grows with
+    the height.  Each of the ORDER + 2 correction terms, built by up to
+    2 ORDER products and quotients, is off by at most
+    (8 ORDER + 12 + |s| (1 + 4 log(N+a))) u of its magnitude.  Adding the
+    N + ORDER + 2 terms one by one costs at most N + ORDER + 2 units u of the
+    sum of all magnitudes.
+    """
+    s = np.asarray(s, dtype=complex)
+    a = np.asarray(a, dtype=float)
+    n_shift = _shift_for(s)
+    unit = 2.0**-53
+    flat = s.reshape(-1, 1)
+    shifts = a.reshape(1, -1)
+    size = np.abs(flat)
+    log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
+    logw = np.log(n_shift + shifts)
+    # |(s)_{2j-1}| for j = 1..ORDER, one row per entry of s.
+    factors = np.abs(flat + np.arange(2 * ORDER - 1))
+    poch = np.cumprod(factors, axis=1)[:, ::2]
+    coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
+    out = np.empty((flat.shape[0], shifts.shape[1]))
+    for sigma in np.unique(flat.real):
+        rows = flat[:, 0].real == sigma
+        mag = np.exp(-sigma * log_n)
+        direct = mag.sum(axis=0)
+        phase = (mag * np.abs(log_n)).sum(axis=0)
+        powers = coeffs[:, None] * np.exp(-(sigma + 2 * np.arange(1, ORDER + 1)[:, None] - 1) * logw)
+        tail = (
+            np.exp((1.0 - sigma) * logw) / np.abs(flat[rows] - 1.0)
+            + 0.5 * np.exp(-sigma * logw)
+            + poch[rows] @ powers
+        )
+        terms = (4.0 + size[rows]) * direct + 4.0 * size[rows] * phase
+        terms += (8 * ORDER + 12 + size[rows] * (1.0 + 4.0 * logw)) * tail
+        out[rows] = unit * (terms + (n_shift + ORDER + 2) * (direct + tail))
+    return out.reshape(s.shape + a.shape)
 
 
 def hurwitz_zeta(s: complex, a: complex) -> complex:

@@ -29,7 +29,14 @@ from zerokit.dirichlet.characters import (
     primitive_characters,
     primitive_inducer,
 )
-from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, CountCertificationError, ZeroRecord, ZeroSet, scan_zeros
+from zerokit.dirichlet.zeros import (
+    DESK_HEIGHT_LIMIT,
+    CountCertificationError,
+    ModulusEngine,
+    ZeroRecord,
+    ZeroSet,
+    scan_zeros,
+)
 
 __all__ = ["DependencyError", "ZeroLibrary", "read_zero_cache", "write_zero_cache", "CACHE_HEADER"]
 
@@ -165,29 +172,36 @@ class ZeroLibrary:
     def ensure(self, q: int, height: float, height_guard: float = DESK_HEIGHT_LIMIT) -> dict[str, int | str]:
         """Scan all primitive characters mod q up to `height` (idempotent).
 
-        Conjugate pairs are scanned once and mirrored.  Returns a summary
+        Conjugate pairs are scanned once and mirrored, and the characters to
+        scan share one ModulusEngine.  The cache directory is created before
+        any scan, so an unusable path fails first.  Returns a summary
         {label: zero count | 'cached'}; persists the modulus file.
         """
         self._load_modulus(q)
         summary: dict[str, int | str] = {}
-        changed = False
+        pending: dict[DirichletCharacter, DirichletCharacter] = {}  # character -> its canonical
+        to_scan: dict[tuple[int, ...], DirichletCharacter] = {}
         for chi in primitive_characters(q):
-            key = (q, chi.exponents)
-            cached = self._memory.get(key)
+            cached = self._memory.get((q, chi.exponents))
             if cached is not None and cached.covers(height) and cached.certified:
                 summary[char_label(chi)] = "cached"
                 continue
             canon = _canonical_of_pair(chi)
-            canon_key = (q, canon.exponents)
-            cached_canon = self._memory.get(canon_key)
+            pending[chi] = canon
+            cached_canon = self._memory.get((q, canon.exponents))
             if cached_canon is None or not cached_canon.covers(height):
-                cached_canon = scan_zeros(canon, height, height_guard)
-                self._memory[canon_key] = cached_canon
-                changed = True
+                to_scan[canon.exponents] = canon
+        if to_scan:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            engine = ModulusEngine(tuple(to_scan.values()), height)
+            for canon in to_scan.values():
+                self._memory[(q, canon.exponents)] = scan_zeros(canon, height, height_guard, engine)
+        changed = bool(to_scan)
+        for chi, canon in pending.items():
             if chi.exponents != canon.exponents:
-                self._memory[key] = cached_canon.mirrored(chi)
+                self._memory[(q, chi.exponents)] = self._memory[(q, canon.exponents)].mirrored(chi)
                 changed = True
-            summary[char_label(chi)] = len(self._memory[key].zeros)
+            summary[char_label(chi)] = len(self._memory[(q, chi.exponents)].zeros)
         if changed:
             # Only certified windows are persisted: an unverified scan stays
             # in memory so a reload (or rescan) does not silently accept it.

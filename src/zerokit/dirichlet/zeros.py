@@ -1,9 +1,9 @@
 """Zero location and counting for Dirichlet L-functions.
 
-Two routes are kept separate so they can cross-check each other.  Both take
-their L-values from `l_eval_vec`, so they are independent in method (sign
-changes on the critical line against a winding count) but not in the
-evaluator: a fault in `l_eval_vec` can reach both.
+Two routes are kept separate so they can cross-check each other: sign
+changes on the critical line against a winding count.  Both rest on the
+Hurwitz kernel (`count_zeros` through `l_eval_vec`, the scan through one
+shared table), so they are independent in method but not in the evaluator.
 
 * `count_zeros` counts zeros of the completed function by the argument
   principle.  The functional equation halves the contour: the count is the
@@ -15,7 +15,16 @@ evaluator: a fault in `l_eval_vec` can reach both.
 * `scan_zeros` locates critical-line zeros as sign changes of the rotated
   completed function Z(t) = Re[e^{i theta(t)} L(1/2+it)], where theta is the
   phase of the completed prefactor minus half the root-number phase; Z is
-  real-valued in exact arithmetic for any primitive character.
+  real-valued in exact arithmetic for any primitive character.  The work is
+  done by a `ModulusEngine`, one per modulus: a bank of zeta(1/2+it, a/q)
+  over the units, computed once on one grid for all characters it scans;
+  a seed at the root of the cubic through the 4 grid values around each
+  sign change; Illinois (bracketed secant) steps for all brackets of the
+  modulus at once, one Hurwitz evaluation per round, until a step is below
+  STEP_TOL; and one batched sign check at gamma -/+ TARGET_RADIUS, where
+  |Z| must exceed its certified error radius (Hurwitz truncation plus
+  floating-point rounding).  A zero whose check fails is reported as an
+  unverified window, never accepted silently.
 
 A scan to height T is *complete* when the number of zeros it locates on
 [-t_eff, t_eff] matches the count there.  The count edge t_eff is the height
@@ -34,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from zerokit.dirichlet.characters import DirichletCharacter, conjugate_character
+from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
+from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import (
     completed_prefactor_phase,
     gamma_factor_log_deriv,
@@ -45,6 +55,7 @@ from zerokit.dirichlet.lfunctions import (
 
 __all__ = [
     "CountCertificationError",
+    "ModulusEngine",
     "ZeroRecord",
     "ZeroSet",
     "count_zeros",
@@ -52,8 +63,15 @@ __all__ = [
     "scan_zeros",
 ]
 
-# Bisection stops when the bracket is this tight.
+# Each ordinate is certified by a sign change of Z across gamma -/+ TARGET_RADIUS.
 TARGET_RADIUS = 1e-9
+# Illinois refinement stops once a step is below STEP_TOL, or after REFINE_ROUNDS.
+STEP_TOL = 1e-11
+REFINE_ROUNDS = 50
+# Halvings of the unit bracket that locate a seed on its cubic (2^-40 of a grid step).
+SEED_BISECTIONS = 40
+# Points x units per Hurwitz call of the engine.
+TABLE_ENTRIES = 1 << 14
 # Ordinate step of the sign-change grid (a quarter of it on the one refinement).
 GRID_STEP = 0.05
 # The count's right edge, Re s = RIGHT, and -zeta'/zeta(RIGHT) rounded up: a
@@ -188,7 +206,7 @@ def count_zeros(chi: DirichletCharacter, T: float) -> int:
 
 
 def _rotated_line(chi: DirichletCharacter, ts: np.ndarray, half_phase: float) -> np.ndarray:
-    """Z(t): the completed function rotated to be real on the critical line.
+    """Z(t) of one character on its own: the reference form of what ModulusEngine computes.
 
     Only the prefactor's phase enters, so the gamma decay never underflows.
     """
@@ -197,18 +215,275 @@ def _rotated_line(chi: DirichletCharacter, ts: np.ndarray, half_phase: float) ->
     return rotated.real
 
 
-def scan_zeros(chi: DirichletCharacter, T: float, height_guard: float = DESK_HEIGHT_LIMIT) -> ZeroSet:
+class ModulusEngine:
+    """Critical-line zeros of several primitive characters of one modulus q.
+
+    The characters share one table H[t, a] = zeta(1/2 + it, a/q) over the
+    units a mod q.  With W[a, chi] = chi(a) e^(-i arg w(chi) / 2),
+
+        Z_chi(t) = Re[e^(i theta(t)) q^(-1/2 - it) (H @ W)[t, chi]],
+
+    where theta, the completed prefactor's phase, depends on chi only through
+    its parity.  The first `zero_set` request scans every character:
+
+    * one bank on the grid k h, h = T / ceil(T / GRID_STEP), up to the
+      highest count-edge candidate, plus the EDGE_CANDIDATES edge heights,
+      all in the same Hurwitz evaluation.  Only t >= 0 is evaluated: for real
+      a, H at -t is the conjugate of H at t, so Z(-t) = Re[e^(i theta(t))
+      q^(-s) (H @ conj(W))].  Real characters use the t >= 0 half alone;
+    * per character, the count edge t_eff and `count_zeros` at it;
+    * every sign change of every character at once: a seed at the root of the
+      cubic through the 4 grid values around it, then Illinois (bracketed
+      secant) steps until a step is below STEP_TOL, each round one
+      evaluation for all brackets of the modulus;
+    * one sign check for all ordinates at gamma -/+ TARGET_RADIUS: the two
+      values must differ in sign and both exceed `_radius`, the certified
+      error of a computed Z, so each check proves a zero within
+      TARGET_RADIUS of gamma.
+
+    Every evaluation is cut into chunks of at most TABLE_ENTRIES table
+    entries, so a modulus near 200 (198 units) needs no more memory than a
+    small one.
+    """
+
+    def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
+        self.chars = tuple(chars)
+        self.height = T
+        self.modulus = self.chars[0].modulus
+        if any(chi.modulus != self.modulus for chi in self.chars):
+            raise ValueError("one engine serves the characters of one modulus")
+        values = np.array([char_value_vec(chi, np.arange(1, self.modulus + 1)) for chi in self.chars]).T
+        self._units = np.flatnonzero(np.any(values != 0.0, axis=1)) + 1
+        half_phases = np.array([cmath.phase(root_number(chi)) / 2.0 for chi in self.chars])
+        self._weights = values[self._units - 1] * np.exp(-1j * half_phases)
+        self._odd = np.array([chi.parity == "odd" for chi in self.chars])
+        self._real = np.array([conjugate_character(chi) == chi for chi in self.chars])
+        # theta depends on the parity alone (and on q, shared): one character of each.
+        self._by_parity = {chi.parity == "odd": chi for chi in self.chars}
+        self._sets: dict[tuple[int, ...], ZeroSet] | None = None
+
+    def zero_set(self, chi: DirichletCharacter) -> ZeroSet:
+        """The scan of chi, one of the engine's characters (all are scanned on first use)."""
+        if self._sets is None:
+            self._sets = self._scan()
+        return self._sets[chi.exponents]
+
+    # -- evaluation -------------------------------------------------------------
+
+    def _tables(self, ts: np.ndarray):
+        """(indices, s, H) over s = 1/2 + i ts, H = zeta(s, a/q) on the units, chunk by chunk.
+
+        The chunks follow |t|, so each Hurwitz call takes the shift of its own
+        heights rather than that of the tallest point.
+        """
+        step = max(1, TABLE_ENTRIES // len(self._units))
+        shifts = self._units / self.modulus
+        order = np.argsort(np.abs(ts), kind="stable")
+        for lo in range(0, len(ts), step):
+            part = order[lo : lo + step]
+            s = 0.5 + 1j * ts[part]
+            yield part, s, hurwitz_zeta_vec(s, shifts)
+
+    def _rotation(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s)."""
+        theta = {flag: completed_prefactor_phase(s, chi) for flag, chi in self._by_parity.items()}
+        phase = np.where(odd, theta.get(True, 0.0), theta.get(False, 0.0))
+        return np.exp(1j * phase - s * math.log(self.modulus))
+
+    def _bank(self, ts: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Z(t) and Z(-t) at ts >= 0 for the characters `cols`: two (points, cols) arrays."""
+        weights = self._weights[:, cols]
+        both = np.concatenate([weights, weights.conj()], axis=1)
+        odd = np.tile(self._odd[cols], 2)
+        out = np.empty((len(ts), both.shape[1]))
+        for part, s, table in self._tables(ts):
+            out[part] = (self._rotation(s[:, None], odd) * (table @ both)).real
+        return out[:, : len(cols)], out[:, len(cols) :]
+
+    def _line(self, ts: np.ndarray, cols: np.ndarray, radius: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Z(ts[j]) of character cols[j] and, with `radius`, each value's error bound."""
+        values = np.empty(len(ts))
+        bounds = np.zeros(len(ts))
+        for part, s, table in self._tables(ts):
+            owner = cols[part]
+            sums = np.einsum("ij,ji->i", table, self._weights[:, owner])
+            values[part] = (self._rotation(s, self._odd[owner]) * sums).real
+            if radius:
+                bounds[part] = self._radius(s, table)
+        return values, bounds
+
+    def _radius(self, s: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Bound on |computed Z - Z| at s, for every character of the modulus.
+
+        Z is Re[rot S] with rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
+        Errors in rot only scale and turn rot S, which is real, so they cannot
+        change its sign; what can is the error in S, times |rot| = q^-1/2:
+        the truncation `hurwitz_error_bound(s, 1/q)` (a = 1/q is the worst
+        unit) for each of the phi(q) units with |chi(a)| = 1, the kernel's
+        `hurwitz_rounding_bound` per unit, and phi(q) + 2 roundings of each
+        |H[a]| in the weights and the sum over the units.
+        """
+        shifts = self._units / self.modulus
+        error = len(shifts) * hurwitz_error_bound(s, 1.0 / self.modulus)
+        error = error + hurwitz_rounding_bound(s, shifts).sum(axis=1)
+        error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=1)
+        return error / math.sqrt(self.modulus)
+
+    # -- scanning ---------------------------------------------------------------
+
+    def _scan(self) -> dict[tuple[int, ...], ZeroSet]:
+        T = self.height
+        spacing = T / math.ceil(T / GRID_STEP)
+        heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
+        n = int(heights[-1] / spacing) + 1
+        every = np.arange(len(self.chars))
+        pos, neg = self._bank(np.concatenate([spacing * np.arange(n + 1), heights]), every)
+        clearance = np.minimum(np.abs(pos[n + 1 :]), np.abs(neg[n + 1 :]))
+        t_eff = heights[np.argmax(clearance, axis=0)]
+        expected = [count_zeros(chi, float(t)) for chi, t in zip(self.chars, t_eff)]
+        found = self._locate(pos[: n + 1], neg[: n + 1], spacing, every, t_eff)
+
+        # A count mismatch gets one grid 4x finer, for all such characters at once.
+        redo = np.array([c for c in every if len(found[c][0]) != expected[c]], dtype=int)
+        if len(redo):
+            fine = spacing / 4.0
+            m = int(float(np.max(t_eff[redo])) / fine) + 1
+            pos, neg = self._bank(fine * np.arange(m + 1), redo)
+            for c, result in zip(redo, self._locate(pos, neg, fine, redo, t_eff[redo])):
+                found[c] = result
+        return {
+            chi.exponents: _zero_set(chi, T, float(t_eff[c]), expected[c], *found[c])
+            for c, chi in enumerate(self.chars)
+        }
+
+    def _locate(
+        self, pos: np.ndarray, neg: np.ndarray, spacing: float, cols: np.ndarray, t_eff: np.ndarray
+    ) -> list[tuple[list[float], list[tuple[float, float]]]]:
+        """Sorted ordinates in [-t_eff, t_eff] and failed sign-check windows, per entry of `cols`.
+
+        `pos` and `neg` hold Z at +-k spacing, k = 0..n, one column per entry
+        of `cols`.
+        """
+        n = pos.shape[0] - 1
+        ts = spacing * np.arange(-n, n + 1)
+        vals = np.concatenate([neg[:0:-1], pos]).T
+        real = self._real[cols]
+        first = np.where(real, n, 0)  # real characters use t >= 0 alone
+        usable = np.arange(2 * n + 1)[None, :] >= first[:, None]
+        reach = t_eff[:, None]
+        flips = usable[:, :-1] & (vals[:, :-1] * vals[:, 1:] < 0.0) & (ts[:-1] < reach) & (ts[1:] > -reach)
+        exact = usable & (vals == 0.0) & (np.abs(ts) <= reach)
+        row, i = np.nonzero(flips)
+
+        # Seed: the root of the cubic through the 4 grid values around the flip.
+        j0 = np.clip(i - 1, first[row], 2 * n - 3)
+        f0, f1, f2, f3 = (vals[row, j0 + k] for k in range(4))
+        d1, d2, d3 = f1 - f0, (f2 - 2.0 * f1 + f0) / 2.0, (f3 - 3.0 * f2 + 3.0 * f1 - f0) / 6.0
+        left = (i - j0).astype(float)
+        right = left + 1.0
+        sign_left = np.sign(vals[row, i])
+        for _ in range(SEED_BISECTIONS):
+            mid = 0.5 * (left + right)
+            cubic = f0 + mid * (d1 + (mid - 1.0) * (d2 + (mid - 2.0) * d3))
+            beyond = np.sign(cubic) == sign_left
+            left, right = np.where(beyond, mid, left), np.where(beyond, right, mid)
+        x = ts[j0] + spacing * 0.5 * (left + right)
+
+        # Illinois: regula falsi on the bracket (a, b), b the latest point; when
+        # the new point falls on b's side, the value at the kept end a is
+        # halved.  The seed is no secant step, so nothing is halved after it.
+        owner = cols[row]
+        a, fa = ts[i], vals[row, i]
+        b, fb = ts[i + 1], vals[row, i + 1]
+        active = np.arange(len(x))
+        for step_round in range(REFINE_ROUNDS):
+            if not active.size:
+                break
+            fx, _ = self._line(x[active], owner[active])
+            flip = fx * fb[active] < 0.0
+            a[active] = np.where(flip, b[active], a[active])
+            fa[active] = np.where(flip, fb[active], fa[active] * (0.5 if step_round else 1.0))
+            b[active], fb[active] = x[active], fx
+            step = fx * (b[active] - a[active]) / (fx - fa[active])
+            x[active] = b[active] - step
+            active = active[np.abs(step) >= STEP_TOL]
+
+        gammas = np.concatenate([x, ts[np.nonzero(exact)[1]]])
+        rows = np.concatenate([row, np.nonzero(exact)[0]])
+        k = len(gammas)
+        z, rho = self._line(
+            np.concatenate([gammas - TARGET_RADIUS, gammas + TARGET_RADIUS]), np.tile(cols[rows], 2), radius=True
+        )
+        checked = (z[:k] * z[k:] < 0.0) & (np.abs(z[:k]) > rho[:k]) & (np.abs(z[k:]) > rho[k:])
+
+        out = []
+        for c in range(len(cols)):
+            mine = (rows == c) & (np.abs(gammas) <= t_eff[c])
+            order = np.argsort(gammas[mine])
+            g, ok = gammas[mine][order], checked[mine][order]
+            # Two checked intervals that overlap may hold one zero between them.
+            close = np.diff(g) <= 2.0 * TARGET_RADIUS
+            ok[:-1] &= ~close
+            ok[1:] &= ~close
+            if real[c]:
+                g, ok = g[g > TARGET_RADIUS], ok[g > TARGET_RADIUS]
+                g, ok = np.concatenate([-g[::-1], g]), np.concatenate([ok[::-1], ok])
+            windows = [(float(t - spacing), float(t + spacing)) for t in g[~ok]]
+            out.append(([float(t) for t in g], windows))
+        return out
+
+
+def _zero_set(
+    chi: DirichletCharacter,
+    T: float,
+    t_eff: float,
+    expected: int,
+    ordinates: list[float],
+    windows: list[tuple[float, float]],
+) -> ZeroSet:
+    """The zeros with |gamma| <= T, certified when the count matches and every check held."""
+    zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
+    if len(ordinates) != expected:
+        warnings.warn(
+            f"scan of {chi} found {len(ordinates)} critical-line zeros but the winding count "
+            f"is {expected}: possible off-line zeros in |t| <= {t_eff}",
+            stacklevel=4,
+        )
+        return ZeroSet(chi, zeros, T, False, ((-t_eff, t_eff),))
+    if windows:
+        warnings.warn(
+            f"scan of {chi}: {len(windows)} ordinate(s) failed the sign check at +-{TARGET_RADIUS}, "
+            "where |Z| does not exceed its error radius",
+            stacklevel=4,
+        )
+        return ZeroSet(chi, zeros, T, False, tuple(windows))
+    _warn_close_pairs(chi, zeros)
+    return ZeroSet(chi, zeros, T, True, ())
+
+
+def scan_zeros(
+    chi: DirichletCharacter,
+    T: float,
+    height_guard: float = DESK_HEIGHT_LIMIT,
+    engine: ModulusEngine | None = None,
+) -> ZeroSet:
     """Locate the critical-line zeros with |gamma| <= T for primitive chi.
 
-    Sign changes of the rotated completed function are bisected to ordinate
-    radius 1e-9.  Completeness is certified against `count_zeros` on the half
-    contour at the count edge t_eff: of the heights T + k * GRID_STEP, the one
-    where min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay clear
-    of zeros.  The grid on [-T, T] is extended at its own spacing to t_eff and
-    the zeros found on [-t_eff, t_eff] are compared with the count.  On a
-    mismatch the grid is refined once; a persisting mismatch is recorded as
-    an unverified window (`certified` is False) rather than raised.  Only the
-    zeros with |gamma| <= T are kept, and `complete_to_height` is T.
+    The zeros come from a ModulusEngine: `ZeroLibrary.ensure` passes the one
+    it built for every character it scans mod q; without it, a one-character
+    engine is built here.  Each sign change of Z(t) on the grid is seeded by
+    the cubic through the 4 grid values around it, refined by Illinois steps
+    to below STEP_TOL and certified by a sign check at gamma -/+
+    TARGET_RADIUS whose values must both exceed their error radius.
+    Completeness is certified against `count_zeros` on the half contour at
+    the count edge t_eff: of the heights T + k * GRID_STEP, the one where
+    min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay clear of
+    zeros.  The zeros found on [-t_eff, t_eff] are compared with the count.
+    On a mismatch the grid is refined 4x once; a persisting mismatch is
+    recorded as the unverified window (-t_eff, t_eff), and a failed sign
+    check as a window around that ordinate (`certified` is False), rather
+    than raised.  Only the zeros with |gamma| <= T are kept, and
+    `complete_to_height` is T.
 
     Real characters are scanned on [0, t_eff] and mirrored (their zeros come
     in conjugate pairs); the conjugate of a complex character should reuse
@@ -220,67 +495,11 @@ def scan_zeros(chi: DirichletCharacter, T: float, height_guard: float = DESK_HEI
         raise ValueError(f"scan height must be finite and positive, got {T}")
     if T > height_guard:
         raise ValueError(f"scan limited to T <= {height_guard} (guard is configuration, raise it to override)")
-
-    half_phase = cmath.phase(root_number(chi)) / 2.0
-    is_real = conjugate_character(chi) == chi
-    heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
-    clearance = np.abs(_rotated_line(chi, np.concatenate([heights, -heights]), half_phase))
-    t_eff = float(heights[np.argmax(np.minimum(clearance[:EDGE_CANDIDATES], clearance[EDGE_CANDIDATES:]))])
-    expected = count_zeros(chi, t_eff)
-
-    step = GRID_STEP
-    for _attempt in range(2):
-        ordinates = _scan_once(chi, T, t_eff, step, half_phase, is_real)
-        if len(ordinates) == expected:
-            zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
-            _warn_close_pairs(chi, zeros)
-            return ZeroSet(chi, zeros, T, True, ())
-        step /= 4.0
-
-    zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
-    warnings.warn(
-        f"scan of {chi} found {len(ordinates)} critical-line zeros but the winding count "
-        f"is {expected}: possible off-line zeros in |t| <= {t_eff}",
-        stacklevel=2,
-    )
-    return ZeroSet(chi, zeros, T, False, ((-t_eff, t_eff),))
-
-
-def _scan_once(
-    chi: DirichletCharacter, T: float, t_eff: float, step: float, half_phase: float, is_real: bool
-) -> list[float]:
-    """Sorted ordinates in [-t_eff, t_eff], on linspace(lo, T) extended to t_eff."""
-    lo = 0.0 if is_real else -T
-    n = int(math.ceil((T - lo) / step)) + 1
-    grid = np.linspace(lo, T, n)
-    spacing = (T - lo) / (n - 1)
-    # Points past T at the same spacing, the last at or just past t_eff.
-    extra = spacing * np.arange(1, int(math.ceil((t_eff - T) / spacing - 1e-9)) + 1)
-    below = np.array([]) if is_real else lo - extra[::-1]
-    grid = np.concatenate([below, grid, T + extra])
-    vals = _rotated_line(chi, grid, half_phase)
-
-    signs = np.sign(vals)
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    exact = np.flatnonzero(vals == 0.0)
-
-    a = grid[flips].copy()
-    b = grid[flips + 1].copy()
-    fa = vals[flips].copy()
-    while len(a) and float(np.max(b - a)) > 2.0 * TARGET_RADIUS:
-        mid = 0.5 * (a + b)
-        fm = _rotated_line(chi, mid, half_phase)
-        go_left = fa * fm <= 0.0
-        b = np.where(go_left, mid, b)
-        a = np.where(go_left, a, mid)
-        fa = np.where(go_left, fa, fm)
-    found = [float(g) for g in 0.5 * (a + b)] + [float(grid[i]) for i in exact]
-
-    ordinates = [g for g in found if abs(g) <= t_eff]
-    if is_real:
-        ordinates = sorted(g for g in ordinates if g > TARGET_RADIUS)
-        ordinates = [-g for g in reversed(ordinates)] + ordinates
-    return sorted(ordinates)
+    if engine is None:
+        engine = ModulusEngine((chi,), T)
+    elif engine.height != T:
+        raise ValueError(f"the engine scans to {engine.height}, not to {T}")
+    return engine.zero_set(chi)
 
 
 def _warn_close_pairs(chi: DirichletCharacter, zeros: tuple[ZeroRecord, ...]) -> None:

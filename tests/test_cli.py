@@ -144,6 +144,16 @@ class TestZerosAndVerify:
         assert code == EXIT_OK
         assert guards == [math.inf]
 
+    def test_verify_guard_checks_only_the_zero_data_read(self, capsys, tmp_path):
+        # selberg reads no zeros, so a height beyond the desk guard is harmless;
+        # density reads q <= 1 to 1500 + 1, which the guard refuses.
+        argv = ["verify", "--qmax", "1", "--height", "1500", "--cache-dir", str(tmp_path / "cache")]
+        code, out, err = run(capsys, *argv, "--suite", "selberg")
+        assert code == EXIT_OK and err == ""
+        assert "selberg" in out
+        code, _, err = run(capsys, *argv, "--suite", "density")
+        assert code == EXIT_USAGE and "height 1501.0 exceeds the desk-scale guard" in err
+
     def test_unknown_cache_key_is_a_usage_error(self, capsys, tmp_path):
         assert run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))[0] == EXIT_OK
         path = tmp_path / "zeros_q0005.csv"
@@ -329,6 +339,20 @@ class TestZerosAndVerify:
         code, _, err = run(capsys, "zeros", "scan", "--q", "3", "--height", "5", "--cache-dir", str(tmp_path / "afile" / "sub"))
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "afile" in err
+
+    def test_bad_cache_dir_fails_before_any_scan(self, capsys, tmp_path, monkeypatch):
+        import zerokit.dirichlet.zerocache as cmod
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the zero engine ran before the cache directory was checked")
+
+        monkeypatch.setattr(cmod, "ModulusEngine", no_scan)
+        monkeypatch.setattr(cmod, "scan_zeros", no_scan)
+        (tmp_path / "afile").write_text("")
+        bad = str(tmp_path / "afile" / "sub")
+        code, out, err = run(capsys, "zeros", "scan", "--q", "7", "--height", "40", "--cache-dir", bad)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and "afile" in err
 
     @pytest.mark.parametrize("value", ["xml", "JSON", ""])
     def test_unknown_output_format_is_a_usage_error(self, capsys, tmp_path, value):

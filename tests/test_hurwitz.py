@@ -8,6 +8,7 @@ from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.hurwitz import (
     TARGET,
     hurwitz_error_bound,
+    hurwitz_rounding_bound,
     hurwitz_zeta,
     hurwitz_zeta_vec,
 )
@@ -100,12 +101,27 @@ class TestCertifiedTruncation:
         assert hurwitz_error_bound(s, 1e-9)[0] > TARGET
 
     def test_bound_is_honest(self):
-        # observed error never exceeds bound + rounding on a sample grid
-        for s in (0.5 + 30.0j, 2.0 + 3.0j, 1.2 - 80.0j):
-            for a in (0.25, 1.0):
+        # observed error never exceeds the truncation bound plus the rounding
+        # bound; on the critical line the two stay far below the 1e-9 radius
+        # of an ordinate (off it, a = 1/199 makes a^-s alone large)
+        for s in (0.5 + 30.0j, 2.0 + 3.0j, 1.2 - 80.0j, 0.5 + 200.0j, 0.5 - 300.0j, 1.25 + 51.0j):
+            for a in (1.0 / 199.0, 0.25, 1.0):
                 err = abs(hurwitz_zeta(s, a) - complex(mp.zeta(s, a)))
                 bound = float(hurwitz_error_bound(np.array([s]), a)[0])
-                assert err <= bound + 1e-11
+                rounding = float(hurwitz_rounding_bound(np.array([s]), a)[0])
+                assert err <= bound + rounding
+                assert s.real != 0.5 or bound + rounding < 1e-10
+
+    def test_rounding_bound_shape_and_shift(self):
+        # the shape of the kernel's result, and the kernel's shift for the whole s
+        s = np.array([[0.5 + 3.0j, 0.5 + 200.0j], [1.25 - 7.0j, 0.5 + 0.0j]])
+        a = np.array([0.1, 0.5, 1.0])
+        both = hurwitz_rounding_bound(s, a)
+        assert both.shape == s.shape + a.shape
+        assert np.all(both > 0.0)
+        # a low point shares the tall point's larger shift, so its bound grows
+        alone = hurwitz_rounding_bound(s[0, :1], a)
+        assert np.all(both[0, 0] > alone[0])
 
 
     @pytest.mark.parametrize("a", [3.0 + 0.0j, 0.5 + 1.0j])

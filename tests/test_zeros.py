@@ -1,14 +1,27 @@
+import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zerokit.dirichlet.characters import conjugate_character, enumerate_characters, primitive_characters
+from zerokit.dirichlet.characters import (
+    char_value,
+    conjugate_character,
+    enumerate_characters,
+    exponent_key,
+    primitive_characters,
+)
+from zerokit.dirichlet.lfunctions import root_number
 from zerokit.dirichlet.zerocache import CACHE_HEADER, ZeroLibrary, read_zero_cache, write_zero_cache
 from zerokit.dirichlet.zeros import (
+    TARGET_RADIUS,
     CountCertificationError,
+    ModulusEngine,
     ZeroRecord,
     ZeroSet,
+    _rotated_line,
     count_zeros,
     count_zeros_circle,
     scan_zeros,
@@ -138,11 +151,54 @@ class TestScan:
         assert not zs.certified
         assert zs.unverified_windows
 
+    def test_sign_check_within_error_radius_becomes_unverified_window(self, monkeypatch):
+        # force the truncation radius above every |Z| at gamma -/+ r: no
+        # ordinate may pass its sign check, and each becomes a window
+        import zerokit.dirichlet.zeros as zmod
+
+        monkeypatch.setattr(zmod, "hurwitz_error_bound", lambda s, a: np.full(np.shape(s), 1.0))
+        with pytest.warns(UserWarning, match="failed the sign check"):
+            zs = scan_zeros(CHI4, 12.0)
+        assert not zs.certified
+        assert len(zs.unverified_windows) == len(zs.zeros) == 4
+        for z, (lo, hi) in zip(zs.zeros, zs.unverified_windows):
+            assert lo < z.gamma < hi
+
+    def test_bank_matches_the_one_character_line(self):
+        # The bank evaluates t >= 0 only and takes Z(-t) from the conjugate
+        # table; both halves must match the one-character reference form.
+        chars = primitive_characters(5)
+        engine = ModulusEngine(chars, 10.0)
+        ts = np.array([0.0, 0.7, 6.0, 14.13, 29.9])
+        pos, neg = engine._bank(ts, np.arange(len(chars)))
+        for c, chi in enumerate(chars):
+            half_phase = cmath.phase(root_number(chi)) / 2.0
+            assert pos[:, c] == pytest.approx(_rotated_line(chi, ts, half_phase), abs=1e-13)
+            assert neg[:, c] == pytest.approx(_rotated_line(chi, -ts, half_phase), abs=1e-13)
+        line, _ = engine._line(np.concatenate([ts, -ts]), np.repeat([0, 2], len(ts)))
+        assert line[: len(ts)] == pytest.approx(pos[:, 0], abs=1e-13)
+        assert line[len(ts) :] == pytest.approx(neg[:, 2], abs=1e-13)
+
+    def test_complex_character_ordinates_against_mpmath_findroot(self):
+        # independent oracle: mpmath's Dirichlet L-function and its root finder
+        import mpmath as mp
+
+        chi = next(c for c in primitive_characters(5) if conjugate_character(c) != c)
+        values = [complex(char_value(chi, n)) for n in range(5)]
+        zs = scan_zeros(chi, 12.0)
+        gammas = [z.gamma for z in zs.zeros]
+        assert min(gammas) < 0.0 < max(gammas)
+        with mp.workdps(30):
+            for g in gammas[:2] + gammas[-2:]:
+                root = mp.findroot(lambda s: mp.dirichlet(s, values), mp.mpc(0.5, g))
+                assert abs(float(root.real) - 0.5) < 1e-11
+                assert abs(float(root.imag) - g) < 1e-11
+
     def test_unverified_windows_are_not_persisted(self, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
 
         bad = ZeroSet(CHI4, (), 10.0, certified=False, unverified_windows=((-10.0, 10.0),))
-        monkeypatch.setattr(cmod, "scan_zeros", lambda chi, T, guard: bad)
+        monkeypatch.setattr(cmod, "scan_zeros", lambda chi, T, guard, engine: bad)
         lib = ZeroLibrary(tmp_path / "cache")
         lib.ensure(4, 10.0)
         assert not lib.certified()
@@ -205,6 +261,25 @@ class TestLibraryAndCache:
         deeper = lib.ensure(4, 12.0)
         assert deeper == {"q4.e1": 4}
 
+    def test_ensure_builds_one_engine_for_the_characters_it_scans(self, tmp_path, monkeypatch):
+        import zerokit.dirichlet.zerocache as cmod
+
+        built = []
+
+        def counting(chars, T):
+            built.append(([c.exponents for c in chars], T))
+            return ModulusEngine(chars, T)
+
+        monkeypatch.setattr(cmod, "ModulusEngine", counting)
+        lib = ZeroLibrary(tmp_path)
+        summary = lib.ensure(5, 10.0)
+        # q5.e3 is the conjugate of q5.e1: two canonical characters, one engine
+        assert built == [([(1,), (2,)], 10.0)]
+        labels = ["q5.e1", "q5.e2", "q5.e3"]
+        assert summary == {label: len(lib.get(chi, 10.0).zeros) for label, chi in zip(labels, primitive_characters(5))}
+        assert lib.ensure(5, 10.0) == dict.fromkeys(labels, "cached")
+        assert len(built) == 1
+
     def test_interrupted_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
 
@@ -252,6 +327,34 @@ class TestLibraryAndCache:
 class TestAgainstLibrary:
     def test_all_library_sets_certified(self, zero_library):
         assert zero_library.certified()
+
+    def test_ordinates_match_the_benchmark_reference(self, zero_library):
+        # perfbench/reference/zeros.json holds every zero of the library's
+        # characters, each refined to about 1e-14 on Z(t)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "zeros.json"
+        reference = json.loads(path.read_text())["zeros"]
+        worst = 0.0
+        for q, height in [(q, 51.0) for q in range(1, 21)] + [(1, 101.0), (4, 101.0)]:
+            for chi in primitive_characters(q):
+                mine = np.array([z.gamma for z in zero_library.get(chi, height).zeros if abs(z.gamma) <= height])
+                ref = np.array(reference[str(q)][exponent_key(chi)]["gammas"])
+                ref = ref[np.abs(ref) <= height]
+                assert len(mine) == len(ref), (chi, height)
+                if len(ref):
+                    worst = max(worst, float(np.max(np.abs(mine - ref))))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("q", [5, 12, 19])
+    def test_one_character_scan_matches_the_bank(self, zero_library, q):
+        # scan_zeros alone builds a one-character engine; the library built
+        # one engine for the modulus and mirrored the conjugates
+        for chi in primitive_characters(q):
+            alone = scan_zeros(chi, 51.0)
+            banked = zero_library.get(chi, 51.0)
+            assert alone.certified
+            assert len(alone.zeros) == len(banked.zeros)
+            assert [z.gamma for z in alone.zeros] == pytest.approx([z.gamma for z in banked.zeros], abs=1e-12)
+            assert all(z.certified_radius == TARGET_RADIUS for z in alone.zeros)
 
     def test_counts_match_scans_for_modulus_nine(self, zero_library):
         # 50.5 lies at least 0.2 from every zero mod 9 (50.0 is 0.0097 from
