@@ -208,6 +208,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.height) and args.height > 0.0):
         raise ValueError(f"--height must be finite and positive, got {args.height}")
     suites = SUITES if args.suite == "all" else (args.suite,)
+    if "circle" in suites and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1 for the circle suite, got {args.samples}")
+    if "hadamard" in suites and args.k < 2:
+        raise ValueError(f"--k must be at least 2 for the hadamard suite, got {args.k}")
     # The guard applies to the zero data the suites read, not to the raw flags.
     needed = zero_data_needed(suites, args.qmax, args.height)
     guard = _guard(cfg)

@@ -47,7 +47,6 @@ __all__ = [
     "l_eval",
     "l_eval_by_inducer",
     "l_eval_vec",
-    "log_completed_phase",
     "log_deriv_series",
     "log_deriv_tail_bound",
     "root_number",
@@ -195,12 +194,6 @@ def completed_prefactor_phase(s: np.ndarray, chi: DirichletCharacter) -> np.ndar
     if chi.is_principal:
         phase = phase + np.angle(s) + np.angle(s - 1.0)
     return phase
-
-
-def log_completed_phase(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
-    """Phase (argument mod 2pi) of xi(s, chi) along an array of points."""
-    s = np.asarray(s, dtype=complex)
-    return completed_prefactor_phase(s, chi) + np.angle(l_eval_vec(s, chi))
 
 
 def root_number(chi: DirichletCharacter) -> complex:

@@ -1,17 +1,17 @@
 """Zero location and counting for Dirichlet L-functions.
 
 Two routes are kept separate so they can cross-check each other: sign
-changes on the critical line against a winding count.  Both rest on the
-Hurwitz kernel (`count_zeros` through `l_eval_vec`, the scan through one
-shared table), so they are independent in method but not in the evaluator.
+changes on the critical line against a winding count.  Both read one
+`ModulusEngine` bank of Hurwitz values per modulus, so they are independent
+in method but not in the evaluator.
 
 * `count_zeros` counts zeros of the completed function by the argument
   principle.  The functional equation halves the contour: the count is the
   phase change of xi along 1/2 - iT -> 5/4 - iT -> 5/4 + iT -> 1/2 + iT,
-  divided by pi.  The right edge is sampled at a fixed step that an a-priori
-  bound on |L'/L| makes provably fine enough; nothing is evaluated left of
-  the critical line, and only the gamma factor's log-phase is materialised,
-  so tall contours do not underflow.
+  divided by pi.  One count for all characters of a modulus reads the bank,
+  on a right edge whose step an a-priori bound on |L'/L| proves fine enough;
+  nothing is evaluated left of the critical line, and only the gamma
+  factor's phase is materialised, so tall contours do not underflow.
 * `scan_zeros` locates critical-line zeros as sign changes of the rotated
   completed function Z(t) = Re[e^{i theta(t)} L(1/2+it)], where theta is the
   phase of the completed prefactor minus half the root-number phase; Z is
@@ -45,13 +45,7 @@ import numpy as np
 
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
 from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_vec
-from zerokit.dirichlet.lfunctions import (
-    completed_prefactor_phase,
-    gamma_factor_log_deriv,
-    l_eval_vec,
-    log_completed_phase,
-    root_number,
-)
+from zerokit.dirichlet.lfunctions import completed_prefactor_phase, gamma_factor_log_deriv, l_eval_vec, root_number
 
 __all__ = [
     "CountCertificationError",
@@ -133,12 +127,13 @@ class ZeroSet:
         return sum(1 for z in self.zeros if abs(z.gamma) <= T and z.beta + z.certified_radius > sigma)
 
     def mirrored(self, character: DirichletCharacter) -> "ZeroSet":
-        """The zero set of the conjugate character (ordinates negated)."""
+        """The zero set of the conjugate character (ordinates and windows negated)."""
         flipped = tuple(
             ZeroRecord(z.beta, -z.gamma, z.certified_radius)
             for z in reversed(self.zeros)
         )
-        return ZeroSet(character, flipped, self.complete_to_height, self.certified, self.unverified_windows)
+        windows = tuple((-b, -a) for a, b in reversed(self.unverified_windows))
+        return ZeroSet(character, flipped, self.complete_to_height, self.certified, windows)
 
 
 def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
@@ -170,36 +165,12 @@ def _phase_speed_bound(chi: DirichletCharacter, T: float) -> float:
 
 
 def count_zeros(chi: DirichletCharacter, T: float) -> int:
-    """Nontrivial zeros with |gamma| < T, counted with multiplicity.
-
-    The functional equation maps the left half of the argument-principle
-    rectangle onto the right half, so the count is Delta arg xi / pi along
-    1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  On the vertical edge
-    |Re L'/L| <= LOG_DERIV_BOUND, so one fixed step proves every phase lift.
-    The horizontal edges are sampled at GRID_STEP; a phase step there above
-    one radian raises CountCertificationError.  xi e^(-i arg w / 2) is real on
-    the critical line, so the total must land within WINDING_TOL of an
-    integer.
-    """
+    """Nontrivial zeros with |gamma| < T, with multiplicity: the one-character view of `ModulusEngine._counts`."""
     if not chi.is_primitive:
         raise ValueError("argument-principle counting requires a primitive character")
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"count height must be finite and positive, got {T}")
-
-    h = 0.5 * math.pi / (LOG_DERIV_BOUND + _phase_speed_bound(chi, T))
-    right = RIGHT + 1j * np.linspace(-T, T, int(math.ceil(2.0 * T / h)) + 1)
-    edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
-    path = np.concatenate([edge - 1j * T, right[1:-1], edge[::-1] + 1j * T])
-    steps = np.angle(np.exp(1j * np.diff(log_completed_phase(path, chi))))
-
-    horizontal = np.concatenate([steps[: len(edge) - 1], steps[-(len(edge) - 1) :]])
-    if np.max(np.abs(horizontal)) > 1.0:
-        raise CountCertificationError(f"phase step on a horizontal edge at height {T} exceeds one radian")
-    total = float(np.sum(steps)) / math.pi
-    count = round(total)
-    if abs(total - count) > WINDING_TOL:
-        raise CountCertificationError(f"phase change {total:.4f} pi is not within {WINDING_TOL} of an integer")
-    return int(count)
+    return ModulusEngine((chi,), T)._counts([T])[0]
 
 
 # -- critical-line scanning ---------------------------------------------------
@@ -216,10 +187,10 @@ def _rotated_line(chi: DirichletCharacter, ts: np.ndarray, half_phase: float) ->
 
 
 class ModulusEngine:
-    """Critical-line zeros of several primitive characters of one modulus q.
+    """Critical-line zeros and zero counts of several primitive characters of one modulus q.
 
-    The characters share one table H[t, a] = zeta(1/2 + it, a/q) over the
-    units a mod q.  With W[a, chi] = chi(a) e^(-i arg w(chi) / 2),
+    The characters share one table H[s, a] = zeta(s, a/q) over the units
+    a mod q.  With W[a, chi] = chi(a) e^(-i arg w(chi) / 2),
 
         Z_chi(t) = Re[e^(i theta(t)) q^(-1/2 - it) (H @ W)[t, chi]],
 
@@ -231,7 +202,8 @@ class ModulusEngine:
       all in the same Hurwitz evaluation.  Only t >= 0 is evaluated: for real
       a, H at -t is the conjugate of H at t, so Z(-t) = Re[e^(i theta(t))
       q^(-s) (H @ conj(W))].  Real characters use the t >= 0 half alone;
-    * per character, the count edge t_eff and `count_zeros` at it;
+    * per character, the count edge t_eff; one count for all characters, each
+      at its own t_eff, from one bank on the half contour (`_counts`);
     * every sign change of every character at once: a seed at the root of the
       cubic through the 4 grid values around it, then Illinois (bracketed
       secant) steps until a step is below STEP_TOL, each round one
@@ -270,19 +242,18 @@ class ModulusEngine:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _tables(self, ts: np.ndarray):
-        """(indices, s, H) over s = 1/2 + i ts, H = zeta(s, a/q) on the units, chunk by chunk.
+    def _tables(self, s: np.ndarray):
+        """(indices, s[indices], H) with H = zeta(s, a/q) on the units, chunk by chunk.
 
-        The chunks follow |t|, so each Hurwitz call takes the shift of its own
-        heights rather than that of the tallest point.
+        The chunks follow |Im s|, so each Hurwitz call takes the shift of its
+        own heights rather than that of the tallest point.
         """
         step = max(1, TABLE_ENTRIES // len(self._units))
         shifts = self._units / self.modulus
-        order = np.argsort(np.abs(ts), kind="stable")
-        for lo in range(0, len(ts), step):
+        order = np.argsort(np.abs(s.imag), kind="stable")
+        for lo in range(0, len(s), step):
             part = order[lo : lo + step]
-            s = 0.5 + 1j * ts[part]
-            yield part, s, hurwitz_zeta_vec(s, shifts)
+            yield part, s[part], hurwitz_zeta_vec(s[part], shifts)
 
     def _rotation(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s)."""
@@ -290,21 +261,21 @@ class ModulusEngine:
         phase = np.where(odd, theta.get(True, 0.0), theta.get(False, 0.0))
         return np.exp(1j * phase - s * math.log(self.modulus))
 
-    def _bank(self, ts: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Z(t) and Z(-t) at ts >= 0 for the characters `cols`: two (points, cols) arrays."""
+    def _bank(self, s: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """e^(i theta) q^-s (H @ W) at s and at conj(s), Im s >= 0, for `cols`: two (points, cols) arrays."""
         weights = self._weights[:, cols]
         both = np.concatenate([weights, weights.conj()], axis=1)
         odd = np.tile(self._odd[cols], 2)
-        out = np.empty((len(ts), both.shape[1]))
-        for part, s, table in self._tables(ts):
-            out[part] = (self._rotation(s[:, None], odd) * (table @ both)).real
-        return out[:, : len(cols)], out[:, len(cols) :]
+        out = np.empty((len(s), both.shape[1]), dtype=complex)
+        for part, s_part, table in self._tables(s):
+            out[part] = self._rotation(s_part[:, None], odd) * (table @ both)
+        return out[:, : len(cols)], out[:, len(cols) :].conj()
 
     def _line(self, ts: np.ndarray, cols: np.ndarray, radius: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Z(ts[j]) of character cols[j] and, with `radius`, each value's error bound."""
         values = np.empty(len(ts))
         bounds = np.zeros(len(ts))
-        for part, s, table in self._tables(ts):
+        for part, s, table in self._tables(0.5 + 1j * ts):
             owner = cols[part]
             sums = np.einsum("ij,ji->i", table, self._weights[:, owner])
             values[part] = (self._rotation(s, self._odd[owner]) * sums).real
@@ -329,6 +300,48 @@ class ModulusEngine:
         error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=1)
         return error / math.sqrt(self.modulus)
 
+    # -- counting ---------------------------------------------------------------
+
+    def _counts(self, t_eff) -> list[int]:
+        """Nontrivial zeros with |gamma| < t_eff[c] of each character c, with multiplicity.
+
+        The functional equation maps the left half of the argument-principle
+        rectangle onto the right half, so a count is Delta arg xi / pi along
+        1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  All characters
+        share one right edge, a grid over [0, max t_eff] holding every t_eff,
+        whose step |Re L'/L| <= LOG_DERIV_BOUND and the parities' bound on
+        theta' make short enough to prove every phase lift.  The horizontal
+        edges are sampled at GRID_STEP; a phase step there above one radian
+        raises CountCertificationError.  xi e^(-i arg w / 2) is real on the
+        critical line, so each total must land within WINDING_TOL of an integer.
+        """
+        top = float(np.max(t_eff))
+        speed = max(_phase_speed_bound(chi, top) for chi in self._by_parity.values())
+        h = 0.5 * math.pi / (LOG_DERIV_BOUND + speed)
+        heights = np.unique(t_eff)
+        right = np.union1d(np.linspace(0.0, top, int(math.ceil(top / h)) + 1), heights)
+        # The horizontal edges short of their corner on the right edge.
+        edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)[:-1]
+        s = np.concatenate([RIGHT + 1j * right, (edge + 1j * heights[:, None]).ravel()])
+        upper, lower = self._bank(s, np.arange(len(self.chars)))
+
+        counts = []
+        for c, T in enumerate(map(float, t_eff)):
+            k = int(np.searchsorted(right, T))
+            j = len(right) + len(edge) * int(np.searchsorted(heights, T))
+            rows = slice(j, j + len(edge))
+            path = np.concatenate([lower[rows, c], lower[k:0:-1, c], upper[: k + 1, c], upper[rows, c][::-1]])
+            steps = np.angle(path[1:] * path[:-1].conj())
+            horizontal = np.concatenate([steps[: len(edge)], steps[-len(edge) :]])
+            if np.max(np.abs(horizontal)) > 1.0:
+                raise CountCertificationError(f"phase step on a horizontal edge at height {T} exceeds one radian")
+            total = float(np.sum(steps)) / math.pi
+            count = round(total)
+            if abs(total - count) > WINDING_TOL:
+                raise CountCertificationError(f"phase change {total:.4f} pi is not within {WINDING_TOL} of an integer")
+            counts.append(count)
+        return counts
+
     # -- scanning ---------------------------------------------------------------
 
     def _scan(self) -> dict[tuple[int, ...], ZeroSet]:
@@ -337,10 +350,10 @@ class ModulusEngine:
         heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
         n = int(heights[-1] / spacing) + 1
         every = np.arange(len(self.chars))
-        pos, neg = self._bank(np.concatenate([spacing * np.arange(n + 1), heights]), every)
+        pos, neg = (v.real for v in self._bank(0.5 + 1j * np.concatenate([spacing * np.arange(n + 1), heights]), every))
         clearance = np.minimum(np.abs(pos[n + 1 :]), np.abs(neg[n + 1 :]))
         t_eff = heights[np.argmax(clearance, axis=0)]
-        expected = [count_zeros(chi, float(t)) for chi, t in zip(self.chars, t_eff)]
+        expected = self._counts(t_eff)
         found = self._locate(pos[: n + 1], neg[: n + 1], spacing, every, t_eff)
 
         # A count mismatch gets one grid 4x finer, for all such characters at once.
@@ -348,7 +361,7 @@ class ModulusEngine:
         if len(redo):
             fine = spacing / 4.0
             m = int(float(np.max(t_eff[redo])) / fine) + 1
-            pos, neg = self._bank(fine * np.arange(m + 1), redo)
+            pos, neg = (v.real for v in self._bank(0.5 + 1j * fine * np.arange(m + 1), redo))
             for c, result in zip(redo, self._locate(pos, neg, fine, redo, t_eff[redo])):
                 found[c] = result
         return {
@@ -457,7 +470,6 @@ def _zero_set(
             stacklevel=4,
         )
         return ZeroSet(chi, zeros, T, False, tuple(windows))
-    _warn_close_pairs(chi, zeros)
     return ZeroSet(chi, zeros, T, True, ())
 
 
@@ -475,7 +487,7 @@ def scan_zeros(
     the cubic through the 4 grid values around it, refined by Illinois steps
     to below STEP_TOL and certified by a sign check at gamma -/+
     TARGET_RADIUS whose values must both exceed their error radius.
-    Completeness is certified against `count_zeros` on the half contour at
+    Completeness is certified against the count on the half contour at
     the count edge t_eff: of the heights T + k * GRID_STEP, the one where
     min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay clear of
     zeros.  The zeros found on [-t_eff, t_eff] are compared with the count.
@@ -501,12 +513,3 @@ def scan_zeros(
         raise ValueError(f"the engine scans to {engine.height}, not to {T}")
     return engine.zero_set(chi)
 
-
-def _warn_close_pairs(chi: DirichletCharacter, zeros: tuple[ZeroRecord, ...]) -> None:
-    for z1, z2 in zip(zeros, zeros[1:]):
-        if 0.0 < z2.gamma - z1.gamma < 1e-6:
-            warnings.warn(
-                f"zeros of {chi} at {z1.gamma:.12f} and {z2.gamma:.12f} are closer than 1e-6: "
-                "treating as simple, but multiplicity is unresolved",
-                stacklevel=3,
-            )

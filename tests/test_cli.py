@@ -194,10 +194,10 @@ class TestZerosAndVerify:
     def test_uncertified_count_exits_one(self, capsys, tmp_path, monkeypatch):
         import zerokit.dirichlet.zeros as zmod
 
-        def unsettled(chi, T):
+        def unsettled(engine, t_eff):
             raise zmod.CountCertificationError("phase step on a horizontal edge exceeds one radian")
 
-        monkeypatch.setattr(zmod, "count_zeros", unsettled)
+        monkeypatch.setattr(zmod.ModulusEngine, "_counts", unsettled)
         code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "10", "--cache-dir", str(tmp_path))
         assert code == EXIT_FAIL
         assert err.startswith("error:") and "one radian" in err
@@ -232,6 +232,21 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "samples" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "circle", "--qmax", "7", "--height", "5", "--samples", "0"],
+            ["--suite", "hadamard", "--k", "1"],
+            ["--k", "1"],
+        ],
+    )
+    def test_bad_suite_arguments_exit_before_any_scan(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, "verify", *argv, "--scan-missing", "--cache-dir", str(tmp_path / "cache"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and argv[-2] in err
+        assert not (tmp_path / "cache").exists()
+
     def test_verify_missing_data_exit_code(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--suite", "density", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))
         assert code == EXIT_MISSING
@@ -242,7 +257,9 @@ class TestZerosAndVerify:
 
     @pytest.mark.parametrize("suite", ["largesieve", "selberg", "detector"])
     def test_zero_free_suites_need_no_cache(self, capsys, tmp_path, suite):
-        code, out, _ = run(capsys, "verify", "--suite", suite, "--scan-missing", "--cache-dir", str(tmp_path / "cache"))
+        # --samples and --k belong to the circle and hadamard suites alone.
+        argv = ["verify", "--suite", suite, "--samples", "0", "--k", "1", "--scan-missing"]
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
         assert code == EXIT_OK
         assert f"{suite}." in out
         assert not (tmp_path / "cache").exists()
@@ -258,8 +275,12 @@ class TestZerosAndVerify:
     def test_verify_refuses_an_uncertified_zero_set(self, capsys, tmp_path, monkeypatch):
         import zerokit.dirichlet.zeros as zmod
 
-        true_count = zmod.count_zeros
-        monkeypatch.setattr(zmod, "count_zeros", lambda chi, T: true_count(chi, T) + 2 * (chi.modulus == 5))
+        true_counts = zmod.ModulusEngine._counts
+
+        def miscounted(engine, t_eff):
+            return [n + 2 * (engine.modulus == 5) for n in true_counts(engine, t_eff)]
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_counts", miscounted)
         argv = ["verify", "--suite", "density", "--qmax", "5", "--height", "10", "--scan-missing"]
         with pytest.warns(UserWarning, match="winding count"):
             code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))

@@ -76,6 +76,26 @@ class TestRectangleCounts:
 
         assert count_zeros(ZETA, T) == 2 * mp.nzeros(T)
 
+    def test_one_count_for_a_modulus_matches_one_character_counts(self):
+        # 198 units mod 199: the shared contour's table comes in several
+        # chunks.  Each character takes the first height 5 + 0.05 ((c + i)
+        # mod 11) its own count certifies; at 5 + 0.05 (c mod 11) itself, 24
+        # of the 197 counts meet a horizontal phase step above one radian.
+        chars = primitive_characters(199)
+        heights, counts = [], []
+        for c, chi in enumerate(chars):
+            for i in range(11):
+                height = 5.0 + 0.05 * ((c + i) % 11)
+                try:
+                    counts.append(count_zeros(chi, height))
+                except CountCertificationError:
+                    continue
+                heights.append(height)
+                break
+        assert len(heights) == len(chars)
+        assert len(set(heights)) == 11
+        assert ModulusEngine(chars, 5.0)._counts(heights) == counts
+
     def test_boundary_on_zero_is_perturbed_upward(self):
         # The requested height sits 1.4e-7 below the first ordinate.  A count
         # there refuses the edge; the scan moves its count edge upward, clear
@@ -145,7 +165,7 @@ class TestScan:
         # instead of raising or silently accepting
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "count_zeros", lambda chi, T: 99)
+        monkeypatch.setattr(zmod.ModulusEngine, "_counts", lambda engine, t_eff: [99] * len(t_eff))
         with pytest.warns(UserWarning, match="winding count"):
             zs = scan_zeros(CHI4, 10.0)
         assert not zs.certified
@@ -164,13 +184,43 @@ class TestScan:
         for z, (lo, hi) in zip(zs.zeros, zs.unverified_windows):
             assert lo < z.gamma < hi
 
+    def test_mirrored_sets_negate_their_windows(self, tmp_path, monkeypatch):
+        # Every ordinate fails its sign check; a conjugate character taken by
+        # mirroring must name windows around its own ordinates.
+        import zerokit.dirichlet.zeros as zmod
+
+        monkeypatch.setattr(zmod, "hurwitz_error_bound", lambda s, a: np.full(np.shape(s), 1.0))
+        lib = ZeroLibrary(tmp_path)
+        with pytest.warns(UserWarning, match="failed the sign check"):
+            lib.ensure(5, 10.0)
+        for chi in primitive_characters(5):
+            zs = lib._memory[(5, chi.exponents)]
+            assert not zs.certified and zs.zeros
+            for z in zs.zeros:
+                assert any(lo < z.gamma < hi for lo, hi in zs.unverified_windows), (chi, z.gamma)
+
+    def test_library_needs_no_per_character_l_evaluation(self, tmp_path, monkeypatch):
+        # The scan and the count both read the engine's bank.
+        import zerokit.dirichlet.lfunctions as lmod
+        import zerokit.dirichlet.zeros as zmod
+
+        def forbidden(s, chi):
+            raise AssertionError(f"per-character L-evaluation of {chi}")
+
+        monkeypatch.setattr(zmod, "l_eval_vec", forbidden)
+        monkeypatch.setattr(lmod, "l_eval_vec", forbidden)
+        lib = ZeroLibrary(tmp_path)
+        lib.ensure(13, 20.0)
+        for chi in primitive_characters(13):
+            assert lib.get(chi, 20.0).certified
+
     def test_bank_matches_the_one_character_line(self):
         # The bank evaluates t >= 0 only and takes Z(-t) from the conjugate
         # table; both halves must match the one-character reference form.
         chars = primitive_characters(5)
         engine = ModulusEngine(chars, 10.0)
         ts = np.array([0.0, 0.7, 6.0, 14.13, 29.9])
-        pos, neg = engine._bank(ts, np.arange(len(chars)))
+        pos, neg = (v.real for v in engine._bank(0.5 + 1j * ts, np.arange(len(chars))))
         for c, chi in enumerate(chars):
             half_phase = cmath.phase(root_number(chi)) / 2.0
             assert pos[:, c] == pytest.approx(_rotated_line(chi, ts, half_phase), abs=1e-13)
