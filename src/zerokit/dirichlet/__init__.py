@@ -28,7 +28,9 @@ from zerokit.dirichlet.lfunctions import (
     l_eval_vec,
     log_deriv_series,
     log_deriv_tail_bound,
+    loggamma,
     root_number,
+    trigamma,
     trivial_zeros,
 )
 from zerokit.dirichlet.arith import (
@@ -69,6 +71,7 @@ __all__ = [
     "l_eval_vec",
     "log_deriv_series",
     "log_deriv_tail_bound",
+    "loggamma",
     "primes_up_to",
     "primitive_characters",
     "primitive_inducer",
@@ -77,6 +80,7 @@ __all__ = [
     "root_number",
     "scan_zeros",
     "smoothed_harmonic_sum",
+    "trigamma",
     "trivial_zeros",
     "von_mangoldt_sum",
     "write_zero_cache",

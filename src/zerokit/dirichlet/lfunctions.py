@@ -17,15 +17,19 @@ of log L on a circle (`log_deriv_by_contour`).  The contour route needs only
 values of L, so the value kernel is the only Hurwitz kernel; it raises
 ArithmeticError when the phase of L does not close around the circle, i.e.
 when a zero or the pole lies inside it.
+
+The gamma factors come from Stirling's series (`loggamma`, `digamma`,
+`trigamma`), whose coefficients are read off the Hurwitz kernel's table of
+B_2j/(2j)!.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc, loggamma, psi
 
 from zerokit.dirichlet.arith import factorize, prime_powers
 from zerokit.dirichlet.characters import (
@@ -35,7 +39,7 @@ from zerokit.dirichlet.characters import (
     char_value_vec,
     primitive_inducer,
 )
-from zerokit.dirichlet.hurwitz import hurwitz_zeta, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import _bernoulli_over_factorial, hurwitz_zeta, hurwitz_zeta_vec
 
 __all__ = [
     "GammaPoleError",
@@ -49,7 +53,9 @@ __all__ = [
     "l_eval_vec",
     "log_deriv_series",
     "log_deriv_tail_bound",
+    "loggamma",
     "root_number",
+    "trigamma",
     "trivial_ladder_start",
     "trivial_zero_sum",
     "trivial_zeros",
@@ -161,7 +167,7 @@ def gamma_factor(s: complex, chi: DirichletCharacter) -> complex:
     half = s / 2.0 if chi.parity == "even" else (s + 1.0) / 2.0
     if half.imag == 0.0 and half.real <= 0.0 and half.real == int(half.real):
         raise GammaPoleError(s)
-    return cmath.exp(-half * _LOG_PI + loggamma(half))
+    return cmath.exp(-half * _LOG_PI + complex(loggamma(half)))
 
 
 def completed_l(s: complex, chi: DirichletCharacter) -> complex:
@@ -238,14 +244,113 @@ def trivial_zero_sum(chi: DirichletCharacter, s: complex, k: int) -> complex:
     return hurwitz_zeta(k + 1.0, a) / 2.0 ** (k + 1)
 
 
-# -- digamma -----------------------------------------------------------------
+# -- gamma kernel --------------------------------------------------------------
 
-def digamma(s: complex) -> complex:
-    """Gamma'/Gamma(s), from scipy.special.psi."""
-    s = complex(s)
+# Stirling's series is summed at |z| >= _STIRLING_RADIUS, Re z >= 0, which the
+# recurrence Gamma(z+1) = z Gamma(z) reaches; it keeps _STIRLING_TERMS terms.
+_STIRLING_RADIUS = 10.0
+_STIRLING_TERMS = 10
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+@lru_cache(maxsize=None)
+def _stirling_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """B_2j/(2j(2j-1)), B_2j/(2j) and B_2j for j = 1..terms, from the table of B_2j/(2j)!."""
+    table = list(enumerate(_bernoulli_over_factorial()[:terms], 1))
+    return (
+        tuple(b * math.factorial(2 * j - 2) for j, b in table),
+        tuple(b * math.factorial(2 * j - 1) for j, b in table),
+        tuple(b * math.factorial(2 * j) for j, b in table),
+    )
+
+
+def loggamma(z):
+    """Principal log Gamma(z) on an array of z off the poles (cut along the negative real axis).
+
+    Each z that needs it is shifted to w = z + m by the recurrence,
+    log Gamma(z) = log Gamma(w) - sum_{k<m} log(z + k), each log principal,
+    with m the fewest steps that put every shifted point of the array at
+    Re w >= 0 and |w| >= _STIRLING_RADIUS (so m is shared, like the Hurwitz
+    kernel's shift).  log Gamma(w) is Stirling's series
+
+        (w - 1/2) log w - w + log(2 pi)/2 + sum_{j=1}^{K} B_2j / (2j (2j-1) w^(2j-1)) + R_K(w),
+
+    K = _STIRLING_TERMS.  By DLMF 5.11(ii), |R_K(w)| is at most the first
+    neglected term, |B_2K+2| / ((2K+2)(2K+1) |w|^(2K+1)), times
+    sec^(2K+2)(ph(w)/2) for |ph w| < pi; at |w| >= 10 and Re w >= 0 that is
+    below 3e-17, under the rounding of the value itself.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    x, y = flat.real, flat.imag
+    need = np.ceil(np.sqrt(np.maximum(_STIRLING_RADIUS**2 - y * y, 0.0)) - x)
+    low = np.flatnonzero(need > 0.0)
+    m = np.zeros(flat.shape)
+    m[low] = need[low].max(initial=0.0)
+    w = flat + m
+    inv = 1.0 / w
+    inv2 = inv * inv
+    coeffs = _stirling_coefficients(_STIRLING_TERMS)[0]
+    series = np.full(w.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        series *= inv2
+        series += c
+    series *= inv
+    # Logs in real arithmetic: log|w| + i arg w, the principal branch.
+    out = (w - 0.5) * (np.log(np.abs(w)) + 1j * np.angle(w)) - w + (_HALF_LOG_2PI + series)
+    if low.size:
+        # sum_{k<m} log(z + k), one row per shifted point.
+        re = x[low, None] + np.arange(m[low[0]])
+        im = y[low, None]
+        out[low] -= 0.5 * np.log(re * re + im * im).sum(axis=1) + 1j * np.arctan2(im, re).sum(axis=1)
+    return out.reshape(z.shape)
+
+
+def _check_pole(s: complex) -> None:
     if s.real <= 0.0 and s.imag == 0.0 and s.real == int(s.real):
         raise GammaPoleError(s)
-    return complex(psi(s))
+
+
+def digamma(s: complex) -> complex:
+    """Gamma'/Gamma(s), off the poles.
+
+    The recurrence psi(s) = psi(s + 1) - 1/s shifts s to Re s >= 0 and
+    |s| >= _STIRLING_RADIUS, where Stirling's series
+    psi(s) = log s - 1/(2s) - sum_{j=1}^{K} B_2j / (2j s^2j) follows, in
+    scalar complex arithmetic.
+    """
+    s = complex(s)
+    _check_pole(s)
+    total = 0j
+    while s.real < 0.0 or abs(s) < _STIRLING_RADIUS:
+        total -= 1.0 / s
+        s += 1.0
+    inv2 = 1.0 / (s * s)
+    series = 0j
+    for c in reversed(_stirling_coefficients(_STIRLING_TERMS)[1]):
+        series = (series + c) * inv2
+    return total + cmath.log(s) - 0.5 / s - series
+
+
+def trigamma(u: float) -> float:
+    """psi'(u) for real u off the poles.
+
+    psi'(u) = sum_{k<m} 1/(u + k)^2 + psi'(u + m), and at v = u + m >= 10
+    Stirling's series psi'(v) = 1/v + 1/(2 v^2) + sum_{j=1}^{K} B_2j / v^(2j+1),
+    whose remainder is at most the first neglected term for v > 0.
+    """
+    u = float(u)
+    _check_pole(complex(u))
+    total = 0.0
+    while u < _STIRLING_RADIUS:
+        total += 1.0 / (u * u)
+        u += 1.0
+    inv = 1.0 / u
+    inv2 = inv * inv
+    series = 0.0
+    for c in reversed(_stirling_coefficients(_STIRLING_TERMS)[2]):
+        series = series * inv2 + c
+    return total + inv * (1.0 + inv * (0.5 + inv * series))
 
 
 def gamma_factor_log_deriv(s: complex, chi: DirichletCharacter) -> complex:
@@ -293,7 +398,8 @@ def log_deriv_tail_bound(s: complex, k: int, cutoff: int) -> float:
     if sigma <= 1.0:
         raise ValueError("requires Re s > 1")
     x = (sigma - 1.0) * math.log(cutoff)
-    upper_gamma = gammaincc(k + 2, x) * math.gamma(k + 2)
+    # Gamma(n, x) = (n-1)! e^-x sum_{j<n} x^j/j! for a positive integer n (DLMF 8.4.8).
+    upper_gamma = math.factorial(k + 1) * math.exp(-x) * sum(x**j / math.factorial(j) for j in range(k + 2))
     integral = upper_gamma / (sigma - 1.0) ** (k + 2)
     top_term = math.log(cutoff) ** (k + 1) * cutoff ** (-sigma)
     return (integral + top_term) / math.factorial(k)

@@ -30,8 +30,9 @@ A scan to height T is *complete* when the number of zeros it locates on
 [-t_eff, t_eff] matches the count there.  The count edge t_eff is the height
 among T, T + GRID_STEP, ..., T + 10 GRID_STEP where |Z| is largest at both
 t_eff and -t_eff.  The stored set keeps the zeros with |gamma| <= T, and its
-`complete_to_height` is the requested T.  Mismatches are reported as
-unverified windows (potential off-line zeros) rather than silently accepted.
+`complete_to_height` is the requested T.  Mismatches, and counts that
+cannot be certified, are reported as unverified windows (potential off-line
+zeros) of that character alone rather than silently accepted.
 """
 
 from __future__ import annotations
@@ -170,7 +171,10 @@ def count_zeros(chi: DirichletCharacter, T: float) -> int:
         raise ValueError("argument-principle counting requires a primitive character")
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"count height must be finite and positive, got {T}")
-    return ModulusEngine((chi,), T)._counts([T])[0]
+    count = ModulusEngine((chi,), T)._counts([T])[0]
+    if isinstance(count, CountCertificationError):
+        raise count
+    return count
 
 
 # -- critical-line scanning ---------------------------------------------------
@@ -230,8 +234,6 @@ class ModulusEngine:
         self._weights = values[self._units - 1] * np.exp(-1j * half_phases)
         self._odd = np.array([chi.parity == "odd" for chi in self.chars])
         self._real = np.array([conjugate_character(chi) == chi for chi in self.chars])
-        # theta depends on the parity alone (and on q, shared): one character of each.
-        self._by_parity = {chi.parity == "odd": chi for chi in self.chars}
         self._sets: dict[tuple[int, ...], ZeroSet] | None = None
 
     def zero_set(self, chi: DirichletCharacter) -> ZeroSet:
@@ -256,19 +258,25 @@ class ModulusEngine:
             yield part, s[part], hurwitz_zeta_vec(s[part], shifts)
 
     def _rotation(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s)."""
-        theta = {flag: completed_prefactor_phase(s, chi) for flag, chi in self._by_parity.items()}
-        phase = np.where(odd, theta.get(True, 0.0), theta.get(False, 0.0))
+        """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s).
+
+        gamma_chi(s) = pi^(-(s+a)/2) Gamma((s+a)/2), a = 1 for odd chi and 0
+        for even chi, so the first character's prefactor phase taken at
+        s + a - a_0 is theta for either parity: one gamma evaluation serves both.
+        """
+        shift = np.asarray(odd, dtype=float) - float(self._odd[0])
+        phase = completed_prefactor_phase(s + shift, self.chars[0])
         return np.exp(1j * phase - s * math.log(self.modulus))
 
     def _bank(self, s: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """e^(i theta) q^-s (H @ W) at s and at conj(s), Im s >= 0, for `cols`: two (points, cols) arrays."""
         weights = self._weights[:, cols]
         both = np.concatenate([weights, weights.conj()], axis=1)
-        odd = np.tile(self._odd[cols], 2)
+        parities = np.unique(self._odd[cols])
+        pick = np.tile(np.searchsorted(parities, self._odd[cols]), 2)
         out = np.empty((len(s), both.shape[1]), dtype=complex)
         for part, s_part, table in self._tables(s):
-            out[part] = self._rotation(s_part[:, None], odd) * (table @ both)
+            out[part] = self._rotation(s_part[:, None], parities)[:, pick] * (table @ both)
         return out[:, : len(cols)], out[:, len(cols) :].conj()
 
     def _line(self, ts: np.ndarray, cols: np.ndarray, radius: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +310,7 @@ class ModulusEngine:
 
     # -- counting ---------------------------------------------------------------
 
-    def _counts(self, t_eff) -> list[int]:
+    def _counts(self, t_eff) -> list[int | CountCertificationError]:
         """Nontrivial zeros with |gamma| < t_eff[c] of each character c, with multiplicity.
 
         The functional equation maps the left half of the argument-principle
@@ -311,12 +319,16 @@ class ModulusEngine:
         share one right edge, a grid over [0, max t_eff] holding every t_eff,
         whose step |Re L'/L| <= LOG_DERIV_BOUND and the parities' bound on
         theta' make short enough to prove every phase lift.  The horizontal
-        edges are sampled at GRID_STEP; a phase step there above one radian
-        raises CountCertificationError.  xi e^(-i arg w / 2) is real on the
-        critical line, so each total must land within WINDING_TOL of an integer.
+        edges are sampled at GRID_STEP, and a phase step there must stay
+        within one radian.  xi e^(-i arg w / 2) is real on the critical line,
+        so each total must land within WINDING_TOL of an integer.  A character
+        whose count fails either test gets a CountCertificationError in its
+        place; the other characters keep their counts.
         """
         top = float(np.max(t_eff))
-        speed = max(_phase_speed_bound(chi, top) for chi in self._by_parity.values())
+        # theta' depends on the parity alone (and on q, shared): one character of each.
+        by_parity = {chi.parity: chi for chi in self.chars}
+        speed = max(_phase_speed_bound(chi, top) for chi in by_parity.values())
         h = 0.5 * math.pi / (LOG_DERIV_BOUND + speed)
         heights = np.unique(t_eff)
         right = np.union1d(np.linspace(0.0, top, int(math.ceil(top / h)) + 1), heights)
@@ -333,13 +345,15 @@ class ModulusEngine:
             path = np.concatenate([lower[rows, c], lower[k:0:-1, c], upper[: k + 1, c], upper[rows, c][::-1]])
             steps = np.angle(path[1:] * path[:-1].conj())
             horizontal = np.concatenate([steps[: len(edge)], steps[-len(edge) :]])
-            if np.max(np.abs(horizontal)) > 1.0:
-                raise CountCertificationError(f"phase step on a horizontal edge at height {T} exceeds one radian")
             total = float(np.sum(steps)) / math.pi
-            count = round(total)
-            if abs(total - count) > WINDING_TOL:
-                raise CountCertificationError(f"phase change {total:.4f} pi is not within {WINDING_TOL} of an integer")
-            counts.append(count)
+            if np.max(np.abs(horizontal)) > 1.0:
+                counts.append(CountCertificationError(f"phase step on a horizontal edge at height {T} exceeds one radian"))
+            elif abs(total - round(total)) > WINDING_TOL:
+                counts.append(
+                    CountCertificationError(f"phase change {total:.4f} pi is not within {WINDING_TOL} of an integer")
+                )
+            else:
+                counts.append(round(total))
         return counts
 
     # -- scanning ---------------------------------------------------------------
@@ -357,7 +371,9 @@ class ModulusEngine:
         found = self._locate(pos[: n + 1], neg[: n + 1], spacing, every, t_eff)
 
         # A count mismatch gets one grid 4x finer, for all such characters at once.
-        redo = np.array([c for c in every if len(found[c][0]) != expected[c]], dtype=int)
+        redo = np.array(
+            [c for c in every if isinstance(expected[c], int) and len(found[c][0]) != expected[c]], dtype=int
+        )
         if len(redo):
             fine = spacing / 4.0
             m = int(float(np.max(t_eff[redo])) / fine) + 1
@@ -450,18 +466,20 @@ def _zero_set(
     chi: DirichletCharacter,
     T: float,
     t_eff: float,
-    expected: int,
+    expected: int | CountCertificationError,
     ordinates: list[float],
     windows: list[tuple[float, float]],
 ) -> ZeroSet:
-    """The zeros with |gamma| <= T, certified when the count matches and every check held."""
+    """The zeros with |gamma| <= T, certified when the count holds and matches and every check held."""
     zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
-    if len(ordinates) != expected:
-        warnings.warn(
-            f"scan of {chi} found {len(ordinates)} critical-line zeros but the winding count "
-            f"is {expected}: possible off-line zeros in |t| <= {t_eff}",
-            stacklevel=4,
-        )
+    if isinstance(expected, CountCertificationError):
+        problem = f"has no certified winding count ({expected})"
+    elif len(ordinates) != expected:
+        problem = f"found {len(ordinates)} critical-line zeros but the winding count is {expected}"
+    else:
+        problem = None
+    if problem:
+        warnings.warn(f"scan of {chi} {problem}: possible off-line zeros in |t| <= {t_eff}", stacklevel=4)
         return ZeroSet(chi, zeros, T, False, ((-t_eff, t_eff),))
     if windows:
         warnings.warn(
@@ -491,11 +509,11 @@ def scan_zeros(
     the count edge t_eff: of the heights T + k * GRID_STEP, the one where
     min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay clear of
     zeros.  The zeros found on [-t_eff, t_eff] are compared with the count.
-    On a mismatch the grid is refined 4x once; a persisting mismatch is
-    recorded as the unverified window (-t_eff, t_eff), and a failed sign
-    check as a window around that ordinate (`certified` is False), rather
-    than raised.  Only the zeros with |gamma| <= T are kept, and
-    `complete_to_height` is T.
+    On a mismatch the grid is refined 4x once; a persisting mismatch, or a
+    count that cannot be certified, is recorded as the unverified window
+    (-t_eff, t_eff), and a failed sign check as a window around that
+    ordinate (`certified` is False), rather than raised.  Only the zeros
+    with |gamma| <= T are kept, and `complete_to_height` is T.
 
     Real characters are scanned on [0, t_eff] and mirrored (their zeros come
     in conjugate pairs); the conjugate of a complex character should reuse

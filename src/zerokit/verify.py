@@ -31,7 +31,6 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import polygamma
 
 from zerokit.constants import (
     DENSITY_EPS_NARROW,
@@ -60,6 +59,7 @@ from zerokit.dirichlet.lfunctions import (
     log_deriv_by_contour,
     log_deriv_series,
     log_deriv_tail_bound,
+    trigamma,
     trivial_ladder_start,
     trivial_zero_sum,
 )
@@ -333,7 +333,7 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
     # sum_{k>=0} 1/((sigma+c+2k)^2 + t^2) = Im psi(u+iv)/(4v), u=(sigma+c)/2, v=t/2.
     u = (sigma + trivial_ladder_start(star)) / 2.0
     if t == 0.0:
-        total = 0.25 * float(polygamma(1, u))
+        total = 0.25 * trigamma(u)
     else:
         v = t / 2.0
         total = float(digamma(complex(u, v)).imag / (4.0 * v))

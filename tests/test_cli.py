@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import zerokit
 
 from zerokit.cli import EXIT_FAIL, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from zerokit.constants import density_exponent_for
@@ -413,3 +419,28 @@ class TestZerosAndVerify:
         )
         assert code == EXIT_FAIL
         assert "FAIL" in out
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is a test-only dependency: a scan and the whole verify suite, run
+    # in one fresh process, leave no scipy module behind, imported at start-up
+    # or lazily.
+    script = f"""
+import sys
+from zerokit.cli import main
+cache = {str(tmp_path / "cache")!r}
+scan = main(["zeros", "scan", "--q", "5", "--height", "20", "--cache-dir", cache])
+checks = main(["verify", "--suite", "all", "--qmax", "3", "--height", "10", "--scan-missing", "--cache-dir", cache])
+print(scan, checks)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(zerokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    *_, codes, modules = done.stdout.splitlines()
+    assert codes == f"{EXIT_OK} {EXIT_OK}"
+    assert "selberg." in done.stdout
+    assert modules == "[]"

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zerokit.dirichlet import lfunctions
 from zerokit.dirichlet.characters import (
     char_value,
     conjugate_character,
@@ -23,7 +24,9 @@ from zerokit.dirichlet.lfunctions import (
     log_deriv_by_contour,
     log_deriv_series,
     log_deriv_tail_bound,
+    loggamma,
     root_number,
+    trigamma,
     trivial_zero_sum,
     trivial_zeros,
 )
@@ -205,6 +208,97 @@ class TestTrivialZeros:
         for chi in (CHI4, next(c for c in enumerate_characters(5) if c.parity == "even" and not c.is_principal)):
             for loc in trivial_zeros(chi, 4):
                 assert abs(l_eval(complex(loc), chi)) < 1e-8
+
+
+def _mp_loggamma(z: complex) -> complex:
+    return complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+
+
+class TestGammaKernel:
+    def test_loggamma_over_the_callers_domain(self):
+        # Re z in [1/4, 9/8] and |Im z| <= 500 (the prefactor phase and the
+        # count's edges up to T = 1000), plus completed_l's points left of
+        # the line.  Near |Im z| = 500 one ulp of log Gamma is 4.5e-13, so
+        # the 1e-13 tolerance is absolute up to |log Gamma| = 1 and relative
+        # beyond it.
+        rng = np.random.default_rng(41)
+        z = np.concatenate(
+            [
+                rng.uniform(0.25, 1.125, 400) + 1j * rng.uniform(-500.0, 500.0, 400),
+                rng.uniform(0.25, 1.125, 300) + 1j * rng.uniform(-12.0, 12.0, 300),
+                rng.uniform(-3.0, 0.25, 200) + 1j * rng.uniform(-15.0, 15.0, 200),
+                np.array([0.25, 0.5, 1.0, 1.125, 0.25 + 500j, 1.125 - 500j, -0.25, -1.75, -2.5 + 1e-3j]),
+            ]
+        )
+        got = loggamma(z)
+        assert got.shape == z.shape
+        for value, point in zip(got, z):
+            ref = _mp_loggamma(point)
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_loggamma_keeps_the_shape(self):
+        assert loggamma(0.5).shape == ()
+        assert complex(loggamma(0.5)) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
+        grid = np.array([[1.0 + 1.0j, 0.3 - 40.0j], [7.0, 0.5 + 2.0j]])
+        assert loggamma(grid).shape == (2, 2)
+        assert loggamma(grid)[1, 0] == pytest.approx(math.log(720.0), abs=1e-14)
+
+    def test_loggamma_is_the_principal_branch(self):
+        # the imaginary part follows the continuous branch from the positive
+        # axis, far past pi: Im log Gamma(1/4 + i y) ~ y log y - y
+        z = 0.25 + 1j * np.array([3.0, 30.0, 300.0])
+        for value, point in zip(loggamma(z), z):
+            assert value.imag == pytest.approx(_mp_loggamma(point).imag, rel=1e-14)
+
+    def test_digamma_at_complex_points(self):
+        points = [0.3 + 5.0j, 2.0, 0.01, 0.5 + 1e-3j, 1.1 - 40.0j, -3.3 + 0.2j, -0.5, 9.99 + 0.5j, 0.625 + 250.0j]
+        for s in points:
+            ref = complex(mp.digamma(complex(s)))
+            assert abs(digamma(s) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_trigamma_on_the_positive_axis(self):
+        for u in np.concatenate([np.linspace(0.01, 20.0, 200), [1e-3, 0.25, 9.999, 10.0, 20.0]]):
+            ref = float(mp.psi(1, float(u)))
+            assert trigamma(u) == pytest.approx(ref, rel=4e-15)
+        assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+        with pytest.raises(GammaPoleError):
+            trigamma(-2.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("x", [0.05, 0.7, 3.0, 13.8])
+    def test_upper_gamma_closed_form(self, n, x):
+        # Gamma(n, x) = (n-1)! e^-x sum_{j<n} x^j/j!, as log_deriv_tail_bound
+        # uses it with n = k + 2 and x = (sigma - 1) log cutoff
+        k = n - 2
+        sigma = 1.0 + x / math.log(10**6)
+        integral = float(mp.gammainc(n, x)) / (sigma - 1.0) ** n
+        top = math.log(10**6) ** (k + 1) * 10.0 ** (-6 * sigma)
+        assert log_deriv_tail_bound(sigma, k, 10**6) == pytest.approx((integral + top) / math.factorial(k), rel=1e-13)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 6])
+    def test_stirling_remainder_bound_is_honest(self, monkeypatch, terms):
+        # With the recurrence off (radius 0) and few terms kept, the observed
+        # error is the truncation remainder.  It never exceeds the first
+        # neglected term times sec^(2K+2)(ph z / 2), and on the positive axis
+        # it is a sizeable fraction of that term.
+        monkeypatch.setattr(lfunctions, "_STIRLING_RADIUS", 0.0)
+        monkeypatch.setattr(lfunctions, "_STIRLING_TERMS", terms)
+        j = terms + 1
+        points = [2.0, 3.5, 6.0, 2.0 + 2.0j, 0.3 + 3.0j, 0.25 + 6.0j, 0.0 + 4.0j, 5.0 - 1.0j, 1.0 - 9.0j]
+        ratios = []
+        for z in points:
+            err = abs(complex(loggamma(z)) - _mp_loggamma(z))
+            first = abs(float(mp.bernoulli(2 * j))) / (2 * j * (2 * j - 1) * abs(z) ** (2 * j - 1))
+            bound = first / math.cos(cmath.phase(z) / 2.0) ** (2 * j)
+            assert err <= bound + 1e-14 * abs(_mp_loggamma(z))
+            ratios.append(err / bound)
+        assert max(ratios) > 0.3
+
+    def test_stirling_remainder_at_the_radius(self):
+        # the bound at the kernel's own radius and term count, worst phase
+        j = lfunctions._STIRLING_TERMS + 1
+        first = abs(float(mp.bernoulli(2 * j))) / (2 * j * (2 * j - 1) * lfunctions._STIRLING_RADIUS ** (2 * j - 1))
+        assert first * 2.0**j < 3e-17
 
 
 class TestDigamma:

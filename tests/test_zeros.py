@@ -1,12 +1,14 @@
 import cmath
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zerokit.dirichlet.characters import (
+    char_label,
     char_value,
     conjugate_character,
     enumerate_characters,
@@ -170,6 +172,49 @@ class TestScan:
             zs = scan_zeros(CHI4, 10.0)
         assert not zs.certified
         assert zs.unverified_windows
+
+    def test_refused_count_leaves_its_siblings_certified(self, monkeypatch, tmp_path):
+        # Mod 5 the engine scans two characters.  Alternating the sign of the
+        # first one's values along the count's horizontal edges makes every
+        # phase step there pi: its count alone is refused, it becomes the
+        # unverified window (-t_eff, t_eff), and the other character is still
+        # certified and written to the cache.
+        import zerokit.dirichlet.zeros as zmod
+
+        bank = zmod.ModulusEngine._bank
+
+        def jagged(engine, s, cols):
+            upper, lower = bank(engine, s, cols)
+            edge = (s.real > 0.5) & (s.real < zmod.RIGHT)
+            sign = np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)[edge]
+            upper[edge, 0] *= sign
+            lower[edge, 0] *= sign
+            return upper, lower
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_bank", jagged)
+        with pytest.raises(CountCertificationError, match="phase step on a horizontal edge at height 20.0 exceeds one radian"):
+            count_zeros(primitive_characters(5)[0], 20.0)
+
+        library = ZeroLibrary(tmp_path)
+        with pytest.warns(UserWarning, match="has no certified winding count"):
+            library.ensure(5, 20.0)
+        certified, refused = [], []
+        for chi in primitive_characters(5):
+            try:
+                certified.append(library.get(chi, 20.0))
+            except CountCertificationError as exc:
+                # the window is (-t_eff, t_eff), t_eff among 20, 20.05, ..., 20.5
+                assert re.search(r"not certified: unverified windows \(\(-(2\d\.\d+), \1\),\)", str(exc))
+                refused.append(chi)
+        assert certified and refused
+        cached = read_zero_cache(tmp_path, 5)
+        assert sorted(cached) == sorted(zs.character.exponents for zs in certified)
+        assert all(zs.certified and zs.zeros for zs in cached.values())
+        monkeypatch.undo()
+        summary = ZeroLibrary(tmp_path).ensure(5, 20.0)
+        assert sorted(label for label, n in summary.items() if n == "cached") == sorted(
+            char_label(zs.character) for zs in certified
+        )
 
     def test_sign_check_within_error_radius_becomes_unverified_window(self, monkeypatch):
         # force the truncation radius above every |Z| at gamma -/+ r: no
