@@ -18,12 +18,13 @@ in method but not in the evaluator.
   real-valued in exact arithmetic for any primitive character.  The work is
   done by a `ModulusEngine`, one per modulus: a bank of zeta(1/2+it, a/q)
   over the units, computed once on one grid for all characters it scans;
-  a seed at the root of the cubic through the 4 grid values around each
-  sign change; Illinois (bracketed secant) steps for all brackets of the
-  modulus at once, one Hurwitz evaluation per round, until a step is below
-  STEP_TOL; and one batched sign check at gamma -/+ TARGET_RADIUS, where
-  |Z| must exceed its certified error radius (Hurwitz truncation plus
-  floating-point rounding).  A zero whose check fails is reported as an
+  a seed at the root of the degree-11 interpolant through the NODES = 12
+  grid values around each sign change, with no further evaluation; one
+  batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
+  certified error radius (Hurwitz truncation plus floating-point rounding);
+  and one local regrid at a quarter step of the cells whose seed failed, or
+  where a character short of its count dips toward zero, then seeds and a
+  check there.  A zero whose second check fails is reported as an
   unverified window, never accepted silently.
 
 A scan to height T is *complete* when the number of zeros it locates on
@@ -60,14 +61,12 @@ __all__ = [
 
 # Each ordinate is certified by a sign change of Z across gamma -/+ TARGET_RADIUS.
 TARGET_RADIUS = 1e-9
-# Illinois refinement stops once a step is below STEP_TOL, or after REFINE_ROUNDS.
-STEP_TOL = 1e-11
-REFINE_ROUNDS = 50
-# Halvings of the unit bracket that locate a seed on its cubic (2^-40 of a grid step).
-SEED_BISECTIONS = 40
+# Each ordinate is seeded at the root of the interpolant through NODES grid values.
+NODES = 12
 # Points x units per Hurwitz call of the engine.
 TABLE_ENTRIES = 1 << 14
-# Ordinate step of the sign-change grid (a quarter of it on the one refinement).
+# Ordinate step of the sign-change grid (a quarter of it in the cells rebanked
+# after a failed sign check or a short count).
 GRID_STEP = 0.05
 # The count's right edge, Re s = RIGHT, and -zeta'/zeta(RIGHT) rounded up: a
 # bound on |L'/L(RIGHT + it, chi)| for every chi and every t.
@@ -78,6 +77,14 @@ WINDING_TOL = 0.1
 # The scan counts at the best of T + k * GRID_STEP, k = 0 .. EDGE_CANDIDATES - 1.
 EDGE_CANDIDATES = 11
 DESK_HEIGHT_LIMIT = 1e3
+
+
+# Barycentric weights of NODES equispaced nodes, and the matrix whose row j
+# takes the interpolant's values at the nodes to its derivative at node j:
+# (w_k / w_j) / (j - k) off the diagonal, rows summing to zero.
+_WEIGHTS = np.array([(-1.0) ** k * math.comb(NODES - 1, k) for k in range(NODES)])
+_DIFF = np.outer(1.0 / _WEIGHTS, _WEIGHTS) / (np.arange(NODES)[:, None] - np.arange(NODES) + np.diag([np.inf] * NODES))
+_DIFF -= np.diag(_DIFF.sum(axis=1))
 
 
 class CountCertificationError(RuntimeError):
@@ -209,13 +216,17 @@ class ModulusEngine:
     * per character, the count edge t_eff; one count for all characters, each
       at its own t_eff, from one bank on the half contour (`_counts`);
     * every sign change of every character at once: a seed at the root of the
-      cubic through the 4 grid values around it, then Illinois (bracketed
-      secant) steps until a step is below STEP_TOL, each round one
-      evaluation for all brackets of the modulus;
+      degree-11 interpolant through the NODES grid values around it, read
+      from the bank (the grid runs NODES // 2 steps past the highest edge
+      candidate so that every window is whole);
     * one sign check for all ordinates at gamma -/+ TARGET_RADIUS: the two
       values must differ in sign and both exceed `_radius`, the certified
       error of a computed Z, so each check proves a zero within
-      TARGET_RADIUS of gamma.
+      TARGET_RADIUS of gamma;
+    * only if needed, one bank at a quarter step of the cells whose seed
+      failed its check and, for each character with fewer sign changes
+      than its count, of the cells where its interpolant dips toward zero
+      (`_dips`); those cells are seeded and checked once more.
 
     Every evaluation is cut into chunks of at most TABLE_ENTRIES table
     entries, so a modulus near 200 (198 units) needs no more memory than a
@@ -362,104 +373,155 @@ class ModulusEngine:
         T = self.height
         spacing = T / math.ceil(T / GRID_STEP)
         heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
-        n = int(heights[-1] / spacing) + 1
+        # NODES // 2 steps past the highest edge candidate, so every seed has its NODES values.
+        n = int(heights[-1] / spacing) + 1 + NODES // 2
         every = np.arange(len(self.chars))
         pos, neg = (v.real for v in self._bank(0.5 + 1j * np.concatenate([spacing * np.arange(n + 1), heights]), every))
         clearance = np.minimum(np.abs(pos[n + 1 :]), np.abs(neg[n + 1 :]))
         t_eff = heights[np.argmax(clearance, axis=0)]
         expected = self._counts(t_eff)
-        found = self._locate(pos[: n + 1], neg[: n + 1], spacing, every, t_eff)
 
-        # A count mismatch gets one grid 4x finer, for all such characters at once.
-        redo = np.array(
-            [c for c in every if isinstance(expected[c], int) and len(found[c][0]) != expected[c]], dtype=int
-        )
-        if len(redo):
-            fine = spacing / 4.0
-            m = int(float(np.max(t_eff[redo])) / fine) + 1
-            pos, neg = (v.real for v in self._bank(0.5 + 1j * fine * np.arange(m + 1), redo))
-            for c, result in zip(redo, self._locate(pos, neg, fine, redo, t_eff[redo])):
-                found[c] = result
+        # Z at k spacing, k = -n..n, one row per character; real characters use t >= 0 alone.
+        ts = spacing * np.arange(-n, n + 1)
+        vals = np.concatenate([neg[n:0:-1], pos[: n + 1]]).T
+        first = np.where(self._real, n, 0)
+        reach = t_eff[:, None]
+        cells = (np.arange(2 * n)[None, :] >= first[:, None]) & (ts[:-1] < reach) & (ts[1:] > -reach)
+        row, cell = np.nonzero(cells & (vals[:, :-1] * vals[:, 1:] < 0.0))
+        on_grid, node = np.nonzero((vals == 0.0) & (np.arange(2 * n + 1) >= first[:, None]) & (np.abs(ts) <= reach))
+        gammas = np.concatenate([spacing * (_seed(vals, row, cell, first) - n), ts[node]])
+        owners = np.concatenate([row, on_grid])
+        ok = self._check(gammas, owners)
+        found = self._collect(gammas, owners, ok, t_eff, spacing)
+
+        # Rebank at a quarter step the cells of failed seeds and, for each
+        # character whose sign changes fall short of its count, the cells
+        # where the interpolant dips toward zero; then seed and check again.
+        failed = ~ok[: len(row)]
+        short = [isinstance(e, int) and len(f[0]) < e for e, f in zip(expected, found)]
+        dip_row, dip_cell = _dips(vals, first, cells, np.flatnonzero(short))
+        redo_row, redo_cell = np.concatenate([row[failed], dip_row]), np.concatenate([cell[failed], dip_cell])
+        if len(redo_row):
+            fine, fine_owners = self._regrid(vals, spacing, first, redo_row, redo_cell, t_eff)
+            keep = np.concatenate([~failed, np.ones(len(node), dtype=bool)])
+            gammas = np.concatenate([gammas[keep], fine])
+            owners = np.concatenate([owners[keep], fine_owners])
+            ok = np.concatenate([ok[keep], self._check(fine, fine_owners)])
+            found = self._collect(gammas, owners, ok, t_eff, spacing)
         return {
             chi.exponents: _zero_set(chi, T, float(t_eff[c]), expected[c], *found[c])
             for c, chi in enumerate(self.chars)
         }
 
-    def _locate(
-        self, pos: np.ndarray, neg: np.ndarray, spacing: float, cols: np.ndarray, t_eff: np.ndarray
-    ) -> list[tuple[list[float], list[tuple[float, float]]]]:
-        """Sorted ordinates in [-t_eff, t_eff] and failed sign-check windows, per entry of `cols`.
+    def _regrid(
+        self, vals: np.ndarray, spacing: float, first: np.ndarray, row: np.ndarray, cell: np.ndarray, t_eff: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ordinates and owners of the sign changes in grid cells (row[k], cell[k]), from one quarter-step bank.
 
-        `pos` and `neg` hold Z at +-k spacing, k = 0..n, one column per entry
-        of `cols`.
+        Each cell gets its own 5 quarter-step nodes and `pad` more on either
+        side (clipped to the grid's usable range), so each of its four
+        quarter cells has a whole window.  Node j of cell k sits at
+        (begin[k] + j) * step.
         """
-        n = pos.shape[0] - 1
-        ts = spacing * np.arange(-n, n + 1)
-        vals = np.concatenate([neg[:0:-1], pos]).T
-        real = self._real[cols]
-        first = np.where(real, n, 0)  # real characters use t >= 0 alone
-        usable = np.arange(2 * n + 1)[None, :] >= first[:, None]
-        reach = t_eff[:, None]
-        flips = usable[:, :-1] & (vals[:, :-1] * vals[:, 1:] < 0.0) & (ts[:-1] < reach) & (ts[1:] > -reach)
-        exact = usable & (vals == 0.0) & (np.abs(ts) <= reach)
-        row, i = np.nonzero(flips)
+        n = (vals.shape[1] - 1) // 2
+        step, pad = spacing / 4.0, NODES // 2 - 1
+        width = 5 + 2 * pad
+        begin = np.clip(4 * (cell - n) - pad, 4 * (first[row] - n), 4 * n + 1 - width)
+        nodes = begin[:, None] + np.arange(width)
+        heights, at = np.unique(np.abs(nodes), return_inverse=True)
+        chars, col = np.unique(row, return_inverse=True)
+        pos, neg = (v.real for v in self._bank(0.5 + 1j * step * heights, chars))
+        at, col = at.reshape(nodes.shape), col[:, None]
+        values = np.where(nodes >= 0, pos[at, col], neg[at, col])
+        k = np.repeat(np.arange(len(row)), 4)
+        sub = (4 * (cell - n) - begin)[k] + np.tile(np.arange(4), len(row))
+        lo, hi = step * (begin[k] + sub), step * (begin[k] + sub + 1)
+        reach = t_eff[row[k]]
+        flip = (values[k, sub] * values[k, sub + 1] < 0.0) & (lo < reach) & (hi > -reach)
+        k, sub = k[flip], sub[flip]
+        return step * (begin[k] + _seed(values, k, sub, np.zeros(len(row), dtype=int))), row[k]
 
-        # Seed: the root of the cubic through the 4 grid values around the flip.
-        j0 = np.clip(i - 1, first[row], 2 * n - 3)
-        f0, f1, f2, f3 = (vals[row, j0 + k] for k in range(4))
-        d1, d2, d3 = f1 - f0, (f2 - 2.0 * f1 + f0) / 2.0, (f3 - 3.0 * f2 + 3.0 * f1 - f0) / 6.0
-        left = (i - j0).astype(float)
-        right = left + 1.0
-        sign_left = np.sign(vals[row, i])
-        for _ in range(SEED_BISECTIONS):
-            mid = 0.5 * (left + right)
-            cubic = f0 + mid * (d1 + (mid - 1.0) * (d2 + (mid - 2.0) * d3))
-            beyond = np.sign(cubic) == sign_left
-            left, right = np.where(beyond, mid, left), np.where(beyond, right, mid)
-        x = ts[j0] + spacing * 0.5 * (left + right)
-
-        # Illinois: regula falsi on the bracket (a, b), b the latest point; when
-        # the new point falls on b's side, the value at the kept end a is
-        # halved.  The seed is no secant step, so nothing is halved after it.
-        owner = cols[row]
-        a, fa = ts[i], vals[row, i]
-        b, fb = ts[i + 1], vals[row, i + 1]
-        active = np.arange(len(x))
-        for step_round in range(REFINE_ROUNDS):
-            if not active.size:
-                break
-            fx, _ = self._line(x[active], owner[active])
-            flip = fx * fb[active] < 0.0
-            a[active] = np.where(flip, b[active], a[active])
-            fa[active] = np.where(flip, fb[active], fa[active] * (0.5 if step_round else 1.0))
-            b[active], fb[active] = x[active], fx
-            step = fx * (b[active] - a[active]) / (fx - fa[active])
-            x[active] = b[active] - step
-            active = active[np.abs(step) >= STEP_TOL]
-
-        gammas = np.concatenate([x, ts[np.nonzero(exact)[1]]])
-        rows = np.concatenate([row, np.nonzero(exact)[0]])
+    def _check(self, gammas: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Whether Z of each owner changes sign across gamma -/+ TARGET_RADIUS, both beyond their error radius."""
         k = len(gammas)
         z, rho = self._line(
-            np.concatenate([gammas - TARGET_RADIUS, gammas + TARGET_RADIUS]), np.tile(cols[rows], 2), radius=True
+            np.concatenate([gammas - TARGET_RADIUS, gammas + TARGET_RADIUS]), np.tile(owners, 2), radius=True
         )
-        checked = (z[:k] * z[k:] < 0.0) & (np.abs(z[:k]) > rho[:k]) & (np.abs(z[k:]) > rho[k:])
+        return (z[:k] * z[k:] < 0.0) & (np.abs(z[:k]) > rho[:k]) & (np.abs(z[k:]) > rho[k:])
 
+    def _collect(
+        self, gammas: np.ndarray, owners: np.ndarray, ok: np.ndarray, t_eff: np.ndarray, spacing: float
+    ) -> list[tuple[list[float], list[tuple[float, float]]]]:
+        """Per character: sorted ordinates in [-t_eff, t_eff] and windows around those that failed their check."""
         out = []
-        for c in range(len(cols)):
-            mine = (rows == c) & (np.abs(gammas) <= t_eff[c])
+        for c in range(len(self.chars)):
+            mine = (owners == c) & (np.abs(gammas) <= t_eff[c])
             order = np.argsort(gammas[mine])
-            g, ok = gammas[mine][order], checked[mine][order]
+            g, good = gammas[mine][order], ok[mine][order]
             # Two checked intervals that overlap may hold one zero between them.
             close = np.diff(g) <= 2.0 * TARGET_RADIUS
-            ok[:-1] &= ~close
-            ok[1:] &= ~close
-            if real[c]:
-                g, ok = g[g > TARGET_RADIUS], ok[g > TARGET_RADIUS]
-                g, ok = np.concatenate([-g[::-1], g]), np.concatenate([ok[::-1], ok])
-            windows = [(float(t - spacing), float(t + spacing)) for t in g[~ok]]
+            good[:-1] &= ~close
+            good[1:] &= ~close
+            if self._real[c]:
+                g, good = g[g > TARGET_RADIUS], good[g > TARGET_RADIUS]
+                g, good = np.concatenate([-g[::-1], g]), np.concatenate([good[::-1], good])
+            windows = [(float(t - spacing), float(t + spacing)) for t in g[~good]]
             out.append(([float(t) for t in g], windows))
         return out
+
+
+def _window(values: np.ndarray, row: np.ndarray, cell: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First node and values of the NODES-node window centred on each cell, kept within nodes first[row] onward."""
+    start = np.clip(cell - (NODES // 2 - 1), first[row], values.shape[1] - NODES)
+    return start, values[row[:, None], start[:, None] + np.arange(NODES)]
+
+
+def _seed(values: np.ndarray, row: np.ndarray, cell: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Where values[row[k]] changes sign between nodes cell[k] and cell[k] + 1, in node units.
+
+    It is the root of the degree NODES - 1 interpolant through the window
+    of NODES nodes around the cell.
+    """
+    start, window = _window(values, row, cell, first)
+    return start + _interpolant_root(window, cell - start)
+
+
+def _interpolant_root(f: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Root in (left, left + 1) of the interpolant through f[k, j] at nodes x = j, for each row k.
+
+    f[k] changes sign between nodes left[k] and left[k] + 1.  In barycentric
+    form the interpolant is a multiple of prod_j (x - j) sum_j w_j f_j / (x - j),
+    and the product keeps one sign inside the cell, so the sum's sign decides
+    each bisection: on the left node's side of the root it is the sign of the
+    sum's term at that node.  The cell is halved down to the float resolution
+    of its unit width, so a midpoint never hits a node.
+    """
+    rows = np.arange(len(f))
+    weighted = _WEIGHTS * f
+    offsets = left[:, None] - np.arange(NODES)
+    at_left = np.sign(weighted[rows, left])
+    lo, hi = np.zeros(len(f)), np.ones(len(f))
+    for _ in range(np.finfo(float).nmant):
+        mid = 0.5 * (lo + hi)
+        beyond = np.sign(np.sum(weighted / (mid[:, None] + offsets), axis=1)) == at_left
+        lo, hi = np.where(beyond, mid, lo), np.where(beyond, hi, mid)
+    return left + 0.5 * (lo + hi)
+
+
+def _dips(vals: np.ndarray, first: np.ndarray, cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cells (row, cell) of `rows`, among `cells`, where Z keeps its sign but its interpolant dips toward zero.
+
+    |Z| falls at the cell's left node and rises at its right one, so the
+    interpolant has a minimum of |Z| inside: where a close pair of zeros
+    would hide between two grid values of one sign.
+    """
+    row, cell = np.nonzero(cells[rows] & (vals[rows, :-1] * vals[rows, 1:] > 0.0))
+    row = rows[row]
+    start, window = _window(vals, row, cell, first)
+    sign = np.sign(vals[row, cell])
+    falls = sign * np.einsum("kj,kj->k", window, _DIFF[cell - start]) < 0.0
+    rises = sign * np.einsum("kj,kj->k", window, _DIFF[cell - start + 1]) > 0.0
+    return row[falls & rises], cell[falls & rises]
 
 
 def _zero_set(
@@ -501,15 +563,16 @@ def scan_zeros(
 
     The zeros come from a ModulusEngine: `ZeroLibrary.ensure` passes the one
     it built for every character it scans mod q; without it, a one-character
-    engine is built here.  Each sign change of Z(t) on the grid is seeded by
-    the cubic through the 4 grid values around it, refined by Illinois steps
-    to below STEP_TOL and certified by a sign check at gamma -/+
-    TARGET_RADIUS whose values must both exceed their error radius.
-    Completeness is certified against the count on the half contour at
-    the count edge t_eff: of the heights T + k * GRID_STEP, the one where
-    min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay clear of
-    zeros.  The zeros found on [-t_eff, t_eff] are compared with the count.
-    On a mismatch the grid is refined 4x once; a persisting mismatch, or a
+    engine is built here.  Each sign change of Z(t) on the grid is seeded at
+    the root of the degree-11 interpolant through the 12 grid values around
+    it and certified by a sign check at gamma -/+ TARGET_RADIUS whose values
+    must both exceed their error radius.  Completeness is certified against
+    the count on the half contour at the count edge t_eff: of the heights
+    T + k * GRID_STEP, the one where min(|Z(t)|, |Z(-t)|) is largest, so both
+    horizontal edges stay clear of zeros.  The zeros found on [-t_eff, t_eff]
+    are compared with the count.  The cells of failed seeds and, on a short
+    count, the cells where the interpolant dips toward zero are rebanked at
+    a quarter step, seeded and checked once more; a persisting mismatch, or a
     count that cannot be certified, is recorded as the unverified window
     (-t_eff, t_eff), and a failed sign check as a window around that
     ordinate (`certified` is False), rather than raised.  Only the zeros

@@ -289,6 +289,127 @@ class TestScan:
                 assert abs(float(root.real) - 0.5) < 1e-11
                 assert abs(float(root.imag) - g) < 1e-11
 
+    def test_larger_modulus_ordinates_against_mpmath_findroot(self):
+        # At a larger modulus no refinement step follows the interpolant seed.
+        import mpmath as mp
+
+        chi = next(c for c in primitive_characters(19) if conjugate_character(c) != c)
+        values = [complex(char_value(chi, n)) for n in range(19)]
+        gammas = [z.gamma for z in scan_zeros(chi, 50.0).zeros]
+        with mp.workdps(30):
+            for g in gammas[:2] + gammas[-2:]:
+                root = mp.findroot(lambda s: mp.dirichlet(s, values), mp.mpc(0.5, g))
+                assert abs(float(root.real) - 0.5) < 1e-11
+                assert abs(float(root.imag) - g) < 1e-11
+
+    def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
+        # After the grid bank and the count bank, the scan evaluates Z only at
+        # gamma -/+ TARGET_RADIUS of each ordinate it locates, in one call:
+        # no refinement rounds.
+        import zerokit.dirichlet.zeros as zmod
+
+        points, stages = [], []
+        kernel, bank, line = zmod.hurwitz_zeta_vec, zmod.ModulusEngine._bank, zmod.ModulusEngine._line
+
+        def counted(s, a):
+            points.append(len(s))
+            return kernel(s, a)
+
+        def banked(engine, s, cols):
+            stages.append(("bank", len(s)))
+            return bank(engine, s, cols)
+
+        def lined(engine, ts, cols, radius=False):
+            stages.append(("line", np.array(ts)))
+            return line(engine, ts, cols, radius)
+
+        monkeypatch.setattr(zmod, "hurwitz_zeta_vec", counted)
+        monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
+        monkeypatch.setattr(zmod.ModulusEngine, "_line", lined)
+        chars = primitive_characters(13)
+        engine = ModulusEngine(chars, 20.0)
+        sets = [engine.zero_set(chi) for chi in chars]
+        assert all(zs.certified for zs in sets)
+        assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
+        ts = stages[2][1]
+        assert sum(points) == stages[0][1] + stages[1][1] + len(ts)
+        k = len(ts) // 2
+        assert ts[k:] - ts[:k] == pytest.approx(np.full(k, 2 * TARGET_RADIUS), abs=1e-12)
+        located = ts[:k] + TARGET_RADIUS
+        # real characters are located on t > 0 and mirrored
+        stored = np.array(
+            [z.gamma for zs in sets for z in zs.zeros if z.gamma > 0 or conjugate_character(zs.character) != zs.character]
+        )
+        kept = np.min(np.abs(located[:, None] - stored[None, :]), axis=1) < 1e-12
+        assert kept.sum() == len(stored)
+        # the rest lie between T and the highest count edge
+        assert np.all((np.abs(located[~kept]) > 20.0) & (np.abs(located[~kept]) <= 20.5))
+
+    def test_failed_seeds_are_rebanked_locally(self, monkeypatch):
+        # On a 0.5 grid the interpolant misses some zeta ordinates below 40
+        # by more than TARGET_RADIUS.  Only those seeds' cells are rebanked,
+        # at a quarter step, and their new seeds pass.
+        import zerokit.dirichlet.zeros as zmod
+
+        banks, checks = [], []
+        bank, check = zmod.ModulusEngine._bank, zmod.ModulusEngine._check
+
+        def banked(engine, s, cols):
+            banks.append(s.imag.copy())
+            return bank(engine, s, cols)
+
+        def checked(engine, gammas, owners):
+            ok = check(engine, gammas, owners)
+            checks.append((gammas.copy(), ok))
+            return ok
+
+        default = scan_zeros(ZETA, 40.0)
+        monkeypatch.setattr(zmod, "GRID_STEP", 0.5)
+        monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
+        monkeypatch.setattr(zmod.ModulusEngine, "_check", checked)
+        zs = scan_zeros(ZETA, 40.0)
+        assert zs.certified
+        assert len(banks) == 3 and len(checks) == 2
+        (seeds, first), (_, second) = checks
+        failed = seeds[~first]
+        assert 0 < len(failed) < len(seeds) and len(second) == len(failed) and second.all()
+        rebanked = banks[2]
+        assert len(rebanked) < 4 * 40.0 / 0.5  # a whole-line grid at a quarter step
+        # a failed seed's cell and 5 quarter steps either side
+        assert all(np.min(np.abs(failed - t)) <= 2.25 * 0.5 for t in rebanked)
+        # each certified ordinate lies within TARGET_RADIUS of the same zero
+        assert [z.gamma for z in zs.zeros] == pytest.approx([z.gamma for z in default.zeros], abs=2 * TARGET_RADIUS)
+
+    def test_a_pair_inside_one_cell_is_rebanked_at_its_dip(self, monkeypatch):
+        # The mod-3 ordinates 246.3028 and 246.4149 share a cell of a 0.25
+        # grid to 250, whose ends have one sign, so the count exceeds the
+        # sign changes.  The interpolant dips toward zero there; that cell
+        # is rebanked at a quarter step, which separates the pair.
+        import zerokit.dirichlet.zeros as zmod
+
+        chi = primitive_characters(3)[0]
+        default = scan_zeros(chi, 250.0)
+        monkeypatch.setattr(zmod, "GRID_STEP", 0.25)
+        zs = scan_zeros(chi, 250.0)
+        assert zs.certified
+        # each certified ordinate lies within TARGET_RADIUS of the same zero
+        assert [z.gamma for z in zs.zeros] == pytest.approx([z.gamma for z in default.zeros], abs=2 * TARGET_RADIUS)
+        assert sum(1 for z in zs.zeros if 246.3 < z.gamma < 246.42) == 2
+        monkeypatch.setattr(zmod, "_dips", lambda vals, first, cells, rows: (rows[:0], rows[:0]))
+        with pytest.warns(UserWarning, match="winding count"):
+            assert not scan_zeros(chi, 250.0).certified
+
+    def test_interpolant_is_exact_on_polynomials(self):
+        # A degree-11 polynomial is its own interpolant: the seed finds its
+        # root, and the node slopes are its derivative.
+        import zerokit.dirichlet.zeros as zmod
+
+        x = np.arange(zmod.NODES, dtype=float)
+        poly = np.polynomial.Polynomial.fromroots([4.3, -2.0, 15.0, 7.5, 9.9, -8.0, 20.0, 1.5, 30.0, -3.3, 12.0])
+        f = poly(x)[None, :]
+        assert zmod._interpolant_root(f, np.array([4])) == pytest.approx([4.3], abs=1e-13)
+        assert zmod._DIFF @ poly(x) == pytest.approx(poly.deriv()(x), rel=1e-10)
+
     def test_unverified_windows_are_not_persisted(self, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
 
