@@ -32,7 +32,7 @@ from pathlib import Path
 from zerokit import constants
 from zerokit.constants import FieldParams
 from zerokit.dirichlet.zerocache import ENV_CACHE_DIR, DependencyError, ZeroLibrary
-from zerokit.dirichlet.zeros import DESK_HEIGHT_LIMIT, CountCertificationError
+from zerokit.dirichlet.zeros import CountCertificationError
 from zerokit.verify import SUITES, TOLERANCES, default_suite, reports_to_json, summary_table, zero_data_needed
 
 EXIT_OK = 0
@@ -41,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 
 DESK_Q_LIMIT = 200
+DESK_HEIGHT_LIMIT = 1e3
 
 HEURISTIC_NOTE = "implied-constant inputs are heuristic, not certified"
 
@@ -99,20 +100,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _guard(cfg: RunConfig, q: int | None = None, height: float | None = None) -> float:
-    """Refuse a request beyond the desk scale (a usage error) unless --unsafe.
-
-    Returns the height guard the scans of this run are held to.
-    """
+def _guard(cfg: RunConfig, q: int, height: float) -> None:
+    """Refuse a scan beyond the desk scale (a usage error) unless --unsafe."""
     if cfg.unsafe:
-        return math.inf
-    if q is not None and q > DESK_Q_LIMIT:
+        return
+    if q > DESK_Q_LIMIT:
         raise ValueError(f"modulus {q} exceeds the desk-scale guard ({DESK_Q_LIMIT}); pass --unsafe to override")
-    if height is not None and height > DESK_HEIGHT_LIMIT:
-        raise ValueError(
-            f"height {height} exceeds the desk-scale guard ({DESK_HEIGHT_LIMIT}); pass --unsafe to override"
-        )
-    return DESK_HEIGHT_LIMIT
+    if height > DESK_HEIGHT_LIMIT:
+        raise ValueError(f"height {height} exceeds the desk-scale guard ({DESK_HEIGHT_LIMIT}); pass --unsafe to override")
 
 
 # -- commands -----------------------------------------------------------------
@@ -184,11 +179,11 @@ def cmd_zeros_scan(args: argparse.Namespace) -> int:
     q_values = [args.q] if args.q is not None else list(range(args.qmin, args.qmax + 1))
     if not q_values:
         raise ValueError(f"empty modulus range: --qmin {args.qmin} exceeds --qmax {args.qmax}")
-    guard = _guard(cfg, q=max(q_values), height=args.height)
+    _guard(cfg, max(q_values), args.height)
     library = ZeroLibrary(cfg.cache_dir)
     status = EXIT_OK
     for q in q_values:
-        summary = library.ensure(q, args.height, height_guard=guard)
+        summary = library.ensure(q, args.height)
         for label in sorted(summary):
             result = summary[label]
             if result == "cached":
@@ -214,13 +209,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be at least 2 for the hadamard suite, got {args.k}")
     # The guard applies to the zero data the suites read, not to the raw flags.
     needed = zero_data_needed(suites, args.qmax, args.height)
-    guard = _guard(cfg)
     for q, h in needed:
-        _guard(cfg, q=q, height=h)
+        _guard(cfg, q, h)
     library = ZeroLibrary(cfg.cache_dir)
     if args.scan_missing:
         for q, h in needed:
-            library.ensure(q, h, height_guard=guard)
+            library.ensure(q, h)
     reports = default_suite(
         library,
         q_max=args.qmax,

@@ -30,7 +30,6 @@ from zerokit.dirichlet.characters import (
     primitive_inducer,
 )
 from zerokit.dirichlet.zeros import (
-    DESK_HEIGHT_LIMIT,
     CountCertificationError,
     ModulusEngine,
     ZeroRecord,
@@ -169,13 +168,14 @@ class ZeroLibrary:
 
     # -- scanning ---------------------------------------------------------------
 
-    def ensure(self, q: int, height: float, height_guard: float = DESK_HEIGHT_LIMIT) -> dict[str, int | str]:
+    def ensure(self, q: int, height: float) -> dict[str, int | str]:
         """Scan all primitive characters mod q up to `height` (idempotent).
 
         Conjugate pairs are scanned once and mirrored, and the characters to
         scan share one ModulusEngine.  The cache directory is created before
         any scan, so an unusable path fails first.  Returns a summary
-        {label: zero count | 'cached'}; persists the modulus file.
+        {label: zero count | 'cached'}; persists the modulus file.  No limit
+        on q or the height applies here: the desk-scale guard is the CLI's.
         """
         self._load_modulus(q)
         summary: dict[str, int | str] = {}
@@ -195,7 +195,7 @@ class ZeroLibrary:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             engine = ModulusEngine(tuple(to_scan.values()), height)
             for canon in to_scan.values():
-                self._memory[(q, canon.exponents)] = scan_zeros(canon, height, height_guard, engine)
+                self._memory[(q, canon.exponents)] = scan_zeros(canon, height, engine)
         changed = bool(to_scan)
         for chi, canon in pending.items():
             if chi.exponents != canon.exponents:

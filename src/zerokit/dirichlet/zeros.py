@@ -76,7 +76,6 @@ LOG_DERIV_BOUND = 3.4666545
 WINDING_TOL = 0.1
 # The scan counts at the best of T + k * GRID_STEP, k = 0 .. EDGE_CANDIDATES - 1.
 EDGE_CANDIDATES = 11
-DESK_HEIGHT_LIMIT = 1e3
 
 
 # Barycentric weights of NODES equispaced nodes, and the matrix whose row j
@@ -212,7 +211,7 @@ class ModulusEngine:
       highest count-edge candidate, plus the EDGE_CANDIDATES edge heights,
       all in the same Hurwitz evaluation.  Only t >= 0 is evaluated: for real
       a, H at -t is the conjugate of H at t, so Z(-t) = Re[e^(i theta(t))
-      q^(-s) (H @ conj(W))].  Real characters use the t >= 0 half alone;
+      q^(-s) (H @ conj(W))].  Real characters seed on the t >= 0 half alone;
     * per character, the count edge t_eff; one count for all characters, each
       at its own t_eff, from one bank on the half contour (`_counts`);
     * every sign change of every character at once: a seed at the root of the
@@ -223,10 +222,10 @@ class ModulusEngine:
       values must differ in sign and both exceed `_radius`, the certified
       error of a computed Z, so each check proves a zero within
       TARGET_RADIUS of gamma;
-    * only if needed, one bank at a quarter step of the cells whose seed
-      failed its check and, for each character with fewer sign changes
-      than its count, of the cells where its interpolant dips toward zero
-      (`_dips`); those cells are seeded and checked once more.
+    * only if needed, one evaluation at a quarter step (`_regrid`) of the
+      cells whose seed failed its check and, for each character with fewer
+      sign changes than its count, of the cells where its interpolant dips
+      toward zero (`_dips`); those cells are seeded and checked once more.
 
     Every evaluation is cut into chunks of at most TABLE_ENTRIES table
     entries, so a modulus near 200 (198 units) needs no more memory than a
@@ -381,7 +380,8 @@ class ModulusEngine:
         t_eff = heights[np.argmax(clearance, axis=0)]
         expected = self._counts(t_eff)
 
-        # Z at k spacing, k = -n..n, one row per character; real characters use t >= 0 alone.
+        # Z at k spacing, k = -n..n, one row per character.  Real characters seed at
+        # t >= 0 alone; a window may read t < 0, where their row mirrors t > 0.
         ts = spacing * np.arange(-n, n + 1)
         vals = np.concatenate([neg[n:0:-1], pos[: n + 1]]).T
         first = np.where(self._real, n, 0)
@@ -389,20 +389,20 @@ class ModulusEngine:
         cells = (np.arange(2 * n)[None, :] >= first[:, None]) & (ts[:-1] < reach) & (ts[1:] > -reach)
         row, cell = np.nonzero(cells & (vals[:, :-1] * vals[:, 1:] < 0.0))
         on_grid, node = np.nonzero((vals == 0.0) & (np.arange(2 * n + 1) >= first[:, None]) & (np.abs(ts) <= reach))
-        gammas = np.concatenate([spacing * (_seed(vals, row, cell, first) - n), ts[node]])
+        gammas = np.concatenate([spacing * (_seed(vals, row, cell) - n), ts[node]])
         owners = np.concatenate([row, on_grid])
         ok = self._check(gammas, owners)
         found = self._collect(gammas, owners, ok, t_eff, spacing)
 
-        # Rebank at a quarter step the cells of failed seeds and, for each
+        # Regrid at a quarter step the cells of failed seeds and, for each
         # character whose sign changes fall short of its count, the cells
         # where the interpolant dips toward zero; then seed and check again.
         failed = ~ok[: len(row)]
         short = [isinstance(e, int) and len(f[0]) < e for e, f in zip(expected, found)]
-        dip_row, dip_cell = _dips(vals, first, cells, np.flatnonzero(short))
+        dip_row, dip_cell = _dips(vals, cells, np.flatnonzero(short))
         redo_row, redo_cell = np.concatenate([row[failed], dip_row]), np.concatenate([cell[failed], dip_cell])
         if len(redo_row):
-            fine, fine_owners = self._regrid(vals, spacing, first, redo_row, redo_cell, t_eff)
+            fine, fine_owners = self._regrid(n, spacing, redo_row, redo_cell, t_eff)
             keep = np.concatenate([~failed, np.ones(len(node), dtype=bool)])
             gammas = np.concatenate([gammas[keep], fine])
             owners = np.concatenate([owners[keep], fine_owners])
@@ -414,32 +414,27 @@ class ModulusEngine:
         }
 
     def _regrid(
-        self, vals: np.ndarray, spacing: float, first: np.ndarray, row: np.ndarray, cell: np.ndarray, t_eff: np.ndarray
+        self, n: int, spacing: float, row: np.ndarray, cell: np.ndarray, t_eff: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Ordinates and owners of the sign changes in grid cells (row[k], cell[k]), from one quarter-step bank.
+        """Ordinates and owners of the sign changes in cells (row[k], cell[k]) of the grid k spacing, k = -n..n.
 
         Each cell gets its own 5 quarter-step nodes and `pad` more on either
-        side (clipped to the grid's usable range), so each of its four
-        quarter cells has a whole window.  Node j of cell k sits at
-        (begin[k] + j) * step.
+        side (clipped to the grid's range), so each of its four quarter cells
+        has a whole window.  Node j of cell k sits at (begin[k] + j) * step;
+        one `_line` call evaluates every node for its cell's character alone.
         """
-        n = (vals.shape[1] - 1) // 2
         step, pad = spacing / 4.0, NODES // 2 - 1
         width = 5 + 2 * pad
-        begin = np.clip(4 * (cell - n) - pad, 4 * (first[row] - n), 4 * n + 1 - width)
+        begin = np.clip(4 * (cell - n) - pad, -4 * n, 4 * n + 1 - width)
         nodes = begin[:, None] + np.arange(width)
-        heights, at = np.unique(np.abs(nodes), return_inverse=True)
-        chars, col = np.unique(row, return_inverse=True)
-        pos, neg = (v.real for v in self._bank(0.5 + 1j * step * heights, chars))
-        at, col = at.reshape(nodes.shape), col[:, None]
-        values = np.where(nodes >= 0, pos[at, col], neg[at, col])
+        values = self._line(step * nodes.ravel(), np.repeat(row, width))[0].reshape(nodes.shape)
         k = np.repeat(np.arange(len(row)), 4)
         sub = (4 * (cell - n) - begin)[k] + np.tile(np.arange(4), len(row))
         lo, hi = step * (begin[k] + sub), step * (begin[k] + sub + 1)
         reach = t_eff[row[k]]
         flip = (values[k, sub] * values[k, sub + 1] < 0.0) & (lo < reach) & (hi > -reach)
         k, sub = k[flip], sub[flip]
-        return step * (begin[k] + _seed(values, k, sub, np.zeros(len(row), dtype=int))), row[k]
+        return step * (begin[k] + _seed(values, k, sub)), row[k]
 
     def _check(self, gammas: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Whether Z of each owner changes sign across gamma -/+ TARGET_RADIUS, both beyond their error radius."""
@@ -470,19 +465,19 @@ class ModulusEngine:
         return out
 
 
-def _window(values: np.ndarray, row: np.ndarray, cell: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First node and values of the NODES-node window centred on each cell, kept within nodes first[row] onward."""
-    start = np.clip(cell - (NODES // 2 - 1), first[row], values.shape[1] - NODES)
+def _window(values: np.ndarray, row: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First node and values of the NODES-node window centred on each cell, kept within the row."""
+    start = np.clip(cell - (NODES // 2 - 1), 0, values.shape[1] - NODES)
     return start, values[row[:, None], start[:, None] + np.arange(NODES)]
 
 
-def _seed(values: np.ndarray, row: np.ndarray, cell: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _seed(values: np.ndarray, row: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """Where values[row[k]] changes sign between nodes cell[k] and cell[k] + 1, in node units.
 
     It is the root of the degree NODES - 1 interpolant through the window
     of NODES nodes around the cell.
     """
-    start, window = _window(values, row, cell, first)
+    start, window = _window(values, row, cell)
     return start + _interpolant_root(window, cell - start)
 
 
@@ -508,7 +503,7 @@ def _interpolant_root(f: np.ndarray, left: np.ndarray) -> np.ndarray:
     return left + 0.5 * (lo + hi)
 
 
-def _dips(vals: np.ndarray, first: np.ndarray, cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dips(vals: np.ndarray, cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid cells (row, cell) of `rows`, among `cells`, where Z keeps its sign but its interpolant dips toward zero.
 
     |Z| falls at the cell's left node and rises at its right one, so the
@@ -517,7 +512,7 @@ def _dips(vals: np.ndarray, first: np.ndarray, cells: np.ndarray, rows: np.ndarr
     """
     row, cell = np.nonzero(cells[rows] & (vals[rows, :-1] * vals[rows, 1:] > 0.0))
     row = rows[row]
-    start, window = _window(vals, row, cell, first)
+    start, window = _window(vals, row, cell)
     sign = np.sign(vals[row, cell])
     falls = sign * np.einsum("kj,kj->k", window, _DIFF[cell - start]) < 0.0
     rises = sign * np.einsum("kj,kj->k", window, _DIFF[cell - start + 1]) > 0.0
@@ -556,7 +551,6 @@ def _zero_set(
 def scan_zeros(
     chi: DirichletCharacter,
     T: float,
-    height_guard: float = DESK_HEIGHT_LIMIT,
     engine: ModulusEngine | None = None,
 ) -> ZeroSet:
     """Locate the critical-line zeros with |gamma| <= T for primitive chi.
@@ -580,14 +574,13 @@ def scan_zeros(
 
     Real characters are scanned on [0, t_eff] and mirrored (their zeros come
     in conjugate pairs); the conjugate of a complex character should reuse
-    this scan via ZeroSet.mirrored.
+    this scan via ZeroSet.mirrored.  Any finite positive T is scanned: the
+    desk-scale limits on q and T belong to the CLI.
     """
     if not chi.is_primitive:
         raise ValueError("scan_zeros requires a primitive character")
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"scan height must be finite and positive, got {T}")
-    if T > height_guard:
-        raise ValueError(f"scan limited to T <= {height_guard} (guard is configuration, raise it to override)")
     if engine is None:
         engine = ModulusEngine((chi,), T)
     elif engine.height != T:

@@ -14,12 +14,13 @@ the series identity, the kernel envelopes, the window sums, the power-sum
 witnesses, and the certified constants.  Every detector report records this.
 
 The module owns what a run reads: the suite names (`SUITES`), the default
-tolerances (`TOLERANCES`) and the zero data each suite reads (`zero_data_needed`).
+tolerances (`TOLERANCES`), the frozen budgets (`BUDGETS`) and the zero data
+each suite reads (`zero_data_needed`).
 
-Empirical implied constants (the <<-budgets) live in
-fixtures/empirical_budgets.json: scripts/record_budgets.py records the maxima
-observed across the default grid, and the checks assert against those frozen
-values.
+`BUDGETS` holds the empirical implied constants (the <<-budgets) of the
+large-sieve and Selberg checks: scripts/record_budgets.py measures their
+maxima over a grid of instances, inflates them by 1.5 and prints the dict,
+and the checks assert against these frozen values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -77,7 +77,6 @@ __all__ = [
     "explicit_formula_residual",
     "hadamard_derivative_check",
     "largesieve_smoothing_check",
-    "load_budgets",
     "repulsion_sums_check",
     "reports_to_json",
     "selberg_smoothed_sum_check",
@@ -87,6 +86,7 @@ __all__ = [
 
 SUITES = ("circle", "explicit_formula", "hadamard", "repulsion", "density", "largesieve", "selberg", "detector")
 TOLERANCES = {"explicit_formula": 0.05, "hadamard": 1e-4}
+BUDGETS = {"largesieve_ratio": 6.591, "weight_smoothing_ratio": 9.427, "selberg_error_budget": 0.15}
 # The circle check's largest disk radius: its disks reach T + CIRCLE_REACH.
 CIRCLE_REACH = 1.0
 # The explicit-formula and Hadamard checks read zeta and chi mod 4 to height 100 at most.
@@ -138,12 +138,6 @@ def _report(name: str, lhs: float, rhs: float, direction: str, tolerance: float 
         tolerance=tolerance,
         context=context,
     )
-
-
-def load_budgets() -> dict[str, float]:
-    """Frozen empirical implied-constant budgets (see scripts/record_budgets.py)."""
-    with resources.files("zerokit").joinpath("fixtures/empirical_budgets.json").open() as fh:
-        return json.load(fh)
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
@@ -516,26 +510,21 @@ def largesieve_smoothing_check(
     T: float,
     prime_window: tuple[float, float],
     coeffs: Mapping[int, complex],
-    ratio_budget: float | None = None,
-    smoothing_budget: float | None = None,
 ) -> list[CheckReport]:
     """Character-averaged mean value of a prime Dirichlet polynomial.
 
     lhs = sum over characters mod q of the t-integral of
     |sum_p b(p) chi(p) p^{-it}|^2 over [-T, T] (adaptive Simpson, relative
     tolerance 1e-8); rhs = (1/log y) sum_p p |b(p)|^2.  The reported ratio
-    lhs/rhs is the empirical implied constant of this instance.
+    lhs/rhs is the empirical implied constant of this instance, held to
+    BUDGETS["largesieve_ratio"].
 
     A second report compares the t-integral against the weight-smoothed
     x-integral for the same coefficients (the smoothing inequality that
-    feeds the sieve argument), using the weight at height T.
+    feeds the sieve argument), using the weight at height T, held to
+    BUDGETS["weight_smoothing_ratio"].
     """
     y, big_y = prime_window
-    budgets = load_budgets()
-    if ratio_budget is None:
-        ratio_budget = budgets["largesieve_ratio"]
-    if smoothing_budget is None:
-        smoothing_budget = budgets["weight_smoothing_ratio"]
 
     primes = []
     values = []
@@ -572,7 +561,7 @@ def largesieve_smoothing_check(
         _report(
             f"largesieve.q{q}.ratio",
             ratio,
-            ratio_budget,
+            BUDGETS["largesieve_ratio"],
             "<=",
             T=T,
             window=prime_window,
@@ -608,7 +597,7 @@ def largesieve_smoothing_check(
         _report(
             f"largesieve.q{q}.smoothing",
             smoothing_ratio,
-            smoothing_budget,
+            BUDGETS["weight_smoothing_ratio"],
             "<=",
             T=T,
             t_integral=lhs_t,
@@ -627,18 +616,17 @@ def selberg_smoothed_sum_check(
     z: float,
     x: float,
     params: WeightParams,
-    error_budget: float | None = None,
 ) -> CheckReport:
     """Weighted count of z-rough integers in a congruence class.
 
     lhs = sum over n = coset mod q with no prime factor <= z of
-    (1/n) Psi(x/n); rhs = 1/(phi(q) V(z)) + budget * z^(2+2eps) / x.
-    Direct summation over the weight's support window.
+    (1/n) Psi(x/n); rhs = 1/(phi(q) V(z)) + budget * z^(2+2eps) / x, with
+    budget = BUDGETS["selberg_error_budget"].  Direct summation over the
+    weight's support window.
     """
     if math.gcd(coset, q) != 1:
         raise ValueError("coset must be a unit residue")
-    if error_budget is None:
-        error_budget = load_budgets()["selberg_error_budget"]
+    error_budget = BUDGETS["selberg_error_budget"]
     half = 2.0 * params.degree_n / params.scale_A
     lo = max(1, math.floor(x * math.exp(-half)))
     hi = math.ceil(x * math.exp(half))

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -134,21 +133,34 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "--unsafe" in err
 
+    def test_guard_refuses_a_tall_scan_before_the_cache(self, capsys, tmp_path, monkeypatch):
+        import zerokit.dirichlet.zerocache as cmod
+
+        cache = tmp_path / "cache"
+        argv = ["zeros", "scan", "--q", "3", "--height", "1000.5", "--cache-dir", str(cache)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and "height 1000.5 exceeds the desk-scale guard" in err
+        assert not cache.exists()
+        requests = []
+        monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h: requests.append((q, h)) or {})
+        assert run(capsys, *argv, "--unsafe")[0] == EXIT_OK
+        assert requests == [(3, 1000.5)]
+
     def test_unsafe_lifts_the_height_guard_of_verify(self, capsys, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
         from zerokit.dirichlet.characters import primitive_inducer
         from zerokit.dirichlet.zeros import ZeroSet
 
-        guards = []
-        monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h, height_guard: guards.append(height_guard))
+        heights = []
+        monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h: heights.append(h))
         monkeypatch.setattr(cmod.ZeroLibrary, "get", lambda self, chi, h: ZeroSet(primitive_inducer(chi), (), h))
         argv = ["verify", "--suite", "density", "--qmax", "1", "--height", "1500", "--scan-missing"]
         code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == EXIT_USAGE and "desk-scale guard" in err
-        assert guards == []
+        assert heights == []
         code, _, _ = run(capsys, *argv, "--unsafe", "--cache-dir", str(tmp_path))
         assert code == EXIT_OK
-        assert guards == [math.inf]
+        assert heights == [1501.0]
 
     def test_verify_guard_checks_only_the_zero_data_read(self, capsys, tmp_path):
         # selberg reads no zeros, so a height beyond the desk guard is harmless;

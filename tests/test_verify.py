@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from zerokit.dirichlet.characters import enumerate_characters
 from zerokit.dirichlet.hurwitz import hurwitz_zeta
 from zerokit.kernels import WeightParams, psi_weight
 from zerokit.verify import (
+    BUDGETS,
     SUITES,
     CheckReport,
     _lattice_inverse_square,
@@ -22,7 +25,6 @@ from zerokit.verify import (
     explicit_formula_residual,
     hadamard_derivative_check,
     largesieve_smoothing_check,
-    load_budgets,
     repulsion_sums_check,
     reports_to_json,
     selberg_smoothed_sum_check,
@@ -302,10 +304,12 @@ class TestDetector:
         assert "ingredient" in report.context["note"]
 
 
-def test_budgets_fixture_loads():
-    budgets = load_budgets()
-    assert set(budgets) >= {"largesieve_ratio", "weight_smoothing_ratio", "selberg_error_budget", "rademacher_C"}
-    assert all(v > 0 for v in budgets.values())
+def test_recorder_reproduces_the_budgets():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_budgets.py"
+    spec = importlib.util.spec_from_file_location("record_budgets", path)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    assert recorder.measure_budgets() == BUDGETS
 
 
 def test_suite_output_is_deterministic(zero_library):

@@ -347,16 +347,21 @@ class TestScan:
 
     def test_failed_seeds_are_rebanked_locally(self, monkeypatch):
         # On a 0.5 grid the interpolant misses some zeta ordinates below 40
-        # by more than TARGET_RADIUS.  Only those seeds' cells are rebanked,
-        # at a quarter step, and their new seeds pass.
+        # by more than TARGET_RADIUS.  Only those seeds' cells are evaluated
+        # again, at a quarter step, and their new seeds pass.
         import zerokit.dirichlet.zeros as zmod
 
-        banks, checks = [], []
-        bank, check = zmod.ModulusEngine._bank, zmod.ModulusEngine._check
+        banks, lines, checks = [], [], []
+        bank, line, check = zmod.ModulusEngine._bank, zmod.ModulusEngine._line, zmod.ModulusEngine._check
 
         def banked(engine, s, cols):
             banks.append(s.imag.copy())
             return bank(engine, s, cols)
+
+        def lined(engine, ts, cols, radius=False):
+            if not radius:
+                lines.append(np.array(ts))
+            return line(engine, ts, cols, radius)
 
         def checked(engine, gammas, owners):
             ok = check(engine, gammas, owners)
@@ -366,14 +371,15 @@ class TestScan:
         default = scan_zeros(ZETA, 40.0)
         monkeypatch.setattr(zmod, "GRID_STEP", 0.5)
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
+        monkeypatch.setattr(zmod.ModulusEngine, "_line", lined)
         monkeypatch.setattr(zmod.ModulusEngine, "_check", checked)
         zs = scan_zeros(ZETA, 40.0)
         assert zs.certified
-        assert len(banks) == 3 and len(checks) == 2
+        assert len(banks) == 2 and len(lines) == 1 and len(checks) == 2
         (seeds, first), (_, second) = checks
         failed = seeds[~first]
         assert 0 < len(failed) < len(seeds) and len(second) == len(failed) and second.all()
-        rebanked = banks[2]
+        rebanked = lines[0]
         assert len(rebanked) < 4 * 40.0 / 0.5  # a whole-line grid at a quarter step
         # a failed seed's cell and 5 quarter steps either side
         assert all(np.min(np.abs(failed - t)) <= 2.25 * 0.5 for t in rebanked)
@@ -395,7 +401,7 @@ class TestScan:
         # each certified ordinate lies within TARGET_RADIUS of the same zero
         assert [z.gamma for z in zs.zeros] == pytest.approx([z.gamma for z in default.zeros], abs=2 * TARGET_RADIUS)
         assert sum(1 for z in zs.zeros if 246.3 < z.gamma < 246.42) == 2
-        monkeypatch.setattr(zmod, "_dips", lambda vals, first, cells, rows: (rows[:0], rows[:0]))
+        monkeypatch.setattr(zmod, "_dips", lambda vals, cells, rows: (rows[:0], rows[:0]))
         with pytest.warns(UserWarning, match="winding count"):
             assert not scan_zeros(chi, 250.0).certified
 
@@ -414,7 +420,7 @@ class TestScan:
         import zerokit.dirichlet.zerocache as cmod
 
         bad = ZeroSet(CHI4, (), 10.0, certified=False, unverified_windows=((-10.0, 10.0),))
-        monkeypatch.setattr(cmod, "scan_zeros", lambda chi, T, guard, engine: bad)
+        monkeypatch.setattr(cmod, "scan_zeros", lambda chi, T, engine: bad)
         lib = ZeroLibrary(tmp_path / "cache")
         lib.ensure(4, 10.0)
         assert not lib.certified()
