@@ -179,6 +179,8 @@ def cmd_zeros_scan(args: argparse.Namespace) -> int:
     q_values = [args.q] if args.q is not None else list(range(args.qmin, args.qmax + 1))
     if not q_values:
         raise ValueError(f"empty modulus range: --qmin {args.qmin} exceeds --qmax {args.qmax}")
+    if not (math.isfinite(args.height) and args.height > 0.0):
+        raise ValueError(f"scan height must be finite and positive, got {args.height}")
     _guard(cfg, max(q_values), args.height)
     library = ZeroLibrary(cfg.cache_dir)
     status = EXIT_OK

@@ -17,9 +17,25 @@ at the negative integers, where the formula is a polynomial identity and N = 1
 serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
 `hurwitz_rounding_bound` the floating-point error of the sum itself.
 
-The vector path shares the shift across all entries of s and a, and adds the
-direct block one n at a time on a (len(s), len(a)) array, so no term matrix is
-ever built.
+Two paths share the shift rule and the Euler--Maclaurin tail (`_add_tail`):
+
+* `hurwitz_zeta_vec`, the pointwise path, takes any s.  It shares the shift
+  across all entries of s and a and adds the direct block one n at a time on
+  a (len(s), len(a)) array, one complex exp per term, so no term matrix is
+  ever built.  `hurwitz_rounding_bound` bounds its floating-point error.
+* `hurwitz_zeta_progression` takes the points of an arithmetic progression
+  sigma + i (t0 + k h), k < count, by baby-step/giant-step: with
+  B = ceil(sqrt(count)) and k = j B + i,
+  (n+a)^-s = (n+a)^(-i (t0 + j B h)) (n+a)^(-sigma - i i h), so about
+  2 sqrt(count) N exps per shift a and one batched matrix product give the
+  direct block of every point.  Its values carry no rounding bound: what
+  must be certified goes through the pointwise path.
+
+In the zero engine (`zeros.ModulusEngine`) the progression path takes the
+scan grid and the count's equispaced right edge, neither of which carries an
+error radius; every other point goes pointwise, the certified sign checks
+among them, whose radius includes `hurwitz_rounding_bound`.  Radii on the
+right edge would need a rounding bound for the progression path as well.
 """
 
 from __future__ import annotations
@@ -30,7 +46,13 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["hurwitz_zeta", "hurwitz_zeta_vec", "hurwitz_error_bound", "hurwitz_rounding_bound"]
+__all__ = [
+    "hurwitz_zeta",
+    "hurwitz_zeta_vec",
+    "hurwitz_zeta_progression",
+    "hurwitz_error_bound",
+    "hurwitz_rounding_bound",
+]
 
 ORDER = 20  # Euler--Maclaurin correction order M
 TARGET = 1e-13  # certified bound on the remainder R_M
@@ -72,6 +94,23 @@ def _shift_for(s: np.ndarray) -> int:
     return max(1, math.ceil(shift))
 
 
+def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_up: np.ndarray, w_pow: np.ndarray) -> None:
+    """Add zeta(s, a) - sum_{n<N} (n+a)^-s, up to R_M, to `out` in place, term by term.
+
+    s is a column of points, w = N + a a row of shifts, and out, w_up =
+    w^(1-s) and w_pow = w^-s are (len(s), len(a)) arrays.
+    """
+    out += w_up / (s - 1.0)
+    out += 0.5 * w_pow
+    coeffs = _bernoulli_over_factorial()
+    poch = s.copy()  # (s)_1
+    w_fac = w_pow / w  # (N+a)^(-s-1)
+    for j in range(1, ORDER + 1):
+        out += coeffs[j - 1] * poch * w_fac
+        poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
+        w_fac = w_fac / (w * w)
+
+
 def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
     """zeta(s, a) for an array of complex s (no entry may equal 1) and Re a > 0.
 
@@ -94,18 +133,43 @@ def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
 
     w = n_shift + shifts
     logw = np.log(w)
-    out += np.exp((1.0 - flat) * logw) / (flat - 1.0)
-    w_pow = np.exp(-flat * logw)
-    out += 0.5 * w_pow
-
-    coeffs = _bernoulli_over_factorial()
-    poch = flat.copy()  # (s)_1
-    w_fac = w_pow / w  # (N+a)^(-s-1)
-    for j in range(1, ORDER + 1):
-        out += coeffs[j - 1] * poch * w_fac
-        poch = poch * (flat + (2 * j - 1)) * (flat + 2 * j)
-        w_fac = w_fac / (w * w)
+    _add_tail(out, flat, w, np.exp((1.0 - flat) * logw), np.exp(-flat * logw))
     return out.reshape(s.shape + a.shape)
+
+
+def hurwitz_zeta_progression(sigma: float, t0: float, h: float, count: int, a: float | np.ndarray) -> np.ndarray:
+    """zeta(sigma + i (t0 + k h), a) for k < count and real a > 0.
+
+    The result has shape (count,) + np.shape(a).  All points share the
+    shift N of `_shift_for`.  With B = ceil(sqrt(count)) baby steps and
+    J = ceil(count / B) giant steps, fine[u, n, i] = (n+a_u)^(-sigma - i i h)
+    and coarse[u, j, n] = (n+a_u)^(-i (t0 + j B h)) for n <= N; the direct
+    block is the batched product coarse[:, :, :N] @ fine[:, :N], and row
+    n = N of both tables gives the tail's (N+a)^-s, so no point takes a
+    complex exp of its own.
+    """
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValueError("hurwitz_zeta requires Re a > 0")
+    s = sigma + 1j * (t0 + h * np.arange(count))
+    if np.any(s == 1.0):
+        raise ValueError("hurwitz_zeta has a pole at s = 1")
+    n_shift = _shift_for(s)
+    baby = max(1, math.ceil(math.sqrt(count)))
+    giant = -(-count // baby)
+
+    shifts = a.reshape(1, -1)
+    # C-ordered tables, so that the product runs in BLAS.
+    log_n = np.log(shifts.T + np.arange(n_shift + 1))  # (len(a), N + 1)
+    fine = np.exp(-log_n[:, :, None] * (sigma + 1j * h * np.arange(baby)))  # (len(a), N + 1, B)
+    coarse = np.exp(-1j * (t0 + baby * h * np.arange(giant))[:, None] * log_n[:, None, :])  # (len(a), J, N + 1)
+    direct = np.matmul(coarse[:, :, :n_shift], fine[:, :n_shift])  # (len(a), J, B)
+    w_pow = coarse[:, :, n_shift, None] * fine[:, None, n_shift]  # (N+a)^-s, (len(a), J, B)
+    # Point k = j B + i sits at [u, j, i]: flatten (j, i) and keep k < count.
+    out, w_pow = (x.reshape(len(log_n), -1)[:, :count].T for x in (direct, w_pow))
+    w = n_shift + shifts
+    _add_tail(out, s[:, None], w, w * w_pow, w_pow)
+    return out.reshape((count,) + a.shape)
 
 
 def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:

@@ -17,11 +17,13 @@ in method but not in the evaluator.
   phase of the completed prefactor minus half the root-number phase; Z is
   real-valued in exact arithmetic for any primitive character.  The work is
   done by a `ModulusEngine`, one per modulus: a bank of zeta(1/2+it, a/q)
-  over the units, computed once on one grid for all characters it scans;
+  over the units, computed once on one grid for all characters it scans,
+  by the Hurwitz kernel's progression path;
   a seed at the root of the degree-11 interpolant through the NODES = 12
   grid values around each sign change, with no further evaluation; one
   batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
-  certified error radius (Hurwitz truncation plus floating-point rounding);
+  certified error radius (Hurwitz truncation plus floating-point rounding,
+  so these values come from the pointwise kernel that bound covers);
   and one local regrid at a quarter step of the cells whose seed failed, or
   where a character short of its count dips toward zero, then seeds and a
   check there.  A zero whose second check fails is reported as an
@@ -46,7 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
-from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import (
+    hurwitz_error_bound,
+    hurwitz_rounding_bound,
+    hurwitz_zeta_progression,
+    hurwitz_zeta_vec,
+)
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, gamma_factor_log_deriv, l_eval_vec, root_number
 
 __all__ = [
@@ -208,8 +215,8 @@ class ModulusEngine:
     its parity.  The first `zero_set` request scans every character:
 
     * one bank on the grid k h, h = T / ceil(T / GRID_STEP), up to the
-      highest count-edge candidate, plus the EDGE_CANDIDATES edge heights,
-      all in the same Hurwitz evaluation.  Only t >= 0 is evaluated: for real
+      highest count-edge candidate, by the progression path, plus the
+      EDGE_CANDIDATES edge heights, pointwise.  Only t >= 0 is evaluated: for real
       a, H at -t is the conjugate of H at t, so Z(-t) = Re[e^(i theta(t))
       q^(-s) (H @ conj(W))].  Real characters seed on the t >= 0 half alone;
     * per character, the count edge t_eff; one count for all characters, each
@@ -227,9 +234,12 @@ class ModulusEngine:
       sign changes than its count, of the cells where its interpolant dips
       toward zero (`_dips`); those cells are seeded and checked once more.
 
-    Every evaluation is cut into chunks of at most TABLE_ENTRIES table
-    entries, so a modulus near 200 (198 units) needs no more memory than a
-    small one.
+    The grid and the count's equispaced right edge are the only points the
+    progression path evaluates; they carry no error radius.  Every other
+    point, the certified sign checks among them, goes to the pointwise
+    `hurwitz_zeta_vec`.  Every evaluation is cut into chunks of at most
+    TABLE_ENTRIES table entries, so a modulus near 200 (198 units) needs no
+    more memory than a small one.
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
@@ -254,18 +264,26 @@ class ModulusEngine:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _tables(self, s: np.ndarray):
-        """(indices, s[indices], H) with H = zeta(s, a/q) on the units, chunk by chunk.
+    def _tables(self, s: np.ndarray, grid: tuple[float, float, int] = (0.0, 0.0, 0)):
+        """(rows, points, H) with H = zeta(points, a/q) on the units, chunk by chunk.
 
-        The chunks follow |Im s|, so each Hurwitz call takes the shift of its
-        own heights rather than that of the tallest point.
+        Rows 0 .. count - 1 are the progression sigma + i k h, k < count, of
+        `grid` = (sigma, h, count), evaluated by `hurwitz_zeta_progression`;
+        row count + j is s[j], evaluated pointwise by `hurwitz_zeta_vec`.
+        The chunks follow |Im s| (the progression's k, for h >= 0), so each
+        Hurwitz call takes the shift of its own heights rather than that of
+        the tallest point.
         """
         step = max(1, TABLE_ENTRIES // len(self._units))
         shifts = self._units / self.modulus
+        sigma, h, count = grid
+        for lo in range(0, count, step):
+            rows = np.arange(lo, min(lo + step, count))
+            yield rows, sigma + 1j * h * rows, hurwitz_zeta_progression(sigma, lo * h, h, len(rows), shifts)
         order = np.argsort(np.abs(s.imag), kind="stable")
         for lo in range(0, len(s), step):
             part = order[lo : lo + step]
-            yield part, s[part], hurwitz_zeta_vec(s[part], shifts)
+            yield count + part, s[part], hurwitz_zeta_vec(s[part], shifts)
 
     def _rotation(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s).
@@ -278,15 +296,22 @@ class ModulusEngine:
         phase = completed_prefactor_phase(s + shift, self.chars[0])
         return np.exp(1j * phase - s * math.log(self.modulus))
 
-    def _bank(self, s: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """e^(i theta) q^-s (H @ W) at s and at conj(s), Im s >= 0, for `cols`: two (points, cols) arrays."""
+    def _bank(
+        self, cols: np.ndarray, grid: tuple[float, float, int], s: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """e^(i theta) q^-s (H @ W) at points with Im >= 0 and at their conjugates, for `cols`.
+
+        The points are the progression sigma + i k h, k < count, of `grid` =
+        (sigma, h, count), then those of s; the result is two
+        (count + len(s), len(cols)) arrays, one row per point.
+        """
         weights = self._weights[:, cols]
         both = np.concatenate([weights, weights.conj()], axis=1)
         parities = np.unique(self._odd[cols])
         pick = np.tile(np.searchsorted(parities, self._odd[cols]), 2)
-        out = np.empty((len(s), both.shape[1]), dtype=complex)
-        for part, s_part, table in self._tables(s):
-            out[part] = self._rotation(s_part[:, None], parities)[:, pick] * (table @ both)
+        out = np.empty((grid[2] + len(s), both.shape[1]), dtype=complex)
+        for rows, points, table in self._tables(s, grid):
+            out[rows] = self._rotation(points[:, None], parities)[:, pick] * (table @ both)
         return out[:, : len(cols)], out[:, len(cols) :].conj()
 
     def _line(self, ts: np.ndarray, cols: np.ndarray, radius: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -326,14 +351,16 @@ class ModulusEngine:
         The functional equation maps the left half of the argument-principle
         rectangle onto the right half, so a count is Delta arg xi / pi along
         1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  All characters
-        share one right edge, a grid over [0, max t_eff] holding every t_eff,
-        whose step |Re L'/L| <= LOG_DERIV_BOUND and the parities' bound on
-        theta' make short enough to prove every phase lift.  The horizontal
-        edges are sampled at GRID_STEP, and a phase step there must stay
-        within one radian.  xi e^(-i arg w / 2) is real on the critical line,
-        so each total must land within WINDING_TOL of an integer.  A character
-        whose count fails either test gets a CountCertificationError in its
-        place; the other characters keep their counts.
+        share one right edge: an equispaced grid over [0, max t_eff], taken
+        by the progression path, and each t_eff off it, taken pointwise.
+        |Re L'/L| <= LOG_DERIV_BOUND and the parities' bound on theta' make
+        the grid's step short enough to prove every phase lift.  The
+        horizontal edges are sampled at GRID_STEP, and a phase step there
+        must stay within one radian.  xi e^(-i arg w / 2) is real on the
+        critical line, so each total must land within WINDING_TOL of an
+        integer.  A character whose count fails either test gets a
+        CountCertificationError in its place; the other characters keep
+        their counts.
         """
         top = float(np.max(t_eff))
         # theta' depends on the parity alone (and on q, shared): one character of each.
@@ -341,11 +368,20 @@ class ModulusEngine:
         speed = max(_phase_speed_bound(chi, top) for chi in by_parity.values())
         h = 0.5 * math.pi / (LOG_DERIV_BOUND + speed)
         heights = np.unique(t_eff)
-        right = np.union1d(np.linspace(0.0, top, int(math.ceil(top / h)) + 1), heights)
+        # The right edge: an equispaced grid, then the heights off it.
+        grid = np.linspace(0.0, top, int(math.ceil(top / h)) + 1)
+        extra = np.setdiff1d(heights, grid)
+        right = np.concatenate([grid, extra])
+        order = np.argsort(right)
+        right = right[order]
         # The horizontal edges short of their corner on the right edge.
         edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)[:-1]
-        s = np.concatenate([RIGHT + 1j * right, (edge + 1j * heights[:, None]).ravel()])
-        upper, lower = self._bank(s, np.arange(len(self.chars)))
+        s = np.concatenate([RIGHT + 1j * extra, (edge + 1j * heights[:, None]).ravel()])
+        # Rows of the right edge by height, then the horizontal edges.
+        upper, lower = (
+            np.concatenate([v[order], v[len(right) :]])
+            for v in self._bank(np.arange(len(self.chars)), (RIGHT, grid[1], len(grid)), s)
+        )
 
         counts = []
         for c, T in enumerate(map(float, t_eff)):
@@ -375,7 +411,7 @@ class ModulusEngine:
         # NODES // 2 steps past the highest edge candidate, so every seed has its NODES values.
         n = int(heights[-1] / spacing) + 1 + NODES // 2
         every = np.arange(len(self.chars))
-        pos, neg = (v.real for v in self._bank(0.5 + 1j * np.concatenate([spacing * np.arange(n + 1), heights]), every))
+        pos, neg = (v.real for v in self._bank(every, (0.5, spacing, n + 1), 0.5 + 1j * heights))
         clearance = np.minimum(np.abs(pos[n + 1 :]), np.abs(neg[n + 1 :]))
         t_eff = heights[np.argmax(clearance, axis=0)]
         expected = self._counts(t_eff)

@@ -146,6 +146,13 @@ class TestZerosAndVerify:
         assert run(capsys, *argv, "--unsafe")[0] == EXIT_OK
         assert requests == [(3, 1000.5)]
 
+    @pytest.mark.parametrize("height", ["-1", "0", "nan", "inf"])
+    def test_bad_height_is_refused_before_the_cache(self, capsys, tmp_path, height):
+        cache = tmp_path / "cache"
+        code, _, err = run(capsys, "zeros", "scan", "--q", "3", "--height", height, "--cache-dir", str(cache))
+        assert code == EXIT_USAGE and "scan height must be finite and positive" in err
+        assert not cache.exists()
+
     def test_unsafe_lifts_the_height_guard_of_verify(self, capsys, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
         from zerokit.dirichlet.characters import primitive_inducer

@@ -10,6 +10,7 @@ from zerokit.dirichlet.hurwitz import (
     hurwitz_error_bound,
     hurwitz_rounding_bound,
     hurwitz_zeta,
+    hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
 
@@ -77,6 +78,56 @@ class TestValues:
     def test_bad_shift_parameter(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, 0.0)
+
+
+def _units(q):
+    return np.array([u / q for u in range(1, q + 1) if math.gcd(u, q) == 1])
+
+
+class TestProgression:
+    # One progression across |t| <= 300: t0 = -300, 23 points, step 600/22
+    # (so t = 0 is one of them).
+    GRID = (-300.0, 600.0 / 22.0, 23)
+
+    @pytest.mark.parametrize("q", [1, 5, 199])
+    @pytest.mark.parametrize("sigma", [0.5, 1.25])
+    def test_against_mpmath(self, q, sigma):
+        t0, h, count = self.GRID
+        a = _units(q)
+        table = hurwitz_zeta_progression(sigma, t0, h, count, a)
+        assert table.shape == (count, len(a))
+        for k in (0, 5, 11, 17, count - 1):
+            for u in sorted({0, len(a) // 2, len(a) - 1}):
+                ref = complex(mp.zeta(mp.mpc(sigma, t0 + k * h), a[u]))
+                assert abs(table[k, u] - ref) <= 1e-11 * max(1.0, abs(ref)), (k, a[u])
+
+    @pytest.mark.parametrize("q", [1, 5, 199])
+    @pytest.mark.parametrize("sigma", [0.5, 1.25])
+    def test_matches_the_pointwise_kernel(self, q, sigma):
+        t0, h, count = self.GRID
+        a = _units(q)
+        pointwise = hurwitz_zeta_vec(sigma + 1j * (t0 + h * np.arange(count)), a)
+        table = hurwitz_zeta_progression(sigma, t0, h, count, a)
+        assert np.all(np.abs(table - pointwise) <= 1e-11 * np.maximum(1.0, np.abs(pointwise)))
+
+    @pytest.mark.parametrize("count", [1, 2, 13, 36])
+    def test_short_and_ragged_progressions(self, count):
+        # 1 and 2 points; 13 is prime, so the last of its 4 giant steps is
+        # short; 36 fills its 6 x 6 table.  The progression starts at t0 > 0.
+        a = np.array([0.2, 0.5, 1.0])
+        s = 0.5 + 1j * (250.0 + 0.05 * np.arange(count))
+        table = hurwitz_zeta_progression(0.5, 250.0, 0.05, count, a)
+        assert table.shape == (count, 3)
+        pointwise = hurwitz_zeta_vec(s, a)
+        assert np.all(np.abs(table - pointwise) <= 1e-11 * np.maximum(1.0, np.abs(pointwise)))
+        # a scalar shift gives a column, as in the pointwise kernel
+        assert hurwitz_zeta_progression(0.5, 250.0, 0.05, count, 0.5) == pytest.approx(table[:, 1], rel=1e-15)
+
+    def test_refuses_a_pole_and_a_bad_shift(self):
+        with pytest.raises(ValueError):
+            hurwitz_zeta_progression(1.0, -1.0, 0.5, 5, 0.5)
+        with pytest.raises(ValueError):
+            hurwitz_zeta_progression(0.5, 0.0, 0.5, 5, np.array([0.5, 0.0]))
 
 
 class TestCertifiedTruncation:

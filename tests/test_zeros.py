@@ -183,10 +183,11 @@ class TestScan:
 
         bank = zmod.ModulusEngine._bank
 
-        def jagged(engine, s, cols):
-            upper, lower = bank(engine, s, cols)
-            edge = (s.real > 0.5) & (s.real < zmod.RIGHT)
-            sign = np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)[edge]
+        def jagged(engine, cols, grid, s):
+            upper, lower = bank(engine, cols, grid, s)
+            # rows past the grid's count are those of s
+            edge = grid[2] + np.flatnonzero((s.real > 0.5) & (s.real < zmod.RIGHT))
+            sign = np.where(edge % 2 == 0, 1.0, -1.0)
             upper[edge, 0] *= sign
             lower[edge, 0] *= sign
             return upper, lower
@@ -261,18 +262,22 @@ class TestScan:
 
     def test_bank_matches_the_one_character_line(self):
         # The bank evaluates t >= 0 only and takes Z(-t) from the conjugate
-        # table; both halves must match the one-character reference form.
+        # table; both halves must match the one-character reference form, on
+        # the progression path's grid and at the pointwise points alike.
         chars = primitive_characters(5)
         engine = ModulusEngine(chars, 10.0)
+        grid = 0.35 * np.arange(40)
         ts = np.array([0.0, 0.7, 6.0, 14.13, 29.9])
-        pos, neg = (v.real for v in engine._bank(0.5 + 1j * ts, np.arange(len(chars))))
+        pos, neg = (v.real for v in engine._bank(np.arange(len(chars)), (0.5, 0.35, len(grid)), 0.5 + 1j * ts))
+        assert pos.shape == neg.shape == (len(grid) + len(ts), len(chars))
         for c, chi in enumerate(chars):
             half_phase = cmath.phase(root_number(chi)) / 2.0
-            assert pos[:, c] == pytest.approx(_rotated_line(chi, ts, half_phase), abs=1e-13)
-            assert neg[:, c] == pytest.approx(_rotated_line(chi, -ts, half_phase), abs=1e-13)
+            for rows, points in ((slice(None, len(grid)), grid), (slice(len(grid), None), ts)):
+                assert pos[rows, c] == pytest.approx(_rotated_line(chi, points, half_phase), abs=1e-13)
+                assert neg[rows, c] == pytest.approx(_rotated_line(chi, -points, half_phase), abs=1e-13)
         line, _ = engine._line(np.concatenate([ts, -ts]), np.repeat([0, 2], len(ts)))
-        assert line[: len(ts)] == pytest.approx(pos[:, 0], abs=1e-13)
-        assert line[len(ts) :] == pytest.approx(neg[:, 2], abs=1e-13)
+        assert line[: len(ts)] == pytest.approx(pos[len(grid) :, 0], abs=1e-13)
+        assert line[len(ts) :] == pytest.approx(neg[len(grid) :, 2], abs=1e-13)
 
     def test_complex_character_ordinates_against_mpmath_findroot(self):
         # independent oracle: mpmath's Dirichlet L-function and its root finder
@@ -305,25 +310,33 @@ class TestScan:
     def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
         # After the grid bank and the count bank, the scan evaluates Z only at
         # gamma -/+ TARGET_RADIUS of each ordinate it locates, in one call:
-        # no refinement rounds.
+        # no refinement rounds.  The scan grid and the count's right edge go
+        # through the progression path alone; the pointwise kernel sees the
+        # banks' scattered points and the sign-check points, nothing else.
         import zerokit.dirichlet.zeros as zmod
 
-        points, stages = [], []
-        kernel, bank, line = zmod.hurwitz_zeta_vec, zmod.ModulusEngine._bank, zmod.ModulusEngine._line
+        points, progressions, stages = [], [], []
+        kernel, progression = zmod.hurwitz_zeta_vec, zmod.hurwitz_zeta_progression
+        bank, line = zmod.ModulusEngine._bank, zmod.ModulusEngine._line
 
         def counted(s, a):
-            points.append(len(s))
+            points.append(np.array(s))
             return kernel(s, a)
 
-        def banked(engine, s, cols):
-            stages.append(("bank", len(s)))
-            return bank(engine, s, cols)
+        def stepped(sigma, t0, h, count, a):
+            progressions.append(sigma + 1j * (t0 + h * np.arange(count)))
+            return progression(sigma, t0, h, count, a)
+
+        def banked(engine, cols, grid, s):
+            stages.append(("bank", (grid, np.array(s))))
+            return bank(engine, cols, grid, s)
 
         def lined(engine, ts, cols, radius=False):
             stages.append(("line", np.array(ts)))
             return line(engine, ts, cols, radius)
 
         monkeypatch.setattr(zmod, "hurwitz_zeta_vec", counted)
+        monkeypatch.setattr(zmod, "hurwitz_zeta_progression", stepped)
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
         monkeypatch.setattr(zmod.ModulusEngine, "_line", lined)
         chars = primitive_characters(13)
@@ -332,7 +345,15 @@ class TestScan:
         assert all(zs.certified for zs in sets)
         assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
         ts = stages[2][1]
-        assert sum(points) == stages[0][1] + stages[1][1] + len(ts)
+        (scan_grid, scan_points), (right_grid, right_points) = stages[0][1], stages[1][1]
+        # no grid or right-edge point reaches the pointwise kernel ...
+        pointwise = np.concatenate(points)
+        assert len(pointwise) == len(scan_points) + len(right_points) + len(ts)
+        expected = np.concatenate([scan_points, right_points, 0.5 + 1j * ts])
+        assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(expected))
+        # ... and the progression path sees each of them once
+        grids = [sigma + 1j * h * np.arange(count) for sigma, h, count in (scan_grid, right_grid)]
+        assert np.concatenate(progressions) == pytest.approx(np.concatenate(grids), abs=1e-12)
         k = len(ts) // 2
         assert ts[k:] - ts[:k] == pytest.approx(np.full(k, 2 * TARGET_RADIUS), abs=1e-12)
         located = ts[:k] + TARGET_RADIUS
@@ -354,9 +375,9 @@ class TestScan:
         banks, lines, checks = [], [], []
         bank, line, check = zmod.ModulusEngine._bank, zmod.ModulusEngine._line, zmod.ModulusEngine._check
 
-        def banked(engine, s, cols):
+        def banked(engine, cols, grid, s):
             banks.append(s.imag.copy())
-            return bank(engine, s, cols)
+            return bank(engine, cols, grid, s)
 
         def lined(engine, ts, cols, radius=False):
             if not radius:
