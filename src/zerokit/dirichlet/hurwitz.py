@@ -32,10 +32,9 @@ Two paths share the shift rule and the Euler--Maclaurin tail (`_add_tail`):
   must be certified goes through the pointwise path.
 
 In the zero engine (`zeros.ModulusEngine`) the progression path takes the
-scan grid and the count's equispaced right edge, neither of which carries an
-error radius; every other point goes pointwise, the certified sign checks
-among them, whose radius includes `hurwitz_rounding_bound`.  Radii on the
-right edge would need a rounding bound for the progression path as well.
+scan grid alone, which carries no error radius; every other point goes
+pointwise: the count's, and the certified sign checks, whose radius includes
+`hurwitz_rounding_bound`.  No count value needs a progression rounding bound.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
     path = _cache_path(Path(cache_dir), q)
     if not path.exists():
         return {}
-    by_key: dict[str, list[tuple[float, float, float]]] = {}
+    by_key: dict[str, list[ZeroRecord]] = {}
     heights: dict[str, float] = {}
     text = path.read_text()
     # The writer ends every file with a newline; without one the last row may
@@ -99,24 +99,24 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
     lines = text.splitlines()
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"{path} does not carry the expected cache header")
-    for line in lines[1:]:
-        mod_s, key, beta_s, gamma_s, radius_s, height_s = line.split(",")
-        if int(mod_s) != q:
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            mod_s, key, beta_s, gamma_s, radius_s, height_s = line.split(",")
+            modulus, height = int(mod_s), float(height_s)
+            zeros = [ZeroRecord(float(beta_s), float(gamma_s), float(radius_s))] if beta_s else []
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+        if modulus != q:
             raise ValueError(f"{path} contains a row for modulus {mod_s}")
-        heights[key] = float(height_s)
-        if beta_s:
-            by_key.setdefault(key, []).append((float(beta_s), float(gamma_s), float(radius_s)))
-        else:
-            by_key.setdefault(key, [])
+        heights[key] = height
+        by_key.setdefault(key, []).extend(zeros)
     chars = {exponent_key(chi): chi for chi in enumerate_characters(q)}
     out: dict[tuple[int, ...], ZeroSet] = {}
     for key, rows in by_key.items():
         chi = chars.get(key)
         if chi is None:
             raise ValueError(f"{path} has a row for character key {key!r}, which is no character mod {q}")
-        zeros = tuple(
-            ZeroRecord(beta, gamma, radius) for beta, gamma, radius in sorted(rows, key=lambda r: r[1])
-        )
+        zeros = tuple(sorted(rows, key=lambda z: z.gamma))
         out[chi.exponents] = ZeroSet(chi, zeros, heights[key], True, ())
     return out
 

@@ -8,10 +8,11 @@ in method but not in the evaluator.
 * `count_zeros` counts zeros of the completed function by the argument
   principle.  The functional equation halves the contour: the count is the
   phase change of xi along 1/2 - iT -> 5/4 - iT -> 5/4 + iT -> 1/2 + iT,
-  divided by pi.  One count for all characters of a modulus reads the bank,
-  on a right edge whose step an a-priori bound on |L'/L| proves fine enough;
-  nothing is evaluated left of the critical line, and only the gamma
-  factor's phase is materialised, so tall contours do not underflow.
+  divided by pi.  One count for all characters of a modulus reads the bank
+  on the horizontal edges; the right edge is a closed form in the corner
+  values (`ModulusEngine._counts`).  Nothing is evaluated left of the
+  critical line, and only the gamma factor's phase is materialised, so tall
+  contours do not underflow.
 * `scan_zeros` locates critical-line zeros as sign changes of the rotated
   completed function Z(t) = Re[e^{i theta(t)} L(1/2+it)], where theta is the
   phase of the completed prefactor minus half the root-number phase; Z is
@@ -54,7 +55,7 @@ from zerokit.dirichlet.hurwitz import (
     hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
-from zerokit.dirichlet.lfunctions import completed_prefactor_phase, gamma_factor_log_deriv, l_eval_vec, root_number
+from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 
 __all__ = [
     "CountCertificationError",
@@ -75,10 +76,8 @@ TABLE_ENTRIES = 1 << 14
 # Ordinate step of the sign-change grid (a quarter of it in the cells rebanked
 # after a failed sign check or a short count).
 GRID_STEP = 0.05
-# The count's right edge, Re s = RIGHT, and -zeta'/zeta(RIGHT) rounded up: a
-# bound on |L'/L(RIGHT + it, chi)| for every chi and every t.
+# The count's right edge, Re s = RIGHT.
 RIGHT = 1.25
-LOG_DERIV_BOUND = 3.4666545
 # A phase change in units of pi must land this close to an integer.
 WINDING_TOL = 0.1
 # The scan counts at the best of T + k * GRID_STEP, k = 0 .. EDGE_CANDIDATES - 1.
@@ -163,21 +162,6 @@ def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
 # -- argument principle -------------------------------------------------------
 
 
-def _phase_speed_bound(chi: DirichletCharacter, T: float) -> float:
-    """Bound on |theta'(t)| for |t| <= T, theta the prefactor phase on Re s = RIGHT.
-
-    theta' is the real part of the prefactor's log-derivative: the gamma term
-    plus (1/2) log q, plus Re(1/s + 1/(s-1)) for the principal character.  Re
-    psi(x + iy) increases with |y|, so the gamma term's extremes sit at t = 0
-    and t = T; the principal term is positive and largest at t = 0.
-    """
-    half_log_q = 0.5 * math.log(chi.modulus)
-    bound = max(abs(gamma_factor_log_deriv(complex(RIGHT, t), chi).real + half_log_q) for t in (0.0, T))
-    if chi.is_principal:
-        bound += 1.0 / RIGHT + 1.0 / (RIGHT - 1.0)
-    return bound
-
-
 def count_zeros(chi: DirichletCharacter, T: float) -> int:
     """Nontrivial zeros with |gamma| < T, with multiplicity: the one-character view of `ModulusEngine._counts`."""
     if not chi.is_primitive:
@@ -220,7 +204,8 @@ class ModulusEngine:
       a, H at -t is the conjugate of H at t, so Z(-t) = Re[e^(i theta(t))
       q^(-s) (H @ conj(W))].  Real characters seed on the t >= 0 half alone;
     * per character, the count edge t_eff; one count for all characters, each
-      at its own t_eff, from one bank on the half contour (`_counts`);
+      at its own t_eff, from one pointwise bank on the horizontal edges of
+      the half contour, corners included (`_counts`);
     * every sign change of every character at once: a seed at the root of the
       degree-11 interpolant through the NODES grid values around it, read
       from the bank (the grid runs NODES // 2 steps past the highest edge
@@ -234,9 +219,9 @@ class ModulusEngine:
       sign changes than its count, of the cells where its interpolant dips
       toward zero (`_dips`); those cells are seeded and checked once more.
 
-    The grid and the count's equispaced right edge are the only points the
-    progression path evaluates; they carry no error radius.  Every other
-    point, the certified sign checks among them, goes to the pointwise
+    The scan grid is the only line the progression path evaluates; it
+    carries no error radius.  Every other point, the count's and the
+    certified sign checks among them, goes to the pointwise
     `hurwitz_zeta_vec`.  Every evaluation is cut into chunks of at most
     TABLE_ENTRIES table entries, so a modulus near 200 (198 units) needs no
     more memory than a small one.
@@ -250,8 +235,8 @@ class ModulusEngine:
             raise ValueError("one engine serves the characters of one modulus")
         values = np.array([char_value_vec(chi, np.arange(1, self.modulus + 1)) for chi in self.chars]).T
         self._units = np.flatnonzero(np.any(values != 0.0, axis=1)) + 1
-        half_phases = np.array([cmath.phase(root_number(chi)) / 2.0 for chi in self.chars])
-        self._weights = values[self._units - 1] * np.exp(-1j * half_phases)
+        self._half_phases = np.array([cmath.phase(root_number(chi)) / 2.0 for chi in self.chars])
+        self._weights = values[self._units - 1] * np.exp(-1j * self._half_phases)
         self._odd = np.array([chi.parity == "odd" for chi in self.chars])
         self._real = np.array([conjugate_character(chi) == chi for chi in self.chars])
         self._sets: dict[tuple[int, ...], ZeroSet] | None = None
@@ -285,16 +270,19 @@ class ModulusEngine:
             part = order[lo : lo + step]
             yield count + part, s[part], hurwitz_zeta_vec(s[part], shifts)
 
-    def _rotation(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s).
+    def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """theta(s), the completed prefactor's phase, for characters of parity `odd` (broadcast against s).
 
         gamma_chi(s) = pi^(-(s+a)/2) Gamma((s+a)/2), a = 1 for odd chi and 0
         for even chi, so the first character's prefactor phase taken at
         s + a - a_0 is theta for either parity: one gamma evaluation serves both.
         """
         shift = np.asarray(odd, dtype=float) - float(self._odd[0])
-        phase = completed_prefactor_phase(s + shift, self.chars[0])
-        return np.exp(1j * phase - s * math.log(self.modulus))
+        return completed_prefactor_phase(s + shift, self.chars[0])
+
+    def _rotation(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
+        """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s)."""
+        return np.exp(1j * self._phase(s, odd) - s * math.log(self.modulus))
 
     def _bank(
         self, cols: np.ndarray, grid: tuple[float, float, int], s: np.ndarray
@@ -350,48 +338,43 @@ class ModulusEngine:
 
         The functional equation maps the left half of the argument-principle
         rectangle onto the right half, so a count is Delta arg xi / pi along
-        1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  All characters
-        share one right edge: an equispaced grid over [0, max t_eff], taken
-        by the progression path, and each t_eff off it, taken pointwise.
-        |Re L'/L| <= LOG_DERIV_BOUND and the parities' bound on theta' make
-        the grid's step short enough to prove every phase lift.  The
-        horizontal edges are sampled at GRID_STEP, and a phase step there
-        must stay within one radian.  xi e^(-i arg w / 2) is real on the
-        critical line, so each total must land within WINDING_TOL of an
-        integer.  A character whose count fails either test gets a
+        1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  The horizontal
+        edges, corners included, are sampled at GRID_STEP by one pointwise
+        bank for all characters, and a phase step there must stay within one
+        radian.  The right edge needs no samples.  On it the bank's value is
+        e^(i (theta - arg w / 2)) L, where theta, the completed prefactor's
+        phase, is continuous (loggamma is analytic for Re > 0, and Re(s - 1)
+        > 0), and for Re s = sigma > 1 the Euler product gives
+
+            |Im log L(s, chi)| <= sum_p sum_k p^(-k sigma) / k = log zeta(sigma),
+
+        with log zeta(RIGHT) < 1.525 < pi: the continuous branch of arg L
+        along the edge is the principal Arg.  theta(conj s) = -theta(s), so
+        the edge's phase change is 2 theta(RIGHT + iT) + Arg L(RIGHT + iT)
+        - Arg L(RIGHT - iT), Arg L read off the two corner values
+        (`_right_edge`).  xi e^(-i arg w / 2) is real on the critical line,
+        so each total must land within WINDING_TOL of an integer.  A
+        character whose count fails either test gets a
         CountCertificationError in its place; the other characters keep
         their counts.
         """
-        top = float(np.max(t_eff))
-        # theta' depends on the parity alone (and on q, shared): one character of each.
-        by_parity = {chi.parity: chi for chi in self.chars}
-        speed = max(_phase_speed_bound(chi, top) for chi in by_parity.values())
-        h = 0.5 * math.pi / (LOG_DERIV_BOUND + speed)
+        t_eff = np.asarray(t_eff, dtype=float)
         heights = np.unique(t_eff)
-        # The right edge: an equispaced grid, then the heights off it.
-        grid = np.linspace(0.0, top, int(math.ceil(top / h)) + 1)
-        extra = np.setdiff1d(heights, grid)
-        right = np.concatenate([grid, extra])
-        order = np.argsort(right)
-        right = right[order]
-        # The horizontal edges short of their corner on the right edge.
-        edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)[:-1]
-        s = np.concatenate([RIGHT + 1j * extra, (edge + 1j * heights[:, None]).ravel()])
-        # Rows of the right edge by height, then the horizontal edges.
-        upper, lower = (
-            np.concatenate([v[order], v[len(right) :]])
-            for v in self._bank(np.arange(len(self.chars)), (RIGHT, grid[1], len(grid)), s)
-        )
+        edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
+        every = np.arange(len(self.chars))
+        upper, lower = self._bank(every, (0.0, 0.0, 0), (edge + 1j * heights[:, None]).ravel())
+        # Each character's edge rows, from 1/2 to its corner on Re s = RIGHT.
+        rows = len(edge) * np.searchsorted(heights, t_eff)[:, None] + np.arange(len(edge))
+        upper, lower = upper[rows, every[:, None]], lower[rows, every[:, None]]
+        right = self._right_edge(t_eff, upper[:, -1], lower[:, -1])
 
         counts = []
         for c, T in enumerate(map(float, t_eff)):
-            k = int(np.searchsorted(right, T))
-            j = len(right) + len(edge) * int(np.searchsorted(heights, T))
-            rows = slice(j, j + len(edge))
-            path = np.concatenate([lower[rows, c], lower[k:0:-1, c], upper[: k + 1, c], upper[rows, c][::-1]])
+            path = np.concatenate([lower[c], upper[c, ::-1]])
+            # The corner-to-corner step gives way to the right edge's closed form.
             steps = np.angle(path[1:] * path[:-1].conj())
-            horizontal = np.concatenate([steps[: len(edge)], steps[-len(edge) :]])
-            total = float(np.sum(steps)) / math.pi
+            horizontal = np.delete(steps, len(edge) - 1)
+            total = (float(np.sum(horizontal)) + right[c]) / math.pi
             if np.max(np.abs(horizontal)) > 1.0:
                 counts.append(CountCertificationError(f"phase step on a horizontal edge at height {T} exceeds one radian"))
             elif abs(total - round(total)) > WINDING_TOL:
@@ -402,11 +385,25 @@ class ModulusEngine:
                 counts.append(round(total))
         return counts
 
+    def _right_edge(self, t_eff: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """Phase change of each character c's bank value along RIGHT - i t_eff[c] -> RIGHT + i t_eff[c].
+
+        upper[c] and lower[c] are the bank's values at the edge's ends,
+        RIGHT + i t_eff[c] and RIGHT - i t_eff[c]; `_counts` proves the branch.
+        """
+        theta = self._phase(RIGHT + 1j * t_eff, self._odd)
+        unturn = np.exp(1j * self._half_phases)
+        arg_upper = np.angle(upper * np.exp(-1j * theta) * unturn)
+        arg_lower = np.angle(lower * np.exp(1j * theta) * unturn)
+        return 2.0 * theta + arg_upper - arg_lower
+
     # -- scanning ---------------------------------------------------------------
 
     def _scan(self) -> dict[tuple[int, ...], ZeroSet]:
         T = self.height
-        spacing = T / math.ceil(T / GRID_STEP)
+        # A step that divides T, or GRID_STEP itself below it: never below GRID_STEP / 2.
+        span = max(T, GRID_STEP)
+        spacing = span / math.ceil(span / GRID_STEP)
         heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
         # NODES // 2 steps past the highest edge candidate, so every seed has its NODES values.
         n = int(heights[-1] / spacing) + 1 + NODES // 2

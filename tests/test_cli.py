@@ -205,6 +205,47 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "zeros_q0005.csv" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (5, None, "not enough values to unpack"),
+            (2, "0.5x", "could not convert string to float: '0.5x'"),
+            (2, "1.5", "0 < beta < 1"),
+        ],
+    )
+    def test_corrupt_row_names_its_file_and_line(self, capsys, tmp_path, field, value, message):
+        # The first zero row loses its last field, or gets a beta that does
+        # not parse or lies off the strip.
+        assert run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))[0] == EXIT_OK
+        path = tmp_path / "zeros_q0005.csv"
+        header, first, *rest = path.read_text().splitlines()
+        fields = first.split(",")
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        code, _, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and "zeros_q0005.csv, line 2: " in err and message in err
+
+    def test_height_below_the_grid_step_scans_a_short_grid(self, capsys, tmp_path, monkeypatch):
+        # The grid step stays near GRID_STEP however small the height, so
+        # the grid to 1e-9 + 0.5 has about 0.5 / GRID_STEP rows; the check
+        # runs before anything is evaluated.
+        import zerokit.dirichlet.zeros as zmod
+
+        bank = zmod.ModulusEngine._bank
+
+        def bounded(engine, cols, grid, s):
+            assert grid[2] <= 0.5 / zmod.GRID_STEP + zmod.NODES + 3
+            return bank(engine, cols, grid, s)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_bank", bounded)
+        code, out, err = run(capsys, "zeros", "scan", "--q", "3", "--height", "1e-9", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK, err
+        assert out.splitlines() == ["q3.e1: 0 zeros to height 1e-09"]
+
     def test_scan_near_zeros_of_two_characters_is_certified(self, capsys, tmp_path):
         # -51.089999 lies 1.1e-5 from a zero of q5.e1 and of q5.e3: the count
         # edge must move clear of both.

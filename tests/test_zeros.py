@@ -10,12 +10,14 @@ import pytest
 from zerokit.dirichlet.characters import (
     char_label,
     char_value,
+    char_value_vec,
     conjugate_character,
     enumerate_characters,
     exponent_key,
     primitive_characters,
 )
-from zerokit.dirichlet.lfunctions import root_number
+from zerokit.dirichlet.hurwitz import hurwitz_zeta_vec
+from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 from zerokit.dirichlet.zerocache import CACHE_HEADER, ZeroLibrary, read_zero_cache, write_zero_cache
 from zerokit.dirichlet.zeros import (
     TARGET_RADIUS,
@@ -97,6 +99,41 @@ class TestRectangleCounts:
         assert len(heights) == len(chars)
         assert len(set(heights)) == 11
         assert ModulusEngine(chars, 5.0)._counts(heights) == counts
+
+    @pytest.mark.parametrize("T", [5.3, 51.0, 300.0])
+    @pytest.mark.parametrize("q, picks", [(1, None), (4, None), (5, None), (13, None), (199, (0, 1, 98))])
+    def test_right_edge_closed_form_against_a_dense_edge(self, q, picks, T):
+        # The reference path: L(5/4 + it) from the pointwise Hurwitz kernel,
+        # summed over the units as l_eval_vec sums them, at step <= 0.01 on
+        # t >= 0 (H(conj s, a) = conj H(s, a)), rotated by the prefactor
+        # phase and unwrapped.  Mod 199: two complex characters of either
+        # parity and the real one.
+        import mpmath as mp
+
+        import zerokit.dirichlet.zeros as zmod
+
+        chars = primitive_characters(q)
+        if picks:
+            chars = tuple(chars[k] for k in picks)
+        values = np.array([char_value_vec(chi, np.arange(1, q + 1)) for chi in chars]).T
+        units = np.flatnonzero(np.any(values != 0.0, axis=1)) + 1
+        ts = np.linspace(0.0, T, int(math.ceil(T / 0.01)) + 1)
+        table = np.concatenate(
+            [hurwitz_zeta_vec(zmod.RIGHT + 1j * part, units / q) for part in np.array_split(ts, len(ts) // 500 + 1)]
+        )
+        weights = values[units - 1]
+        s = zmod.RIGHT + 1j * np.concatenate([-ts[:0:-1], ts])
+        L = np.exp(-s[:, None] * math.log(q)) * np.concatenate([(table[:0:-1] @ weights.conj()).conj(), table @ weights])
+        ends = np.array([l_eval_vec(s[[0, -1]], chi) for chi in chars]).T
+        assert L[[0, -1]] == pytest.approx(ends, rel=1e-12)
+        theta = np.array([completed_prefactor_phase(s, chi) for chi in chars]).T
+        dense = np.unwrap(np.angle(np.exp(1j * theta) * L), axis=0)
+        assert np.max(np.abs(np.angle(L))) <= math.log(mp.zeta(1.25))
+
+        engine = ModulusEngine(chars, T)
+        upper, lower = engine._bank(np.arange(len(chars)), (0.0, 0.0, 0), np.array([zmod.RIGHT + 1j * T]))
+        closed = engine._right_edge(np.full(len(chars), T), upper[0], lower[0])
+        assert closed == pytest.approx(dense[-1] - dense[0], abs=1e-9)
 
     def test_boundary_on_zero_is_perturbed_upward(self):
         # The requested height sits 1.4e-7 below the first ordinate.  A count
@@ -185,8 +222,12 @@ class TestScan:
 
         def jagged(engine, cols, grid, s):
             upper, lower = bank(engine, cols, grid, s)
-            # rows past the grid's count are those of s
-            edge = grid[2] + np.flatnonzero((s.real > 0.5) & (s.real < zmod.RIGHT))
+            # The count's bank is pointwise: its rows are those of s, each
+            # height's edge from 1/2 to the corner on Re s = RIGHT.  The
+            # points strictly between are flipped; the corners, which give
+            # the right edge, are not.
+            assert grid[2] == 0 or np.all(s.real == 0.5)
+            edge = np.flatnonzero((s.real > 0.5) & (s.real < zmod.RIGHT))
             sign = np.where(edge % 2 == 0, 1.0, -1.0)
             upper[edge, 0] *= sign
             lower[edge, 0] *= sign
@@ -310,9 +351,10 @@ class TestScan:
     def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
         # After the grid bank and the count bank, the scan evaluates Z only at
         # gamma -/+ TARGET_RADIUS of each ordinate it locates, in one call:
-        # no refinement rounds.  The scan grid and the count's right edge go
-        # through the progression path alone; the pointwise kernel sees the
-        # banks' scattered points and the sign-check points, nothing else.
+        # no refinement rounds.  The scan grid goes through the progression
+        # path alone; the count's bank is pointwise, and the pointwise kernel
+        # sees the banks' scattered points and the sign-check points, nothing
+        # else.
         import zerokit.dirichlet.zeros as zmod
 
         points, progressions, stages = [], [], []
@@ -345,15 +387,16 @@ class TestScan:
         assert all(zs.certified for zs in sets)
         assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
         ts = stages[2][1]
-        (scan_grid, scan_points), (right_grid, right_points) = stages[0][1], stages[1][1]
-        # no grid or right-edge point reaches the pointwise kernel ...
+        (scan_grid, scan_points), (count_grid, count_points) = stages[0][1], stages[1][1]
+        assert count_grid[2] == 0
+        # no grid point reaches the pointwise kernel ...
         pointwise = np.concatenate(points)
-        assert len(pointwise) == len(scan_points) + len(right_points) + len(ts)
-        expected = np.concatenate([scan_points, right_points, 0.5 + 1j * ts])
+        assert len(pointwise) == len(scan_points) + len(count_points) + len(ts)
+        expected = np.concatenate([scan_points, count_points, 0.5 + 1j * ts])
         assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(expected))
-        # ... and the progression path sees each of them once
-        grids = [sigma + 1j * h * np.arange(count) for sigma, h, count in (scan_grid, right_grid)]
-        assert np.concatenate(progressions) == pytest.approx(np.concatenate(grids), abs=1e-12)
+        # ... and the progression path sees each of them once, and nothing else
+        sigma, h, count = scan_grid
+        assert np.concatenate(progressions) == pytest.approx(sigma + 1j * h * np.arange(count), abs=1e-12)
         k = len(ts) // 2
         assert ts[k:] - ts[:k] == pytest.approx(np.full(k, 2 * TARGET_RADIUS), abs=1e-12)
         located = ts[:k] + TARGET_RADIUS
@@ -365,6 +408,27 @@ class TestScan:
         assert kept.sum() == len(stored)
         # the rest lie between T and the highest count edge
         assert np.all((np.abs(located[~kept]) > 20.0) & (np.abs(located[~kept]) <= 20.5))
+
+    @pytest.mark.parametrize("T", [1e-9, 1e-3, 0.05, 51.0])
+    def test_grid_rows_grow_with_the_height_alone(self, monkeypatch, T):
+        # The grid reaches NODES // 2 steps past the highest count edge,
+        # T + 0.5, at a step near GRID_STEP however small T is; the spy
+        # checks its size before anything is evaluated.
+        import zerokit.dirichlet.zeros as zmod
+
+        bank = zmod.ModulusEngine._bank
+        grids = []
+
+        def bounded(engine, cols, grid, s):
+            grids.append(grid)
+            assert grid[2] <= (T + 0.5) / zmod.GRID_STEP + zmod.NODES + 2
+            return bank(engine, cols, grid, s)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_bank", bounded)
+        zs = scan_zeros(primitive_characters(3)[0], T)
+        assert zs.certified and zs.complete_to_height == T
+        assert len(grids) == 2 and grids[0][2] > 0
+        assert (len(zs.zeros) > 0) == (T > 8.0)
 
     def test_failed_seeds_are_rebanked_locally(self, monkeypatch):
         # On a 0.5 grid the interpolant misses some zeta ordinates below 40
