@@ -17,6 +17,7 @@ what is missing on request, and scans each conjugate pair only once.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -103,6 +104,10 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
         try:
             mod_s, key, beta_s, gamma_s, radius_s, height_s = line.split(",")
             modulus, height = int(mod_s), float(height_s)
+            if not 0.0 < height < math.inf:
+                raise ValueError(f"complete_to_height {height_s} is not finite and positive")
+            if beta_s and not (abs(float(gamma_s)) < math.inf and 0.0 < float(radius_s) < math.inf):
+                raise ValueError(f"gamma {gamma_s} is not finite or radius {radius_s} not finite and positive")
             zeros = [ZeroRecord(float(beta_s), float(gamma_s), float(radius_s))] if beta_s else []
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
@@ -117,7 +122,7 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
         if chi is None:
             raise ValueError(f"{path} has a row for character key {key!r}, which is no character mod {q}")
         zeros = tuple(sorted(rows, key=lambda z: z.gamma))
-        out[chi.exponents] = ZeroSet(chi, zeros, heights[key], True, ())
+        out[chi.exponents] = ZeroSet(chi, zeros, heights[key])
     return out
 
 

@@ -18,7 +18,7 @@ in method but not in the evaluator.
   phase of the completed prefactor minus half the root-number phase; Z is
   real-valued in exact arithmetic for any primitive character.  The work is
   done by a `ModulusEngine`, one per modulus: a bank of zeta(1/2+it, a/q)
-  over the units, computed once on one grid for all characters it scans,
+  over the units, computed once on the lattice for all characters it scans,
   by the Hurwitz kernel's progression path;
   a seed at the root of the degree-11 interpolant through the NODES = 12
   grid values around each sign change, with no further evaluation; one
@@ -31,12 +31,13 @@ in method but not in the evaluator.
   unverified window, never accepted silently.
 
 A scan to height T is *complete* when the number of zeros it locates on
-[-t_eff, t_eff] matches the count there.  The count edge t_eff is the height
-among T, T + GRID_STEP, ..., T + 10 GRID_STEP where |Z| is largest at both
-t_eff and -t_eff.  The stored set keeps the zeros with |gamma| <= T, and its
-`complete_to_height` is the requested T.  Mismatches, and counts that
-cannot be certified, are reported as unverified windows (potential off-line
-zeros) of that character alone rather than silently accepted.
+[-t_eff, t_eff] matches the count there.  The grid is the fixed lattice
+k GRID_STEP, and the count edge t_eff is the one of its EDGE_CANDIDATES nodes
+from the first >= T where |Z| is largest at both t_eff and -t_eff.  The
+stored set keeps the zeros with |gamma| <= T, and its `complete_to_height`
+is the requested T.  Mismatches, and counts that cannot be certified, are
+reported as unverified windows (potential off-line zeros) of that character
+alone rather than silently accepted.
 """
 
 from __future__ import annotations
@@ -73,14 +74,14 @@ TARGET_RADIUS = 1e-9
 NODES = 12
 # Points x units per Hurwitz call of the engine.
 TABLE_ENTRIES = 1 << 14
-# Ordinate step of the sign-change grid (a quarter of it in the cells rebanked
-# after a failed sign check or a short count).
+# The sign-change grid is the lattice t_k = k GRID_STEP, at every height (a
+# quarter step in the cells rebanked after a failed sign check or a short count).
 GRID_STEP = 0.05
 # The count's right edge, Re s = RIGHT.
 RIGHT = 1.25
 # A phase change in units of pi must land this close to an integer.
 WINDING_TOL = 0.1
-# The scan counts at the best of T + k * GRID_STEP, k = 0 .. EDGE_CANDIDATES - 1.
+# The scan counts at the best of the EDGE_CANDIDATES lattice nodes from the first one >= T.
 EDGE_CANDIDATES = 11
 
 
@@ -116,13 +117,16 @@ class ZeroSet:
     character: DirichletCharacter
     zeros: tuple[ZeroRecord, ...]
     complete_to_height: float
-    certified: bool = True
     unverified_windows: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         gammas = [z.gamma for z in self.zeros]
         if gammas != sorted(gammas):
             raise ValueError("zeros must be sorted by ordinate")
+
+    @property
+    def certified(self) -> bool:
+        return not self.unverified_windows
 
     def covers(self, height: float) -> bool:
         """Whether the set is complete to `height`, up to a 1e-12 rounding slack."""
@@ -141,12 +145,9 @@ class ZeroSet:
 
     def mirrored(self, character: DirichletCharacter) -> "ZeroSet":
         """The zero set of the conjugate character (ordinates and windows negated)."""
-        flipped = tuple(
-            ZeroRecord(z.beta, -z.gamma, z.certified_radius)
-            for z in reversed(self.zeros)
-        )
+        flipped = tuple(ZeroRecord(z.beta, -z.gamma, z.certified_radius) for z in reversed(self.zeros))
         windows = tuple((-b, -a) for a, b in reversed(self.unverified_windows))
-        return ZeroSet(character, flipped, self.complete_to_height, self.certified, windows)
+        return ZeroSet(character, flipped, self.complete_to_height, windows)
 
 
 def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
@@ -198,18 +199,17 @@ class ModulusEngine:
     where theta, the completed prefactor's phase, depends on chi only through
     its parity.  The first `zero_set` request scans every character:
 
-    * one bank on the grid k h, h = T / ceil(T / GRID_STEP), up to the
-      highest count-edge candidate, by the progression path, plus the
-      EDGE_CANDIDATES edge heights, pointwise.  Only t >= 0 is evaluated: for real
-      a, H at -t is the conjugate of H at t, so Z(-t) = Re[e^(i theta(t))
-      q^(-s) (H @ conj(W))].  Real characters seed on the t >= 0 half alone;
+    * one bank on the lattice k GRID_STEP by the progression path, past its
+      EDGE_CANDIDATES count-edge candidates from the first node >= T.  Only
+      t >= 0 is evaluated: for real a, H at -t is the conjugate of H at t, so
+      Z(-t) = Re[e^(i theta(t)) q^(-s) (H @ conj(W))].  Real characters seed
+      on the t >= 0 half alone;
     * per character, the count edge t_eff; one count for all characters, each
       at its own t_eff, from one pointwise bank on the horizontal edges of
       the half contour, corners included (`_counts`);
     * every sign change of every character at once: a seed at the root of the
       degree-11 interpolant through the NODES grid values around it, read
-      from the bank (the grid runs NODES // 2 steps past the highest edge
-      candidate so that every window is whole);
+      from the bank, which runs far enough past the candidates for every window;
     * one sign check for all ordinates at gamma -/+ TARGET_RADIUS: the two
       values must differ in sign and both exceed `_radius`, the certified
       error of a computed Z, so each check proves a zero within
@@ -219,12 +219,11 @@ class ModulusEngine:
       sign changes than its count, of the cells where its interpolant dips
       toward zero (`_dips`); those cells are seeded and checked once more.
 
-    The scan grid is the only line the progression path evaluates; it
-    carries no error radius.  Every other point, the count's and the
-    certified sign checks among them, goes to the pointwise
-    `hurwitz_zeta_vec`.  Every evaluation is cut into chunks of at most
-    TABLE_ENTRIES table entries, so a modulus near 200 (198 units) needs no
-    more memory than a small one.
+    Only the lattice goes through the progression path, which carries no
+    error radius; every other point, the certified sign checks among them,
+    goes to the pointwise `hurwitz_zeta_vec`.  Every evaluation is cut into
+    chunks of at most TABLE_ENTRIES table entries, so a modulus near 200
+    (198 units) needs no more memory than a small one.
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
@@ -249,26 +248,26 @@ class ModulusEngine:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _tables(self, s: np.ndarray, grid: tuple[float, float, int] = (0.0, 0.0, 0)):
+    def _tables(self, s: np.ndarray | range):
         """(rows, points, H) with H = zeta(points, a/q) on the units, chunk by chunk.
 
-        Rows 0 .. count - 1 are the progression sigma + i k h, k < count, of
-        `grid` = (sigma, h, count), evaluated by `hurwitz_zeta_progression`;
-        row count + j is s[j], evaluated pointwise by `hurwitz_zeta_vec`.
-        The chunks follow |Im s| (the progression's k, for h >= 0), so each
-        Hurwitz call takes the shift of its own heights rather than that of
-        the tallest point.
+        s is an array of points, for `hurwitz_zeta_vec`, or a range of lattice
+        indices k, the points 1/2 + i k GRID_STEP, for `hurwitz_zeta_progression`;
+        row j is the j-th point of s.  The chunks follow |Im s|, so each Hurwitz
+        call takes the shift of its own heights rather than that of the tallest point.
         """
         step = max(1, TABLE_ENTRIES // len(self._units))
         shifts = self._units / self.modulus
-        sigma, h, count = grid
-        for lo in range(0, count, step):
-            rows = np.arange(lo, min(lo + step, count))
-            yield rows, sigma + 1j * h * rows, hurwitz_zeta_progression(sigma, lo * h, h, len(rows), shifts)
+        if isinstance(s, range):
+            for lo in range(0, len(s), step):
+                k = s[lo : lo + step]
+                table = hurwitz_zeta_progression(0.5, k.start * GRID_STEP, k.step * GRID_STEP, len(k), shifts)
+                yield np.arange(lo, lo + len(k)), 0.5 + 1j * GRID_STEP * np.array(k), table
+            return
         order = np.argsort(np.abs(s.imag), kind="stable")
         for lo in range(0, len(s), step):
             part = order[lo : lo + step]
-            yield count + part, s[part], hurwitz_zeta_vec(s[part], shifts)
+            yield part, s[part], hurwitz_zeta_vec(s[part], shifts)
 
     def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """theta(s), the completed prefactor's phase, for characters of parity `odd` (broadcast against s).
@@ -284,21 +283,18 @@ class ModulusEngine:
         """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s)."""
         return np.exp(1j * self._phase(s, odd) - s * math.log(self.modulus))
 
-    def _bank(
-        self, cols: np.ndarray, grid: tuple[float, float, int], s: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _bank(self, cols: np.ndarray, s: np.ndarray | range) -> tuple[np.ndarray, np.ndarray]:
         """e^(i theta) q^-s (H @ W) at points with Im >= 0 and at their conjugates, for `cols`.
 
-        The points are the progression sigma + i k h, k < count, of `grid` =
-        (sigma, h, count), then those of s; the result is two
-        (count + len(s), len(cols)) arrays, one row per point.
+        s is an array of points or a range of lattice indices (`_tables`);
+        the result is two (len(s), len(cols)) arrays, one row per point.
         """
         weights = self._weights[:, cols]
         both = np.concatenate([weights, weights.conj()], axis=1)
         parities = np.unique(self._odd[cols])
         pick = np.tile(np.searchsorted(parities, self._odd[cols]), 2)
-        out = np.empty((grid[2] + len(s), both.shape[1]), dtype=complex)
-        for rows, points, table in self._tables(s, grid):
+        out = np.empty((len(s), both.shape[1]), dtype=complex)
+        for rows, points, table in self._tables(s):
             out[rows] = self._rotation(points[:, None], parities)[:, pick] * (table @ both)
         return out[:, : len(cols)], out[:, len(cols) :].conj()
 
@@ -362,7 +358,7 @@ class ModulusEngine:
         heights = np.unique(t_eff)
         edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
         every = np.arange(len(self.chars))
-        upper, lower = self._bank(every, (0.0, 0.0, 0), (edge + 1j * heights[:, None]).ravel())
+        upper, lower = self._bank(every, (edge + 1j * heights[:, None]).ravel())
         # Each character's edge rows, from 1/2 to its corner on Re s = RIGHT.
         rows = len(edge) * np.searchsorted(heights, t_eff)[:, None] + np.arange(len(edge))
         upper, lower = upper[rows, every[:, None]], lower[rows, every[:, None]]
@@ -401,31 +397,31 @@ class ModulusEngine:
 
     def _scan(self) -> dict[tuple[int, ...], ZeroSet]:
         T = self.height
-        # A step that divides T, or GRID_STEP itself below it: never below GRID_STEP / 2.
-        span = max(T, GRID_STEP)
-        spacing = span / math.ceil(span / GRID_STEP)
-        heights = T + GRID_STEP * np.arange(EDGE_CANDIDATES)
-        # NODES // 2 steps past the highest edge candidate, so every seed has its NODES values.
-        n = int(heights[-1] / spacing) + 1 + NODES // 2
+        # The count-edge candidates: the first EDGE_CANDIDATES nodes k GRID_STEP >= T, in
+        # floating point (T / GRID_STEP may round either way across an integer).
+        k = math.ceil(T / GRID_STEP) + np.arange(-1, EDGE_CANDIDATES + 1)
+        edge = k[k * GRID_STEP >= T][:EDGE_CANDIDATES]
+        # NODES // 2 + 1 nodes past the highest candidate, so every seed has its NODES values.
+        n = int(edge[-1]) + 1 + NODES // 2
         every = np.arange(len(self.chars))
-        pos, neg = (v.real for v in self._bank(every, (0.5, spacing, n + 1), 0.5 + 1j * heights))
-        clearance = np.minimum(np.abs(pos[n + 1 :]), np.abs(neg[n + 1 :]))
-        t_eff = heights[np.argmax(clearance, axis=0)]
+        pos, neg = (v.real for v in self._bank(every, range(n + 1)))
+        clearance = np.minimum(np.abs(pos[edge]), np.abs(neg[edge]))
+        t_eff = GRID_STEP * edge[np.argmax(clearance, axis=0)]
         expected = self._counts(t_eff)
 
-        # Z at k spacing, k = -n..n, one row per character.  Real characters seed at
+        # Z at k GRID_STEP, k = -n..n, one row per character.  Real characters seed at
         # t >= 0 alone; a window may read t < 0, where their row mirrors t > 0.
-        ts = spacing * np.arange(-n, n + 1)
+        ts = GRID_STEP * np.arange(-n, n + 1)
         vals = np.concatenate([neg[n:0:-1], pos[: n + 1]]).T
         first = np.where(self._real, n, 0)
         reach = t_eff[:, None]
         cells = (np.arange(2 * n)[None, :] >= first[:, None]) & (ts[:-1] < reach) & (ts[1:] > -reach)
         row, cell = np.nonzero(cells & (vals[:, :-1] * vals[:, 1:] < 0.0))
         on_grid, node = np.nonzero((vals == 0.0) & (np.arange(2 * n + 1) >= first[:, None]) & (np.abs(ts) <= reach))
-        gammas = np.concatenate([spacing * (_seed(vals, row, cell) - n), ts[node]])
+        gammas = np.concatenate([GRID_STEP * (_seed(vals, row, cell) - n), ts[node]])
         owners = np.concatenate([row, on_grid])
         ok = self._check(gammas, owners)
-        found = self._collect(gammas, owners, ok, t_eff, spacing)
+        found = self._collect(gammas, owners, ok, t_eff)
 
         # Regrid at a quarter step the cells of failed seeds and, for each
         # character whose sign changes fall short of its count, the cells
@@ -435,28 +431,26 @@ class ModulusEngine:
         dip_row, dip_cell = _dips(vals, cells, np.flatnonzero(short))
         redo_row, redo_cell = np.concatenate([row[failed], dip_row]), np.concatenate([cell[failed], dip_cell])
         if len(redo_row):
-            fine, fine_owners = self._regrid(n, spacing, redo_row, redo_cell, t_eff)
+            fine, fine_owners = self._regrid(n, redo_row, redo_cell, t_eff)
             keep = np.concatenate([~failed, np.ones(len(node), dtype=bool)])
             gammas = np.concatenate([gammas[keep], fine])
             owners = np.concatenate([owners[keep], fine_owners])
             ok = np.concatenate([ok[keep], self._check(fine, fine_owners)])
-            found = self._collect(gammas, owners, ok, t_eff, spacing)
+            found = self._collect(gammas, owners, ok, t_eff)
         return {
             chi.exponents: _zero_set(chi, T, float(t_eff[c]), expected[c], *found[c])
             for c, chi in enumerate(self.chars)
         }
 
-    def _regrid(
-        self, n: int, spacing: float, row: np.ndarray, cell: np.ndarray, t_eff: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Ordinates and owners of the sign changes in cells (row[k], cell[k]) of the grid k spacing, k = -n..n.
+    def _regrid(self, n: int, row: np.ndarray, cell: np.ndarray, t_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ordinates and owners of the sign changes in cells (row[k], cell[k]) of the grid k GRID_STEP, k = -n..n.
 
         Each cell gets its own 5 quarter-step nodes and `pad` more on either
         side (clipped to the grid's range), so each of its four quarter cells
         has a whole window.  Node j of cell k sits at (begin[k] + j) * step;
         one `_line` call evaluates every node for its cell's character alone.
         """
-        step, pad = spacing / 4.0, NODES // 2 - 1
+        step, pad = GRID_STEP / 4.0, NODES // 2 - 1
         width = 5 + 2 * pad
         begin = np.clip(4 * (cell - n) - pad, -4 * n, 4 * n + 1 - width)
         nodes = begin[:, None] + np.arange(width)
@@ -478,7 +472,7 @@ class ModulusEngine:
         return (z[:k] * z[k:] < 0.0) & (np.abs(z[:k]) > rho[:k]) & (np.abs(z[k:]) > rho[k:])
 
     def _collect(
-        self, gammas: np.ndarray, owners: np.ndarray, ok: np.ndarray, t_eff: np.ndarray, spacing: float
+        self, gammas: np.ndarray, owners: np.ndarray, ok: np.ndarray, t_eff: np.ndarray
     ) -> list[tuple[list[float], list[tuple[float, float]]]]:
         """Per character: sorted ordinates in [-t_eff, t_eff] and windows around those that failed their check."""
         out = []
@@ -493,7 +487,7 @@ class ModulusEngine:
             if self._real[c]:
                 g, good = g[g > TARGET_RADIUS], good[g > TARGET_RADIUS]
                 g, good = np.concatenate([-g[::-1], g]), np.concatenate([good[::-1], good])
-            windows = [(float(t - spacing), float(t + spacing)) for t in g[~good]]
+            windows = [(float(t - GRID_STEP), float(t + GRID_STEP)) for t in g[~good]]
             out.append(([float(t) for t in g], windows))
         return out
 
@@ -570,15 +564,14 @@ def _zero_set(
         problem = None
     if problem:
         warnings.warn(f"scan of {chi} {problem}: possible off-line zeros in |t| <= {t_eff}", stacklevel=4)
-        return ZeroSet(chi, zeros, T, False, ((-t_eff, t_eff),))
-    if windows:
+        windows = [(-t_eff, t_eff)]
+    elif windows:
         warnings.warn(
             f"scan of {chi}: {len(windows)} ordinate(s) failed the sign check at +-{TARGET_RADIUS}, "
             "where |Z| does not exceed its error radius",
             stacklevel=4,
         )
-        return ZeroSet(chi, zeros, T, False, tuple(windows))
-    return ZeroSet(chi, zeros, T, True, ())
+    return ZeroSet(chi, zeros, T, tuple(windows))
 
 
 def scan_zeros(
@@ -590,20 +583,21 @@ def scan_zeros(
 
     The zeros come from a ModulusEngine: `ZeroLibrary.ensure` passes the one
     it built for every character it scans mod q; without it, a one-character
-    engine is built here.  Each sign change of Z(t) on the grid is seeded at
-    the root of the degree-11 interpolant through the 12 grid values around
-    it and certified by a sign check at gamma -/+ TARGET_RADIUS whose values
-    must both exceed their error radius.  Completeness is certified against
-    the count on the half contour at the count edge t_eff: of the heights
-    T + k * GRID_STEP, the one where min(|Z(t)|, |Z(-t)|) is largest, so both
-    horizontal edges stay clear of zeros.  The zeros found on [-t_eff, t_eff]
-    are compared with the count.  The cells of failed seeds and, on a short
-    count, the cells where the interpolant dips toward zero are rebanked at
-    a quarter step, seeded and checked once more; a persisting mismatch, or a
-    count that cannot be certified, is recorded as the unverified window
-    (-t_eff, t_eff), and a failed sign check as a window around that
-    ordinate (`certified` is False), rather than raised.  Only the zeros
-    with |gamma| <= T are kept, and `complete_to_height` is T.
+    engine is built here.  Each sign change of Z(t) on the lattice k GRID_STEP
+    is seeded at the root of the degree-11 interpolant through the 12 grid
+    values around it and certified by a sign check at gamma -/+ TARGET_RADIUS
+    whose values must both exceed their error radius.  Completeness is
+    certified against the count on the half contour at the count edge t_eff:
+    of the EDGE_CANDIDATES lattice nodes from the first one >= T, the one
+    where min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay
+    clear of zeros.  The zeros found on [-t_eff, t_eff] are compared with the
+    count.  The cells of failed seeds and, on a short count, the cells where
+    the interpolant dips toward zero are rebanked at a quarter step, seeded
+    and checked once more; a persisting mismatch, or a count that cannot be
+    certified, is recorded as the unverified window (-t_eff, t_eff), and a
+    failed sign check as a window around that ordinate (`certified` is
+    False), rather than raised.  Only the zeros with |gamma| <= T are kept,
+    and `complete_to_height` is T.
 
     Real characters are scanned on [0, t_eff] and mirrored (their zeros come
     in conjugate pairs); the conjugate of a complex character should reuse

@@ -229,17 +229,32 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "zeros_q0005.csv, line 2: " in err and message in err
 
+    def test_cache_complete_to_inf_exits_two(self, capsys, tmp_path):
+        # q5.e1 claims completeness to inf and has lost its second row: the
+        # reload must refuse the file, not skip q5.e1 as cached and mirror it.
+        assert run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))[0] == EXIT_OK
+        path = tmp_path / "zeros_q0005.csv"
+        header, *rows = path.read_text().splitlines()
+        mine = [row for row in rows if row.split(",")[1] == "1"]
+        assert len(mine) >= 2
+        rows = [row.rsplit(",", 1)[0] + ",inf" if row in mine else row for row in rows if row != mine[1]]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        code, out, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "500", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "zeros_q0005.csv, line 2: complete_to_height inf" in err
+
     def test_height_below_the_grid_step_scans_a_short_grid(self, capsys, tmp_path, monkeypatch):
-        # The grid step stays near GRID_STEP however small the height, so
-        # the grid to 1e-9 + 0.5 has about 0.5 / GRID_STEP rows; the check
-        # runs before anything is evaluated.
+        # The grid is the lattice however small the height, so the grid to
+        # the highest count edge, 0.55, has about 0.5 / GRID_STEP rows; the
+        # check runs before anything is evaluated.
         import zerokit.dirichlet.zeros as zmod
 
         bank = zmod.ModulusEngine._bank
 
-        def bounded(engine, cols, grid, s):
-            assert grid[2] <= 0.5 / zmod.GRID_STEP + zmod.NODES + 3
-            return bank(engine, cols, grid, s)
+        def bounded(engine, cols, s):
+            assert not isinstance(s, range) or len(s) <= 0.5 / zmod.GRID_STEP + zmod.NODES + 3
+            return bank(engine, cols, s)
 
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", bounded)
         code, out, err = run(capsys, "zeros", "scan", "--q", "3", "--height", "1e-9", "--cache-dir", str(tmp_path))

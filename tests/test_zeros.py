@@ -131,7 +131,7 @@ class TestRectangleCounts:
         assert np.max(np.abs(np.angle(L))) <= math.log(mp.zeta(1.25))
 
         engine = ModulusEngine(chars, T)
-        upper, lower = engine._bank(np.arange(len(chars)), (0.0, 0.0, 0), np.array([zmod.RIGHT + 1j * T]))
+        upper, lower = engine._bank(np.arange(len(chars)), np.array([zmod.RIGHT + 1j * T]))
         closed = engine._right_edge(np.full(len(chars), T), upper[0], lower[0])
         assert closed == pytest.approx(dense[-1] - dense[0], abs=1e-9)
 
@@ -220,13 +220,16 @@ class TestScan:
 
         bank = zmod.ModulusEngine._bank
 
-        def jagged(engine, cols, grid, s):
-            upper, lower = bank(engine, cols, grid, s)
-            # The count's bank is pointwise: its rows are those of s, each
-            # height's edge from 1/2 to the corner on Re s = RIGHT.  The
-            # points strictly between are flipped; the corners, which give
-            # the right edge, are not.
-            assert grid[2] == 0 or np.all(s.real == 0.5)
+        def jagged(engine, cols, s):
+            upper, lower = bank(engine, cols, s)
+            # The scan's bank is a range of lattice indices on the critical
+            # line; the only pointwise bank is the count's.  Its rows are
+            # those of s, each height's edge from 1/2 to the corner on
+            # Re s = RIGHT.  The points strictly between are flipped; the
+            # corners, which give the right edge, are not.
+            if isinstance(s, range):
+                return upper, lower
+            assert np.all((s.real >= 0.5) & (s.real <= zmod.RIGHT))
             edge = np.flatnonzero((s.real > 0.5) & (s.real < zmod.RIGHT))
             sign = np.where(edge % 2 == 0, 1.0, -1.0)
             upper[edge, 0] *= sign
@@ -245,7 +248,7 @@ class TestScan:
             try:
                 certified.append(library.get(chi, 20.0))
             except CountCertificationError as exc:
-                # the window is (-t_eff, t_eff), t_eff among 20, 20.05, ..., 20.5
+                # the window is (-t_eff, t_eff), t_eff a lattice node among 20, 20.05, ..., 20.5
                 assert re.search(r"not certified: unverified windows \(\(-(2\d\.\d+), \1\),\)", str(exc))
                 refused.append(chi)
         assert certified and refused
@@ -304,21 +307,27 @@ class TestScan:
     def test_bank_matches_the_one_character_line(self):
         # The bank evaluates t >= 0 only and takes Z(-t) from the conjugate
         # table; both halves must match the one-character reference form, on
-        # the progression path's grid and at the pointwise points alike.
+        # the progression path's lattice (every 7th node, a 0.35 step) and
+        # at pointwise points alike.
+        import zerokit.dirichlet.zeros as zmod
+
         chars = primitive_characters(5)
         engine = ModulusEngine(chars, 10.0)
-        grid = 0.35 * np.arange(40)
+        lattice = range(0, 7 * 40, 7)
+        grid = zmod.GRID_STEP * np.array(lattice)
         ts = np.array([0.0, 0.7, 6.0, 14.13, 29.9])
-        pos, neg = (v.real for v in engine._bank(np.arange(len(chars)), (0.5, 0.35, len(grid)), 0.5 + 1j * ts))
-        assert pos.shape == neg.shape == (len(grid) + len(ts), len(chars))
+        banks = [(v.real for v in engine._bank(np.arange(len(chars)), s)) for s in (lattice, 0.5 + 1j * ts)]
+        (pos_grid, neg_grid), (pos, neg) = banks
+        assert pos_grid.shape == neg_grid.shape == (len(grid), len(chars))
+        assert pos.shape == neg.shape == (len(ts), len(chars))
         for c, chi in enumerate(chars):
             half_phase = cmath.phase(root_number(chi)) / 2.0
-            for rows, points in ((slice(None, len(grid)), grid), (slice(len(grid), None), ts)):
-                assert pos[rows, c] == pytest.approx(_rotated_line(chi, points, half_phase), abs=1e-13)
-                assert neg[rows, c] == pytest.approx(_rotated_line(chi, -points, half_phase), abs=1e-13)
+            for up, down, points in ((pos_grid, neg_grid, grid), (pos, neg, ts)):
+                assert up[:, c] == pytest.approx(_rotated_line(chi, points, half_phase), abs=1e-13)
+                assert down[:, c] == pytest.approx(_rotated_line(chi, -points, half_phase), abs=1e-13)
         line, _ = engine._line(np.concatenate([ts, -ts]), np.repeat([0, 2], len(ts)))
-        assert line[: len(ts)] == pytest.approx(pos[len(grid) :, 0], abs=1e-13)
-        assert line[len(ts) :] == pytest.approx(neg[len(grid) :, 2], abs=1e-13)
+        assert line[: len(ts)] == pytest.approx(pos[:, 0], abs=1e-13)
+        assert line[len(ts) :] == pytest.approx(neg[:, 2], abs=1e-13)
 
     def test_complex_character_ordinates_against_mpmath_findroot(self):
         # independent oracle: mpmath's Dirichlet L-function and its root finder
@@ -351,10 +360,10 @@ class TestScan:
     def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
         # After the grid bank and the count bank, the scan evaluates Z only at
         # gamma -/+ TARGET_RADIUS of each ordinate it locates, in one call:
-        # no refinement rounds.  The scan grid goes through the progression
-        # path alone; the count's bank is pointwise, and the pointwise kernel
-        # sees the banks' scattered points and the sign-check points, nothing
-        # else.
+        # no refinement rounds.  The scan grid, a range of lattice indices,
+        # goes through the progression path alone and carries no pointwise
+        # point; the count's bank is pointwise, and the pointwise kernel sees
+        # its points and the sign-check points, nothing else.
         import zerokit.dirichlet.zeros as zmod
 
         points, progressions, stages = [], [], []
@@ -369,9 +378,9 @@ class TestScan:
             progressions.append(sigma + 1j * (t0 + h * np.arange(count)))
             return progression(sigma, t0, h, count, a)
 
-        def banked(engine, cols, grid, s):
-            stages.append(("bank", (grid, np.array(s))))
-            return bank(engine, cols, grid, s)
+        def banked(engine, cols, s):
+            stages.append(("bank", s))
+            return bank(engine, cols, s)
 
         def lined(engine, ts, cols, radius=False):
             stages.append(("line", np.array(ts)))
@@ -387,16 +396,16 @@ class TestScan:
         assert all(zs.certified for zs in sets)
         assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
         ts = stages[2][1]
-        (scan_grid, scan_points), (count_grid, count_points) = stages[0][1], stages[1][1]
-        assert count_grid[2] == 0
+        scan_grid, count_points = stages[0][1], stages[1][1]
+        assert isinstance(scan_grid, range) and isinstance(count_points, np.ndarray)
         # no grid point reaches the pointwise kernel ...
         pointwise = np.concatenate(points)
-        assert len(pointwise) == len(scan_points) + len(count_points) + len(ts)
-        expected = np.concatenate([scan_points, count_points, 0.5 + 1j * ts])
+        assert len(pointwise) == len(count_points) + len(ts)
+        expected = np.concatenate([count_points, 0.5 + 1j * ts])
         assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(expected))
         # ... and the progression path sees each of them once, and nothing else
-        sigma, h, count = scan_grid
-        assert np.concatenate(progressions) == pytest.approx(sigma + 1j * h * np.arange(count), abs=1e-12)
+        lattice = 0.5 + 1j * zmod.GRID_STEP * np.array(scan_grid)
+        assert np.concatenate(progressions) == pytest.approx(lattice, abs=1e-12)
         k = len(ts) // 2
         assert ts[k:] - ts[:k] == pytest.approx(np.full(k, 2 * TARGET_RADIUS), abs=1e-12)
         located = ts[:k] + TARGET_RADIUS
@@ -409,25 +418,77 @@ class TestScan:
         # the rest lie between T and the highest count edge
         assert np.all((np.abs(located[~kept]) > 20.0) & (np.abs(located[~kept]) <= 20.5))
 
+    @pytest.mark.parametrize("T", [1e-9, 0.15, 7.35, 20.2, 51.089999, 51.0])
+    def test_count_edges_are_lattice_nodes(self, monkeypatch, T):
+        # Each count edge is one of the EDGE_CANDIDATES lattice nodes
+        # k GRID_STEP from the first one >= T, on a lattice height or off one.
+        import zerokit.dirichlet.zeros as zmod
+
+        counts = zmod.ModulusEngine._counts
+        edges = []
+
+        def spied(engine, t_eff):
+            edges.extend(t_eff)
+            return counts(engine, t_eff)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_counts", spied)
+        chars = primitive_characters(5)
+        engine = ModulusEngine(chars, T)
+        assert all(engine.zero_set(chi).certified for chi in chars)
+        assert len(edges) == len(chars)
+        for t in edges:
+            k = round(t / zmod.GRID_STEP)
+            assert t == k * zmod.GRID_STEP
+            assert k * zmod.GRID_STEP >= T and (k - zmod.EDGE_CANDIDATES) * zmod.GRID_STEP < T
+
+    @pytest.mark.parametrize("T", [20.2, 51.089999])
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_a_height_scans_the_grid_of_its_first_node(self, monkeypatch, T, q):
+        # Scanned to T or to its first lattice node, a character reads one
+        # grid, so its ordinates up to T are the same bits.  20.2's first
+        # node is 404 GRID_STEP = 20.200000000000003, whose grid must also
+        # start its candidates at 404.  Mod 3 the character is real, mod 5
+        # complex.
+        import zerokit.dirichlet.zeros as zmod
+
+        bank = zmod.ModulusEngine._bank
+        lattices = []
+
+        def spied(engine, cols, s):
+            if isinstance(s, range):
+                lattices.append(s)
+            return bank(engine, cols, s)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_bank", spied)
+        chi = next(c for c in primitive_characters(q) if (conjugate_character(c) == c) == (q == 3))
+        k = int(T / zmod.GRID_STEP) - 1
+        while k * zmod.GRID_STEP < T:
+            k += 1
+        node = k * zmod.GRID_STEP
+        below = [z.gamma for z in scan_zeros(chi, T).zeros]
+        at = [z.gamma for z in scan_zeros(chi, node).zeros if abs(z.gamma) <= T]
+        assert len(lattices) == 2 and lattices[0] == lattices[1]
+        assert below and at == below
+
     @pytest.mark.parametrize("T", [1e-9, 1e-3, 0.05, 51.0])
     def test_grid_rows_grow_with_the_height_alone(self, monkeypatch, T):
-        # The grid reaches NODES // 2 steps past the highest count edge,
-        # T + 0.5, at a step near GRID_STEP however small T is; the spy
-        # checks its size before anything is evaluated.
+        # The grid reaches NODES // 2 + 1 nodes past the highest count edge,
+        # below T + 0.55, on the lattice however small T is; the spy checks
+        # its size before anything is evaluated.
         import zerokit.dirichlet.zeros as zmod
 
         bank = zmod.ModulusEngine._bank
         grids = []
 
-        def bounded(engine, cols, grid, s):
-            grids.append(grid)
-            assert grid[2] <= (T + 0.5) / zmod.GRID_STEP + zmod.NODES + 2
-            return bank(engine, cols, grid, s)
+        def bounded(engine, cols, s):
+            grids.append(s)
+            assert not isinstance(s, range) or len(s) <= (T + 0.5) / zmod.GRID_STEP + zmod.NODES + 2
+            return bank(engine, cols, s)
 
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", bounded)
         zs = scan_zeros(primitive_characters(3)[0], T)
         assert zs.certified and zs.complete_to_height == T
-        assert len(grids) == 2 and grids[0][2] > 0
+        assert len(grids) == 2 and isinstance(grids[0], range) and len(grids[0]) > 0
         assert (len(zs.zeros) > 0) == (T > 8.0)
 
     def test_failed_seeds_are_rebanked_locally(self, monkeypatch):
@@ -439,9 +500,9 @@ class TestScan:
         banks, lines, checks = [], [], []
         bank, line, check = zmod.ModulusEngine._bank, zmod.ModulusEngine._line, zmod.ModulusEngine._check
 
-        def banked(engine, cols, grid, s):
-            banks.append(s.imag.copy())
-            return bank(engine, cols, grid, s)
+        def banked(engine, cols, s):
+            banks.append(s)
+            return bank(engine, cols, s)
 
         def lined(engine, ts, cols, radius=False):
             if not radius:
@@ -504,7 +565,8 @@ class TestScan:
     def test_unverified_windows_are_not_persisted(self, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
 
-        bad = ZeroSet(CHI4, (), 10.0, certified=False, unverified_windows=((-10.0, 10.0),))
+        bad = ZeroSet(CHI4, (), 10.0, unverified_windows=((-10.0, 10.0),))
+        assert not bad.certified
         monkeypatch.setattr(cmod, "scan_zeros", lambda chi, T, engine: bad)
         lib = ZeroLibrary(tmp_path / "cache")
         lib.ensure(4, 10.0)
@@ -545,6 +607,28 @@ class TestLibraryAndCache:
         assert [(z.beta, z.gamma, z.certified_radius) for z in back.zeros] == [
             (z.beta, z.gamma, z.certified_radius) for z in zs.zeros
         ]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (5, "inf", "complete_to_height inf is not finite and positive"),
+            (5, "nan", "complete_to_height nan is not finite and positive"),
+            (5, "-3.0", "complete_to_height -3.0 is not finite and positive"),
+            (3, "nan", "gamma nan is not finite"),
+            (3, "inf", "gamma inf is not finite"),
+            (4, "nan", "radius nan not finite and positive"),
+            (4, "-1e-09", "radius -1e-09 not finite and positive"),
+        ],
+    )
+    def test_non_finite_fields_name_their_file_and_line(self, tmp_path, field, value, message):
+        path = write_zero_cache(tmp_path, {CHI4.exponents: scan_zeros(CHI4, 8.0)})
+        header, first, *rest = path.read_text().splitlines()
+        fields = first.split(",")
+        fields[field] = value
+        path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        with pytest.raises(ValueError, match=re.escape("zeros_q0004.csv, line 2: ")) as info:
+            read_zero_cache(tmp_path, 4)
+        assert message in str(info.value)
 
     def test_header_contract(self, tmp_path):
         zs = scan_zeros(CHI4, 8.0)
