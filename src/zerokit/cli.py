@@ -22,6 +22,7 @@ a given configuration and cache state: fixed orderings, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -242,7 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zerokit",
         description="certified constants and desk-scale verification for zero-density / zero-repulsion estimates",

@@ -17,24 +17,34 @@ at the negative integers, where the formula is a polynomial identity and N = 1
 serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
 `hurwitz_rounding_bound` the floating-point error of the sum itself.
 
-Two paths share the shift rule and the Euler--Maclaurin tail (`_add_tail`):
+Three paths share the shift rule and the Euler--Maclaurin tail (`_add_tail`),
+which sums the ORDER corrections by Horner's rule in x = (N+a)^-2 and scales
+them by (N+a)^(-s-1), two passes over the table per order:
 
 * `hurwitz_zeta_vec`, the pointwise path, takes any s.  It shares the shift
   across all entries of s and a and adds the direct block one n at a time on
   a (len(s), len(a)) array, one complex exp per term, so no term matrix is
   ever built.  `hurwitz_rounding_bound` bounds its floating-point error.
+* `hurwitz_zeta_pair`, the paired path, takes the two points s -/+ i r of
+  each centre s at once.  Each (centre, n, a) takes one complex exp,
+  (n+a)^-s, which a fixed (N x len(a)) table of (n+a)^(+-i r) turns into
+  both sides, and the tail's (N+a)^-s is built the same way.  The shift is
+  that of all its points, so `hurwitz_error_bound` over them bounds its
+  truncation, and `hurwitz_pair_rounding_bound`, the pointwise rounding
+  bound plus a term for the extra product, its rounding.
 * `hurwitz_zeta_progression` takes the points of an arithmetic progression
   sigma + i (t0 + k h), k < count, by baby-step/giant-step: with
   B = ceil(sqrt(count)) and k = j B + i,
   (n+a)^-s = (n+a)^(-i (t0 + j B h)) (n+a)^(-sigma - i i h), so about
   2 sqrt(count) N exps per shift a and one batched matrix product give the
   direct block of every point.  Its values carry no rounding bound: what
-  must be certified goes through the pointwise path.
+  must be certified goes through the pointwise or the paired path.
 
 In the zero engine (`zeros.ModulusEngine`) the progression path takes the
-scan grid alone, which carries no error radius; every other point goes
-pointwise: the count's, and the certified sign checks, whose radius includes
-`hurwitz_rounding_bound`.  No count value needs a progression rounding bound.
+scan grid alone, which carries no error radius; the count's points go
+pointwise, and the certified sign checks at gamma -/+ r go through the
+paired path, whose radius includes `hurwitz_pair_rounding_bound`.  No count
+value needs a progression rounding bound.
 """
 
 from __future__ import annotations
@@ -48,9 +58,11 @@ import numpy as np
 __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_vec",
+    "hurwitz_zeta_pair",
     "hurwitz_zeta_progression",
     "hurwitz_error_bound",
     "hurwitz_rounding_bound",
+    "hurwitz_pair_rounding_bound",
 ]
 
 ORDER = 20  # Euler--Maclaurin correction order M
@@ -93,21 +105,36 @@ def _shift_for(s: np.ndarray) -> int:
     return max(1, math.ceil(shift))
 
 
-def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_up: np.ndarray, w_pow: np.ndarray) -> None:
-    """Add zeta(s, a) - sum_{n<N} (n+a)^-s, up to R_M, to `out` in place, term by term.
+def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) -> None:
+    """Add zeta(s, a) - sum_{n<N} (n+a)^-s, up to R_M, to `out` in place, by Horner's rule.
 
-    s is a column of points, w = N + a a row of shifts, and out, w_up =
-    w^(1-s) and w_pow = w^-s are (len(s), len(a)) arrays.
+    s is a column of points, w = N + a a row of shifts, and out and w_pow =
+    w^-s are (len(s), len(a)) arrays.  With x = w^-2 the tail is
+
+        w^-s w [1/(s-1) + w^-1/2 + x sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} x^(j-1)],
+
+    a polynomial in x whose coefficients depend on s alone: they are built
+    once per point, and each order then costs two passes over the table.
     """
-    out += w_up / (s - 1.0)
-    out += 0.5 * w_pow
     coeffs = _bernoulli_over_factorial()
-    poch = s.copy()  # (s)_1
-    w_fac = w_pow / w  # (N+a)^(-s-1)
-    for j in range(1, ORDER + 1):
-        out += coeffs[j - 1] * poch * w_fac
-        poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
-        w_fac = w_fac / (w * w)
+    # poly[j - 1] = B_2j/(2j)! (s)_{2j-1}: each order multiplies in (s + 2j - 3)(s + 2j - 2).
+    poly = np.empty((ORDER,) + s.shape, dtype=complex)
+    poly[0] = s
+    for j in range(1, ORDER):
+        poly[j] = poly[j - 1] * ((s + (2 * j - 1)) * (s + 2 * j))
+    poly *= np.array(coeffs[:ORDER])[:, None, None]
+    x = 1.0 / (w * w)
+    acc = np.empty(out.shape, dtype=complex)
+    acc[...] = poly[-1]
+    for coeff in poly[-2::-1]:
+        acc *= x
+        acc += coeff
+    acc *= x
+    acc += 1.0 / (s - 1.0)
+    acc += 0.5 / w
+    acc *= w
+    acc *= w_pow
+    out += acc
 
 
 def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
@@ -131,9 +158,45 @@ def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
         out += np.exp(-flat * log_n)
 
     w = n_shift + shifts
-    logw = np.log(w)
-    _add_tail(out, flat, w, np.exp((1.0 - flat) * logw), np.exp(-flat * logw))
+    _add_tail(out, flat, w, np.exp(-flat * np.log(w)))
     return out.reshape(s.shape + a.shape)
+
+
+def hurwitz_zeta_pair(s: np.ndarray, r: float, a: float | np.ndarray) -> np.ndarray:
+    """zeta(s - i r, a) and zeta(s + i r, a) for an array of complex s, real r and real a > 0.
+
+    The result stacks the two sides: shape (2,) + s.shape + np.shape(a), row
+    0 at s - i r.  All points of a call share the shift `_shift_for` of both
+    sides, np.stack([s - 1j * r, s + 1j * r]), so `hurwitz_error_bound` and
+    `hurwitz_pair_rounding_bound` taken over that stack bound the call.  Each
+    (point, n, a) takes one complex exp, (n+a)^-s = exp(-s log(n+a)), which
+    the fixed table (n+a)^(+-i r) = exp(+-i r log(n+a)) turns into both
+    sides; row n = N of both gives the tail's (N+a)^(-s -/+ i r) the same way.
+    """
+    s = np.asarray(s, dtype=complex)
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValueError("hurwitz_zeta requires Re a > 0")
+    sides = np.stack([s - 1j * r, s + 1j * r])
+    if np.any(sides == 1.0):
+        raise ValueError("hurwitz_zeta has a pole at s = 1")
+    n_shift = _shift_for(sides)
+
+    flat = s.reshape(-1, 1)
+    shifts = a.reshape(1, -1)
+    units = shifts.shape[1]
+    log_n = np.log(np.arange(n_shift + 1)[:, None] + shifts)  # (N + 1, len(a))
+    turn = np.exp(1j * r * log_n)  # (n+a)^(i r), which takes (n+a)^-s to (n+a)^-(s - i r)
+    out = np.zeros((2, flat.shape[0], units), dtype=complex)
+    # Direct block: one exp per (point, n, a), turned to either side.
+    for log, down, up in zip(log_n[:-1], turn[:-1], turn[:-1].conj()):
+        term = np.exp(-flat * log)
+        out[0] += term * down
+        out[1] += term * up
+    w_mid = np.exp(-flat * log_n[-1])
+    w_pow = np.stack([w_mid * turn[-1], w_mid * turn[-1].conj()])
+    _add_tail(out.reshape(-1, units), sides.reshape(-1, 1), n_shift + shifts, w_pow.reshape(-1, units))
+    return out.reshape((2,) + s.shape + a.shape)
 
 
 def hurwitz_zeta_progression(sigma: float, t0: float, h: float, count: int, a: float | np.ndarray) -> np.ndarray:
@@ -166,8 +229,7 @@ def hurwitz_zeta_progression(sigma: float, t0: float, h: float, count: int, a: f
     w_pow = coarse[:, :, n_shift, None] * fine[:, None, n_shift]  # (N+a)^-s, (len(a), J, B)
     # Point k = j B + i sits at [u, j, i]: flatten (j, i) and keep k < count.
     out, w_pow = (x.reshape(len(log_n), -1)[:, :count].T for x in (direct, w_pow))
-    w = n_shift + shifts
-    _add_tail(out, s[:, None], w, w * w_pow, w_pow)
+    _add_tail(out, s[:, None], n_shift + shifts, w_pow)
     return out.reshape((count,) + a.shape)
 
 
@@ -185,6 +247,39 @@ def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
+def _magnitudes(s: np.ndarray, a: float | np.ndarray):
+    """The term magnitudes the rounding bounds weigh, at the kernel's shift N for the whole of s.
+
+    Returns |s|, log(N+a) and, each of shape (len(s), len(a)) for the
+    flattened s, the direct block's sum_{n<N} (n+a)^-Re s, its phase weight
+    sum_{n<N} (n+a)^-Re s |log(n+a)|, the tail's |w^(1-s)/(s-1)| +
+    |w^-s|/2 + sum_j |B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1)| with w = N + a, and N.
+    """
+    a = np.asarray(a, dtype=float)
+    n_shift = _shift_for(s)
+    flat = s.reshape(-1, 1)
+    shifts = a.reshape(1, -1)
+    log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
+    logw = np.log(n_shift + shifts)
+    # |(s)_{2j-1}| for j = 1..ORDER, one row per entry of s.
+    factors = np.abs(flat + np.arange(2 * ORDER - 1))
+    poch = np.cumprod(factors, axis=1)[:, ::2]
+    coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
+    direct, phase, tail = (np.empty((flat.shape[0], shifts.shape[1])) for _ in range(3))
+    for sigma in np.unique(flat.real):
+        rows = flat[:, 0].real == sigma
+        mag = np.exp(-sigma * log_n)
+        direct[rows] = mag.sum(axis=0)
+        phase[rows] = (mag * np.abs(log_n)).sum(axis=0)
+        powers = coeffs[:, None] * np.exp(-(sigma + 2 * np.arange(1, ORDER + 1)[:, None] - 1) * logw)
+        tail[rows] = (
+            np.exp((1.0 - sigma) * logw) / np.abs(flat[rows] - 1.0)
+            + 0.5 * np.exp(-sigma * logw)
+            + poch[rows] @ powers
+        )
+    return np.abs(flat), logw, direct, phase, tail, n_shift
+
+
 def hurwitz_rounding_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
     """Bound on the floating-point error of hurwitz_zeta_vec(s, a) for real a > 0.
 
@@ -193,41 +288,49 @@ def hurwitz_rounding_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
     term exp(-s log(n+a)) is off by at most (4 + |s| (1 + 4 |log(n+a)|)) u of
     its magnitude (n+a)^-Re s: log, the product with s and the complex exp
     each round once, and the phase error |s| |log(n+a)| u is what grows with
-    the height.  Each of the ORDER + 2 correction terms, built by up to
-    2 ORDER products and quotients, is off by at most
-    (8 ORDER + 12 + |s| (1 + 4 log(N+a))) u of its magnitude.  Adding the
-    N + ORDER + 2 terms one by one costs at most N + ORDER + 2 units u of the
-    sum of all magnitudes.
+    the height.  w^-s, w = N + a, takes the same (4 + |s| (1 + 4 log w)) u.
+    The tail is w^-s times a sum of ORDER + 2 pieces (`_add_tail`).  In
+    Horner's order the piece of order j takes 2 u from B_2j/(2j)! (rounded
+    once, then multiplied in), 7 u from each of its j - 1 factors
+    (s + 2i - 1)(s + 2i), formed and multiplied in, 5 u from each of its j
+    products with x = w^-2 (x is off by 4 u, as w = N + a, w w and 1/(w w)
+    each round once), j + 2 additions, and 5 u from the products with w and
+    w^-s: with w^-s itself, (13 j + 6 + |s| (1 + 4 log(N+a))) u of its
+    magnitude.  The 1/(s-1) and w^-1/2 pieces round less, and every piece
+    stays within (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u.  Adding the N
+    direct terms and the tail into the result costs at most N + 1 units u of
+    the sum of all magnitudes.
     """
     s = np.asarray(s, dtype=complex)
-    a = np.asarray(a, dtype=float)
-    n_shift = _shift_for(s)
-    unit = 2.0**-53
-    flat = s.reshape(-1, 1)
-    shifts = a.reshape(1, -1)
-    size = np.abs(flat)
-    log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
-    logw = np.log(n_shift + shifts)
-    # |(s)_{2j-1}| for j = 1..ORDER, one row per entry of s.
-    factors = np.abs(flat + np.arange(2 * ORDER - 1))
-    poch = np.cumprod(factors, axis=1)[:, ::2]
-    coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
-    out = np.empty((flat.shape[0], shifts.shape[1]))
-    for sigma in np.unique(flat.real):
-        rows = flat[:, 0].real == sigma
-        mag = np.exp(-sigma * log_n)
-        direct = mag.sum(axis=0)
-        phase = (mag * np.abs(log_n)).sum(axis=0)
-        powers = coeffs[:, None] * np.exp(-(sigma + 2 * np.arange(1, ORDER + 1)[:, None] - 1) * logw)
-        tail = (
-            np.exp((1.0 - sigma) * logw) / np.abs(flat[rows] - 1.0)
-            + 0.5 * np.exp(-sigma * logw)
-            + poch[rows] @ powers
-        )
-        terms = (4.0 + size[rows]) * direct + 4.0 * size[rows] * phase
-        terms += (8 * ORDER + 12 + size[rows] * (1.0 + 4.0 * logw)) * tail
-        out[rows] = unit * (terms + (n_shift + ORDER + 2) * (direct + tail))
-    return out.reshape(s.shape + a.shape)
+    return _pointwise_rounding(*_magnitudes(s, a)).reshape(s.shape + np.shape(a))
+
+
+def _pointwise_rounding(size, logw, direct, phase, tail, n_shift):
+    """hurwitz_rounding_bound from the `_magnitudes` of its points."""
+    terms = (4.0 + size) * direct + 4.0 * size * phase
+    terms += (14 * ORDER + 16 + size * (1.0 + 4.0 * logw)) * tail
+    return 2.0**-53 * (terms + (n_shift + 1) * (direct + tail))
+
+
+def hurwitz_pair_rounding_bound(s: np.ndarray, r: float, a: float | np.ndarray) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_pair(c, r, a) at its points s = c -/+ i r.
+
+    s holds the points the pair call evaluates, both sides of it at once
+    (np.stack([c - 1j * r, c + 1j * r]) for its centres c), so the shift N is
+    the call's; the result has shape s.shape + np.shape(a).  It is
+    `hurwitz_rounding_bound(s, a)` plus a paired term of its own.  The pair
+    takes a direct term at s = c -/+ i r as exp(-c log(n+a)), off by
+    (4 + |c| (1 + 4 |log(n+a)|)) u with |c| <= |s| + r, times
+    exp(+-i r log(n+a)), off by (4 + r (1 + 4 |log(n+a)|)) u, and the product
+    rounds once more (sqrt 5 u).  Beyond the pointwise bound at s, each direct
+    term is off by at most (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude,
+    and w^-s, which scales the whole tail, by (7 + 2 r (1 + 4 log(N+a))) u.
+    """
+    s = np.asarray(s, dtype=complex)
+    magnitudes = _magnitudes(s, a)
+    _, logw, direct, phase, tail, _ = magnitudes
+    paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
+    return (_pointwise_rounding(*magnitudes) + 2.0**-53 * paired).reshape(s.shape + np.shape(a))
 
 
 def hurwitz_zeta(s: complex, a: complex) -> complex:

@@ -7,7 +7,7 @@ File format (contract for external consumers): a header line
 followed by one row per zero, exponent vectors joined by ';' (the mod-1
 character uses '-').  A character with no zeros up to the certified height
 still gets one row with empty beta/gamma/radius fields so completeness
-round-trips.  Rows are ordered by exponent vector, then ordinate; floats are
+round-trips.  All rows of one character carry the same height.  Rows are ordered by exponent vector, then ordinate; floats are
 written with repr so the file reloads bit-exactly.
 
 `ZeroLibrary` wraps a cache directory: it hands out zero sets for arbitrary
@@ -108,12 +108,17 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
                 raise ValueError(f"complete_to_height {height_s} is not finite and positive")
             if beta_s and not (abs(float(gamma_s)) < math.inf and 0.0 < float(radius_s) < math.inf):
                 raise ValueError(f"gamma {gamma_s} is not finite or radius {radius_s} not finite and positive")
+            if not beta_s and (gamma_s or radius_s):
+                raise ValueError(f"a row with no beta has gamma {gamma_s!r} and radius {radius_s!r}, not two empty fields")
+            if heights.setdefault(key, height) != height:
+                raise ValueError(
+                    f"complete_to_height {height_s} differs from {heights[key]!r} on an earlier row of character {key}"
+                )
             zeros = [ZeroRecord(float(beta_s), float(gamma_s), float(radius_s))] if beta_s else []
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
         if modulus != q:
             raise ValueError(f"{path} contains a row for modulus {mod_s}")
-        heights[key] = height
         by_key.setdefault(key, []).extend(zeros)
     chars = {exponent_key(chi): chi for chi in enumerate_characters(q)}
     out: dict[tuple[int, ...], ZeroSet] = {}

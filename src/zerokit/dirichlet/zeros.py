@@ -24,11 +24,14 @@ in method but not in the evaluator.
   grid values around each sign change, with no further evaluation; one
   batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
   certified error radius (Hurwitz truncation plus floating-point rounding,
-  so these values come from the pointwise kernel that bound covers);
-  and one local regrid at a quarter step of the cells whose seed failed, or
-  where a character short of its count dips toward zero, then seeds and a
-  check there.  A zero whose second check fails is reported as an
-  unverified window, never accepted silently.
+  so both values of a check come from one exp per term of the paired
+  kernel, which that bound covers); a check whose values change sign but
+  stay inside their radius, as at a close pair of zeros, is repeated at 10
+  and then 100 TARGET_RADIUS, and the offset that clears is the zero's
+  certified radius; and one local regrid at a quarter step of the cells
+  whose seed failed, or where a character short of its count dips toward
+  zero, then seeds and a check there.  A zero whose second check fails is
+  reported as an unverified window, never accepted silently.
 
 A scan to height T is *complete* when the number of zeros it locates on
 [-t_eff, t_eff] matches the count there.  The grid is the fixed lattice
@@ -52,7 +55,8 @@ import numpy as np
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
 from zerokit.dirichlet.hurwitz import (
     hurwitz_error_bound,
-    hurwitz_rounding_bound,
+    hurwitz_pair_rounding_bound,
+    hurwitz_zeta_pair,
     hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
@@ -70,6 +74,10 @@ __all__ = [
 
 # Each ordinate is certified by a sign change of Z across gamma -/+ TARGET_RADIUS.
 TARGET_RADIUS = 1e-9
+# A check whose two values change sign but stay within their error radius is
+# repeated at the next of these offsets, 1, 10 and 100 TARGET_RADIUS; the first
+# that clears is the zero's radius.
+CHECK_OFFSETS = (TARGET_RADIUS, 1e-8, 1e-7)
 # Each ordinate is seeded at the root of the interpolant through NODES grid values.
 NODES = 12
 # Points x units per Hurwitz call of the engine.
@@ -210,20 +218,24 @@ class ModulusEngine:
     * every sign change of every character at once: a seed at the root of the
       degree-11 interpolant through the NODES grid values around it, read
       from the bank, which runs far enough past the candidates for every window;
-    * one sign check for all ordinates at gamma -/+ TARGET_RADIUS: the two
-      values must differ in sign and both exceed `_radius`, the certified
-      error of a computed Z, so each check proves a zero within
-      TARGET_RADIUS of gamma;
+    * one sign check for all ordinates at gamma -/+ TARGET_RADIUS, both
+      sides of each ordinate from one `hurwitz_zeta_pair` call per chunk:
+      the two values must differ in sign and both exceed `_radius`, the
+      certified error of a computed Z, so each check proves a zero within
+      TARGET_RADIUS of gamma.  A check whose values differ in sign but do
+      not clear `_radius` is repeated at the wider CHECK_OFFSETS, and the
+      one that clears is the zero's radius; overlapping intervals, each
+      zero's own radius wide, fail together;
     * only if needed, one evaluation at a quarter step (`_regrid`) of the
       cells whose seed failed its check and, for each character with fewer
       sign changes than its count, of the cells where its interpolant dips
       toward zero (`_dips`); those cells are seeded and checked once more.
 
     Only the lattice goes through the progression path, which carries no
-    error radius; every other point, the certified sign checks among them,
-    goes to the pointwise `hurwitz_zeta_vec`.  Every evaluation is cut into
-    chunks of at most TABLE_ENTRIES table entries, so a modulus near 200
-    (198 units) needs no more memory than a small one.
+    error radius; the certified sign checks go through the paired path, and
+    every other point to the pointwise `hurwitz_zeta_vec`.  Every evaluation
+    is cut into chunks of at most TABLE_ENTRIES table entries, so a modulus
+    near 200 (198 units) needs no more memory than a small one.
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
@@ -256,18 +268,25 @@ class ModulusEngine:
         row j is the j-th point of s.  The chunks follow |Im s|, so each Hurwitz
         call takes the shift of its own heights rather than that of the tallest point.
         """
-        step = max(1, TABLE_ENTRIES // len(self._units))
         shifts = self._units / self.modulus
         if isinstance(s, range):
+            step = max(1, TABLE_ENTRIES // len(self._units))
             for lo in range(0, len(s), step):
                 k = s[lo : lo + step]
                 table = hurwitz_zeta_progression(0.5, k.start * GRID_STEP, k.step * GRID_STEP, len(k), shifts)
                 yield np.arange(lo, lo + len(k)), 0.5 + 1j * GRID_STEP * np.array(k), table
             return
-        order = np.argsort(np.abs(s.imag), kind="stable")
-        for lo in range(0, len(s), step):
-            part = order[lo : lo + step]
+        for part in self._chunks(s.imag):
             yield part, s[part], hurwitz_zeta_vec(s[part], shifts)
+
+    def _chunks(self, heights: np.ndarray, sides: int = 1) -> list[np.ndarray]:
+        """Indices of `heights` in order of |height|, cut so that each Hurwitz call holds at most TABLE_ENTRIES entries.
+
+        Each point costs `sides` entries per unit.
+        """
+        step = max(1, TABLE_ENTRIES // (sides * len(self._units)))
+        order = np.argsort(np.abs(heights), kind="stable")
+        return [order[lo : lo + step] for lo in range(0, len(order), step)]
 
     def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """theta(s), the completed prefactor's phase, for characters of parity `odd` (broadcast against s).
@@ -298,33 +317,49 @@ class ModulusEngine:
             out[rows] = self._rotation(points[:, None], parities)[:, pick] * (table @ both)
         return out[:, : len(cols)], out[:, len(cols) :].conj()
 
-    def _line(self, ts: np.ndarray, cols: np.ndarray, radius: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Z(ts[j]) of character cols[j] and, with `radius`, each value's error bound."""
+    def _line(self, ts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Z(ts[j]) of character cols[j]."""
         values = np.empty(len(ts))
-        bounds = np.zeros(len(ts))
         for part, s, table in self._tables(0.5 + 1j * ts):
             owner = cols[part]
             sums = np.einsum("ij,ji->i", table, self._weights[:, owner])
             values[part] = (self._rotation(s, self._odd[owner]) * sums).real
-            if radius:
-                bounds[part] = self._radius(s, table)
+        return values
+
+    def _pair(self, gammas: np.ndarray, cols: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
+        """Z of character cols[j] at gammas[j] -/+ offset, and each value's error bound: two (2, len(gammas)) arrays.
+
+        Row 0 is the lower side.  One `hurwitz_zeta_pair` call per chunk of
+        ordinates takes both sides.
+        """
+        values, bounds = np.empty((2, len(gammas))), np.empty((2, len(gammas)))
+        for part in self._chunks(gammas, sides=2):
+            owner = cols[part]
+            s = 0.5 + 1j * gammas[part]
+            sides = np.stack([s - 1j * offset, s + 1j * offset])
+            table = hurwitz_zeta_pair(s, offset, self._units / self.modulus)
+            sums = np.einsum("hij,ji->hi", table, self._weights[:, owner])
+            values[:, part] = (self._rotation(sides, self._odd[owner]) * sums).real
+            bounds[:, part] = self._radius(sides, offset, table)
         return values, bounds
 
-    def _radius(self, s: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Bound on |computed Z - Z| at s, for every character of the modulus.
+    def _radius(self, s: np.ndarray, offset: float, table: np.ndarray) -> np.ndarray:
+        """Bound on |computed Z - Z| at the points s of one `hurwitz_zeta_pair` call, for every character.
 
-        Z is Re[rot S] with rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
+        s stacks both sides of the call and table holds its values.  Z is
+        Re[rot S] with rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
         Errors in rot only scale and turn rot S, which is real, so they cannot
         change its sign; what can is the error in S, times |rot| = q^-1/2:
         the truncation `hurwitz_error_bound(s, 1/q)` (a = 1/q is the worst
-        unit) for each of the phi(q) units with |chi(a)| = 1, the kernel's
-        `hurwitz_rounding_bound` per unit, and phi(q) + 2 roundings of each
-        |H[a]| in the weights and the sum over the units.
+        unit) for each of the phi(q) units with |chi(a)| = 1, the paired
+        kernel's `hurwitz_pair_rounding_bound` per unit, both at the shift
+        of the whole call, and phi(q) + 2 roundings of each |H[a]| in the
+        weights and the sum over the units.
         """
         shifts = self._units / self.modulus
         error = len(shifts) * hurwitz_error_bound(s, 1.0 / self.modulus)
-        error = error + hurwitz_rounding_bound(s, shifts).sum(axis=1)
-        error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=1)
+        error = error + hurwitz_pair_rounding_bound(s, offset, shifts).sum(axis=-1)
+        error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
         return error / math.sqrt(self.modulus)
 
     # -- counting ---------------------------------------------------------------
@@ -420,8 +455,8 @@ class ModulusEngine:
         on_grid, node = np.nonzero((vals == 0.0) & (np.arange(2 * n + 1) >= first[:, None]) & (np.abs(ts) <= reach))
         gammas = np.concatenate([GRID_STEP * (_seed(vals, row, cell) - n), ts[node]])
         owners = np.concatenate([row, on_grid])
-        ok = self._check(gammas, owners)
-        found = self._collect(gammas, owners, ok, t_eff)
+        ok, radii = self._check(gammas, owners)
+        found = self._collect(gammas, owners, ok, radii, t_eff)
 
         # Regrid at a quarter step the cells of failed seeds and, for each
         # character whose sign changes fall short of its count, the cells
@@ -435,8 +470,9 @@ class ModulusEngine:
             keep = np.concatenate([~failed, np.ones(len(node), dtype=bool)])
             gammas = np.concatenate([gammas[keep], fine])
             owners = np.concatenate([owners[keep], fine_owners])
-            ok = np.concatenate([ok[keep], self._check(fine, fine_owners)])
-            found = self._collect(gammas, owners, ok, t_eff)
+            fine_ok, fine_radii = self._check(fine, fine_owners)
+            ok, radii = np.concatenate([ok[keep], fine_ok]), np.concatenate([radii[keep], fine_radii])
+            found = self._collect(gammas, owners, ok, radii, t_eff)
         return {
             chi.exponents: _zero_set(chi, T, float(t_eff[c]), expected[c], *found[c])
             for c, chi in enumerate(self.chars)
@@ -454,7 +490,7 @@ class ModulusEngine:
         width = 5 + 2 * pad
         begin = np.clip(4 * (cell - n) - pad, -4 * n, 4 * n + 1 - width)
         nodes = begin[:, None] + np.arange(width)
-        values = self._line(step * nodes.ravel(), np.repeat(row, width))[0].reshape(nodes.shape)
+        values = self._line(step * nodes.ravel(), np.repeat(row, width)).reshape(nodes.shape)
         k = np.repeat(np.arange(len(row)), 4)
         sub = (4 * (cell - n) - begin)[k] + np.tile(np.arange(4), len(row))
         lo, hi = step * (begin[k] + sub), step * (begin[k] + sub + 1)
@@ -463,32 +499,48 @@ class ModulusEngine:
         k, sub = k[flip], sub[flip]
         return step * (begin[k] + _seed(values, k, sub)), row[k]
 
-    def _check(self, gammas: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Whether Z of each owner changes sign across gamma -/+ TARGET_RADIUS, both beyond their error radius."""
-        k = len(gammas)
-        z, rho = self._line(
-            np.concatenate([gammas - TARGET_RADIUS, gammas + TARGET_RADIUS]), np.tile(owners, 2), radius=True
-        )
-        return (z[:k] * z[k:] < 0.0) & (np.abs(z[:k]) > rho[:k]) & (np.abs(z[k:]) > rho[k:])
+    def _check(self, gammas: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each ordinate is certified, and its radius.
+
+        Z of its owner must change sign across gamma -/+ r, both values
+        beyond their error radius, for r the first of CHECK_OFFSETS.  A
+        check whose values change sign but do not clear their radius, as at
+        a close pair of zeros where |Z| stays small, is repeated at the next
+        offset; the offset that clears is the ordinate's radius.  An
+        ordinate that never clears keeps TARGET_RADIUS and fails.
+        """
+        ok = np.zeros(len(gammas), dtype=bool)
+        radii = np.full(len(gammas), TARGET_RADIUS)
+        todo = np.arange(len(gammas))
+        for offset in CHECK_OFFSETS:
+            z, rho = self._pair(gammas[todo], owners[todo], offset)
+            flips = z[0] * z[1] < 0.0
+            clear = flips & np.all(np.abs(z) > rho, axis=0)
+            ok[todo[clear]] = True
+            radii[todo[clear]] = offset
+            todo = todo[flips & ~clear]
+        return ok, radii
 
     def _collect(
-        self, gammas: np.ndarray, owners: np.ndarray, ok: np.ndarray, t_eff: np.ndarray
-    ) -> list[tuple[list[float], list[tuple[float, float]]]]:
-        """Per character: sorted ordinates in [-t_eff, t_eff] and windows around those that failed their check."""
+        self, gammas: np.ndarray, owners: np.ndarray, ok: np.ndarray, radii: np.ndarray, t_eff: np.ndarray
+    ) -> list[tuple[list[float], list[float], list[tuple[float, float]]]]:
+        """Per character: sorted ordinates in [-t_eff, t_eff], their radii, and windows around those that failed a check."""
         out = []
         for c in range(len(self.chars)):
             mine = (owners == c) & (np.abs(gammas) <= t_eff[c])
             order = np.argsort(gammas[mine])
-            g, good = gammas[mine][order], ok[mine][order]
+            g, r, good = gammas[mine][order], radii[mine][order], ok[mine][order]
             # Two checked intervals that overlap may hold one zero between them.
-            close = np.diff(g) <= 2.0 * TARGET_RADIUS
+            close = np.diff(g) <= r[:-1] + r[1:]
             good[:-1] &= ~close
             good[1:] &= ~close
             if self._real[c]:
-                g, good = g[g > TARGET_RADIUS], good[g > TARGET_RADIUS]
-                g, good = np.concatenate([-g[::-1], g]), np.concatenate([good[::-1], good])
+                keep = g > r
+                g, r, good = g[keep], r[keep], good[keep]
+                g = np.concatenate([-g[::-1], g])
+                r, good = np.concatenate([r[::-1], r]), np.concatenate([good[::-1], good])
             windows = [(float(t - GRID_STEP), float(t + GRID_STEP)) for t in g[~good]]
-            out.append(([float(t) for t in g], windows))
+            out.append(([float(t) for t in g], [float(x) for x in r], windows))
         return out
 
 
@@ -552,10 +604,11 @@ def _zero_set(
     t_eff: float,
     expected: int | CountCertificationError,
     ordinates: list[float],
+    radii: list[float],
     windows: list[tuple[float, float]],
 ) -> ZeroSet:
     """The zeros with |gamma| <= T, certified when the count holds and matches and every check held."""
-    zeros = tuple(ZeroRecord(0.5, g, TARGET_RADIUS) for g in ordinates if abs(g) <= T)
+    zeros = tuple(ZeroRecord(0.5, g, r) for g, r in zip(ordinates, radii) if abs(g) <= T)
     if isinstance(expected, CountCertificationError):
         problem = f"has no certified winding count ({expected})"
     elif len(ordinates) != expected:
@@ -567,8 +620,8 @@ def _zero_set(
         windows = [(-t_eff, t_eff)]
     elif windows:
         warnings.warn(
-            f"scan of {chi}: {len(windows)} ordinate(s) failed the sign check at +-{TARGET_RADIUS}, "
-            "where |Z| does not exceed its error radius",
+            f"scan of {chi}: {len(windows)} ordinate(s) failed the sign check at +-{TARGET_RADIUS} "
+            f"to +-{CHECK_OFFSETS[-1]}, where |Z| does not exceed its error radius",
             stacklevel=4,
         )
     return ZeroSet(chi, zeros, T, tuple(windows))
@@ -586,7 +639,9 @@ def scan_zeros(
     engine is built here.  Each sign change of Z(t) on the lattice k GRID_STEP
     is seeded at the root of the degree-11 interpolant through the 12 grid
     values around it and certified by a sign check at gamma -/+ TARGET_RADIUS
-    whose values must both exceed their error radius.  Completeness is
+    whose values must both exceed their error radius; a check whose values
+    change sign inside that radius is repeated at 10, then 100
+    TARGET_RADIUS, and the offset that clears is the zero's radius.  Completeness is
     certified against the count on the half contour at the count edge t_eff:
     of the EDGE_CANDIDATES lattice nodes from the first one >= T, the one
     where min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay

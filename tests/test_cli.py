@@ -10,7 +10,7 @@ import zerokit
 
 from zerokit.cli import EXIT_FAIL, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from zerokit.constants import density_exponent_for
-from zerokit.dirichlet.zerocache import read_zero_cache
+from zerokit.dirichlet.zerocache import CACHE_HEADER, read_zero_cache
 
 
 def run(capsys, *argv):
@@ -243,6 +243,24 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and "zeros_q0005.csv, line 2: complete_to_height inf" in err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["5,1,0.5,6.18,1e-09,8.0", "5,1,0.5,7.5,1e-09,500.0"], "line 3: complete_to_height 500.0 differs from 8.0"),
+            (["5,1,,7.5,1e-09,8.0"], "line 2: a row with no beta has gamma '7.5'"),
+        ],
+        ids=["mixed-heights", "gamma-without-beta"],
+    )
+    def test_inconsistent_character_rows_exit_two(self, capsys, tmp_path, rows, message):
+        # Rows of q5.e1 that disagree on its height, or a "no zeros" row
+        # that holds an ordinate, make the file corrupt: the scan refuses it
+        # before it skips q5.e1 as cached.
+        (tmp_path / "zeros_q0005.csv").write_text("\n".join([CACHE_HEADER, *rows]) + "\n")
+        code, out, err = run(capsys, "zeros", "scan", "--q", "5", "--height", "8", "--cache-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and f"zeros_q0005.csv, {message}" in err
 
     def test_height_below_the_grid_step_scans_a_short_grid(self, capsys, tmp_path, monkeypatch):
         # The grid is the lattice however small the height, so the grid to
@@ -494,6 +512,48 @@ class TestZerosAndVerify:
         )
         assert code == EXIT_FAIL
         assert "FAIL" in out
+
+
+def test_one_parser_per_process(capsys, tmp_path, monkeypatch):
+    # Two commands in one process build the parser once, and print what two
+    # fresh processes print.
+    import argparse
+
+    import zerokit.cli as cli
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def commands(cache):
+        return [
+            ["zeros", "scan", "--q", "3", "--height", "10", "--cache-dir", cache],
+            ["verify", "--suite", "circle", "--qmax", "3", "--height", "10", "--scan-missing", "--cache-dir", cache],
+        ]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        scan, verify = commands("here")
+        monkeypatch.chdir(tmp_path)
+        first = run(capsys, *scan)
+        parsers = len(built)
+        second = run(capsys, *verify)
+    finally:
+        cli.build_parser.cache_clear()
+    assert parsers > 0 and len(built) == parsers
+    assert first[0] == second[0] == EXIT_OK
+
+    src = str(Path(zerokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, (_, out, _) in zip(commands("fresh"), (first, second)):
+        done = subprocess.run(
+            [sys.executable, "-m", "zerokit.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == out
 
 
 def test_runtime_never_imports_scipy(tmp_path):

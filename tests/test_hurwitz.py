@@ -8,8 +8,10 @@ from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.hurwitz import (
     TARGET,
     hurwitz_error_bound,
+    hurwitz_pair_rounding_bound,
     hurwitz_rounding_bound,
     hurwitz_zeta,
+    hurwitz_zeta_pair,
     hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
@@ -130,6 +132,33 @@ class TestProgression:
             hurwitz_zeta_progression(0.5, 0.0, 0.5, 5, np.array([0.5, 0.0]))
 
 
+class TestPair:
+    @pytest.mark.parametrize("r", [1e-9, 1e-7, 0.75])
+    @pytest.mark.parametrize("q", [1, 5, 199])
+    def test_matches_the_pointwise_kernel(self, q, r):
+        # One pointwise call over both sides takes the pair's shift, so the
+        # two differ by their rounding alone.
+        a = _units(q)
+        s = 0.5 + 1j * np.array([0.0, 14.13, -77.0, 300.0, 999.5])
+        sides = np.stack([s - 1j * r, s + 1j * r])
+        pair = hurwitz_zeta_pair(s, r, a)
+        assert pair.shape == (2,) + s.shape + a.shape
+        pointwise = hurwitz_zeta_vec(sides, a)
+        paired = hurwitz_pair_rounding_bound(sides, r, a)
+        assert np.all(paired > hurwitz_rounding_bound(sides, a))
+        assert np.all(np.abs(pair - pointwise) <= hurwitz_rounding_bound(sides, a) + paired)
+
+    def test_scalar_shift_and_refusals(self):
+        s = np.array([0.5 + 20.0j, 1.25 - 3.0j])
+        both = hurwitz_zeta_pair(s, 1e-3, np.array([0.5]))
+        assert hurwitz_zeta_pair(s, 1e-3, 0.5).shape == (2, 2)
+        assert hurwitz_zeta_pair(s, 1e-3, 0.5) == pytest.approx(both[..., 0], rel=1e-15)
+        with pytest.raises(ValueError):
+            hurwitz_zeta_pair(np.array([1.0 + 0.5j]), 0.5, 0.5)
+        with pytest.raises(ValueError):
+            hurwitz_zeta_pair(s, 1e-3, np.array([0.5, 0.0]))
+
+
 class TestCertifiedTruncation:
     def test_bound_small_inside_window(self):
         # |Im s| <= 1e3, -0.25 <= Re s <= 3: the chosen shift certifies the
@@ -162,6 +191,19 @@ class TestCertifiedTruncation:
                 rounding = float(hurwitz_rounding_bound(np.array([s]), a)[0])
                 assert err <= bound + rounding
                 assert s.real != 0.5 or bound + rounding < 1e-10
+        # the paired path, both sides of every centre of one call, within the
+        # bounds of the whole call
+        r = 1e-9
+        for sigma in (0.5, 1.25):
+            centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
+            sides = np.stack([centres - 1j * r, centres + 1j * r])
+            for a in (1.0 / 199.0, 0.25, 1.0):
+                pair = hurwitz_zeta_pair(centres, r, a)
+                bound = hurwitz_error_bound(sides, a) + hurwitz_pair_rounding_bound(sides, r, a)
+                for idx in np.ndindex(*sides.shape):
+                    err = abs(pair[idx] - complex(mp.zeta(sides[idx], a)))
+                    assert err <= bound[idx], (sides[idx], a)
+                    assert sigma != 0.5 or bound[idx] < 1e-9
 
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s

@@ -274,6 +274,28 @@ class TestScan:
         for z, (lo, hi) in zip(zs.zeros, zs.unverified_windows):
             assert lo < z.gamma < hi
 
+    def test_inflated_paired_rounding_term_leaves_windows(self, monkeypatch):
+        # The paired kernel's own rounding term enters every radius: inflated,
+        # it must leave windows at every offset, never accept a check.
+        import zerokit.dirichlet.zeros as zmod
+
+        monkeypatch.setattr(zmod, "hurwitz_pair_rounding_bound", lambda s, r, a: np.full(np.shape(s) + np.shape(a), 1.0))
+        with pytest.warns(UserWarning, match="failed the sign check"):
+            zs = scan_zeros(CHI4, 12.0)
+        assert not zs.certified
+        assert len(zs.unverified_windows) == len(zs.zeros) == 4
+
+    def test_a_close_pair_is_certified_at_a_wider_offset(self):
+        # q199.e23 has two zeros 0.016 apart near 307.2, where |Z| at
+        # gamma -/+ TARGET_RADIUS stays inside its error radius.  Their
+        # checks clear at 10 TARGET_RADIUS, which becomes their radius.
+        chi = next(c for c in primitive_characters(199) if char_label(c) == "q199.e23")
+        zs = scan_zeros(chi, 310.0)
+        assert zs.certified
+        wide = [z for z in zs.zeros if z.certified_radius != TARGET_RADIUS]
+        assert [z.certified_radius for z in wide] == [1e-8, 1e-8]
+        assert all(307.18 < z.gamma < 307.21 for z in wide)
+
     def test_mirrored_sets_negate_their_windows(self, tmp_path, monkeypatch):
         # Every ordinate fails its sign check; a conjugate character taken by
         # mirroring must name windows around its own ordinates.
@@ -325,7 +347,7 @@ class TestScan:
             for up, down, points in ((pos_grid, neg_grid, grid), (pos, neg, ts)):
                 assert up[:, c] == pytest.approx(_rotated_line(chi, points, half_phase), abs=1e-13)
                 assert down[:, c] == pytest.approx(_rotated_line(chi, -points, half_phase), abs=1e-13)
-        line, _ = engine._line(np.concatenate([ts, -ts]), np.repeat([0, 2], len(ts)))
+        line = engine._line(np.concatenate([ts, -ts]), np.repeat([0, 2], len(ts)))
         assert line[: len(ts)] == pytest.approx(pos[:, 0], abs=1e-13)
         assert line[len(ts) :] == pytest.approx(neg[:, 2], abs=1e-13)
 
@@ -359,15 +381,15 @@ class TestScan:
 
     def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
         # After the grid bank and the count bank, the scan evaluates Z only at
-        # gamma -/+ TARGET_RADIUS of each ordinate it locates, in one call:
-        # no refinement rounds.  The scan grid, a range of lattice indices,
-        # goes through the progression path alone and carries no pointwise
-        # point; the count's bank is pointwise, and the pointwise kernel sees
-        # its points and the sign-check points, nothing else.
+        # gamma -/+ TARGET_RADIUS of each ordinate it locates, by one paired
+        # evaluation per ordinate: no refinement rounds.  The scan grid, a
+        # range of lattice indices, goes through the progression path alone;
+        # the count's bank is pointwise, and the pointwise kernel sees its
+        # points and nothing else; the paired kernel sees the ordinates.
         import zerokit.dirichlet.zeros as zmod
 
-        points, progressions, stages = [], [], []
-        kernel, progression = zmod.hurwitz_zeta_vec, zmod.hurwitz_zeta_progression
+        points, progressions, pairs, stages = [], [], [], []
+        kernel, progression, paired = zmod.hurwitz_zeta_vec, zmod.hurwitz_zeta_progression, zmod.hurwitz_zeta_pair
         bank, line = zmod.ModulusEngine._bank, zmod.ModulusEngine._line
 
         def counted(s, a):
@@ -378,37 +400,42 @@ class TestScan:
             progressions.append(sigma + 1j * (t0 + h * np.arange(count)))
             return progression(sigma, t0, h, count, a)
 
+        def twinned(s, r, a):
+            pairs.append((np.array(s), r))
+            return paired(s, r, a)
+
         def banked(engine, cols, s):
             stages.append(("bank", s))
             return bank(engine, cols, s)
 
-        def lined(engine, ts, cols, radius=False):
+        def lined(engine, ts, cols):
             stages.append(("line", np.array(ts)))
-            return line(engine, ts, cols, radius)
+            return line(engine, ts, cols)
 
         monkeypatch.setattr(zmod, "hurwitz_zeta_vec", counted)
         monkeypatch.setattr(zmod, "hurwitz_zeta_progression", stepped)
+        monkeypatch.setattr(zmod, "hurwitz_zeta_pair", twinned)
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
         monkeypatch.setattr(zmod.ModulusEngine, "_line", lined)
         chars = primitive_characters(13)
         engine = ModulusEngine(chars, 20.0)
         sets = [engine.zero_set(chi) for chi in chars]
         assert all(zs.certified for zs in sets)
-        assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
-        ts = stages[2][1]
+        assert [kind for kind, _ in stages] == ["bank", "bank"]
         scan_grid, count_points = stages[0][1], stages[1][1]
         assert isinstance(scan_grid, range) and isinstance(count_points, np.ndarray)
         # no grid point reaches the pointwise kernel ...
         pointwise = np.concatenate(points)
-        assert len(pointwise) == len(count_points) + len(ts)
-        expected = np.concatenate([count_points, 0.5 + 1j * ts])
-        assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(expected))
+        assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(count_points))
         # ... and the progression path sees each of them once, and nothing else
         lattice = 0.5 + 1j * zmod.GRID_STEP * np.array(scan_grid)
         assert np.concatenate(progressions) == pytest.approx(lattice, abs=1e-12)
-        k = len(ts) // 2
-        assert ts[k:] - ts[:k] == pytest.approx(np.full(k, 2 * TARGET_RADIUS), abs=1e-12)
-        located = ts[:k] + TARGET_RADIUS
+        # each ordinate is checked once, at exactly -/+ TARGET_RADIUS, on the critical line
+        assert pairs and all(r == TARGET_RADIUS for _, r in pairs)
+        centres = np.concatenate([s for s, _ in pairs])
+        assert np.all(centres.real == 0.5)
+        located = centres.imag
+        assert len(np.unique(located)) == len(located)
         # real characters are located on t > 0 and mirrored
         stored = np.array(
             [z.gamma for zs in sets for z in zs.zeros if z.gamma > 0 or conjugate_character(zs.character) != zs.character]
@@ -504,15 +531,14 @@ class TestScan:
             banks.append(s)
             return bank(engine, cols, s)
 
-        def lined(engine, ts, cols, radius=False):
-            if not radius:
-                lines.append(np.array(ts))
-            return line(engine, ts, cols, radius)
+        def lined(engine, ts, cols):
+            lines.append(np.array(ts))
+            return line(engine, ts, cols)
 
         def checked(engine, gammas, owners):
-            ok = check(engine, gammas, owners)
+            ok, radii = check(engine, gammas, owners)
             checks.append((gammas.copy(), ok))
-            return ok
+            return ok, radii
 
         default = scan_zeros(ZETA, 40.0)
         monkeypatch.setattr(zmod, "GRID_STEP", 0.5)
@@ -629,6 +655,22 @@ class TestLibraryAndCache:
         with pytest.raises(ValueError, match=re.escape("zeros_q0004.csv, line 2: ")) as info:
             read_zero_cache(tmp_path, 4)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["5,1,0.5,6.18,1e-09,8.0", "5,1,0.5,7.5,1e-09,500.0"], "line 3: complete_to_height 500.0 differs from 8.0"),
+            (["5,1,,7.5,1e-09,8.0"], "line 2: a row with no beta has gamma '7.5'"),
+            (["5,2,,,,8.0", "5,1,,,1e-09,8.0"], "line 3: a row with no beta has gamma '' and radius '1e-09'"),
+        ],
+        ids=["mixed-heights", "gamma-without-beta", "radius-without-beta"],
+    )
+    def test_inconsistent_character_rows_name_their_file_and_line(self, tmp_path, rows, message):
+        # All rows of one character carry one height, and a row with no zero
+        # leaves gamma and radius empty; either breach makes the file corrupt.
+        (tmp_path / "zeros_q0005.csv").write_text("\n".join([CACHE_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"zeros_q0005.csv, {message}")):
+            read_zero_cache(tmp_path, 5)
 
     def test_header_contract(self, tmp_path):
         zs = scan_zeros(CHI4, 8.0)
