@@ -18,8 +18,10 @@ serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
 `hurwitz_rounding_bound` the floating-point error of the sum itself.
 
 Three paths share the shift rule and the Euler--Maclaurin tail (`_add_tail`),
-which sums the ORDER corrections by Horner's rule in x = (N+a)^-2 and scales
-them by (N+a)^(-s-1), two passes over the table per order:
+which sums the ORDER corrections as one float64 matrix product: the
+Pochhammer symbols (s)_{2j-1}, one row per point split into its real and
+imaginary parts, times a table of B_2j/(2j)! x^j, x = (N+a)^-2, one column per
+shift; the result is scaled by (N+a)^(1-s) outside the product:
 
 * `hurwitz_zeta_vec`, the pointwise path, takes any s.  It shares the shift
   across all entries of s and a and adds the direct block one n at a time on
@@ -106,30 +108,38 @@ def _shift_for(s: np.ndarray) -> int:
 
 
 def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) -> None:
-    """Add zeta(s, a) - sum_{n<N} (n+a)^-s, up to R_M, to `out` in place, by Horner's rule.
+    """Add zeta(s, a) - sum_{n<N} (n+a)^-s, up to R_M, to `out` in place, by one real matrix product.
 
     s is a column of points, w = N + a a row of shifts, and out and w_pow =
     w^-s are (len(s), len(a)) arrays.  With x = w^-2 the tail is
 
-        w^-s w [1/(s-1) + w^-1/2 + x sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} x^(j-1)],
+        w^-s w [1/(s-1) + w^-1/2 + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} x^j].
 
-    a polynomial in x whose coefficients depend on s alone: they are built
-    once per point, and each order then costs two passes over the table.
+    The sum is a (len(s) x M) matrix of Pochhammer symbols (s)_{2j-1}, which
+    depend on s alone, times an (M x len(a)) table of B_2j/(2j)! x^j, x^j by a
+    cumulative product.  The product runs in float64, never as a complex
+    BLAS product: the float view of the Pochhammer matrix interleaves each
+    point's real and imaginary parts, so the real product views as complex.
+    A complex shift a, as in `hurwitz_zeta`'s scalar a, splits each column
+    of the table into its real and imaginary parts, paired again after the
+    product.  The other pieces and the factors w and w^-s stay outside the
+    product, as `hurwitz_rounding_bound` counts them.
     """
-    coeffs = _bernoulli_over_factorial()
-    # poly[j - 1] = B_2j/(2j)! (s)_{2j-1}: each order multiplies in (s + 2j - 3)(s + 2j - 2).
-    poly = np.empty((ORDER,) + s.shape, dtype=complex)
-    poly[0] = s
+    # poly[j - 1] = (s)_{2j-1}: order j multiplies in (s + 2j - 3)(s + 2j - 2).
+    points = s[:, 0]
+    poly = np.empty((ORDER, len(points)), dtype=complex)
+    poly[0] = points
     for j in range(1, ORDER):
-        poly[j] = poly[j - 1] * ((s + (2 * j - 1)) * (s + 2 * j))
-    poly *= np.array(coeffs[:ORDER])[:, None, None]
-    x = 1.0 / (w * w)
-    acc = np.empty(out.shape, dtype=complex)
-    acc[...] = poly[-1]
-    for coeff in poly[-2::-1]:
-        acc *= x
-        acc += coeff
-    acc *= x
+        np.multiply(poly[j - 1], (points + (2 * j - 1)) * (points + 2 * j), out=poly[j])
+    # powers[j - 1] = B_2j/(2j)! x^j, x^j by a cumulative product.
+    powers = np.cumprod(np.repeat(1.0 / (w * w), ORDER, axis=0), axis=0)
+    powers *= np.array(_bernoulli_over_factorial()[:ORDER])[:, None]
+    # Rows of the float views: the parts of each column of powers, times the
+    # (real, imaginary) pair of each coefficient, so the result views as complex.
+    prod = (powers.view(float).T @ poly.view(float)).view(complex)
+    if np.iscomplexobj(powers):  # rows alternate the real and imaginary parts of x^j
+        prod = prod[::2] + 1j * prod[1::2]
+    acc = np.ascontiguousarray(prod.T)
     acc += 1.0 / (s - 1.0)
     acc += 0.5 / w
     acc *= w
@@ -289,17 +299,35 @@ def hurwitz_rounding_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
     its magnitude (n+a)^-Re s: log, the product with s and the complex exp
     each round once, and the phase error |s| |log(n+a)| u is what grows with
     the height.  w^-s, w = N + a, takes the same (4 + |s| (1 + 4 log w)) u.
-    The tail is w^-s times a sum of ORDER + 2 pieces (`_add_tail`).  In
-    Horner's order the piece of order j takes 2 u from B_2j/(2j)! (rounded
-    once, then multiplied in), 7 u from each of its j - 1 factors
-    (s + 2i - 1)(s + 2i), formed and multiplied in, 5 u from each of its j
-    products with x = w^-2 (x is off by 4 u, as w = N + a, w w and 1/(w w)
-    each round once), j + 2 additions, and 5 u from the products with w and
-    w^-s: with w^-s itself, (13 j + 6 + |s| (1 + 4 log(N+a))) u of its
-    magnitude.  The 1/(s-1) and w^-1/2 pieces round less, and every piece
-    stays within (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u.  Adding the N
-    direct terms and the tail into the result costs at most N + 1 units u of
-    the sum of all magnitudes.
+    The tail is w^-s times a sum of ORDER + 2 pieces (`_add_tail`), each
+    counted against its own magnitude, to first order in u (the constant
+    below leaves ORDER + 11 u of slack per piece for the rest):
+
+    * The piece of order j is (s)_{2j-1} times B_2j/(2j)! x^j.  (s)_{2j-1} takes
+      7 u from each of its j - 1 factors (s + 2i - 1)(s + 2i): two real
+      additions, the complex product (sqrt 5 u) and its product into the
+      running Pochhammer (sqrt 5 u).  x = 1/(w w) is off by 4 u (w, w w and
+      the quotient each round once), so the cumulative product x^j by
+      (5 j - 1) u, and B_2j/(2j)!, rounded once and multiplied in once, adds
+      2 u: the two factors of the product are off by (12 j - 6) u together.
+    * The product takes the real and the imaginary part of each sum as a
+      dot product of ORDER terms.  In any order of summation, with or
+      without fused multiply-adds, that is within gamma_ORDER =
+      ORDER u / (1 - ORDER u) of the sum of the terms' magnitudes (Higham,
+      Accuracy and Stability of Numerical Algorithms, sec. 3.1), which
+      covers the products' own rounding; by the triangle inequality the
+      same holds for the complex sum, whose parts the product leaves side
+      by side.
+    * Adding 1/(s-1) and w^-1/2 rounds twice, within 2 u of the sum of the
+      magnitudes; the product with w takes 2 u (w and the product), and the
+      product with w^-s takes sqrt 5 u plus w^-s's own error.
+
+    So the piece of order j is off by at most (12 j + ORDER + 5 + |s| (1 + 4
+    log(N+a))) u of its magnitude.  The 1/(s-1) piece (s - 1 and the complex
+    reciprocal round at most 7 u together) and the w^-1/2 piece (2 u) round
+    less, and every piece stays within (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u.
+    Adding the N direct terms and the tail into the result costs at most
+    N + 1 units u of the sum of all magnitudes.
     """
     s = np.asarray(s, dtype=complex)
     return _pointwise_rounding(*_magnitudes(s, a)).reshape(s.shape + np.shape(a))

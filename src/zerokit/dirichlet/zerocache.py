@@ -52,6 +52,14 @@ def _cache_path(cache_dir: Path, q: int) -> Path:
     return Path(cache_dir) / f"zeros_q{q:04d}.csv"
 
 
+class _Reprs(dict):
+    """repr of each float, computed on first use."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
+
+
 def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], ZeroSet]) -> Path:
     """Write all zero sets of one modulus; deterministic row order."""
     if not zerosets:
@@ -64,16 +72,18 @@ def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], Zero
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _cache_path(cache_dir, q)
     lines = [CACHE_HEADER]
+    # Each character's prefix and suffix are built once, and one repr serves
+    # every row with the same beta or radius; gamma takes its own.
+    texts = _Reprs()
     for exps in sorted(zerosets):
         zs = zerosets[exps]
-        key = exponent_key(zs.character)
+        prefix, suffix = f"{q},{exponent_key(zs.character)},", f",{zs.complete_to_height!r}"
         if zs.zeros:
-            for z in zs.zeros:
-                lines.append(
-                    f"{q},{key},{z.beta!r},{z.gamma!r},{z.certified_radius!r},{zs.complete_to_height!r}"
-                )
+            lines.extend(
+                f"{prefix}{texts[z.beta]},{z.gamma!r},{texts[z.certified_radius]}{suffix}" for z in zs.zeros
+            )
         else:
-            lines.append(f"{q},{key},,,,{zs.complete_to_height!r}")
+            lines.append(f"{prefix},,{suffix}")
     # Write beside the file, then replace it in one step: a crash mid-write
     # leaves the previous file whole, never a truncated one that reloads.
     tmp = path.with_name(path.name + ".tmp")

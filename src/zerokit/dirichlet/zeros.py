@@ -21,7 +21,9 @@ in method but not in the evaluator.
   over the units, computed once on the lattice for all characters it scans,
   by the Hurwitz kernel's progression path;
   a seed at the root of the degree-11 interpolant through the NODES = 12
-  grid values around each sign change, with no further evaluation; one
+  grid values around each sign change, found by safeguarded Newton steps
+  with no further evaluation of Z (the cells with |t| < LOW are seeded from
+  the quarter-step regrid below instead); one
   batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
   certified error radius (Hurwitz truncation plus floating-point rounding,
   so both values of a check come from one exp per term of the paired
@@ -29,9 +31,10 @@ in method but not in the evaluator.
   stay inside their radius, as at a close pair of zeros, is repeated at 10
   and then 100 TARGET_RADIUS, and the offset that clears is the zero's
   certified radius; and one local regrid at a quarter step of the cells
-  whose seed failed, or where a character short of its count dips toward
-  zero, then seeds and a check there.  A zero whose second check fails is
-  reported as an unverified window, never accepted silently.
+  with |t| < LOW, of the cells whose seed failed, and of those where a
+  character short of its count dips toward zero, then seeds and a check
+  there.  A zero whose check there fails is reported as an unverified
+  window, never accepted silently.
 
 A scan to height T is *complete* when the number of zeros it locates on
 [-t_eff, t_eff] matches the count there.  The grid is the fixed lattice
@@ -83,8 +86,13 @@ NODES = 12
 # Points x units per Hurwitz call of the engine.
 TABLE_ENTRIES = 1 << 14
 # The sign-change grid is the lattice t_k = k GRID_STEP, at every height (a
-# quarter step in the cells rebanked after a failed sign check or a short count).
+# quarter step in the cells rebanked near t = 0, after a failed sign check or
+# on a short count).
 GRID_STEP = 0.05
+# Sign changes in cells with |t| < LOW are seeded from the quarter-step regrid:
+# there the gamma factor's singularities at t = -/+i (1/2 + a), a = 0 or 1 by
+# parity, lie closest to the line, and the lattice interpolant is least accurate.
+LOW = 1.0
 # The count's right edge, Re s = RIGHT.
 RIGHT = 1.25
 # A phase change in units of pi must land this close to an integer.
@@ -215,9 +223,11 @@ class ModulusEngine:
     * per character, the count edge t_eff; one count for all characters, each
       at its own t_eff, from one pointwise bank on the horizontal edges of
       the half contour, corners included (`_counts`);
-    * every sign change of every character at once: a seed at the root of the
-      degree-11 interpolant through the NODES grid values around it, read
-      from the bank, which runs far enough past the candidates for every window;
+    * every sign change of every character at once, but those in cells with
+      |t| < LOW: a seed at the root of the degree-11 interpolant through the
+      NODES grid values around it, read from the bank, which runs far enough
+      past the candidates for every window, by safeguarded Newton steps that
+      start at the cell's secant root (`_interpolant_root`);
     * one sign check for all ordinates at gamma -/+ TARGET_RADIUS, both
       sides of each ordinate from one `hurwitz_zeta_pair` call per chunk:
       the two values must differ in sign and both exceed `_radius`, the
@@ -227,9 +237,10 @@ class ModulusEngine:
       one that clears is the zero's radius; overlapping intervals, each
       zero's own radius wide, fail together;
     * only if needed, one evaluation at a quarter step (`_regrid`) of the
-      cells whose seed failed its check and, for each character with fewer
-      sign changes than its count, of the cells where its interpolant dips
-      toward zero (`_dips`); those cells are seeded and checked once more.
+      cells with |t| < LOW, of the cells whose seed failed its check and,
+      for each character with fewer sign changes than its count, of the
+      cells where its interpolant dips toward zero (`_dips`); those cells
+      are seeded and checked there, the low ones for the first time.
 
     Only the lattice goes through the progression path, which carries no
     error radius; the certified sign checks go through the paired path, and
@@ -452,19 +463,25 @@ class ModulusEngine:
         reach = t_eff[:, None]
         cells = (np.arange(2 * n)[None, :] >= first[:, None]) & (ts[:-1] < reach) & (ts[1:] > -reach)
         row, cell = np.nonzero(cells & (vals[:, :-1] * vals[:, 1:] < 0.0))
+        # The sign changes with |t| < LOW are seeded from the quarter-step regrid alone.
+        low = np.maximum(np.abs(ts[cell]), np.abs(ts[cell + 1])) < LOW
+        low_row, low_cell, row, cell = row[low], cell[low], row[~low], cell[~low]
         on_grid, node = np.nonzero((vals == 0.0) & (np.arange(2 * n + 1) >= first[:, None]) & (np.abs(ts) <= reach))
         gammas = np.concatenate([GRID_STEP * (_seed(vals, row, cell) - n), ts[node]])
         owners = np.concatenate([row, on_grid])
         ok, radii = self._check(gammas, owners)
         found = self._collect(gammas, owners, ok, radii, t_eff)
 
-        # Regrid at a quarter step the cells of failed seeds and, for each
-        # character whose sign changes fall short of its count, the cells
-        # where the interpolant dips toward zero; then seed and check again.
+        # Regrid at a quarter step the low cells, the cells of failed seeds
+        # and, for each character whose sign changes (a low cell counts for
+        # one, mirrored for a real character) fall short of its count, the
+        # cells where the interpolant dips toward zero; then seed and check.
         failed = ~ok[: len(row)]
-        short = [isinstance(e, int) and len(f[0]) < e for e, f in zip(expected, found)]
+        pending = np.bincount(low_row, weights=np.where(self._real[low_row], 2, 1), minlength=len(self.chars))
+        short = [isinstance(e, int) and len(f[0]) + p < e for e, f, p in zip(expected, found, pending)]
         dip_row, dip_cell = _dips(vals, cells, np.flatnonzero(short))
-        redo_row, redo_cell = np.concatenate([row[failed], dip_row]), np.concatenate([cell[failed], dip_cell])
+        redo_row = np.concatenate([low_row, row[failed], dip_row])
+        redo_cell = np.concatenate([low_cell, cell[failed], dip_cell])
         if len(redo_row):
             fine, fine_owners = self._regrid(n, redo_row, redo_cell, t_eff)
             keep = np.concatenate([~failed, np.ones(len(node), dtype=bool)])
@@ -564,22 +581,47 @@ def _interpolant_root(f: np.ndarray, left: np.ndarray) -> np.ndarray:
     """Root in (left, left + 1) of the interpolant through f[k, j] at nodes x = j, for each row k.
 
     f[k] changes sign between nodes left[k] and left[k] + 1.  In barycentric
-    form the interpolant is a multiple of prod_j (x - j) sum_j w_j f_j / (x - j),
-    and the product keeps one sign inside the cell, so the sum's sign decides
-    each bisection: on the left node's side of the root it is the sign of the
-    sum's term at that node.  The cell is halved down to the float resolution
-    of its unit width, so a midpoint never hits a node.
+    form the interpolant is a multiple of prod_j (x - j) g(x), with
+    g(x) = sum_j w_j f_j / (x - j), and the product keeps one sign inside the
+    cell, so the root is g's.  Each row starts at the secant root of its two
+    node values and keeps a bracket [lo, hi] in cell units: on the left
+    node's side of the root, g has the sign of its term at that node.  A step
+    is Newton's, x - g/g', where it lands inside the closed bracket, and the
+    bracket's midpoint otherwise.  A row stops once a step moves it by at
+    most 4 eps of the cell, or after nmant steps, as many as bisection takes
+    down to the float resolution of the cell.  Every point lies within
+    [2^-53, 1 - 2^-53] of the cell, so none is a node.
     """
     rows = np.arange(len(f))
     weighted = _WEIGHTS * f
     offsets = left[:, None] - np.arange(NODES)
     at_left = np.sign(weighted[rows, left])
-    lo, hi = np.zeros(len(f)), np.ones(len(f))
-    for _ in range(np.finfo(float).nmant):
-        mid = 0.5 * (lo + hi)
-        beyond = np.sign(np.sum(weighted / (mid[:, None] + offsets), axis=1)) == at_left
-        lo, hi = np.where(beyond, mid, lo), np.where(beyond, hi, mid)
-    return left + 0.5 * (lo + hi)
+    edge = 2.0**-53
+    f_left, f_right = f[rows, left], f[rows, left + 1]
+    x = np.clip(f_left / (f_left - f_right), edge, 1.0 - edge)
+    lo, hi = np.full(len(f), edge), np.full(len(f), 1.0 - edge)
+    out = np.empty(len(f))
+    todo = rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(np.finfo(float).nmant):
+            g, slope = _barycentric(weighted[todo], offsets[todo], x)
+            beyond = np.sign(g) == at_left[todo]
+            lo, hi = np.where(beyond, x, lo), np.where(beyond, hi, x)
+            newton = x - g / slope
+            step = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+            out[todo] = step
+            moving = np.abs(step - x) > 4.0 * np.finfo(float).eps
+            todo, x, lo, hi = todo[moving], step[moving], lo[moving], hi[moving]
+            if not len(todo):
+                break
+    return left + out
+
+
+def _barycentric(weighted: np.ndarray, offsets: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g and g' at x[k] of each row k, g(x) = sum_j weighted[k, j] / (x + offsets[k, j]), from one table of reciprocals."""
+    recip = 1.0 / (x[:, None] + offsets)
+    terms = weighted * recip
+    return terms.sum(axis=1), -np.einsum("kj,kj->k", terms, recip)
 
 
 def _dips(vals: np.ndarray, cells: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,9 +688,10 @@ def scan_zeros(
     of the EDGE_CANDIDATES lattice nodes from the first one >= T, the one
     where min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay
     clear of zeros.  The zeros found on [-t_eff, t_eff] are compared with the
-    count.  The cells of failed seeds and, on a short count, the cells where
-    the interpolant dips toward zero are rebanked at a quarter step, seeded
-    and checked once more; a persisting mismatch, or a count that cannot be
+    count.  The cells with |t| < LOW, where the lattice interpolant is least
+    accurate, the cells of failed seeds and, on a short count, the cells
+    where the interpolant dips toward zero are rebanked at a quarter step,
+    seeded and checked there; a persisting mismatch, or a count that cannot be
     certified, is recorded as the unverified window (-t_eff, t_eff), and a
     failed sign check as a window around that ordinate (`certified` is
     False), rather than raised.  Only the zeros with |gamma| <= T are kept,

@@ -204,6 +204,23 @@ class TestCertifiedTruncation:
                     err = abs(pair[idx] - complex(mp.zeta(sides[idx], a)))
                     assert err <= bound[idx], (sides[idx], a)
                     assert sigma != 0.5 or bound[idx] < 1e-9
+        # one 18-unit call of each certified path (the units mod 19), whose
+        # tails are one matrix product across the units; four units checked
+        a = _units(19)
+        for sigma in (0.5, 1.25):
+            centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
+            sides = np.stack([centres - 1j * r, centres + 1j * r])
+            for points, values, rounding in (
+                (centres, hurwitz_zeta_vec(centres, a), hurwitz_rounding_bound(centres, a)),
+                (sides, hurwitz_zeta_pair(centres, r, a), hurwitz_pair_rounding_bound(sides, r, a)),
+            ):
+                assert values.shape == points.shape + a.shape
+                for u in (0, 5, 11, 17):
+                    bound = hurwitz_error_bound(points, a[u]) + rounding[..., u]
+                    for idx in np.ndindex(*points.shape):
+                        err = abs(values[idx + (u,)] - complex(mp.zeta(points[idx], a[u])))
+                        assert err <= bound[idx], (points[idx], a[u])
+                        assert sigma != 0.5 or bound[idx] < 1e-9
 
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s

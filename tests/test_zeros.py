@@ -384,8 +384,10 @@ class TestScan:
         # gamma -/+ TARGET_RADIUS of each ordinate it locates, by one paired
         # evaluation per ordinate: no refinement rounds.  The scan grid, a
         # range of lattice indices, goes through the progression path alone;
-        # the count's bank is pointwise, and the pointwise kernel sees its
-        # points and nothing else; the paired kernel sees the ordinates.
+        # the count's bank is pointwise, and so is the one quarter-step line
+        # of the sign changes with |t| < LOW (q13.e5 and q13.e7 have a zero
+        # near -/+0.884); the pointwise kernel sees those points and nothing
+        # else; the paired kernel sees the ordinates.
         import zerokit.dirichlet.zeros as zmod
 
         points, progressions, pairs, stages = [], [], [], []
@@ -421,12 +423,14 @@ class TestScan:
         engine = ModulusEngine(chars, 20.0)
         sets = [engine.zero_set(chi) for chi in chars]
         assert all(zs.certified for zs in sets)
-        assert [kind for kind, _ in stages] == ["bank", "bank"]
-        scan_grid, count_points = stages[0][1], stages[1][1]
+        assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
+        scan_grid, count_points, low_line = stages[0][1], stages[1][1], stages[2][1]
         assert isinstance(scan_grid, range) and isinstance(count_points, np.ndarray)
+        assert np.max(np.abs(low_line)) <= zmod.LOW + zmod.NODES // 2 * zmod.GRID_STEP / 4
         # no grid point reaches the pointwise kernel ...
         pointwise = np.concatenate(points)
-        assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(count_points))
+        expected = np.concatenate([count_points, 0.5 + 1j * low_line])
+        assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(expected))
         # ... and the progression path sees each of them once, and nothing else
         lattice = 0.5 + 1j * zmod.GRID_STEP * np.array(scan_grid)
         assert np.concatenate(progressions) == pytest.approx(lattice, abs=1e-12)
@@ -588,6 +592,101 @@ class TestScan:
         assert zmod._interpolant_root(f, np.array([4])) == pytest.approx([4.3], abs=1e-13)
         assert zmod._DIFF @ poly(x) == pytest.approx(poly.deriv()(x), rel=1e-10)
 
+    def test_newton_seed_matches_bisection_on_random_windows(self):
+        # Degree-11 windows with one root in the cell and the other ten at
+        # least a node away from it: Newton's root and 52 bisections of the
+        # cell agree within 4 eps of the cell (plus the rounding of left + t).
+        # The cell sits mid-window, as in every window the engine seeds away
+        # from the ends of its grid; at the window's edge the barycentric sum
+        # loses digits, and both roots land anywhere in that rounding noise.
+        import zerokit.dirichlet.zeros as zmod
+
+        rng = np.random.default_rng(17)
+        x = np.arange(zmod.NODES, dtype=float)
+        windows, lefts = [], []
+        for _ in range(400):
+            left = int(rng.integers(4, 7))
+            others = rng.uniform(-8.0, zmod.NODES + 7.0, 40)
+            others = others[(others < left - 1.0) | (others > left + 2.0)][:10]
+            roots = np.append(others, left + rng.uniform(0.02, 0.98))
+            windows.append(np.prod(x[:, None] - roots, axis=1) * 10.0 ** rng.uniform(-6.0, 3.0))
+            lefts.append(left)
+        f, left = np.array(windows), np.array(lefts)
+        _assert_same_root(zmod._interpolant_root(f, left), _bisected_root(f, left), left)
+
+    @pytest.mark.parametrize("q, T, count", [(19, 51.0, None), (199, 30.0, 12)])
+    def test_newton_seed_matches_bisection_on_engine_windows(self, monkeypatch, q, T, count):
+        # Every window that a scan seeds, at a small and a large modulus.
+        import zerokit.dirichlet.zeros as zmod
+
+        seen = []
+        newton = zmod._interpolant_root
+
+        def spied(f, left):
+            seen.append((f.copy(), left.copy()))
+            return newton(f, left)
+
+        monkeypatch.setattr(zmod, "_interpolant_root", spied)
+        chars = primitive_characters(q)[:count]
+        engine = ModulusEngine(chars, T)
+        assert all(engine.zero_set(chi).certified for chi in chars)
+        f, left = (np.concatenate(parts) for parts in zip(*seen))
+        assert len(f) > 100
+        _assert_same_root(newton(f, left), _bisected_root(f, left), left)
+
+    def test_rejected_newton_steps_bisect_inside_the_cell(self, monkeypatch):
+        # A root 2^-54 of the cell right of its left node, closer than any
+        # point the seed evaluates, and a near-double root 1e-8 left of the
+        # right node, which makes the right node's value small: the secant
+        # start lies mid-cell, every Newton step lands left of the bracket,
+        # and each step is the bracket's midpoint.  The seed still returns
+        # the left end of the cell within nmant steps.
+        import zerokit.dirichlet.zeros as zmod
+
+        x = np.arange(zmod.NODES, dtype=float)
+        far = np.array([-3.0, -1.5, 0.5, 2.5, 8.5, 10.5, 13.0, 16.0])
+        f = ((x - 5.0) - 2.0**-54) * ((x - 6.0 + 1e-8) ** 2 + 1e-18) * np.prod(x[:, None] - far, axis=1)
+        points = []
+        barycentric = zmod._barycentric
+
+        def spied(weighted, offsets, at):
+            points.append(at.copy())
+            return barycentric(weighted, offsets, at)
+
+        monkeypatch.setattr(zmod, "_barycentric", spied)
+        root = zmod._interpolant_root(f[None, :], np.array([5]))
+        steps = np.concatenate(points)
+        assert 40 < len(steps) <= np.finfo(float).nmant
+        assert 0.25 < steps[0] < 0.75
+        assert np.array_equal(steps[1:], 0.5 * (2.0**-53 + steps[:-1]))
+        assert 5.0 <= root[0] <= 6.0
+        _assert_same_root(root, _bisected_root(f[None, :], np.array([5])), np.array([5]))
+
+    def test_low_ordinates_against_mpmath(self, zero_library):
+        # The zeros with |gamma| < 1 are seeded from the quarter-step regrid:
+        # q199.e48's zero at 0.2114 was 4.1e-11 off when seeded from the
+        # 0.05 lattice.  A secant step on mpmath's L-function from each
+        # ordinate (one step suffices from 1e-10) is the oracle.
+        import mpmath as mp
+
+        low = [
+            (chi, z.gamma)
+            for q in range(1, 21)
+            for chi in primitive_characters(q)
+            for z in zero_library.get(chi, 1.0).zeros
+            if abs(z.gamma) < 1.0
+        ]
+        assert len(low) == 6
+        chi = next(c for c in primitive_characters(199) if char_label(c) == "q199.e48")
+        low += [(chi, z.gamma) for z in scan_zeros(chi, 2.0).zeros if abs(z.gamma) < 1.0]
+        assert len(low) == 7
+        with mp.workdps(20):
+            for chi, g in low:
+                values = [complex(char_value(chi, n)) for n in range(chi.modulus)]
+                here, there = (mp.dirichlet(mp.mpc(0.5, t), values) for t in (g, g + 1e-6))
+                root = g - here * 1e-6 / (there - here)
+                assert abs(complex(root) - g) < 1e-12, (char_label(chi), g)
+
     def test_unverified_windows_are_not_persisted(self, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
 
@@ -600,6 +699,28 @@ class TestScan:
         assert not (tmp_path / "cache" / "zeros_q0004.csv").exists()
         with pytest.raises(CountCertificationError, match=r"q4\.e1 is not certified.*-10\.0, 10\.0"):
             lib.get(CHI4, 10.0)
+
+
+def _bisected_root(f: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The interpolant's root in each cell by 52 bisections, the reference for the Newton seed."""
+    import zerokit.dirichlet.zeros as zmod
+
+    rows = np.arange(len(f))
+    weighted = zmod._WEIGHTS * f
+    offsets = left[:, None] - np.arange(zmod.NODES)
+    at_left = np.sign(weighted[rows, left])
+    lo, hi = np.zeros(len(f)), np.ones(len(f))
+    for _ in range(np.finfo(float).nmant):
+        mid = 0.5 * (lo + hi)
+        beyond = np.sign(np.sum(weighted / (mid[:, None] + offsets), axis=1)) == at_left
+        lo, hi = np.where(beyond, mid, lo), np.where(beyond, hi, mid)
+    return left + 0.5 * (lo + hi)
+
+
+def _assert_same_root(root: np.ndarray, reference: np.ndarray, left: np.ndarray) -> None:
+    """Within 4 eps of the unit cell, plus one rounding of left + t."""
+    assert np.all((left <= root) & (root <= left + 1))
+    assert np.all(np.abs(root - reference) <= 4 * np.finfo(float).eps + np.spacing(left + 1.0))
 
 
 @pytest.fixture(scope="module")
