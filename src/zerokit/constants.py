@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -143,6 +143,9 @@ class FieldParams:
     implied_nk_constant: float = 0.0
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            if not math.isfinite(getattr(self, item.name)):
+                raise ValueError(f"{item.name} must be finite, got {getattr(self, item.name)}")
         if self.n_K < 1:
             raise ValueError("n_K must be a positive integer")
         if self.D_K < 1.0 or self.Q < 1.0 or self.Nq < 1.0 or self.T < 1.0:
@@ -468,8 +471,10 @@ def evaluate_density_bound(
     """
     if not 0.5 <= sigma <= 1.0:
         raise ValueError("sigma must lie in [1/2, 1]")
-    if leading_constant <= 0.0:
-        raise ValueError("leading_constant must be positive")
+    if not math.isfinite(leading_constant) or leading_constant <= 0.0:
+        raise ValueError(f"leading_constant must be finite and positive, got {leading_constant}")
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent}")
     log_base = (
         p.implied_nk_constant * p.n_K
         + 2.0 * math.log(p.D_K)
@@ -513,8 +518,8 @@ def evaluate_repulsion_bound(kind: str, beta1: float, p: FieldParams, c: float) 
         raise ValueError("kind must be 'quadratic' or 'trivial'")
     if not 0.0 <= beta1 < 1.0:
         raise ValueError("beta1 must lie in [0, 1)")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not math.isfinite(c) or c <= 0.0:
+        raise ValueError(f"c must be finite and positive, got {c}")
 
     log_agg = math.log(p.D_K) + math.log(p.Nq) + p.n_K * math.log(p.T + 20.0) + p.n_K
     arg = c / ((1.0 - beta1) * log_agg)

@@ -17,36 +17,24 @@ at the negative integers, where the formula is a polynomial identity and N = 1
 serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
 `hurwitz_rounding_bound` the floating-point error of the sum itself.
 
-Three paths share the shift rule and the Euler--Maclaurin tail (`_add_tail`),
-which sums the ORDER corrections as one float64 matrix product: the
-Pochhammer symbols (s)_{2j-1}, one row per point split into its real and
-imaginary parts, times a table of B_2j/(2j)! x^j, x = (N+a)^-2, one column per
-shift; the result is scaled by (N+a)^(1-s) outside the product:
+One kernel, `hurwitz_zeta_grid`, forms the terms (n+a)^-s.  It takes a grid
+s = c_p + d_q, a column c and a short row d of offsets, at one shift N,
+factors each term as (n+a)^-c_p (n+a)^-d_q, and picks from the shapes alone
+how to sum over n: one or two offsets turn one exp per (p, n, a) by a fixed
+table per offset; more take one batched matrix product (baby-step/giant-step).
+Every grid shares one Euler--Maclaurin tail (`_add_tail`: one float64
+matrix product of the Pochhammer symbols (s)_{2j-1}, one row per point, and
+a table of B_2j/(2j)! (N+a)^-2j, one column per shift) and one rounding
+bound, `hurwitz_rounding_bound`.  Its callers:
 
-* `hurwitz_zeta_vec`, the pointwise path, takes any s.  It shares the shift
-  across all entries of s and a and adds the direct block one n at a time on
-  a (len(s), len(a)) array, one complex exp per term, so no term matrix is
-  ever built.  `hurwitz_rounding_bound` bounds its floating-point error.
-* `hurwitz_zeta_pair`, the paired path, takes the two points s -/+ i r of
-  each centre s at once.  Each (centre, n, a) takes one complex exp,
-  (n+a)^-s, which a fixed (N x len(a)) table of (n+a)^(+-i r) turns into
-  both sides, and the tail's (N+a)^-s is built the same way.  The shift is
-  that of all its points, so `hurwitz_error_bound` over them bounds its
-  truncation, and `hurwitz_pair_rounding_bound`, the pointwise rounding
-  bound plus a term for the extra product, its rounding.
-* `hurwitz_zeta_progression` takes the points of an arithmetic progression
-  sigma + i (t0 + k h), k < count, by baby-step/giant-step: with
-  B = ceil(sqrt(count)) and k = j B + i,
-  (n+a)^-s = (n+a)^(-i (t0 + j B h)) (n+a)^(-sigma - i i h), so about
-  2 sqrt(count) N exps per shift a and one batched matrix product give the
-  direct block of every point.  Its values carry no rounding bound: what
-  must be certified goes through the pointwise or the paired path.
-
-In the zero engine (`zeros.ModulusEngine`) the progression path takes the
-scan grid alone, which carries no error radius; the count's points go
-pointwise, and the certified sign checks at gamma -/+ r go through the
-paired path, whose radius includes `hurwitz_pair_rounding_bound`.  No count
-value needs a progression rounding bound.
+* `hurwitz_zeta_vec(s, a)`, the grid at d = 0, for any s and Re a > 0 (a
+  complex a serves `lfunctions.trivial_zero_sum`); the zero engine's count
+  edges and quarter-step regrid;
+* `hurwitz_zeta_progression`, sigma + i (t0 + k h) as the grid of giant
+  steps c and baby steps d: the engine's lattice, which seeds every zero;
+* the engine's certified sign checks (`zeros.ModulusEngine._pair`), both
+  sides gamma -/+ r of each ordinate as the grid at d = (-i r, +i r), whose
+  radius includes the rounding bound at that d.
 """
 
 from __future__ import annotations
@@ -59,12 +47,11 @@ import numpy as np
 
 __all__ = [
     "hurwitz_zeta",
+    "hurwitz_zeta_grid",
     "hurwitz_zeta_vec",
-    "hurwitz_zeta_pair",
     "hurwitz_zeta_progression",
     "hurwitz_error_bound",
     "hurwitz_rounding_bound",
-    "hurwitz_pair_rounding_bound",
 ]
 
 ORDER = 20  # Euler--Maclaurin correction order M
@@ -147,104 +134,111 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
     out += acc
 
 
+def _grid_points(c, d, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c and d as flat complex arrays, and the grid's points: s if given, else the rounded sums c_p + d_q."""
+    c = np.asarray(c, dtype=complex).ravel()
+    d = np.asarray(d, dtype=complex).ravel()
+    s = (c[:, None] + d).ravel() if s is None else np.asarray(s, dtype=complex).ravel()
+    return c, d, s
+
+
+def hurwitz_zeta_grid(c, d, a: complex | np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """zeta(c_p + d_q, a) for a column c, a row d of offsets and Re a > 0 (no point may equal 1).
+
+    The result has one row per point k = p len(d) + q, shape
+    (len(c) len(d),) + np.shape(a).  Each direct term is factored as
+    (n+a)^-(c_p + d_q) = (n+a)^-c_p (n+a)^-d_q, and the shapes pick the
+    contraction over n < N:
+
+    * for one or two offsets, one complex exp (n+a)^-c_p per (p, n, a),
+      turned into each point by a fixed (N + 1) x len(a) table (n+a)^-d_q,
+      so no term table is ever built; the grid at d = 0 takes no turn;
+    * for more offsets, tables of (n+a)^-c and (n+a)^-d and one batched
+      matrix product per shift a.
+
+    Row n = N of the factors gives the tail's w^-s, w = N + a, so no point
+    takes a complex exp of its own.  The shift and the tail's Pochhammer
+    symbols take the points s, by default the rounded sums c_p + d_q; a
+    caller whose points are rounded otherwise, or that wants only the first
+    len(s) of them, passes them as s, and the result has len(s) rows.
+    """
+    c, d, s = _grid_points(c, d, s)
+    a = np.asarray(a)
+    shifts = a.ravel()
+    if np.any(shifts.real <= 0.0):
+        raise ValueError("hurwitz_zeta requires Re a > 0")
+    if np.any(s == 1.0):
+        raise ValueError("hurwitz_zeta has a pole at s = 1")
+    n_shift = _shift_for(s)
+
+    log_n = np.log(np.arange(n_shift + 1)[:, None] + shifts)  # (N + 1, len(a))
+    if len(d) > 2:
+        # C-ordered tables, so that the product runs in BLAS.
+        log_n = np.ascontiguousarray(log_n.T)  # (len(a), N + 1)
+        coarse = np.exp(-c[:, None] * log_n[:, None, :])  # (len(a), len(c), N + 1)
+        fine = np.exp(-log_n[:, :, None] * d)  # (len(a), N + 1, len(d))
+        direct = np.matmul(coarse[:, :, :n_shift], fine[:, :n_shift])
+        w_pow = coarse[:, :, n_shift, None] * fine[:, None, n_shift]
+        # Point k = p len(d) + q sits at [u, p, q]: flatten (p, q) and keep k < len(s).
+        out, w_pow = (x.reshape(len(shifts), -1)[:, : len(s)].T for x in (direct, w_pow))
+    else:
+        neg = -c[:, None]
+        out = np.zeros((len(d), len(c), len(shifts)), dtype=complex)
+        w_pow = np.exp(neg * log_n[-1])[None]
+        if len(d) == 1 and d[0] == 0.0:  # the grid at d = 0 takes no turn
+            acc = out[0]
+            for log in log_n[:-1]:
+                acc += np.exp(neg * log)
+        else:
+            # turns[n, q] = (n+a)^-d_q, shaped to broadcast against a (len(c), len(a)) term.
+            turns = np.exp(-d[:, None] * log_n[:, None, :])[:, :, None, :]
+            for log, turn in zip(log_n[:-1], turns):
+                out += np.exp(neg * log) * turn
+            w_pow = w_pow * turns[-1]
+        out, w_pow = (x.transpose(1, 0, 2).reshape(-1, len(shifts))[: len(s)] for x in (out, w_pow))
+    _add_tail(out, s[:, None], n_shift + shifts[None, :], w_pow)
+    return out.reshape((len(s),) + a.shape)
+
+
 def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
     """zeta(s, a) for an array of complex s (no entry may equal 1) and Re a > 0.
 
     `a` is a scalar or an array; the result has shape s.shape + np.shape(a).
     """
     s = np.asarray(s, dtype=complex)
-    a = np.asarray(a)
-    if np.any(a.real <= 0.0):
-        raise ValueError("hurwitz_zeta requires Re a > 0")
-    if np.any(s == 1.0):
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = _shift_for(s)
-
-    flat = s.reshape(-1, 1)
-    shifts = a.reshape(1, -1)
-    out = np.zeros((flat.shape[0], shifts.shape[1]), dtype=complex)
-    # Direct block: sum_{n<N} (n+a)^-s, one n at a time.
-    for log_n in np.log(np.arange(n_shift)[:, None] + shifts):
-        out += np.exp(-flat * log_n)
-
-    w = n_shift + shifts
-    _add_tail(out, flat, w, np.exp(-flat * np.log(w)))
-    return out.reshape(s.shape + a.shape)
+    return hurwitz_zeta_grid(s, 0.0, a).reshape(s.shape + np.shape(a))
 
 
-def hurwitz_zeta_pair(s: np.ndarray, r: float, a: float | np.ndarray) -> np.ndarray:
-    """zeta(s - i r, a) and zeta(s + i r, a) for an array of complex s, real r and real a > 0.
-
-    The result stacks the two sides: shape (2,) + s.shape + np.shape(a), row
-    0 at s - i r.  All points of a call share the shift `_shift_for` of both
-    sides, np.stack([s - 1j * r, s + 1j * r]), so `hurwitz_error_bound` and
-    `hurwitz_pair_rounding_bound` taken over that stack bound the call.  Each
-    (point, n, a) takes one complex exp, (n+a)^-s = exp(-s log(n+a)), which
-    the fixed table (n+a)^(+-i r) = exp(+-i r log(n+a)) turns into both
-    sides; row n = N of both gives the tail's (N+a)^(-s -/+ i r) the same way.
-    """
-    s = np.asarray(s, dtype=complex)
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("hurwitz_zeta requires Re a > 0")
-    sides = np.stack([s - 1j * r, s + 1j * r])
-    if np.any(sides == 1.0):
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = _shift_for(sides)
-
-    flat = s.reshape(-1, 1)
-    shifts = a.reshape(1, -1)
-    units = shifts.shape[1]
-    log_n = np.log(np.arange(n_shift + 1)[:, None] + shifts)  # (N + 1, len(a))
-    turn = np.exp(1j * r * log_n)  # (n+a)^(i r), which takes (n+a)^-s to (n+a)^-(s - i r)
-    out = np.zeros((2, flat.shape[0], units), dtype=complex)
-    # Direct block: one exp per (point, n, a), turned to either side.
-    for log, down, up in zip(log_n[:-1], turn[:-1], turn[:-1].conj()):
-        term = np.exp(-flat * log)
-        out[0] += term * down
-        out[1] += term * up
-    w_mid = np.exp(-flat * log_n[-1])
-    w_pow = np.stack([w_mid * turn[-1], w_mid * turn[-1].conj()])
-    _add_tail(out.reshape(-1, units), sides.reshape(-1, 1), n_shift + shifts, w_pow.reshape(-1, units))
-    return out.reshape((2,) + s.shape + a.shape)
+def _progression(sigma: float, t0: float, h: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid (c, d, s) of `hurwitz_zeta_progression`: giant steps c, baby steps d, points s."""
+    baby = max(1, math.ceil(math.sqrt(count)))
+    giant = -(-count // baby)
+    c = 1j * (t0 + baby * h * np.arange(giant))
+    d = sigma + 1j * h * np.arange(baby)
+    return c, d, sigma + 1j * (t0 + h * np.arange(count))
 
 
 def hurwitz_zeta_progression(sigma: float, t0: float, h: float, count: int, a: float | np.ndarray) -> np.ndarray:
-    """zeta(sigma + i (t0 + k h), a) for k < count and real a > 0.
+    """zeta(sigma + i (t0 + k h), a) for k < count and Re a > 0.
 
-    The result has shape (count,) + np.shape(a).  All points share the
-    shift N of `_shift_for`.  With B = ceil(sqrt(count)) baby steps and
-    J = ceil(count / B) giant steps, fine[u, n, i] = (n+a_u)^(-sigma - i i h)
-    and coarse[u, j, n] = (n+a_u)^(-i (t0 + j B h)) for n <= N; the direct
-    block is the batched product coarse[:, :, :N] @ fine[:, :N], and row
-    n = N of both tables gives the tail's (N+a)^-s, so no point takes a
-    complex exp of its own.
+    The result has shape (count,) + np.shape(a).  The points are the first
+    count of the grid c + d with B = ceil(sqrt(count)) baby steps
+    d_i = sigma + i i h and ceil(count / B) giant steps c_j = i (t0 + j B h),
+    k = j B + i, so about 2 sqrt(count) N exps per shift a and one batched
+    matrix product give every point.
     """
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("hurwitz_zeta requires Re a > 0")
-    s = sigma + 1j * (t0 + h * np.arange(count))
-    if np.any(s == 1.0):
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = _shift_for(s)
-    baby = max(1, math.ceil(math.sqrt(count)))
-    giant = -(-count // baby)
-
-    shifts = a.reshape(1, -1)
-    # C-ordered tables, so that the product runs in BLAS.
-    log_n = np.log(shifts.T + np.arange(n_shift + 1))  # (len(a), N + 1)
-    fine = np.exp(-log_n[:, :, None] * (sigma + 1j * h * np.arange(baby)))  # (len(a), N + 1, B)
-    coarse = np.exp(-1j * (t0 + baby * h * np.arange(giant))[:, None] * log_n[:, None, :])  # (len(a), J, N + 1)
-    direct = np.matmul(coarse[:, :, :n_shift], fine[:, :n_shift])  # (len(a), J, B)
-    w_pow = coarse[:, :, n_shift, None] * fine[:, None, n_shift]  # (N+a)^-s, (len(a), J, B)
-    # Point k = j B + i sits at [u, j, i]: flatten (j, i) and keep k < count.
-    out, w_pow = (x.reshape(len(log_n), -1)[:, :count].T for x in (direct, w_pow))
-    _add_tail(out, s[:, None], n_shift + shifts, w_pow)
-    return out.reshape((count,) + a.shape)
+    c, d, s = _progression(sigma, t0, h, count)
+    return hurwitz_zeta_grid(c, d, a, s)
 
 
 def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
-    """Certified bound on the truncation remainder of hurwitz_zeta_vec (real a > 0)."""
+    """Certified bound on the truncation remainder R_M at each point of s, for real a > 0.
+
+    The shift is the one `hurwitz_zeta_grid` takes for the whole of s, so s
+    must hold every point of one kernel call: the s of `hurwitz_zeta_vec`,
+    the points of a progression, or both sides of every ordinate of a
+    paired call.
+    """
     if isinstance(a, complex):
         raise ValueError("hurwitz_error_bound requires a real a")
     s = np.asarray(s, dtype=complex)
@@ -257,51 +251,20 @@ def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
-def _magnitudes(s: np.ndarray, a: float | np.ndarray):
-    """The term magnitudes the rounding bounds weigh, at the kernel's shift N for the whole of s.
+def hurwitz_rounding_bound(c, d, a: float | np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_grid(c, d, a, s) for real a > 0.
 
-    Returns |s|, log(N+a) and, each of shape (len(s), len(a)) for the
-    flattened s, the direct block's sum_{n<N} (n+a)^-Re s, its phase weight
-    sum_{n<N} (n+a)^-Re s |log(n+a)|, the tail's |w^(1-s)/(s-1)| +
-    |w^-s|/2 + sum_j |B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1)| with w = N + a, and N.
-    """
-    a = np.asarray(a, dtype=float)
-    n_shift = _shift_for(s)
-    flat = s.reshape(-1, 1)
-    shifts = a.reshape(1, -1)
-    log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
-    logw = np.log(n_shift + shifts)
-    # |(s)_{2j-1}| for j = 1..ORDER, one row per entry of s.
-    factors = np.abs(flat + np.arange(2 * ORDER - 1))
-    poch = np.cumprod(factors, axis=1)[:, ::2]
-    coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
-    direct, phase, tail = (np.empty((flat.shape[0], shifts.shape[1])) for _ in range(3))
-    for sigma in np.unique(flat.real):
-        rows = flat[:, 0].real == sigma
-        mag = np.exp(-sigma * log_n)
-        direct[rows] = mag.sum(axis=0)
-        phase[rows] = (mag * np.abs(log_n)).sum(axis=0)
-        powers = coeffs[:, None] * np.exp(-(sigma + 2 * np.arange(1, ORDER + 1)[:, None] - 1) * logw)
-        tail[rows] = (
-            np.exp((1.0 - sigma) * logw) / np.abs(flat[rows] - 1.0)
-            + 0.5 * np.exp(-sigma * logw)
-            + poch[rows] @ powers
-        )
-    return np.abs(flat), logw, direct, phase, tail, n_shift
+    The result has the kernel's shape, one row per point, and takes the
+    shift N the kernel takes for the same points s.  With u = 2^-53 it adds
+    three parts, to first order in u.
 
-
-def hurwitz_rounding_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_vec(s, a) for real a > 0.
-
-    The result has shape s.shape + np.shape(a), like the kernel's, and takes
-    the shift N the kernel takes for the same s.  With u = 2^-53, each direct
-    term exp(-s log(n+a)) is off by at most (4 + |s| (1 + 4 |log(n+a)|)) u of
-    its magnitude (n+a)^-Re s: log, the product with s and the complex exp
-    each round once, and the phase error |s| |log(n+a)| u is what grows with
-    the height.  w^-s, w = N + a, takes the same (4 + |s| (1 + 4 log w)) u.
-    The tail is w^-s times a sum of ORDER + 2 pieces (`_add_tail`), each
-    counted against its own magnitude, to first order in u (the constant
-    below leaves ORDER + 11 u of slack per piece for the rest):
+    The pointwise part.  A direct term exp(-s log(n+a)) is off by at most
+    (4 + |s| (1 + 4 |log(n+a)|)) u of its magnitude (n+a)^-Re s: log, the
+    product with s and the complex exp each round once, and the phase error
+    |s| |log(n+a)| u is what grows with the height.  w^-s, w = N + a, takes
+    the same (4 + |s| (1 + 4 log w)) u.  The tail is w^-s times a sum of
+    ORDER + 2 pieces (`_add_tail`), each counted against its own magnitude
+    (the constant below leaves ORDER + 11 u of slack per piece for the rest):
 
     * The piece of order j is (s)_{2j-1} times B_2j/(2j)! x^j.  (s)_{2j-1} takes
       7 u from each of its j - 1 factors (s + 2i - 1)(s + 2i): two real
@@ -326,39 +289,69 @@ def hurwitz_rounding_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
     log(N+a))) u of its magnitude.  The 1/(s-1) piece (s - 1 and the complex
     reciprocal round at most 7 u together) and the w^-1/2 piece (2 u) round
     less, and every piece stays within (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u.
-    Adding the N direct terms and the tail into the result costs at most
-    N + 1 units u of the sum of all magnitudes.
+    Adding the N direct terms one at a time, and the tail into the result,
+    costs at most N + 1 units u of the sum of all magnitudes.  The matrix
+    product of more than two offsets sums each part of a direct block as 2N
+    real products instead, within sqrt 2 gamma_2N <= 3 N u of the sum of the
+    terms' magnitudes (Higham, sec. 3.1, in any order, with or without fused
+    multiply-adds), so it counts 3 N + 1 units.
+
+    The offset part, when some d_q is not 0, with r = max |d|.  A direct term
+    is exp(-c log(n+a)), off by (4 + |c| (1 + 4 |log(n+a)|)) u with
+    |c| <= |s| + r, times exp(-d log(n+a)), off by (4 + r (1 + 4
+    |log(n+a)|)) u, and the product rounds once more (sqrt 5 u): beyond the
+    pointwise part, each direct term is off by at most
+    (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude, and w^-s, which scales
+    the whole tail, by (7 + 2 r (1 + 4 log(N+a))) u.  At d = 0 no product is
+    taken and the part is 0.
+
+    The points part.  The direct block and w^-s are taken at the exact sums
+    c_p + d_q, the tail's Pochhammer symbols at s; against zeta(s) the
+    difference adds |s - (c_p + d_q)| (sum_{n<N} (n+a)^-Re s |log(n+a)| +
+    log(N+a) x the tail's magnitude).  It is 0 for the default s; the
+    rounding of c_p + d_q itself, at most u |s| times the same weights,
+    sits in the slack of the pointwise part's phase terms.
     """
-    s = np.asarray(s, dtype=complex)
-    return _pointwise_rounding(*_magnitudes(s, a)).reshape(s.shape + np.shape(a))
+    apart = s is not None
+    c, d, s = _grid_points(c, d, s)
+    a = np.asarray(a, dtype=float)
+    n_shift = _shift_for(s)
+    flat = s[:, None]
+    shifts = a.reshape(1, -1)
+    log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
+    logw = np.log(n_shift + shifts)
+    # |(s)_{2j-1}| for j = 1..ORDER, one row per point.
+    factors = np.abs(flat + np.arange(2 * ORDER - 1))
+    poch = np.cumprod(factors, axis=1)[:, ::2]
+    coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
+    # Per point and shift: the direct block's sum_{n<N} (n+a)^-Re s, its
+    # phase weight sum_{n<N} (n+a)^-Re s |log(n+a)|, and the tail's
+    # |w^(1-s)/(s-1)| + |w^-s|/2 + sum_j |B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1)|.
+    direct, phase, tail = (np.empty((len(s), shifts.shape[1])) for _ in range(3))
+    for sigma in np.unique(flat.real):
+        rows = flat[:, 0].real == sigma
+        mag = np.exp(-sigma * log_n)
+        direct[rows] = mag.sum(axis=0)
+        phase[rows] = (mag * np.abs(log_n)).sum(axis=0)
+        powers = coeffs[:, None] * np.exp(-(sigma + 2 * np.arange(1, ORDER + 1)[:, None] - 1) * logw)
+        tail[rows] = (
+            np.exp((1.0 - sigma) * logw) / np.abs(flat[rows] - 1.0)
+            + 0.5 * np.exp(-sigma * logw)
+            + poch[rows] @ powers
+        )
 
-
-def _pointwise_rounding(size, logw, direct, phase, tail, n_shift):
-    """hurwitz_rounding_bound from the `_magnitudes` of its points."""
+    size = np.abs(flat)
+    adds = n_shift if len(d) <= 2 else 3 * n_shift
     terms = (4.0 + size) * direct + 4.0 * size * phase
     terms += (14 * ORDER + 16 + size * (1.0 + 4.0 * logw)) * tail
-    return 2.0**-53 * (terms + (n_shift + 1) * (direct + tail))
-
-
-def hurwitz_pair_rounding_bound(s: np.ndarray, r: float, a: float | np.ndarray) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_pair(c, r, a) at its points s = c -/+ i r.
-
-    s holds the points the pair call evaluates, both sides of it at once
-    (np.stack([c - 1j * r, c + 1j * r]) for its centres c), so the shift N is
-    the call's; the result has shape s.shape + np.shape(a).  It is
-    `hurwitz_rounding_bound(s, a)` plus a paired term of its own.  The pair
-    takes a direct term at s = c -/+ i r as exp(-c log(n+a)), off by
-    (4 + |c| (1 + 4 |log(n+a)|)) u with |c| <= |s| + r, times
-    exp(+-i r log(n+a)), off by (4 + r (1 + 4 |log(n+a)|)) u, and the product
-    rounds once more (sqrt 5 u).  Beyond the pointwise bound at s, each direct
-    term is off by at most (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude,
-    and w^-s, which scales the whole tail, by (7 + 2 r (1 + 4 log(N+a))) u.
-    """
-    s = np.asarray(s, dtype=complex)
-    magnitudes = _magnitudes(s, a)
-    _, logw, direct, phase, tail, _ = magnitudes
-    paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
-    return (_pointwise_rounding(*magnitudes) + 2.0**-53 * paired).reshape(s.shape + np.shape(a))
+    bound = 2.0**-53 * (terms + (adds + 1) * (direct + tail))
+    r = float(np.max(np.abs(d)))
+    if r > 0.0:
+        paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
+        bound = bound + 2.0**-53 * paired
+    if apart:
+        bound += np.abs(s - (c[:, None] + d).ravel()[: len(s)])[:, None] * (phase + logw * tail)
+    return bound.reshape((len(s),) + a.shape)
 
 
 def hurwitz_zeta(s: complex, a: complex) -> complex:

@@ -19,18 +19,18 @@ in method but not in the evaluator.
   real-valued in exact arithmetic for any primitive character.  The work is
   done by a `ModulusEngine`, one per modulus: a bank of zeta(1/2+it, a/q)
   over the units, computed once on the lattice for all characters it scans,
-  by the Hurwitz kernel's progression path;
+  by `hurwitz_zeta_progression`;
   a seed at the root of the degree-11 interpolant through the NODES = 12
   grid values around each sign change, found by safeguarded Newton steps
   with no further evaluation of Z (the cells with |t| < LOW are seeded from
   the quarter-step regrid below instead); one
   batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
   certified error radius (Hurwitz truncation plus floating-point rounding,
-  so both values of a check come from one exp per term of the paired
-  kernel, which that bound covers); a check whose values change sign but
-  stay inside their radius, as at a close pair of zeros, is repeated at 10
-  and then 100 TARGET_RADIUS, and the offset that clears is the zero's
-  certified radius; and one local regrid at a quarter step of the cells
+  so both values of a check come from one exp per term of the Hurwitz grid
+  at d = -/+ i TARGET_RADIUS, which that bound covers); a check whose
+  values change sign but stay inside their radius, as at a close pair of
+  zeros, is repeated at 10 and then 100 TARGET_RADIUS, and the offset that
+  clears is the zero's certified radius; and one local regrid at a quarter step of the cells
   with |t| < LOW, of the cells whose seed failed, and of those where a
   character short of its count dips toward zero, then seeds and a check
   there.  A zero whose check there fails is reported as an unverified
@@ -58,8 +58,8 @@ import numpy as np
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
 from zerokit.dirichlet.hurwitz import (
     hurwitz_error_bound,
-    hurwitz_pair_rounding_bound,
-    hurwitz_zeta_pair,
+    hurwitz_rounding_bound,
+    hurwitz_zeta_grid,
     hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
@@ -215,7 +215,7 @@ class ModulusEngine:
     where theta, the completed prefactor's phase, depends on chi only through
     its parity.  The first `zero_set` request scans every character:
 
-    * one bank on the lattice k GRID_STEP by the progression path, past its
+    * one bank on the lattice k GRID_STEP, a progression, past its
       EDGE_CANDIDATES count-edge candidates from the first node >= T.  Only
       t >= 0 is evaluated: for real a, H at -t is the conjugate of H at t, so
       Z(-t) = Re[e^(i theta(t)) q^(-s) (H @ conj(W))].  Real characters seed
@@ -229,7 +229,7 @@ class ModulusEngine:
       past the candidates for every window, by safeguarded Newton steps that
       start at the cell's secant root (`_interpolant_root`);
     * one sign check for all ordinates at gamma -/+ TARGET_RADIUS, both
-      sides of each ordinate from one `hurwitz_zeta_pair` call per chunk:
+      sides of each ordinate from one Hurwitz grid at d = (-i r, +i r) (`_pair`):
       the two values must differ in sign and both exceed `_radius`, the
       certified error of a computed Z, so each check proves a zero within
       TARGET_RADIUS of gamma.  A check whose values differ in sign but do
@@ -242,11 +242,13 @@ class ModulusEngine:
       cells where its interpolant dips toward zero (`_dips`); those cells
       are seeded and checked there, the low ones for the first time.
 
-    Only the lattice goes through the progression path, which carries no
-    error radius; the certified sign checks go through the paired path, and
-    every other point to the pointwise `hurwitz_zeta_vec`.  Every evaluation
-    is cut into chunks of at most TABLE_ENTRIES table entries, so a modulus
-    near 200 (198 units) needs no more memory than a small one.
+    Every evaluation is a grid of the one Hurwitz kernel: the lattice is a
+    progression, whose values seed the zeros and carry no error radius in
+    the engine; the certified sign checks are the grid at d = (-i r, +i r),
+    whose error `_radius` bounds; every other point goes to
+    `hurwitz_zeta_vec`, the grid at d = 0.  Every evaluation is cut into
+    chunks of at most TABLE_ENTRIES table entries, so a modulus near 200
+    (198 units) needs no more memory than a small one.
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
@@ -340,38 +342,39 @@ class ModulusEngine:
     def _pair(self, gammas: np.ndarray, cols: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
         """Z of character cols[j] at gammas[j] -/+ offset, and each value's error bound: two (2, len(gammas)) arrays.
 
-        Row 0 is the lower side.  One `hurwitz_zeta_pair` call per chunk of
-        ordinates takes both sides.
+        Row 0 is the lower side.  One `hurwitz_zeta_grid` call per chunk of
+        ordinates takes both sides, at d = (-i offset, +i offset).
         """
         values, bounds = np.empty((2, len(gammas))), np.empty((2, len(gammas)))
+        d = np.array([-1j * offset, 1j * offset])
         for part in self._chunks(gammas, sides=2):
             owner = cols[part]
-            s = 0.5 + 1j * gammas[part]
-            sides = np.stack([s - 1j * offset, s + 1j * offset])
-            table = hurwitz_zeta_pair(s, offset, self._units / self.modulus)
-            sums = np.einsum("hij,ji->hi", table, self._weights[:, owner])
-            values[:, part] = (self._rotation(sides, self._odd[owner]) * sums).real
-            bounds[:, part] = self._radius(sides, offset, table)
+            c = 0.5 + 1j * gammas[part]
+            table = hurwitz_zeta_grid(c, d, self._units / self.modulus).reshape(len(c), 2, -1)
+            sums = np.einsum("ihj,ji->hi", table, self._weights[:, owner])
+            values[:, part] = (self._rotation((c[:, None] + d).T, self._odd[owner]) * sums).real
+            bounds[:, part] = self._radius(c, d, table)
         return values, bounds
 
-    def _radius(self, s: np.ndarray, offset: float, table: np.ndarray) -> np.ndarray:
-        """Bound on |computed Z - Z| at the points s of one `hurwitz_zeta_pair` call, for every character.
+    def _radius(self, c: np.ndarray, d: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Bound on |computed Z - Z| at the points c_p + d_q of one `hurwitz_zeta_grid(c, d)` call, for every character.
 
-        s stacks both sides of the call and table holds its values.  Z is
-        Re[rot S] with rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
+        table holds the call's values, shape (len(c), len(d), phi(q)); the
+        result is indexed [offset, ordinate].  Z is Re[rot S] with
+        rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
         Errors in rot only scale and turn rot S, which is real, so they cannot
         change its sign; what can is the error in S, times |rot| = q^-1/2:
         the truncation `hurwitz_error_bound(s, 1/q)` (a = 1/q is the worst
-        unit) for each of the phi(q) units with |chi(a)| = 1, the paired
-        kernel's `hurwitz_pair_rounding_bound` per unit, both at the shift
-        of the whole call, and phi(q) + 2 roundings of each |H[a]| in the
-        weights and the sum over the units.
+        unit) for each of the phi(q) units with |chi(a)| = 1, the kernel's
+        `hurwitz_rounding_bound(c, d)` per unit, both at the shift of the
+        whole call, and phi(q) + 2 roundings of each |H[a]| in the weights
+        and the sum over the units.
         """
         shifts = self._units / self.modulus
-        error = len(shifts) * hurwitz_error_bound(s, 1.0 / self.modulus)
-        error = error + hurwitz_pair_rounding_bound(s, offset, shifts).sum(axis=-1)
+        error = len(shifts) * hurwitz_error_bound(c[:, None] + d, 1.0 / self.modulus)
+        error = error + hurwitz_rounding_bound(c, d, shifts).sum(axis=-1).reshape(error.shape)
         error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
-        return error / math.sqrt(self.modulus)
+        return (error / math.sqrt(self.modulus)).T
 
     # -- counting ---------------------------------------------------------------
 

@@ -55,10 +55,8 @@ from zerokit.dirichlet.characters import (
 from zerokit.dirichlet.lfunctions import (
     digamma,
     gamma_factor_log_deriv,
-    l_eval_vec,
     log_deriv_by_contour,
     log_deriv_series,
-    log_deriv_tail_bound,
     trigamma,
     trivial_ladder_start,
     trivial_zero_sum,

@@ -105,6 +105,26 @@ class TestBounds:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("repulsion", "--kind", "quadratic", "--beta1", "0.5", "--t", "nan"), "T"),
+            (("repulsion", "--kind", "quadratic", "--beta1", "0.5", "--c", "nan"), "c"),
+            (("repulsion", "--kind", "quadratic", "--beta1", "0.5", "--nq", "nan"), "Nq"),
+            (("density", "--sigma", "0.9", "--dk", "nan"), "D_K"),
+            (("density", "--sigma", "0.9", "--leading", "nan"), "leading_constant"),
+            (("density", "--sigma", "0.9", "--leading", "inf"), "leading_constant"),
+            (("density", "--sigma", "0.9", "--exponent", "nan"), "exponent"),
+            (("density", "--sigma", "0.9", "--implied-nk", "nan"), "implied_nk_constant"),
+            (("density", "--sigma", "0.9", "--q", "inf"), "Q"),
+        ],
+    )
+    def test_non_finite_input_is_a_usage_error(self, capsys, argv, name):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"error: {name} must be finite" in err
+
 
 class TestZerosAndVerify:
     def test_scan_and_rescan(self, capsys, tmp_path):

@@ -8,15 +8,43 @@ from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.hurwitz import (
     TARGET,
     hurwitz_error_bound,
-    hurwitz_pair_rounding_bound,
     hurwitz_rounding_bound,
     hurwitz_zeta,
-    hurwitz_zeta_pair,
+    hurwitz_zeta_grid,
     hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
 
 mp.mp.dps = 35
+
+
+def _per_term_sum(s, a):
+    """zeta(s, a) as the pointwise kernel once summed it, one n at a time: an independent reference."""
+    n_shift = hurwitz._shift_for(s)
+    flat, shifts = s.reshape(-1, 1), a.reshape(1, -1)
+    out = np.zeros((flat.shape[0], shifts.shape[1]), dtype=complex)
+    for log_n in np.log(np.arange(n_shift)[:, None] + shifts):
+        out += np.exp(-flat * log_n)
+    w = n_shift + shifts
+    hurwitz._add_tail(out, flat, w, np.exp(-flat * np.log(w)))
+    return out.reshape(s.shape + a.shape)
+
+
+def _pair(s, r, a):
+    """The grid of the points s and the offsets -/+ i r, as (2,) + s.shape + np.shape(a), row 0 at s - i r."""
+    values = hurwitz_zeta_grid(s, [-1j * r, 1j * r], a).reshape((len(s), 2) + np.shape(a))
+    return np.moveaxis(values, 1, 0)
+
+
+def _pair_bound(s, r, a):
+    """hurwitz_rounding_bound of `_pair(s, r, a)`, in its layout."""
+    bound = hurwitz_rounding_bound(s, [-1j * r, 1j * r], a).reshape((len(s), 2) + np.shape(a))
+    return np.moveaxis(bound, 1, 0)
+
+
+def _pointwise_bound(s, a):
+    """hurwitz_rounding_bound of `hurwitz_zeta_vec(s, a)`, in its layout."""
+    return hurwitz_rounding_bound(s, 0.0, a).reshape(np.shape(s) + np.shape(a))
 
 
 class TestValues:
@@ -70,6 +98,19 @@ class TestValues:
             for j, aj in enumerate(a):
                 ref = hurwitz_zeta(s[idx], aj)
                 assert abs(mine[idx + (j,)] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("q", [1, 5, 199])
+    def test_grid_at_zero_offset_is_the_per_term_sum(self, q):
+        # bit for bit, on and off the critical line, at low and great heights
+        s = np.array([[0.5 + 14.1j, 2.0 - 3.0j, -0.25 + 280.0j], [1.25 + 0.0j, 0.5 - 77.0j, 0.5 + 999.0j]])
+        a = _units(q)
+        assert np.array_equal(hurwitz_zeta_grid(s, 0.0, a).reshape(s.shape + a.shape), _per_term_sum(s, a))
+        assert np.array_equal(hurwitz_zeta_vec(s, a), _per_term_sum(s, a))
+        twice = hurwitz_zeta_grid(s, [0.0, 0.0], a).reshape(s.shape + (2,) + a.shape)
+        assert np.array_equal(twice, np.stack([_per_term_sum(s, a)] * 2, axis=-2))
+        # complex shifts too, at low heights (|(n+a)^-s| grows like e^(|t| arg(n+a)))
+        low, shifts = s[:, :2], np.array([0.3 + 0.2j, 1.0 + 1.0j])
+        assert np.array_equal(hurwitz_zeta_vec(low, shifts), _per_term_sum(low, shifts))
 
     def test_pole_raises(self):
         with pytest.raises(ValueError):
@@ -141,22 +182,23 @@ class TestPair:
         a = _units(q)
         s = 0.5 + 1j * np.array([0.0, 14.13, -77.0, 300.0, 999.5])
         sides = np.stack([s - 1j * r, s + 1j * r])
-        pair = hurwitz_zeta_pair(s, r, a)
+        pair = _pair(s, r, a)
+        assert hurwitz_zeta_grid(s, [-1j * r, 1j * r], a).shape == (2 * len(s),) + a.shape
         assert pair.shape == (2,) + s.shape + a.shape
         pointwise = hurwitz_zeta_vec(sides, a)
-        paired = hurwitz_pair_rounding_bound(sides, r, a)
-        assert np.all(paired > hurwitz_rounding_bound(sides, a))
-        assert np.all(np.abs(pair - pointwise) <= hurwitz_rounding_bound(sides, a) + paired)
+        paired = _pair_bound(s, r, a)
+        assert np.all(paired > _pointwise_bound(sides, a))
+        assert np.all(np.abs(pair - pointwise) <= _pointwise_bound(sides, a) + paired)
 
     def test_scalar_shift_and_refusals(self):
         s = np.array([0.5 + 20.0j, 1.25 - 3.0j])
-        both = hurwitz_zeta_pair(s, 1e-3, np.array([0.5]))
-        assert hurwitz_zeta_pair(s, 1e-3, 0.5).shape == (2, 2)
-        assert hurwitz_zeta_pair(s, 1e-3, 0.5) == pytest.approx(both[..., 0], rel=1e-15)
+        both = _pair(s, 1e-3, np.array([0.5]))
+        assert _pair(s, 1e-3, 0.5).shape == (2, 2)
+        assert _pair(s, 1e-3, 0.5) == pytest.approx(both[..., 0], rel=1e-15)
         with pytest.raises(ValueError):
-            hurwitz_zeta_pair(np.array([1.0 + 0.5j]), 0.5, 0.5)
+            _pair(np.array([1.0 + 0.5j]), 0.5, 0.5)
         with pytest.raises(ValueError):
-            hurwitz_zeta_pair(s, 1e-3, np.array([0.5, 0.0]))
+            _pair(s, 1e-3, np.array([0.5, 0.0]))
 
 
 class TestCertifiedTruncation:
@@ -188,7 +230,7 @@ class TestCertifiedTruncation:
             for a in (1.0 / 199.0, 0.25, 1.0):
                 err = abs(hurwitz_zeta(s, a) - complex(mp.zeta(s, a)))
                 bound = float(hurwitz_error_bound(np.array([s]), a)[0])
-                rounding = float(hurwitz_rounding_bound(np.array([s]), a)[0])
+                rounding = float(_pointwise_bound(np.array([s]), a)[0])
                 assert err <= bound + rounding
                 assert s.real != 0.5 or bound + rounding < 1e-10
         # the paired path, both sides of every centre of one call, within the
@@ -198,8 +240,8 @@ class TestCertifiedTruncation:
             centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
             sides = np.stack([centres - 1j * r, centres + 1j * r])
             for a in (1.0 / 199.0, 0.25, 1.0):
-                pair = hurwitz_zeta_pair(centres, r, a)
-                bound = hurwitz_error_bound(sides, a) + hurwitz_pair_rounding_bound(sides, r, a)
+                pair = _pair(centres, r, a)
+                bound = hurwitz_error_bound(sides, a) + _pair_bound(centres, r, a)
                 for idx in np.ndindex(*sides.shape):
                     err = abs(pair[idx] - complex(mp.zeta(sides[idx], a)))
                     assert err <= bound[idx], (sides[idx], a)
@@ -211,8 +253,8 @@ class TestCertifiedTruncation:
             centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
             sides = np.stack([centres - 1j * r, centres + 1j * r])
             for points, values, rounding in (
-                (centres, hurwitz_zeta_vec(centres, a), hurwitz_rounding_bound(centres, a)),
-                (sides, hurwitz_zeta_pair(centres, r, a), hurwitz_pair_rounding_bound(sides, r, a)),
+                (centres, hurwitz_zeta_vec(centres, a), _pointwise_bound(centres, a)),
+                (sides, _pair(centres, r, a), _pair_bound(centres, r, a)),
             ):
                 assert values.shape == points.shape + a.shape
                 for u in (0, 5, 11, 17):
@@ -221,16 +263,33 @@ class TestCertifiedTruncation:
                         err = abs(values[idx + (u,)] - complex(mp.zeta(points[idx], a[u])))
                         assert err <= bound[idx], (points[idx], a[u])
                         assert sigma != 0.5 or bound[idx] < 1e-9
+        # the progression path, whose values seed every zero: 23 points across
+        # |t| <= 1000 (a ragged 5 x 5 grid), and 82 lattice points below 1000
+        # (a ragged 10 x 9 grid) as the engine banks them
+        for sigma in (0.5, 1.25):
+            for t0, h, count, ks in ((-300.0, 1300.0 / 22.0, 23, (0, 7, 11, 22)), (995.0, 0.05, 82, (0, 9, 40, 81))):
+                c, d, s = hurwitz._progression(sigma, t0, h, count)
+                assert len(s) == count and len(c) * len(d) > count
+                a = np.array([1.0 / 199.0, 0.25, 1.0])
+                values = hurwitz_zeta_progression(sigma, t0, h, count, a)
+                truncation = np.stack([hurwitz_error_bound(s, x) for x in a], axis=-1)
+                bound = truncation + hurwitz_rounding_bound(c, d, a, s)
+                for k in ks:
+                    for u in range(len(a)):
+                        err = abs(values[k, u] - complex(mp.zeta(s[k], a[u])))
+                        assert err <= bound[k, u], (s[k], a[u])
+                        assert sigma != 0.5 or bound[k, u] < 1e-9
 
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s
         s = np.array([[0.5 + 3.0j, 0.5 + 200.0j], [1.25 - 7.0j, 0.5 + 0.0j]])
         a = np.array([0.1, 0.5, 1.0])
-        both = hurwitz_rounding_bound(s, a)
-        assert both.shape == s.shape + a.shape
+        both = hurwitz_rounding_bound(s, 0.0, a)
+        assert both.shape == (s.size,) + a.shape
+        both = both.reshape(s.shape + a.shape)
         assert np.all(both > 0.0)
         # a low point shares the tall point's larger shift, so its bound grows
-        alone = hurwitz_rounding_bound(s[0, :1], a)
+        alone = hurwitz_rounding_bound(s[0, :1], 0.0, a)
         assert np.all(both[0, 0] > alone[0])
 
 

@@ -279,7 +279,7 @@ class TestScan:
         # it must leave windows at every offset, never accept a check.
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "hurwitz_pair_rounding_bound", lambda s, r, a: np.full(np.shape(s) + np.shape(a), 1.0))
+        monkeypatch.setattr(zmod, "hurwitz_rounding_bound", lambda c, d, a: np.full((len(c) * len(d),) + np.shape(a), 1.0))
         with pytest.warns(UserWarning, match="failed the sign check"):
             zs = scan_zeros(CHI4, 12.0)
         assert not zs.certified
@@ -387,11 +387,11 @@ class TestScan:
         # the count's bank is pointwise, and so is the one quarter-step line
         # of the sign changes with |t| < LOW (q13.e5 and q13.e7 have a zero
         # near -/+0.884); the pointwise kernel sees those points and nothing
-        # else; the paired kernel sees the ordinates.
+        # else; the engine's own grid calls, at d = -/+ i r, see the ordinates.
         import zerokit.dirichlet.zeros as zmod
 
         points, progressions, pairs, stages = [], [], [], []
-        kernel, progression, paired = zmod.hurwitz_zeta_vec, zmod.hurwitz_zeta_progression, zmod.hurwitz_zeta_pair
+        kernel, progression, grid = zmod.hurwitz_zeta_vec, zmod.hurwitz_zeta_progression, zmod.hurwitz_zeta_grid
         bank, line = zmod.ModulusEngine._bank, zmod.ModulusEngine._line
 
         def counted(s, a):
@@ -402,9 +402,11 @@ class TestScan:
             progressions.append(sigma + 1j * (t0 + h * np.arange(count)))
             return progression(sigma, t0, h, count, a)
 
-        def twinned(s, r, a):
-            pairs.append((np.array(s), r))
-            return paired(s, r, a)
+        def twinned(c, d, a):
+            # both sides, -/+ the same r, of centres c
+            assert len(d) == 2 and d[0] == -d[1] and d[1].real == 0.0
+            pairs.append((np.array(c), d[1].imag))
+            return grid(c, d, a)
 
         def banked(engine, cols, s):
             stages.append(("bank", s))
@@ -416,7 +418,7 @@ class TestScan:
 
         monkeypatch.setattr(zmod, "hurwitz_zeta_vec", counted)
         monkeypatch.setattr(zmod, "hurwitz_zeta_progression", stepped)
-        monkeypatch.setattr(zmod, "hurwitz_zeta_pair", twinned)
+        monkeypatch.setattr(zmod, "hurwitz_zeta_grid", twinned)
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
         monkeypatch.setattr(zmod.ModulusEngine, "_line", lined)
         chars = primitive_characters(13)
