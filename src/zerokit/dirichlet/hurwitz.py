@@ -28,12 +28,13 @@ a table of B_2j/(2j)! (N+a)^-2j, one column per shift) and one rounding
 bound, `hurwitz_rounding_bound`.  Its callers:
 
 * `hurwitz_zeta_vec(s, a)`, the grid at d = 0, for any s and Re a > 0 (a
-  complex a serves `lfunctions.trivial_zero_sum`); the zero engine's count
-  edges and quarter-step regrid;
-* `hurwitz_zeta_progression`, sigma + i (t0 + k h) as the grid of giant
-  steps c and baby steps d: the engine's lattice, which seeds every zero;
-* the engine's certified sign checks (`zeros.ModulusEngine._pair`), both
-  sides gamma -/+ r of each ordinate as the grid at d = (-i r, +i r), whose
+  complex a serves `lfunctions.trivial_zero_sum`): L-values and the
+  contour of `lfunctions`;
+* the zero engine (`zeros.ModulusEngine._tables`), whose every stage is
+  one grid: the lattice as giant steps c and baby steps d, which seeds
+  every zero; the count's horizontal edges, c = i T and d the abscissae;
+  the quarter-step regrid, one c per cell and d the cell's nodes; and the
+  certified sign checks, c = 1/2 + i gamma and d = (-i r, +i r), whose
   radius includes the rounding bound at that d.
 """
 
@@ -49,7 +50,6 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_grid",
     "hurwitz_zeta_vec",
-    "hurwitz_zeta_progression",
     "hurwitz_error_bound",
     "hurwitz_rounding_bound",
 ]
@@ -134,15 +134,14 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
     out += acc
 
 
-def _grid_points(c, d, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c and d as flat complex arrays, and the grid's points: s if given, else the rounded sums c_p + d_q."""
+def _grid_points(c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c and d as flat complex arrays, and the grid's points s, the rounded sums c_p + d_q."""
     c = np.asarray(c, dtype=complex).ravel()
     d = np.asarray(d, dtype=complex).ravel()
-    s = (c[:, None] + d).ravel() if s is None else np.asarray(s, dtype=complex).ravel()
-    return c, d, s
+    return c, d, (c[:, None] + d).ravel()
 
 
-def hurwitz_zeta_grid(c, d, a: complex | np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+def hurwitz_zeta_grid(c, d, a: complex | np.ndarray) -> np.ndarray:
     """zeta(c_p + d_q, a) for a column c, a row d of offsets and Re a > 0 (no point may equal 1).
 
     The result has one row per point k = p len(d) + q, shape
@@ -158,11 +157,9 @@ def hurwitz_zeta_grid(c, d, a: complex | np.ndarray, s: np.ndarray | None = None
 
     Row n = N of the factors gives the tail's w^-s, w = N + a, so no point
     takes a complex exp of its own.  The shift and the tail's Pochhammer
-    symbols take the points s, by default the rounded sums c_p + d_q; a
-    caller whose points are rounded otherwise, or that wants only the first
-    len(s) of them, passes them as s, and the result has len(s) rows.
+    symbols take the points s = c_p + d_q as rounded sums.
     """
-    c, d, s = _grid_points(c, d, s)
+    c, d, s = _grid_points(c, d)
     a = np.asarray(a)
     shifts = a.ravel()
     if np.any(shifts.real <= 0.0):
@@ -179,8 +176,8 @@ def hurwitz_zeta_grid(c, d, a: complex | np.ndarray, s: np.ndarray | None = None
         fine = np.exp(-log_n[:, :, None] * d)  # (len(a), N + 1, len(d))
         direct = np.matmul(coarse[:, :, :n_shift], fine[:, :n_shift])
         w_pow = coarse[:, :, n_shift, None] * fine[:, None, n_shift]
-        # Point k = p len(d) + q sits at [u, p, q]: flatten (p, q) and keep k < len(s).
-        out, w_pow = (x.reshape(len(shifts), -1)[:, : len(s)].T for x in (direct, w_pow))
+        # Point k = p len(d) + q sits at [u, p, q]: flatten (p, q).
+        out, w_pow = (x.reshape(len(shifts), -1).T for x in (direct, w_pow))
     else:
         neg = -c[:, None]
         out = np.zeros((len(d), len(c), len(shifts)), dtype=complex)
@@ -195,7 +192,7 @@ def hurwitz_zeta_grid(c, d, a: complex | np.ndarray, s: np.ndarray | None = None
             for log, turn in zip(log_n[:-1], turns):
                 out += np.exp(neg * log) * turn
             w_pow = w_pow * turns[-1]
-        out, w_pow = (x.transpose(1, 0, 2).reshape(-1, len(shifts))[: len(s)] for x in (out, w_pow))
+        out, w_pow = (x.transpose(1, 0, 2).reshape(-1, len(shifts)) for x in (out, w_pow))
     _add_tail(out, s[:, None], n_shift + shifts[None, :], w_pow)
     return out.reshape((len(s),) + a.shape)
 
@@ -209,35 +206,13 @@ def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
     return hurwitz_zeta_grid(s, 0.0, a).reshape(s.shape + np.shape(a))
 
 
-def _progression(sigma: float, t0: float, h: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid (c, d, s) of `hurwitz_zeta_progression`: giant steps c, baby steps d, points s."""
-    baby = max(1, math.ceil(math.sqrt(count)))
-    giant = -(-count // baby)
-    c = 1j * (t0 + baby * h * np.arange(giant))
-    d = sigma + 1j * h * np.arange(baby)
-    return c, d, sigma + 1j * (t0 + h * np.arange(count))
-
-
-def hurwitz_zeta_progression(sigma: float, t0: float, h: float, count: int, a: float | np.ndarray) -> np.ndarray:
-    """zeta(sigma + i (t0 + k h), a) for k < count and Re a > 0.
-
-    The result has shape (count,) + np.shape(a).  The points are the first
-    count of the grid c + d with B = ceil(sqrt(count)) baby steps
-    d_i = sigma + i i h and ceil(count / B) giant steps c_j = i (t0 + j B h),
-    k = j B + i, so about 2 sqrt(count) N exps per shift a and one batched
-    matrix product give every point.
-    """
-    c, d, s = _progression(sigma, t0, h, count)
-    return hurwitz_zeta_grid(c, d, a, s)
-
-
 def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
     """Certified bound on the truncation remainder R_M at each point of s, for real a > 0.
 
     The shift is the one `hurwitz_zeta_grid` takes for the whole of s, so s
     must hold every point of one kernel call: the s of `hurwitz_zeta_vec`,
-    the points of a progression, or both sides of every ordinate of a
-    paired call.
+    or every sum c_p + d_q of a grid, as both sides of every ordinate of a
+    sign check.
     """
     if isinstance(a, complex):
         raise ValueError("hurwitz_error_bound requires a real a")
@@ -251,12 +226,12 @@ def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
-def hurwitz_rounding_bound(c, d, a: float | np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_grid(c, d, a, s) for real a > 0.
+def hurwitz_rounding_bound(c, d, a: float | np.ndarray) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_grid(c, d, a) for real a > 0.
 
-    The result has the kernel's shape, one row per point, and takes the
-    shift N the kernel takes for the same points s.  With u = 2^-53 it adds
-    three parts, to first order in u.
+    The result has the kernel's shape, one row per point s = c_p + d_q, and
+    takes the shift N the kernel takes for the same points.  With u = 2^-53
+    it adds two parts, to first order in u.
 
     The pointwise part.  A direct term exp(-s log(n+a)) is off by at most
     (4 + |s| (1 + 4 |log(n+a)|)) u of its magnitude (n+a)^-Re s: log, the
@@ -305,15 +280,12 @@ def hurwitz_rounding_bound(c, d, a: float | np.ndarray, s: np.ndarray | None = N
     the whole tail, by (7 + 2 r (1 + 4 log(N+a))) u.  At d = 0 no product is
     taken and the part is 0.
 
-    The points part.  The direct block and w^-s are taken at the exact sums
-    c_p + d_q, the tail's Pochhammer symbols at s; against zeta(s) the
-    difference adds |s - (c_p + d_q)| (sum_{n<N} (n+a)^-Re s |log(n+a)| +
-    log(N+a) x the tail's magnitude).  It is 0 for the default s; the
-    rounding of c_p + d_q itself, at most u |s| times the same weights,
-    sits in the slack of the pointwise part's phase terms.
+    The direct block and w^-s are taken at the exact sums c_p + d_q, the
+    tail's Pochhammer symbols at their rounding s; the difference, at most
+    u |s| times (sum_{n<N} (n+a)^-Re s |log(n+a)| + log(N+a) x the tail's
+    magnitude), sits in the slack of the pointwise part's phase terms.
     """
-    apart = s is not None
-    c, d, s = _grid_points(c, d, s)
+    _, d, s = _grid_points(c, d)
     a = np.asarray(a, dtype=float)
     n_shift = _shift_for(s)
     flat = s[:, None]
@@ -349,8 +321,6 @@ def hurwitz_rounding_bound(c, d, a: float | np.ndarray, s: np.ndarray | None = N
     if r > 0.0:
         paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
         bound = bound + 2.0**-53 * paired
-    if apart:
-        bound += np.abs(s - (c[:, None] + d).ravel()[: len(s)])[:, None] * (phase + logw * tail)
     return bound.reshape((len(s),) + a.shape)
 
 

@@ -140,8 +140,14 @@ def log_deriv_by_contour(
             "a zero or pole lies inside the circle"
         )
     log_l = np.log(np.abs(values)) + 1j * phase[:-1]
-    coeff = np.sum(log_l * np.exp(-1j * (k + 1) * theta)) / (nodes * radius ** (k + 1))
-    return complex((-1.0) ** (k + 1) * (k + 1) * coeff)
+    # radius^(k+1) underflows for a large order k (near k = 440 at s = 3/2),
+    # and the coefficient overflows with it: refuse the order, never return inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coeff = np.sum(log_l * np.exp(-1j * (k + 1) * theta)) / (nodes * radius ** (k + 1))
+        value = complex((-1.0) ** (k + 1) * (k + 1) * coeff)
+    if not cmath.isfinite(value):
+        raise ValueError(f"order k = {k} is out of float64 range: (d/ds)^k L'/L at {s} is not finite")
+    return value
 
 
 def l_eval(s: complex, chi: DirichletCharacter) -> complex:

@@ -7,8 +7,10 @@ File format (contract for external consumers): a header line
 followed by one row per zero, exponent vectors joined by ';' (the mod-1
 character uses '-').  A character with no zeros up to the certified height
 still gets one row with empty beta/gamma/radius fields so completeness
-round-trips.  All rows of one character carry the same height.  Rows are ordered by exponent vector, then ordinate; floats are
-written with repr so the file reloads bit-exactly.
+round-trips.  All rows of one character carry the same height, and their
+intervals [gamma - radius, gamma + radius] are disjoint.  Rows are ordered
+by exponent vector, then ordinate; floats are written with repr so the file
+reloads bit-exactly.
 
 `ZeroLibrary` wraps a cache directory: it hands out zero sets for arbitrary
 characters (imprimitive ones resolve to their primitive inducer), scans
@@ -100,7 +102,7 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
     path = _cache_path(Path(cache_dir), q)
     if not path.exists():
         return {}
-    by_key: dict[str, list[ZeroRecord]] = {}
+    by_key: dict[str, list[tuple[ZeroRecord, int]]] = {}
     heights: dict[str, float] = {}
     text = path.read_text()
     # The writer ends every file with a newline; without one the last row may
@@ -124,7 +126,7 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
                 raise ValueError(
                     f"complete_to_height {height_s} differs from {heights[key]!r} on an earlier row of character {key}"
                 )
-            zeros = [ZeroRecord(float(beta_s), float(gamma_s), float(radius_s))] if beta_s else []
+            zeros = [(ZeroRecord(float(beta_s), float(gamma_s), float(radius_s)), number)] if beta_s else []
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
         if modulus != q:
@@ -136,8 +138,16 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
         chi = chars.get(key)
         if chi is None:
             raise ValueError(f"{path} has a row for character key {key!r}, which is no character mod {q}")
-        zeros = tuple(sorted(rows, key=lambda z: z.gamma))
-        out[chi.exponents] = ZeroSet(chi, zeros, heights[key])
+        rows.sort(key=lambda row: row[0].gamma)
+        # Two rows whose intervals [gamma - r, gamma + r] meet may hold one
+        # zero between them, so no scan writes them (`ModulusEngine._collect`).
+        for (low, before), (high, number) in zip(rows, rows[1:]):
+            if high.gamma - low.gamma <= low.certified_radius + high.certified_radius:
+                raise ValueError(
+                    f"{path}, line {number}: the interval of gamma {high.gamma!r} meets that of gamma "
+                    f"{low.gamma!r} on line {before}, for character {key}"
+                )
+        out[chi.exponents] = ZeroSet(chi, tuple(z for z, _ in rows), heights[key])
     return out
 
 

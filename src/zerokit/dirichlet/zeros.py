@@ -19,7 +19,7 @@ in method but not in the evaluator.
   real-valued in exact arithmetic for any primitive character.  The work is
   done by a `ModulusEngine`, one per modulus: a bank of zeta(1/2+it, a/q)
   over the units, computed once on the lattice for all characters it scans,
-  by `hurwitz_zeta_progression`;
+  as one Hurwitz grid of giant and baby steps;
   a seed at the root of the degree-11 interpolant through the NODES = 12
   grid values around each sign change, found by safeguarded Newton steps
   with no further evaluation of Z (the cells with |t| < LOW are seeded from
@@ -56,13 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
-from zerokit.dirichlet.hurwitz import (
-    hurwitz_error_bound,
-    hurwitz_rounding_bound,
-    hurwitz_zeta_grid,
-    hurwitz_zeta_progression,
-    hurwitz_zeta_vec,
-)
+from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_grid
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 
 __all__ = [
@@ -215,14 +209,14 @@ class ModulusEngine:
     where theta, the completed prefactor's phase, depends on chi only through
     its parity.  The first `zero_set` request scans every character:
 
-    * one bank on the lattice k GRID_STEP, a progression, past its
-      EDGE_CANDIDATES count-edge candidates from the first node >= T.  Only
+    * one bank on the lattice k GRID_STEP, past its EDGE_CANDIDATES
+      count-edge candidates from the first node >= T.  Only
       t >= 0 is evaluated: for real a, H at -t is the conjugate of H at t, so
       Z(-t) = Re[e^(i theta(t)) q^(-s) (H @ conj(W))].  Real characters seed
       on the t >= 0 half alone;
     * per character, the count edge t_eff; one count for all characters, each
-      at its own t_eff, from one pointwise bank on the horizontal edges of
-      the half contour, corners included (`_counts`);
+      at its own t_eff, from one bank on the horizontal edges of the half
+      contour, corners included (`_counts`);
     * every sign change of every character at once, but those in cells with
       |t| < LOW: a seed at the root of the degree-11 interpolant through the
       NODES grid values around it, read from the bank, which runs far enough
@@ -242,13 +236,22 @@ class ModulusEngine:
       cells where its interpolant dips toward zero (`_dips`); those cells
       are seeded and checked there, the low ones for the first time.
 
-    Every evaluation is a grid of the one Hurwitz kernel: the lattice is a
-    progression, whose values seed the zeros and carry no error radius in
-    the engine; the certified sign checks are the grid at d = (-i r, +i r),
-    whose error `_radius` bounds; every other point goes to
-    `hurwitz_zeta_vec`, the grid at d = 0.  Every evaluation is cut into
-    chunks of at most TABLE_ENTRIES table entries, so a modulus near 200
-    (198 units) needs no more memory than a small one.
+    Every stage is one grid c + d of the one Hurwitz kernel, evaluated by
+    `_tables` in chunks of c of at most TABLE_ENTRIES table entries, so a
+    modulus near 200 (198 units) needs no more memory than a small one:
+
+    * the lattice: giant steps c = i GRID_STEP B j and baby steps
+      d = 1/2 + i GRID_STEP (0..B-1), cut to the nodes 0..n;
+    * the count's edges: c = i t_eff, one per distinct edge, and d the
+      abscissae 1/2..RIGHT;
+    * the regrid: c = 1/2 + i step begin_k, one per cell, and d = i step j
+      for the cell's nodes j;
+    * the sign check: c = 1/2 + i gamma and d = (-i r, +i r).
+
+    `_bank` reads every character and both conjugates from a grid (the
+    lattice and the count); `_line` reads the character that owns each c
+    (the regrid and the sign check), with the chunk's table for `_radius`.
+    Only the sign check's values carry an error radius in the engine.
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
@@ -273,33 +276,19 @@ class ModulusEngine:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _tables(self, s: np.ndarray | range):
-        """(rows, points, H) with H = zeta(points, a/q) on the units, chunk by chunk.
+    def _tables(self, c: np.ndarray, d: np.ndarray):
+        """(part, H) per chunk of c, H[p, q, a] = zeta(c[part][p] + d_q, a/q) on the units.
 
-        s is an array of points, for `hurwitz_zeta_vec`, or a range of lattice
-        indices k, the points 1/2 + i k GRID_STEP, for `hurwitz_zeta_progression`;
-        row j is the j-th point of s.  The chunks follow |Im s|, so each Hurwitz
-        call takes the shift of its own heights rather than that of the tallest point.
+        The chunks follow |Im c|, so each `hurwitz_zeta_grid` call takes the
+        shift of its own heights rather than that of the tallest point, and
+        each holds at most TABLE_ENTRIES table entries.
         """
         shifts = self._units / self.modulus
-        if isinstance(s, range):
-            step = max(1, TABLE_ENTRIES // len(self._units))
-            for lo in range(0, len(s), step):
-                k = s[lo : lo + step]
-                table = hurwitz_zeta_progression(0.5, k.start * GRID_STEP, k.step * GRID_STEP, len(k), shifts)
-                yield np.arange(lo, lo + len(k)), 0.5 + 1j * GRID_STEP * np.array(k), table
-            return
-        for part in self._chunks(s.imag):
-            yield part, s[part], hurwitz_zeta_vec(s[part], shifts)
-
-    def _chunks(self, heights: np.ndarray, sides: int = 1) -> list[np.ndarray]:
-        """Indices of `heights` in order of |height|, cut so that each Hurwitz call holds at most TABLE_ENTRIES entries.
-
-        Each point costs `sides` entries per unit.
-        """
-        step = max(1, TABLE_ENTRIES // (sides * len(self._units)))
-        order = np.argsort(np.abs(heights), kind="stable")
-        return [order[lo : lo + step] for lo in range(0, len(order), step)]
+        step = max(1, TABLE_ENTRIES // (len(d) * len(shifts)))
+        order = np.argsort(np.abs(c.imag), kind="stable")
+        for lo in range(0, len(c), step):
+            part = order[lo : lo + step]
+            yield part, hurwitz_zeta_grid(c[part], d, shifts).reshape(len(part), len(d), len(shifts))
 
     def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """theta(s), the completed prefactor's phase, for characters of parity `odd` (broadcast against s).
@@ -315,52 +304,49 @@ class ModulusEngine:
         """e^(i theta(s)) q^-s for characters of parity `odd` (broadcast against s)."""
         return np.exp(1j * self._phase(s, odd) - s * math.log(self.modulus))
 
-    def _bank(self, cols: np.ndarray, s: np.ndarray | range) -> tuple[np.ndarray, np.ndarray]:
-        """e^(i theta) q^-s (H @ W) at points with Im >= 0 and at their conjugates, for `cols`.
+    def _bank(self, cols: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """e^(i theta) q^-s (H @ W) at the points s = c_p + d_q with Im >= 0 and at their conjugates, for `cols`.
 
-        s is an array of points or a range of lattice indices (`_tables`);
-        the result is two (len(s), len(cols)) arrays, one row per point.
+        The result is two (len(c) len(d), len(cols)) arrays, one row per
+        point k = p len(d) + q.  The sum over the units is an einsum, which
+        makes no BLAS call, so its bytes do not depend on the thread count;
+        both of its operands run along the units, so each sum is one
+        contiguous dot product.
         """
-        weights = self._weights[:, cols]
-        both = np.concatenate([weights, weights.conj()], axis=1)
+        weights = self._weights[:, cols].T
+        both = np.concatenate([weights, weights.conj()])
         parities = np.unique(self._odd[cols])
         pick = np.tile(np.searchsorted(parities, self._odd[cols]), 2)
-        out = np.empty((len(s), both.shape[1]), dtype=complex)
-        for rows, points, table in self._tables(s):
-            out[rows] = self._rotation(points[:, None], parities)[:, pick] * (table @ both)
+        out = np.empty((len(c), len(d), len(both)), dtype=complex)
+        for part, table in self._tables(c, d):
+            s = c[part, None, None] + d[:, None]
+            out[part] = self._rotation(s, parities)[..., pick] * np.einsum("cj,pqj->pqc", both, table)
+        out = out.reshape(-1, len(both))
         return out[:, : len(cols)], out[:, len(cols) :].conj()
 
-    def _line(self, ts: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Z(ts[j]) of character cols[j]."""
-        values = np.empty(len(ts))
-        for part, s, table in self._tables(0.5 + 1j * ts):
+    def _line(self, cols: np.ndarray, c: np.ndarray, d: np.ndarray):
+        """(part, Z, H) per chunk of c: Z[p, q] of character cols[part][p] at c[part][p] + d_q, and the chunk's table."""
+        for part, table in self._tables(c, d):
             owner = cols[part]
-            sums = np.einsum("ij,ji->i", table, self._weights[:, owner])
-            values[part] = (self._rotation(s, self._odd[owner]) * sums).real
-        return values
+            sums = np.einsum("pqj,jp->pq", table, self._weights[:, owner])
+            yield part, (self._rotation(c[part, None] + d, self._odd[owner, None]) * sums).real, table
 
     def _pair(self, gammas: np.ndarray, cols: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
         """Z of character cols[j] at gammas[j] -/+ offset, and each value's error bound: two (2, len(gammas)) arrays.
 
-        Row 0 is the lower side.  One `hurwitz_zeta_grid` call per chunk of
-        ordinates takes both sides, at d = (-i offset, +i offset).
+        Row 0 is the lower side: the grid c = 1/2 + i gammas, d = (-i offset, +i offset).
         """
-        values, bounds = np.empty((2, len(gammas))), np.empty((2, len(gammas)))
-        d = np.array([-1j * offset, 1j * offset])
-        for part in self._chunks(gammas, sides=2):
-            owner = cols[part]
-            c = 0.5 + 1j * gammas[part]
-            table = hurwitz_zeta_grid(c, d, self._units / self.modulus).reshape(len(c), 2, -1)
-            sums = np.einsum("ihj,ji->hi", table, self._weights[:, owner])
-            values[:, part] = (self._rotation((c[:, None] + d).T, self._odd[owner]) * sums).real
-            bounds[:, part] = self._radius(c, d, table)
-        return values, bounds
+        c, d = 0.5 + 1j * gammas, np.array([-1j * offset, 1j * offset])
+        values, bounds = np.empty((len(c), 2)), np.empty((len(c), 2))
+        for part, z, table in self._line(cols, c, d):
+            values[part], bounds[part] = z, self._radius(c[part], d, table)
+        return values.T, bounds.T
 
     def _radius(self, c: np.ndarray, d: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Bound on |computed Z - Z| at the points c_p + d_q of one `hurwitz_zeta_grid(c, d)` call, for every character.
 
         table holds the call's values, shape (len(c), len(d), phi(q)); the
-        result is indexed [offset, ordinate].  Z is Re[rot S] with
+        result is indexed [ordinate, offset].  Z is Re[rot S] with
         rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
         Errors in rot only scale and turn rot S, which is real, so they cannot
         change its sign; what can is the error in S, times |rot| = q^-1/2:
@@ -374,7 +360,7 @@ class ModulusEngine:
         error = len(shifts) * hurwitz_error_bound(c[:, None] + d, 1.0 / self.modulus)
         error = error + hurwitz_rounding_bound(c, d, shifts).sum(axis=-1).reshape(error.shape)
         error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
-        return (error / math.sqrt(self.modulus)).T
+        return error / math.sqrt(self.modulus)
 
     # -- counting ---------------------------------------------------------------
 
@@ -384,9 +370,10 @@ class ModulusEngine:
         The functional equation maps the left half of the argument-principle
         rectangle onto the right half, so a count is Delta arg xi / pi along
         1/2 - iT -> RIGHT - iT -> RIGHT + iT -> 1/2 + iT.  The horizontal
-        edges, corners included, are sampled at GRID_STEP by one pointwise
-        bank for all characters, and a phase step there must stay within one
-        radian.  The right edge needs no samples.  On it the bank's value is
+        edges, corners included, are sampled at GRID_STEP by one bank for
+        all characters, the grid c = i T over the distinct heights and d the
+        abscissae, and a phase step there must stay within one radian.  The
+        right edge needs no samples.  On it the bank's value is
         e^(i (theta - arg w / 2)) L, where theta, the completed prefactor's
         phase, is continuous (loggamma is analytic for Re > 0, and Re(s - 1)
         > 0), and for Re s = sigma > 1 the Euler product gives
@@ -407,7 +394,7 @@ class ModulusEngine:
         heights = np.unique(t_eff)
         edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
         every = np.arange(len(self.chars))
-        upper, lower = self._bank(every, (edge + 1j * heights[:, None]).ravel())
+        upper, lower = self._bank(every, 1j * heights, edge)
         # Each character's edge rows, from 1/2 to its corner on Re s = RIGHT.
         rows = len(edge) * np.searchsorted(heights, t_eff)[:, None] + np.arange(len(edge))
         upper, lower = upper[rows, every[:, None]], lower[rows, every[:, None]]
@@ -453,7 +440,12 @@ class ModulusEngine:
         # NODES // 2 + 1 nodes past the highest candidate, so every seed has its NODES values.
         n = int(edge[-1]) + 1 + NODES // 2
         every = np.arange(len(self.chars))
-        pos, neg = (v.real for v in self._bank(every, range(n + 1)))
+        # Nodes 0..n as giant steps c and B baby steps d, B the square root
+        # of the points in one chunk of `_tables`; the bank is cut to n + 1 rows.
+        baby = math.ceil(math.sqrt(min(max(1, TABLE_ENTRIES // len(self._units)), n + 1)))
+        c = 1j * GRID_STEP * baby * np.arange(-(-(n + 1) // baby))
+        d = 0.5 + 1j * GRID_STEP * np.arange(baby)
+        pos, neg = (v.real[: n + 1] for v in self._bank(every, c, d))
         clearance = np.minimum(np.abs(pos[edge]), np.abs(neg[edge]))
         t_eff = GRID_STEP * edge[np.argmax(clearance, axis=0)]
         expected = self._counts(t_eff)
@@ -503,14 +495,16 @@ class ModulusEngine:
 
         Each cell gets its own 5 quarter-step nodes and `pad` more on either
         side (clipped to the grid's range), so each of its four quarter cells
-        has a whole window.  Node j of cell k sits at (begin[k] + j) * step;
-        one `_line` call evaluates every node for its cell's character alone.
+        has a whole window.  Node j of cell k sits at (begin[k] + j) * step:
+        one `_line` grid, c = 1/2 + i step begin[k] and d = i step j,
+        evaluates every node for its cell's character alone.
         """
         step, pad = GRID_STEP / 4.0, NODES // 2 - 1
         width = 5 + 2 * pad
         begin = np.clip(4 * (cell - n) - pad, -4 * n, 4 * n + 1 - width)
-        nodes = begin[:, None] + np.arange(width)
-        values = self._line(step * nodes.ravel(), np.repeat(row, width)).reshape(nodes.shape)
+        values = np.empty((len(row), width))
+        for part, z, _ in self._line(row, 0.5 + 1j * step * begin, 1j * step * np.arange(width)):
+            values[part] = z
         k = np.repeat(np.arange(len(row)), 4)
         sub = (4 * (cell - n) - begin)[k] + np.tile(np.arange(4), len(row))
         lo, hi = step * (begin[k] + sub), step * (begin[k] + sub + 1)

@@ -287,13 +287,15 @@ def hadamard_derivative_check(
     lhs = log_deriv_by_contour(s, chi, k)
     delta = 1.0 if chi.is_principal else 0.0
 
-    nontrivial = sum(1.0 / (s - complex(z.beta, z.gamma)) ** (k + 1) for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    # (1 / (s - rho))^(k+1) underflows to 0 for a far zero, where (s - rho)^(k+1) would overflow.
+    nontrivial = sum((1.0 / (s - complex(z.beta, z.gamma))) ** (k + 1) for z in zs.zeros if abs(z.gamma) <= T_zeros)
     rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial_zero_sum(chi, s, k)
 
     # Tail of the nontrivial sum: |s - rho| >= |gamma| - |Im s| for tall zeros.
     t_gap = T_zeros - abs(s.imag)
     density = math.log(chi.conductor * (T_zeros + 3.0)) / (2.0 * math.pi)
-    tail_bound = 2.0 * density / (k * max(t_gap, 1.0) ** k) + 2.0 / max(t_gap, 1.0) ** (k + 1)
+    # Negative powers underflow to 0 at a large k, where positive ones would overflow.
+    tail_bound = 2.0 * density * max(t_gap, 1.0) ** -k / k + 2.0 * max(t_gap, 1.0) ** -(k + 1)
 
     diff = abs(lhs - rhs)
     return _report(

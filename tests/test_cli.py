@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zerokit
@@ -290,9 +291,10 @@ class TestZerosAndVerify:
 
         bank = zmod.ModulusEngine._bank
 
-        def bounded(engine, cols, s):
-            assert not isinstance(s, range) or len(s) <= 0.5 / zmod.GRID_STEP + zmod.NODES + 3
-            return bank(engine, cols, s)
+        def bounded(engine, cols, c, d):
+            # the lattice's grid: its baby steps d climb the critical line
+            assert np.all(d.imag == 0.0) or len(c) * len(d) <= 0.5 / zmod.GRID_STEP + zmod.NODES + 3
+            return bank(engine, cols, c, d)
 
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", bounded)
         code, out, err = run(capsys, "zeros", "scan", "--q", "3", "--height", "1e-9", "--cache-dir", str(tmp_path))
@@ -365,6 +367,28 @@ class TestZerosAndVerify:
         assert out == ""
         assert err.startswith("error:") and argv[-2] in err
         assert not (tmp_path / "cache").exists()
+
+    def test_hadamard_at_a_high_order_prints_its_rows(self, capsys, tmp_path):
+        # At k = 200, (s - rho)^(k+1) overflows for the zeros near height
+        # 100; each zero's term underflows to 0 instead, so the rows print.
+        argv = ["verify", "--suite", "hadamard", "--k", "200", "--scan-missing", "--cache-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_FAIL
+        assert [line.split()[0] for line in out.splitlines()[1:4]] == [
+            "hadamard.q1.e-.k200.s(1.5+0j)",
+            "hadamard.q1.e-.k200.s(2+0j)",
+            "hadamard.q4.e1.k200.s(1.5+0j)",
+        ]
+        assert "Traceback" not in err
+
+    def test_hadamard_beyond_float_range_is_a_usage_error(self, capsys, tmp_path):
+        # At k = 600 the contour's radius^(k+1) underflows and the derivative
+        # side would be inf: the order is refused.
+        argv = ["verify", "--suite", "hadamard", "--k", "600", "--scan-missing", "--cache-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "order k = 600 is out of float64 range" in err
 
     def test_verify_missing_data_exit_code(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--suite", "density", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))

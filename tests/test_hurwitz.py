@@ -11,7 +11,6 @@ from zerokit.dirichlet.hurwitz import (
     hurwitz_rounding_bound,
     hurwitz_zeta,
     hurwitz_zeta_grid,
-    hurwitz_zeta_progression,
     hurwitz_zeta_vec,
 )
 
@@ -127,50 +126,66 @@ def _units(q):
     return np.array([u / q for u in range(1, q + 1) if math.gcd(u, q) == 1])
 
 
+def _lattice(sigma, t0, h, count):
+    """The progression sigma + i (t0 + k h), k < count, as the zero engine's lattice grid.
+
+    Giant steps c = i (t0 + j B h) and baby steps d = sigma + i i h, with
+    B = ceil(sqrt(count)); the grid's first count points, the rounded sums
+    c_j + d_i at k = j B + i, are returned as s.
+    """
+    baby = max(1, math.ceil(math.sqrt(count)))
+    c = 1j * (t0 + baby * h * np.arange(-(-count // baby)))
+    d = sigma + 1j * h * np.arange(baby)
+    return c, d, (c[:, None] + d).ravel()[:count]
+
+
 class TestProgression:
-    # One progression across |t| <= 300: t0 = -300, 23 points, step 600/22
-    # (so t = 0 is one of them).
+    # The lattice's grid shape, sigma in the baby steps, cut to a ragged row
+    # count.  One progression across |t| <= 300: t0 = -300, 23 points (a
+    # 5 x 5 grid cut to 23), step 600/22 (so t = 0 is one of them).
     GRID = (-300.0, 600.0 / 22.0, 23)
 
     @pytest.mark.parametrize("q", [1, 5, 199])
     @pytest.mark.parametrize("sigma", [0.5, 1.25])
     def test_against_mpmath(self, q, sigma):
-        t0, h, count = self.GRID
+        c, d, s = _lattice(sigma, *self.GRID)
         a = _units(q)
-        table = hurwitz_zeta_progression(sigma, t0, h, count, a)
-        assert table.shape == (count, len(a))
-        for k in (0, 5, 11, 17, count - 1):
+        table = hurwitz_zeta_grid(c, d, a)
+        assert table.shape == (len(c) * len(d), len(a)) and len(s) < len(table)
+        for k in (0, 5, 11, 17, len(s) - 1):
+            assert s[k] == pytest.approx(complex(sigma, self.GRID[0] + k * self.GRID[1]), abs=1e-12)
             for u in sorted({0, len(a) // 2, len(a) - 1}):
-                ref = complex(mp.zeta(mp.mpc(sigma, t0 + k * h), a[u]))
+                ref = complex(mp.zeta(mp.mpc(s[k].real, s[k].imag), a[u]))
                 assert abs(table[k, u] - ref) <= 1e-11 * max(1.0, abs(ref)), (k, a[u])
 
     @pytest.mark.parametrize("q", [1, 5, 199])
     @pytest.mark.parametrize("sigma", [0.5, 1.25])
     def test_matches_the_pointwise_kernel(self, q, sigma):
-        t0, h, count = self.GRID
+        c, d, s = _lattice(sigma, *self.GRID)
         a = _units(q)
-        pointwise = hurwitz_zeta_vec(sigma + 1j * (t0 + h * np.arange(count)), a)
-        table = hurwitz_zeta_progression(sigma, t0, h, count, a)
+        pointwise = hurwitz_zeta_vec(s, a)
+        table = hurwitz_zeta_grid(c, d, a)[: len(s)]
         assert np.all(np.abs(table - pointwise) <= 1e-11 * np.maximum(1.0, np.abs(pointwise)))
 
     @pytest.mark.parametrize("count", [1, 2, 13, 36])
     def test_short_and_ragged_progressions(self, count):
         # 1 and 2 points; 13 is prime, so the last of its 4 giant steps is
-        # short; 36 fills its 6 x 6 table.  The progression starts at t0 > 0.
+        # cut short; 36 fills its 6 x 6 grid.  The lattice starts at t0 > 0.
         a = np.array([0.2, 0.5, 1.0])
-        s = 0.5 + 1j * (250.0 + 0.05 * np.arange(count))
-        table = hurwitz_zeta_progression(0.5, 250.0, 0.05, count, a)
+        c, d, s = _lattice(0.5, 250.0, 0.05, count)
+        table = hurwitz_zeta_grid(c, d, a)[:count]
         assert table.shape == (count, 3)
         pointwise = hurwitz_zeta_vec(s, a)
         assert np.all(np.abs(table - pointwise) <= 1e-11 * np.maximum(1.0, np.abs(pointwise)))
         # a scalar shift gives a column, as in the pointwise kernel
-        assert hurwitz_zeta_progression(0.5, 250.0, 0.05, count, 0.5) == pytest.approx(table[:, 1], rel=1e-15)
+        assert hurwitz_zeta_grid(c, d, 0.5)[:count] == pytest.approx(table[:, 1], rel=1e-15)
 
     def test_refuses_a_pole_and_a_bad_shift(self):
+        # the giant step -i and the baby step 1 + i meet at the pole s = 1
         with pytest.raises(ValueError):
-            hurwitz_zeta_progression(1.0, -1.0, 0.5, 5, 0.5)
+            hurwitz_zeta_grid(*_lattice(1.0, -1.0, 0.5, 5)[:2], 0.5)
         with pytest.raises(ValueError):
-            hurwitz_zeta_progression(0.5, 0.0, 0.5, 5, np.array([0.5, 0.0]))
+            hurwitz_zeta_grid(*_lattice(0.5, 0.0, 0.5, 5)[:2], np.array([0.5, 0.0]))
 
 
 class TestPair:
@@ -263,22 +278,39 @@ class TestCertifiedTruncation:
                         err = abs(values[idx + (u,)] - complex(mp.zeta(points[idx], a[u])))
                         assert err <= bound[idx], (points[idx], a[u])
                         assert sigma != 0.5 or bound[idx] < 1e-9
-        # the progression path, whose values seed every zero: 23 points across
-        # |t| <= 1000 (a ragged 5 x 5 grid), and 82 lattice points below 1000
-        # (a ragged 10 x 9 grid) as the engine banks them
+        # the lattice's grid, whose values seed every zero: 23 points across
+        # |t| <= 1000 (a 5 x 5 grid cut to 23), and 82 lattice points below
+        # 1000 (a 10 x 9 grid cut to 82) as the engine banks them, within
+        # the bound of the whole grid
+        a = np.array([1.0 / 199.0, 0.25, 1.0])
         for sigma in (0.5, 1.25):
             for t0, h, count, ks in ((-300.0, 1300.0 / 22.0, 23, (0, 7, 11, 22)), (995.0, 0.05, 82, (0, 9, 40, 81))):
-                c, d, s = hurwitz._progression(sigma, t0, h, count)
-                assert len(s) == count and len(c) * len(d) > count
-                a = np.array([1.0 / 199.0, 0.25, 1.0])
-                values = hurwitz_zeta_progression(sigma, t0, h, count, a)
-                truncation = np.stack([hurwitz_error_bound(s, x) for x in a], axis=-1)
-                bound = truncation + hurwitz_rounding_bound(c, d, a, s)
+                c, d, s = _lattice(sigma, t0, h, count)
+                assert len(c) * len(d) > count
+                points = (c[:, None] + d).ravel()
+                values = hurwitz_zeta_grid(c, d, a)
+                truncation = np.stack([hurwitz_error_bound(points, x) for x in a], axis=-1)
+                bound = truncation + hurwitz_rounding_bound(c, d, a)
                 for k in ks:
                     for u in range(len(a)):
                         err = abs(values[k, u] - complex(mp.zeta(s[k], a[u])))
                         assert err <= bound[k, u], (s[k], a[u])
                         assert sigma != 0.5 or bound[k, u] < 1e-9
+        # the count's horizontal edges: c = i T for heights up to 1000 and d
+        # the 16 abscissae 1/2..5/4, one grid, within the bound of the grid
+        c = 1j * np.array([30.0, 300.0, 1000.0])
+        d = np.linspace(0.5, 1.25, 16)
+        points = (c[:, None] + d).ravel()
+        values = hurwitz_zeta_grid(c, d, a)
+        truncation = np.stack([hurwitz_error_bound(points, x) for x in a], axis=-1)
+        bound = truncation + hurwitz_rounding_bound(c, d, a)
+        for p in range(len(c)):
+            for q in (0, 7, 15):
+                k = p * len(d) + q
+                assert points[k] == complex(d[q], c[p].imag)
+                for u in range(len(a)):
+                    err = abs(values[k, u] - complex(mp.zeta(points[k], a[u])))
+                    assert err <= bound[k, u], (points[k], a[u])
 
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s

@@ -131,7 +131,7 @@ class TestRectangleCounts:
         assert np.max(np.abs(np.angle(L))) <= math.log(mp.zeta(1.25))
 
         engine = ModulusEngine(chars, T)
-        upper, lower = engine._bank(np.arange(len(chars)), np.array([zmod.RIGHT + 1j * T]))
+        upper, lower = engine._bank(np.arange(len(chars)), np.array([1j * T]), np.array([zmod.RIGHT]))
         closed = engine._right_edge(np.full(len(chars), T), upper[0], lower[0])
         assert closed == pytest.approx(dense[-1] - dense[0], abs=1e-9)
 
@@ -220,15 +220,16 @@ class TestScan:
 
         bank = zmod.ModulusEngine._bank
 
-        def jagged(engine, cols, s):
-            upper, lower = bank(engine, cols, s)
-            # The scan's bank is a range of lattice indices on the critical
-            # line; the only pointwise bank is the count's.  Its rows are
-            # those of s, each height's edge from 1/2 to the corner on
-            # Re s = RIGHT.  The points strictly between are flipped; the
-            # corners, which give the right edge, are not.
-            if isinstance(s, range):
+        def jagged(engine, cols, c, d):
+            upper, lower = bank(engine, cols, c, d)
+            # The scan's bank climbs the critical line in baby steps d; the
+            # count's offsets d are real, the edge abscissae.  Its rows are
+            # the points c_p + d_q, each height's edge from 1/2 to the
+            # corner on Re s = RIGHT.  The points strictly between are
+            # flipped; the corners, which give the right edge, are not.
+            if np.any(d.imag != 0.0):
                 return upper, lower
+            s = (c[:, None] + d).ravel()
             assert np.all((s.real >= 0.5) & (s.real <= zmod.RIGHT))
             edge = np.flatnonzero((s.real > 0.5) & (s.real < zmod.RIGHT))
             sign = np.where(edge % 2 == 0, 1.0, -1.0)
@@ -329,16 +330,19 @@ class TestScan:
     def test_bank_matches_the_one_character_line(self):
         # The bank evaluates t >= 0 only and takes Z(-t) from the conjugate
         # table; both halves must match the one-character reference form, on
-        # the progression path's lattice (every 7th node, a 0.35 step) and
-        # at pointwise points alike.
+        # the lattice's grid shape (every 7th node, a 0.35 step, as 5 giant
+        # steps of 8 baby steps) and at single points (one offset d = 1/2)
+        # alike.
         import zerokit.dirichlet.zeros as zmod
 
         chars = primitive_characters(5)
         engine = ModulusEngine(chars, 10.0)
-        lattice = range(0, 7 * 40, 7)
-        grid = zmod.GRID_STEP * np.array(lattice)
+        h = 7 * zmod.GRID_STEP
+        lattice = (1j * 8 * h * np.arange(5), 0.5 + 1j * h * np.arange(8))
+        grid = (lattice[0][:, None] + lattice[1]).ravel().imag
         ts = np.array([0.0, 0.7, 6.0, 14.13, 29.9])
-        banks = [(v.real for v in engine._bank(np.arange(len(chars)), s)) for s in (lattice, 0.5 + 1j * ts)]
+        single = (1j * ts, np.array([0.5]))
+        banks = [(v.real for v in engine._bank(np.arange(len(chars)), c, d)) for c, d in (lattice, single)]
         (pos_grid, neg_grid), (pos, neg) = banks
         assert pos_grid.shape == neg_grid.shape == (len(grid), len(chars))
         assert pos.shape == neg.shape == (len(ts), len(chars))
@@ -347,7 +351,11 @@ class TestScan:
             for up, down, points in ((pos_grid, neg_grid, grid), (pos, neg, ts)):
                 assert up[:, c] == pytest.approx(_rotated_line(chi, points, half_phase), abs=1e-13)
                 assert down[:, c] == pytest.approx(_rotated_line(chi, -points, half_phase), abs=1e-13)
-        line = engine._line(np.concatenate([ts, -ts]), np.repeat([0, 2], len(ts)))
+        c = 1j * np.concatenate([ts, -ts])
+        line = np.empty(len(c))
+        for part, z, table in engine._line(np.repeat([0, 2], len(ts)), c, np.array([0.5])):
+            assert z.shape == (len(part), 1) and table.shape == (len(part), 1, 4)
+            line[part] = z[:, 0]
         assert line[: len(ts)] == pytest.approx(pos[:, 0], abs=1e-13)
         assert line[len(ts) :] == pytest.approx(neg[:, 2], abs=1e-13)
 
@@ -380,62 +388,58 @@ class TestScan:
                 assert abs(float(root.imag) - g) < 1e-11
 
     def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
-        # After the grid bank and the count bank, the scan evaluates Z only at
+        # After the lattice and the count, the scan evaluates Z only at
         # gamma -/+ TARGET_RADIUS of each ordinate it locates, by one paired
-        # evaluation per ordinate: no refinement rounds.  The scan grid, a
-        # range of lattice indices, goes through the progression path alone;
-        # the count's bank is pointwise, and so is the one quarter-step line
-        # of the sign changes with |t| < LOW (q13.e5 and q13.e7 have a zero
-        # near -/+0.884); the pointwise kernel sees those points and nothing
-        # else; the engine's own grid calls, at d = -/+ i r, see the ordinates.
+        # evaluation per ordinate: no refinement rounds.  Every stage is one
+        # Hurwitz grid c + d, told apart by its offsets d: the lattice's B
+        # baby steps climb the critical line; the count's d are the 16 real
+        # edge abscissae; the one quarter-step regrid, of the sign changes
+        # with |t| < LOW (q13.e5 and q13.e7 have a zero near -/+0.884),
+        # takes 15 nodes per cell; the sign checks take d = -/+ i r.
         import zerokit.dirichlet.zeros as zmod
 
-        points, progressions, pairs, stages = [], [], [], []
-        kernel, progression, grid = zmod.hurwitz_zeta_vec, zmod.hurwitz_zeta_progression, zmod.hurwitz_zeta_grid
-        bank, line = zmod.ModulusEngine._bank, zmod.ModulusEngine._line
+        calls = []
+        grid = zmod.hurwitz_zeta_grid
 
-        def counted(s, a):
-            points.append(np.array(s))
-            return kernel(s, a)
-
-        def stepped(sigma, t0, h, count, a):
-            progressions.append(sigma + 1j * (t0 + h * np.arange(count)))
-            return progression(sigma, t0, h, count, a)
-
-        def twinned(c, d, a):
-            # both sides, -/+ the same r, of centres c
-            assert len(d) == 2 and d[0] == -d[1] and d[1].real == 0.0
-            pairs.append((np.array(c), d[1].imag))
+        def spied(c, d, a):
+            calls.append((np.array(c), np.array(d)))
+            assert len(c) * len(d) * len(a) <= zmod.TABLE_ENTRIES
             return grid(c, d, a)
 
-        def banked(engine, cols, s):
-            stages.append(("bank", s))
-            return bank(engine, cols, s)
+        def kind(d):
+            if len(d) == 2 and d[0] == -d[1] and d[1].real == 0.0:
+                return "check"
+            if np.all(d.imag == 0.0):
+                return "count"
+            return "lattice" if np.all(d.real == 0.5) else "regrid"
 
-        def lined(engine, ts, cols):
-            stages.append(("line", np.array(ts)))
-            return line(engine, ts, cols)
-
-        monkeypatch.setattr(zmod, "hurwitz_zeta_vec", counted)
-        monkeypatch.setattr(zmod, "hurwitz_zeta_progression", stepped)
-        monkeypatch.setattr(zmod, "hurwitz_zeta_grid", twinned)
-        monkeypatch.setattr(zmod.ModulusEngine, "_bank", banked)
-        monkeypatch.setattr(zmod.ModulusEngine, "_line", lined)
+        monkeypatch.setattr(zmod, "hurwitz_zeta_grid", spied)
         chars = primitive_characters(13)
         engine = ModulusEngine(chars, 20.0)
         sets = [engine.zero_set(chi) for chi in chars]
         assert all(zs.certified for zs in sets)
-        assert [kind for kind, _ in stages] == ["bank", "bank", "line"]
-        scan_grid, count_points, low_line = stages[0][1], stages[1][1], stages[2][1]
-        assert isinstance(scan_grid, range) and isinstance(count_points, np.ndarray)
-        assert np.max(np.abs(low_line)) <= zmod.LOW + zmod.NODES // 2 * zmod.GRID_STEP / 4
-        # no grid point reaches the pointwise kernel ...
-        pointwise = np.concatenate(points)
-        expected = np.concatenate([count_points, 0.5 + 1j * low_line])
-        assert np.array_equal(np.sort_complex(pointwise), np.sort_complex(expected))
-        # ... and the progression path sees each of them once, and nothing else
-        lattice = 0.5 + 1j * zmod.GRID_STEP * np.array(scan_grid)
-        assert np.concatenate(progressions) == pytest.approx(lattice, abs=1e-12)
+        kinds = [kind(d) for _, d in calls]
+        assert [k for i, k in enumerate(kinds) if kinds[i - 1 : i] != [k]] == ["lattice", "count", "check", "regrid", "check"]
+        stage = {k: [call for call, x in zip(calls, kinds) if x == k] for k in kinds}
+        # the lattice: nodes 0..n as one grid of B = ceil(sqrt(n + 1)) baby
+        # steps and the giant steps that cover them, n + 1 = 418 nodes to
+        # NODES // 2 + 1 past the highest count edge 20.5
+        n = round(20.0 / zmod.GRID_STEP) + zmod.EDGE_CANDIDATES + zmod.NODES // 2
+        baby = math.ceil(math.sqrt(n + 1))
+        assert [(len(c), len(d)) for c, d in stage["lattice"]] == [(-(-(n + 1) // baby), baby)]
+        c, d = stage["lattice"][0]
+        assert (c[:, None] + d).ravel()[: n + 1] == pytest.approx(0.5 + 1j * zmod.GRID_STEP * np.arange(n + 1), abs=1e-12)
+        # the count: one c = i t_eff per distinct count edge, 16 abscissae d
+        assert [len(d) for _, d in stage["count"]] == [16]
+        c, d = stage["count"][0]
+        assert np.all((c.real == 0.0) & (c.imag >= 20.0) & (c.imag <= 20.5)) and len(c) <= zmod.EDGE_CANDIDATES
+        assert d[0] == 0.5 and d[-1] == zmod.RIGHT
+        # the regrid: one c per low cell, on the critical line, 15 quarter-step nodes d
+        assert [len(d) for _, d in stage["regrid"]] == [5 + 2 * (zmod.NODES // 2 - 1)]
+        c, d = stage["regrid"][0]
+        assert np.all(c.real == 0.5) and np.all(d.real == 0.0)
+        assert np.max(np.abs((c[:, None] + d).imag)) <= zmod.LOW + zmod.NODES // 2 * zmod.GRID_STEP / 4
+        pairs = [(c, d[1].imag) for c, d in stage["check"]]
         # each ordinate is checked once, at exactly -/+ TARGET_RADIUS, on the critical line
         assert pairs and all(r == TARGET_RADIUS for _, r in pairs)
         centres = np.concatenate([s for s, _ in pairs])
@@ -487,10 +491,10 @@ class TestScan:
         bank = zmod.ModulusEngine._bank
         lattices = []
 
-        def spied(engine, cols, s):
-            if isinstance(s, range):
-                lattices.append(s)
-            return bank(engine, cols, s)
+        def spied(engine, cols, c, d):
+            if np.any(d.imag != 0.0):  # the lattice's baby steps climb the line
+                lattices.append((c, d))
+            return bank(engine, cols, c, d)
 
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", spied)
         chi = next(c for c in primitive_characters(q) if (conjugate_character(c) == c) == (q == 3))
@@ -500,28 +504,31 @@ class TestScan:
         node = k * zmod.GRID_STEP
         below = [z.gamma for z in scan_zeros(chi, T).zeros]
         at = [z.gamma for z in scan_zeros(chi, node).zeros if abs(z.gamma) <= T]
-        assert len(lattices) == 2 and lattices[0] == lattices[1]
+        assert len(lattices) == 2 and all(np.array_equal(x, y) for x, y in zip(*lattices))
         assert below and at == below
 
     @pytest.mark.parametrize("T", [1e-9, 1e-3, 0.05, 51.0])
     def test_grid_rows_grow_with_the_height_alone(self, monkeypatch, T):
         # The grid reaches NODES // 2 + 1 nodes past the highest count edge,
         # below T + 0.55, on the lattice however small T is; the spy checks
-        # its size before anything is evaluated.
+        # its size before anything is evaluated.  The lattice is giant steps
+        # c of baby steps d, and the scan keeps the nodes below that bound:
+        # every giant step starts within it, and only the last one's baby
+        # steps may run past it.
         import zerokit.dirichlet.zeros as zmod
 
         bank = zmod.ModulusEngine._bank
         grids = []
 
-        def bounded(engine, cols, s):
-            grids.append(s)
-            assert not isinstance(s, range) or len(s) <= (T + 0.5) / zmod.GRID_STEP + zmod.NODES + 2
-            return bank(engine, cols, s)
+        def bounded(engine, cols, c, d):
+            grids.append((c, d))
+            assert np.all(d.imag == 0.0) or (len(c) - 1) * len(d) <= (T + 0.5) / zmod.GRID_STEP + zmod.NODES + 2
+            return bank(engine, cols, c, d)
 
         monkeypatch.setattr(zmod.ModulusEngine, "_bank", bounded)
         zs = scan_zeros(primitive_characters(3)[0], T)
         assert zs.certified and zs.complete_to_height == T
-        assert len(grids) == 2 and isinstance(grids[0], range) and len(grids[0]) > 0
+        assert len(grids) == 2 and np.any(grids[0][1].imag != 0.0) and len(grids[0][0]) > 0
         assert (len(zs.zeros) > 0) == (T > 8.0)
 
     def test_failed_seeds_are_rebanked_locally(self, monkeypatch):
@@ -533,13 +540,15 @@ class TestScan:
         banks, lines, checks = [], [], []
         bank, line, check = zmod.ModulusEngine._bank, zmod.ModulusEngine._line, zmod.ModulusEngine._check
 
-        def banked(engine, cols, s):
-            banks.append(s)
-            return bank(engine, cols, s)
+        def banked(engine, cols, c, d):
+            banks.append((c, d))
+            return bank(engine, cols, c, d)
 
-        def lined(engine, ts, cols):
-            lines.append(np.array(ts))
-            return line(engine, ts, cols)
+        def lined(engine, cols, c, d):
+            # the regrid's nodes; the sign checks' grids, d = -/+ i r, also read one owner
+            if len(d) != 2:
+                lines.append((c[:, None] + d).ravel().imag)
+            return line(engine, cols, c, d)
 
         def checked(engine, gammas, owners):
             ok, radii = check(engine, gammas, owners)
@@ -785,12 +794,22 @@ class TestLibraryAndCache:
             (["5,1,0.5,6.18,1e-09,8.0", "5,1,0.5,7.5,1e-09,500.0"], "line 3: complete_to_height 500.0 differs from 8.0"),
             (["5,1,,7.5,1e-09,8.0"], "line 2: a row with no beta has gamma '7.5'"),
             (["5,2,,,,8.0", "5,1,,,1e-09,8.0"], "line 3: a row with no beta has gamma '' and radius '1e-09'"),
+            (
+                ["5,1,0.5,6.18,1e-09,8.0", "5,1,0.5,6.18,1e-09,8.0"],
+                "line 3: the interval of gamma 6.18 meets that of gamma 6.18 on line 2, for character 1",
+            ),
+            (
+                ["5,1,0.5,7.5,1e-08,8.0", "5,3,0.5,7.5,1e-09,8.0", "5,1,0.5,7.50000001,1e-09,8.0"],
+                "line 4: the interval of gamma 7.50000001 meets that of gamma 7.5 on line 2, for character 1",
+            ),
         ],
-        ids=["mixed-heights", "gamma-without-beta", "radius-without-beta"],
+        ids=["mixed-heights", "gamma-without-beta", "radius-without-beta", "duplicated-row", "meeting-intervals"],
     )
     def test_inconsistent_character_rows_name_their_file_and_line(self, tmp_path, rows, message):
-        # All rows of one character carry one height, and a row with no zero
-        # leaves gamma and radius empty; either breach makes the file corrupt.
+        # All rows of one character carry one height, a row with no zero
+        # leaves gamma and radius empty, and no two intervals
+        # [gamma - r, gamma + r] of one character meet (a repeated row would
+        # reload as an extra zero); any breach makes the file corrupt.
         (tmp_path / "zeros_q0005.csv").write_text("\n".join([CACHE_HEADER, *rows]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"zeros_q0005.csv, {message}")):
             read_zero_cache(tmp_path, 5)
