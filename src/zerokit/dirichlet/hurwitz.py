@@ -17,24 +17,24 @@ at the negative integers, where the formula is a polynomial identity and N = 1
 serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
 `hurwitz_rounding_bound` the floating-point error of the sum itself.
 
-One kernel, `hurwitz_zeta_grid`, forms the terms (n+a)^-s.  It takes a grid
-s = c_p + d_q, a column c and a short row d of offsets, at one shift N,
-factors each term as (n+a)^-c_p (n+a)^-d_q, and picks from the shapes alone
-how to sum over n: one or two offsets turn one exp per (p, n, a) by a fixed
-table per offset; more take one batched matrix product (baby-step/giant-step).
-Every grid shares one Euler--Maclaurin tail (`_add_tail`: one float64
-matrix product of the Pochhammer symbols (s)_{2j-1}, one row per point, and
-a table of B_2j/(2j)! (N+a)^-2j, one column per shift) and one rounding
-bound, `hurwitz_rounding_bound`.  Its callers:
+One kernel, `hurwitz_zeta_vec(s, a, d=...)`, forms the terms (n+a)^-s.  It
+takes a grid of points s_p + d_q, any array s and a short row d of offsets
+(d = 0 by default), at one shift N, factors each term as
+(n+a)^-s_p (n+a)^-d_q, and picks from the shapes alone how to sum over n:
+one or two offsets turn one exp per (p, n, a) by a fixed table per offset;
+more take one batched matrix product (baby-step/giant-step).  Every grid
+shares one Euler--Maclaurin tail (`_add_tail`: one float64 matrix product of
+the Pochhammer symbols (s)_{2j-1}, one row per point, and a table of
+B_2j/(2j)! (N+a)^-2j, one column per shift) and one rounding bound,
+`hurwitz_rounding_bound`.  Its callers:
 
-* `hurwitz_zeta_vec(s, a)`, the grid at d = 0, for any s and Re a > 0 (a
-  complex a serves `lfunctions.trivial_zero_sum`): L-values and the
-  contour of `lfunctions`;
+* at d = 0, for any s and Re a > 0 (a complex a serves
+  `lfunctions.trivial_zero_sum`): L-values and the contour of `lfunctions`;
 * the zero engine (`zeros.ModulusEngine._tables`), whose every stage is
-  one grid: the lattice as giant steps c and baby steps d, which seeds
-  every zero; the count's horizontal edges, c = i T and d the abscissae;
-  the quarter-step regrid, one c per cell and d the cell's nodes; and the
-  certified sign checks, c = 1/2 + i gamma and d = (-i r, +i r), whose
+  one grid: the lattice as giant steps s and baby steps d, which seeds
+  every zero; the count's horizontal edges, s = i T and d the abscissae;
+  the quarter-step regrid, one s per cell and d the cell's nodes; and the
+  certified sign checks, s = 1/2 + i gamma and d = (-i r, +i r), whose
   radius includes the rounding bound at that d.
 """
 
@@ -48,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "hurwitz_zeta",
-    "hurwitz_zeta_grid",
     "hurwitz_zeta_vec",
     "hurwitz_error_bound",
     "hurwitz_rounding_bound",
@@ -134,32 +133,35 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
     out += acc
 
 
-def _grid_points(c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c and d as flat complex arrays, and the grid's points s, the rounded sums c_p + d_q."""
-    c = np.asarray(c, dtype=complex).ravel()
+def _grid_points(s, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s and d as flat complex arrays c and d, and the grid's points, the rounded sums c_p + d_q."""
+    c = np.asarray(s, dtype=complex).ravel()
     d = np.asarray(d, dtype=complex).ravel()
     return c, d, (c[:, None] + d).ravel()
 
 
-def hurwitz_zeta_grid(c, d, a: complex | np.ndarray) -> np.ndarray:
-    """zeta(c_p + d_q, a) for a column c, a row d of offsets and Re a > 0 (no point may equal 1).
+def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0) -> np.ndarray:
+    """zeta(s_p + d_q, a) for complex s, offsets d and Re a > 0 (no point s_p + d_q may equal 1).
 
-    The result has one row per point k = p len(d) + q, shape
-    (len(c) len(d),) + np.shape(a).  Each direct term is factored as
-    (n+a)^-(c_p + d_q) = (n+a)^-c_p (n+a)^-d_q, and the shapes pick the
+    The result has shape s.shape + np.shape(d) + np.shape(a): at the default
+    d = 0, zeta(s, a) itself.  Each direct term is factored as
+    (n+a)^-(s_p + d_q) = (n+a)^-s_p (n+a)^-d_q, and the shapes pick the
     contraction over n < N:
 
-    * for one or two offsets, one complex exp (n+a)^-c_p per (p, n, a),
+    * for one or two offsets, one complex exp (n+a)^-s_p per (p, n, a),
       turned into each point by a fixed (N + 1) x len(a) table (n+a)^-d_q,
-      so no term table is ever built; the grid at d = 0 takes no turn;
-    * for more offsets, tables of (n+a)^-c and (n+a)^-d and one batched
+      so no term table is ever built; d = 0 takes no turn;
+    * for more offsets, tables of (n+a)^-s and (n+a)^-d and one batched
       matrix product per shift a.
 
     Row n = N of the factors gives the tail's w^-s, w = N + a, so no point
     takes a complex exp of its own.  The shift and the tail's Pochhammer
-    symbols take the points s = c_p + d_q as rounded sums.
+    symbols take the points s_p + d_q as rounded sums.  d is keyword-only:
+    the benchmark's tracer (`perfbench/tracer.py`) wraps this function and
+    reads a third positional argument as the shift N.
     """
-    c, d, s = _grid_points(c, d)
+    shape = np.shape(s) + np.shape(d) + np.shape(a)
+    c, d, s = _grid_points(s, d)
     a = np.asarray(a)
     shifts = a.ravel()
     if np.any(shifts.real <= 0.0):
@@ -182,7 +184,7 @@ def hurwitz_zeta_grid(c, d, a: complex | np.ndarray) -> np.ndarray:
         neg = -c[:, None]
         out = np.zeros((len(d), len(c), len(shifts)), dtype=complex)
         w_pow = np.exp(neg * log_n[-1])[None]
-        if len(d) == 1 and d[0] == 0.0:  # the grid at d = 0 takes no turn
+        if len(d) == 1 and d[0] == 0.0:  # d = 0 takes no turn
             acc = out[0]
             for log in log_n[:-1]:
                 acc += np.exp(neg * log)
@@ -194,25 +196,15 @@ def hurwitz_zeta_grid(c, d, a: complex | np.ndarray) -> np.ndarray:
             w_pow = w_pow * turns[-1]
         out, w_pow = (x.transpose(1, 0, 2).reshape(-1, len(shifts)) for x in (out, w_pow))
     _add_tail(out, s[:, None], n_shift + shifts[None, :], w_pow)
-    return out.reshape((len(s),) + a.shape)
-
-
-def hurwitz_zeta_vec(s: np.ndarray, a: complex | np.ndarray) -> np.ndarray:
-    """zeta(s, a) for an array of complex s (no entry may equal 1) and Re a > 0.
-
-    `a` is a scalar or an array; the result has shape s.shape + np.shape(a).
-    """
-    s = np.asarray(s, dtype=complex)
-    return hurwitz_zeta_grid(s, 0.0, a).reshape(s.shape + np.shape(a))
+    return out.reshape(shape)
 
 
 def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
     """Certified bound on the truncation remainder R_M at each point of s, for real a > 0.
 
-    The shift is the one `hurwitz_zeta_grid` takes for the whole of s, so s
-    must hold every point of one kernel call: the s of `hurwitz_zeta_vec`,
-    or every sum c_p + d_q of a grid, as both sides of every ordinate of a
-    sign check.
+    The shift is the one `hurwitz_zeta_vec` takes for the whole of s, so s
+    must hold every point of one kernel call: its s at d = 0, or every sum
+    s_p + d_q of a grid, as both sides of every ordinate of a sign check.
     """
     if isinstance(a, complex):
         raise ValueError("hurwitz_error_bound requires a real a")
@@ -226,11 +218,11 @@ def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
-def hurwitz_rounding_bound(c, d, a: float | np.ndarray) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_grid(c, d, a) for real a > 0.
+def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_vec(s, a, d=d) for real a > 0.
 
-    The result has the kernel's shape, one row per point s = c_p + d_q, and
-    takes the shift N the kernel takes for the same points.  With u = 2^-53
+    The result has the kernel's shape, one entry per point s_p + d_q (called
+    s below), and takes the shift N the kernel takes for the same points.  With u = 2^-53
     it adds two parts, to first order in u.
 
     The pointwise part.  A direct term exp(-s log(n+a)) is off by at most
@@ -272,20 +264,21 @@ def hurwitz_rounding_bound(c, d, a: float | np.ndarray) -> np.ndarray:
     multiply-adds), so it counts 3 N + 1 units.
 
     The offset part, when some d_q is not 0, with r = max |d|.  A direct term
-    is exp(-c log(n+a)), off by (4 + |c| (1 + 4 |log(n+a)|)) u with
-    |c| <= |s| + r, times exp(-d log(n+a)), off by (4 + r (1 + 4
+    is exp(-s_p log(n+a)), off by (4 + |s_p| (1 + 4 |log(n+a)|)) u with
+    |s_p| <= |s| + r, times exp(-d log(n+a)), off by (4 + r (1 + 4
     |log(n+a)|)) u, and the product rounds once more (sqrt 5 u): beyond the
     pointwise part, each direct term is off by at most
     (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude, and w^-s, which scales
     the whole tail, by (7 + 2 r (1 + 4 log(N+a))) u.  At d = 0 no product is
     taken and the part is 0.
 
-    The direct block and w^-s are taken at the exact sums c_p + d_q, the
+    The direct block and w^-s are taken at the exact sums s_p + d_q, the
     tail's Pochhammer symbols at their rounding s; the difference, at most
     u |s| times (sum_{n<N} (n+a)^-Re s |log(n+a)| + log(N+a) x the tail's
     magnitude), sits in the slack of the pointwise part's phase terms.
     """
-    _, d, s = _grid_points(c, d)
+    shape = np.shape(s) + np.shape(d) + np.shape(a)
+    _, d, s = _grid_points(s, d)
     a = np.asarray(a, dtype=float)
     n_shift = _shift_for(s)
     flat = s[:, None]
@@ -321,7 +314,7 @@ def hurwitz_rounding_bound(c, d, a: float | np.ndarray) -> np.ndarray:
     if r > 0.0:
         paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
         bound = bound + 2.0**-53 * paired
-    return bound.reshape((len(s),) + a.shape)
+    return bound.reshape(shape)
 
 
 def hurwitz_zeta(s: complex, a: complex) -> complex:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
-from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_grid
+from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 
 __all__ = [
@@ -279,7 +279,7 @@ class ModulusEngine:
     def _tables(self, c: np.ndarray, d: np.ndarray):
         """(part, H) per chunk of c, H[p, q, a] = zeta(c[part][p] + d_q, a/q) on the units.
 
-        The chunks follow |Im c|, so each `hurwitz_zeta_grid` call takes the
+        The chunks follow |Im c|, so each `hurwitz_zeta_vec` call takes the
         shift of its own heights rather than that of the tallest point, and
         each holds at most TABLE_ENTRIES table entries.
         """
@@ -288,7 +288,7 @@ class ModulusEngine:
         order = np.argsort(np.abs(c.imag), kind="stable")
         for lo in range(0, len(c), step):
             part = order[lo : lo + step]
-            yield part, hurwitz_zeta_grid(c[part], d, shifts).reshape(len(part), len(d), len(shifts))
+            yield part, hurwitz_zeta_vec(c[part], shifts, d=d)
 
     def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """theta(s), the completed prefactor's phase, for characters of parity `odd` (broadcast against s).
@@ -343,7 +343,7 @@ class ModulusEngine:
         return values.T, bounds.T
 
     def _radius(self, c: np.ndarray, d: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Bound on |computed Z - Z| at the points c_p + d_q of one `hurwitz_zeta_grid(c, d)` call, for every character.
+        """Bound on |computed Z - Z| at the points c_p + d_q of one `hurwitz_zeta_vec(c, d=d)` call, for every character.
 
         table holds the call's values, shape (len(c), len(d), phi(q)); the
         result is indexed [ordinate, offset].  Z is Re[rot S] with
@@ -352,13 +352,13 @@ class ModulusEngine:
         change its sign; what can is the error in S, times |rot| = q^-1/2:
         the truncation `hurwitz_error_bound(s, 1/q)` (a = 1/q is the worst
         unit) for each of the phi(q) units with |chi(a)| = 1, the kernel's
-        `hurwitz_rounding_bound(c, d)` per unit, both at the shift of the
+        `hurwitz_rounding_bound(c, d=d)` per unit, both at the shift of the
         whole call, and phi(q) + 2 roundings of each |H[a]| in the weights
         and the sum over the units.
         """
         shifts = self._units / self.modulus
         error = len(shifts) * hurwitz_error_bound(c[:, None] + d, 1.0 / self.modulus)
-        error = error + hurwitz_rounding_bound(c, d, shifts).sum(axis=-1).reshape(error.shape)
+        error = error + hurwitz_rounding_bound(c, shifts, d=d).sum(axis=-1)
         error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
         return error / math.sqrt(self.modulus)
 

@@ -10,7 +10,6 @@ from zerokit.dirichlet.hurwitz import (
     hurwitz_error_bound,
     hurwitz_rounding_bound,
     hurwitz_zeta,
-    hurwitz_zeta_grid,
     hurwitz_zeta_vec,
 )
 
@@ -31,19 +30,19 @@ def _per_term_sum(s, a):
 
 def _pair(s, r, a):
     """The grid of the points s and the offsets -/+ i r, as (2,) + s.shape + np.shape(a), row 0 at s - i r."""
-    values = hurwitz_zeta_grid(s, [-1j * r, 1j * r], a).reshape((len(s), 2) + np.shape(a))
+    values = hurwitz_zeta_vec(s, a, d=[-1j * r, 1j * r])
     return np.moveaxis(values, 1, 0)
 
 
 def _pair_bound(s, r, a):
     """hurwitz_rounding_bound of `_pair(s, r, a)`, in its layout."""
-    bound = hurwitz_rounding_bound(s, [-1j * r, 1j * r], a).reshape((len(s), 2) + np.shape(a))
+    bound = hurwitz_rounding_bound(s, a, d=[-1j * r, 1j * r])
     return np.moveaxis(bound, 1, 0)
 
 
 def _pointwise_bound(s, a):
     """hurwitz_rounding_bound of `hurwitz_zeta_vec(s, a)`, in its layout."""
-    return hurwitz_rounding_bound(s, 0.0, a).reshape(np.shape(s) + np.shape(a))
+    return hurwitz_rounding_bound(s, a)
 
 
 class TestValues:
@@ -103,9 +102,9 @@ class TestValues:
         # bit for bit, on and off the critical line, at low and great heights
         s = np.array([[0.5 + 14.1j, 2.0 - 3.0j, -0.25 + 280.0j], [1.25 + 0.0j, 0.5 - 77.0j, 0.5 + 999.0j]])
         a = _units(q)
-        assert np.array_equal(hurwitz_zeta_grid(s, 0.0, a).reshape(s.shape + a.shape), _per_term_sum(s, a))
+        assert np.array_equal(hurwitz_zeta_vec(s, a, d=[0.0])[..., 0, :], _per_term_sum(s, a))
         assert np.array_equal(hurwitz_zeta_vec(s, a), _per_term_sum(s, a))
-        twice = hurwitz_zeta_grid(s, [0.0, 0.0], a).reshape(s.shape + (2,) + a.shape)
+        twice = hurwitz_zeta_vec(s, a, d=[0.0, 0.0])
         assert np.array_equal(twice, np.stack([_per_term_sum(s, a)] * 2, axis=-2))
         # complex shifts too, at low heights (|(n+a)^-s| grows like e^(|t| arg(n+a)))
         low, shifts = s[:, :2], np.array([0.3 + 0.2j, 1.0 + 1.0j])
@@ -150,8 +149,9 @@ class TestProgression:
     def test_against_mpmath(self, q, sigma):
         c, d, s = _lattice(sigma, *self.GRID)
         a = _units(q)
-        table = hurwitz_zeta_grid(c, d, a)
-        assert table.shape == (len(c) * len(d), len(a)) and len(s) < len(table)
+        table = hurwitz_zeta_vec(c, a, d=d)
+        assert table.shape == (len(c), len(d), len(a)) and len(s) < len(c) * len(d)
+        table = table.reshape(-1, len(a))
         for k in (0, 5, 11, 17, len(s) - 1):
             assert s[k] == pytest.approx(complex(sigma, self.GRID[0] + k * self.GRID[1]), abs=1e-12)
             for u in sorted({0, len(a) // 2, len(a) - 1}):
@@ -164,7 +164,7 @@ class TestProgression:
         c, d, s = _lattice(sigma, *self.GRID)
         a = _units(q)
         pointwise = hurwitz_zeta_vec(s, a)
-        table = hurwitz_zeta_grid(c, d, a)[: len(s)]
+        table = hurwitz_zeta_vec(c, a, d=d).reshape(-1, len(a))[: len(s)]
         assert np.all(np.abs(table - pointwise) <= 1e-11 * np.maximum(1.0, np.abs(pointwise)))
 
     @pytest.mark.parametrize("count", [1, 2, 13, 36])
@@ -173,19 +173,21 @@ class TestProgression:
         # cut short; 36 fills its 6 x 6 grid.  The lattice starts at t0 > 0.
         a = np.array([0.2, 0.5, 1.0])
         c, d, s = _lattice(0.5, 250.0, 0.05, count)
-        table = hurwitz_zeta_grid(c, d, a)[:count]
+        table = hurwitz_zeta_vec(c, a, d=d).reshape(-1, len(a))[:count]
         assert table.shape == (count, 3)
         pointwise = hurwitz_zeta_vec(s, a)
         assert np.all(np.abs(table - pointwise) <= 1e-11 * np.maximum(1.0, np.abs(pointwise)))
         # a scalar shift gives a column, as in the pointwise kernel
-        assert hurwitz_zeta_grid(c, d, 0.5)[:count] == pytest.approx(table[:, 1], rel=1e-15)
+        assert hurwitz_zeta_vec(c, 0.5, d=d).ravel()[:count] == pytest.approx(table[:, 1], rel=1e-15)
 
     def test_refuses_a_pole_and_a_bad_shift(self):
         # the giant step -i and the baby step 1 + i meet at the pole s = 1
+        c, d, _ = _lattice(1.0, -1.0, 0.5, 5)
         with pytest.raises(ValueError):
-            hurwitz_zeta_grid(*_lattice(1.0, -1.0, 0.5, 5)[:2], 0.5)
+            hurwitz_zeta_vec(c, 0.5, d=d)
+        c, d, _ = _lattice(0.5, 0.0, 0.5, 5)
         with pytest.raises(ValueError):
-            hurwitz_zeta_grid(*_lattice(0.5, 0.0, 0.5, 5)[:2], np.array([0.5, 0.0]))
+            hurwitz_zeta_vec(c, np.array([0.5, 0.0]), d=d)
 
 
 class TestPair:
@@ -198,7 +200,7 @@ class TestPair:
         s = 0.5 + 1j * np.array([0.0, 14.13, -77.0, 300.0, 999.5])
         sides = np.stack([s - 1j * r, s + 1j * r])
         pair = _pair(s, r, a)
-        assert hurwitz_zeta_grid(s, [-1j * r, 1j * r], a).shape == (2 * len(s),) + a.shape
+        assert hurwitz_zeta_vec(s, a, d=[-1j * r, 1j * r]).shape == s.shape + (2,) + a.shape
         assert pair.shape == (2,) + s.shape + a.shape
         pointwise = hurwitz_zeta_vec(sides, a)
         paired = _pair_bound(s, r, a)
@@ -288,9 +290,9 @@ class TestCertifiedTruncation:
                 c, d, s = _lattice(sigma, t0, h, count)
                 assert len(c) * len(d) > count
                 points = (c[:, None] + d).ravel()
-                values = hurwitz_zeta_grid(c, d, a)
+                values = hurwitz_zeta_vec(c, a, d=d).reshape(-1, len(a))
                 truncation = np.stack([hurwitz_error_bound(points, x) for x in a], axis=-1)
-                bound = truncation + hurwitz_rounding_bound(c, d, a)
+                bound = truncation + hurwitz_rounding_bound(c, a, d=d).reshape(-1, len(a))
                 for k in ks:
                     for u in range(len(a)):
                         err = abs(values[k, u] - complex(mp.zeta(s[k], a[u])))
@@ -301,9 +303,9 @@ class TestCertifiedTruncation:
         c = 1j * np.array([30.0, 300.0, 1000.0])
         d = np.linspace(0.5, 1.25, 16)
         points = (c[:, None] + d).ravel()
-        values = hurwitz_zeta_grid(c, d, a)
+        values = hurwitz_zeta_vec(c, a, d=d).reshape(-1, len(a))
         truncation = np.stack([hurwitz_error_bound(points, x) for x in a], axis=-1)
-        bound = truncation + hurwitz_rounding_bound(c, d, a)
+        bound = truncation + hurwitz_rounding_bound(c, a, d=d).reshape(-1, len(a))
         for p in range(len(c)):
             for q in (0, 7, 15):
                 k = p * len(d) + q
@@ -316,12 +318,11 @@ class TestCertifiedTruncation:
         # the shape of the kernel's result, and the kernel's shift for the whole s
         s = np.array([[0.5 + 3.0j, 0.5 + 200.0j], [1.25 - 7.0j, 0.5 + 0.0j]])
         a = np.array([0.1, 0.5, 1.0])
-        both = hurwitz_rounding_bound(s, 0.0, a)
-        assert both.shape == (s.size,) + a.shape
-        both = both.reshape(s.shape + a.shape)
+        both = hurwitz_rounding_bound(s, a)
+        assert both.shape == s.shape + a.shape
         assert np.all(both > 0.0)
         # a low point shares the tall point's larger shift, so its bound grows
-        alone = hurwitz_rounding_bound(s[0, :1], 0.0, a)
+        alone = hurwitz_rounding_bound(s[0, :1], a)
         assert np.all(both[0, 0] > alone[0])
 
 

@@ -280,7 +280,7 @@ class TestScan:
         # it must leave windows at every offset, never accept a check.
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "hurwitz_rounding_bound", lambda c, d, a: np.full((len(c) * len(d),) + np.shape(a), 1.0))
+        monkeypatch.setattr(zmod, "hurwitz_rounding_bound", lambda s, a, d: np.full(np.shape(s) + np.shape(d) + np.shape(a), 1.0))
         with pytest.warns(UserWarning, match="failed the sign check"):
             zs = scan_zeros(CHI4, 12.0)
         assert not zs.certified
@@ -399,12 +399,12 @@ class TestScan:
         import zerokit.dirichlet.zeros as zmod
 
         calls = []
-        grid = zmod.hurwitz_zeta_grid
+        grid = zmod.hurwitz_zeta_vec
 
-        def spied(c, d, a):
+        def spied(c, a, d):
             calls.append((np.array(c), np.array(d)))
             assert len(c) * len(d) * len(a) <= zmod.TABLE_ENTRIES
-            return grid(c, d, a)
+            return grid(c, a, d=d)
 
         def kind(d):
             if len(d) == 2 and d[0] == -d[1] and d[1].real == 0.0:
@@ -413,7 +413,7 @@ class TestScan:
                 return "count"
             return "lattice" if np.all(d.real == 0.5) else "regrid"
 
-        monkeypatch.setattr(zmod, "hurwitz_zeta_grid", spied)
+        monkeypatch.setattr(zmod, "hurwitz_zeta_vec", spied)
         chars = primitive_characters(13)
         engine = ModulusEngine(chars, 20.0)
         sets = [engine.zero_set(chi) for chi in chars]
