@@ -22,6 +22,7 @@ __all__ = [
     "factorize",
     "harmonic_sum",
     "int_nth_root",
+    "least_prime_factors",
     "prime_powers",
     "primes_in_window",
     "primes_up_to",
@@ -69,6 +70,21 @@ def _sieve(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.flatnonzero(flags).astype(np.int64)
+
+
+def least_prime_factors(top: int) -> np.ndarray:
+    """lpf[m], the least prime factor of each 2 <= m <= top, as an int64 array; lpf[0] = 0 and lpf[1] = 1.
+
+    Sieved afresh on every call (no cache).  Each p <= sqrt(top) still
+    marked as its own factor when reached is prime, and lowers the entries
+    of its multiples from p^2 on to at most p.
+    """
+    lpf = np.arange(top + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(top) + 1):
+        if lpf[p] == p:
+            multiples = lpf[p * p :: p]
+            np.minimum(multiples, p, out=multiples)
+    return lpf
 
 
 def primes_up_to(n: int) -> np.ndarray:

@@ -17,25 +17,33 @@ at the negative integers, where the formula is a polynomial identity and N = 1
 serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
 `hurwitz_rounding_bound` the floating-point error of the sum itself.
 
-One kernel, `hurwitz_zeta_vec(s, a, d=...)`, forms the terms (n+a)^-s.  It
-takes a grid of points s_p + d_q, any array s and a short row d of offsets
-(d = 0 by default), at one shift N, factors each term as
+One kernel, `hurwitz_zeta_vec(s, a, d=..., modulus=...)`, forms the terms
+(n+a)^-s.  It takes a grid of points s_p + d_q, any array s and a short row
+d of offsets (d = 0 by default), at one shift N, factors each term as
 (n+a)^-s_p (n+a)^-d_q, and picks from the shapes alone how to sum over n:
-one or two offsets turn one exp per (p, n, a) by a fixed table per offset;
-more take one batched matrix product (baby-step/giant-step).  Every grid
-shares one Euler--Maclaurin tail (`_add_tail`: one float64 matrix product of
-the Pochhammer symbols (s)_{2j-1}, one row per point, and a table of
-B_2j/(2j)! (N+a)^-2j, one column per shift) and one rounding bound,
-`hurwitz_rounding_bound`.  Its callers:
+one or two offsets multiply a table of (n+a)^-s_p by one of (n+a)^-d_q and
+sum over n; more take one batched matrix product (baby-step/giant-step).
+One builder, `_terms` over the rows of `_rows`, forms every table, in
+blocks of the points s.  Without a modulus it takes one complex exp per
+row n + a.  With `modulus=q`, every a is u/q with u prime to q, and
+(n + u/q)^-s = q^s m^-s with m = n q + u, completely multiplicative in m:
+only 1 and the primes below (N+1) q take an exp, each composite m is one
+complex product of two earlier rows, and q^s multiplies each point once,
+after the sum.  Every grid shares one Euler--Maclaurin tail (`_add_tail`:
+one float64 matrix product of the Pochhammer symbols (s)_{2j-1}, one row
+per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift) and
+one rounding bound, `hurwitz_rounding_bound`, which counts the prime
+factors and q^s when a modulus is given.  Its callers:
 
 * at d = 0, for any s and Re a > 0 (a complex a serves
-  `lfunctions.trivial_zero_sum`): L-values and the contour of `lfunctions`;
-* the zero engine (`zeros.ModulusEngine._tables`), whose every stage is
-  one grid: the lattice as giant steps s and baby steps d, which seeds
-  every zero; the count's horizontal edges, s = i T and d the abscissae;
-  the quarter-step regrid, one s per cell and d the cell's nodes; and the
-  certified sign checks, s = 1/2 + i gamma and d = (-i r, +i r), whose
-  radius includes the rounding bound at that d.
+  `lfunctions.trivial_zero_sum`), and with the modulus for the L-values of
+  `lfunctions.l_eval_vec`;
+* the zero engine (`zeros.ModulusEngine._tables`), with the modulus, whose
+  every stage is one grid: the lattice as giant steps s and baby steps d,
+  which seeds every zero; the count's horizontal edges, s = i T and d the
+  abscissae; the quarter-step regrid, one s per cell and d the cell's
+  nodes; and the certified sign checks, s = 1/2 + i gamma and
+  d = (-i r, +i r), whose radius includes the rounding bound at that d.
 """
 
 from __future__ import annotations
@@ -43,8 +51,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+from zerokit.dirichlet.arith import factorize, least_prime_factors
 
 __all__ = [
     "hurwitz_zeta",
@@ -55,6 +66,7 @@ __all__ = [
 
 ORDER = 20  # Euler--Maclaurin correction order M
 TARGET = 1e-13  # certified bound on the remainder R_M
+BLOCK_ENTRIES = 1 << 14  # term-table entries per block of points (256 KiB)
 
 
 @lru_cache(maxsize=1)
@@ -87,9 +99,9 @@ def _shift_for(s: np.ndarray) -> int:
     # each factor |s+i| at its worst corner (|s+i| is convex in Re s); the
     # expo-th root is taken factor by factor so that nothing overflows.
     root = 1.0 / expo
-    shift = (abs(_bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root
-    for i in range(2 * ORDER + 2):
-        shift *= math.hypot(max(abs(lo + i), abs(hi + i)), tmax) ** root
+    steps = np.arange(2 * ORDER + 2)
+    factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), tmax) ** root
+    shift = np.multiply.reduce(factors, initial=(abs(_bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root)
     return max(1, math.ceil(shift))
 
 
@@ -140,98 +152,216 @@ def _grid_points(s, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, d, (c[:, None] + d).ravel()
 
 
-def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0) -> np.ndarray:
+def _real_shifts(a) -> np.ndarray:
+    """a as a float array, refused unless every entry is real and > 0, as the bounds require."""
+    if np.iscomplexobj(a):
+        raise ValueError("the Hurwitz bounds require a real shift a")
+    a = np.asarray(a, dtype=float)
+    if not np.all(a > 0.0):
+        raise ValueError("the Hurwitz bounds require a > 0")
+    return a
+
+
+def _units(shifts: np.ndarray, modulus: int) -> np.ndarray:
+    """The u with a = u/q for each shift a, refused unless a is real and gcd(u, q) = 1."""
+    if modulus < 1 or np.iscomplexobj(shifts):
+        raise ValueError("a modulus needs real shifts a = u/q and q >= 1")
+    units = np.rint(shifts * modulus)
+    if np.any(units / modulus != shifts) or np.any(np.gcd(units.astype(np.int64), modulus) != 1):
+        raise ValueError(f"every shift must be u/{modulus} with u > 0 prime to {modulus}")
+    return units.astype(np.int64)
+
+
+class _Rows(NamedTuple):
+    """The rows of a term table and how `_terms` forms them (`_rows`)."""
+
+    logs: np.ndarray  # log of each of the first len(logs) rows, which take an exp
+    layers: tuple  # (start, stop, left, right): rows start..stop-1 are the products of rows left and right
+    pick: np.ndarray  # (N + 1, len(a)): the row that holds each term n, a
+    count: int  # rows formed
+
+
+def _rows(n_shift: int, shifts: np.ndarray, modulus: int | None) -> _Rows:
+    """The term table's rows at shift N: n + a for n <= N, or with a modulus q, m = n q + u.
+
+    Without a modulus every row takes one exp of -x log(n + a).  With one,
+    a = u/q and (n + a)^-x = q^x m^-x, and m^-x is completely multiplicative
+    in m.  The rows formed are then every m <= N q + max u prime to q, from a
+    sieve made for this call alone: first 1 and the primes, which take one
+    exp of -x log p each, then the composites in increasing order, each the
+    product of two earlier rows, its least prime factor p and the cofactor
+    m/p.  Both are below 2^j for m in [2^j, 2^(j+1)), so each such octave is
+    one layer of products.  `pick` finds m = n q + u among them.
+    """
+    count = (n_shift + 1) * len(shifts)
+    if modulus is None:
+        logs = np.log(np.arange(n_shift + 1)[:, None] + shifts).ravel()
+        return _Rows(logs, (), np.arange(count).reshape(n_shift + 1, -1), count)
+    units = _units(shifts, modulus)
+    top = n_shift * modulus + int(units.max())
+    prime_to_q = np.ones(top + 1, dtype=bool)
+    prime_to_q[0] = False
+    for p, _ in factorize(modulus):
+        prime_to_q[::p] = False
+    m = np.flatnonzero(prime_to_q)
+    least = least_prime_factors(top)[m]
+    base = least == m
+    # row[m]: 1 and the primes first, then the composites, each group in increasing order
+    order = np.concatenate([m[base], m[~base]])
+    row = np.zeros(top + 1, dtype=np.int64)
+    row[order] = np.arange(len(m))
+    composite, factor = m[~base], least[~base]
+    left, right = row[factor], row[composite // factor]
+    ends = np.searchsorted(composite, 1 << np.arange(top.bit_length() + 1))
+    first = len(m) - len(composite)
+    layers = tuple((first + i, first + j, left[i:j], right[i:j]) for i, j in zip(ends[:-1], ends[1:]) if j > i)
+    pick = row[np.arange(n_shift + 1)[:, None] * modulus + units]
+    return _Rows(np.log(order[:first]), layers, pick, len(m))
+
+
+def _terms(x: np.ndarray, rows: _Rows, units_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(n + a)^-x, or with a modulus m^-x, m = n q + u, for the points x, as the terms n < N and the row n = N.
+
+    The terms are an (N, len(a), len(x)) array, or (len(a), N, len(x)) if
+    `units_first`, and the row n = N is (len(a), len(x)); both C-ordered.
+    One complex exp per point and row of `rows.logs`, and one complex
+    product per point and composite row.
+    """
+    table = np.empty((rows.count, len(x)), dtype=complex)
+    powers = table[: len(rows.logs)]
+    np.exp(np.multiply(-x, rows.logs[:, None], out=powers), out=powers)
+    for start, stop, left, right in rows.layers:
+        np.multiply(table.take(left, axis=0), table.take(right, axis=0), out=table[start:stop])
+    terms = rows.pick[:-1].T if units_first else rows.pick[:-1]
+    return table.take(terms, axis=0), table.take(rows.pick[-1], axis=0)
+
+
+def _direct(c: np.ndarray, d: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """The sum over n < N and the row n = N of the terms at the grid points c_p + d_q, for `hurwitz_zeta_vec`.
+
+    Both are (len(c) len(d), len(a)) arrays, row k = p len(d) + q.  The
+    table of c is built in blocks of at most BLOCK_ENTRIES entries, each
+    freed before the next.
+    """
+    turned = len(d) > 1 or d[0] != 0.0  # d = 0 takes no product
+    batched = len(d) > 2  # C-ordered (len(a), N, x) tables, so that the product runs in BLAS
+    if turned:
+        fine, fine_last = _terms(d, rows, units_first=batched)
+    if batched:
+        fine = np.ascontiguousarray(fine.transpose(0, 2, 1))  # (len(a), len(d), N)
+    out, w_pow = (np.empty((len(c), len(d), rows.pick.shape[1]), dtype=complex) for _ in range(2))
+    step = max(1, BLOCK_ENTRIES // rows.count)
+    for lo in range(0, len(c), step):
+        block = slice(lo, lo + step)
+        coarse, last = _terms(c[block], rows, units_first=batched)
+        if batched:
+            summed = np.matmul(fine, coarse)
+        elif turned:
+            summed = np.stack([np.sum(coarse * fine[:, :, q, None], axis=0) for q in range(len(d))], axis=1)
+        else:
+            summed = np.sum(coarse, axis=0)[:, None]
+        last = last[:, None] * fine_last[..., None] if turned else last[:, None]
+        # (len(a), len(d), len(block)) to the rows k = p len(d) + q of the block
+        out[block], w_pow[block] = summed.transpose(2, 1, 0), last.transpose(2, 1, 0)
+    return out.reshape(-1, out.shape[-1]), w_pow.reshape(-1, out.shape[-1])
+
+
+def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None = None) -> np.ndarray:
     """zeta(s_p + d_q, a) for complex s, offsets d and Re a > 0 (no point s_p + d_q may equal 1).
 
     The result has shape s.shape + np.shape(d) + np.shape(a): at the default
     d = 0, zeta(s, a) itself.  Each direct term is factored as
-    (n+a)^-(s_p + d_q) = (n+a)^-s_p (n+a)^-d_q, and the shapes pick the
-    contraction over n < N:
+    (n+a)^-(s_p + d_q) = (n+a)^-s_p (n+a)^-d_q, from one table of each
+    factor (`_terms`), that of s built for blocks of at most BLOCK_ENTRIES
+    entries, and the shapes pick the contraction over n < N:
 
-    * for one or two offsets, one complex exp (n+a)^-s_p per (p, n, a),
-      turned into each point by a fixed (N + 1) x len(a) table (n+a)^-d_q,
-      so no term table is ever built; d = 0 takes no turn;
-    * for more offsets, tables of (n+a)^-s and (n+a)^-d and one batched
-      matrix product per shift a.
+    * for one or two offsets, the table of (n+a)^-s_p times that of
+      (n+a)^-d_q, summed over n; d = 0 takes no product;
+    * for more offsets, one batched matrix product per shift a.
 
-    Row n = N of the factors gives the tail's w^-s, w = N + a, so no point
-    takes a complex exp of its own.  The shift and the tail's Pochhammer
-    symbols take the points s_p + d_q as rounded sums.  d is keyword-only:
-    the benchmark's tracer (`perfbench/tracer.py`) wraps this function and
-    reads a third positional argument as the shift N.
+    Row n = N of the tables gives the tail's w^-s, w = N + a.  The shift
+    and the tail's Pochhammer symbols take the points s_p + d_q as rounded
+    sums.
+
+    With `modulus=q`, every a must be u/q with u > 0 prime to q, and the
+    result is zeta(s, u/q) at the exact u/q.  The tables then hold m^-x,
+    m = n q + u (so (n + a)^-x = q^x m^-x), formed from one complex exp per
+    prime and one product per composite m (`_rows`), and q^x multiplies
+    each point once, after the sum over n and the tail.
+
+    d and modulus are keyword-only: the benchmark's tracer
+    (`perfbench/tracer.py`) wraps this function and reads a third
+    positional argument, or a keyword `shift`, as the shift N.
     """
     shape = np.shape(s) + np.shape(d) + np.shape(a)
     c, d, s = _grid_points(s, d)
-    a = np.asarray(a)
-    shifts = a.ravel()
+    shifts = np.asarray(a).ravel()
     if np.any(shifts.real <= 0.0):
         raise ValueError("hurwitz_zeta requires Re a > 0")
     if np.any(s == 1.0):
         raise ValueError("hurwitz_zeta has a pole at s = 1")
     n_shift = _shift_for(s)
-
-    log_n = np.log(np.arange(n_shift + 1)[:, None] + shifts)  # (N + 1, len(a))
-    if len(d) > 2:
-        # C-ordered tables, so that the product runs in BLAS.
-        log_n = np.ascontiguousarray(log_n.T)  # (len(a), N + 1)
-        coarse = np.exp(-c[:, None] * log_n[:, None, :])  # (len(a), len(c), N + 1)
-        fine = np.exp(-log_n[:, :, None] * d)  # (len(a), N + 1, len(d))
-        direct = np.matmul(coarse[:, :, :n_shift], fine[:, :n_shift])
-        w_pow = coarse[:, :, n_shift, None] * fine[:, None, n_shift]
-        # Point k = p len(d) + q sits at [u, p, q]: flatten (p, q).
-        out, w_pow = (x.reshape(len(shifts), -1).T for x in (direct, w_pow))
-    else:
-        neg = -c[:, None]
-        out = np.zeros((len(d), len(c), len(shifts)), dtype=complex)
-        w_pow = np.exp(neg * log_n[-1])[None]
-        if len(d) == 1 and d[0] == 0.0:  # d = 0 takes no turn
-            acc = out[0]
-            for log in log_n[:-1]:
-                acc += np.exp(neg * log)
-        else:
-            # turns[n, q] = (n+a)^-d_q, shaped to broadcast against a (len(c), len(a)) term.
-            turns = np.exp(-d[:, None] * log_n[:, None, :])[:, :, None, :]
-            for log, turn in zip(log_n[:-1], turns):
-                out += np.exp(neg * log) * turn
-            w_pow = w_pow * turns[-1]
-        out, w_pow = (x.transpose(1, 0, 2).reshape(-1, len(shifts)) for x in (out, w_pow))
+    out, w_pow = _direct(c, d, _rows(n_shift, shifts, modulus))
     _add_tail(out, s[:, None], n_shift + shifts[None, :], w_pow)
+    if modulus is not None:
+        out *= np.exp(s * math.log(modulus))[:, None]
     return out.reshape(shape)
 
 
-def hurwitz_error_bound(s: np.ndarray, a: float) -> np.ndarray:
+def hurwitz_error_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
     """Certified bound on the truncation remainder R_M at each point of s, for real a > 0.
 
     The shift is the one `hurwitz_zeta_vec` takes for the whole of s, so s
     must hold every point of one kernel call: its s at d = 0, or every sum
     s_p + d_q of a grid, as both sides of every ordinate of a sign check.
+    An array a broadcasts against s.
     """
-    if isinstance(a, complex):
-        raise ValueError("hurwitz_error_bound requires a real a")
+    a = _real_shifts(a)
     s = np.asarray(s, dtype=complex)
     w = _shift_for(s) + a
-    coeffs = _bernoulli_over_factorial()
-    poch = np.ones(s.shape, dtype=complex)
-    for i in range(2 * ORDER + 1):
-        poch = poch * (s + i)
-    mag = abs(coeffs[ORDER]) * np.abs(poch) * w ** (-(s.real + 2 * ORDER + 1))
+    # |(s)_{2M+1}|: one product of the factors |s + i|, i = 0..2M, along a first axis
+    poch = np.prod(np.abs(s + np.arange(2 * ORDER + 1).reshape((-1,) + (1,) * s.ndim)), axis=0)
+    mag = abs(_bernoulli_over_factorial()[ORDER]) * poch * w ** (-(s.real + 2 * ORDER + 1))
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
-def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_vec(s, a, d=d) for real a > 0.
+def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int | None = None) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_vec(s, a, d=d, modulus=modulus) for real a > 0.
 
     The result has the kernel's shape, one entry per point s_p + d_q (called
-    s below), and takes the shift N the kernel takes for the same points.  With u = 2^-53
-    it adds two parts, to first order in u.
+    s below), and takes the shift N the kernel takes for the same points.
+    With u = 2^-53 it adds two parts, to first order in u; log, exp, cos,
+    sin and each real sum or product are taken to round once.
 
-    The pointwise part.  A direct term exp(-s log(n+a)) is off by at most
-    (4 + |s| (1 + 4 |log(n+a)|)) u of its magnitude (n+a)^-Re s: log, the
-    product with s and the complex exp each round once, and the phase error
-    |s| |log(n+a)| u is what grows with the height.  w^-s, w = N + a, takes
-    the same (4 + |s| (1 + 4 log w)) u.  The tail is w^-s times a sum of
-    ORDER + 2 pieces (`_add_tail`), each counted against its own magnitude
-    (the constant below leaves ORDER + 11 u of slack per piece for the rest):
+    The error of one term.  Without a modulus a direct term (n+a)^-s is one
+    complex exp, exp(-s log(n+a)), off by at most
+    (4 + |s| (1 + 4 |log(n+a)|)) u of its magnitude (n+a)^-Re s: n + a, log,
+    the product with s and the complex exp each round once, and the phase
+    error |s| |log(n+a)| u is what grows with the height.  w^-s, w = N + a,
+    takes the same (4 + |s| (1 + 4 log w)) u.  Both leave 2 |s| |log| u of
+    slack.
+
+    With modulus=q a term is q^s m^-s, m = n q + u, and (n+a)^-Re s =
+    q^Re s m^-Re s.  Every m the kernel forms is at most N q + max u, so m has
+    Omega(m) <= k - 1 prime factors, k the bit length of N q + max u.  m^-s
+    is the product of Omega(m) factors exp(-s log p), each off by
+    (4 + 2 |s| log p) u (p is exact; log p and the product with s round
+    once), formed by Omega(m) - 1 complex products (sqrt 5 u each); q^s =
+    exp(s log q), off by (4 + 2 |s| log q) u, multiplies the sum once
+    (sqrt 5 u).  With 4 k + sqrt 5 (k - 1) <= 7 k - 3 and log m = log(n+a) +
+    log q, a term is off by at most (7 k - 3 + |s| (2 |log(n+a)| + 4 log q)) u
+    of its magnitude, and w^-s, row n = N scaled by the same q^s, by
+    (7 k - 3 + |s| (2 log w + 4 log q)) u.  To each the bound adds a slack of
+    |s| (|log(n+a)| + log q) u (of |s| (log w + log q) u for w^-s).
+
+    The direct block and w^-s are taken at the exact sums s_p + d_q, the
+    tail's Pochhammer symbols and q^s at their rounding s; the difference, at
+    most u |s| times (sum_{n<N} (n+a)^-Re s |log(n+a)| + log(N+a) x the
+    tail's magnitude), and u |s| log q for q^s, sits in that slack.
+
+    The pointwise part.  The tail is w^-s times a sum of ORDER + 2 pieces
+    (`_add_tail`), each counted against its own magnitude (the constant below
+    leaves ORDER + 11 u of slack per piece for the rest):
 
     * The piece of order j is (s)_{2j-1} times B_2j/(2j)! x^j.  (s)_{2j-1} takes
       7 u from each of its j - 1 factors (s + 2i - 1)(s + 2i): two real
@@ -252,42 +382,45 @@ def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0) -> np.ndarray:
       magnitudes; the product with w takes 2 u (w and the product), and the
       product with w^-s takes sqrt 5 u plus w^-s's own error.
 
-    So the piece of order j is off by at most (12 j + ORDER + 5 + |s| (1 + 4
-    log(N+a))) u of its magnitude.  The 1/(s-1) piece (s - 1 and the complex
-    reciprocal round at most 7 u together) and the w^-1/2 piece (2 u) round
-    less, and every piece stays within (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u.
-    Adding the N direct terms one at a time, and the tail into the result,
-    costs at most N + 1 units u of the sum of all magnitudes.  The matrix
-    product of more than two offsets sums each part of a direct block as 2N
-    real products instead, within sqrt 2 gamma_2N <= 3 N u of the sum of the
-    terms' magnitudes (Higham, sec. 3.1, in any order, with or without fused
-    multiply-adds), so it counts 3 N + 1 units.
+    So the piece of order j is off by at most (12 j + ORDER + 1) u plus the
+    error of w^-s.  The 1/(s-1) piece (s - 1 and the complex reciprocal
+    round at most 7 u together) and the w^-1/2 piece (2 u) round less, and
+    every piece stays within (14 ORDER + 12) u plus that error:
+    (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u without a modulus,
+    (14 ORDER + 9 + 7 k + |s| (3 log(N+a) + 5 log q)) u with one.  Each
+    direct term, slack included, is off by (4 + |s| (1 + 4 |log(n+a)|)) u,
+    or (7 k - 3 + |s| (3 |log(n+a)| + 5 log q)) u.  Adding the N direct
+    terms, in any order, and the tail into the result costs at most N + 1
+    units u of the sum of all magnitudes.  The matrix product of more than
+    two offsets sums each part of a direct block as 2N real products
+    instead, within sqrt 2 gamma_2N <= 3 N u of the sum of the terms'
+    magnitudes (Higham, sec. 3.1, in any order, with or without fused
+    multiply-adds), so it counts 3 N + 1 units.  With a modulus the sums run
+    over m^-s, each magnitude q^-Re s times its term's, and q^s scales them
+    back.
 
     The offset part, when some d_q is not 0, with r = max |d|.  A direct term
-    is exp(-s_p log(n+a)), off by (4 + |s_p| (1 + 4 |log(n+a)|)) u with
-    |s_p| <= |s| + r, times exp(-d log(n+a)), off by (4 + r (1 + 4
-    |log(n+a)|)) u, and the product rounds once more (sqrt 5 u): beyond the
-    pointwise part, each direct term is off by at most
-    (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude, and w^-s, which scales
-    the whole tail, by (7 + 2 r (1 + 4 log(N+a))) u.  At d = 0 no product is
-    taken and the part is 0.
-
-    The direct block and w^-s are taken at the exact sums s_p + d_q, the
-    tail's Pochhammer symbols at their rounding s; the difference, at most
-    u |s| times (sum_{n<N} (n+a)^-Re s |log(n+a)| + log(N+a) x the tail's
-    magnitude), sits in the slack of the pointwise part's phase terms.
+    is the product of a table entry at s_p, |s_p| <= |s| + r, and one at
+    d_q, |d_q| <= r, and the product rounds once more (sqrt 5 u).  Beyond
+    the pointwise part, which counts one entry at s, each direct term is off
+    by at most (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude without a
+    modulus, and w^-s, which scales the whole tail, by
+    (7 + 2 r (1 + 4 log(N+a))) u.  With one, the second entry's k - 1
+    factors and the product add at most 7 k u, and the two phases
+    4 r log m u: (7 k + 4 r (|log(n+a)| + log q)) u, and
+    (7 k + 4 r (log(N+a) + log q)) u for w^-s.  At d = 0 no product is taken
+    and the part is 0.
     """
     shape = np.shape(s) + np.shape(d) + np.shape(a)
     _, d, s = _grid_points(s, d)
-    a = np.asarray(a, dtype=float)
+    a = _real_shifts(a)
     n_shift = _shift_for(s)
     flat = s[:, None]
     shifts = a.reshape(1, -1)
     log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
     logw = np.log(n_shift + shifts)
     # |(s)_{2j-1}| for j = 1..ORDER, one row per point.
-    factors = np.abs(flat + np.arange(2 * ORDER - 1))
-    poch = np.cumprod(factors, axis=1)[:, ::2]
+    poch = np.cumprod(np.abs(flat + np.arange(2 * ORDER - 1)), axis=1)[:, ::2]
     coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
     # Per point and shift: the direct block's sum_{n<N} (n+a)^-Re s, its
     # phase weight sum_{n<N} (n+a)^-Re s |log(n+a)|, and the tail's
@@ -306,13 +439,20 @@ def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0) -> np.ndarray:
         )
 
     size = np.abs(flat)
-    adds = n_shift if len(d) <= 2 else 3 * n_shift
-    terms = (4.0 + size) * direct + 4.0 * size * phase
-    terms += (14 * ORDER + 16 + size * (1.0 + 4.0 * logw)) * tail
-    bound = 2.0**-53 * (terms + (adds + 1) * (direct + tail))
     r = float(np.max(np.abs(d)))
-    if r > 0.0:
+    if modulus is None:
+        terms = (4.0 + size) * direct + 4.0 * size * phase
+        terms += (14 * ORDER + 16 + size * (1.0 + 4.0 * logw)) * tail
         paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
+    else:
+        k = (n_shift * modulus + int(_units(a.ravel(), modulus).max())).bit_length()
+        log_q = math.log(modulus)
+        terms = (7 * k - 3 + 5.0 * log_q * size) * direct + 3.0 * size * phase
+        terms += (14 * ORDER + 9 + 7 * k + size * (3.0 * logw + 5.0 * log_q)) * tail
+        paired = (7 * k + 4.0 * r * log_q) * direct + 4.0 * r * phase + (7 * k + 4.0 * r * (logw + log_q)) * tail
+    adds = n_shift if len(d) <= 2 else 3 * n_shift
+    bound = 2.0**-53 * (terms + (adds + 1) * (direct + tail))
+    if r > 0.0:
         bound = bound + 2.0**-53 * paired
     return bound.reshape(shape)
 

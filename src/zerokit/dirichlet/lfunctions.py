@@ -93,7 +93,7 @@ def l_eval_vec(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
     q = chi.modulus
     values = char_value_vec(chi, np.arange(1, q + 1))
     units = np.flatnonzero(values) + 1
-    return np.exp(-s * math.log(q)) * (hurwitz_zeta_vec(s, units / q) @ values[units - 1])
+    return np.exp(-s * math.log(q)) * (hurwitz_zeta_vec(s, units / q, modulus=q) @ values[units - 1])
 
 
 def _l_at_one(chi: DirichletCharacter) -> complex:

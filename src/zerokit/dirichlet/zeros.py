@@ -288,7 +288,7 @@ class ModulusEngine:
         order = np.argsort(np.abs(c.imag), kind="stable")
         for lo in range(0, len(c), step):
             part = order[lo : lo + step]
-            yield part, hurwitz_zeta_vec(c[part], shifts, d=d)
+            yield part, hurwitz_zeta_vec(c[part], shifts, d=d, modulus=self.modulus)
 
     def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
         """theta(s), the completed prefactor's phase, for characters of parity `odd` (broadcast against s).
@@ -352,13 +352,13 @@ class ModulusEngine:
         change its sign; what can is the error in S, times |rot| = q^-1/2:
         the truncation `hurwitz_error_bound(s, 1/q)` (a = 1/q is the worst
         unit) for each of the phi(q) units with |chi(a)| = 1, the kernel's
-        `hurwitz_rounding_bound(c, d=d)` per unit, both at the shift of the
-        whole call, and phi(q) + 2 roundings of each |H[a]| in the weights
-        and the sum over the units.
+        `hurwitz_rounding_bound(c, d=d, modulus=q)` per unit, both at the
+        shift of the whole call, and phi(q) + 2 roundings of each |H[a]| in
+        the weights and the sum over the units.
         """
         shifts = self._units / self.modulus
         error = len(shifts) * hurwitz_error_bound(c[:, None] + d, 1.0 / self.modulus)
-        error = error + hurwitz_rounding_bound(c, shifts, d=d).sum(axis=-1)
+        error = error + hurwitz_rounding_bound(c, shifts, d=d, modulus=self.modulus).sum(axis=-1)
         error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
         return error / math.sqrt(self.modulus)
 

@@ -141,6 +141,22 @@ class TestZerosAndVerify:
         assert code == EXIT_OK
         assert "q1.e-: 2 zeros" in out  # one conjugate pair
 
+    def test_scan_zeta_to_the_desk_height(self, capsys, tmp_path):
+        # The largest q = 1 term table (shift N about 324): every zero below
+        # the desk height is certified, and sampled ordinates match mpmath.
+        import mpmath as mp
+
+        code, out, _ = run(capsys, "zeros", "scan", "--q", "1", "--height", "1000", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK and "q1.e-: 1298 zeros to height 1000.0" in out
+        (zs,) = read_zero_cache(tmp_path, 1).values()
+        assert zs.certified and zs.complete_to_height == 1000.0 and len(zs.zeros) == 1298
+        assert all(z.beta == 0.5 and z.certified_radius == 1e-9 for z in zs.zeros)
+        positive = [z.gamma for z in zs.zeros if z.gamma > 0.0]
+        assert len(positive) == 649
+        with mp.workdps(15):
+            for k in (1, 163, 325, 487, 649):
+                assert abs(positive[k - 1] - float(mp.zetazero(k).imag)) <= 1e-9, k
+
     def test_scan_modulus_range(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "zeros", "scan", "--qmin", "3", "--qmax", "5", "--height", "8", "--cache-dir", str(tmp_path)

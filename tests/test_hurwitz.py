@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zerokit.dirichlet import hurwitz
+from zerokit.dirichlet.arith import factorize
 from zerokit.dirichlet.hurwitz import (
     TARGET,
     hurwitz_error_bound,
@@ -110,6 +111,39 @@ class TestValues:
         low, shifts = s[:, :2], np.array([0.3 + 0.2j, 1.0 + 1.0j])
         assert np.array_equal(hurwitz_zeta_vec(low, shifts), _per_term_sum(low, shifts))
 
+    @pytest.mark.parametrize("q", [1, 4, 5, 19, 199])
+    def test_prime_table_is_the_per_term_product(self, q):
+        # bit for bit: each m = n q + u from its prime powers, at low and
+        # great heights, and the kernel's sum over n, tail and q^s on it
+        s = np.array([0.5 + 14.1j, 2.0 - 3.0j, -0.25 + 280.0j, 0.5 + 999.0j])
+        a = _units(q)
+        n_shift = hurwitz._shift_for(s)
+        reference = _prime_power_table(s, n_shift, q)
+        terms, last = hurwitz._terms(s, hurwitz._rows(n_shift, a, q))
+        assert np.array_equal(terms, reference[:-1]) and np.array_equal(last, reference[-1])
+        out = np.zeros((len(s), len(a)), dtype=complex)
+        for term in reference[:-1]:
+            out += term.T
+        hurwitz._add_tail(out, s[:, None], n_shift + a[None, :], reference[-1].T)
+        out *= np.exp(s * math.log(q))[:, None]
+        assert np.array_equal(hurwitz_zeta_vec(s, a, modulus=q), out)
+        # and the same values as one exp per term, to their rounding
+        plain = hurwitz_zeta_vec(s, a)
+        assert np.all(np.abs(out - plain) <= 1e-11 * np.maximum(1.0, np.abs(plain)))
+
+    @pytest.mark.parametrize(
+        "a,q",
+        [(0.3, 4), (np.array([0.25, 0.3]), 4), (0.5, 4), (np.array([1 / 3, 2 / 3 + 1e-12]), 3), (0.5 + 0.1j, 2), (0.5, 0)],
+    )
+    def test_shift_not_of_the_form_u_over_q_is_refused(self, a, q):
+        # 0.3 is no u/4, 2/4 is not a unit, 2/3 + 1e-12 is off by far more
+        # than its rounding, a complex shift has no u, and q must be >= 1
+        s = np.array([0.5 + 14.1j])
+        with pytest.raises(ValueError):
+            hurwitz_zeta_vec(s, a, modulus=q)
+        with pytest.raises(ValueError):
+            hurwitz_rounding_bound(s, a, modulus=q)
+
     def test_pole_raises(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 0.5)
@@ -123,6 +157,30 @@ class TestValues:
 
 def _units(q):
     return np.array([u / q for u in range(1, q + 1) if math.gcd(u, q) == 1])
+
+
+def _prime_power_table(x, n_shift, q):
+    """m^-x for m = n q + u, n <= N, over the units u mod q, one m at a time: an independent reference.
+
+    1 and each prime p take exp(-x log p), with the logs of 1 and the primes
+    prime to q taken as one array in increasing order, as the kernel takes
+    them; every other m is its least prime factor's entry times its
+    cofactor's.  Shape (N + 1, phi(q), len(x)).
+    """
+    units = [u for u in range(1, q + 1) if math.gcd(u, q) == 1]
+    top = n_shift * q + units[-1]
+    least = [0, 1] + [factorize(m)[0][0] for m in range(2, top + 1)]
+    base = [m for m in range(1, top + 1) if least[m] == m and math.gcd(m, q) == 1]
+    entry = {m: np.exp(-x * log[None])[0] for m, log in zip(base, np.log(np.array(base))[:, None])}
+    for m in range(2, top + 1):
+        if m not in entry and math.gcd(m, q) == 1:
+            entry[m] = entry[least[m]] * entry[m // least[m]]
+    return np.array([[entry[n * q + u] for u in units] for n in range(n_shift + 1)])
+
+
+def _exact_units(q):
+    """The units mod q as exact mpmath shifts u/q, in the order of `_units`."""
+    return [mp.mpf(u) / q for u in range(1, q + 1) if math.gcd(u, q) == 1]
 
 
 def _lattice(sigma, t0, h, count):
@@ -239,6 +297,66 @@ class TestCertifiedTruncation:
         monkeypatch.setattr(hurwitz, "_shift_for", lambda s: n_shift - 1)
         assert hurwitz_error_bound(s, 1e-9)[0] > TARGET
 
+    def test_shift_matches_the_factor_by_factor_rule(self):
+        # The vectorised rule picks the same N as the one-factor-at-a-time
+        # loop it replaced, on a grid of (Re s, |Im s|) up to 1000, for single
+        # points and for spans of Re s; Re s <= -40 takes the fallback.
+        def one_at_a_time(s):
+            lo, hi = float(np.min(s.real)), float(np.max(s.real))
+            tmax = float(np.max(np.abs(s.imag)))
+            expo = lo + 2 * hurwitz.ORDER + 1
+            if expo <= 1.0:
+                return max(20, math.ceil(2.0 * tmax))
+            root = 1.0 / expo
+            shift = (abs(hurwitz._bernoulli_over_factorial()[hurwitz.ORDER]) / (expo * TARGET)) ** root
+            for i in range(2 * hurwitz.ORDER + 2):
+                shift *= math.hypot(max(abs(lo + i), abs(hi + i)), tmax) ** root
+            return max(1, math.ceil(shift))
+
+        sigmas = [-45.0, -3.0, -0.25, 0.0, 0.5, 0.75, 1.0, 1.25, 2.0, 3.0, 10.0]
+        heights = np.concatenate([np.linspace(0.0, 1000.0, 401), [0.05, 14.134725, 999.99]])
+        for t in heights:
+            for lo in sigmas:
+                for hi in (lo, lo + 0.75):
+                    s = np.array([complex(lo, t), complex(hi, -t / 2)])
+                    assert hurwitz._shift_for(s) == one_at_a_time(s), (lo, hi, t)
+
+    def test_error_bound_matches_the_factor_by_factor_product(self):
+        # |(s)_{2M+1}| as one product of magnitudes along an axis, against the
+        # running complex product it replaced; the order of rounding changed
+        s = np.array([[0.5 + 0.0j, 0.5 + 14.1j, 1.25 - 300.0j], [-0.25 + 999.0j, 3.0 + 51.0j, 0.5 + 1000.0j]])
+        poch = np.ones(s.shape, dtype=complex)
+        for i in range(2 * hurwitz.ORDER + 1):
+            poch = poch * (s + i)
+        w = hurwitz._shift_for(s) + 0.25
+        expo = s.real + 2 * hurwitz.ORDER + 1
+        mag = abs(hurwitz._bernoulli_over_factorial()[hurwitz.ORDER]) * np.abs(poch) * w ** (-expo)
+        reference = mag * np.abs(s + 2 * hurwitz.ORDER + 1) / expo
+        assert hurwitz_error_bound(s, 0.25) == pytest.approx(reference, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [np.array(0.5 + 1j), np.array([0.25, 0.5 + 0.0j])])
+    def test_error_bound_refuses_a_complex_array_shift(self, a):
+        with pytest.raises(ValueError):
+            hurwitz_error_bound(np.array([2.0 + 3.0j]), a)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan")])
+    def test_error_bound_refuses_a_shift_not_positive(self, a):
+        # the kernel refuses these shifts, so no bound is given for them
+        with pytest.raises(ValueError):
+            hurwitz_error_bound(np.array([0.5 + 14.0j]), a)
+
+    @pytest.mark.parametrize("a", [0.5 + 1.0j, np.array([0.25, 0.5 + 1.0j]), 3.0 + 0.0j])
+    def test_rounding_bound_refuses_a_complex_shift(self, a):
+        # its imaginary part was once dropped with a ComplexWarning
+        with pytest.raises(ValueError):
+            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0])])
+    def test_rounding_bound_refuses_a_shift_not_positive(self, a):
+        # a = 0 once gave inf
+        with pytest.raises(ValueError):
+            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a)
+
     def test_bound_is_honest(self):
         # observed error never exceeds the truncation bound plus the rounding
         # bound; on the critical line the two stay far below the 1e-9 radius
@@ -313,6 +431,34 @@ class TestCertifiedTruncation:
                 for u in range(len(a)):
                     err = abs(values[k, u] - complex(mp.zeta(points[k], a[u])))
                     assert err <= bound[k, u], (points[k], a[u])
+
+    @pytest.mark.parametrize("q", [1, 4, 5, 19, 199])
+    def test_bound_is_honest_with_a_modulus(self, q):
+        # The prime-table path of every engine grid, at heights up to 1000,
+        # against zeta(s, u/q) at the exact u/q, within the truncation bound
+        # plus the rounding bound of the whole grid; on the critical line the
+        # two stay far below the 1e-9 radius of an ordinate.
+        a, exact = _units(q), _exact_units(q)
+        step = 0.05
+        lattice, lattice_points = _lattice(0.5, 995.0, step, 82)[:2], (0, 81)
+        grids = {
+            "d = 0": ((0.5 + 1j * np.array([14.1, -300.0, 1000.0]), np.zeros(1)), (0, 2)),
+            "check": ((0.5 + 1j * np.array([30.0, -300.0, 999.9]), np.array([-1e-9j, 1e-9j])), (1, 4)),
+            "lattice": (lattice, lattice_points),
+            "count": ((1j * np.array([30.0, 1000.0]), np.linspace(0.5, 1.25, 16)), (15, 16)),
+            "regrid": ((0.5 + 1j * step / 4 * np.array([8.0, 79990.0]), 1j * step / 4 * np.arange(15)), (3, 29)),
+        }
+        for name, ((c, d), ks) in grids.items():
+            points = (c[:, None] + d).ravel()
+            values = hurwitz_zeta_vec(c, a, d=d, modulus=q).reshape(-1, len(a))
+            rounding = hurwitz_rounding_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
+            assert rounding.shape == values.shape and np.all(rounding > 0.0)
+            for u in sorted({0, len(a) - 1}):
+                bound = hurwitz_error_bound(points, a[u]) + rounding[:, u]
+                for k in ks:
+                    err = abs(values[k, u] - complex(mp.zeta(mp.mpc(points[k].real, points[k].imag), exact[u])))
+                    assert err <= bound[k], (name, points[k], u)
+                    assert points[k].real != 0.5 or bound[k] < 1e-9, (name, points[k], u)
 
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s

@@ -280,7 +280,9 @@ class TestScan:
         # it must leave windows at every offset, never accept a check.
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "hurwitz_rounding_bound", lambda s, a, d: np.full(np.shape(s) + np.shape(d) + np.shape(a), 1.0))
+        monkeypatch.setattr(
+            zmod, "hurwitz_rounding_bound", lambda s, a, d, modulus: np.full(np.shape(s) + np.shape(d) + np.shape(a), 1.0)
+        )
         with pytest.warns(UserWarning, match="failed the sign check"):
             zs = scan_zeros(CHI4, 12.0)
         assert not zs.certified
@@ -401,10 +403,10 @@ class TestScan:
         calls = []
         grid = zmod.hurwitz_zeta_vec
 
-        def spied(c, a, d):
+        def spied(c, a, d, modulus):
             calls.append((np.array(c), np.array(d)))
-            assert len(c) * len(d) * len(a) <= zmod.TABLE_ENTRIES
-            return grid(c, a, d=d)
+            assert len(c) * len(d) * len(a) <= zmod.TABLE_ENTRIES and modulus == 13
+            return grid(c, a, d=d, modulus=modulus)
 
         def kind(d):
             if len(d) == 2 and d[0] == -d[1] and d[1].real == 0.0:
