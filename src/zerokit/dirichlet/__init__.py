@@ -40,7 +40,6 @@ from zerokit.dirichlet.arith import (
     von_mangoldt_sum,
 )
 from zerokit.dirichlet.zeros import (
-    ZeroRecord,
     ZeroSet,
     count_zeros_circle,
     scan_zeros,
@@ -52,7 +51,6 @@ __all__ = [
     "DirichletCharacter",
     "GammaPoleError",
     "ZeroLibrary",
-    "ZeroRecord",
     "ZeroSet",
     "char_label",
     "char_value",

@@ -204,19 +204,25 @@ def char_value_vec(chi: DirichletCharacter, n: np.ndarray) -> np.ndarray:
     return table[np.asarray(n) % chi.modulus]
 
 
+@lru_cache(maxsize=None)
+def _by_exponents(q: int) -> dict[tuple[int, ...], DirichletCharacter]:
+    """The characters of `enumerate_characters(q)`, keyed by exponent vector."""
+    return {chi.exponents: chi for chi in enumerate_characters(q)}
+
+
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
-    group = _UnitGroup(chi.modulus)
-    exps = tuple((-e) % order for e, order in zip(chi.exponents, group.orders))
-    return _build_character(chi.modulus, exps)
+    """The complex conjugate of chi, from the cached characters mod q."""
+    orders = _UnitGroup(chi.modulus).orders
+    return _by_exponents(chi.modulus)[tuple((-e) % order for e, order in zip(chi.exponents, orders))]
 
 
 def product_character(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product of two characters to the same modulus."""
+    """Pointwise product of two characters to the same modulus, from the cached characters mod q."""
     if chi1.modulus != chi2.modulus:
         raise ValueError("product requires a common modulus")
-    group = _UnitGroup(chi1.modulus)
-    exps = tuple((a + b) % order for a, b, order in zip(chi1.exponents, chi2.exponents, group.orders))
-    return _build_character(chi1.modulus, exps)
+    orders = _UnitGroup(chi1.modulus).orders
+    exps = tuple((a + b) % order for a, b, order in zip(chi1.exponents, chi2.exponents, orders))
+    return _by_exponents(chi1.modulus)[exps]
 
 
 @lru_cache(maxsize=None)

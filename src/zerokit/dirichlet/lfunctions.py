@@ -107,6 +107,8 @@ def log_deriv_by_contour(
     chi: DirichletCharacter,
     k: int,
     radius: float | None = None,
+    *,
+    tolerance: float | None = None,
 ) -> complex:
     """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L.
 
@@ -120,6 +122,13 @@ def log_deriv_by_contour(
     circle inside Re w > 1/2 and away from w = 1 for Re s > 1.  The quadrature
     error decays geometrically in the node count, so this route reaches ~1e-13
     and is independent of both the prime series and any zero data.
+
+    Its rounding error does not decay: each node's log L carries a relative
+    error of a few units in 2^-53, and the sum is divided by radius^(k+1).
+    With a `tolerance`, an order k whose rounding estimate
+    10 (k+1) 2^-53 max|log L| / radius^(k+1), max over the nodes, exceeds
+    it is refused (ValueError): at that order a comparison at the
+    tolerance would measure the rounding, not the data.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -147,6 +156,13 @@ def log_deriv_by_contour(
         value = complex((-1.0) ** (k + 1) * (k + 1) * coeff)
     if not cmath.isfinite(value):
         raise ValueError(f"order k = {k} is out of float64 range: (d/ds)^k L'/L at {s} is not finite")
+    if tolerance is not None:
+        rounding = 10.0 * (k + 1) * 2.0**-53 * float(np.max(np.abs(log_l))) / radius ** (k + 1)
+        if rounding > tolerance:
+            raise ValueError(
+                f"order k = {k} is too high at {s}: the contour's rounding estimate {rounding:.3g} "
+                f"exceeds the tolerance {tolerance}"
+            )
     return value
 
 

@@ -19,9 +19,12 @@ what is missing on request, and scans each conjugate pair only once.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from pathlib import Path
+
+import numpy as np
 
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
@@ -35,7 +38,6 @@ from zerokit.dirichlet.characters import (
 from zerokit.dirichlet.zeros import (
     CountCertificationError,
     ModulusEngine,
-    ZeroRecord,
     ZeroSet,
     scan_zeros,
 )
@@ -44,6 +46,9 @@ __all__ = ["DependencyError", "ZeroLibrary", "read_zero_cache", "write_zero_cach
 
 CACHE_HEADER = "modulus,char_exponents,beta,gamma,radius,complete_to_height"
 ENV_CACHE_DIR = "EXPLICIT_ZERO_CACHE"
+# The reader splits out the fields of at most READ_BLOCK rows at a time, so a
+# reload holds one block of field strings beside the file's lines.
+READ_BLOCK = 1 << 14
 
 
 class DependencyError(RuntimeError):
@@ -52,14 +57,6 @@ class DependencyError(RuntimeError):
 
 def _cache_path(cache_dir: Path, q: int) -> Path:
     return Path(cache_dir) / f"zeros_q{q:04d}.csv"
-
-
-class _Reprs(dict):
-    """repr of each float, computed on first use."""
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = repr(value)
-        return text
 
 
 def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], ZeroSet]) -> Path:
@@ -74,18 +71,19 @@ def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], Zero
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _cache_path(cache_dir, q)
     lines = [CACHE_HEADER]
-    # Each character's prefix and suffix are built once, and one repr serves
-    # every row with the same beta or radius; gamma takes its own.
-    texts = _Reprs()
     for exps in sorted(zerosets):
         zs = zerosets[exps]
         prefix, suffix = f"{q},{exponent_key(zs.character)},", f",{zs.complete_to_height!r}"
-        if zs.zeros:
-            lines.extend(
-                f"{prefix}{texts[z.beta]},{z.gamma!r},{texts[z.certified_radius]}{suffix}" for z in zs.zeros
-            )
-        else:
+        if not len(zs.gamma):
             lines.append(f"{prefix},,{suffix}")
+            continue
+        # The rows of a run that shares beta and radius are one join over
+        # the run's gammas, one repr each; a set is mostly one run.
+        betas, radii = zs.beta.tolist(), zs.radius.tolist()
+        cuts = (np.flatnonzero((zs.beta[1:] != zs.beta[:-1]) | (zs.radius[1:] != zs.radius[:-1])) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(betas)]):
+            head, tail = f"{prefix}{betas[lo]!r},", f",{radii[lo]!r}{suffix}"
+            lines.append(head + f"{tail}\n{head}".join(map(repr, zs.gamma[lo:hi].tolist())) + tail)
     # Write beside the file, then replace it in one step: a crash mid-write
     # leaves the previous file whole, never a truncated one that reloads.
     tmp = path.with_name(path.name + ".tmp")
@@ -97,57 +95,151 @@ def write_zero_cache(cache_dir: str | Path, zerosets: dict[tuple[int, ...], Zero
     return path
 
 
+def _parse(fields: list[str], convert, errors: dict[int, str], offset: int, blank=()) -> np.ndarray:
+    """The float column convert(field) of text fields, NaN at the rows `blank`.
+
+    A field that does not convert reads NaN as well, and `errors` maps its
+    row, counted from `offset`, to the reason.
+    """
+    if len(blank):
+        fields = list(fields)
+        for row in blank:
+            fields[row] = "nan"
+    try:
+        return np.fromiter(map(convert, fields), dtype=float, count=len(fields))
+    except ValueError:
+        pass
+    column = np.full(len(fields), math.nan)
+    for row, text in enumerate(fields):
+        try:
+            column[row] = convert(text)
+        except ValueError as exc:
+            errors[offset + row] = str(exc)
+    return column
+
+
 def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], ZeroSet]:
-    """Load the zero sets of modulus q; empty dict when the file is absent."""
+    """Load the zero sets of modulus q; empty dict when the file is absent.
+
+    The rows are split into six text columns, READ_BLOCK rows at a time,
+    each column is parsed once, and each rule of the format is checked on
+    every row at once.  A file that breaks a rule is refused, naming the
+    file and the line of its first offending row (and there the first rule
+    it breaks, in the order of `rules` below).
+    """
     path = _cache_path(Path(cache_dir), q)
     if not path.exists():
         return {}
-    by_key: dict[str, list[tuple[ZeroRecord, int]]] = {}
-    heights: dict[str, float] = {}
     text = path.read_text()
     # The writer ends every file with a newline; without one the last row may
     # have been cut inside a field and would reload with a wrong value.
     if not text.endswith("\n"):
         raise ValueError(f"{path} does not end in a newline: its last row is cut off")
-    lines = text.splitlines()
-    if not lines or lines[0] != CACHE_HEADER:
+    lines = text.split("\n")[:-1]
+    del text
+    if lines[0] != CACHE_HEADER:
         raise ValueError(f"{path} does not carry the expected cache header")
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            mod_s, key, beta_s, gamma_s, radius_s, height_s = line.split(",")
-            modulus, height = int(mod_s), float(height_s)
-            if not 0.0 < height < math.inf:
-                raise ValueError(f"complete_to_height {height_s} is not finite and positive")
-            if beta_s and not (abs(float(gamma_s)) < math.inf and 0.0 < float(radius_s) < math.inf):
-                raise ValueError(f"gamma {gamma_s} is not finite or radius {radius_s} not finite and positive")
-            if not beta_s and (gamma_s or radius_s):
-                raise ValueError(f"a row with no beta has gamma {gamma_s!r} and radius {radius_s!r}, not two empty fields")
-            if heights.setdefault(key, height) != height:
-                raise ValueError(
-                    f"complete_to_height {height_s} differs from {heights[key]!r} on an earlier row of character {key}"
-                )
-            zeros = [(ZeroRecord(float(beta_s), float(gamma_s), float(radius_s)), number)] if beta_s else []
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {number}: {exc}") from None
-        if modulus != q:
-            raise ValueError(f"{path} contains a row for modulus {mod_s}")
-        by_key.setdefault(key, []).extend(zeros)
+    del lines[0]
+    widths = np.fromiter(map(str.count, lines, itertools.repeat(",")), dtype=int, count=len(lines)) + 1
+    # The rows before the first one without six fields are parsed.
+    rows = int(np.argmax(widths != 6)) if np.any(widths != 6) else len(lines)
+
+    def field(row: int, k: int) -> str:
+        return lines[row].split(",")[k]
+
+    # Characters are numbered in the order of their first rows.
+    numbers: dict[str, int] = {}
+    modulus_errors, height_errors, beta_errors, gamma_errors, radius_errors = ({}, {}, {}, {}, {})
+    columns = [[np.zeros(0, dtype)] for dtype in (bool, bool, int, float, float, float, float, float)]
+    for lo in range(0, rows, READ_BLOCK):
+        size = min(READ_BLOCK, rows - lo)
+        fields = ",".join(lines[lo : lo + size]).split(",")
+        mod_s, key_s, beta_s, gamma_s, radius_s, height_s = (fields[k::6] for k in range(6))
+        # A row without a beta stands for a character without zeros: its other
+        # zero fields are empty, and none of the three is parsed.
+        has = np.fromiter(map(bool, beta_s), dtype=bool, count=size)
+        blank = np.flatnonzero(~has)
+        stray = np.zeros(size, dtype=bool)
+        stray[blank] = [bool(gamma_s[row] or radius_s[row]) for row in blank]
+        for key in dict.fromkeys(key_s):
+            numbers.setdefault(key, len(numbers))
+        parts = (
+            has,
+            stray,
+            np.fromiter(map(numbers.__getitem__, key_s), dtype=int, count=size),
+            _parse(mod_s, int, modulus_errors, lo),
+            _parse(height_s, float, height_errors, lo),
+            _parse(beta_s, float, beta_errors, lo, blank),
+            _parse(gamma_s, float, gamma_errors, lo, blank),
+            _parse(radius_s, float, radius_errors, lo, blank),
+        )
+        for column, part in zip(columns, parts):
+            column.append(part)
+    has, stray, group, modulus, height, beta, gamma, radius = map(np.concatenate, columns)
+    first = np.unique(group, return_index=True)[1]
+
+    def failed(errors: dict[int, str]) -> np.ndarray:
+        return np.isin(np.arange(rows), list(errors))
+
+    def spread(i: int) -> str:
+        return f"gamma {field(i, 3)} is not finite or radius {field(i, 4)} not finite and positive"
+
+    with np.errstate(invalid="ignore"):
+        rules = [
+            (failed(modulus_errors), modulus_errors.get),
+            (failed(height_errors), height_errors.get),
+            (~((0.0 < height) & (height < math.inf)), lambda i: f"complete_to_height {field(i, 5)} is not finite and positive"),
+            (failed(gamma_errors), gamma_errors.get),
+            (has & ~(np.abs(gamma) < math.inf), spread),
+            (failed(radius_errors), radius_errors.get),
+            (has & ~((0.0 < radius) & (radius < math.inf)), spread),
+            (
+                stray,
+                lambda i: f"a row with no beta has gamma {field(i, 3)!r} and radius {field(i, 4)!r}, not two empty fields",
+            ),
+            (
+                height != height[first][group],
+                lambda i: f"complete_to_height {field(i, 5)} differs from {float(height[first[group[i]]])!r} "
+                f"on an earlier row of character {field(i, 1)}",
+            ),
+            (failed(beta_errors), beta_errors.get),
+            (has & ~((0.0 < beta) & (beta < 1.0)), lambda i: "nontrivial zeros satisfy 0 < beta < 1"),
+            (modulus != q, lambda i: f"a row for modulus {field(i, 0)} in the file of modulus {q}"),
+        ]
+    broken = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(rules) if bad.any()]
+    if broken:
+        row, rank = min(broken)
+        raise ValueError(f"{path}, line {row + 2}: {rules[rank][1](row)}")
+    if rows < len(lines):
+        width = widths[rows]
+        reason = f"not enough values to unpack (expected 6, got {width})" if width < 6 else "too many values to unpack (expected 6)"
+        raise ValueError(f"{path}, line {rows + 2}: {reason}")
+
+    # The zero rows of each character by ordinate, rows of one ordinate in file order.
+    zero_rows = np.flatnonzero(has)
+    zero_rows = zero_rows[np.lexsort((gamma[zero_rows], group[zero_rows]))]
+    owner = group[zero_rows]
+    # Two rows whose intervals [gamma - r, gamma + r] meet may hold one
+    # zero between them, so no scan writes them (`ModulusEngine._collect`).
+    g, r = gamma[zero_rows], radius[zero_rows]
+    meet = np.flatnonzero((owner[1:] == owner[:-1]) & (np.diff(g) <= r[:-1] + r[1:]))
     chars = {exponent_key(chi): chi for chi in enumerate_characters(q)}
+    unknown = next((number for key, number in numbers.items() if key not in chars), len(numbers))
+    if len(meet) and owner[meet[0]] < unknown:
+        low, high = zero_rows[meet[0]], zero_rows[meet[0] + 1]
+        raise ValueError(
+            f"{path}, line {high + 2}: the interval of gamma {float(gamma[high])!r} meets that of gamma "
+            f"{float(gamma[low])!r} on line {low + 2}, for character {field(high, 1)}"
+        )
+    if unknown < len(numbers):
+        row = first[unknown]
+        raise ValueError(f"{path}, line {row + 2}: character key {field(row, 1)!r} is no character mod {q}")
+    bounds = np.searchsorted(owner, np.arange(len(numbers) + 1))
     out: dict[tuple[int, ...], ZeroSet] = {}
-    for key, rows in by_key.items():
-        chi = chars.get(key)
-        if chi is None:
-            raise ValueError(f"{path} has a row for character key {key!r}, which is no character mod {q}")
-        rows.sort(key=lambda row: row[0].gamma)
-        # Two rows whose intervals [gamma - r, gamma + r] meet may hold one
-        # zero between them, so no scan writes them (`ModulusEngine._collect`).
-        for (low, before), (high, number) in zip(rows, rows[1:]):
-            if high.gamma - low.gamma <= low.certified_radius + high.certified_radius:
-                raise ValueError(
-                    f"{path}, line {number}: the interval of gamma {high.gamma!r} meets that of gamma "
-                    f"{low.gamma!r} on line {before}, for character {key}"
-                )
-        out[chi.exponents] = ZeroSet(chi, tuple(z for z, _ in rows), heights[key])
+    for key, number in numbers.items():
+        mine = zero_rows[bounds[number] : bounds[number + 1]]
+        chi = chars[key]
+        out[chi.exponents] = ZeroSet(chi, beta[mine], gamma[mine], radius[mine], float(height[first[number]]))
     return out
 
 
@@ -231,7 +323,7 @@ class ZeroLibrary:
             if chi.exponents != canon.exponents:
                 self._memory[(q, chi.exponents)] = self._memory[(q, canon.exponents)].mirrored(chi)
                 changed = True
-            summary[char_label(chi)] = len(self._memory[(q, chi.exponents)].zeros)
+            summary[char_label(chi)] = len(self._memory[(q, chi.exponents)].gamma)
         if changed:
             # Only certified windows are persisted: an unverified scan stays
             # in memory so a reload (or rescan) does not silently accept it.

@@ -51,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, 
 __all__ = [
     "CountCertificationError",
     "ModulusEngine",
-    "ZeroRecord",
     "ZeroSet",
     "count_zeros",
     "count_zeros_circle",
@@ -107,32 +106,53 @@ class CountCertificationError(RuntimeError):
     """The phase change along the counting contour is not a proven integer."""
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
-    """A simple nontrivial zero beta + i gamma with a certified ordinate radius."""
-
-    beta: float
-    gamma: float
-    certified_radius: float = TARGET_RADIUS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("nontrivial zeros satisfy 0 < beta < 1")
+# The record view of a zero set's columns (`ZeroSet.zeros`).
+_RECORD = np.dtype([("beta", float), ("gamma", float), ("certified_radius", float)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """Zeros of one character's L-function, complete up to a height."""
+    """Zeros of one character's L-function, complete up to a height.
+
+    The zeros are three read-only float64 columns of one length, sorted by
+    ordinate: `beta` and `gamma`, each zero beta + i gamma (0 < beta < 1),
+    and `radius`, the certified radius of its ordinate.  The constructor
+    copies its columns, so no caller's array can change a set.  Two sets
+    compare by identity; compare their columns to compare their zeros.
+    """
 
     character: DirichletCharacter
-    zeros: tuple[ZeroRecord, ...]
+    beta: np.ndarray
+    gamma: np.ndarray
+    radius: np.ndarray
     complete_to_height: float
-    unverified_windows: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+    unverified_windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        gammas = [z.gamma for z in self.zeros]
-        if gammas != sorted(gammas):
+        for name in ("beta", "gamma", "radius"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not self.beta.ndim == self.gamma.ndim == self.radius.ndim == 1:
+            raise ValueError("the zero columns must be one-dimensional")
+        if not len(self.beta) == len(self.gamma) == len(self.radius):
+            raise ValueError("the zero columns must have one length")
+        if not np.all((0.0 < self.beta) & (self.beta < 1.0)):
+            raise ValueError("nontrivial zeros satisfy 0 < beta < 1")
+        if not np.all(self.gamma[1:] >= self.gamma[:-1]):
             raise ValueError("zeros must be sorted by ordinate")
+
+    @property
+    def zeros(self) -> np.recarray:
+        """The zeros as read-only records (beta, gamma, certified_radius), built on each access.
+
+        A view for readers outside zerokit; zerokit itself reads the columns.
+        """
+        records = np.empty(len(self.gamma), dtype=_RECORD)
+        records["beta"], records["gamma"], records["certified_radius"] = self.beta, self.gamma, self.radius
+        records = records.view(np.recarray)
+        records.flags.writeable = False
+        return records
 
     @property
     def certified(self) -> bool:
@@ -151,13 +171,14 @@ class ZeroSet:
         """
         if not self.covers(T):
             raise ValueError("request exceeds the certified height")
-        return sum(1 for z in self.zeros if abs(z.gamma) <= T and z.beta + z.certified_radius > sigma)
+        return int(np.count_nonzero((np.abs(self.gamma) <= T) & (self.beta + self.radius > sigma)))
 
     def mirrored(self, character: DirichletCharacter) -> "ZeroSet":
         """The zero set of the conjugate character (ordinates and windows negated)."""
-        flipped = tuple(ZeroRecord(z.beta, -z.gamma, z.certified_radius) for z in reversed(self.zeros))
         windows = tuple((-b, -a) for a, b in reversed(self.unverified_windows))
-        return ZeroSet(character, flipped, self.complete_to_height, windows)
+        return ZeroSet(
+            character, self.beta[::-1], -self.gamma[::-1], self.radius[::-1], self.complete_to_height, windows
+        )
 
 
 def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
@@ -167,7 +188,7 @@ def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
     center = complex(center)
     if not zs.covers(abs(center.imag) + r):
         raise ValueError("disk exceeds the zero set's certified height")
-    return sum(1 for z in zs.zeros if abs(center - complex(z.beta, z.gamma)) <= r)
+    return int(np.count_nonzero(np.hypot(center.real - zs.beta, center.imag - zs.gamma) <= r))
 
 
 # -- argument principle -------------------------------------------------------
@@ -537,24 +558,27 @@ class ModulusEngine:
 
     def _collect(
         self, gammas: np.ndarray, owners: np.ndarray, ok: np.ndarray, radii: np.ndarray, t_eff: np.ndarray
-    ) -> list[tuple[list[float], list[float], list[tuple[float, float]]]]:
+    ) -> list[tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]]:
         """Per character: sorted ordinates in [-t_eff, t_eff], their radii, and windows around those that failed a check."""
+        inside = np.abs(gammas) <= t_eff[owners]
+        gammas, owners, ok, radii = gammas[inside], owners[inside], ok[inside], radii[inside]
+        order = np.lexsort((gammas, owners))
+        g, own, r, good = gammas[order], owners[order], radii[order], ok[order]
+        # Two checked intervals of one character that overlap may hold one zero between them.
+        close = (np.diff(g) <= r[:-1] + r[1:]) & (own[1:] == own[:-1])
+        good[:-1] &= ~close
+        good[1:] &= ~close
+        bounds = np.searchsorted(own, np.arange(len(self.chars) + 1))
         out = []
-        for c in range(len(self.chars)):
-            mine = (owners == c) & (np.abs(gammas) <= t_eff[c])
-            order = np.argsort(gammas[mine])
-            g, r, good = gammas[mine][order], radii[mine][order], ok[mine][order]
-            # Two checked intervals that overlap may hold one zero between them.
-            close = np.diff(g) <= r[:-1] + r[1:]
-            good[:-1] &= ~close
-            good[1:] &= ~close
+        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            mine, radius, fine = g[lo:hi], r[lo:hi], good[lo:hi]
             if self._real[c]:
-                keep = g > r
-                g, r, good = g[keep], r[keep], good[keep]
-                g = np.concatenate([-g[::-1], g])
-                r, good = np.concatenate([r[::-1], r]), np.concatenate([good[::-1], good])
-            windows = [(float(t - GRID_STEP), float(t + GRID_STEP)) for t in g[~good]]
-            out.append(([float(t) for t in g], [float(x) for x in r], windows))
+                keep = mine > radius
+                mine, radius, fine = mine[keep], radius[keep], fine[keep]
+                mine = np.concatenate([-mine[::-1], mine])
+                radius, fine = np.concatenate([radius[::-1], radius]), np.concatenate([fine[::-1], fine])
+            failed = mine[~fine]
+            out.append((mine, radius, tuple(zip((failed - GRID_STEP).tolist(), (failed + GRID_STEP).tolist()))))
         return out
 
 
@@ -642,12 +666,12 @@ def _zero_set(
     T: float,
     t_eff: float,
     expected: int | CountCertificationError,
-    ordinates: list[float],
-    radii: list[float],
-    windows: list[tuple[float, float]],
+    ordinates: np.ndarray,
+    radii: np.ndarray,
+    windows: tuple[tuple[float, float], ...],
 ) -> ZeroSet:
     """The zeros with |gamma| <= T, certified when the count holds and matches and every check held."""
-    zeros = tuple(ZeroRecord(0.5, g, r) for g, r in zip(ordinates, radii) if abs(g) <= T)
+    kept = np.abs(ordinates) <= T
     if isinstance(expected, CountCertificationError):
         problem = f"has no certified winding count ({expected})"
     elif len(ordinates) != expected:
@@ -656,14 +680,14 @@ def _zero_set(
         problem = None
     if problem:
         warnings.warn(f"scan of {chi} {problem}: possible off-line zeros in |t| <= {t_eff}", stacklevel=4)
-        windows = [(-t_eff, t_eff)]
+        windows = ((-t_eff, t_eff),)
     elif windows:
         warnings.warn(
             f"scan of {chi}: {len(windows)} ordinate(s) failed the sign check at +-{TARGET_RADIUS} "
             f"to +-{CHECK_OFFSETS[-1]}, where |Z| does not exceed its error radius",
             stacklevel=4,
         )
-    return ZeroSet(chi, zeros, T, tuple(windows))
+    return ZeroSet(chi, np.full(np.count_nonzero(kept), 0.5), ordinates[kept], radii[kept], T, windows)
 
 
 def scan_zeros(

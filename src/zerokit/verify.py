@@ -62,7 +62,7 @@ from zerokit.dirichlet.lfunctions import (
     trivial_zero_sum,
 )
 from zerokit.dirichlet.zerocache import ZeroLibrary
-from zerokit.dirichlet.zeros import count_zeros_circle
+from zerokit.dirichlet.zeros import ZeroSet, count_zeros_circle
 from zerokit.kernels import WeightParams, e_kernel, psi_weight_vec
 
 __all__ = [
@@ -211,6 +211,12 @@ def circle_lemma_check(
 # -- explicit formula ---------------------------------------------------------
 
 
+def _zeros_to(zs: ZeroSet, T_zeros: float) -> np.ndarray:
+    """The zeros beta + i gamma of zs with |gamma| <= T_zeros, as one complex array."""
+    kept = np.abs(zs.gamma) <= T_zeros
+    return zs.beta[kept] + 1j * zs.gamma[kept]
+
+
 def explicit_formula_residual(
     library: ZeroLibrary,
     chi: DirichletCharacter,
@@ -234,14 +240,15 @@ def explicit_formula_residual(
 
     lhs = log_deriv_by_contour(s, chi, 0).real  # -Re{L'/L(s)}
     delta = 1.0 if chi.is_principal else 0.0
-    zero_sum = sum((1.0 / (s - complex(z.beta, z.gamma))).real for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    rho = _zeros_to(zs, T_zeros)
+    zero_sum = float(np.sum((1.0 / (s - rho)).real))
     rhs = (
         0.5 * math.log(chi.conductor)
         + delta * ((1.0 / (s - 1.0)).real + (1.0 / s).real)
         - zero_sum
         + gamma_factor_log_deriv(s, chi).real
     )
-    n_trunc = sum(1 for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    n_trunc = len(rho)
     tail_estimate = 2.0 * n_trunc / T_zeros
     residual = abs(lhs - rhs)
     return _report(
@@ -273,7 +280,9 @@ def hadamard_derivative_check(
     delta/(s-1)^(k+1) - sum over nontrivial zeros (|gamma| <= T_zeros)
     - sum over trivial zeros (exact, in closed form).  Requires k >= 2 for
     absolute convergence of the zero sum; the nontrivial tail bound is added
-    to the context.
+    to the context.  An order whose contour rounding error may exceed the
+    tolerance is refused with ValueError (`log_deriv_by_contour`), rather
+    than reported as a failure of the zero data.
     """
     if k < 2:
         raise ValueError("the zero sum requires k >= 2")
@@ -284,11 +293,11 @@ def hadamard_derivative_check(
         raise ValueError("requires 1 < Re s <= 2")
     zs = library.get(chi, T_zeros)
 
-    lhs = log_deriv_by_contour(s, chi, k)
+    lhs = log_deriv_by_contour(s, chi, k, tolerance=tolerance)
     delta = 1.0 if chi.is_principal else 0.0
 
     # (1 / (s - rho))^(k+1) underflows to 0 for a far zero, where (s - rho)^(k+1) would overflow.
-    nontrivial = sum((1.0 / (s - complex(z.beta, z.gamma))) ** (k + 1) for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    nontrivial = complex(np.sum((1.0 / (s - _zeros_to(zs, T_zeros))) ** (k + 1)))
     rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial_zero_sum(chi, s, k)
 
     # Tail of the nontrivial sum: |s - rho| >= |gamma| - |Im s| for tall zeros.
@@ -438,9 +447,8 @@ def _principal(q: int) -> DirichletCharacter:
 
 
 def _zero_square_sum(library: ZeroLibrary, chi: DirichletCharacter, sigma: float, t: float, T_zeros: float) -> float:
-    zs = library.get(chi, T_zeros)
-    center = complex(sigma, t)
-    return sum(1.0 / abs(center - complex(z.beta, z.gamma)) ** 2 for z in zs.zeros if abs(z.gamma) <= T_zeros)
+    rho = _zeros_to(library.get(chi, T_zeros), T_zeros)
+    return float(np.sum(1.0 / np.abs(complex(sigma, t) - rho) ** 2))
 
 
 # -- density ------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from zerokit.dirichlet.characters import (
+    _build_character,
+    _UnitGroup,
     char_label,
     char_value,
     conjugate_character,
@@ -102,6 +104,19 @@ class TestStructure:
                     assert char_value(prod, n) == pytest.approx(
                         char_value(chi1, n) * char_value(chi2, n), abs=1e-12
                     )
+
+    @pytest.mark.parametrize("q", list(range(1, 41)))
+    def test_conjugates_and_products_are_the_built_characters(self, q):
+        # Both look their result up among the cached characters mod q; each
+        # must equal the character derived afresh from its exponent vector.
+        orders = _UnitGroup(q).orders
+        chars = enumerate_characters(q)
+        built = {chi.exponents: _build_character(q, chi.exponents) for chi in chars}
+        for chi in chars:
+            assert conjugate_character(chi) == built[tuple((-e) % n for e, n in zip(chi.exponents, orders))]
+            for other in chars:
+                exps = tuple((a + b) % n for a, b, n in zip(chi.exponents, other.exponents, orders))
+                assert product_character(chi, other) == built[exps]
 
     @pytest.mark.parametrize("q", [4, 6, 8, 9, 12, 15, 16, 18, 20, 24, 36, 40])
     def test_primitive_inducer_agrees_on_units(self, q):

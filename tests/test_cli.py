@@ -197,7 +197,7 @@ class TestZerosAndVerify:
 
         heights = []
         monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h: heights.append(h))
-        monkeypatch.setattr(cmod.ZeroLibrary, "get", lambda self, chi, h: ZeroSet(primitive_inducer(chi), (), h))
+        monkeypatch.setattr(cmod.ZeroLibrary, "get", lambda self, chi, h: ZeroSet(primitive_inducer(chi), (), (), (), h))
         argv = ["verify", "--suite", "density", "--qmax", "1", "--height", "1500", "--scan-missing"]
         code, _, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == EXIT_USAGE and "desk-scale guard" in err
@@ -385,16 +385,14 @@ class TestZerosAndVerify:
         assert not (tmp_path / "cache").exists()
 
     def test_hadamard_at_a_high_order_prints_its_rows(self, capsys, tmp_path):
-        # At k = 200, (s - rho)^(k+1) overflows for the zeros near height
-        # 100; each zero's term underflows to 0 instead, so the rows print.
+        # At k = 200 the contour's rounding error, divided by radius^(k+1),
+        # dwarfs the tolerance: the order is refused before any row prints,
+        # rather than reported as a failure of the zero data.
         argv = ["verify", "--suite", "hadamard", "--k", "200", "--scan-missing", "--cache-dir", str(tmp_path)]
         code, out, err = run(capsys, *argv)
-        assert code == EXIT_FAIL
-        assert [line.split()[0] for line in out.splitlines()[1:4]] == [
-            "hadamard.q1.e-.k200.s(1.5+0j)",
-            "hadamard.q1.e-.k200.s(2+0j)",
-            "hadamard.q4.e1.k200.s(1.5+0j)",
-        ]
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: order k = 200 is too high at (1.5+0j)") and "exceeds the tolerance 0.0001" in err
         assert "Traceback" not in err
 
     def test_hadamard_beyond_float_range_is_a_usage_error(self, capsys, tmp_path):

@@ -111,6 +111,16 @@ class TestHadamard:
         with pytest.raises(ValueError):
             hadamard_derivative_check(zero_library, ZETA, 1, 1.5, 50.0)
 
+    @pytest.mark.parametrize("chi", [ZETA, CHI4], ids=["q1", "q4"])
+    def test_order_twelve_passes_and_sixteen_is_refused(self, zero_library, chi):
+        # At s = 3/2 the contour's radius is 0.2: its rounding estimate
+        # 10 (k+1) 2^-53 max|log L| / 0.2^(k+1) stays below the 1e-4
+        # tolerance at k = 12 and passes it at k = 16, where the correct
+        # zero data would otherwise fail by about 1e-3.
+        assert hadamard_derivative_check(zero_library, chi, 12, 1.5, 100.0).passed
+        with pytest.raises(ValueError, match="order k = 16 is too high at"):
+            hadamard_derivative_check(zero_library, chi, 16, 1.5, 100.0)
+
 
 class TestRepulsionSums:
     def test_lattice_identity_against_partial_sum(self):

@@ -23,7 +23,6 @@ from zerokit.dirichlet.zeros import (
     TARGET_RADIUS,
     CountCertificationError,
     ModulusEngine,
-    ZeroRecord,
     ZeroSet,
     _rotated_line,
     count_zeros,
@@ -38,18 +37,63 @@ CHI4 = enumerate_characters(4)[1]
 class TestRecords:
     def test_zero_record_strip(self):
         with pytest.raises(ValueError):
-            ZeroRecord(beta=1.0, gamma=3.0)
+            ZeroSet(ZETA, [1.0], [3.0], [TARGET_RADIUS], 5.0)
 
     def test_zero_set_ordering(self):
         with pytest.raises(ValueError):
-            ZeroSet(ZETA, (ZeroRecord(0.5, 2.0), ZeroRecord(0.5, 1.0)), 5.0)
+            ZeroSet(ZETA, [0.5, 0.5], [2.0, 1.0], [TARGET_RADIUS] * 2, 5.0)
 
     def test_count_above_resolves_boundary_by_radius(self):
-        zs = ZeroSet(ZETA, (ZeroRecord(0.5, 14.0, 1e-9),), 20.0)
+        zs = ZeroSet(ZETA, [0.5], [14.0], [1e-9], 20.0)
         assert zs.count_above(0.5, 20.0) == 1  # enclosure straddles the line
         assert zs.count_above(0.6, 20.0) == 0
         with pytest.raises(ValueError):
             zs.count_above(0.5, 30.0)
+
+
+class TestColumns:
+    """A zero set is three read-only float64 columns sorted by ordinate."""
+
+    def test_assigning_to_a_column_raises(self):
+        zs = ZeroSet(ZETA, [0.5, 0.5], [-14.0, 14.0], [1e-9, 1e-8], 20.0)
+        for column in (zs.beta, zs.gamma, zs.radius):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.25
+
+    def test_the_set_keeps_its_own_copy(self):
+        gamma = np.array([-14.0, 14.0])
+        zs = ZeroSet(ZETA, [0.5, 0.5], gamma, [1e-9, 1e-9], 20.0)
+        gamma[0] = -15.0
+        assert zs.gamma.tolist() == [-14.0, 14.0]
+        assert zs.gamma.dtype == zs.beta.dtype == zs.radius.dtype == np.float64
+
+    def test_columns_of_one_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            ZeroSet(ZETA, [0.5], [1.0, 2.0], [1e-9, 1e-9], 5.0)
+
+    def test_mirrored_twice_returns_the_original_columns(self):
+        chi = next(c for c in primitive_characters(5) if conjugate_character(c) != c)
+        zs = scan_zeros(chi, 20.0)
+        back = zs.mirrored(conjugate_character(chi)).mirrored(chi)
+        for name in ("beta", "gamma", "radius"):
+            assert np.array_equal(getattr(back, name), getattr(zs, name))
+        assert back.character == chi and back.complete_to_height == zs.complete_to_height
+
+    def test_record_view_matches_the_columns(self):
+        zs = ZeroSet(ZETA, [0.5, 0.5], [-14.0, 14.0], [1e-9, 1e-8], 20.0)
+        records = zs.zeros
+        assert len(records) == 2 and [z.gamma for z in records] == [-14.0, 14.0]
+        assert records.certified_radius.tolist() == [1e-9, 1e-8]
+        with pytest.raises(ValueError, match="read-only"):
+            records.gamma[0] = 0.0
+
+    def test_writing_back_reproduces_the_library_files(self, zero_library, tmp_path):
+        files = sorted(Path(zero_library.cache_dir).glob("zeros_q*.csv"))
+        assert len(files) == 15  # the moduli <= 20 with primitive characters
+        for path in files:
+            q = int(path.stem[len("zeros_q") :])
+            copy = write_zero_cache(tmp_path, read_zero_cache(zero_library.cache_dir, q))
+            assert copy.read_bytes() == path.read_bytes(), path.name
 
 
 class TestRectangleCounts:
@@ -144,11 +188,11 @@ class TestRectangleCounts:
             count_zeros(ZETA, 14.134725)
         zs = scan_zeros(ZETA, 14.134725)
         assert zs.certified
-        assert zs.zeros == ()
+        assert len(zs.gamma) == 0
         assert zs.complete_to_height == 14.134725
         above = scan_zeros(ZETA, 14.1347252)
         assert above.certified
-        assert len(above.zeros) == 2
+        assert len(above.gamma) == 2
         assert above.complete_to_height == 14.1347252
 
 
@@ -168,7 +212,7 @@ class TestScan:
 
     def test_empty_window(self):
         zs = scan_zeros(CHI4, 0.5)
-        assert zs.zeros == ()
+        assert len(zs.gamma) == 0
         assert zs.certified
         assert zs.complete_to_height >= 0.5
 
@@ -255,7 +299,7 @@ class TestScan:
         assert certified and refused
         cached = read_zero_cache(tmp_path, 5)
         assert sorted(cached) == sorted(zs.character.exponents for zs in certified)
-        assert all(zs.certified and zs.zeros for zs in cached.values())
+        assert all(zs.certified and len(zs.gamma) for zs in cached.values())
         monkeypatch.undo()
         summary = ZeroLibrary(tmp_path).ensure(5, 20.0)
         assert sorted(label for label, n in summary.items() if n == "cached") == sorted(
@@ -310,9 +354,9 @@ class TestScan:
             lib.ensure(5, 10.0)
         for chi in primitive_characters(5):
             zs = lib._memory[(5, chi.exponents)]
-            assert not zs.certified and zs.zeros
-            for z in zs.zeros:
-                assert any(lo < z.gamma < hi for lo, hi in zs.unverified_windows), (chi, z.gamma)
+            assert not zs.certified and len(zs.gamma)
+            for gamma in zs.gamma:
+                assert any(lo < gamma < hi for lo, hi in zs.unverified_windows), (chi, gamma)
 
     def test_library_needs_no_per_character_l_evaluation(self, tmp_path, monkeypatch):
         # The scan and the count both read the engine's bank.
@@ -703,7 +747,7 @@ class TestScan:
     def test_unverified_windows_are_not_persisted(self, tmp_path, monkeypatch):
         import zerokit.dirichlet.zerocache as cmod
 
-        bad = ZeroSet(CHI4, (), 10.0, unverified_windows=((-10.0, 10.0),))
+        bad = ZeroSet(CHI4, (), (), (), 10.0, unverified_windows=((-10.0, 10.0),))
         assert not bad.certified
         monkeypatch.setattr(cmod, "scan_zeros", lambda chi, T, engine: bad)
         lib = ZeroLibrary(tmp_path / "cache")
@@ -816,6 +860,60 @@ class TestLibraryAndCache:
         with pytest.raises(ValueError, match=re.escape(f"zeros_q0005.csv, {message}")):
             read_zero_cache(tmp_path, 5)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["5,1,0.5,6.18,1e-09,8.0", "5,2,0.5,7.5,1e-09,inf", "5,1"], "line 3: complete_to_height inf is not finite"),
+            (["5,1,0.5,6.18,1e-09,8.0", "5,1", "5,2,0.5,7.5,1e-09,inf"], "line 3: not enough values to unpack (expected 6, got 2)"),
+            (["5,1,0.5,6.18,1e-09,8.0,7"], "line 2: too many values to unpack (expected 6)"),
+            (["5,1,0.5,6.18,1e-09,8.0", "4,2,0.5,7.5,1e-09,8.0"], "line 3: a row for modulus 4 in the file of modulus 5"),
+            (["5,1,nan,,,8.0"], "line 2: could not convert string to float: ''"),
+            (["5,1,0.5,,1e-09,8.0"], "line 2: could not convert string to float: ''"),
+            (["5,2,,,,8.0", "5,9,0.5,6.18,1e-09,8.0"], "line 3: character key '9' is no character mod 5"),
+            (
+                ["5,1,0.5,6.18,1e-09,8.0", "5,2,,,,8.0", "5,1,0.5,7.5,1e-09,500.0"],
+                "line 4: complete_to_height 500.0 differs from 8.0 on an earlier row of character 1",
+            ),
+            (
+                ["5,1,0.5,7.5,1e-08,8.0", "5,3,0.5,7.5,1e-09,8.0", "5,1,0.5,7.50000001,1e-09,8.0"],
+                "line 4: the interval of gamma 7.50000001 meets that of gamma 7.5 on line 2, for character 1",
+            ),
+        ],
+        ids=[
+            "height-before-width",
+            "width-before-height",
+            "extra-field",
+            "other-modulus",
+            "nan-beta",
+            "empty-gamma",
+            "unknown-key",
+            "heights-across-blocks",
+            "intervals-across-blocks",
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 1 << 14])
+    def test_the_first_offending_row_is_named(self, tmp_path, monkeypatch, rows, message, block):
+        # Each rule is checked on every row at once, whatever the reader's
+        # block of rows; the refusal names the first row that breaks any.
+        import zerokit.dirichlet.zerocache as cmod
+
+        monkeypatch.setattr(cmod, "READ_BLOCK", block)
+        (tmp_path / "zeros_q0005.csv").write_text("\n".join([CACHE_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"zeros_q0005.csv, {message}")):
+            read_zero_cache(tmp_path, 5)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_small_blocks_read_the_same_sets(self, tmp_path, monkeypatch, block):
+        import zerokit.dirichlet.zerocache as cmod
+
+        ZeroLibrary(tmp_path).ensure(5, 10.0)
+        whole = read_zero_cache(tmp_path, 5)
+        monkeypatch.setattr(cmod, "READ_BLOCK", block)
+        blocked = read_zero_cache(tmp_path, 5)
+        assert sorted(blocked) == sorted(whole)
+        for exps, zs in whole.items():
+            assert np.array_equal(blocked[exps].gamma, zs.gamma) and np.array_equal(blocked[exps].radius, zs.radius)
+
     def test_header_contract(self, tmp_path):
         zs = scan_zeros(CHI4, 8.0)
         path = write_zero_cache(tmp_path, {CHI4.exponents: zs})
@@ -826,7 +924,7 @@ class TestLibraryAndCache:
         zs = scan_zeros(CHI4, 0.5)
         write_zero_cache(tmp_path, {CHI4.exponents: zs})
         loaded = read_zero_cache(tmp_path, 4)
-        assert loaded[CHI4.exponents].zeros == ()
+        assert len(loaded[CHI4.exponents].gamma) == 0
         assert loaded[CHI4.exponents].complete_to_height >= 0.5
 
     def test_library_idempotent(self, tmp_path):
@@ -881,7 +979,7 @@ class TestLibraryAndCache:
         summary = fresh.ensure(5, 10.0)
         assert set(summary.values()) == {"cached"}
         chi = primitive_characters(5)[0]
-        assert fresh.get(chi, 10.0).zeros
+        assert len(fresh.get(chi, 10.0).gamma)
 
     def test_library_resolves_imprimitive(self, zero_library):
         principal12 = enumerate_characters(12)[0]
