@@ -13,26 +13,9 @@ The package has three layers:
   sums that feed the inequalities;
 * an empirical verification harness (`zerokit.verify`) and a command line
   front end (`zerokit.cli`).
+
+The package re-exports nothing: each name is imported from the module that
+defines it.
 """
-
-from zerokit.errorbounded import ErrorBounded
-from zerokit.powersum import ComplexSeq, PowerSumWitness, ks_ratio, ks_witness, lmo_witness, power_sum
-from zerokit.kernels import WeightParams, e_kernel, e_kernel_bound_check, psi_mellin, psi_mellin_bounds_check, psi_weight
-
-__all__ = [
-    "ComplexSeq",
-    "ErrorBounded",
-    "PowerSumWitness",
-    "WeightParams",
-    "e_kernel",
-    "e_kernel_bound_check",
-    "ks_ratio",
-    "ks_witness",
-    "lmo_witness",
-    "power_sum",
-    "psi_mellin",
-    "psi_mellin_bounds_check",
-    "psi_weight",
-]
 
 __version__ = "0.1.0"

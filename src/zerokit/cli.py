@@ -13,10 +13,11 @@ Exit codes: 0 pass, 1 certification/verification failure or an uncertified
 zero set, 2 usage error or an unusable path, 3 missing dependency (a selected
 suite reads zero data absent without --scan-missing).
 
-Configuration: flat key=value file via --config (an unknown key is a usage
-error); values are overridden by environment (EXPLICIT_ZERO_CACHE for the
-cache directory) and then by command-line flags.  Output is deterministic for
-a given configuration and cache state: fixed orderings, no timestamps.
+Configuration: flat key=value file via --config (an unknown key, or a
+tolerance that is not a finite number > 0, is a usage error); values are
+overridden by environment (EXPLICIT_ZERO_CACHE for the cache directory) and
+then by command-line flags.  Output is deterministic for a given
+configuration and cache state: fixed orderings, no timestamps.
 """
 
 from __future__ import annotations
@@ -90,7 +91,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown output_format {cfg.output_format!r}; known formats: {', '.join(OUTPUT_FORMATS)}")
     for key, value in file_values.items():
         if key.startswith("tolerance."):
-            cfg.tolerances[key.removeprefix("tolerance.")] = float(value)
+            try:
+                tolerance = float(value)
+            except ValueError:
+                tolerance = math.nan
+            if not (math.isfinite(tolerance) and tolerance > 0.0):
+                raise ValueError(f"config key {key} must be a finite number > 0, got {value!r}")
+            cfg.tolerances[key.removeprefix("tolerance.")] = tolerance
     if ENV_CACHE_DIR in os.environ:
         cfg.cache_dir = os.environ[ENV_CACHE_DIR]
     if getattr(args, "cache_dir", None):

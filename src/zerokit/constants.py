@@ -49,9 +49,7 @@ __all__ = [
     "FieldParams",
     "RepulsionBound",
     "RepulsionCoeffs",
-    "calc_script_L",
     "certification_report",
-    "convexity_rhs",
     "density_exponent_for",
     "derive_density_exponent",
     "derive_detector_constants",
@@ -154,17 +152,6 @@ class FieldParams:
             raise ValueError("theta must be positive")
         if self.implied_nk_constant < 0.0:
             raise ValueError("implied_nk_constant must be non-negative")
-
-
-def calc_script_L(p: FieldParams) -> ErrorBounded:
-    """The conductor aggregate 2 log D_K + log Q + n_K log(T+3) + theta n_K."""
-    n = ErrorBounded(float(p.n_K))
-    return (
-        ErrorBounded(2.0) * eb_log(ErrorBounded(p.D_K))
-        + eb_log(ErrorBounded(p.Q))
-        + n * eb_log(ErrorBounded(p.T) + 3.0)
-        + ErrorBounded(p.theta) * n
-    )
 
 
 @dataclass(frozen=True)
@@ -295,30 +282,22 @@ def density_exponent_for(sigma: float) -> float:
     return float(PUBLISHED[key])
 
 
-def derive_density_exponent(epsilon: float, slack_eta: float = 0.0) -> ErrorBounded:
-    """(detection exponent * phi(eps) + slack) * (1 + slack).
+def derive_density_exponent(epsilon: float) -> ErrorBounded:
+    """Detection exponent * phi(eps), the value certification_report prints.
 
-    With slack_eta = 0 this is exactly detection exponent * phi(eps), the
-    value certification_report prints.  At the stated epsilon choices the
-    result is certified against the published exponents: <= 81 at eps = 0.05
-    and <= 74 at eps = 0.001, both for slack_eta <= 1e-3.
+    At the stated epsilon choices the result is certified against the
+    published exponents: <= 81 at eps = 0.05 and <= 74 at eps = 0.001.
     """
     if not 0.0 <= epsilon < 0.25:
         raise ValueError("epsilon must lie in [0, 1/4)")
-    if slack_eta < 0.0:
-        raise ValueError("slack_eta must be non-negative")
     result = ErrorBounded(float(PUBLISHED["detect_exp_squared"])) * _phi_eb(epsilon)
-    if slack_eta > 0.0:
-        slack = ErrorBounded(float(slack_eta))
-        result = (result + slack) * (ErrorBounded(1.0) + slack)
-    if slack_eta <= 1e-3:
-        target = None
-        if epsilon == DENSITY_EPS_WIDE:
-            target = ("density_exponent_wide", float(PUBLISHED["density_exponent_wide"]))
-        elif epsilon == DENSITY_EPS_NARROW:
-            target = ("density_exponent_narrow", float(PUBLISHED["density_exponent_narrow"]))
-        if target is not None and not result.clears(target[1], "<="):
-            raise CertificationError(f"density exponent failed certification: {target[0]}", [target[0]])
+    target = None
+    if epsilon == DENSITY_EPS_WIDE:
+        target = ("density_exponent_wide", float(PUBLISHED["density_exponent_wide"]))
+    elif epsilon == DENSITY_EPS_NARROW:
+        target = ("density_exponent_narrow", float(PUBLISHED["density_exponent_narrow"]))
+    if target is not None and not result.clears(target[1], "<="):
+        raise CertificationError(f"density exponent failed certification: {target[0]}", [target[0]])
     return result
 
 
@@ -453,9 +432,6 @@ class DensityBound:
     log_value: float
     overflow: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def evaluate_density_bound(
     sigma: float,
@@ -496,9 +472,6 @@ class RepulsionBound:
 
     value: float
     vacuous: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def evaluate_repulsion_bound(kind: str, beta1: float, p: FieldParams, c: float) -> RepulsionBound:
@@ -579,42 +552,6 @@ def zero_circle_bound(
         )
         return slope * r + 4.0 + 4.0 * delta
     raise ValueError("kind must be 'classical' or 'convexity'")
-
-
-def convexity_rhs(
-    s: complex,
-    p: FieldParams,
-    D_chi: float,
-    variant: str,
-    epsilon: float,
-    r: float = 0.0,
-    is_principal: bool = False,
-) -> float:
-    """Right-hand side of the convexity estimate for -Re{L'/L(s)}.
-
-    variant "EI_2": (1/4 + eps/pi) L_chi + delta Re{1/(s-1)} + implied n_K,
-    with L_chi = log D_chi + n_K log(T+3).  variant "EI_1" adds
-    4 eps^2 (log D_K + L_chi) and requires 0 < r < eps (its zero-sum term is
-    the caller's business: harness code subtracts computed zero sums).
-    """
-    s = complex(s)
-    if not 0.0 < epsilon < 0.25:
-        raise ValueError("epsilon must lie in (0, 1/4)")
-    if not 1.0 < s.real <= 1.0 + epsilon:
-        raise ValueError("requires 1 < Re s <= 1 + epsilon")
-    if D_chi < 1.0:
-        raise ValueError("D_chi must be >= 1")
-    l_chi = math.log(D_chi) + p.n_K * math.log(p.T + 3.0)
-    value = (0.25 + epsilon / math.pi) * l_chi + p.implied_nk_constant * p.n_K
-    if is_principal:
-        value += (1.0 / (s - 1.0)).real
-    if variant == "EI_1":
-        if not 0.0 < r < epsilon:
-            raise ValueError("variant EI_1 requires 0 < r < epsilon")
-        value += 4.0 * epsilon * epsilon * (math.log(p.D_K) + l_chi)
-    elif variant != "EI_2":
-        raise ValueError("variant must be 'EI_1' or 'EI_2'")
-    return value
 
 
 # -- certification report ----------------------------------------------------

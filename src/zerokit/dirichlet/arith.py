@@ -1,11 +1,10 @@
 """Elementary arithmetic sums over the rational integers.
 
 These are the degree-one instances of the ideal sums the inequalities quote:
-the von Mangoldt harmonic sum, the smoothed harmonic sum with polynomial
-cutoff, the plain harmonic sum V(z), and the prime windows used by the
-detector and the large-sieve checks.  The integer factorisation and the walk
-over prime powers that the character, L-function and harness code share
-live here too.  Everything is direct sieve-and-sum;
+the harmonic sum V(z), the rough-number mask of the sieve check, and the
+prime windows used by the detector and the large-sieve checks.  The integer
+factorisation and the walk over prime powers that the character, L-function
+and harness code share live here too.  Everything is direct sieve-and-sum;
 desk-scale guards keep runtimes predictable.
 """
 
@@ -27,8 +26,6 @@ __all__ = [
     "primes_in_window",
     "primes_up_to",
     "rough_mask",
-    "smoothed_harmonic_sum",
-    "von_mangoldt_sum",
 ]
 
 
@@ -122,35 +119,6 @@ def prime_powers(cutoff: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         if len(primes) == 0:
             return
         yield m, primes, primes**m
-
-
-def von_mangoldt_sum(y: float) -> float:
-    """sum_{n <= y} Lambda(n)/n by sieving the prime powers."""
-    total = 0.0
-    for _m, primes, powers in prime_powers(int(y)):
-        total += float(np.sum(np.log(primes.astype(float)) / powers))
-    return total
-
-
-def smoothed_harmonic_sum(x: float, n_K: int = 1) -> float:
-    """sum_{n <= x} (1/n) (1 - n/x)^{n_K}, by direct summation.
-
-    The main term is log x - H_{n_K} + Euler's constant (degree-one case,
-    residue 1), with an O(x^(-1/2)) fluctuation.
-    """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    if n_K < 1:
-        raise ValueError("n_K must be a positive integer")
-    if x > DESK_SUM_LIMIT:
-        raise ValueError(f"smoothed_harmonic_sum limited to x <= {DESK_SUM_LIMIT}")
-    top = int(x)  # the n = x term vanishes, so flooring is harmless
-    total = 0.0
-    chunk = 4_000_000
-    for start in range(1, top + 1, chunk):
-        n = np.arange(start, min(start + chunk, top + 1), dtype=float)
-        total += float(np.sum((1.0 - n / x) ** n_K / n))
-    return total
 
 
 def harmonic_sum(z: float) -> float:

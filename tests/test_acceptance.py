@@ -34,7 +34,7 @@ from zerokit.kernels import (
     e_kernel_bound_check,
     e_kernel_partial_sum,
     psi_mellin,
-    psi_weight_vec,
+    psi_weight,
 )
 from zerokit.powersum import ks_ratio, ks_witness, lmo_witness
 from zerokit.verify import circle_lemma_check, default_suite
@@ -60,8 +60,8 @@ def test_criterion_1_constant_certification():
     assert y.clears(2.3, "<=")
     assert x.clears(122.0, "<=")
     assert tail.clears(16.8, ">=")
-    assert derive_density_exponent(0.05, 0.0).clears(81.0, "<=")
-    assert derive_density_exponent(0.001, 0.0).clears(74.0, "<=")
+    assert derive_density_exponent(0.05).clears(81.0, "<=")
+    assert derive_density_exponent(0.001).clears(74.0, "<=")
     for eb in (c.A, c.k_lo_coeff, c.k_hi_coeff, c.big_deriv_exp, c.detect_exp_squared, y, x, tail):
         assert eb.radius <= 1e-6
     assert all(row.passed for row in certification_report())
@@ -183,11 +183,11 @@ def test_criterion_7_kernel_suite():
     for p in (p1, p2):
         half = 2.0 * p.degree_n / p.scale_A
         xs = np.exp(np.linspace(-1.5 * half, 1.5 * half, 4000))
-        vals = psi_weight_vec(xs, p)
+        vals = psi_weight(xs, p)
         assert np.all((vals >= 0.0) & (vals <= p.scale_A / 2.0 + 1e-12))
         assert np.all(vals[np.abs(np.log(xs)) >= half] == 0.0)
         assert mellin_numeric(0.0, p).real == pytest.approx(1.0, abs=1e-8)
-    assert psi_weight_vec(np.array([1.0]), p1)[0] == pytest.approx(p1.scale_A / 2.0)
+    assert psi_weight(np.array([1.0]), p1)[0] == pytest.approx(p1.scale_A / 2.0)
 
     # closed-form vs numeric transform at 100 points across three lines
     count = 0

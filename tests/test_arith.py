@@ -11,11 +11,7 @@ from zerokit.dirichlet.arith import (
     primes_in_window,
     primes_up_to,
     rough_mask,
-    smoothed_harmonic_sum,
-    von_mangoldt_sum,
 )
-
-EULER_GAMMA = 0.5772156649015329
 
 
 def _is_prime(n: int) -> bool:
@@ -68,60 +64,6 @@ class TestPrimes:
             assert primes.dtype == powers.dtype == np.int64
             got[m] = list(zip(primes.tolist(), powers.tolist()))
         assert got == expected
-
-
-class TestVonMangoldt:
-    def test_first_point(self):
-        assert von_mangoldt_sum(2.0) == pytest.approx(math.log(2.0) / 2.0)
-
-    def test_explicit_enumeration_to_ten(self):
-        # independent oracle: explicit loop over prime powers <= 10
-        expected = 0.0
-        for p in (2, 3, 5, 7):
-            pk = p
-            while pk <= 10:
-                expected += math.log(p) / pk
-                pk *= p
-        assert von_mangoldt_sum(10.0) == pytest.approx(expected, abs=1e-13)
-        assert expected == pytest.approx(1.6947, abs=1e-4)
-
-    def test_million_mertens_window(self):
-        val = von_mangoldt_sum(1e6)
-        assert math.log(1e6) - 2.0 <= val <= math.log(1e6)
-
-    def test_linear_log_envelope(self):
-        # sum stays under 1.1 log y across the desk range
-        for y in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-            assert von_mangoldt_sum(y) <= 1.1 * math.log(y)
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            von_mangoldt_sum(2e8)
-
-
-class TestSmoothedHarmonic:
-    def test_empty_at_one(self):
-        assert smoothed_harmonic_sum(1.0) == 0.0
-
-    def test_two_terms(self):
-        assert smoothed_harmonic_sum(2.0, 1) == pytest.approx(0.5)
-
-    def test_main_term(self):
-        x = 1e5
-        main = math.log(x) - 1.0 + EULER_GAMMA
-        assert smoothed_harmonic_sum(x, 1) == pytest.approx(main, abs=1e-2)
-
-    def test_fluctuation_scale(self):
-        # |sum - main| <= C' x^(-1/2); C' = 0.024, 1.5 times the worst on this grid
-        worst = 0.0
-        for x in (1e3, 1e4, 1e5, 1e6, 1e7):
-            main = math.log(x) - 1.0 + EULER_GAMMA
-            dev = abs(smoothed_harmonic_sum(x, 1) - main) * math.sqrt(x)
-            worst = max(worst, dev)
-        assert worst <= 0.024
-
-    def test_higher_degree_smaller(self):
-        assert smoothed_harmonic_sum(100.0, 3) < smoothed_harmonic_sum(100.0, 1)
 
 
 class TestHarmonicAndRough:

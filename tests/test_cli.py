@@ -571,6 +571,22 @@ class TestZerosAndVerify:
         assert code == EXIT_FAIL
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("key", ["tolerance.hadamard", "tolerance.explicit_formula"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc"])
+    def test_tolerance_not_finite_and_positive_is_a_usage_error(self, capsys, tmp_path, key, value):
+        # inf once passed every row of a suite whose order is refused for its
+        # rounding; nan, 0 and -1 once failed every row; abc was refused
+        # without naming its key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        cache = tmp_path / "cache"
+        suite = key.removeprefix("tolerance.")
+        code, out, err = run(capsys, "--config", str(cfg), "verify", "--suite", suite, "--scan-missing", "--cache-dir", str(cache))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and key in err
+        assert not cache.exists()
+
 
 def test_one_parser_per_process(capsys, tmp_path, monkeypatch):
     # Two commands in one process build the parser once, and print what two

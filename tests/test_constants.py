@@ -9,9 +9,7 @@ from zerokit.constants import (
     REFERENCE_ETA,
     CertificationError,
     FieldParams,
-    calc_script_L,
     certification_report,
-    convexity_rhs,
     derive_density_exponent,
     derive_detector_constants,
     derive_repulsion_coeffs,
@@ -25,22 +23,6 @@ from zerokit.constants import (
 )
 
 Q_FIELD = FieldParams()  # n_K = 1, D_K = 1 defaults
-
-
-class TestScriptL:
-    def test_unit_inputs(self):
-        p = FieldParams(n_K=1, D_K=1, Q=1, T=1, theta=1)
-        assert calc_script_L(p).value == pytest.approx(1.0 + math.log(4.0))
-
-    def test_with_conductor(self):
-        p = FieldParams(n_K=1, D_K=1, Q=5, T=1, theta=1)
-        assert calc_script_L(p).value == pytest.approx(1.0 + math.log(5.0) + math.log(4.0))
-
-    def test_degree_two(self):
-        p = FieldParams(n_K=2, D_K=5, Q=1, T=10, theta=1)
-        expected = 2 * math.log(5.0) + 2 * math.log(13.0) + 2.0
-        assert calc_script_L(p).value == pytest.approx(expected)
-        assert calc_script_L(p).radius < 1e-12
 
 
 class TestDetectorConstants:
@@ -112,23 +94,18 @@ class TestShortsumThresholds:
 
 class TestDensityExponent:
     def test_wide_epsilon(self):
-        val = derive_density_exponent(0.05, 0.0)
+        val = derive_density_exponent(0.05)
         assert val.value == pytest.approx(73.2 * phi_factor(0.05))
         assert val.value == pytest.approx(80.788, abs=1e-3)
         assert val.clears(81.0, "<=")
 
     def test_narrow_epsilon(self):
-        val = derive_density_exponent(0.001, 0.0)
+        val = derive_density_exponent(0.001)
         assert val.value == pytest.approx(73.294, abs=1e-3)
         assert val.clears(74.0, "<=")
 
     def test_zero_epsilon(self):
-        assert derive_density_exponent(0.0, 0.0).value == pytest.approx(73.2)
-
-    def test_slack_inflates(self):
-        base = derive_density_exponent(0.05, 0.0).value
-        more = derive_density_exponent(0.05, 1e-3).value
-        assert more > base
+        assert derive_density_exponent(0.0).value == pytest.approx(73.2)
 
 
 class TestOptimizeAlpha:
@@ -274,29 +251,6 @@ class TestZeroCircleBound:
             zero_circle_bound(1.5, Q_FIELD, 1.0, 0.0, False, "classical")
         with pytest.raises(ValueError):
             zero_circle_bound(0.1, Q_FIELD, 1.0, 0.0, False, "convexity", epsilon=0.05)
-
-
-class TestConvexityRhs:
-    def test_base_variant(self):
-        val = convexity_rhs(1.01, Q_FIELD, 5.0, "EI_2", 0.05)
-        expected = (0.25 + 0.05 / math.pi) * (math.log(5.0) + math.log(4.0))
-        assert val == pytest.approx(expected, rel=1e-12)
-
-    def test_principal_pole_term(self):
-        base = convexity_rhs(1.01, Q_FIELD, 5.0, "EI_2", 0.05, is_principal=False)
-        with_pole = convexity_rhs(1.01, Q_FIELD, 5.0, "EI_2", 0.05, is_principal=True)
-        assert with_pole - base == pytest.approx(100.0, rel=1e-9)
-
-    def test_refined_variant_adds_square_term(self):
-        base = convexity_rhs(1.01, Q_FIELD, 5.0, "EI_2", 0.05)
-        refined = convexity_rhs(1.01, Q_FIELD, 5.0, "EI_1", 0.05, r=0.01)
-        assert refined - base == pytest.approx(0.01 * (math.log(5.0) + math.log(4.0)), rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            convexity_rhs(1.2, Q_FIELD, 5.0, "EI_2", 0.05)
-        with pytest.raises(ValueError):
-            convexity_rhs(1.01, Q_FIELD, 5.0, "EI_1", 0.05, r=0.2)
 
 
 class TestCertificationReport:

@@ -29,21 +29,16 @@ def _per_term_sum(s, a):
     return out.reshape(s.shape + a.shape)
 
 
-def _pair(s, r, a):
+def _pair(s, r, a, q=None):
     """The grid of the points s and the offsets -/+ i r, as (2,) + s.shape + np.shape(a), row 0 at s - i r."""
-    values = hurwitz_zeta_vec(s, a, d=[-1j * r, 1j * r])
+    values = hurwitz_zeta_vec(s, a, d=[-1j * r, 1j * r], modulus=q)
     return np.moveaxis(values, 1, 0)
 
 
-def _pair_bound(s, r, a):
-    """hurwitz_rounding_bound of `_pair(s, r, a)`, in its layout."""
-    bound = hurwitz_rounding_bound(s, a, d=[-1j * r, 1j * r])
+def _pair_bound(s, r, a, q):
+    """hurwitz_rounding_bound of `_pair(s, r, a, q)`, in its layout."""
+    bound = hurwitz_rounding_bound(s, a, d=[-1j * r, 1j * r], modulus=q)
     return np.moveaxis(bound, 1, 0)
-
-
-def _pointwise_bound(s, a):
-    """hurwitz_rounding_bound of `hurwitz_zeta_vec(s, a)`, in its layout."""
-    return hurwitz_rounding_bound(s, a)
 
 
 class TestValues:
@@ -257,13 +252,14 @@ class TestPair:
         a = _units(q)
         s = 0.5 + 1j * np.array([0.0, 14.13, -77.0, 300.0, 999.5])
         sides = np.stack([s - 1j * r, s + 1j * r])
-        pair = _pair(s, r, a)
+        pair = _pair(s, r, a, q)
         assert hurwitz_zeta_vec(s, a, d=[-1j * r, 1j * r]).shape == s.shape + (2,) + a.shape
         assert pair.shape == (2,) + s.shape + a.shape
-        pointwise = hurwitz_zeta_vec(sides, a)
-        paired = _pair_bound(s, r, a)
-        assert np.all(paired > _pointwise_bound(sides, a))
-        assert np.all(np.abs(pair - pointwise) <= _pointwise_bound(sides, a) + paired)
+        pointwise = hurwitz_zeta_vec(sides, a, modulus=q)
+        pointwise_bound = hurwitz_rounding_bound(sides, a, modulus=q)
+        paired = _pair_bound(s, r, a, q)
+        assert np.all(paired > pointwise_bound)
+        assert np.all(np.abs(pair - pointwise) <= pointwise_bound + paired)
 
     def test_scalar_shift_and_refusals(self):
         s = np.array([0.5 + 20.0j, 1.25 - 3.0j])
@@ -349,88 +345,69 @@ class TestCertifiedTruncation:
     def test_rounding_bound_refuses_a_complex_shift(self, a):
         # its imaginary part was once dropped with a ComplexWarning
         with pytest.raises(ValueError):
-            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a)
+            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a, modulus=4)
 
     @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0])])
     def test_rounding_bound_refuses_a_shift_not_positive(self, a):
         # a = 0 once gave inf
         with pytest.raises(ValueError):
-            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a)
+            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a, modulus=4)
 
     def test_bound_is_honest(self):
-        # observed error never exceeds the truncation bound plus the rounding
-        # bound; on the critical line the two stay far below the 1e-9 radius
-        # of an ordinate (off it, a = 1/199 makes a^-s alone large)
-        for s in (0.5 + 30.0j, 2.0 + 3.0j, 1.2 - 80.0j, 0.5 + 200.0j, 0.5 - 300.0j, 1.25 + 51.0j):
-            for a in (1.0 / 199.0, 0.25, 1.0):
-                err = abs(hurwitz_zeta(s, a) - complex(mp.zeta(s, a)))
-                bound = float(hurwitz_error_bound(np.array([s]), a)[0])
-                rounding = float(_pointwise_bound(np.array([s]), a)[0])
-                assert err <= bound + rounding
-                assert s.real != 0.5 or bound + rounding < 1e-10
-        # the paired path, both sides of every centre of one call, within the
-        # bounds of the whole call
+        # Observed error never exceeds the truncation bound plus the rounding
+        # bound, against zeta(s, u/q) at the exact u/q, for each grid shape
+        # at q = 1, 5 and 199; on the critical line the two stay far below
+        # the 1e-9 radius of an ordinate (off it, a = 1/199 makes a^-s alone
+        # large).  Each call takes every unit mod q; the first and the last
+        # are checked.
         r = 1e-9
-        for sigma in (0.5, 1.25):
-            centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
-            sides = np.stack([centres - 1j * r, centres + 1j * r])
-            for a in (1.0 / 199.0, 0.25, 1.0):
-                pair = _pair(centres, r, a)
-                bound = hurwitz_error_bound(sides, a) + _pair_bound(centres, r, a)
-                for idx in np.ndindex(*sides.shape):
-                    err = abs(pair[idx] - complex(mp.zeta(sides[idx], a)))
-                    assert err <= bound[idx], (sides[idx], a)
-                    assert sigma != 0.5 or bound[idx] < 1e-9
-        # one 18-unit call of each certified path (the units mod 19), whose
-        # tails are one matrix product across the units; four units checked
-        a = _units(19)
-        for sigma in (0.5, 1.25):
-            centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
-            sides = np.stack([centres - 1j * r, centres + 1j * r])
-            for points, values, rounding in (
-                (centres, hurwitz_zeta_vec(centres, a), _pointwise_bound(centres, a)),
-                (sides, _pair(centres, r, a), _pair_bound(centres, r, a)),
-            ):
-                assert values.shape == points.shape + a.shape
-                for u in (0, 5, 11, 17):
+        for q in (1, 5, 199):
+            a, exact = _units(q), _exact_units(q)
+
+            def check(points, values, rounding, ks=None):
+                # values and rounding in the layout points.shape + a.shape
+                assert values.shape == rounding.shape == points.shape + a.shape
+                for u in sorted({0, len(a) - 1}):
                     bound = hurwitz_error_bound(points, a[u]) + rounding[..., u]
-                    for idx in np.ndindex(*points.shape):
-                        err = abs(values[idx + (u,)] - complex(mp.zeta(points[idx], a[u])))
-                        assert err <= bound[idx], (points[idx], a[u])
-                        assert sigma != 0.5 or bound[idx] < 1e-9
-        # the lattice's grid, whose values seed every zero: 23 points across
-        # |t| <= 1000 (a 5 x 5 grid cut to 23), and 82 lattice points below
-        # 1000 (a 10 x 9 grid cut to 82) as the engine banks them, within
-        # the bound of the whole grid
-        a = np.array([1.0 / 199.0, 0.25, 1.0])
-        for sigma in (0.5, 1.25):
-            for t0, h, count, ks in ((-300.0, 1300.0 / 22.0, 23, (0, 7, 11, 22)), (995.0, 0.05, 82, (0, 9, 40, 81))):
-                c, d, s = _lattice(sigma, t0, h, count)
-                assert len(c) * len(d) > count
-                points = (c[:, None] + d).ravel()
-                values = hurwitz_zeta_vec(c, a, d=d).reshape(-1, len(a))
-                truncation = np.stack([hurwitz_error_bound(points, x) for x in a], axis=-1)
-                bound = truncation + hurwitz_rounding_bound(c, a, d=d).reshape(-1, len(a))
-                for k in ks:
-                    for u in range(len(a)):
-                        err = abs(values[k, u] - complex(mp.zeta(s[k], a[u])))
-                        assert err <= bound[k, u], (s[k], a[u])
-                        assert sigma != 0.5 or bound[k, u] < 1e-9
-        # the count's horizontal edges: c = i T for heights up to 1000 and d
-        # the 16 abscissae 1/2..5/4, one grid, within the bound of the grid
-        c = 1j * np.array([30.0, 300.0, 1000.0])
-        d = np.linspace(0.5, 1.25, 16)
-        points = (c[:, None] + d).ravel()
-        values = hurwitz_zeta_vec(c, a, d=d).reshape(-1, len(a))
-        truncation = np.stack([hurwitz_error_bound(points, x) for x in a], axis=-1)
-        bound = truncation + hurwitz_rounding_bound(c, a, d=d).reshape(-1, len(a))
-        for p in range(len(c)):
-            for q in (0, 7, 15):
-                k = p * len(d) + q
-                assert points[k] == complex(d[q], c[p].imag)
-                for u in range(len(a)):
-                    err = abs(values[k, u] - complex(mp.zeta(points[k], a[u])))
-                    assert err <= bound[k, u], (points[k], a[u])
+                    for idx in ks if ks is not None else np.ndindex(*points.shape):
+                        err = abs(values[idx][u] - complex(mp.zeta(mp.mpc(points[idx].real, points[idx].imag), exact[u])))
+                        assert err <= bound[idx], (q, points[idx], u)
+                        assert points[idx].real != 0.5 or bound[idx] < 1e-9, (q, points[idx], u)
+
+            # pointwise, one point per call
+            for s in (0.5 + 30.0j, 2.0 + 3.0j, 1.2 - 80.0j, 0.5 + 200.0j, 0.5 - 300.0j, 1.25 + 51.0j):
+                point = np.array([s])
+                check(point, hurwitz_zeta_vec(point, a, modulus=q), hurwitz_rounding_bound(point, a, modulus=q))
+            # pointwise over three centres, and the paired path, both sides of
+            # every centre, within the bounds of the whole call
+            for sigma in (0.5, 1.25):
+                centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
+                sides = np.stack([centres - 1j * r, centres + 1j * r])
+                check(centres, hurwitz_zeta_vec(centres, a, modulus=q), hurwitz_rounding_bound(centres, a, modulus=q))
+                check(sides, _pair(centres, r, a, q), _pair_bound(centres, r, a, q))
+            # the lattice's grid, whose values seed every zero: 23 points
+            # across |t| <= 1000 (a 5 x 5 grid cut to 23), and 82 lattice
+            # points below 1000 (a 10 x 9 grid cut to 82) as the engine banks
+            # them, within the bound of the whole grid
+            for sigma in (0.5, 1.25):
+                for t0, h, count, ks in ((-300.0, 1300.0 / 22.0, 23, (0, 7, 11, 22)), (995.0, 0.05, 82, (0, 9, 40, 81))):
+                    c, d, s = _lattice(sigma, t0, h, count)
+                    assert len(c) * len(d) > count
+                    points = (c[:, None] + d).ravel()
+                    assert np.array_equal(points[:count], s)
+                    values = hurwitz_zeta_vec(c, a, d=d, modulus=q).reshape(-1, len(a))
+                    rounding = hurwitz_rounding_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
+                    check(points, values, rounding, ks=[(k,) for k in ks])
+            # the count's horizontal edges: c = i T for heights up to 1000 and
+            # d the 16 abscissae 1/2..5/4, one grid, within the bound of the grid
+            c = 1j * np.array([30.0, 300.0, 1000.0])
+            d = np.linspace(0.5, 1.25, 16)
+            points = (c[:, None] + d).ravel()
+            values = hurwitz_zeta_vec(c, a, d=d, modulus=q).reshape(-1, len(a))
+            rounding = hurwitz_rounding_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
+            ks = [(p, j) for p in range(len(c)) for j in (0, 7, 15)]
+            assert all(points[p * len(d) + j] == complex(d[j], c[p].imag) for p, j in ks)
+            check(points, values, rounding, ks=[(p * len(d) + j,) for p, j in ks])
 
     @pytest.mark.parametrize("q", [1, 4, 5, 19, 199])
     def test_bound_is_honest_with_a_modulus(self, q):
@@ -463,12 +440,12 @@ class TestCertifiedTruncation:
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s
         s = np.array([[0.5 + 3.0j, 0.5 + 200.0j], [1.25 - 7.0j, 0.5 + 0.0j]])
-        a = np.array([0.1, 0.5, 1.0])
-        both = hurwitz_rounding_bound(s, a)
+        a = _units(5)
+        both = hurwitz_rounding_bound(s, a, modulus=5)
         assert both.shape == s.shape + a.shape
         assert np.all(both > 0.0)
         # a low point shares the tall point's larger shift, so its bound grows
-        alone = hurwitz_rounding_bound(s[0, :1], a)
+        alone = hurwitz_rounding_bound(s[0, :1], a, modulus=5)
         assert np.all(both[0, 0] > alone[0])
 
 

@@ -15,7 +15,6 @@ from zerokit.kernels import (
     psi_mellin,
     psi_mellin_bounds_check,
     psi_weight,
-    psi_weight_vec,
 )
 
 P11 = WeightParams(degree_n=1, height_T=1.0)
@@ -87,17 +86,38 @@ class TestPsiWeight:
         for p in (P11, P21, WeightParams(degree_n=3, height_T=2.0)):
             half = 2.0 * p.degree_n / p.scale_A
             xs = np.exp(np.linspace(-1.2 * half, 1.2 * half, 10_000))
-            vals = psi_weight_vec(xs, p)
+            vals = psi_weight(xs, p)
             assert np.all(vals >= 0.0)
             assert np.all(vals <= p.scale_A / 2.0 + 1e-12)
             outside = np.abs(np.log(xs)) >= half
             assert np.all(vals[outside] == 0.0)
 
     def test_vector_matches_scalar(self):
+        # an array gives an array, and a float the same value as a float
         xs = np.exp(np.linspace(-1.0, 1.0, 101))
-        vals = psi_weight_vec(xs, P11)
+        vals = psi_weight(xs, P11)
+        assert vals.shape == xs.shape
         for x, v in zip(xs, vals):
-            assert v == pytest.approx(psi_weight(float(x), P11), abs=1e-15)
+            one = psi_weight(float(x), P11)
+            assert type(one) is float and one == v
+
+    @pytest.mark.parametrize("degree", [1, 4, 10, 16])
+    def test_against_mpmath(self, degree):
+        # the Irwin--Hall sum at 60 digits, at the same t = A log(x)/2 + n:
+        # within 1e-10 of the peak up to degree 16, where the unfolded
+        # alternating sum over j < 2n cancels to nothing
+        p = WeightParams(degree_n=degree, height_T=2.0)
+        half = 2.0 * degree / p.scale_A
+        xs = np.exp(np.linspace(-half, half, 1001))
+        m = 2 * degree
+        with mp.workdps(60):
+            ref = []
+            for x in xs:
+                t = p.scale_A * mp.log(mp.mpf(x)) / 2 + degree
+                acc = mp.fsum((-1) ** j * mp.binomial(m, j) * (t - j) ** (m - 1) for j in range(int(mp.floor(t)) + 1))
+                ref.append(float(max(acc, 0) / mp.factorial(m - 1) * p.scale_A / 2) if 0 < t < m else 0.0)
+        ref = np.array(ref)
+        assert np.max(np.abs(psi_weight(xs, p) - ref)) <= 1e-10 * np.max(ref)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
