@@ -217,6 +217,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--samples must be at least 1 for the circle suite, got {args.samples}")
     if "hadamard" in suites and args.k < 2:
         raise ValueError(f"--k must be at least 2 for the hadamard suite, got {args.k}")
+    if "density" in suites and args.height < 1.0:
+        raise ValueError(f"--height must be at least 1 for the density suite, got {args.height}")
     # The guard applies to the zero data the suites read, not to the raw flags.
     needed = zero_data_needed(suites, args.qmax, args.height)
     for q, h in needed:

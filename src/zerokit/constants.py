@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -142,8 +143,9 @@ class FieldParams:
 
     def __post_init__(self) -> None:
         for item in fields(self):
-            if not math.isfinite(getattr(self, item.name)):
-                raise ValueError(f"{item.name} must be finite, got {getattr(self, item.name)}")
+            # refuses nan, inf and an integer beyond float64 alike
+            if not abs(getattr(self, item.name)) <= sys.float_info.max:
+                raise ValueError(f"{item.name} must be finite in float64, got {getattr(self, item.name)}")
         if self.n_K < 1:
             raise ValueError("n_K must be a positive integer")
         if self.D_K < 1.0 or self.Q < 1.0 or self.Nq < 1.0 or self.T < 1.0:
@@ -458,6 +460,8 @@ def evaluate_density_bound(
         + p.n_K * math.log(p.T)
     )
     log_value = math.log(leading_constant) + exponent * (1.0 - sigma) * log_base
+    if not math.isfinite(log_value):
+        raise ValueError(f"log_bound must be finite, got {log_value}: the inputs overflow float64")
     overflow = log_value > 700.0
     return DensityBound(
         value=math.inf if overflow else math.exp(log_value),

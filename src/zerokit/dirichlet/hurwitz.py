@@ -14,8 +14,8 @@ Re s + 2M + 1 <= 1 the bound is not valid and N = max(20, ceil(2 |Im s|)).
 No larger floor is imposed for Re s < 0: there the direct terms (n+a)^-s grow
 like n^|Re s|, so a larger N only adds rounding error (the bound is exactly 0
 at the negative integers, where the formula is a polynomial identity and N = 1
-serves).  `hurwitz_error_bound` reports the bound per entry at the same N, and
-`hurwitz_rounding_bound` the floating-point error of the sum itself.
+serves).  `hurwitz_bound` reports, per entry, this bound at the same N and the
+entry's own a plus the floating-point error of the sum itself.
 
 One kernel, `hurwitz_zeta_vec(s, a, d=..., modulus=...)`, forms the terms
 (n+a)^-s.  It takes a grid of points s_p + d_q, any array s and a short row
@@ -32,8 +32,8 @@ complex product of two earlier rows, and q^s multiplies each point once,
 after the sum.  Every grid shares one Euler--Maclaurin tail (`_add_tail`:
 one float64 matrix product of the Pochhammer symbols (s)_{2j-1}, one row
 per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift), and
-every grid with a modulus one rounding bound, `hurwitz_rounding_bound`,
-which counts the prime factors and q^s.  The kernel's callers:
+every grid with a modulus one error bound, `hurwitz_bound`, whose rounding
+part counts the prime factors and q^s.  The kernel's callers:
 
 * at d = 0, for any s and Re a > 0 (a complex a serves
   `lfunctions.trivial_zero_sum`), and with the modulus for the L-values of
@@ -43,7 +43,8 @@ which counts the prime factors and q^s.  The kernel's callers:
   which seeds every zero; the count's horizontal edges, s = i T and d the
   abscissae; the quarter-step regrid, one s per cell and d the cell's
   nodes; and the certified sign checks, s = 1/2 + i gamma and
-  d = (-i r, +i r), whose radius includes the rounding bound at that d.
+  d = (-i r, +i r), whose radius sums `hurwitz_bound` at that d over the
+  units.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ import numpy as np
 from zerokit.dirichlet.arith import factorize, least_prime_factors
 
 __all__ = [
+    "hurwitz_bound",
     "hurwitz_zeta",
     "hurwitz_zeta_vec",
-    "hurwitz_error_bound",
-    "hurwitz_rounding_bound",
 ]
 
 ORDER = 20  # Euler--Maclaurin correction order M
@@ -121,7 +121,7 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
     A complex shift a, as in `hurwitz_zeta`'s scalar a, splits each column
     of the table into its real and imaginary parts, paired again after the
     product.  The other pieces and the factors w and w^-s stay outside the
-    product, as `hurwitz_rounding_bound` counts them.
+    product, as `hurwitz_bound` counts them.
     """
     # poly[j - 1] = (s)_{2j-1}: order j multiplies in (s + 2j - 3)(s + 2j - 2).
     points = s[:, 0]
@@ -152,22 +152,13 @@ def _grid_points(s, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, d, (c[:, None] + d).ravel()
 
 
-def _real_shifts(a) -> np.ndarray:
-    """a as a float array, refused unless every entry is real and > 0, as the bounds require."""
-    if np.iscomplexobj(a):
-        raise ValueError("the Hurwitz bounds require a real shift a")
-    a = np.asarray(a, dtype=float)
-    if not np.all(a > 0.0):
-        raise ValueError("the Hurwitz bounds require a > 0")
-    return a
-
-
 def _units(shifts: np.ndarray, modulus: int) -> np.ndarray:
-    """The u with a = u/q for each shift a, refused unless a is real and gcd(u, q) = 1."""
+    """The u with a = u/q for each shift a, refused unless a is real, 0 < u <= 2^53 and gcd(u, q) = 1."""
     if modulus < 1 or np.iscomplexobj(shifts):
         raise ValueError("a modulus needs real shifts a = u/q and q >= 1")
     units = np.rint(shifts * modulus)
-    if np.any(units / modulus != shifts) or np.any(np.gcd(units.astype(np.int64), modulus) != 1):
+    exact = (units / modulus == shifts) & (units >= 1) & (units <= 2.0**53)  # refuses nan and inf too
+    if not np.all(exact) or np.any(np.gcd(units.astype(np.int64), modulus) != 1):
         raise ValueError(f"every shift must be u/{modulus} with u > 0 prime to {modulus}")
     return units.astype(np.int64)
 
@@ -308,30 +299,32 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
     return out.reshape(shape)
 
 
-def hurwitz_error_bound(s: np.ndarray, a: float | np.ndarray) -> np.ndarray:
-    """Certified bound on the truncation remainder R_M at each point of s, for real a > 0.
+def _pochhammer(s: np.ndarray) -> np.ndarray:
+    """|(s)_{2j-1}| for j = 1..ORDER+1, one row per point of the flat s: one cumulative product of |s + i|."""
+    return np.cumprod(np.abs(s[:, None] + np.arange(2 * ORDER + 1)), axis=1)[:, ::2]
 
-    The shift is the one `hurwitz_zeta_vec` takes for the whole of s, so s
-    must hold every point of one kernel call: its s at d = 0, or every sum
-    s_p + d_q of a grid, as both sides of every ordinate of a sign check.
-    An array a broadcasts against s.
+
+def _truncation(s: np.ndarray, w: np.ndarray, poch: np.ndarray) -> np.ndarray:
+    """The module docstring's bound on |R_M| at the flat points s (rows) and w = N + a (columns), real a > 0.
+
+    poch is `_pochhammer(s)`, whose last column is |(s)_{2M+1}|.
     """
-    a = _real_shifts(a)
-    s = np.asarray(s, dtype=complex)
-    w = _shift_for(s) + a
-    # |(s)_{2M+1}|: one product of the factors |s + i|, i = 0..2M, along a first axis
-    poch = np.prod(np.abs(s + np.arange(2 * ORDER + 1).reshape((-1,) + (1,) * s.ndim)), axis=0)
-    mag = abs(_bernoulli_over_factorial()[ORDER]) * poch * w ** (-(s.real + 2 * ORDER + 1))
-    return mag * np.abs(s + 2 * ORDER + 1) / np.maximum(s.real + 2 * ORDER + 1, 1e-300)
+    expo = s.real[:, None] + 2 * ORDER + 1
+    mag = abs(_bernoulli_over_factorial()[ORDER]) * poch[:, ORDER:] * w ** -expo
+    return mag * np.abs(s[:, None] + 2 * ORDER + 1) / np.maximum(expo, 1e-300)
 
 
-def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarray:
-    """Bound on the floating-point error of hurwitz_zeta_vec(s, a, d=d, modulus=modulus), every a = u/q.
+def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarray:
+    """Bound on the error of hurwitz_zeta_vec(s, a, d=d, modulus=modulus) against zeta(s_p + d_q, a), every a = u/q.
 
     The result has the kernel's shape, one entry per point s_p + d_q (called
-    s below), and takes the shift N the kernel takes for the same points.
-    With u = 2^-53 it adds two parts, to first order in u; log, exp, cos,
-    sin and each real sum or product are taken to round once.
+    s below) and shift a, and takes the shift N the kernel takes for the same
+    points.  Each entry is the truncation bound on R_M of the module
+    docstring at the entry's own a (`_truncation`) plus the rounding bound
+    below; both take their Pochhammer magnitudes from `_pochhammer`.
+
+    The rounding bound.  With u = 2^-53 it adds two parts, to first order in
+    u; log, exp, cos, sin and each real sum or product are taken to round once.
 
     The error of one term.  A term is q^s m^-s, m = n q + u, and
     (n+a)^-Re s = q^Re s m^-Re s.  Every m the kernel forms is at most N q + max u, so m has
@@ -399,19 +392,18 @@ def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> 
     """
     shape = np.shape(s) + np.shape(d) + np.shape(a)
     _, d, s = _grid_points(s, d)
-    a = _real_shifts(a)
+    units = _units(np.ravel(a), modulus)
+    shifts = units / modulus  # the shifts a, as validated floats
     n_shift = _shift_for(s)
     flat = s[:, None]
-    shifts = a.reshape(1, -1)
     log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
     logw = np.log(n_shift + shifts)
-    # |(s)_{2j-1}| for j = 1..ORDER, one row per point.
-    poch = np.cumprod(np.abs(flat + np.arange(2 * ORDER - 1)), axis=1)[:, ::2]
+    poch = _pochhammer(s)
     coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
     # Per point and shift: the direct block's sum_{n<N} (n+a)^-Re s, its
     # phase weight sum_{n<N} (n+a)^-Re s |log(n+a)|, and the tail's
     # |w^(1-s)/(s-1)| + |w^-s|/2 + sum_j |B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1)|.
-    direct, phase, tail = (np.empty((len(s), shifts.shape[1])) for _ in range(3))
+    direct, phase, tail = (np.empty((len(s), len(shifts))) for _ in range(3))
     for sigma in np.unique(flat.real):
         rows = flat[:, 0].real == sigma
         mag = np.exp(-sigma * log_n)
@@ -421,18 +413,18 @@ def hurwitz_rounding_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> 
         tail[rows] = (
             np.exp((1.0 - sigma) * logw) / np.abs(flat[rows] - 1.0)
             + 0.5 * np.exp(-sigma * logw)
-            + poch[rows] @ powers
+            + poch[rows, :ORDER] @ powers
         )
 
     size = np.abs(flat)
     r = float(np.max(np.abs(d)))
-    k = (n_shift * modulus + int(_units(a.ravel(), modulus).max())).bit_length()
+    k = (n_shift * modulus + int(units.max())).bit_length()
     log_q = math.log(modulus)
     terms = (7 * k - 3 + 5.0 * log_q * size) * direct + 3.0 * size * phase
     terms += (14 * ORDER + 9 + 7 * k + size * (3.0 * logw + 5.0 * log_q)) * tail
     paired = (7 * k + 4.0 * r * log_q) * direct + 4.0 * r * phase + (7 * k + 4.0 * r * (logw + log_q)) * tail
     adds = n_shift if len(d) <= 2 else 3 * n_shift
-    bound = 2.0**-53 * (terms + (adds + 1) * (direct + tail))
+    bound = _truncation(s, n_shift + shifts, poch) + 2.0**-53 * (terms + (adds + 1) * (direct + tail))
     if r > 0.0:
         bound = bound + 2.0**-53 * paired
     return bound.reshape(shape)

@@ -149,10 +149,14 @@ def log_deriv_by_contour(
         )
     log_l = np.log(np.abs(values)) + 1j * phase[:-1]
     # radius^(k+1) underflows for a large order k (near k = 440 at s = 3/2),
-    # and the coefficient overflows with it: refuse the order, never return inf.
+    # and the coefficient overflows with it: refuse the order, never return
+    # inf.  An order k beyond float64 cannot even be multiplied in.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        coeff = np.sum(log_l * np.exp(-1j * (k + 1) * theta)) / (nodes * radius ** (k + 1))
-        value = complex((-1.0) ** (k + 1) * (k + 1) * coeff)
+        try:
+            coeff = np.sum(log_l * np.exp(-1j * (k + 1) * theta)) / (nodes * radius ** (k + 1))
+            value = complex((-1.0) ** (k + 1) * (k + 1) * coeff)
+        except OverflowError:
+            value = complex(math.nan)
     if not cmath.isfinite(value):
         raise ValueError(f"order k = {k} is out of float64 range: (d/ds)^k L'/L at {s} is not finite")
     if tolerance is not None:

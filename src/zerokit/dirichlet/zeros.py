@@ -25,9 +25,9 @@ in method but not in the evaluator.
   with no further evaluation of Z (the cells with |t| < LOW are seeded from
   the quarter-step regrid below instead); one
   batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
-  certified error radius (Hurwitz truncation plus floating-point rounding,
-  so both values of a check come from one exp per term of the Hurwitz grid
-  at d = -/+ i TARGET_RADIUS, which that bound covers); a check whose
+  certified error radius (`hurwitz.hurwitz_bound`, Hurwitz truncation plus
+  floating-point rounding, which covers the Hurwitz grid at
+  d = -/+ i TARGET_RADIUS that gives both values of a check); a check whose
   values change sign but stay inside their radius, as at a close pair of
   zeros, is repeated at 10 and then 100 TARGET_RADIUS, and the offset that
   clears is the zero's certified radius; and one local regrid at a quarter step of the cells
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
-from zerokit.dirichlet.hurwitz import hurwitz_error_bound, hurwitz_rounding_bound, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import hurwitz_bound, hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 
 __all__ = [
@@ -371,16 +371,12 @@ class ModulusEngine:
         rot = e^(i theta) q^-s and S = sum_a W[a] H[a].
         Errors in rot only scale and turn rot S, which is real, so they cannot
         change its sign; what can is the error in S, times |rot| = q^-1/2:
-        the truncation `hurwitz_error_bound(s, 1/q)` (a = 1/q is the worst
-        unit) for each of the phi(q) units with |chi(a)| = 1, the kernel's
-        `hurwitz_rounding_bound(c, d=d, modulus=q)` per unit, both at the
-        shift of the whole call, and phi(q) + 2 roundings of each |H[a]| in
-        the weights and the sum over the units.
+        the kernel's `hurwitz_bound` summed over the units (each weight has
+        |chi(a)| = 1), and phi(q) + 2 roundings of each |H[a]| in the weights
+        and that sum.
         """
-        shifts = self._units / self.modulus
-        error = len(shifts) * hurwitz_error_bound(c[:, None] + d, 1.0 / self.modulus)
-        error = error + hurwitz_rounding_bound(c, shifts, d=d, modulus=self.modulus).sum(axis=-1)
-        error = error + (len(shifts) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
+        error = hurwitz_bound(c, self._units / self.modulus, d=d, modulus=self.modulus).sum(axis=-1)
+        error = error + (len(self._units) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
         return error / math.sqrt(self.modulus)
 
     # -- counting ---------------------------------------------------------------

@@ -118,6 +118,11 @@ class TestBounds:
             (("density", "--sigma", "0.9", "--exponent", "nan"), "exponent"),
             (("density", "--sigma", "0.9", "--implied-nk", "nan"), "implied_nk_constant"),
             (("density", "--sigma", "0.9", "--q", "inf"), "Q"),
+            # beyond float64: an integer, and a log bound that overflows
+            (("density", "--sigma", "0.6", "--nk", str(10**400)), "n_K"),
+            (("repulsion", "--kind", "quadratic", "--beta1", "0.5", "--nk", str(10**400)), "n_K"),
+            (("density", "--sigma", "1", "--nk", "10", "--implied-nk", "1e308"), "log_bound"),
+            (("density", "--sigma", "0.6", "--nk", "10", "--implied-nk", "1e308"), "log_bound"),
         ],
     )
     def test_non_finite_input_is_a_usage_error(self, capsys, argv, name):
@@ -375,6 +380,8 @@ class TestZerosAndVerify:
             ["--suite", "circle", "--qmax", "7", "--height", "5", "--samples", "0"],
             ["--suite", "hadamard", "--k", "1"],
             ["--k", "1"],
+            ["--suite", "density", "--height", "0.5"],
+            ["--height", "0.5"],
         ],
     )
     def test_bad_suite_arguments_exit_before_any_scan(self, capsys, tmp_path, argv):
@@ -397,12 +404,14 @@ class TestZerosAndVerify:
 
     def test_hadamard_beyond_float_range_is_a_usage_error(self, capsys, tmp_path):
         # At k = 600 the contour's radius^(k+1) underflows and the derivative
-        # side would be inf: the order is refused.
-        argv = ["verify", "--suite", "hadamard", "--k", "600", "--scan-missing", "--cache-dir", str(tmp_path)]
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error:") and "order k = 600 is out of float64 range" in err
+        # side would be inf, and k = 10^400 is no float64 at all: the order
+        # is refused.
+        for k in ("600", str(10**400)):
+            argv = ["verify", "--suite", "hadamard", "--k", k, "--scan-missing", "--cache-dir", str(tmp_path)]
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error:") and f"order k = {k} is out of float64 range" in err
 
     def test_verify_missing_data_exit_code(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--suite", "density", "--qmax", "3", "--height", "10", "--cache-dir", str(tmp_path))
@@ -414,14 +423,21 @@ class TestZerosAndVerify:
 
     @pytest.mark.parametrize("suite", ["largesieve", "selberg", "detector"])
     def test_zero_free_suites_need_no_cache(self, capsys, tmp_path, suite):
-        # --samples and --k belong to the circle and hadamard suites alone.
-        argv = ["verify", "--suite", suite, "--samples", "0", "--k", "1", "--scan-missing"]
+        # --samples and --k belong to the circle and hadamard suites alone,
+        # and a --height below 1 is refused by the density suite alone.
+        argv = ["verify", "--suite", suite, "--samples", "0", "--k", "1", "--height", "0.5", "--scan-missing"]
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "cache"))
         assert code == EXIT_OK
         assert f"{suite}." in out
         assert not (tmp_path / "cache").exists()
         code, _, _ = run(capsys, "verify", "--suite", suite, "--cache-dir", str(tmp_path / "cache"))
         assert code == EXIT_OK
+
+    def test_circle_suite_takes_a_height_below_one(self, capsys, tmp_path):
+        argv = ["verify", "--suite", "circle", "--qmax", "3", "--height", "0.5", "--scan-missing", "--json"]
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK, err
+        assert all(r["name"].startswith("circle.") and r["pass"] for r in json.loads(out))
 
     def test_scan_missing_scans_only_what_the_suites_read(self, capsys, tmp_path):
         argv = ["verify", "--suite", "hadamard", "--qmax", "10", "--height", "30", "--scan-missing"]

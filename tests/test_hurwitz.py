@@ -8,8 +8,7 @@ from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.arith import factorize
 from zerokit.dirichlet.hurwitz import (
     TARGET,
-    hurwitz_error_bound,
-    hurwitz_rounding_bound,
+    hurwitz_bound,
     hurwitz_zeta,
     hurwitz_zeta_vec,
 )
@@ -36,9 +35,16 @@ def _pair(s, r, a, q=None):
 
 
 def _pair_bound(s, r, a, q):
-    """hurwitz_rounding_bound of `_pair(s, r, a, q)`, in its layout."""
-    bound = hurwitz_rounding_bound(s, a, d=[-1j * r, 1j * r], modulus=q)
+    """hurwitz_bound of `_pair(s, r, a, q)`, in its layout."""
+    bound = hurwitz_bound(s, a, d=[-1j * r, 1j * r], modulus=q)
     return np.moveaxis(bound, 1, 0)
+
+
+def _truncation(s, a):
+    """The truncation part of `hurwitz_bound` at the points s (any shape) and one real a > 0, at the kernel's shift."""
+    flat = np.ravel(s).astype(complex)
+    bound = hurwitz._truncation(flat, hurwitz._shift_for(flat) + np.array([a]), hurwitz._pochhammer(flat))
+    return bound.reshape(np.shape(s))
 
 
 class TestValues:
@@ -128,16 +134,26 @@ class TestValues:
 
     @pytest.mark.parametrize(
         "a,q",
-        [(0.3, 4), (np.array([0.25, 0.3]), 4), (0.5, 4), (np.array([1 / 3, 2 / 3 + 1e-12]), 3), (0.5 + 0.1j, 2), (0.5, 0)],
+        [
+            (0.3, 4),
+            (np.array([0.25, 0.3]), 4),
+            (0.5, 4),
+            (np.array([1 / 3, 2 / 3 + 1e-12]), 3),
+            (0.5 + 0.1j, 2),
+            (0.5, 0),
+            (1e30, 1),
+            (np.inf, 1),
+        ],
     )
     def test_shift_not_of_the_form_u_over_q_is_refused(self, a, q):
         # 0.3 is no u/4, 2/4 is not a unit, 2/3 + 1e-12 is off by far more
-        # than its rounding, a complex shift has no u, and q must be >= 1
+        # than its rounding, a complex shift has no u, q must be >= 1, and
+        # u must be an exact integer of float64 (the bound once gave nan)
         s = np.array([0.5 + 14.1j])
         with pytest.raises(ValueError):
             hurwitz_zeta_vec(s, a, modulus=q)
         with pytest.raises(ValueError):
-            hurwitz_rounding_bound(s, a, modulus=q)
+            hurwitz_bound(s, a, modulus=q)
 
     def test_pole_raises(self):
         with pytest.raises(ValueError):
@@ -248,7 +264,8 @@ class TestPair:
     @pytest.mark.parametrize("q", [1, 5, 199])
     def test_matches_the_pointwise_kernel(self, q, r):
         # One pointwise call over both sides takes the pair's shift, so the
-        # two differ by their rounding alone.
+        # two differ by their rounding alone, and the pair's bound adds its
+        # offset part to the same truncation.
         a = _units(q)
         s = 0.5 + 1j * np.array([0.0, 14.13, -77.0, 300.0, 999.5])
         sides = np.stack([s - 1j * r, s + 1j * r])
@@ -256,7 +273,7 @@ class TestPair:
         assert hurwitz_zeta_vec(s, a, d=[-1j * r, 1j * r]).shape == s.shape + (2,) + a.shape
         assert pair.shape == (2,) + s.shape + a.shape
         pointwise = hurwitz_zeta_vec(sides, a, modulus=q)
-        pointwise_bound = hurwitz_rounding_bound(sides, a, modulus=q)
+        pointwise_bound = hurwitz_bound(sides, a, modulus=q)
         paired = _pair_bound(s, r, a, q)
         assert np.all(paired > pointwise_bound)
         assert np.all(np.abs(pair - pointwise) <= pointwise_bound + paired)
@@ -280,9 +297,9 @@ class TestCertifiedTruncation:
         for sigma in (-0.25, 0.5, 1.25, 3.0):
             s = sigma + 1j * ts
             for a in (0.05, 0.5, 1.0):
-                assert np.all(hurwitz_error_bound(s, a) <= TARGET)
+                assert np.all(_truncation(s, a) <= TARGET)
                 for point in s:
-                    assert hurwitz_error_bound(np.array([point]), a)[0] <= TARGET
+                    assert _truncation(np.array([point]), a)[0] <= TARGET
 
     @pytest.mark.parametrize("sigma", [0.5, 1.25, 3.0])
     @pytest.mark.parametrize("t", [10.0, 100.0, 1000.0])
@@ -291,7 +308,7 @@ class TestCertifiedTruncation:
         s = np.array([complex(sigma, t)])
         n_shift = hurwitz._shift_for(s)
         monkeypatch.setattr(hurwitz, "_shift_for", lambda s: n_shift - 1)
-        assert hurwitz_error_bound(s, 1e-9)[0] > TARGET
+        assert _truncation(s, 1e-9)[0] > TARGET
 
     def test_shift_matches_the_factor_by_factor_rule(self):
         # The vectorised rule picks the same N as the one-factor-at-a-time
@@ -318,7 +335,7 @@ class TestCertifiedTruncation:
                     assert hurwitz._shift_for(s) == one_at_a_time(s), (lo, hi, t)
 
     def test_error_bound_matches_the_factor_by_factor_product(self):
-        # |(s)_{2M+1}| as one product of magnitudes along an axis, against the
+        # |(s)_{2M+1}| as one cumulative product of magnitudes, against the
         # running complex product it replaced; the order of rounding changed
         s = np.array([[0.5 + 0.0j, 0.5 + 14.1j, 1.25 - 300.0j], [-0.25 + 999.0j, 3.0 + 51.0j, 0.5 + 1000.0j]])
         poch = np.ones(s.shape, dtype=complex)
@@ -328,47 +345,42 @@ class TestCertifiedTruncation:
         expo = s.real + 2 * hurwitz.ORDER + 1
         mag = abs(hurwitz._bernoulli_over_factorial()[hurwitz.ORDER]) * np.abs(poch) * w ** (-expo)
         reference = mag * np.abs(s + 2 * hurwitz.ORDER + 1) / expo
-        assert hurwitz_error_bound(s, 0.25) == pytest.approx(reference, rel=1e-13)
+        assert _truncation(s, 0.25) == pytest.approx(reference, rel=1e-13)
 
-    @pytest.mark.parametrize("a", [np.array(0.5 + 1j), np.array([0.25, 0.5 + 0.0j])])
-    def test_error_bound_refuses_a_complex_array_shift(self, a):
+    @pytest.mark.parametrize(
+        "a",
+        [0.5 + 1.0j, 3.0 + 0.0j, np.array(0.5 + 1j), np.array([0.25, 0.5 + 0.0j]), np.array([0.25, 0.5 + 1.0j])],
+    )
+    def test_bound_refuses_complex_shift(self, a):
+        # the bound raises w = N + a to a real power, so it holds only for
+        # real a; its imaginary part was once dropped with a ComplexWarning
         with pytest.raises(ValueError):
-            hurwitz_error_bound(np.array([2.0 + 3.0j]), a)
+            hurwitz_bound(np.array([0.5 + 14.0j]), a, modulus=4)
 
-    @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan")])
+    @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan"), -1.0])
     def test_error_bound_refuses_a_shift_not_positive(self, a):
-        # the kernel refuses these shifts, so no bound is given for them
-        with pytest.raises(ValueError):
-            hurwitz_error_bound(np.array([0.5 + 14.0j]), a)
-
-    @pytest.mark.parametrize("a", [0.5 + 1.0j, np.array([0.25, 0.5 + 1.0j]), 3.0 + 0.0j])
-    def test_rounding_bound_refuses_a_complex_shift(self, a):
-        # its imaginary part was once dropped with a ComplexWarning
-        with pytest.raises(ValueError):
-            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a, modulus=4)
-
-    @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0])])
-    def test_rounding_bound_refuses_a_shift_not_positive(self, a):
-        # a = 0 once gave inf
-        with pytest.raises(ValueError):
-            hurwitz_rounding_bound(np.array([0.5 + 14.0j]), a, modulus=4)
+        # the kernel refuses these shifts, so no bound is given for them (a =
+        # 0 once gave inf); at q = 1, 0 and -1 are u/q with gcd(u, q) = 1
+        for q in (1, 4):
+            with pytest.raises(ValueError):
+                hurwitz_bound(np.array([0.5 + 14.0j]), a, modulus=q)
 
     def test_bound_is_honest(self):
-        # Observed error never exceeds the truncation bound plus the rounding
-        # bound, against zeta(s, u/q) at the exact u/q, for each grid shape
-        # at q = 1, 5 and 199; on the critical line the two stay far below
-        # the 1e-9 radius of an ordinate (off it, a = 1/199 makes a^-s alone
-        # large).  Each call takes every unit mod q; the first and the last
-        # are checked.
+        # Observed error never exceeds hurwitz_bound, the truncation bound
+        # plus the rounding bound, against zeta(s, u/q) at the exact u/q, for
+        # each grid shape at q = 1, 5 and 199; on the critical line it stays
+        # far below the 1e-9 radius of an ordinate (off it, a = 1/199 makes
+        # a^-s alone large).  Each call takes every unit mod q; the first and
+        # the last are checked.
         r = 1e-9
         for q in (1, 5, 199):
             a, exact = _units(q), _exact_units(q)
 
-            def check(points, values, rounding, ks=None):
-                # values and rounding in the layout points.shape + a.shape
-                assert values.shape == rounding.shape == points.shape + a.shape
+            def check(points, values, bounds, ks=None):
+                # values and bounds in the layout points.shape + a.shape
+                assert values.shape == bounds.shape == points.shape + a.shape
                 for u in sorted({0, len(a) - 1}):
-                    bound = hurwitz_error_bound(points, a[u]) + rounding[..., u]
+                    bound = bounds[..., u]
                     for idx in ks if ks is not None else np.ndindex(*points.shape):
                         err = abs(values[idx][u] - complex(mp.zeta(mp.mpc(points[idx].real, points[idx].imag), exact[u])))
                         assert err <= bound[idx], (q, points[idx], u)
@@ -377,13 +389,13 @@ class TestCertifiedTruncation:
             # pointwise, one point per call
             for s in (0.5 + 30.0j, 2.0 + 3.0j, 1.2 - 80.0j, 0.5 + 200.0j, 0.5 - 300.0j, 1.25 + 51.0j):
                 point = np.array([s])
-                check(point, hurwitz_zeta_vec(point, a, modulus=q), hurwitz_rounding_bound(point, a, modulus=q))
+                check(point, hurwitz_zeta_vec(point, a, modulus=q), hurwitz_bound(point, a, modulus=q))
             # pointwise over three centres, and the paired path, both sides of
             # every centre, within the bounds of the whole call
             for sigma in (0.5, 1.25):
                 centres = sigma + 1j * np.array([30.0, -300.0, 1000.0])
                 sides = np.stack([centres - 1j * r, centres + 1j * r])
-                check(centres, hurwitz_zeta_vec(centres, a, modulus=q), hurwitz_rounding_bound(centres, a, modulus=q))
+                check(centres, hurwitz_zeta_vec(centres, a, modulus=q), hurwitz_bound(centres, a, modulus=q))
                 check(sides, _pair(centres, r, a, q), _pair_bound(centres, r, a, q))
             # the lattice's grid, whose values seed every zero: 23 points
             # across |t| <= 1000 (a 5 x 5 grid cut to 23), and 82 lattice
@@ -396,25 +408,25 @@ class TestCertifiedTruncation:
                     points = (c[:, None] + d).ravel()
                     assert np.array_equal(points[:count], s)
                     values = hurwitz_zeta_vec(c, a, d=d, modulus=q).reshape(-1, len(a))
-                    rounding = hurwitz_rounding_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
-                    check(points, values, rounding, ks=[(k,) for k in ks])
+                    bounds = hurwitz_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
+                    check(points, values, bounds, ks=[(k,) for k in ks])
             # the count's horizontal edges: c = i T for heights up to 1000 and
             # d the 16 abscissae 1/2..5/4, one grid, within the bound of the grid
             c = 1j * np.array([30.0, 300.0, 1000.0])
             d = np.linspace(0.5, 1.25, 16)
             points = (c[:, None] + d).ravel()
             values = hurwitz_zeta_vec(c, a, d=d, modulus=q).reshape(-1, len(a))
-            rounding = hurwitz_rounding_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
+            bounds = hurwitz_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
             ks = [(p, j) for p in range(len(c)) for j in (0, 7, 15)]
             assert all(points[p * len(d) + j] == complex(d[j], c[p].imag) for p, j in ks)
-            check(points, values, rounding, ks=[(p * len(d) + j,) for p, j in ks])
+            check(points, values, bounds, ks=[(p * len(d) + j,) for p, j in ks])
 
     @pytest.mark.parametrize("q", [1, 4, 5, 19, 199])
     def test_bound_is_honest_with_a_modulus(self, q):
         # The prime-table path of every engine grid, at heights up to 1000,
-        # against zeta(s, u/q) at the exact u/q, within the truncation bound
-        # plus the rounding bound of the whole grid; on the critical line the
-        # two stay far below the 1e-9 radius of an ordinate.
+        # against zeta(s, u/q) at the exact u/q, within hurwitz_bound of the
+        # whole grid; on the critical line it stays far below the 1e-9 radius
+        # of an ordinate.
         a, exact = _units(q), _exact_units(q)
         step = 0.05
         lattice, lattice_points = _lattice(0.5, 995.0, step, 82)[:2], (0, 81)
@@ -428,10 +440,10 @@ class TestCertifiedTruncation:
         for name, ((c, d), ks) in grids.items():
             points = (c[:, None] + d).ravel()
             values = hurwitz_zeta_vec(c, a, d=d, modulus=q).reshape(-1, len(a))
-            rounding = hurwitz_rounding_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
-            assert rounding.shape == values.shape and np.all(rounding > 0.0)
+            bounds = hurwitz_bound(c, a, d=d, modulus=q).reshape(-1, len(a))
+            assert bounds.shape == values.shape and np.all(bounds > 0.0)
             for u in sorted({0, len(a) - 1}):
-                bound = hurwitz_error_bound(points, a[u]) + rounding[:, u]
+                bound = bounds[:, u]
                 for k in ks:
                     err = abs(values[k, u] - complex(mp.zeta(mp.mpc(points[k].real, points[k].imag), exact[u])))
                     assert err <= bound[k], (name, points[k], u)
@@ -441,16 +453,10 @@ class TestCertifiedTruncation:
         # the shape of the kernel's result, and the kernel's shift for the whole s
         s = np.array([[0.5 + 3.0j, 0.5 + 200.0j], [1.25 - 7.0j, 0.5 + 0.0j]])
         a = _units(5)
-        both = hurwitz_rounding_bound(s, a, modulus=5)
+        both = hurwitz_bound(s, a, modulus=5)
         assert both.shape == s.shape + a.shape
         assert np.all(both > 0.0)
-        # a low point shares the tall point's larger shift, so its bound grows
-        alone = hurwitz_rounding_bound(s[0, :1], a, modulus=5)
+        # a low point shares the tall point's larger shift, so its rounding
+        # bound grows by more than its truncation bound falls
+        alone = hurwitz_bound(s[0, :1], a, modulus=5)
         assert np.all(both[0, 0] > alone[0])
-
-
-    @pytest.mark.parametrize("a", [3.0 + 0.0j, 0.5 + 1.0j])
-    def test_bound_refuses_complex_shift(self, a):
-        # the bound raises w = N + a to a real power, so it holds only for real a
-        with pytest.raises(ValueError):
-            hurwitz_error_bound(np.array([2.0 + 3.0j]), a)

@@ -34,6 +34,11 @@ ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]
 
 
+def _inflated_bound(s, a, d, modulus):
+    """A stand-in for `hurwitz_bound` of 1 per entry, above every |Z| of a sign check."""
+    return np.full(np.shape(s) + np.shape(d) + np.shape(a), 1.0)
+
+
 class TestRecords:
     def test_zero_record_strip(self):
         with pytest.raises(ValueError):
@@ -307,30 +312,18 @@ class TestScan:
         )
 
     def test_sign_check_within_error_radius_becomes_unverified_window(self, monkeypatch):
-        # force the truncation radius above every |Z| at gamma -/+ r: no
-        # ordinate may pass its sign check, and each becomes a window
+        # The Hurwitz bound of the sign check's grid enters every radius:
+        # forced above every |Z| at gamma -/+ r, it must leave a window around
+        # each ordinate at every offset, never accept a check.
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "hurwitz_error_bound", lambda s, a: np.full(np.shape(s), 1.0))
+        monkeypatch.setattr(zmod, "hurwitz_bound", _inflated_bound)
         with pytest.warns(UserWarning, match="failed the sign check"):
             zs = scan_zeros(CHI4, 12.0)
         assert not zs.certified
         assert len(zs.unverified_windows) == len(zs.zeros) == 4
         for z, (lo, hi) in zip(zs.zeros, zs.unverified_windows):
             assert lo < z.gamma < hi
-
-    def test_inflated_paired_rounding_term_leaves_windows(self, monkeypatch):
-        # The paired kernel's own rounding term enters every radius: inflated,
-        # it must leave windows at every offset, never accept a check.
-        import zerokit.dirichlet.zeros as zmod
-
-        monkeypatch.setattr(
-            zmod, "hurwitz_rounding_bound", lambda s, a, d, modulus: np.full(np.shape(s) + np.shape(d) + np.shape(a), 1.0)
-        )
-        with pytest.warns(UserWarning, match="failed the sign check"):
-            zs = scan_zeros(CHI4, 12.0)
-        assert not zs.certified
-        assert len(zs.unverified_windows) == len(zs.zeros) == 4
 
     def test_a_close_pair_is_certified_at_a_wider_offset(self):
         # q199.e23 has two zeros 0.016 apart near 307.2, where |Z| at
@@ -348,7 +341,7 @@ class TestScan:
         # mirroring must name windows around its own ordinates.
         import zerokit.dirichlet.zeros as zmod
 
-        monkeypatch.setattr(zmod, "hurwitz_error_bound", lambda s, a: np.full(np.shape(s), 1.0))
+        monkeypatch.setattr(zmod, "hurwitz_bound", _inflated_bound)
         lib = ZeroLibrary(tmp_path)
         with pytest.warns(UserWarning, match="failed the sign check"):
             lib.ensure(5, 10.0)
