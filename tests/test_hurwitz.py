@@ -349,7 +349,7 @@ class TestCertifiedTruncation:
 
     @pytest.mark.parametrize(
         "a",
-        [0.5 + 1.0j, 3.0 + 0.0j, np.array(0.5 + 1j), np.array([0.25, 0.5 + 0.0j]), np.array([0.25, 0.5 + 1.0j])],
+        [0.5 + 1.0j, 3.0 + 0.0j, np.array(0.5 + 1j), np.array([0.25, 0.5 + 0.0j])],
     )
     def test_bound_refuses_complex_shift(self, a):
         # the bound raises w = N + a to a real power, so it holds only for
@@ -364,6 +364,19 @@ class TestCertifiedTruncation:
         for q in (1, 4):
             with pytest.raises(ValueError):
                 hurwitz_bound(np.array([0.5 + 14.0j]), a, modulus=q)
+
+    @pytest.mark.parametrize("a", [0.5 + 1.0j, np.array([0.25, 0.5 + 1.0j]), 3.0 + 0.0j])
+    def test_rounding_bound_refuses_a_complex_shift(self, a):
+        # the same refusal on the sign check's paired grid d = -/+ i r, whose
+        # rounding bound adds the offset part
+        with pytest.raises(ValueError):
+            hurwitz_bound(np.array([0.5 + 14.0j]), a, d=[-1e-9j, 1e-9j], modulus=4)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0])])
+    def test_rounding_bound_refuses_a_shift_not_positive(self, a):
+        # the paired grid as above; a = 0 once gave inf
+        with pytest.raises(ValueError):
+            hurwitz_bound(np.array([0.5 + 14.0j]), a, d=[-1e-9j, 1e-9j], modulus=4)
 
     def test_bound_is_honest(self):
         # Observed error never exceeds hurwitz_bound, the truncation bound

@@ -16,7 +16,7 @@ from zerokit.dirichlet.characters import (
     exponent_key,
     primitive_characters,
 )
-from zerokit.dirichlet.hurwitz import hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import hurwitz_bound, hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 from zerokit.dirichlet.zerocache import CACHE_HEADER, ZeroLibrary, read_zero_cache, write_zero_cache
 from zerokit.dirichlet.zeros import (
@@ -324,6 +324,23 @@ class TestScan:
         assert len(zs.unverified_windows) == len(zs.zeros) == 4
         for z, (lo, hi) in zip(zs.zeros, zs.unverified_windows):
             assert lo < z.gamma < hi
+
+    def test_inflated_paired_rounding_term_leaves_windows(self, monkeypatch):
+        # Both sides of the pair must clear their own radius: with the bound
+        # inflated on the upper side gamma + r alone, every check must still
+        # leave a window at every offset.
+        import zerokit.dirichlet.zeros as zmod
+
+        def upper_side_inflated(s, a, d, modulus):
+            bound = hurwitz_bound(s, a, d=d, modulus=modulus)
+            bound[:, 1] = 1.0
+            return bound
+
+        monkeypatch.setattr(zmod, "hurwitz_bound", upper_side_inflated)
+        with pytest.warns(UserWarning, match="failed the sign check"):
+            zs = scan_zeros(CHI4, 12.0)
+        assert not zs.certified
+        assert len(zs.unverified_windows) == len(zs.zeros) == 4
 
     def test_a_close_pair_is_certified_at_a_wider_offset(self):
         # q199.e23 has two zeros 0.016 apart near 307.2, where |Z| at
