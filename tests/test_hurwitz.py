@@ -348,14 +348,23 @@ class TestCertifiedTruncation:
         assert _truncation(s, 0.25) == pytest.approx(reference, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "a",
-        [0.5 + 1.0j, 3.0 + 0.0j, np.array(0.5 + 1j), np.array([0.25, 0.5 + 0.0j])],
+        "a,q",
+        [
+            pytest.param(0.5 + 1.0j, 2, id="(0.5+1j)"),
+            pytest.param(3.0 + 0.0j, 1, id="(3+0j)"),
+            pytest.param(np.array(0.25 + 1j), 4, id="a2"),
+            pytest.param(np.array([0.25, 0.75 + 0.0j]), 4, id="a3"),
+        ],
     )
-    def test_bound_refuses_complex_shift(self, a):
+    def test_bound_refuses_complex_shift(self, a, q):
         # the bound raises w = N + a to a real power, so it holds only for
-        # real a; its imaginary part was once dropped with a ComplexWarning
+        # real a; its imaginary part was once dropped with a ComplexWarning.
+        # The real part of each a is a unit over q, so the refusal is that
+        # of the complex shift alone.
+        s = np.array([0.5 + 14.0j])
+        assert np.all(hurwitz_bound(s, np.real(a), modulus=q) > 0.0)
         with pytest.raises(ValueError):
-            hurwitz_bound(np.array([0.5 + 14.0j]), a, modulus=4)
+            hurwitz_bound(s, a, modulus=q)
 
     @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan"), -1.0])
     def test_error_bound_refuses_a_shift_not_positive(self, a):
@@ -365,12 +374,22 @@ class TestCertifiedTruncation:
             with pytest.raises(ValueError):
                 hurwitz_bound(np.array([0.5 + 14.0j]), a, modulus=q)
 
-    @pytest.mark.parametrize("a", [0.5 + 1.0j, np.array([0.25, 0.5 + 1.0j]), 3.0 + 0.0j])
-    def test_rounding_bound_refuses_a_complex_shift(self, a):
+    @pytest.mark.parametrize(
+        "a,q",
+        [
+            pytest.param(0.5 + 1.0j, 2, id="(0.5+1j)"),
+            pytest.param(np.array([0.25, 0.75 + 1.0j]), 4, id="a1"),
+            pytest.param(3.0 + 0.0j, 1, id="(3+0j)"),
+        ],
+    )
+    def test_rounding_bound_refuses_a_complex_shift(self, a, q):
         # the same refusal on the sign check's paired grid d = -/+ i r, whose
-        # rounding bound adds the offset part
+        # rounding bound adds the offset part; again the real part of each a
+        # is a unit over q
+        s, d = np.array([0.5 + 14.0j]), [-1e-9j, 1e-9j]
+        assert np.all(hurwitz_bound(s, np.real(a), d=d, modulus=q) > 0.0)
         with pytest.raises(ValueError):
-            hurwitz_bound(np.array([0.5 + 14.0j]), a, d=[-1e-9j, 1e-9j], modulus=4)
+            hurwitz_bound(s, a, d=d, modulus=q)
 
     @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0])])
     def test_rounding_bound_refuses_a_shift_not_positive(self, a):
@@ -461,6 +480,32 @@ class TestCertifiedTruncation:
                     err = abs(values[k, u] - complex(mp.zeta(mp.mpc(points[k].real, points[k].imag), exact[u])))
                     assert err <= bound[k], (name, points[k], u)
                     assert points[k].real != 0.5 or bound[k] < 1e-9, (name, points[k], u)
+
+    @pytest.mark.parametrize("q", [1, 5, 199])
+    def test_bound_holds_the_truncation_at_half_the_shift(self, monkeypatch, q):
+        # At half the certified shift N the remainder R_M is many orders above
+        # the rounding of the sum: the observed error exceeds the bound less
+        # its truncation part and stays within the whole bound, pointwise
+        # and on the sign check's paired grid, at the first and the last unit.
+        a, exact = _units(q), _exact_units(q)
+        r = 1e-9
+        shift_for = hurwitz._shift_for
+        for s in (0.5 + 14.1j, 0.5 - 100.0j, 1.25 - 300.0j, 0.5 + 1000.0j):
+            centre = np.array([s])
+            half = shift_for(centre) // 2
+            monkeypatch.setattr(hurwitz, "_shift_for", lambda points: half)
+            sides = np.stack([centre - 1j * r, centre + 1j * r])
+            grids = [
+                (centre, hurwitz_zeta_vec(centre, a, modulus=q), hurwitz_bound(centre, a, modulus=q)),
+                (sides, _pair(centre, r, a, q), _pair_bound(centre, r, a, q)),
+            ]
+            for points, values, bounds in grids:
+                for u in sorted({0, len(a) - 1}):
+                    truncation = _truncation(points, a[u])
+                    for idx in np.ndindex(*points.shape):
+                        zeta = mp.zeta(mp.mpc(points[idx].real, points[idx].imag), exact[u])
+                        err = abs(values[idx][u] - complex(zeta))
+                        assert bounds[idx][u] - truncation[idx] < err <= bounds[idx][u], (q, points[idx], u)
 
     def test_rounding_bound_shape_and_shift(self):
         # the shape of the kernel's result, and the kernel's shift for the whole s

@@ -326,7 +326,7 @@ class TestScan:
             assert lo < z.gamma < hi
 
     def test_inflated_paired_rounding_term_leaves_windows(self, monkeypatch):
-        # Both sides of the pair must clear their own radius: with the bound
+        # Each side of a pair must clear its own radius: with the bound
         # inflated on the upper side gamma + r alone, every check must still
         # leave a window at every offset.
         import zerokit.dirichlet.zeros as zmod
