@@ -76,6 +76,9 @@ KERNEL_DELTA = 0.01
 TAIL_BASE_NUM = 3.95
 TAIL_BASE_DEN = 2.01
 
+# Scale of every repulsion coefficient: the small-eps limit of 24 + 2 eps.
+REPULSION_MULTIPLIER = 24.0
+
 # Published targets, exact decimal literals.  Directions are fixed per entry
 # in certification_report; comparisons allow nothing beyond the certified
 # radius.
@@ -352,7 +355,6 @@ class RepulsionCoeffs:
 
     kind: str
     alpha: float
-    multiplier: float
     a1: ErrorBounded
     a2: ErrorBounded
     a3: ErrorBounded
@@ -371,16 +373,15 @@ class RepulsionCoeffs:
 def derive_repulsion_coeffs(
     kind: str,
     alpha: float = 18.0,
-    multiplier: float = 24.0,
     T_shift: float = 20.0,
 ) -> RepulsionCoeffs:
     """Derive the repulsion quadruple (a1, a2, a3, a4) at pivot alpha.
 
-    Each entry is multiplier * ((alpha+1/2)/alpha)^2 times the bracketed
-    coefficient of log D_K, log Nq, n_K log(alpha+2+T), n_K respectively in
-    the zero-sum aggregate; the additive 4/alpha + 4/(alpha+1) remainder is
-    not scaled into a4 (the published form carries a separate +10 additive
-    that absorbs it).  multiplier = 24 is the small-eps limit of 24 + 2 eps.
+    Each entry is REPULSION_MULTIPLIER * ((alpha+1/2)/alpha)^2 times the
+    bracketed coefficient of log D_K, log Nq, n_K log(alpha+2+T), n_K
+    respectively in the zero-sum aggregate; the additive 4/alpha + 4/(alpha+1)
+    remainder is not scaled into a4 (the published form carries a separate
+    +10 additive that absorbs it).
 
     ``T_shift`` is the constant inside the published log(T + shift); the
     derived a3 coefficient matches it exactly iff alpha + 2 == T_shift.
@@ -389,12 +390,10 @@ def derive_repulsion_coeffs(
         raise ValueError("kind must be 'quadratic' or 'trivial'")
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    if multiplier <= 0.0:
-        raise ValueError("multiplier must be positive")
 
     a = ErrorBounded(float(alpha))
     one = ErrorBounded(1.0)
-    scale = ErrorBounded(float(multiplier)) * eb_pow((a + 0.5) / a, 2.0)
+    scale = ErrorBounded(REPULSION_MULTIPLIER) * eb_pow((a + 0.5) / a, 2.0)
     log_a2 = eb_log(a + 2.0)
     log_pi = eb_log(EB_PI)
 
@@ -416,7 +415,6 @@ def derive_repulsion_coeffs(
     return RepulsionCoeffs(
         kind=kind,
         alpha=alpha,
-        multiplier=multiplier,
         a1=scale * c1,
         a2=scale * c2,
         a3=scale * c3,
@@ -485,7 +483,8 @@ def evaluate_repulsion_bound(kind: str, beta1: float, p: FieldParams, c: float) 
     (a1 log D_K + a2 log Nq + a3 n_K log(T+20) + a4 n_K + 10).
 
     ``c`` is the caller's stand-in for the unspecified absolute constant.  If
-    the log argument is <= 1 the bound is vacuous and (1, vacuous) returns.
+    the log argument is <= 1 the bound is vacuous and (1, vacuous) returns;
+    if it overflows float64 the call raises ValueError.
     """
     if kind == "quadratic":
         a1, a2, a3, a4 = PUBLISHED["repulsion_quadratic"]  # type: ignore[misc]
@@ -500,6 +499,8 @@ def evaluate_repulsion_bound(kind: str, beta1: float, p: FieldParams, c: float) 
 
     log_agg = math.log(p.D_K) + math.log(p.Nq) + p.n_K * math.log(p.T + 20.0) + p.n_K
     arg = c / ((1.0 - beta1) * log_agg)
+    if not math.isfinite(arg):
+        raise ValueError(f"log_argument must be finite, got {arg}: c / ((1 - beta1) log(...)) overflows float64")
     if arg <= 1.0:
         return RepulsionBound(1.0, True)
     denom = (

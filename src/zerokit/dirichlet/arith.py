@@ -20,23 +20,12 @@ __all__ = [
     "DESK_SUM_LIMIT",
     "factorize",
     "harmonic_sum",
-    "int_nth_root",
     "least_prime_factors",
     "prime_powers",
     "primes_in_window",
     "primes_up_to",
     "rough_mask",
 ]
-
-
-def int_nth_root(x: int, m: int) -> int:
-    """Largest r with r**m <= x, in exact integer arithmetic."""
-    r = int(round(x ** (1.0 / m)))
-    while r**m > x:
-        r -= 1
-    while (r + 1) ** m <= x:
-        r += 1
-    return r
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -115,7 +104,9 @@ def prime_powers(cutoff: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     primes = primes_up_to(cutoff)
     for m in range(1, int(cutoff).bit_length()):
         if m > 1:
-            primes = primes[primes <= int_nth_root(cutoff, m)]
+            # Exact in int64: after step m - 1 every p <= cutoff^(1/(m-1)), so
+            # p^m <= cutoff^2 <= DESK_SUM_LIMIT^2 = 1e16 < 2^63.
+            primes = primes[primes**m <= cutoff]
         if len(primes) == 0:
             return
         yield m, primes, primes**m

@@ -10,8 +10,9 @@ smallest one for which this bound is <= TARGET = 1e-13 for every entry of s and
 every real a > 0: the worst case is a -> 0 (the bound falls as N + a grows), and
 each factor of the Pochhammer product is taken at its worst corner of the
 (Re s, |Im s|) box, so the choice costs O(M) scalar operations.  Where
-Re s + 2M + 1 <= 1 the bound is not valid and N = max(20, ceil(2 |Im s|)).
-No larger floor is imposed for Re s < 0: there the direct terms (n+a)^-s grow
+Re s + 2M + 1 <= 1, that is Re s <= -40, the bound is not valid and the
+kernel refuses the call with ValueError.  No larger floor is imposed for
+Re s < 0: there the direct terms (n+a)^-s grow
 like n^|Re s|, so a larger N only adds rounding error (the bound is exactly 0
 at the negative integers, where the formula is a polynomial identity and N = 1
 serves).  `hurwitz_bound` reports, per entry, this bound at the same N and the
@@ -35,7 +36,7 @@ per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift), and
 every grid with a modulus one error bound, `hurwitz_bound`, whose rounding
 part counts the prime factors and q^s.  The kernel's callers:
 
-* at d = 0, for any s and Re a > 0 (a complex a serves
+* at d = 0, for any s with Re s > -40 and Re a > 0 (a complex a serves
   `lfunctions.trivial_zero_sum`), and with the modulus for the L-values of
   `lfunctions.l_eval_vec`;
 * the zero engine (`zeros.ModulusEngine._tables`), with the modulus, whose
@@ -87,14 +88,14 @@ def _bernoulli_over_factorial() -> tuple[float, ...]:
 
 
 def _shift_for(s: np.ndarray) -> int:
-    """Smallest N whose remainder bound is <= TARGET for every entry of s and real a > 0."""
+    """Smallest N whose remainder bound is <= TARGET for every entry of s and real a > 0; refuses Re s <= -40."""
     if not s.size:
         return 1
     lo, hi = float(np.min(s.real)), float(np.max(s.real))
     tmax = float(np.max(np.abs(s.imag)))
     expo = lo + 2 * ORDER + 1
     if expo <= 1.0:
-        return max(20, math.ceil(2.0 * tmax))
+        raise ValueError(f"hurwitz_zeta requires Re s > {-2 * ORDER}, where its remainder bound holds; got Re s = {lo}")
     # N^expo >= |B_{2M+2}/(2M+2)!| |(s)_{2M+1}| |s+2M+1| / ((Re s+2M+1) TARGET),
     # each factor |s+i| at its worst corner (|s+i| is convex in Re s); the
     # expo-th root is taken factor by factor so that nothing overflows.
@@ -258,7 +259,7 @@ def _direct(c: np.ndarray, d: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.n
 
 
 def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None = None) -> np.ndarray:
-    """zeta(s_p + d_q, a) for complex s, offsets d and Re a > 0 (no point s_p + d_q may equal 1).
+    """zeta(s_p + d_q, a) for complex s, offsets d and Re a > 0 (every point s_p + d_q has Re > -40 and is not 1).
 
     The result has shape s.shape + np.shape(d) + np.shape(a): at the default
     d = 0, zeta(s, a) itself.  Each direct term is factored as
@@ -307,11 +308,12 @@ def _pochhammer(s: np.ndarray) -> np.ndarray:
 def _truncation(s: np.ndarray, w: np.ndarray, poch: np.ndarray) -> np.ndarray:
     """The module docstring's bound on |R_M| at the flat points s (rows) and w = N + a (columns), real a > 0.
 
-    poch is `_pochhammer(s)`, whose last column is |(s)_{2M+1}|.
+    poch is `_pochhammer(s)`, whose last column is |(s)_{2M+1}|.  Every s
+    has passed `_shift_for`, so Re s + 2M + 1 > 1.
     """
     expo = s.real[:, None] + 2 * ORDER + 1
     mag = abs(_bernoulli_over_factorial()[ORDER]) * poch[:, ORDER:] * w ** -expo
-    return mag * np.abs(s[:, None] + 2 * ORDER + 1) / np.maximum(expo, 1e-300)
+    return mag * np.abs(s[:, None] + 2 * ORDER + 1) / expo
 
 
 def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarray:

@@ -691,33 +691,21 @@ def scan_zeros(
     T: float,
     engine: ModulusEngine | None = None,
 ) -> ZeroSet:
-    """Locate the critical-line zeros with |gamma| <= T for primitive chi.
+    """The critical-line zeros with |gamma| <= T of primitive chi, as a ZeroSet; `ModulusEngine` gives the method.
 
-    The zeros come from a ModulusEngine: `ZeroLibrary.ensure` passes the one
-    it built for every character it scans mod q; without it, a one-character
-    engine is built here.  Each sign change of Z(t) on the lattice k GRID_STEP
-    is seeded at the root of the degree-11 interpolant through the 12 grid
-    values around it and certified by a sign check at gamma -/+ TARGET_RADIUS
-    whose values must both exceed their error radius; a check whose values
-    change sign inside that radius is repeated at 10, then 100
-    TARGET_RADIUS, and the offset that clears is the zero's radius.  Completeness is
-    certified against the count on the half contour at the count edge t_eff:
-    of the EDGE_CANDIDATES lattice nodes from the first one >= T, the one
-    where min(|Z(t)|, |Z(-t)|) is largest, so both horizontal edges stay
-    clear of zeros.  The zeros found on [-t_eff, t_eff] are compared with the
-    count.  The cells with |t| < LOW, where the lattice interpolant is least
-    accurate, the cells of failed seeds and, on a short count, the cells
-    where the interpolant dips toward zero are rebanked at a quarter step,
-    seeded and checked there; a persisting mismatch, or a count that cannot be
-    certified, is recorded as the unverified window (-t_eff, t_eff), and a
-    failed sign check as a window around that ordinate (`certified` is
-    False), rather than raised.  Only the zeros with |gamma| <= T are kept,
-    and `complete_to_height` is T.
+    Refuses, with ValueError, a character that is not primitive, a T that is
+    not finite and positive, and an engine built for another height.
+    `ZeroLibrary.ensure` passes the engine it built for every character it
+    scans mod q; without one, a one-character engine is built here.
 
-    Real characters are scanned on [0, t_eff] and mirrored (their zeros come
-    in conjugate pairs); the conjugate of a complex character should reuse
-    this scan via ZeroSet.mirrored.  Any finite positive T is scanned: the
-    desk-scale limits on q and T belong to the CLI.
+    Each zero comes with the radius its sign check certified, and
+    `complete_to_height` is T.  A window is recorded as unverified
+    (`certified` is False) rather than raised: (-t_eff, t_eff), t_eff the
+    count edge, when the count cannot be certified or still differs from the
+    zeros found after the quarter-step regrid, and a window around each
+    ordinate whose sign check failed.  The conjugate of a complex character
+    should reuse this scan via ZeroSet.mirrored.  The desk-scale limits on q
+    and T belong to the CLI.
     """
     if not chi.is_primitive:
         raise ValueError("scan_zeros requires a primitive character")

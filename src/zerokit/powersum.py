@@ -23,11 +23,10 @@ floating-point range even when |z_1|^m would underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "ComplexSeq",
     "PowerSumWitness",
     "WitnessNotFoundError",
     "ks_ratio",
@@ -39,35 +38,6 @@ __all__ = [
 # Relative slack toward acceptance, to avoid a spurious "not found" when a
 # power sum sits exactly on the bound (e.g. roots-of-unity configurations).
 ACCEPT_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class ComplexSeq:
-    """A finite complex sequence with non-increasing magnitudes.
-
-    The leading entry must be nonzero; it normalises both power-sum bounds.
-    """
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("sequence must be non-empty")
-        object.__setattr__(self, "values", tuple(complex(z) for z in self.values))
-        if self.values[0] == 0:
-            raise ValueError("leading entry must be nonzero")
-        mags = [abs(z) for z in self.values]
-        for a, b in zip(mags, mags[1:]):
-            if b > a * (1.0 + 1e-15):
-                raise ValueError("magnitudes must be non-increasing")
-
-    @classmethod
-    def from_values(cls, values: Sequence[complex]) -> "ComplexSeq":
-        """Build a ComplexSeq by sorting the input by decreasing magnitude."""
-        return cls(tuple(sorted((complex(z) for z in values), key=abs, reverse=True)))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -83,7 +53,6 @@ class PowerSumWitness:
     sum_value: complex
     lower_bound: float
     search_range: tuple[int, int]
-    margins: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.search_range
@@ -106,16 +75,14 @@ class WitnessNotFoundError(RuntimeError):
         self.best_margin = best_margin
 
 
-def _values(z: ComplexSeq | Sequence[complex]) -> tuple[complex, ...]:
-    if isinstance(z, ComplexSeq):
-        return z.values
+def _values(z: Sequence[complex]) -> tuple[complex, ...]:
     vals = tuple(complex(v) for v in z)
     if not vals:
         raise ValueError("sequence must be non-empty")
     return vals
 
 
-def power_sum(z: ComplexSeq | Sequence[complex], m: int) -> complex:
+def power_sum(z: Sequence[complex], m: int) -> complex:
     """Return s_m = sum_n z_n^m using compensated (exact) summation.
 
     The relative error is at most about ``10 * eps * sum|z_n|^m / |s_m|``:
@@ -128,7 +95,7 @@ def power_sum(z: ComplexSeq | Sequence[complex], m: int) -> complex:
     return complex(math.fsum(p.real for p in powers), math.fsum(p.imag for p in powers))
 
 
-def lmo_witness(z: ComplexSeq | Sequence[complex], eps: float) -> PowerSumWitness:
+def lmo_witness(z: Sequence[complex], eps: float) -> PowerSumWitness:
     """Smallest m0 <= ceil((12+eps) M) with Re{s_m0} >= eps/(48+5 eps) |z_1|^m0.
 
     Requires |z_n| <= |z_1| for all n.  If the sequence was truncated from a
@@ -161,7 +128,6 @@ def lmo_witness(z: ComplexSeq | Sequence[complex], eps: float) -> PowerSumWitnes
                 sum_value=power_sum(vals, m),
                 lower_bound=coeff * z1**m,
                 search_range=(1, m_hi),
-                margins={"normalised_margin": margin},
             )
     raise WitnessNotFoundError(
         f"no index in [1, {m_hi}] met the bound (best margin {best_margin:.3e} at m={best_index})",
@@ -170,7 +136,7 @@ def lmo_witness(z: ComplexSeq | Sequence[complex], eps: float) -> PowerSumWitnes
     )
 
 
-def ks_witness(z: ComplexSeq | Sequence[complex], m_offset: int) -> PowerSumWitness:
+def ks_witness(z: Sequence[complex], m_offset: int) -> PowerSumWitness:
     """Smallest k in [m_offset+1, m_offset+N] with |s_k| >= 1.007 (N/(4e(m_offset+N)))^N |z_1|^k."""
     vals = _values(z)
     if m_offset < 0:
@@ -197,7 +163,6 @@ def ks_witness(z: ComplexSeq | Sequence[complex], m_offset: int) -> PowerSumWitn
                 sum_value=power_sum(vals, k),
                 lower_bound=math.exp(log_bound) * z1**k,
                 search_range=(lo, hi),
-                margins={"log_margin": log_margin},
             )
     raise WitnessNotFoundError(
         f"no index in [{lo}, {hi}] met the bound (best log-margin {best_margin:.3e} at k={best_index})",

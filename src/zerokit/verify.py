@@ -93,6 +93,8 @@ CIRCLE_REACH = 1.0
 DEEP_HEIGHT = 101.0
 # eps of the sieve error term z^(2 + 2 eps) / x.
 SELBERG_EPS = 0.05
+# The heights t at which the repulsion check evaluates its zero sums.
+REPULSION_HEIGHTS = (0.0, 2.5)
 
 DETECTOR_SCALE_NOTE = (
     "detector chain verified by ingredient: the nominal scale (log x >= 122 phi L) is out of "
@@ -366,7 +368,6 @@ def repulsion_sums_check(
     q_max: int,
     sigma_grid: Iterable[float],
     T_zeros: float,
-    t_values: tuple[float, ...] = (0.0, 2.5),
 ) -> list[CheckReport]:
     """The two zero-sum aggregates feeding the repulsion argument.
 
@@ -384,7 +385,7 @@ def repulsion_sums_check(
         chars = enumerate_characters(q)
         for chi in chars:
             for sigma in sigma_grid:
-                for t in t_values:
+                for t in REPULSION_HEIGHTS:
                     exact = _trivial_zero_square_sum_exact(chi, sigma, t)
                     bound = 0.5 / sigma + 1.0 / sigma**2
                     if not chi.is_primitive:
@@ -402,16 +403,16 @@ def repulsion_sums_check(
                         )
                     )
         # (b) four-sum for real psi, arbitrary chi.
-        real_chars = [c for c in chars if _is_real_character(c)]
+        real_chars = [c for c in chars if conjugate_character(c) == c]
         for psi in real_chars:
             for chi in chars:
                 for sigma in sigma_grid:
                     alpha = sigma - 1.0
                     if alpha < 1.0:
                         continue
-                    for t in t_values:
+                    for t in REPULSION_HEIGHTS:
                         lhs = (
-                            _zero_square_sum(library, _principal(q), sigma, 0.0, T_zeros)
+                            _zero_square_sum(library, chars[0], sigma, 0.0, T_zeros)
                             + _zero_square_sum(library, psi, sigma, 0.0, T_zeros)
                             + _zero_square_sum(library, chi, sigma, t, T_zeros)
                             + _zero_square_sum(library, product_character(psi, chi), sigma, t, T_zeros)
@@ -437,14 +438,6 @@ def repulsion_sums_check(
                             )
                         )
     return reports
-
-
-def _is_real_character(chi: DirichletCharacter) -> bool:
-    return conjugate_character(chi) == chi
-
-
-def _principal(q: int) -> DirichletCharacter:
-    return enumerate_characters(q)[0]
 
 
 def _zero_square_sum(library: ZeroLibrary, chi: DirichletCharacter, sigma: float, t: float, T_zeros: float) -> float:
@@ -744,7 +737,7 @@ def default_suite(
     tolerances = {**TOLERANCES, **(tolerances or {})}
     ef_tol = tolerances["explicit_formula"]
     hd_tol = tolerances["hadamard"]
-    zeta = _principal(1)
+    zeta = enumerate_characters(1)[0]
     chi4 = enumerate_characters(4)[1]
 
     if "circle" in suites:

@@ -70,8 +70,8 @@ def test_criterion_1_constant_certification():
 
 def test_criterion_2_repulsion_coefficients():
     started = time.perf_counter()
-    quad = derive_repulsion_coeffs("quadratic", alpha=18.0, multiplier=24.0)
-    triv = derive_repulsion_coeffs("trivial", alpha=18.0, multiplier=24.0)
+    quad = derive_repulsion_coeffs("quadratic", alpha=18.0)
+    triv = derive_repulsion_coeffs("trivial", alpha=18.0)
     assert quad.published == (51, 54, 26, 74) and quad.dominated()
     assert triv.published == (26, 13, 13, 37) and triv.dominated()
     limit = derive_repulsion_coeffs("quadratic", alpha=1e6, T_shift=1e6 + 2.0)

@@ -6,7 +6,6 @@ import pytest
 from zerokit.dirichlet.arith import (
     factorize,
     harmonic_sum,
-    int_nth_root,
     prime_powers,
     primes_in_window,
     primes_up_to,
@@ -31,11 +30,6 @@ class TestPrimes:
 
     def test_counts(self):
         assert len(primes_up_to(10**6)) == 78498
-
-    def test_int_nth_root(self):
-        assert int_nth_root(10**6, 2) == 1000
-        assert int_nth_root(10**6 - 1, 2) == 999
-        assert int_nth_root(2**40, 40) == 2
 
     def test_factorize_matches_trial_division(self):
         assert factorize(1) == []

@@ -118,11 +118,13 @@ class TestBounds:
             (("density", "--sigma", "0.9", "--exponent", "nan"), "exponent"),
             (("density", "--sigma", "0.9", "--implied-nk", "nan"), "implied_nk_constant"),
             (("density", "--sigma", "0.9", "--q", "inf"), "Q"),
-            # beyond float64: an integer, and a log bound that overflows
+            # beyond float64: an integer, and a log bound or log argument that overflows
             (("density", "--sigma", "0.6", "--nk", str(10**400)), "n_K"),
             (("repulsion", "--kind", "quadratic", "--beta1", "0.5", "--nk", str(10**400)), "n_K"),
             (("density", "--sigma", "1", "--nk", "10", "--implied-nk", "1e308"), "log_bound"),
             (("density", "--sigma", "0.6", "--nk", "10", "--implied-nk", "1e308"), "log_bound"),
+            (("repulsion", "--kind", "quadratic", "--beta1", "0.999999", "--c", "1e308"), "log_argument"),
+            (("repulsion", "--kind", "quadratic", "--beta1", "0.999999", "--c", "1e308", "--json"), "log_argument"),
         ],
     )
     def test_non_finite_input_is_a_usage_error(self, capsys, argv, name):

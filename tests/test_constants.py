@@ -229,6 +229,13 @@ class TestRepulsionBound:
         assert len(seen) >= 3
         assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
 
+    @pytest.mark.parametrize("kind", ["quadratic", "trivial"])
+    def test_overflowing_log_argument_is_refused(self, kind):
+        # c / ((1 - beta1) log(...)) is 1e308 / (1e-6 * 4.04...) = inf
+        with pytest.raises(ValueError, match="log_argument must be finite, got inf"):
+            evaluate_repulsion_bound(kind, 0.999999, FieldParams(), c=1e308)
+        assert not evaluate_repulsion_bound(kind, 0.999999, FieldParams(), c=1e300).vacuous
+
 
 class TestZeroCircleBound:
     def test_classical_principal(self):

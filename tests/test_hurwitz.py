@@ -6,12 +6,14 @@ import pytest
 
 from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.arith import factorize
+from zerokit.dirichlet.characters import enumerate_characters
 from zerokit.dirichlet.hurwitz import (
     TARGET,
     hurwitz_bound,
     hurwitz_zeta,
     hurwitz_zeta_vec,
 )
+from zerokit.dirichlet.lfunctions import l_eval, l_eval_vec
 
 mp.mp.dps = 35
 
@@ -313,26 +315,28 @@ class TestCertifiedTruncation:
     def test_shift_matches_the_factor_by_factor_rule(self):
         # The vectorised rule picks the same N as the one-factor-at-a-time
         # loop it replaced, on a grid of (Re s, |Im s|) up to 1000, for single
-        # points and for spans of Re s; Re s <= -40 takes the fallback.
+        # points and for spans of Re s; Re s <= -40 is refused.
         def one_at_a_time(s):
             lo, hi = float(np.min(s.real)), float(np.max(s.real))
             tmax = float(np.max(np.abs(s.imag)))
             expo = lo + 2 * hurwitz.ORDER + 1
-            if expo <= 1.0:
-                return max(20, math.ceil(2.0 * tmax))
             root = 1.0 / expo
             shift = (abs(hurwitz._bernoulli_over_factorial()[hurwitz.ORDER]) / (expo * TARGET)) ** root
             for i in range(2 * hurwitz.ORDER + 2):
                 shift *= math.hypot(max(abs(lo + i), abs(hi + i)), tmax) ** root
             return max(1, math.ceil(shift))
 
-        sigmas = [-45.0, -3.0, -0.25, 0.0, 0.5, 0.75, 1.0, 1.25, 2.0, 3.0, 10.0]
+        sigmas = [-45.0, -40.0, -3.0, -0.25, 0.0, 0.5, 0.75, 1.0, 1.25, 2.0, 3.0, 10.0]
         heights = np.concatenate([np.linspace(0.0, 1000.0, 401), [0.05, 14.134725, 999.99]])
         for t in heights:
             for lo in sigmas:
                 for hi in (lo, lo + 0.75):
                     s = np.array([complex(lo, t), complex(hi, -t / 2)])
-                    assert hurwitz._shift_for(s) == one_at_a_time(s), (lo, hi, t)
+                    if lo <= -2 * hurwitz.ORDER:
+                        with pytest.raises(ValueError, match="requires Re s > -40"):
+                            hurwitz._shift_for(s)
+                    else:
+                        assert hurwitz._shift_for(s) == one_at_a_time(s), (lo, hi, t)
 
     def test_error_bound_matches_the_factor_by_factor_product(self):
         # |(s)_{2M+1}| as one cumulative product of magnitudes, against the
@@ -365,6 +369,24 @@ class TestCertifiedTruncation:
         assert np.all(hurwitz_bound(s, np.real(a), modulus=q) > 0.0)
         with pytest.raises(ValueError):
             hurwitz_bound(s, a, modulus=q)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: hurwitz_zeta(-45.5, 0.25), id="hurwitz_zeta"),
+            pytest.param(lambda: hurwitz_zeta_vec(np.array([0.5, -40.5 + 3.0j]), 0.25), id="hurwitz_zeta_vec"),
+            pytest.param(lambda: hurwitz_zeta_vec(np.array([-39.5 + 3.0j]), 0.25, d=[0.0, -1.0]), id="offset"),
+            pytest.param(lambda: hurwitz_bound(np.array([-40.5 + 3.0j]), 0.25, modulus=4), id="hurwitz_bound"),
+            pytest.param(lambda: hurwitz_bound(np.array([-40.5]), 1.0, d=[-1e-9j, 1e-9j], modulus=1), id="paired"),
+            pytest.param(lambda: l_eval(-40.5 + 3.0j, enumerate_characters(4)[1]), id="l_eval"),
+            pytest.param(lambda: l_eval_vec(np.array([2.0, -60.0 + 1.0j]), enumerate_characters(1)[0]), id="l_eval_vec"),
+        ],
+    )
+    def test_refuses_re_s_at_or_below_minus_40(self, call):
+        # Re s + 2M + 1 <= 1: the remainder bound fails, and a shift chosen
+        # without it left zeta(s, a) off by 1e20 or more against mpmath
+        with pytest.raises(ValueError, match="requires Re s > -40"):
+            call()
 
     @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan"), -1.0])
     def test_error_bound_refuses_a_shift_not_positive(self, a):

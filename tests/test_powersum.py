@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerokit.powersum import (
-    ComplexSeq,
     PowerSumWitness,
     WitnessNotFoundError,
     ks_ratio,
@@ -44,20 +43,6 @@ class TestPowerSum:
             power_sum([1], 0)
 
 
-class TestComplexSeq:
-    def test_enforces_ordering(self):
-        with pytest.raises(ValueError):
-            ComplexSeq((0.5, 1.0))
-
-    def test_rejects_zero_leader(self):
-        with pytest.raises(ValueError):
-            ComplexSeq((0.0, 0.0))
-
-    def test_from_values_sorts(self):
-        seq = ComplexSeq.from_values([0.1, 1j, -0.5])
-        assert [abs(v) for v in seq.values] == sorted((abs(v) for v in [0.1, 1j, -0.5]), reverse=True)
-
-
 class TestLmoWitness:
     def test_singleton(self):
         w = lmo_witness([1], eps=1.0)
@@ -90,6 +75,8 @@ class TestLmoWitness:
             lmo_witness([1], eps=0.0)
         with pytest.raises(ValueError):
             lmo_witness([0.5, 1.0], eps=0.5)
+        with pytest.raises(ValueError):
+            lmo_witness([0.0], 0.5)
 
 
 class TestKsWitness:
@@ -122,6 +109,12 @@ class TestKsWitness:
             z = list(mags * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
             w = ks_witness(z, m_offset=m_off)
             assert m_off + 1 <= w.index <= m_off + n
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="all entries are zero"):
+            ks_witness([0.0, 0j], m_offset=0)
+        with pytest.raises(ValueError, match="m_offset"):
+            ks_witness([1.0], m_offset=-1)
 
 
 class TestKsRatio:
