@@ -33,7 +33,7 @@ from pathlib import Path
 
 from zerokit import constants
 from zerokit.constants import FieldParams
-from zerokit.dirichlet.zerocache import ENV_CACHE_DIR, DependencyError, ZeroLibrary
+from zerokit.dirichlet.zerocache import DependencyError, ZeroLibrary
 from zerokit.dirichlet.zeros import CountCertificationError
 from zerokit.verify import SUITES, TOLERANCES, default_suite, reports_to_json, summary_table, zero_data_needed
 
@@ -50,6 +50,8 @@ HEURISTIC_NOTE = "implied-constant inputs are heuristic, not certified"
 # cache_dir and output_format apply to every command; the tolerances feed `verify`.
 CONFIG_KEYS = ("cache_dir", "output_format", *(f"tolerance.{suite}" for suite in TOLERANCES))
 OUTPUT_FORMATS = ("table", "json")
+# The environment variable that overrides the config file's cache_dir.
+ENV_CACHE_DIR = "EXPLICIT_ZERO_CACHE"
 
 
 @dataclass
@@ -140,7 +142,7 @@ def cmd_constants_optimize(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     argmin, value = constants.optimize_alpha()
     if cfg.output_format == "json":
-        print(json.dumps({"argmin": argmin, "min_value": value}, indent=2))
+        print(json.dumps({"argmin": argmin, "min_value": value}, indent=2, allow_nan=False))
     else:
         print(f"argmin alpha = {argmin:.6f}")
         print(f"objective    = {value:.6f}")
@@ -175,7 +177,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "note": HEURISTIC_NOTE,
         }
     if cfg.output_format == "json":
-        print(json.dumps(payload, indent=2))
+        if payload.get("overflow"):
+            payload["bound"] = None  # JSON has no inf; log_bound stays finite
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for key, value in payload.items():
             print(f"{key} = {value}")

@@ -129,11 +129,9 @@ class FieldParams:
     """Field-level inputs of the bound evaluators.
 
     For the rational field: n_K = 1, D_K = 1.  ``Q`` is the maximal conductor
-    norm over the character family, ``Nq`` the modulus norm, ``theta`` the
-    (unquantified, "sufficiently large") constant weighting the n_K term of
-    the conductor aggregate, and ``implied_nk_constant`` the exponent scale
-    standing in for every e^{O(n_K)} factor.  theta and implied_nk_constant
-    are heuristic knobs, not certified quantities.
+    norm over the character family, ``Nq`` the modulus norm, and
+    ``implied_nk_constant`` the exponent scale standing in for every
+    e^{O(n_K)} factor, a heuristic knob, not a certified quantity.
     """
 
     n_K: int = 1
@@ -141,7 +139,6 @@ class FieldParams:
     Q: float = 1.0
     Nq: float = 1.0
     T: float = 1.0
-    theta: float = 1.0
     implied_nk_constant: float = 0.0
 
     def __post_init__(self) -> None:
@@ -153,8 +150,6 @@ class FieldParams:
             raise ValueError("n_K must be a positive integer")
         if self.D_K < 1.0 or self.Q < 1.0 or self.Nq < 1.0 or self.T < 1.0:
             raise ValueError("D_K, Q, Nq, T must all be >= 1")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
         if self.implied_nk_constant < 0.0:
             raise ValueError("implied_nk_constant must be non-negative")
 
@@ -346,12 +341,7 @@ def optimize_alpha() -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RepulsionCoeffs:
-    """Derived repulsion coefficient quadruple with its published target.
-
-    ``comparable`` records whether the height shift alpha+2 matches the
-    published form's T-shift, i.e. whether entrywise comparison against the
-    published quadruple is meaningful.
-    """
+    """Derived repulsion coefficient quadruple with its published target."""
 
     kind: str
     alpha: float
@@ -360,7 +350,6 @@ class RepulsionCoeffs:
     a3: ErrorBounded
     a4: ErrorBounded
     published: tuple[int, int, int, int]
-    comparable: bool = True
 
     def derived(self) -> tuple[ErrorBounded, ErrorBounded, ErrorBounded, ErrorBounded]:
         return (self.a1, self.a2, self.a3, self.a4)
@@ -370,11 +359,7 @@ class RepulsionCoeffs:
         return all(d.clears(float(p), "<=") for d, p in zip(self.derived(), self.published))
 
 
-def derive_repulsion_coeffs(
-    kind: str,
-    alpha: float = 18.0,
-    T_shift: float = 20.0,
-) -> RepulsionCoeffs:
+def derive_repulsion_coeffs(kind: str, alpha: float = 18.0) -> RepulsionCoeffs:
     """Derive the repulsion quadruple (a1, a2, a3, a4) at pivot alpha.
 
     Each entry is REPULSION_MULTIPLIER * ((alpha+1/2)/alpha)^2 times the
@@ -382,9 +367,6 @@ def derive_repulsion_coeffs(
     respectively in the zero-sum aggregate; the additive 4/alpha + 4/(alpha+1)
     remainder is not scaled into a4 (the published form carries a separate
     +10 additive that absorbs it).
-
-    ``T_shift`` is the constant inside the published log(T + shift); the
-    derived a3 coefficient matches it exactly iff alpha + 2 == T_shift.
     """
     if kind not in ("quadratic", "trivial"):
         raise ValueError("kind must be 'quadratic' or 'trivial'")
@@ -420,7 +402,6 @@ def derive_repulsion_coeffs(
         a3=scale * c3,
         a4=scale * c4,
         published=published,  # type: ignore[arg-type]
-        comparable=(alpha + 2.0 == T_shift),
     )
 
 
@@ -631,4 +612,4 @@ def certification_report(
 
 
 def report_to_json(rows: list[CertEntry]) -> str:
-    return json.dumps([r.to_dict() for r in rows], indent=2)
+    return json.dumps([r.to_dict() for r in rows], indent=2, allow_nan=False)

@@ -68,6 +68,7 @@ __all__ = [
 ORDER = 20  # Euler--Maclaurin correction order M
 TARGET = 1e-13  # certified bound on the remainder R_M
 BLOCK_ENTRIES = 1 << 14  # term-table entries per block of points (256 KiB)
+TABLE_ROWS = 1 << 26  # most rows a term table may have: (N + 1) q with a modulus q, else (N + 1) len(a)
 
 
 @lru_cache(maxsize=1)
@@ -104,6 +105,21 @@ def _shift_for(s: np.ndarray) -> int:
     factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), tmax) ** root
     shift = np.multiply.reduce(factors, initial=(abs(_bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root)
     return max(1, math.ceil(shift))
+
+
+def _table_shift(s: np.ndarray, width: int) -> int:
+    """`_shift_for(s)`, refused when the term table's (N + 1) width rows would exceed TABLE_ROWS.
+
+    width is the modulus q, or without one the number of shifts a.  The
+    refusal comes before anything of length N is built.
+    """
+    n_shift = _shift_for(s)
+    if (n_shift + 1) * width > TABLE_ROWS:
+        raise ValueError(
+            f"hurwitz_zeta needs shift N = {n_shift} at these points: a term table of "
+            f"{(n_shift + 1) * width} rows, beyond TABLE_ROWS = {TABLE_ROWS}"
+        )
+    return n_shift
 
 
 def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) -> None:
@@ -281,6 +297,13 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
     prime and one product per composite m (`_rows`), and q^x multiplies
     each point once, after the sum over n and the tail.
 
+    A call whose shift N would give a term table of more than TABLE_ROWS
+    rows, (N + 1) q with a modulus q and (N + 1) len(a) without one, is
+    refused with ValueError before anything of length N is built.  Only
+    points well left of Re s = 0 come near it: N is 3.3e9 at -30 + 1000i
+    and 3.5e19 at -39.5 + 3i, against a few hundred on the critical line
+    to height 1000.
+
     d and modulus are keyword-only: the benchmark's tracer
     (`perfbench/tracer.py`) wraps this function and reads a third
     positional argument, or a keyword `shift`, as the shift N.
@@ -292,7 +315,7 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
         raise ValueError("hurwitz_zeta requires Re a > 0")
     if np.any(s == 1.0):
         raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = _shift_for(s)
+    n_shift = _table_shift(s, len(shifts) if modulus is None else modulus)
     out, w_pow = _direct(c, d, _rows(n_shift, shifts, modulus))
     _add_tail(out, s[:, None], n_shift + shifts[None, :], w_pow)
     if modulus is not None:
@@ -321,9 +344,10 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
 
     The result has the kernel's shape, one entry per point s_p + d_q (called
     s below) and shift a, and takes the shift N the kernel takes for the same
-    points.  Each entry is the truncation bound on R_M of the module
-    docstring at the entry's own a (`_truncation`) plus the rounding bound
-    below; both take their Pochhammer magnitudes from `_pochhammer`.
+    points, with the same refusals.  Each entry is the truncation bound on
+    R_M of the module docstring at the entry's own a (`_truncation`) plus
+    the rounding bound below; both take their Pochhammer magnitudes from
+    `_pochhammer`.
 
     The rounding bound.  With u = 2^-53 it adds two parts, to first order in
     u; log, exp, cos, sin and each real sum or product are taken to round once.
@@ -396,7 +420,7 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     _, d, s = _grid_points(s, d)
     units = _units(np.ravel(a), modulus)
     shifts = units / modulus  # the shifts a, as validated floats
-    n_shift = _shift_for(s)
+    n_shift = _table_shift(s, modulus)
     flat = s[:, None]
     log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
     logw = np.log(n_shift + shifts)

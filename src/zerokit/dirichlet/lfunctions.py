@@ -1,4 +1,4 @@
-"""Dirichlet L-functions, completed L-functions, and logarithmic derivatives.
+"""Dirichlet L-functions, the phase of their completed functions, and logarithmic derivatives.
 
 Evaluation backend: L(s, chi) = q^-s * sum_{a mod q} chi(a) zeta(s, a/q),
 with the Hurwitz zeta of `zerokit.dirichlet.hurwitz`.  The completed
@@ -31,28 +31,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from zerokit.dirichlet.arith import factorize, prime_powers
+from zerokit.dirichlet.arith import prime_powers
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
     char_label,
     char_value,
     char_value_vec,
-    primitive_inducer,
 )
 from zerokit.dirichlet.hurwitz import _bernoulli_over_factorial, hurwitz_zeta, hurwitz_zeta_vec
 
 __all__ = [
     "GammaPoleError",
-    "completed_l",
     "completed_prefactor_phase",
     "digamma",
-    "gamma_factor",
     "gamma_factor_log_deriv",
-    "l_eval",
-    "l_eval_by_inducer",
     "l_eval_vec",
     "log_deriv_series",
-    "log_deriv_tail_bound",
     "loggamma",
     "root_number",
     "trigamma",
@@ -169,48 +163,7 @@ def log_deriv_by_contour(
     return value
 
 
-def l_eval(s: complex, chi: DirichletCharacter) -> complex:
-    return complex(l_eval_vec(np.array([complex(s)]), chi)[0])
-
-
-def l_eval_by_inducer(s: complex, chi: DirichletCharacter) -> complex:
-    """Cross-check route: L(s,chi) = L(s,chi*) * prod_{p | q, p coprime to f} (1 - chi*(p) p^-s)."""
-    star = primitive_inducer(chi)
-    value = l_eval(s, star)
-    for p, _ in factorize(chi.modulus):
-        if chi.conductor % p != 0:
-            value *= 1.0 - char_value(star, p) * p ** (-complex(s))
-    return value
-
-
-# -- gamma factor and completed function ------------------------------------
-
-
-def gamma_factor(s: complex, chi: DirichletCharacter) -> complex:
-    """gamma_chi(s) = [pi^(-s/2) Gamma(s/2)]^a [pi^(-(s+1)/2) Gamma((s+1)/2)]^b."""
-    s = complex(s)
-    half = s / 2.0 if chi.parity == "even" else (s + 1.0) / 2.0
-    if half.imag == 0.0 and half.real <= 0.0 and half.real == int(half.real):
-        raise GammaPoleError(s)
-    return cmath.exp(-half * _LOG_PI + complex(loggamma(half)))
-
-
-def completed_l(s: complex, chi: DirichletCharacter) -> complex:
-    """xi(s, chi) for primitive chi.
-
-    Entire as a function; numerically, isolated gamma-pole points (where a
-    gamma pole cancels a trivial zero, e.g. s = 0 for even non-principal chi)
-    raise GammaPoleError rather than attempting the 0 * inf limit, and the
-    principal character's s in {0, 1} raise the L-pole error.
-    """
-    if not chi.is_primitive:
-        raise ValueError("completed L-function requires a primitive character")
-    s = complex(s)
-    value = gamma_factor(s, chi) * l_eval(s, chi)
-    value *= cmath.exp(s / 2.0 * math.log(chi.conductor))
-    if chi.is_principal:
-        value *= s * (s - 1.0)
-    return value
+# -- completed function --------------------------------------------------------
 
 
 def completed_prefactor_phase(s: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
@@ -385,8 +338,9 @@ def log_deriv_series(s: complex, chi: DirichletCharacter, k: int, cutoff: int) -
     """Truncated prime-power series for (-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi).
 
     Equals (1/k!) sum_p sum_m (log p)(log p^m)^k chi(p^m) p^(-ms) over prime
-    powers p^m <= cutoff.  Requires Re s > 1; the tail is certified by
-    `log_deriv_tail_bound` and should be added to the caller's error budget.
+    powers p^m <= cutoff.  Requires Re s > 1; the dropped tail is bounded by
+    `log_deriv_tail_bound` in the tests' reference module `tests/oracles.py`,
+    and should be added to the caller's error budget.
     """
     s = complex(s)
     if s.real <= 1.0:
@@ -401,22 +355,3 @@ def log_deriv_series(s: complex, chi: DirichletCharacter, k: int, cutoff: int) -
         terms = weights * char_value_vec(chi, powers) * np.exp(-(m * s) * logs)
         total += complex(terms.sum())
     return inv_kfac * total
-
-
-def log_deriv_tail_bound(s: complex, k: int, cutoff: int) -> float:
-    """Bound on the dropped tail of log_deriv_series.
-
-    Each term is at most (log n)^(k+1) n^(-sigma); comparing the tail with the
-    integral of (log t)^(k+1) t^(-sigma) gives
-    (1/k!) * Gamma(k+2, (sigma-1) log cutoff) / (sigma-1)^(k+2), plus one
-    extra term for the integral/sum offset.
-    """
-    sigma = complex(s).real
-    if sigma <= 1.0:
-        raise ValueError("requires Re s > 1")
-    x = (sigma - 1.0) * math.log(cutoff)
-    # Gamma(n, x) = (n-1)! e^-x sum_{j<n} x^j/j! for a positive integer n (DLMF 8.4.8).
-    upper_gamma = math.factorial(k + 1) * math.exp(-x) * sum(x**j / math.factorial(j) for j in range(k + 2))
-    integral = upper_gamma / (sigma - 1.0) ** (k + 2)
-    top_term = math.log(cutoff) ** (k + 1) * cutoff ** (-sigma)
-    return (integral + top_term) / math.factorial(k)

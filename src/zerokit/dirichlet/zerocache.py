@@ -45,7 +45,6 @@ from zerokit.dirichlet.zeros import (
 __all__ = ["DependencyError", "ZeroLibrary", "read_zero_cache", "write_zero_cache", "CACHE_HEADER"]
 
 CACHE_HEADER = "modulus,char_exponents,beta,gamma,radius,complete_to_height"
-ENV_CACHE_DIR = "EXPLICIT_ZERO_CACHE"
 # The reader splits out the fields of at most READ_BLOCK rows at a time, so a
 # reload holds one block of field strings beside the file's lines.
 READ_BLOCK = 1 << 14
@@ -250,15 +249,9 @@ def _canonical_of_pair(chi: DirichletCharacter) -> DirichletCharacter:
 
 
 class ZeroLibrary:
-    """Zero sets for any character, backed by a cache directory.
+    """Zero sets for any character, backed by a cache directory."""
 
-    The cache directory defaults to the EXPLICIT_ZERO_CACHE environment
-    variable, falling back to ./zero_cache.
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None):
-        if cache_dir is None:
-            cache_dir = os.environ.get(ENV_CACHE_DIR, "zero_cache")
+    def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self._memory: dict[tuple[int, tuple[int, ...]], ZeroSet] = {}
 

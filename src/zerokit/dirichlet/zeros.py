@@ -5,14 +5,14 @@ changes on the critical line against a winding count.  Both read one
 `ModulusEngine` bank of Hurwitz values per modulus, so they are independent
 in method but not in the evaluator.
 
-* `count_zeros` counts zeros of the completed function by the argument
-  principle.  The functional equation halves the contour: the count is the
-  phase change of xi along 1/2 - iT -> 5/4 - iT -> 5/4 + iT -> 1/2 + iT,
-  divided by pi.  One count for all characters of a modulus reads the bank
-  on the horizontal edges; the right edge is a closed form in the corner
-  values (`ModulusEngine._counts`).  Nothing is evaluated left of the
-  critical line, and only the gamma factor's phase is materialised, so tall
-  contours do not underflow.
+* `ModulusEngine._counts` counts zeros of the completed function by the
+  argument principle.  The functional equation halves the contour: the
+  count is the phase change of xi along 1/2 - iT -> 5/4 - iT -> 5/4 + iT ->
+  1/2 + iT, divided by pi.  One count for all characters of a modulus reads
+  the bank on the horizontal edges; the right edge is a closed form in the
+  corner values.  Nothing is evaluated left of the critical line, and only
+  the gamma factor's phase is materialised, so tall contours do not
+  underflow.
 * `scan_zeros` locates critical-line zeros as sign changes of the rotated
   completed function Z(t) = Re[e^{i theta(t)} L(1/2+it)], where theta is the
   phase of the completed prefactor minus half the root-number phase; Z is
@@ -63,7 +63,6 @@ __all__ = [
     "CountCertificationError",
     "ModulusEngine",
     "ZeroSet",
-    "count_zeros",
     "count_zeros_circle",
     "scan_zeros",
 ]
@@ -189,21 +188,6 @@ def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
     if not zs.covers(abs(center.imag) + r):
         raise ValueError("disk exceeds the zero set's certified height")
     return int(np.count_nonzero(np.hypot(center.real - zs.beta, center.imag - zs.gamma) <= r))
-
-
-# -- argument principle -------------------------------------------------------
-
-
-def count_zeros(chi: DirichletCharacter, T: float) -> int:
-    """Nontrivial zeros with |gamma| < T, with multiplicity: the one-character view of `ModulusEngine._counts`."""
-    if not chi.is_primitive:
-        raise ValueError("argument-principle counting requires a primitive character")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"count height must be finite and positive, got {T}")
-    count = ModulusEngine((chi,), T)._counts([T])[0]
-    if isinstance(count, CountCertificationError):
-        raise count
-    return count
 
 
 # -- critical-line scanning ---------------------------------------------------

@@ -12,9 +12,9 @@ Two kernels live here:
   localise the logarithmic-derivative series of an L-function around
   norms of size e^(k/r).
 
-The *_check functions evaluate the two-sided estimates these kernels are
-used with, returning per-point verdicts rather than asserting, so the
-harness can map out exactly where each stated bound holds.
+``e_kernel_bound_check`` evaluates the two-regime envelope E_k is used with,
+returning a per-point verdict rather than asserting, so a caller can map
+out exactly where the stated bound holds.
 """
 
 from __future__ import annotations
@@ -31,16 +31,10 @@ __all__ = [
     "e_kernel_bound_check",
     "e_kernel_partial_sum",
     "psi_mellin",
-    "psi_mellin_bounds_check",
     "psi_weight",
 ]
 
-# Explicit constant for the uniform boundedness of the Mellin transform on
-# the strip |Re s| <= A / sqrt(2 n).  The supremum is attained on the real
-# axis at |s| = A/sqrt(2n) and increases to e^(1/6) = 1.18136... with n.
-MELLIN_STRIP_BOUND = 1.19
-
-# Comparison fuzz for the boolean bound checks (pure rounding allowance).
+# Comparison fuzz for the boolean bound check (pure rounding allowance).
 _CHECK_RTOL = 1e-12
 
 
@@ -107,41 +101,6 @@ def psi_mellin(s: complex, p: WeightParams) -> complex:
     """The Mellin transform [sinh(s/A)/(s/A)]^(2 degree_n); entire, =1 at s=0."""
     u = complex(s) / p.scale_A
     return _sinhc(u) ** (2 * p.degree_n)
-
-
-def psi_mellin_bounds_check(s: complex, p: WeightParams) -> tuple[bool, bool | None, bool | None]:
-    """Check the three stated envelope bounds for the Mellin transform at s.
-
-    Returns a triple (decay bound, small-|s| bound, strip bound).  The second
-    entry applies only for |s| <= A and the third only for
-    |Re s| <= A/sqrt(2n); inapplicable entries are None.
-
-    The first bound, (A/|s|)^(2n) e^(|Re s|/A), is checked *as stated* even
-    though it fails at some real s with |s| > A (the exponent appears to need
-    a factor 2n to majorise sinh there); callers should treat a False verdict
-    as information about the stated inequality, not as an evaluation error.
-    """
-    s = complex(s)
-    n, a = p.degree_n, p.scale_A
-    value = abs(psi_mellin(s, p))
-    sigma = abs(s.real)
-
-    if s == 0:
-        decay_ok = True
-    else:
-        decay_bound = (a / abs(s)) ** (2 * n) * math.exp(sigma / a)
-        decay_ok = value <= decay_bound * (1.0 + _CHECK_RTOL)
-
-    small_ok: bool | None = None
-    if abs(s) <= a:
-        small_bound = (1.0 + abs(s) ** 2 / (5.0 * a * a)) ** (2 * n)
-        small_ok = value <= small_bound * (1.0 + _CHECK_RTOL)
-
-    strip_ok: bool | None = None
-    if sigma <= a / math.sqrt(2.0 * n):
-        strip_ok = value <= MELLIN_STRIP_BOUND * (1.0 + _CHECK_RTOL)
-
-    return decay_ok, small_ok, strip_ok
 
 
 def e_kernel(u: float | np.ndarray, k: int) -> float | np.ndarray:

@@ -142,7 +142,7 @@ def _report(name: str, lhs: float, rhs: float, direction: str, **context) -> Che
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    return json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
 
 
 def summary_table(reports: Iterable[CheckReport]) -> str:

@@ -1,0 +1,96 @@
+"""Reference implementations the tests compare against; no command runs them.
+
+* `l_eval`, `l_eval_by_inducer`: L(s, chi) at one point, directly and
+  through the primitive inducer (the reference for imprimitive L-values).
+* `gamma_factor`, `completed_l`: the gamma factor and the completed
+  function xi(s, chi), for the functional-equation checks.
+* `log_deriv_tail_bound`: the dropped tail of `lfunctions.log_deriv_series`.
+* `count_zeros`: the argument-principle count of one character, the
+  one-character view of `zeros.ModulusEngine._counts`.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+from zerokit.dirichlet.arith import factorize
+from zerokit.dirichlet.characters import DirichletCharacter, char_value, primitive_inducer
+from zerokit.dirichlet.lfunctions import GammaPoleError, l_eval_vec, loggamma
+from zerokit.dirichlet.zeros import CountCertificationError, ModulusEngine
+
+_LOG_PI = math.log(math.pi)
+
+
+def l_eval(s: complex, chi: DirichletCharacter) -> complex:
+    return complex(l_eval_vec(np.array([complex(s)]), chi)[0])
+
+
+def l_eval_by_inducer(s: complex, chi: DirichletCharacter) -> complex:
+    """Cross-check route: L(s,chi) = L(s,chi*) * prod_{p | q, p coprime to f} (1 - chi*(p) p^-s)."""
+    star = primitive_inducer(chi)
+    value = l_eval(s, star)
+    for p, _ in factorize(chi.modulus):
+        if chi.conductor % p != 0:
+            value *= 1.0 - char_value(star, p) * p ** (-complex(s))
+    return value
+
+
+def gamma_factor(s: complex, chi: DirichletCharacter) -> complex:
+    """gamma_chi(s) = [pi^(-s/2) Gamma(s/2)]^a [pi^(-(s+1)/2) Gamma((s+1)/2)]^b."""
+    s = complex(s)
+    half = s / 2.0 if chi.parity == "even" else (s + 1.0) / 2.0
+    if half.imag == 0.0 and half.real <= 0.0 and half.real == int(half.real):
+        raise GammaPoleError(s)
+    return cmath.exp(-half * _LOG_PI + complex(loggamma(half)))
+
+
+def completed_l(s: complex, chi: DirichletCharacter) -> complex:
+    """xi(s, chi) for primitive chi.
+
+    Entire as a function; numerically, isolated gamma-pole points (where a
+    gamma pole cancels a trivial zero, e.g. s = 0 for even non-principal chi)
+    raise GammaPoleError rather than attempting the 0 * inf limit, and the
+    principal character's s in {0, 1} raise the L-pole error.
+    """
+    if not chi.is_primitive:
+        raise ValueError("completed L-function requires a primitive character")
+    s = complex(s)
+    value = gamma_factor(s, chi) * l_eval(s, chi)
+    value *= cmath.exp(s / 2.0 * math.log(chi.conductor))
+    if chi.is_principal:
+        value *= s * (s - 1.0)
+    return value
+
+
+def log_deriv_tail_bound(s: complex, k: int, cutoff: int) -> float:
+    """Bound on the dropped tail of log_deriv_series.
+
+    Each term is at most (log n)^(k+1) n^(-sigma); comparing the tail with the
+    integral of (log t)^(k+1) t^(-sigma) gives
+    (1/k!) * Gamma(k+2, (sigma-1) log cutoff) / (sigma-1)^(k+2), plus one
+    extra term for the integral/sum offset.
+    """
+    sigma = complex(s).real
+    if sigma <= 1.0:
+        raise ValueError("requires Re s > 1")
+    x = (sigma - 1.0) * math.log(cutoff)
+    # Gamma(n, x) = (n-1)! e^-x sum_{j<n} x^j/j! for a positive integer n (DLMF 8.4.8).
+    upper_gamma = math.factorial(k + 1) * math.exp(-x) * sum(x**j / math.factorial(j) for j in range(k + 2))
+    integral = upper_gamma / (sigma - 1.0) ** (k + 2)
+    top_term = math.log(cutoff) ** (k + 1) * cutoff ** (-sigma)
+    return (integral + top_term) / math.factorial(k)
+
+
+def count_zeros(chi: DirichletCharacter, T: float) -> int:
+    """Nontrivial zeros with |gamma| < T, with multiplicity: the one-character view of `ModulusEngine._counts`."""
+    if not chi.is_primitive:
+        raise ValueError("argument-principle counting requires a primitive character")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"count height must be finite and positive, got {T}")
+    count = ModulusEngine((chi,), T)._counts([T])[0]
+    if isinstance(count, CountCertificationError):
+        raise count
+    return count

@@ -28,7 +28,7 @@ from zerokit.dirichlet.characters import (
     enumerate_characters,
     primitive_characters,
 )
-from zerokit.dirichlet.lfunctions import completed_l, root_number
+from zerokit.dirichlet.lfunctions import root_number
 from zerokit.kernels import (
     WeightParams,
     e_kernel_bound_check,
@@ -39,6 +39,7 @@ from zerokit.kernels import (
 from zerokit.powersum import ks_ratio, ks_witness, lmo_witness
 from zerokit.verify import circle_lemma_check, default_suite
 
+from oracles import completed_l
 from test_kernels import mellin_numeric
 
 
@@ -74,7 +75,7 @@ def test_criterion_2_repulsion_coefficients():
     triv = derive_repulsion_coeffs("trivial", alpha=18.0)
     assert quad.published == (51, 54, 26, 74) and quad.dominated()
     assert triv.published == (26, 13, 13, 37) and triv.dominated()
-    limit = derive_repulsion_coeffs("quadratic", alpha=1e6, T_shift=1e6 + 2.0)
+    limit = derive_repulsion_coeffs("quadratic", alpha=1e6)
     assert abs(limit.a1.value - 48.0) <= 1e-3
     assert abs(limit.a2.value - 48.0) <= 1e-3
     assert abs(limit.a3.value - 24.0) <= 1e-3

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses the constants Infinity, -Infinity and NaN, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestConstants:
     def test_derive_default_passes(self, capsys):
         code, out, _ = run(capsys, "constants", "derive")
@@ -35,7 +45,7 @@ class TestConstants:
     def test_derive_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "constants", "derive", "--json")
         assert code == EXIT_OK
-        rows = json.loads(out)
+        rows = strict_json(out)
         assert {r["name"] for r in rows} >= {"A_lower", "k_hi_coeff", "y_coeff"}
         again = json.loads(json.dumps(rows))
         assert again == rows
@@ -43,7 +53,7 @@ class TestConstants:
     def test_optimize(self, capsys):
         code, out, _ = run(capsys, "constants", "optimize-alpha", "--json")
         assert code == EXIT_OK
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert 0.13 <= payload["argmin"] <= 0.17
 
 
@@ -53,7 +63,7 @@ class TestBounds:
             capsys, "bounds", "density", "--sigma", "0.999", "--nk", "1", "--dk", "1", "--q", "3", "--t", "1", "--json"
         )
         assert code == EXIT_OK
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["exponent"] == 74.0
         assert payload["bound"] == pytest.approx(3.0**0.074)
         assert "heuristic" in payload["note"]
@@ -76,7 +86,7 @@ class TestBounds:
             "--json",
         )
         assert code == EXIT_OK
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["bound"] == pytest.approx(0.95168, abs=1e-5)
         assert payload["vacuous"] is False
 
@@ -84,7 +94,7 @@ class TestBounds:
         code, out, _ = run(
             capsys, "bounds", "repulsion", "--kind", "trivial", "--beta1", "0.1", "--nq", "5", "--c", "1", "--json"
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["vacuous"] is True and payload["bound"] == 1.0
 
     def test_density_exponent_on_both_sides_of_the_threshold(self, capsys, tmp_path):
@@ -92,14 +102,35 @@ class TestBounds:
         assert density_exponent_for(0.9989) == 81.0
         code, out, _ = run(capsys, "bounds", "density", "--sigma", "0.6", "--json")
         assert code == EXIT_OK
-        assert json.loads(out)["exponent"] == 81.0
+        assert strict_json(out)["exponent"] == 81.0
         argv = ["verify", "--suite", "density", "--qmax", "2", "--height", "5", "--scan-missing", "--json"]
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == EXIT_OK
-        rows = {r["name"]: r for r in json.loads(out)}
+        rows = {r["name"]: r for r in strict_json(out)}
         for q in (1, 2):
             assert rows[f"density.q{q}.sigma0.999"]["context"]["exponent"] == 74.0
             assert rows[f"density.q{q}.sigma0.8"]["context"]["exponent"] == 81.0
+
+    def test_density_overflow_prints_a_null_bound(self, capsys):
+        # log_bound is a finite 55952.8, so the bound e^55952.8 overflows
+        # float64: JSON has no inf, so --json prints null; the table keeps inf
+        argv = ("bounds", "density", "--sigma", "0.5", "--q", "1e300", "--t", "1e300")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["bound"] is None and payload["overflow"] is True
+        assert payload["log_bound"] == pytest.approx(55952.8, abs=0.1)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "bound = inf" in out.splitlines()
+
+    def test_a_non_finite_value_is_never_printed_as_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(zerokit.constants, "optimize_alpha", lambda: (math.nan, math.inf))
+        code, out, err = run(capsys, "constants", "optimize-alpha", "--json")
+        assert code == EXIT_USAGE
+        assert out == "" and "JSON" in err
+        code, out, _ = run(capsys, "constants", "optimize-alpha")
+        assert code == EXIT_OK and "nan" in out
 
     def test_usage_error_on_bad_parameter(self, capsys):
         code, _, err = run(capsys, "bounds", "density", "--sigma", "0.2", "--json")
@@ -439,7 +470,7 @@ class TestZerosAndVerify:
         argv = ["verify", "--suite", "circle", "--qmax", "3", "--height", "0.5", "--scan-missing", "--json"]
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == EXIT_OK, err
-        assert all(r["name"].startswith("circle.") and r["pass"] for r in json.loads(out))
+        assert all(r["name"].startswith("circle.") and r["pass"] for r in strict_json(out))
 
     def test_scan_missing_scans_only_what_the_suites_read(self, capsys, tmp_path):
         argv = ["verify", "--suite", "hadamard", "--qmax", "10", "--height", "30", "--scan-missing"]
@@ -479,7 +510,7 @@ class TestZerosAndVerify:
             "--json",
         )
         assert code == EXIT_OK
-        rows = json.loads(out)
+        rows = strict_json(out)
         assert rows and all(r["pass"] for r in rows)
         assert all(set(r) == {"name", "lhs", "rhs", "direction", "margin", "pass", "context"} for r in rows)
 
@@ -564,7 +595,7 @@ class TestZerosAndVerify:
         cfg.write_text("output_format = json\n")
         code, out, _ = run(capsys, "--config", str(cfg), "constants", "optimize-alpha")
         assert code == EXIT_OK
-        assert 0.13 <= json.loads(out)["argmin"] <= 0.17
+        assert 0.13 <= strict_json(out)["argmin"] <= 0.17
 
     def test_tolerance_override_from_config(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("EXPLICIT_ZERO_CACHE", raising=False)

@@ -133,7 +133,6 @@ class TestRepulsionCoeffs:
         assert values == pytest.approx([50.7037, 53.6839, 25.3519, 73.6653], abs=2e-3)
         assert rc.published == (51, 54, 26, 74)
         assert rc.dominated()
-        assert rc.comparable
 
     def test_trivial_at_pivot(self):
         rc = derive_repulsion_coeffs("trivial")
@@ -143,18 +142,14 @@ class TestRepulsionCoeffs:
         assert rc.dominated()
 
     def test_large_pivot_limits(self):
-        rc = derive_repulsion_coeffs("quadratic", alpha=1e6, T_shift=1e6 + 2.0)
+        rc = derive_repulsion_coeffs("quadratic", alpha=1e6)
         assert rc.a1.value == pytest.approx(48.0, abs=1e-3)
         assert rc.a2.value == pytest.approx(48.0, abs=1e-3)
         assert rc.a3.value == pytest.approx(24.0, abs=1e-3)
-        rt = derive_repulsion_coeffs("trivial", alpha=1e6, T_shift=1e6 + 2.0)
+        rt = derive_repulsion_coeffs("trivial", alpha=1e6)
         assert rt.a1.value == pytest.approx(24.0, abs=1e-3)
         assert rt.a2.value == pytest.approx(12.0, abs=1e-3)
         assert rt.a3.value == pytest.approx(12.0, abs=1e-3)
-
-    def test_t_shift_mismatch_flagged(self):
-        rc = derive_repulsion_coeffs("quadratic", alpha=10.0, T_shift=20.0)
-        assert not rc.comparable
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,9 @@ from zerokit.dirichlet.hurwitz import (
     hurwitz_zeta,
     hurwitz_zeta_vec,
 )
-from zerokit.dirichlet.lfunctions import l_eval, l_eval_vec
+from zerokit.dirichlet.lfunctions import l_eval_vec
+
+from oracles import l_eval
 
 mp.mp.dps = 35
 
@@ -387,6 +390,31 @@ class TestCertifiedTruncation:
         # without it left zeta(s, a) off by 1e20 or more against mpmath
         with pytest.raises(ValueError, match="requires Re s > -40"):
             call()
+
+    @pytest.mark.parametrize("s", [-30.0 + 1000.0j, -39.5 + 3.0j])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s: hurwitz_zeta_vec(np.array([s]), 0.25), id="hurwitz_zeta_vec"),
+            pytest.param(lambda s: hurwitz_bound(np.array([s]), 0.25, modulus=4), id="hurwitz_bound"),
+            pytest.param(lambda s: l_eval_vec(np.array([s]), enumerate_characters(4)[1]), id="l_eval_vec"),
+        ],
+    )
+    def test_refuses_a_term_table_beyond_table_rows(self, call, s):
+        # the certified shift N is 3.3e9 at -30 + 1000i and 3.5e19 at
+        # -39.5 + 3i; no term table of N + 1 rows per unit can be allocated,
+        # so the call is refused before anything of length N is built
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="TABLE_ROWS"):
+            call(s)
+        assert time.perf_counter() - started < 1.0
+
+    def test_table_rows_is_the_largest_table_admitted(self):
+        s = np.array([0.5 + 1000.0j])
+        rows = hurwitz._shift_for(s) + 1
+        assert hurwitz._table_shift(s, hurwitz.TABLE_ROWS // rows) == rows - 1
+        with pytest.raises(ValueError, match="TABLE_ROWS"):
+            hurwitz._table_shift(s, hurwitz.TABLE_ROWS // rows + 1)
 
     @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan"), -1.0])
     def test_error_bound_refuses_a_shift_not_positive(self, a):

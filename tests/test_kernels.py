@@ -13,7 +13,6 @@ from zerokit.kernels import (
     e_kernel_bound_check,
     e_kernel_partial_sum,
     psi_mellin,
-    psi_mellin_bounds_check,
     psi_weight,
 )
 
@@ -154,30 +153,6 @@ class TestPsiMellin:
             for t in ts:
                 s = complex(sigma, t)
                 assert psi_mellin(s, p) == pytest.approx(mellin_numeric(s, p), abs=1e-8)
-
-
-class TestPsiMellinBounds:
-    def test_all_applicable_at_zero(self):
-        assert psi_mellin_bounds_check(0.0, P11) == (True, True, True)
-
-    def test_decay_bound_fails_on_real_axis_outside(self):
-        # the stated decay envelope does not majorise sinh at real s = 2A
-        decay, small, strip = psi_mellin_bounds_check(2.0 * P11.scale_A, P11)
-        assert decay is False
-        assert small is None  # |s| > A
-        assert strip is None  # |Re s| > A / sqrt(2)
-
-    def test_small_bound_inside_disk(self):
-        decay, small, strip = psi_mellin_bounds_check(0.5 * P11.scale_A, P11)
-        assert small is True
-
-    def test_bounds_on_imaginary_axis(self):
-        for t in np.linspace(0.1, 30.0, 40):
-            decay, small, strip = psi_mellin_bounds_check(1j * t * P11.scale_A, P11)
-            assert decay is True
-            assert strip is True
-            if t <= 1.0:
-                assert small is True
 
 
 class TestEKernel:

@@ -14,22 +14,19 @@ from zerokit.dirichlet.characters import (
 )
 from zerokit.dirichlet.lfunctions import (
     GammaPoleError,
-    completed_l,
     digamma,
-    gamma_factor,
     gamma_factor_log_deriv,
-    l_eval,
-    l_eval_by_inducer,
     l_eval_vec,
     log_deriv_by_contour,
     log_deriv_series,
-    log_deriv_tail_bound,
     loggamma,
     root_number,
     trigamma,
     trivial_ladder_start,
     trivial_zero_sum,
 )
+
+from oracles import completed_l, gamma_factor, l_eval, l_eval_by_inducer, log_deriv_tail_bound
 
 ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]

