@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     derive = constants_sub.add_parser("derive", help="derive and certify all explicit constants")
     derive.add_argument("--alpha", type=float, default=constants.REFERENCE_ALPHA)
     derive.add_argument("--eta", type=float, default=constants.REFERENCE_ETA)
-    derive.add_argument("--epsilon", type=float, default=constants.DENSITY_EPS_WIDE)
+    derive.add_argument("--epsilon", type=float, default=constants.DENSITY_EPS_WIDE, help="validated, but changes no report row")
     derive.add_argument("--json", action="store_true")
     derive.set_defaults(func=cmd_constants_derive)
     optimize = constants_sub.add_parser("optimize-alpha", help="minimise the detection-exponent objective")

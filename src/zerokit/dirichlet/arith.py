@@ -82,8 +82,6 @@ def primes_up_to(n: int) -> np.ndarray:
     # Round the cached sieve limit up so nearby requests share one sieve.
     limit = 1 << max(int(n).bit_length(), 10)
     limit = min(limit, DESK_SUM_LIMIT)
-    if limit < n:
-        limit = n
     primes = _sieve(limit)
     return primes[primes <= n]
 

@@ -134,16 +134,14 @@ def _char_log_num(group: _UnitGroup, exponents: tuple[int, ...], n: int) -> int 
 
 
 def _conductor(group: _UnitGroup, exponents: tuple[int, ...]) -> int:
-    """Smallest f | q such that chi is trivial on units congruent to 1 mod f."""
+    """Smallest f | q such that chi is trivial on units congruent to 1 mod f; f = q qualifies, as only n = 1 is 1 mod q."""
     q = group.q
-    for f in sorted(d for d in range(1, q + 1) if q % d == 0):
-        if all(
-            _char_log_num(group, exponents, n) == 0
-            for n in range(1, q + 1)
-            if n % f == 1 % f and math.gcd(n, q) == 1
-        ):
-            return f
-    return q
+    return next(
+        f
+        for f in range(1, q + 1)
+        if q % f == 0
+        and all(_char_log_num(group, exponents, n) == 0 for n in range(1, q + 1) if n % f == 1 % f and math.gcd(n, q) == 1)
+    )
 
 
 def _build_character(q: int, exponents: tuple[int, ...]) -> DirichletCharacter:

@@ -21,16 +21,17 @@ entry's own a plus the floating-point error of the sum itself.
 One kernel, `hurwitz_zeta_vec(s, a, d=..., modulus=...)`, forms the terms
 (n+a)^-s.  It takes a grid of points s_p + d_q, any array s and a short row
 d of offsets (d = 0 by default), at one shift N, factors each term as
-(n+a)^-s_p (n+a)^-d_q, and picks from the shapes alone how to sum over n:
-one or two offsets multiply a table of (n+a)^-s_p by one of (n+a)^-d_q and
-sum over n; more take one batched matrix product (baby-step/giant-step).
-One builder, `_terms` over the rows of `_rows`, forms every table, in
-blocks of the points s.  Without a modulus it takes one complex exp per
-row n + a.  With `modulus=q`, every a is u/q with u prime to q, and
-(n + u/q)^-s = q^s m^-s with m = n q + u, completely multiplicative in m:
-only 1 and the primes below (N+1) q take an exp, each composite m is one
-complex product of two earlier rows, and q^s multiplies each point once,
-after the sum.  Every grid shares one Euler--Maclaurin tail (`_add_tail`:
+(n+a)^-s_p (n+a)^-d_q, and sums over n: at d = 0 by a plain sum of the
+table of (n+a)^-s_p, at any other d by one batched matrix product of that
+table with one of (n+a)^-d_q (baby-step/giant-step).  One input gate,
+`_admit`, refuses what neither the kernel nor its bound can take.  One
+builder, `_terms` over the rows of `_rows`, forms every table, in blocks of
+the points s.  Without a modulus it takes one complex exp per row n + a.
+With `modulus=q`, every a is u/q with u prime to q, and (n + u/q)^-s =
+q^s m^-s with m = n q + u, completely multiplicative in m: only 1 and the
+primes up to N q + max u take an exp, each composite m is one complex
+product of two earlier rows, and q^s multiplies each point once, after the
+sum.  Every grid shares one Euler--Maclaurin tail (`_add_tail`:
 one float64 matrix product of the Pochhammer symbols (s)_{2j-1}, one row
 per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift), and
 every grid with a modulus one error bound, `hurwitz_bound`, whose rounding
@@ -68,7 +69,7 @@ __all__ = [
 ORDER = 20  # Euler--Maclaurin correction order M
 TARGET = 1e-13  # certified bound on the remainder R_M
 BLOCK_ENTRIES = 1 << 14  # term-table entries per block of points (256 KiB)
-TABLE_ROWS = 1 << 26  # most rows a term table may have: (N + 1) q with a modulus q, else (N + 1) len(a)
+TABLE_ROWS = 1 << 26  # largest size `_rows` may allocate: its sieve's N q + max u with a modulus q, else (N + 1) len(a) rows
 
 
 @lru_cache(maxsize=1)
@@ -105,21 +106,6 @@ def _shift_for(s: np.ndarray) -> int:
     factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), tmax) ** root
     shift = np.multiply.reduce(factors, initial=(abs(_bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root)
     return max(1, math.ceil(shift))
-
-
-def _table_shift(s: np.ndarray, width: int) -> int:
-    """`_shift_for(s)`, refused when the term table's (N + 1) width rows would exceed TABLE_ROWS.
-
-    width is the modulus q, or without one the number of shifts a.  The
-    refusal comes before anything of length N is built.
-    """
-    n_shift = _shift_for(s)
-    if (n_shift + 1) * width > TABLE_ROWS:
-        raise ValueError(
-            f"hurwitz_zeta needs shift N = {n_shift} at these points: a term table of "
-            f"{(n_shift + 1) * width} rows, beyond TABLE_ROWS = {TABLE_ROWS}"
-        )
-    return n_shift
 
 
 def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) -> None:
@@ -180,6 +166,29 @@ def _units(shifts: np.ndarray, modulus: int) -> np.ndarray:
     return units.astype(np.int64)
 
 
+def _admit(s: np.ndarray, shifts: np.ndarray, modulus: int | None) -> tuple[int, int, np.ndarray | None]:
+    """The shift N, the size `_rows` allocates and the units u = a q (None without a modulus), or ValueError.
+
+    The one input gate of `hurwitz_zeta_vec` and `hurwitz_bound`.  It refuses
+    an a not u/q with a modulus q (`_units`), Re a <= 0, the pole s = 1,
+    Re s <= -40 (`_shift_for`) and a size beyond TABLE_ROWS: a sieve to
+    N q + max u with a modulus, (N + 1) len(a) rows without one.
+    """
+    units = None if modulus is None else _units(shifts, modulus)
+    if np.any(shifts.real <= 0.0):
+        raise ValueError("hurwitz_zeta requires Re a > 0")
+    if np.any(s == 1.0):
+        raise ValueError("hurwitz_zeta has a pole at s = 1")
+    n_shift = _shift_for(s)
+    size = (n_shift + 1) * len(shifts) if units is None else n_shift * modulus + int(units.max())
+    if size > TABLE_ROWS:
+        raise ValueError(
+            f"hurwitz_zeta needs shift N = {n_shift} at these points: a term table of "
+            f"{size} rows, beyond TABLE_ROWS = {TABLE_ROWS}"
+        )
+    return n_shift, size, units
+
+
 class _Rows(NamedTuple):
     """The rows of a term table and how `_terms` forms them (`_rows`)."""
 
@@ -189,59 +198,60 @@ class _Rows(NamedTuple):
     count: int  # rows formed
 
 
-def _rows(n_shift: int, shifts: np.ndarray, modulus: int | None) -> _Rows:
+def _rows(n_shift: int, size: int, shifts: np.ndarray, units: np.ndarray | None, modulus: int | None) -> _Rows:
     """The term table's rows at shift N: n + a for n <= N, or with a modulus q, m = n q + u.
 
-    Without a modulus every row takes one exp of -x log(n + a).  With one,
-    a = u/q and (n + a)^-x = q^x m^-x, and m^-x is completely multiplicative
-    in m.  The rows formed are then every m <= N q + max u prime to q, from a
+    N, size and units are those of `_admit`.  Without a modulus the size
+    rows each take one exp of -x log(n + a).  With one, a = u/q and
+    (n + a)^-x = q^x m^-x, and m^-x is completely multiplicative in m.  The
+    rows formed are then every m <= size = N q + max u prime to q, from a
     sieve made for this call alone: first 1 and the primes, which take one
     exp of -x log p each, then the composites in increasing order, each the
     product of two earlier rows, its least prime factor p and the cofactor
     m/p.  Both are below 2^j for m in [2^j, 2^(j+1)), so each such octave is
     one layer of products.  `pick` finds m = n q + u among them.
     """
-    count = (n_shift + 1) * len(shifts)
     if modulus is None:
         logs = np.log(np.arange(n_shift + 1)[:, None] + shifts).ravel()
-        return _Rows(logs, (), np.arange(count).reshape(n_shift + 1, -1), count)
-    units = _units(shifts, modulus)
-    top = n_shift * modulus + int(units.max())
-    prime_to_q = np.ones(top + 1, dtype=bool)
+        return _Rows(logs, (), np.arange(size).reshape(n_shift + 1, -1), size)
+    prime_to_q = np.ones(size + 1, dtype=bool)
     prime_to_q[0] = False
     for p, _ in factorize(modulus):
         prime_to_q[::p] = False
     m = np.flatnonzero(prime_to_q)
-    least = least_prime_factors(top)[m]
+    least = least_prime_factors(size)[m]
     base = least == m
     # row[m]: 1 and the primes first, then the composites, each group in increasing order
     order = np.concatenate([m[base], m[~base]])
-    row = np.zeros(top + 1, dtype=np.int64)
+    row = np.zeros(size + 1, dtype=np.int64)
     row[order] = np.arange(len(m))
     composite, factor = m[~base], least[~base]
     left, right = row[factor], row[composite // factor]
-    ends = np.searchsorted(composite, 1 << np.arange(top.bit_length() + 1))
+    ends = np.searchsorted(composite, 1 << np.arange(size.bit_length() + 1))
     first = len(m) - len(composite)
     layers = tuple((first + i, first + j, left[i:j], right[i:j]) for i, j in zip(ends[:-1], ends[1:]) if j > i)
     pick = row[np.arange(n_shift + 1)[:, None] * modulus + units]
     return _Rows(np.log(order[:first]), layers, pick, len(m))
 
 
-def _terms(x: np.ndarray, rows: _Rows, units_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _terms(x: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     """(n + a)^-x, or with a modulus m^-x, m = n q + u, for the points x, as the terms n < N and the row n = N.
 
-    The terms are an (N, len(a), len(x)) array, or (len(a), N, len(x)) if
-    `units_first`, and the row n = N is (len(a), len(x)); both C-ordered.
-    One complex exp per point and row of `rows.logs`, and one complex
-    product per point and composite row.
+    The terms are a C-ordered (len(a), N, len(x)) array, and the row n = N
+    is (len(a), len(x)).  One complex exp per point and row of `rows.logs`,
+    and one complex product per point and composite row.
     """
     table = np.empty((rows.count, len(x)), dtype=complex)
     powers = table[: len(rows.logs)]
     np.exp(np.multiply(-x, rows.logs[:, None], out=powers), out=powers)
     for start, stop, left, right in rows.layers:
         np.multiply(table.take(left, axis=0), table.take(right, axis=0), out=table[start:stop])
-    terms = rows.pick[:-1].T if units_first else rows.pick[:-1]
-    return table.take(terms, axis=0), table.take(rows.pick[-1], axis=0)
+    return table.take(rows.pick[:-1].T, axis=0), table.take(rows.pick[-1], axis=0)
+
+
+def _turned(d: np.ndarray) -> bool:
+    """Whether the kernel takes the product with a table of the offsets d: for every d but the single offset 0."""
+    return len(d) > 1 or d[0] != 0.0
 
 
 def _direct(c: np.ndarray, d: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
@@ -249,26 +259,22 @@ def _direct(c: np.ndarray, d: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.n
 
     Both are (len(c) len(d), len(a)) arrays, row k = p len(d) + q.  The
     table of c is built in blocks of at most BLOCK_ENTRIES entries, each
-    freed before the next.
+    freed before the next.  At d = 0 the sum over n is a plain sum, and any
+    other d takes one batched matrix product (`_turned`).
     """
-    turned = len(d) > 1 or d[0] != 0.0  # d = 0 takes no product
-    batched = len(d) > 2  # C-ordered (len(a), N, x) tables, so that the product runs in BLAS
+    turned = _turned(d)
     if turned:
-        fine, fine_last = _terms(d, rows, units_first=batched)
-    if batched:
+        fine, fine_last = _terms(d, rows)
         fine = np.ascontiguousarray(fine.transpose(0, 2, 1))  # (len(a), len(d), N)
     out, w_pow = (np.empty((len(c), len(d), rows.pick.shape[1]), dtype=complex) for _ in range(2))
     step = max(1, BLOCK_ENTRIES // rows.count)
     for lo in range(0, len(c), step):
         block = slice(lo, lo + step)
-        coarse, last = _terms(c[block], rows, units_first=batched)
-        if batched:
-            summed = np.matmul(fine, coarse)
-        elif turned:
-            summed = np.stack([np.sum(coarse * fine[:, :, q, None], axis=0) for q in range(len(d))], axis=1)
-        else:
-            summed = np.sum(coarse, axis=0)[:, None]
-        last = last[:, None] * fine_last[..., None] if turned else last[:, None]
+        coarse, last = _terms(c[block], rows)
+        if turned:
+            summed, last = np.matmul(fine, coarse), last[:, None] * fine_last[..., None]
+        else:  # n first, so that numpy adds the terms one n after another (pairwise only if n has one entry)
+            summed, last = np.sum(np.ascontiguousarray(coarse.transpose(1, 0, 2)), axis=0)[:, None], last[:, None]
         # (len(a), len(d), len(block)) to the rows k = p len(d) + q of the block
         out[block], w_pow[block] = summed.transpose(2, 1, 0), last.transpose(2, 1, 0)
     return out.reshape(-1, out.shape[-1]), w_pow.reshape(-1, out.shape[-1])
@@ -281,15 +287,11 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
     d = 0, zeta(s, a) itself.  Each direct term is factored as
     (n+a)^-(s_p + d_q) = (n+a)^-s_p (n+a)^-d_q, from one table of each
     factor (`_terms`), that of s built for blocks of at most BLOCK_ENTRIES
-    entries, and the shapes pick the contraction over n < N:
-
-    * for one or two offsets, the table of (n+a)^-s_p times that of
-      (n+a)^-d_q, summed over n; d = 0 takes no product;
-    * for more offsets, one batched matrix product per shift a.
-
-    Row n = N of the tables gives the tail's w^-s, w = N + a.  The shift
-    and the tail's Pochhammer symbols take the points s_p + d_q as rounded
-    sums.
+    entries.  At d = 0 the table of (n+a)^-s_p is summed over n < N; any
+    other d takes one batched matrix product per shift a of it with the
+    table of (n+a)^-d_q.  Row n = N of the tables gives the tail's w^-s,
+    w = N + a.  The shift and the tail's Pochhammer symbols take the points
+    s_p + d_q as rounded sums.
 
     With `modulus=q`, every a must be u/q with u > 0 prime to q, and the
     result is zeta(s, u/q) at the exact u/q.  The tables then hold m^-x,
@@ -297,12 +299,12 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
     prime and one product per composite m (`_rows`), and q^x multiplies
     each point once, after the sum over n and the tail.
 
-    A call whose shift N would give a term table of more than TABLE_ROWS
-    rows, (N + 1) q with a modulus q and (N + 1) len(a) without one, is
-    refused with ValueError before anything of length N is built.  Only
-    points well left of Re s = 0 come near it: N is 3.3e9 at -30 + 1000i
-    and 3.5e19 at -39.5 + 3i, against a few hundred on the critical line
-    to height 1000.
+    A call whose shift N would make `_rows` allocate more than TABLE_ROWS,
+    a sieve to N q + max u with a modulus q and (N + 1) len(a) rows without
+    one, is refused with ValueError before anything of length N is built
+    (`_admit`).  Only points well left of Re s = 0 come near it: N is 3.3e9
+    at -30 + 1000i and 3.5e19 at -39.5 + 3i, against a few hundred on the
+    critical line to height 1000.
 
     d and modulus are keyword-only: the benchmark's tracer
     (`perfbench/tracer.py`) wraps this function and reads a third
@@ -311,12 +313,8 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
     shape = np.shape(s) + np.shape(d) + np.shape(a)
     c, d, s = _grid_points(s, d)
     shifts = np.asarray(a).ravel()
-    if np.any(shifts.real <= 0.0):
-        raise ValueError("hurwitz_zeta requires Re a > 0")
-    if np.any(s == 1.0):
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
-    n_shift = _table_shift(s, len(shifts) if modulus is None else modulus)
-    out, w_pow = _direct(c, d, _rows(n_shift, shifts, modulus))
+    n_shift, size, units = _admit(s, shifts, modulus)
+    out, w_pow = _direct(c, d, _rows(n_shift, size, shifts, units, modulus))
     _add_tail(out, s[:, None], n_shift + shifts[None, :], w_pow)
     if modulus is not None:
         out *= np.exp(s * math.log(modulus))[:, None]
@@ -399,13 +397,14 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     every piece stays within (14 ORDER + 12) u plus that error:
     (14 ORDER + 9 + 7 k + |s| (3 log(N+a) + 5 log q)) u.  Each direct term,
     slack included, is off by (7 k - 3 + |s| (3 |log(n+a)| + 5 log q)) u.
-    Adding the N direct terms, in any order, and the tail into the result
-    costs at most N + 1 units u of the sum of all magnitudes.  The matrix product of more than
-    two offsets sums each part of a direct block as 2N real products
-    instead, within sqrt 2 gamma_2N <= 3 N u of the sum of the terms'
-    magnitudes (Higham, sec. 3.1, in any order, with or without fused
-    multiply-adds), so it counts 3 N + 1 units.  The sums run over m^-s,
-    each magnitude q^-Re s times its term's, and q^s scales them back.
+    At d = 0 the kernel adds the N direct terms, in any order, and the tail
+    into the result, within N + 1 units u of the sum of all magnitudes.
+    Every other d takes the matrix product (`_turned`), which sums each part
+    of a direct block as 2N real products, within sqrt 2 gamma_2N <= 3 N u
+    of the sum of the terms' magnitudes (Higham, sec. 3.1, in any order,
+    with or without fused multiply-adds), so it counts 3 N + 1 units.  The
+    sums run over m^-s, each magnitude q^-Re s times its term's, and q^s
+    scales them back.
 
     The offset part, when some d_q is not 0, with r = max |d|.  A direct term
     is the product of a table entry at s_p, |s_p| <= |s| + r, and one at
@@ -414,13 +413,12 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     k - 1 factors and the product add at most 7 k u to each direct term, and
     the two phases 4 r log m u: (7 k + 4 r (|log(n+a)| + log q)) u of its
     magnitude, and (7 k + 4 r (log(N+a) + log q)) u for w^-s, which scales
-    the whole tail.  At d = 0 no product is taken and the part is 0.
+    the whole tail.  Where every d_q is 0 the part is 0: an entry at 0 is 1.
     """
     shape = np.shape(s) + np.shape(d) + np.shape(a)
     _, d, s = _grid_points(s, d)
-    units = _units(np.ravel(a), modulus)
+    n_shift, top, units = _admit(s, np.ravel(a), modulus)
     shifts = units / modulus  # the shifts a, as validated floats
-    n_shift = _table_shift(s, modulus)
     flat = s[:, None]
     log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
     logw = np.log(n_shift + shifts)
@@ -444,12 +442,12 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
 
     size = np.abs(flat)
     r = float(np.max(np.abs(d)))
-    k = (n_shift * modulus + int(units.max())).bit_length()
+    k = top.bit_length()
     log_q = math.log(modulus)
     terms = (7 * k - 3 + 5.0 * log_q * size) * direct + 3.0 * size * phase
     terms += (14 * ORDER + 9 + 7 * k + size * (3.0 * logw + 5.0 * log_q)) * tail
     paired = (7 * k + 4.0 * r * log_q) * direct + 4.0 * r * phase + (7 * k + 4.0 * r * (logw + log_q)) * tail
-    adds = n_shift if len(d) <= 2 else 3 * n_shift
+    adds = 3 * n_shift if _turned(d) else n_shift
     bound = _truncation(s, n_shift + shifts, poch) + 2.0**-53 * (terms + (adds + 1) * (direct + tail))
     if r > 0.0:
         bound = bound + 2.0**-53 * paired

@@ -7,6 +7,8 @@
 * `log_deriv_tail_bound`: the dropped tail of `lfunctions.log_deriv_series`.
 * `count_zeros`: the argument-principle count of one character, the
   one-character view of `zeros.ModulusEngine._counts`.
+* `z_enclosure`: an interval holding zeta's Z(t), the referee of the zero
+  engine's sign checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import cmath
 import math
 
 import numpy as np
+from mpmath import iv, mp
 
+from zerokit.dirichlet import hurwitz
 from zerokit.dirichlet.arith import factorize
 from zerokit.dirichlet.characters import DirichletCharacter, char_value, primitive_inducer
 from zerokit.dirichlet.lfunctions import GammaPoleError, l_eval_vec, loggamma
@@ -94,3 +98,39 @@ def count_zeros(chi: DirichletCharacter, T: float) -> int:
     if isinstance(count, CountCertificationError):
         raise count
     return count
+
+
+def z_enclosure(gamma: float, offset: float):
+    """An `mpmath.iv` interval holding Z(t) of zeta at t = gamma + offset, in the zero engine's phase.
+
+    t is the exact sum, as the engine's sign checks take it.  With
+    s = 1/2 + i t and X = s (s - 1) pi^(-s/2) Gamma(s/2), the prefactor
+    whose phase `lfunctions.completed_prefactor_phase` takes for zeta,
+    X zeta(s) is real and Z(t) = Re[X zeta(s)] / |X|.  zeta(s) is the
+    Euler--Maclaurin sum of the `hurwitz` module docstring at a = 1, order
+    M = hurwitz.ORDER and shift N = 60, with the docstring's remainder bound
+    added as a box; every step is interval arithmetic at 80 bits.  For
+    |t| <= 50 the box is below 1e-35 and the enclosure below 1e-20 wide.
+    """
+    prec, iv.prec = iv.prec, 80
+    try:
+        order, shift = hurwitz.ORDER, 60
+        s = iv.mpc(0.5, 0) + iv.mpc(0, 1) * (iv.mpf(gamma) + iv.mpf(offset))
+        log_w = iv.log(shift + 1)  # w = N + a
+        total = sum(iv.exp(-s * iv.log(k)) for k in range(1, shift + 1))
+        total += iv.exp((1 - s) * log_w) / (s - 1) + iv.exp(-s * log_w) / 2
+        poch = s  # (s)_{2j-1}
+        for j in range(1, order + 2):
+            if j > 1:
+                poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
+            numerator, denominator = mp.bernfrac(2 * j)
+            term = iv.mpf(numerator) / (denominator * iv.factorial(2 * j)) * poch * iv.exp(-(s + 2 * j - 1) * log_w)
+            if j <= order:
+                total += term
+        # |R_M| <= |B_{2M+2}/(2M+2)! (s)_{2M+1} w^(-s-2M-1)| |s+2M+1| / (Re s + 2M+1): the last term's size
+        rest = (abs(term) * abs(s + 2 * order + 1) / (s.real + 2 * order + 1)).b
+        total += iv.mpc(iv.mpf([-rest, rest]), iv.mpf([-rest, rest]))
+        prefactor = s * (s - 1) * iv.exp(-s / 2 * iv.log(iv.pi)) * iv.gamma(s / 2)
+        return (prefactor * total).real / abs(prefactor)
+    finally:
+        iv.prec = prec

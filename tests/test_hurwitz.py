@@ -111,8 +111,13 @@ class TestValues:
         a = _units(q)
         assert np.array_equal(hurwitz_zeta_vec(s, a, d=[0.0])[..., 0, :], _per_term_sum(s, a))
         assert np.array_equal(hurwitz_zeta_vec(s, a), _per_term_sum(s, a))
-        twice = hurwitz_zeta_vec(s, a, d=[0.0, 0.0])
-        assert np.array_equal(twice, np.stack([_per_term_sum(s, a)] * 2, axis=-2))
+        # two offsets take the batched product even at 0, which sums over n
+        # in its own order: within the two calls' bounds of the plain sum
+        twice = hurwitz_zeta_vec(s, a, d=[0.0, 0.0], modulus=q)
+        once = hurwitz_zeta_vec(s, a, modulus=q)[..., None, :]
+        bound = hurwitz_bound(s, a, d=[0.0, 0.0], modulus=q) + hurwitz_bound(s, a, modulus=q)[..., None, :]
+        assert np.array_equal(twice[..., 0, :], twice[..., 1, :])
+        assert np.all(np.abs(twice - once) <= bound)
         # complex shifts too, at low heights (|(n+a)^-s| grows like e^(|t| arg(n+a)))
         low, shifts = s[:, :2], np.array([0.3 + 0.2j, 1.0 + 1.0j])
         assert np.array_equal(hurwitz_zeta_vec(low, shifts), _per_term_sum(low, shifts))
@@ -123,10 +128,10 @@ class TestValues:
         # great heights, and the kernel's sum over n, tail and q^s on it
         s = np.array([0.5 + 14.1j, 2.0 - 3.0j, -0.25 + 280.0j, 0.5 + 999.0j])
         a = _units(q)
-        n_shift = hurwitz._shift_for(s)
+        n_shift, size, units = hurwitz._admit(s, a, q)
         reference = _prime_power_table(s, n_shift, q)
-        terms, last = hurwitz._terms(s, hurwitz._rows(n_shift, a, q))
-        assert np.array_equal(terms, reference[:-1]) and np.array_equal(last, reference[-1])
+        terms, last = hurwitz._terms(s, hurwitz._rows(n_shift, size, a, units, q))
+        assert np.array_equal(terms, reference[:-1].transpose(1, 0, 2)) and np.array_equal(last, reference[-1])
         out = np.zeros((len(s), len(a)), dtype=complex)
         for term in reference[:-1]:
             out += term.T
@@ -410,11 +415,43 @@ class TestCertifiedTruncation:
         assert time.perf_counter() - started < 1.0
 
     def test_table_rows_is_the_largest_table_admitted(self):
+        # the size is what `_rows` allocates: with a modulus its sieve runs
+        # to N q + max u, here q = 1; without one it has (N + 1) len(a) rows
         s = np.array([0.5 + 1000.0j])
-        rows = hurwitz._shift_for(s) + 1
-        assert hurwitz._table_shift(s, hurwitz.TABLE_ROWS // rows) == rows - 1
+        n_shift = hurwitz._shift_for(s)
+        top = np.array([float(hurwitz.TABLE_ROWS - n_shift)])
+        assert hurwitz._admit(s, top, 1)[:2] == (n_shift, hurwitz.TABLE_ROWS)
         with pytest.raises(ValueError, match="TABLE_ROWS"):
-            hurwitz._table_shift(s, hurwitz.TABLE_ROWS // rows + 1)
+            hurwitz._admit(s, top + 1.0, 1)
+        width = hurwitz.TABLE_ROWS // (n_shift + 1)
+        assert hurwitz._admit(s, np.full(width, 0.5), None)[:2] == (n_shift, (n_shift + 1) * width)
+        with pytest.raises(ValueError, match="TABLE_ROWS"):
+            hurwitz._admit(s, np.full(width + 1, 0.5), None)
+
+    @pytest.mark.parametrize(
+        "s,a,q,match",
+        [
+            pytest.param(1.0, 0.5, 2, "pole at s = 1", id="pole"),
+            pytest.param(-40.5 + 3.0j, 0.25, 4, "requires Re s > -40", id="re-s"),
+            pytest.param(0.5 + 14.0j, 0.0, 1, "u > 0", id="a-zero"),
+            pytest.param(0.5 + 14.0j, -0.5, 2, "u > 0", id="a-negative"),
+            pytest.param(0.5 + 14.0j, 0.5 + 0.1j, 2, "real shifts", id="a-complex"),
+            pytest.param(0.5 + 14.0j, 0.5, 4, "prime to 4", id="u-not-a-unit"),
+            pytest.param(-30.0 + 1000.0j, 0.25, 4, "TABLE_ROWS", id="table"),
+            pytest.param(0.5 + 14.0j, 2.0**52 + 1.0, 1, "TABLE_ROWS", id="sieve"),
+        ],
+    )
+    def test_kernel_and_bound_refuse_the_same_inputs(self, s, a, q, match):
+        # one gate, passed before either builds anything: the same
+        # ValueError from both.  The bound once gave inf at the pole, and
+        # u = 2^52 + 1 once passed the table count (N + 1) q, although the
+        # sieve runs to N q + u.
+        s = np.array([complex(s)])
+        with pytest.raises(ValueError, match=match) as kernel:
+            hurwitz_zeta_vec(s, a, modulus=q)
+        with pytest.raises(ValueError, match=match) as bound:
+            hurwitz_bound(s, a, modulus=q)
+        assert str(kernel.value) == str(bound.value)
 
     @pytest.mark.parametrize("a", [0.0, -0.5, np.array([0.25, -1.0]), float("nan"), -1.0])
     def test_error_bound_refuses_a_shift_not_positive(self, a):

@@ -29,7 +29,7 @@ from zerokit.dirichlet.zeros import (
     scan_zeros,
 )
 
-from oracles import count_zeros
+from oracles import count_zeros, z_enclosure
 
 ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]
@@ -353,6 +353,22 @@ class TestScan:
         wide = [z for z in zs.zeros if z.certified_radius != TARGET_RADIUS]
         assert [z.certified_radius for z in wide] == [1e-8, 1e-8]
         assert all(307.18 < z.gamma < 307.21 for z in wide)
+
+    def test_interval_z_proves_the_sign_checks_at_zetas_first_ten_zeros(self):
+        # An interval enclosure of Z (80 bits, `oracles.z_enclosure`) at each
+        # side gamma -/+ TARGET_RADIUS of a check: the two enclosures have
+        # strictly opposite signs, and the engine's float Z lies within its
+        # radius of every point of the enclosure.
+        engine = ModulusEngine((ZETA,), 50.0)
+        gammas = engine.zero_set(ZETA).gamma
+        gammas = gammas[gammas > 0.0]
+        assert len(gammas) == 10
+        values, radii = engine._pair(gammas, np.zeros(len(gammas), dtype=int), TARGET_RADIUS)
+        for j, gamma in enumerate(gammas):
+            lower, upper = (z_enclosure(gamma, offset) for offset in (-TARGET_RADIUS, TARGET_RADIUS))
+            assert (lower.a > 0 and upper.b < 0) or (lower.b < 0 and upper.a > 0), gamma
+            for side, enclosure in enumerate((lower, upper)):
+                assert abs(enclosure - float(values[side, j])).b <= radii[side, j], (gamma, side)
 
     def test_mirrored_sets_negate_their_windows(self, tmp_path, monkeypatch):
         # Every ordinate fails its sign check; a conjugate character taken by
