@@ -42,11 +42,17 @@ part counts the prime factors and q^s.  The kernel's callers:
   `lfunctions.l_eval_vec`;
 * the zero engine (`zeros.ModulusEngine._tables`), with the modulus, whose
   every stage is one grid: the lattice as giant steps s and baby steps d,
-  which seeds every zero; the count's horizontal edges, s = i T and d the
+  which seeds every zero and, through the interpolant of its unit sums,
+  certifies most of them (its node error is `hurwitz_bound` at the ends of
+  each giant step); the count's horizontal edges, s = i T and d the
   abscissae; the quarter-step regrid, one s per cell and d the cell's
-  nodes; and the certified sign checks, s = 1/2 + i gamma and
-  d = (-i r, +i r), whose radius sums `hurwitz_bound` at that d over the
-  units.
+  nodes; and the kernel's sign checks for the ordinates the interpolant
+  does not certify, s = 1/2 + i gamma and d = (-i r, +i r), whose radius
+  sums `hurwitz_bound` at that d over the units.
+
+`hurwitz_majorant` bounds sum_a |zeta(s, a)| on a box of s in real
+arithmetic, from the same formula: the interpolant's Hermite remainder
+takes it on a disk about the critical line.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from zerokit.dirichlet.arith import factorize, least_prime_factors
 
 __all__ = [
     "hurwitz_bound",
+    "hurwitz_majorant",
     "hurwitz_zeta",
     "hurwitz_zeta_vec",
 ]
@@ -452,6 +459,35 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     if r > 0.0:
         bound = bound + 2.0**-53 * paired
     return bound.reshape(shape)
+
+
+def hurwitz_majorant(lo: float, hi: float, height: float, a: np.ndarray) -> tuple[float, float]:
+    """(A, B) with sum_a |zeta(s, a)| <= A + B / |s - 1| wherever lo <= Re s <= hi and |Im s| <= height, real a > 0.
+
+    Real arithmetic on the module docstring's formula at order M = ORDER:
+    each piece is taken at its worst corner of the box, as `_shift_for`
+    takes the Pochhammer factors, and the remainder R_M by its bound.  B is
+    sum_a (N+a)^(1-lo), the piece (N+a)^(1-s)/(s-1) without its 1/|s - 1|.
+    Any N serves; this one, N >= (height + hi + 2M + 1)/pi, makes each
+    correction term at most a quarter of the one before, so the direct sum
+    (of size N^(1-lo)) stays as short as the terms allow.  Refuses
+    lo <= -2M, where the remainder bound does not hold.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    expo = lo + 2 * ORDER + 1
+    if expo <= 1.0:
+        raise ValueError(f"the Euler--Maclaurin remainder bound requires Re s > {-2 * ORDER}; got {lo}")
+    n_shift = math.ceil((height + hi + 2 * ORDER + 1) / math.pi)
+    terms = np.arange(n_shift)[:, None] + a
+    direct = np.maximum(terms**-lo, terms**-hi).sum()
+    w = n_shift + a
+    steps = np.arange(2 * ORDER + 2)
+    factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), height)
+    poch = np.cumprod(factors[:-1])[::2]  # max |(s)_{2j-1}|, j = 1..ORDER+1
+    coeffs = np.abs(np.array(_bernoulli_over_factorial()[: ORDER + 1]))
+    pieces = coeffs * poch * w[:, None] ** -(lo + 2 * steps[1 : ORDER + 2] - 1)
+    pieces[:, -1] *= factors[-1] / expo  # the order M + 1 term times |s+2M+1| / (Re s+2M+1) bounds R_M
+    return float(direct + (0.5 * w**-lo).sum() + pieces.sum()), float((w ** (1.0 - lo)).sum())
 
 
 def hurwitz_zeta(s: complex, a: complex) -> complex:

@@ -23,18 +23,25 @@ in method but not in the evaluator.
   a seed at the root of the degree-11 interpolant through the NODES = 12
   grid values around each sign change, found by safeguarded Newton steps
   with no further evaluation of Z (the cells with |t| < LOW are seeded from
-  the quarter-step regrid below instead); one
-  batched sign check at gamma -/+ TARGET_RADIUS, where |Z| must exceed its
-  certified error radius (`hurwitz.hurwitz_bound`, Hurwitz truncation plus
-  floating-point rounding, which covers the Hurwitz grid at
-  d = -/+ i TARGET_RADIUS that gives both values of a check); a check whose
-  values change sign but stay inside their radius, as at a close pair of
-  zeros, is repeated at 10 and then 100 TARGET_RADIUS, and the offset that
-  clears is the zero's certified radius; and one local regrid at a quarter step of the cells
+  the quarter-step regrid below instead); one certificate per ordinate, a
+  sign change of Z across gamma -/+ TARGET_RADIUS where |Z| exceeds its
+  certified error radius.  The bank gives it, with no Hurwitz call of its
+  own: the unit sums S = H @ W interpolated through the WINDOW lattice
+  nodes around gamma, with an error radius of three terms (the node error,
+  `hurwitz.hurwitz_bound` at the ends of each giant step, times the
+  Lebesgue function; Hermite's remainder on a circle of radius DISK, from
+  `hurwitz.hurwitz_majorant`; and the rounding of the barycentric sum).
+  The kernel check takes the rest, the ordinates whose disk reaches s = 1,
+  the regrid's seeds and the interpolated checks that do not clear: one
+  batched Hurwitz grid at d = -/+ i TARGET_RADIUS, whose radius is
+  `hurwitz_bound` there; a kernel check whose values change sign but stay
+  inside their radius, as at a close pair of zeros, is repeated at 10 and
+  then 100 TARGET_RADIUS, and the offset that clears is the zero's
+  certified radius.  Last, one local regrid at a quarter step of the cells
   with |t| < LOW, of the cells whose seed failed, and of those where a
-  character short of its count dips toward zero, then seeds and a check
-  there.  A zero whose check there fails is reported as an unverified
-  window, never accepted silently.
+  character short of its count dips toward zero, then seeds and a kernel
+  check there.  A zero whose check there fails is reported as an
+  unverified window, never accepted silently.
 
 A scan to height T is *complete* when the number of zeros it locates on
 [-t_eff, t_eff] matches the count there.  The grid is the fixed lattice
@@ -52,11 +59,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from zerokit.dirichlet.characters import DirichletCharacter, char_value_vec, conjugate_character
-from zerokit.dirichlet.hurwitz import hurwitz_bound, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import hurwitz_bound, hurwitz_majorant, hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 
 __all__ = [
@@ -91,6 +99,14 @@ RIGHT = 1.25
 WINDING_TOL = 0.1
 # The scan counts at the best of the EDGE_CANDIDATES lattice nodes from the first one >= T.
 EDGE_CANDIDATES = 11
+# A lattice-seeded ordinate is certified from the interpolant of the lattice's
+# unit sums through the WINDOW nodes around it, whose remainder Hermite's
+# formula bounds on the circle of radius DISK (in t) about the window's centre.
+WINDOW = 20
+DISK = 2.0
+# Ordinates per `_interpolate` call, so that its (ordinates x 2 x WINDOW)
+# arrays stay near 1 MiB however many zeros a modulus has.
+INTERPOLANT_BLOCK = 1 << 12
 
 
 # Barycentric weights of NODES equispaced nodes, and the matrix whose row j
@@ -99,10 +115,37 @@ EDGE_CANDIDATES = 11
 _WEIGHTS = np.array([(-1.0) ** k * math.comb(NODES - 1, k) for k in range(NODES)])
 _DIFF = np.outer(1.0 / _WEIGHTS, _WEIGHTS) / (np.arange(NODES)[:, None] - np.arange(NODES) + np.diag([np.inf] * NODES))
 _DIFF -= np.diag(_DIFF.sum(axis=1))
+# The certificate's weights 1 / prod_{k != j} (j - k) of the nodes 0..WINDOW-1,
+# each within 2 units in the last place, and 1 / (j - k) off the diagonal.
+_LAGRANGE = np.array(
+    [(-1.0) ** (WINDOW - 1 - j) / (math.factorial(j) * math.factorial(WINDOW - 1 - j)) for j in range(WINDOW)]
+)
+_RECIPROCALS = 1.0 / (np.arange(WINDOW)[:, None] - np.arange(WINDOW) + np.diag([np.inf] * WINDOW))
+# Units in the last place that the certificate's barycentric sum may lose, per
+# unit of sum_j |l_j(x) S_j| (`ModulusEngine._interpolate`).
+_SUM_ROUNDING = 11 * WINDOW
 
 
 class CountCertificationError(RuntimeError):
     """The phase change along the counting contour is not a proven integer."""
+
+
+class _Lattice(NamedTuple):
+    """The lattice's unit sums and the terms of their interpolant's error (`ModulusEngine._lattice`).
+
+    Row k is the node t_k = C_j + D_i, j = k // B and i = k % B, the exact
+    sum of a giant step and a baby step of the grid: the imaginary parts of
+    its c and d.
+    """
+
+    sums: tuple[np.ndarray, np.ndarray]  # S = H @ W at t_k and at -t_k, one column per character
+    giant: np.ndarray  # C
+    baby: np.ndarray  # D
+    offset: np.ndarray  # t_k - k GRID_STEP, each within one rounding
+    error: np.ndarray  # bound on |computed S - S| at t_k and -t_k, every character
+    # (A, B) per row: sum_a |zeta(s, a/q)| <= A + B / |s - 1| on the disks of
+    # radius DISK about 1/2 + i t0, t0 <= t_k (`hurwitz_majorant`)
+    majorant: np.ndarray
 
 
 # The record view of a zero set's columns (`ZeroSet.zeros`).
@@ -227,19 +270,28 @@ class ModulusEngine:
       NODES grid values around it, read from the bank, which runs far enough
       past the candidates for every window, by safeguarded Newton steps that
       start at the cell's secant root (`_interpolant_root`);
-    * one sign check for all ordinates at gamma -/+ TARGET_RADIUS, both
-      sides of each ordinate from one Hurwitz grid at d = (-i r, +i r) (`_pair`):
-      the two values must differ in sign and both exceed `_radius`, the
-      certified error of a computed Z, so each check proves a zero within
-      TARGET_RADIUS of gamma.  A check whose values differ in sign but do
-      not clear `_radius` is repeated at the wider CHECK_OFFSETS, and the
-      one that clears is the zero's radius; overlapping intervals, each
-      zero's own radius wide, fail together;
+    * one sign check per ordinate at gamma -/+ TARGET_RADIUS: the two
+      values must differ in sign and both exceed their certified error
+      radius, so each check proves a zero within TARGET_RADIUS of gamma
+      (`_certify`).  The lattice gives both values (`_interpolate`): the
+      interpolant of the unit sums S through the WINDOW nodes around gamma,
+      whose radius adds the nodes' error (`_lattice`), Hermite's remainder
+      on the circle of radius DISK and the sum's rounding.  The kernel
+      check (`_check`) takes what the interpolant does not certify: an
+      ordinate whose disk reaches s = 1, and an interpolated check that
+      does not clear.  It evaluates both sides from one Hurwitz grid at
+      d = (-i r, +i r) (`_pair`), radius `_radius`; a kernel check whose
+      values differ in sign but do not clear is repeated at the wider
+      CHECK_OFFSETS, and the one that clears is the zero's radius.
+      Overlapping intervals, each zero's own radius wide, fail together;
+      `certificates` counts each scan's ordinates by the way they were
+      certified;
     * only if needed, one evaluation at a quarter step (`_regrid`) of the
       cells with |t| < LOW, of the cells whose seed failed its check and,
       for each character with fewer sign changes than its count, of the
       cells where its interpolant dips toward zero (`_dips`); those cells
-      are seeded and checked there, the low ones for the first time.
+      are seeded and given a kernel check there, the low ones for the
+      first time.
 
     Every stage is one grid c + d of the one Hurwitz kernel, evaluated by
     `_tables` in chunks of c of at most TABLE_ENTRIES table entries, so a
@@ -251,12 +303,13 @@ class ModulusEngine:
       abscissae 1/2..RIGHT;
     * the regrid: c = 1/2 + i step begin_k, one per cell, and d = i step j
       for the cell's nodes j;
-    * the sign check: c = 1/2 + i gamma and d = (-i r, +i r).
+    * the kernel check: c = 1/2 + i gamma and d = (-i r, +i r).
 
-    `_bank` reads every character and both conjugates from a grid (the
-    lattice and the count); `_line` reads the character that owns each c
-    (the regrid and the sign check), with the chunk's table for `_radius`.
-    Only the sign check's values carry an error radius in the engine.
+    `_bank` reads the unit sums of every character and both conjugates from
+    a grid (the lattice and the count), which `_turn` makes values of Z;
+    `_line` reads Z of the character that owns each c (the regrid and the
+    kernel check), with the chunk's table for `_radius`.  Only the sign
+    checks' values carry an error radius in the engine.
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
@@ -272,6 +325,7 @@ class ModulusEngine:
         self._odd = np.array([chi.parity == "odd" for chi in self.chars])
         self._real = np.array([conjugate_character(chi) == chi for chi in self.chars])
         self._sets: dict[tuple[int, ...], ZeroSet] | None = None
+        self.certificates = dict.fromkeys(("interpolant", "pole", "unclear", "regrid"), 0)
 
     def zero_set(self, chi: DirichletCharacter) -> ZeroSet:
         """The scan of chi, one of the engine's characters (all are scanned on first use)."""
@@ -281,18 +335,20 @@ class ModulusEngine:
 
     # -- evaluation -------------------------------------------------------------
 
+    def _chunks(self, c: np.ndarray, d: np.ndarray) -> list[np.ndarray]:
+        """The parts of c that `_tables` evaluates, one kernel call each, in order of |Im c|: TABLE_ENTRIES entries at most."""
+        step = max(1, TABLE_ENTRIES // (len(d) * len(self._units)))
+        order = np.argsort(np.abs(c.imag), kind="stable")
+        return [order[lo : lo + step] for lo in range(0, len(c), step)]
+
     def _tables(self, c: np.ndarray, d: np.ndarray):
         """(part, H) per chunk of c, H[p, q, a] = zeta(c[part][p] + d_q, a/q) on the units.
 
-        The chunks follow |Im c|, so each `hurwitz_zeta_vec` call takes the
-        shift of its own heights rather than that of the tallest point, and
-        each holds at most TABLE_ENTRIES table entries.
+        The chunks follow |Im c| (`_chunks`), so each `hurwitz_zeta_vec` call
+        takes the shift of its own heights rather than that of the tallest point.
         """
         shifts = self._units / self.modulus
-        step = max(1, TABLE_ENTRIES // (len(d) * len(shifts)))
-        order = np.argsort(np.abs(c.imag), kind="stable")
-        for lo in range(0, len(c), step):
-            part = order[lo : lo + step]
+        for part in self._chunks(c, d):
             yield part, hurwitz_zeta_vec(c[part], shifts, d=d, modulus=self.modulus)
 
     def _phase(self, s: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -310,24 +366,31 @@ class ModulusEngine:
         return np.exp(1j * self._phase(s, odd) - s * math.log(self.modulus))
 
     def _bank(self, cols: np.ndarray, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """e^(i theta) q^-s (H @ W) at the points s = c_p + d_q with Im >= 0 and at their conjugates, for `cols`.
+        """The unit sums S = H @ W at the points s = c_p + d_q with Im >= 0 and at their conjugates, for `cols`.
 
         The result is two (len(c) len(d), len(cols)) arrays, one row per
-        point k = p len(d) + q.  The sum over the units is an einsum, which
-        makes no BLAS call, so its bytes do not depend on the thread count;
-        both of its operands run along the units, so each sum is one
-        contiguous dot product.
+        point k = p len(d) + q; `_turn` makes them values of Z.  For real
+        a, H at conj s is the conjugate of H at s, so S at conj s is the
+        conjugate of sum_a conj(W[a]) H[a].  The sum over the units is an
+        einsum, which makes no BLAS call, so its bytes do not depend on the
+        thread count; both of its operands run along the units, so each sum
+        is one contiguous dot product.
         """
         weights = self._weights[:, cols].T
         both = np.concatenate([weights, weights.conj()])
-        parities = np.unique(self._odd[cols])
-        pick = np.tile(np.searchsorted(parities, self._odd[cols]), 2)
         out = np.empty((len(c), len(d), len(both)), dtype=complex)
         for part, table in self._tables(c, d):
-            s = c[part, None, None] + d[:, None]
-            out[part] = self._rotation(s, parities)[..., pick] * np.einsum("cj,pqj->pqc", both, table)
+            out[part] = np.einsum("cj,pqj->pqc", both, table)
         out = out.reshape(-1, len(both))
-        return out[:, : len(cols)], out[:, len(cols) :].conj()
+        lower = out[:, len(cols) :]
+        np.conjugate(lower, out=lower)
+        return out[:, : len(cols)], lower
+
+    def _turn(self, cols: np.ndarray, s: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """e^(i theta) q^-s S at the points s and at their conjugates, from `_bank`'s sums there (Z is the real part)."""
+        parities = np.unique(self._odd[cols])
+        rotation = self._rotation(s[:, None], parities)[:, np.searchsorted(parities, self._odd[cols])]
+        return rotation * upper, rotation.conj() * lower
 
     def _line(self, cols: np.ndarray, c: np.ndarray, d: np.ndarray):
         """(part, Z, H) per chunk of c: Z[p, q] of character cols[part][p] at c[part][p] + d_q, and the chunk's table."""
@@ -357,11 +420,115 @@ class ModulusEngine:
         change its sign; what can is the error in S, times |rot| = q^-1/2:
         the kernel's `hurwitz_bound` summed over the units (each weight has
         |chi(a)| = 1), and phi(q) + 2 roundings of each |H[a]| in the weights
-        and that sum.
+        and that sum.  The interpolant's certificate (`_interpolate`) rests on
+        the same argument: it bounds the error of an interpolated S, and its
+        rot is computed at the point itself.
         """
         error = hurwitz_bound(c, self._units / self.modulus, d=d, modulus=self.modulus).sum(axis=-1)
         error = error + (len(self._units) + 2) * 2.0**-53 * np.abs(table).sum(axis=-1)
         return error / math.sqrt(self.modulus)
+
+    def _lattice(self, c: np.ndarray, d: np.ndarray, sums: tuple[np.ndarray, np.ndarray]) -> _Lattice:
+        """The lattice grid c + d's unit sums (`_bank`) with the error terms `_interpolate` needs, per row.
+
+        The node error costs one `hurwitz_bound` call per `_tables` chunk, at
+        the lowest and the highest node of each giant step, with the chunk's
+        shift N (the tallest point of the chunk is among them) and its
+        offsets' largest modulus.  At Re s = 1/2 every additive piece of that
+        bound is monotone in |Im s|: |s| = |s - 1| there, so a piece with the
+        factor |w^(1-s)/(s-1)| either falls or, times |s|, stays constant,
+        and every other piece grows.  So the sum of the two bounds covers
+        every node between them.  The rounding of the sum over the units takes
+        phi(q) + 2 roundings of sum_a |H[a]|, bounded on Re s = 1/2, where
+        |s - 1| >= 1/2, by `hurwitz_majorant` at the chunk's height.  The
+        majorant of a row serves the disks of radius DISK about 1/2 + i t0
+        with t0 at most the chunk's highest node.
+        """
+        shifts = self._units / self.modulus
+        rounding = (len(self._units) + 2) * 2.0**-53
+        error, majorant = np.empty(len(c)), np.empty((len(c), 2))
+        for part in self._chunks(c, d):
+            top = float(np.max(c[part].imag) + d[-1].imag)
+            ends = hurwitz_bound(c[part], shifts, d=d[[0, -1]], modulus=self.modulus).sum(axis=(1, 2))
+            line, pole = hurwitz_majorant(0.5, 0.5, top, shifts)
+            error[part] = ends + rounding * (line + 2.0 * pole)
+            majorant[part] = hurwitz_majorant(0.5 - DISK, 0.5 + DISK, top + DISK, shifts)
+        offset = _off_lattice(c.imag, len(d) * np.arange(len(c)))[:, None] + _off_lattice(d.imag, np.arange(len(d)))
+        rows = np.repeat(np.arange(len(c)), len(d))
+        return _Lattice(sums, c.imag, d.imag, offset.ravel(), error[rows], majorant[rows])
+
+    def _interpolate(self, lattice: _Lattice, gammas: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Z of character owners[j] at gammas[j] -/+ TARGET_RADIUS from the lattice, and the values' error radii, as `_pair`.
+
+        Each value is Re[rot S] with rot computed at the point x and S the
+        interpolant through the WINDOW lattice nodes t_k around |gamma|
+        (`_window_start`), from the sums at -t_k for gamma < 0, in the
+        first barycentric form p(x) = sum_j l_j(x) S_j,
+        l_j(x) = w_j prod_{k != j} (x - t_k).  As in `_radius`, only the
+        error of S counts, times q^-1/2; it has three terms:
+
+        * the nodes' error: the lattice's bound E on the window, times the
+          Lebesgue function sum_j |l_j(x)|;
+        * Hermite's remainder of the interpolant on the circle of radius
+          DISK about the window's centre t0 (Trefethen, Approximation Theory
+          and Approximation Practice, ch. 11):
+          DISK |omega(x)| M / (min |omega| (DISK - |x - t0|)), where
+          omega = prod_k (x - t_k), min |omega| on the circle is at least
+          prod_k (DISK - |t_k - t0|), and M bounds |S| there, the
+          lattice's majorant with |s - 1| >= |t0 + i/2| - DISK (the caller
+          keeps the disks clear of s = 1);
+        * the rounding of the sum: _SUM_ROUNDING units in the last place of
+          sum_j |l_j(x) S_j|, with the weights' first-order correction below.
+
+        The differences x - t_k are exact but for a few roundings, which keeps
+        l_j within a few hundred units in the last place: with m the node
+        nearest to |gamma|, |gamma| - t_m = (|gamma| - C) - D is exact
+        (Sterbenz, twice, as |gamma| lies within half a step of t_m), the
+        side's -/+ TARGET_RADIUS rounds once,
+        and (x - t_k) / GRID_STEP = (m - k) + (x - t_m + offset_m - offset_k)
+        / GRID_STEP, at least 1/2 for k != m.  The weights of the nodes
+        t_k = k GRID_STEP + offset_k are the equispaced ones times
+        1 / prod_{k != j} (1 + a_jk), a_jk = (offset_j - offset_k) /
+        ((j - k) GRID_STEP), taken as 1 - sum_k a_jk, which is within
+        3 A^2 of it for A = max_j sum_k |a_jk| <= 1/4.  Each bound is to first
+        order in the unit roundoff, as `hurwitz_bound`'s.
+        """
+        h, r = GRID_STEP, TARGET_RADIUS
+        t = np.abs(gammas)
+        start = _window_start(t, len(lattice.offset))
+        nodes = start + np.arange(WINDOW)[:, None]  # (WINDOW, ordinates), as every array below
+        m = np.rint(t / h).astype(int)
+        giant, baby = np.divmod(m, len(lattice.baby))
+        gap = ((t - lattice.giant[giant]) - lattice.baby[baby]) + np.array([[-r], [r]])  # x - t_m at |gamma| -/+ r
+        offsets = lattice.offset[nodes]
+        shift = lattice.offset[m] - offsets
+        xi = (m - nodes)[:, None, :] + (gap + shift[:, None, :]) / h  # (x - t_k) / GRID_STEP
+        omega = np.prod(xi, axis=0)
+        correction = (offsets * _RECIPROCALS.sum(axis=1)[:, None] - np.einsum("jk,kn->jn", _RECIPROCALS, offsets)) / h
+        with np.errstate(divide="ignore", invalid="ignore"):  # x on a node: nan, which clears nothing
+            ell = (_LAGRANGE[:, None] * (1.0 - correction))[:, None, :] * (omega / xi)
+        data = lattice.sums[0][nodes, owners]
+        below = gammas < 0.0
+        data[:, below] = lattice.sums[1][nodes[:, below], owners[below]]
+        values = (ell * data.real[:, None, :]).sum(axis=0) + 1j * (ell * data.imag[:, None, :]).sum(axis=0)
+
+        spread = float(np.max(np.abs(lattice.offset)))
+        drift = 2.0 * spread * np.max(np.abs(_RECIPROCALS).sum(axis=1)) / h  # A
+        floor = np.prod(np.maximum(DISK - np.abs(np.arange(WINDOW) - (WINDOW - 1) / 2) * h - spread, 0.0))
+        reach = np.abs(gap) + np.abs(m - start - (WINDOW - 1) / 2) * h + spread  # |x - t0|
+        growth, pole = lattice.majorant[nodes[-1]].T
+        bound_s = growth + pole / (np.hypot(0.5, (start + (WINDOW - 1) / 2) * h) - DISK)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            valid = (reach < DISK) & (floor > 0.0) & (drift <= 0.25)
+            hermite = np.where(valid, DISK * h**WINDOW * np.abs(omega) * bound_s / (floor * (DISK - reach)), np.inf)
+        weights = np.max(lattice.error[nodes], axis=0) + (_SUM_ROUNDING * 2.0**-53 + 3.0 * drift**2) * np.abs(data)
+        error = (np.abs(ell) * weights[:, None, :]).sum(axis=0) + hermite
+
+        # Back from |gamma| to gamma: for gamma < 0 the side |gamma| + r is gamma - r.
+        values[:, below], error[:, below] = values[::-1, below], error[::-1, below]
+        s = 0.5 + 1j * (gammas + np.array([[-r], [r]]))
+        z = (self._rotation(s, self._odd[owners]) * values).real
+        return z, error / math.sqrt(self.modulus)
 
     # -- counting ---------------------------------------------------------------
 
@@ -395,7 +562,8 @@ class ModulusEngine:
         heights = np.unique(t_eff)
         edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
         every = np.arange(len(self.chars))
-        upper, lower = self._bank(every, 1j * heights, edge)
+        s = (1j * heights[:, None] + edge).ravel()
+        upper, lower = self._turn(every, s, *self._bank(every, 1j * heights, edge))
         # Each character's edge rows, from 1/2 to its corner on Re s = RIGHT.
         rows = len(edge) * np.searchsorted(heights, t_eff)[:, None] + np.arange(len(edge))
         upper, lower = upper[rows, every[:, None]], lower[rows, every[:, None]]
@@ -446,7 +614,9 @@ class ModulusEngine:
         baby = math.ceil(math.sqrt(min(max(1, TABLE_ENTRIES // len(self._units)), n + 1)))
         c = 1j * GRID_STEP * baby * np.arange(-(-(n + 1) // baby))
         d = 0.5 + 1j * GRID_STEP * np.arange(baby)
-        pos, neg = (v.real[: n + 1] for v in self._bank(every, c, d))
+        sums = self._bank(every, c, d)
+        s = (c[:, None] + d).ravel()[: n + 1]
+        pos, neg = (v.real.copy() for v in self._turn(every, s, *(v[: n + 1] for v in sums)))
         clearance = np.minimum(np.abs(pos[edge]), np.abs(neg[edge]))
         t_eff = GRID_STEP * edge[np.argmax(clearance, axis=0)]
         expected = self._counts(t_eff)
@@ -465,7 +635,7 @@ class ModulusEngine:
         on_grid, node = np.nonzero((vals == 0.0) & (np.arange(2 * n + 1) >= first[:, None]) & (np.abs(ts) <= reach))
         gammas = np.concatenate([GRID_STEP * (_seed(vals, row, cell) - n), ts[node]])
         owners = np.concatenate([row, on_grid])
-        ok, radii = self._check(gammas, owners)
+        ok, radii = self._certify(self._lattice(c, d, sums), gammas, owners)
         found = self._collect(gammas, owners, ok, radii, t_eff)
 
         # Regrid at a quarter step the low cells, the cells of failed seeds
@@ -484,6 +654,7 @@ class ModulusEngine:
             gammas = np.concatenate([gammas[keep], fine])
             owners = np.concatenate([owners[keep], fine_owners])
             fine_ok, fine_radii = self._check(fine, fine_owners)
+            self.certificates["regrid"] += len(fine)
             ok, radii = np.concatenate([ok[keep], fine_ok]), np.concatenate([radii[keep], fine_radii])
             found = self._collect(gammas, owners, ok, radii, t_eff)
         return {
@@ -514,6 +685,34 @@ class ModulusEngine:
         k, sub = k[flip], sub[flip]
         return step * (begin[k] + _seed(values, k, sub)), row[k]
 
+    def _certify(self, lattice: _Lattice, gammas: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each lattice-seeded ordinate is certified, and its radius: one certificate each.
+
+        The interpolant (`_interpolate`) certifies an ordinate at
+        TARGET_RADIUS when its two values change sign and both clear their
+        radius.  The kernel check (`_check`) takes the rest: the ordinates
+        whose disk of radius DISK reaches s = 1 (|t0 + i/2| <= DISK) and
+        those whose interpolated values do not clear.  `certificates`
+        counts them as "interpolant", "pole" and "unclear".
+        """
+        ok = np.zeros(len(gammas), dtype=bool)
+        radii = np.full(len(gammas), TARGET_RADIUS)
+        centre = (_window_start(np.abs(gammas), len(lattice.offset)) + (WINDOW - 1) / 2) * GRID_STEP
+        pole = np.hypot(0.5, centre) <= DISK
+        usable = np.flatnonzero(~pole)
+        clear = np.zeros(len(usable), dtype=bool)
+        for lo in range(0, len(usable), INTERPOLANT_BLOCK):
+            part = usable[lo : lo + INTERPOLANT_BLOCK]
+            z, rho = self._interpolate(lattice, gammas[part], owners[part])
+            clear[lo : lo + len(part)] = (z[0] * z[1] < 0.0) & np.all(np.abs(z) > rho, axis=0)
+        ok[usable[clear]] = True
+        rest = np.flatnonzero(~ok)
+        ok[rest], radii[rest] = self._check(gammas[rest], owners[rest])
+        self.certificates["interpolant"] += int(np.count_nonzero(clear))
+        self.certificates["pole"] += int(np.count_nonzero(pole))
+        self.certificates["unclear"] += int(np.count_nonzero(~clear))
+        return ok, radii
+
     def _check(self, gammas: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether each ordinate is certified, and its radius.
 
@@ -526,6 +725,8 @@ class ModulusEngine:
         """
         ok = np.zeros(len(gammas), dtype=bool)
         radii = np.full(len(gammas), TARGET_RADIUS)
+        if not len(gammas):
+            return ok, radii
         todo = np.arange(len(gammas))
         for offset in CHECK_OFFSETS:
             z, rho = self._pair(gammas[todo], owners[todo], offset)
@@ -560,6 +761,23 @@ class ModulusEngine:
             failed = mine[~fine]
             out.append((mine, radius, tuple(zip((failed - GRID_STEP).tolist(), (failed + GRID_STEP).tolist()))))
         return out
+
+
+def _window_start(t: np.ndarray, rows: int) -> np.ndarray:
+    """First of the certificate's WINDOW lattice nodes for each |gamma| = t: its cell in the middle, within the rows."""
+    return np.clip(np.floor(t / GRID_STEP).astype(int) - (WINDOW // 2 - 1), 0, max(rows - WINDOW, 0))
+
+
+def _off_lattice(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """values - steps GRID_STEP, the exact difference up to one rounding, for values within a few ulp of steps GRID_STEP.
+
+    Dekker's split GRID_STEP = hi + lo leaves hi 26 significant bits, so
+    steps hi and steps lo are exact for steps < 2^26; values - steps hi is
+    exact by Sterbenz's lemma, and only the subtraction of steps lo rounds.
+    """
+    split = GRID_STEP * 134217729.0  # 2^27 + 1
+    hi = split - (split - GRID_STEP)
+    return (values - steps * hi) - steps * (GRID_STEP - hi)
 
 
 def _window(values: np.ndarray, row: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

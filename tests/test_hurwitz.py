@@ -605,3 +605,21 @@ class TestCertifiedTruncation:
         # bound grows by more than its truncation bound falls
         alone = hurwitz_bound(s[0, :1], a, modulus=5)
         assert np.all(both[0, 0] > alone[0])
+
+
+class TestMajorant:
+    @pytest.mark.parametrize("q, t0", [(1, 3.0), (1, 60.0), (5, 3.0), (5, 60.0)])
+    def test_bounds_the_sum_on_a_disk(self, q, t0):
+        # sum_a |zeta(s, a/q)| against mpmath on the circle of radius 2 about
+        # 1/2 + i t0 and at its centre: at most A + B / |s - 1| from the
+        # majorant of the box around it.
+        a = _units(q)
+        big, pole = hurwitz.hurwitz_majorant(-1.5, 2.5, t0 + 2.0, a)
+        points = 0.5 + 1j * t0 + np.concatenate([[0.0], 2.0 * np.exp(2j * np.pi * np.arange(24) / 24)])
+        for s in points:
+            actual = sum(abs(complex(mp.zeta(mp.mpc(s.real, s.imag), mp.mpf(u) / q))) for u in a * q)
+            assert actual <= big + pole / abs(s - 1.0), (q, t0, s)
+
+    def test_refuses_a_box_below_the_remainder_bound(self):
+        with pytest.raises(ValueError, match="remainder bound"):
+            hurwitz.hurwitz_majorant(-2.0 * hurwitz.ORDER, 0.5, 10.0, np.array([1.0]))

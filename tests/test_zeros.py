@@ -181,7 +181,9 @@ class TestRectangleCounts:
         assert np.max(np.abs(np.angle(L))) <= math.log(mp.zeta(1.25))
 
         engine = ModulusEngine(chars, T)
-        upper, lower = engine._bank(np.arange(len(chars)), np.array([1j * T]), np.array([zmod.RIGHT]))
+        cols = np.arange(len(chars))
+        sums = engine._bank(cols, np.array([1j * T]), np.array([zmod.RIGHT]))
+        upper, lower = engine._turn(cols, np.array([zmod.RIGHT + 1j * T]), *sums)
         closed = engine._right_edge(np.full(len(chars), T), upper[0], lower[0])
         assert closed == pytest.approx(dense[-1] - dense[0], abs=1e-9)
 
@@ -313,14 +315,18 @@ class TestScan:
         )
 
     def test_sign_check_within_error_radius_becomes_unverified_window(self, monkeypatch):
-        # The Hurwitz bound of the sign check's grid enters every radius:
-        # forced above every |Z| at gamma -/+ r, it must leave a window around
-        # each ordinate at every offset, never accept a check.
+        # The Hurwitz bound enters every radius: the interpolant's through
+        # the lattice's node error, the kernel check's directly.  Forced
+        # above every |Z| at gamma -/+ r, it must send every ordinate from
+        # the interpolant to the kernel and leave a window around each at
+        # every offset, never accept a check.
         import zerokit.dirichlet.zeros as zmod
 
         monkeypatch.setattr(zmod, "hurwitz_bound", _inflated_bound)
+        engine = ModulusEngine((CHI4,), 12.0)
         with pytest.warns(UserWarning, match="failed the sign check"):
-            zs = scan_zeros(CHI4, 12.0)
+            zs = scan_zeros(CHI4, 12.0, engine)
+        assert engine.certificates["interpolant"] == 0
         assert not zs.certified
         assert len(zs.unverified_windows) == len(zs.zeros) == 4
         for z, (lo, hi) in zip(zs.zeros, zs.unverified_windows):
@@ -329,7 +335,9 @@ class TestScan:
     def test_inflated_paired_rounding_term_leaves_windows(self, monkeypatch):
         # Each side of a pair must clear its own radius: with the bound
         # inflated on the upper side gamma + r alone, every check must still
-        # leave a window at every offset.
+        # leave a window at every offset.  On the lattice the second offset
+        # is each giant step's highest node, whose bound enters the node
+        # error of every node of its step, so the interpolant accepts none.
         import zerokit.dirichlet.zeros as zmod
 
         def upper_side_inflated(s, a, d, modulus):
@@ -338,8 +346,10 @@ class TestScan:
             return bound
 
         monkeypatch.setattr(zmod, "hurwitz_bound", upper_side_inflated)
+        engine = ModulusEngine((CHI4,), 12.0)
         with pytest.warns(UserWarning, match="failed the sign check"):
-            zs = scan_zeros(CHI4, 12.0)
+            zs = scan_zeros(CHI4, 12.0, engine)
+        assert engine.certificates["interpolant"] == 0
         assert not zs.certified
         assert len(zs.unverified_windows) == len(zs.zeros) == 4
 
@@ -369,6 +379,158 @@ class TestScan:
             assert (lower.a > 0 and upper.b < 0) or (lower.b < 0 and upper.a > 0), gamma
             for side, enclosure in enumerate((lower, upper)):
                 assert abs(enclosure - float(values[side, j])).b <= radii[side, j], (gamma, side)
+
+    def test_interval_z_proves_the_interpolant_checks(self, monkeypatch):
+        # The same referee for the lattice's interpolant, at zeta's first ten
+        # zeros and its last five below 100 (only four lie between 90 and
+        # 100, the fifth is 88.81): each is certified by the
+        # interpolant, its enclosures at gamma -/+ TARGET_RADIUS have
+        # strictly opposite signs, and the interpolated float Z lies within
+        # the certificate's radius of every point of each enclosure.
+        import zerokit.dirichlet.zeros as zmod
+
+        seen = []
+        interpolate = zmod.ModulusEngine._interpolate
+
+        def spied(engine, lattice, gammas, owners):
+            values, radii = interpolate(engine, lattice, gammas, owners)
+            seen.append((gammas, values, radii))
+            return values, radii
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_interpolate", spied)
+        engine = ModulusEngine((ZETA,), 100.0)
+        stored = engine.zero_set(ZETA).gamma
+        assert engine.certificates["unclear"] == engine.certificates["regrid"] == 0
+        gammas, values, radii = (np.concatenate(parts, axis=-1) for parts in zip(*seen))
+        positive = stored[stored > 0.0]
+        sample = np.concatenate([positive[:10], positive[-5:]])
+        assert 88.0 < sample[-5] and sample[-1] < 100.0
+        for gamma in sample:
+            j = int(np.flatnonzero(gammas == gamma)[0])
+            lower, upper = (z_enclosure(gamma, offset) for offset in (-TARGET_RADIUS, TARGET_RADIUS))
+            assert (lower.a > 0 and upper.b < 0) or (lower.b < 0 and upper.a > 0), gamma
+            for side, enclosure in enumerate((lower, upper)):
+                assert abs(enclosure - float(values[side, j])).b <= radii[side, j], (gamma, side)
+
+    @pytest.mark.parametrize("T", [51.0, 300.0])
+    @pytest.mark.parametrize("q", [1, 5, 19])
+    def test_lattice_node_error_covers_the_pointwise_bound(self, monkeypatch, q, T):
+        # The interpolant's node error is one bound per giant step, from the
+        # Hurwitz bound at its lowest and highest node; it must be at least
+        # `_radius`'s pointwise error of S, q^(1/2) times the radius of Z,
+        # at every node of the lattice.
+        import zerokit.dirichlet.zeros as zmod
+
+        grids = []
+        lattice = zmod.ModulusEngine._lattice
+
+        def spied(engine, c, d, sums):
+            grids.append((c, d, lattice(engine, c, d, sums)))
+            return grids[-1][-1]
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_lattice", spied)
+        engine = ModulusEngine(primitive_characters(q), T)
+        engine.zero_set(engine.chars[0])
+        (c, d, nodes), = grids
+        for part, table in engine._tables(c, d):
+            pointwise = engine._radius(c[part], d, table) * math.sqrt(q)
+            rows = part[:, None] * len(d) + np.arange(len(d))
+            assert np.all(nodes.error[rows] >= pointwise), (q, T)
+
+    def test_interpolant_differences_are_exact(self, monkeypatch):
+        # The certificate's node offsets t_k - k GRID_STEP are the exact
+        # ones up to a rounding of each part, and |gamma| - t_m, for the
+        # node m nearest |gamma|, is exact in floating point.
+        from fractions import Fraction
+
+        import zerokit.dirichlet.zeros as zmod
+
+        seen = []
+        interpolate = zmod.ModulusEngine._interpolate
+
+        def spied(engine, lattice, gammas, owners):
+            seen.append((lattice, gammas))
+            return interpolate(engine, lattice, gammas, owners)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_interpolate", spied)
+        engine = ModulusEngine(primitive_characters(5), 300.0)
+        engine.zero_set(engine.chars[0])
+        (lattice, gammas), = seen
+        baby, step = len(lattice.baby), Fraction(zmod.GRID_STEP)
+        for k in range(len(lattice.offset)):
+            exact = Fraction(lattice.giant[k // baby]) + Fraction(lattice.baby[k % baby]) - k * step
+            assert abs(Fraction(lattice.offset[k]) - exact) <= 2.0**-51 * abs(exact), k
+        for t in np.abs(gammas):
+            m = int(np.rint(t / zmod.GRID_STEP))
+            giant, near = lattice.giant[m // baby], lattice.baby[m % baby]
+            assert Fraction((t - giant) - near) == Fraction(t) - Fraction(giant) - Fraction(near), t
+
+    def test_inflated_majorant_falls_back_to_the_kernel(self, monkeypatch):
+        # The majorant enters every interpolant radius: on the disk through
+        # Hermite's remainder, on the line through the node error's
+        # rounding part.  Inflated a million-fold on the disk alone it
+        # widens every radius; inflated everywhere it sends every ordinate
+        # the interpolant would take to the kernel check, which certifies
+        # the same zero sets: inflating a term never buys an acceptance.
+        import zerokit.dirichlet.zeros as zmod
+
+        radii = []
+        interpolate, majorant = zmod.ModulusEngine._interpolate, zmod.hurwitz_majorant
+
+        def spied(engine, lattice, gammas, owners):
+            values, rho = interpolate(engine, lattice, gammas, owners)
+            radii.append(rho)
+            return values, rho
+
+        def inflated(disk_only):
+            return lambda lo, hi, t, a: tuple((1e6 if lo < 0.5 or not disk_only else 1.0) * x for x in majorant(lo, hi, t, a))
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_interpolate", spied)
+        chars = primitive_characters(5)
+        engines = []
+        for patch in (majorant, inflated(True), inflated(False)):
+            monkeypatch.setattr(zmod, "hurwitz_majorant", patch)
+            engines.append(ModulusEngine(chars, 60.0))
+            engines[-1].zero_set(chars[0])
+        default, disk, everywhere = engines
+        assert len(radii) == 3 and np.all(radii[1] > radii[0])
+        for chi in chars:
+            before, after = default.zero_set(chi), everywhere.zero_set(chi)
+            assert after.certified
+            for name in ("gamma", "radius"):
+                assert np.array_equal(getattr(after, name), getattr(before, name))
+        assert default.certificates["interpolant"] > 0
+        assert everywhere.certificates["interpolant"] == 0
+        assert everywhere.certificates["unclear"] == default.certificates["interpolant"] + default.certificates["unclear"]
+
+    def test_only_the_disks_around_the_pole_fall_back(self, monkeypatch):
+        # Mod 5 to 60 the interpolant certifies every ordinate whose disk
+        # of radius DISK stays clear of s = 1, so no ordinate with
+        # |gamma| > 2.5 reaches the kernel; the kernel check, given no
+        # ordinate, evaluates nothing.
+        import zerokit.dirichlet.zeros as zmod
+
+        checked, pairs = [], []
+        check, pair = zmod.ModulusEngine._check, zmod.ModulusEngine._pair
+
+        def spied_check(engine, gammas, owners):
+            checked.append(gammas.copy())
+            return check(engine, gammas, owners)
+
+        def spied_pair(engine, gammas, cols, offset):
+            pairs.append(len(gammas))
+            return pair(engine, gammas, cols, offset)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_check", spied_check)
+        monkeypatch.setattr(zmod.ModulusEngine, "_pair", spied_pair)
+        chars = primitive_characters(5)
+        engine = ModulusEngine(chars, 60.0)
+        assert all(engine.zero_set(chi).certified for chi in chars)
+        assert np.all(np.abs(np.concatenate(checked)) <= 2.5)
+        assert engine.certificates["unclear"] == 0 and engine.certificates["interpolant"] > 100
+        calls = len(pairs)
+        ok, radii = engine._check(np.empty(0), np.empty(0, dtype=int))
+        assert len(pairs) == calls and ok.shape == radii.shape == (0,)
 
     def test_mirrored_sets_negate_their_windows(self, tmp_path, monkeypatch):
         # Every ordinate fails its sign check; a conjugate character taken by
@@ -402,10 +564,10 @@ class TestScan:
 
     def test_bank_matches_the_one_character_line(self):
         # The bank evaluates t >= 0 only and takes Z(-t) from the conjugate
-        # table; both halves must match the one-character reference form, on
-        # the lattice's grid shape (every 7th node, a 0.35 step, as 5 giant
-        # steps of 8 baby steps) and at single points (one offset d = 1/2)
-        # alike.
+        # table; both halves, turned into Z (`_turn`), must match the
+        # one-character reference form, on the lattice's grid shape (every
+        # 7th node, a 0.35 step, as 5 giant steps of 8 baby steps) and at
+        # single points (one offset d = 1/2) alike.
         import zerokit.dirichlet.zeros as zmod
 
         chars = primitive_characters(5)
@@ -415,7 +577,11 @@ class TestScan:
         grid = (lattice[0][:, None] + lattice[1]).ravel().imag
         ts = np.array([0.0, 0.7, 6.0, 14.13, 29.9])
         single = (1j * ts, np.array([0.5]))
-        banks = [(v.real for v in engine._bank(np.arange(len(chars)), c, d)) for c, d in (lattice, single)]
+        cols = np.arange(len(chars))
+        banks = [
+            (v.real for v in engine._turn(cols, (c[:, None] + d).ravel(), *engine._bank(cols, c, d)))
+            for c, d in (lattice, single)
+        ]
         (pos_grid, neg_grid), (pos, neg) = banks
         assert pos_grid.shape == neg_grid.shape == (len(grid), len(chars))
         assert pos.shape == neg.shape == (len(ts), len(chars))
@@ -461,23 +627,30 @@ class TestScan:
                 assert abs(float(root.imag) - g) < 1e-11
 
     def test_each_ordinate_costs_one_sign_check(self, monkeypatch):
-        # After the lattice and the count, the scan evaluates Z only at
-        # gamma -/+ TARGET_RADIUS of each ordinate it locates, by one paired
-        # evaluation per ordinate: no refinement rounds.  Every stage is one
+        # After the lattice and the count, each ordinate the scan locates is
+        # certified once: by the lattice's interpolant, which makes no
+        # Hurwitz call, or by one paired kernel evaluation at gamma -/+
+        # TARGET_RADIUS; no refinement rounds.  Every kernel stage is one
         # Hurwitz grid c + d, told apart by its offsets d: the lattice's B
         # baby steps climb the critical line; the count's d are the 16 real
         # edge abscissae; the one quarter-step regrid, of the sign changes
         # with |t| < LOW (q13.e5 and q13.e7 have a zero near -/+0.884),
-        # takes 15 nodes per cell; the sign checks take d = -/+ i r.
+        # takes 15 nodes per cell; the sign checks take d = -/+ i r.  Mod 13
+        # to 20 the regrid's two seeds are the only ordinates the
+        # interpolant cannot take, and the only ones the kernel checks.
         import zerokit.dirichlet.zeros as zmod
 
-        calls = []
-        grid = zmod.hurwitz_zeta_vec
+        calls, interpolated = [], []
+        grid, interpolate = zmod.hurwitz_zeta_vec, zmod.ModulusEngine._interpolate
 
         def spied(c, a, d, modulus):
             calls.append((np.array(c), np.array(d)))
             assert len(c) * len(d) * len(a) <= zmod.TABLE_ENTRIES and modulus == 13
             return grid(c, a, d=d, modulus=modulus)
+
+        def spied_interpolate(engine, lattice, gammas, owners):
+            interpolated.append(gammas.copy())
+            return interpolate(engine, lattice, gammas, owners)
 
         def kind(d):
             if len(d) == 2 and d[0] == -d[1] and d[1].real == 0.0:
@@ -487,12 +660,13 @@ class TestScan:
             return "lattice" if np.all(d.real == 0.5) else "regrid"
 
         monkeypatch.setattr(zmod, "hurwitz_zeta_vec", spied)
+        monkeypatch.setattr(zmod.ModulusEngine, "_interpolate", spied_interpolate)
         chars = primitive_characters(13)
         engine = ModulusEngine(chars, 20.0)
         sets = [engine.zero_set(chi) for chi in chars]
         assert all(zs.certified for zs in sets)
         kinds = [kind(d) for _, d in calls]
-        assert [k for i, k in enumerate(kinds) if kinds[i - 1 : i] != [k]] == ["lattice", "count", "check", "regrid", "check"]
+        assert [k for i, k in enumerate(kinds) if kinds[i - 1 : i] != [k]] == ["lattice", "count", "regrid", "check"]
         stage = {k: [call for call, x in zip(calls, kinds) if x == k] for k in kinds}
         # the lattice: nodes 0..n as one grid of B = ceil(sqrt(n + 1)) baby
         # steps and the giant steps that cover them, n + 1 = 418 nodes to
@@ -513,11 +687,16 @@ class TestScan:
         assert np.all(c.real == 0.5) and np.all(d.real == 0.0)
         assert np.max(np.abs((c[:, None] + d).imag)) <= zmod.LOW + zmod.NODES // 2 * zmod.GRID_STEP / 4
         pairs = [(c, d[1].imag) for c, d in stage["check"]]
-        # each ordinate is checked once, at exactly -/+ TARGET_RADIUS, on the critical line
+        # the kernel checks the regrid's seeds alone, each once, at exactly
+        # -/+ TARGET_RADIUS, on the critical line
         assert pairs and all(r == TARGET_RADIUS for _, r in pairs)
         centres = np.concatenate([s for s, _ in pairs])
         assert np.all(centres.real == 0.5)
-        located = centres.imag
+        checked = centres.imag
+        assert len(checked) == 2 and np.all(np.abs(checked) < zmod.LOW)
+        # every lattice seed is certified by the interpolant
+        assert engine.certificates == {"interpolant": sum(map(len, interpolated)), "pole": 0, "unclear": 0, "regrid": 2}
+        located = np.concatenate(interpolated + [checked])
         assert len(np.unique(located)) == len(located)
         # real characters are located on t > 0 and mirrored
         stored = np.array(
