@@ -18,11 +18,14 @@ from zerokit.kernels import WeightParams
 from zerokit.verify import SELBERG_EPS, largesieve_smoothing_check, selberg_smoothed_sum_check
 
 SAFETY = 1.5
+# (q, T, prime window) of the large-sieve instances and (q, coset, z, x) of the Selberg ones.
+LARGESIEVE_INSTANCES = ((5, 2.0, (100.0, 200.0)), (3, 1.0, (50.0, 150.0)), (7, 3.0, (100.0, 300.0)))
+SELBERG_INSTANCES = ((3, 1, 10.0, 1e4), (5, 2, 20.0, 1e5), (4, 3, 15.0, 5e4), (3, 2, 30.0, 2e5))
 
 
 def largesieve_constants() -> tuple[float, float]:
     worst_ratio, worst_smoothing = 0.0, 0.0
-    for q, T, window in ((5, 2.0, (100.0, 200.0)), (3, 1.0, (50.0, 150.0)), (7, 3.0, (100.0, 300.0))):
+    for q, T, window in LARGESIEVE_INSTANCES:
         primes = primes_in_window(window[0] + 1, window[1] + 1)
         coeffs = {int(p): 1.0 / float(p) for p in primes if math.gcd(int(p), q) == 1}
         reports = largesieve_smoothing_check(q, T, window, coeffs)
@@ -33,7 +36,7 @@ def largesieve_constants() -> tuple[float, float]:
 
 def selberg_constant() -> float:
     worst = 0.0
-    for q, coset, z, x in ((3, 1, 10.0, 1e4), (5, 2, 20.0, 1e5), (4, 3, 15.0, 5e4), (3, 2, 30.0, 2e5)):
+    for q, coset, z, x in SELBERG_INSTANCES:
         params = WeightParams(degree_n=1, height_T=1.0)
         report = selberg_smoothed_sum_check(q, coset, z, x, params)
         overshoot = report.lhs - report.context["main_term"]

@@ -120,10 +120,17 @@ def harmonic_sum(z: float) -> float:
     return float(np.sum(1.0 / n))
 
 
-def rough_mask(n: np.ndarray, z: float) -> np.ndarray:
-    """Boolean mask of entries with no prime factor <= z (1 counts as rough)."""
-    n = np.asarray(n, dtype=np.int64)
-    mask = np.ones(n.shape, dtype=bool)
-    for p in primes_up_to(int(z)):
-        mask &= (n % p) != 0
+def rough_mask(first: int, step: int, count: int, z: float) -> np.ndarray:
+    """Boolean mask of the n = first + k step, 0 <= k < count, with no prime factor <= z (1 counts as rough).
+
+    Each prime p <= z prime to step strikes one residue class of k, the
+    k = -first / step mod p, with one strided slice; a prime dividing step
+    divides every n or none.
+    """
+    mask = np.ones(count, dtype=bool)
+    for p in primes_up_to(int(z)).tolist():
+        if step % p:
+            mask[-first * pow(step, -1, p) % p :: p] = False
+        elif first % p == 0:
+            mask[:] = False
     return mask

@@ -76,17 +76,21 @@ def psi_weight(x: float | np.ndarray, p: WeightParams) -> float | np.ndarray:
     if np.any(x <= 0.0):
         raise ValueError("psi_weight requires x > 0")
     n, a = p.degree_n, p.scale_A
-    m = 2 * n
-    t = a * np.log(x) / 2.0 + n
+    out = _irwin_hall(a * np.log(x) / 2.0 + n, 2 * n) * (a / 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _irwin_hall(t: np.ndarray, m: int) -> np.ndarray:
+    """The Irwin--Hall density f_m of degree m >= 2 at t, folded about its centre m/2 (`psi_weight`)."""
     t = np.minimum(t, m - t)
-    out = np.zeros(x.shape)
+    out = np.zeros(t.shape)
     inside = t > 0.0
     ti = t[inside]
     acc = np.zeros(ti.shape)
-    for j in range(n + 1):
+    for j in range(m // 2 + 1):
         acc += (-1.0) ** j * math.comb(m, j) * np.where(ti > j, ti - j, 0.0) ** (m - 1)
-    out[inside] = np.maximum(acc / math.factorial(m - 1), 0.0) * (a / 2.0)
-    return float(out) if out.ndim == 0 else out
+    out[inside] = np.maximum(acc / math.factorial(m - 1), 0.0)
+    return out
 
 
 def _sinhc(u: complex) -> complex:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,7 +66,7 @@ from zerokit.dirichlet.lfunctions import (
 )
 from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.dirichlet.zeros import ZeroSet, count_zeros_circle
-from zerokit.kernels import WeightParams, e_kernel, psi_weight
+from zerokit.kernels import WeightParams, _irwin_hall, e_kernel, psi_weight
 
 __all__ = [
     "CheckReport",
@@ -378,9 +379,12 @@ def repulsion_sums_check(
         L(chi), L(psi chi) for real psi, truncated to |gamma| <= T_zeros (a
         valid lower bound: terms are nonnegative), against the logarithmic
         bound at sigma = alpha + 1 on the sigma grid.
+
+    Each zero sum is evaluated once per (character, sigma, t) and call.
     """
     reports = []
     sigma_grid = list(sigma_grid)
+    zero_square_sum = cache(lambda chi, sigma, t: _zero_square_sum(library, chi, sigma, t, T_zeros))
     for q in range(1, q_max + 1):
         chars = enumerate_characters(q)
         for chi in chars:
@@ -412,10 +416,10 @@ def repulsion_sums_check(
                         continue
                     for t in REPULSION_HEIGHTS:
                         lhs = (
-                            _zero_square_sum(library, chars[0], sigma, 0.0, T_zeros)
-                            + _zero_square_sum(library, psi, sigma, 0.0, T_zeros)
-                            + _zero_square_sum(library, chi, sigma, t, T_zeros)
-                            + _zero_square_sum(library, product_character(psi, chi), sigma, t, T_zeros)
+                            zero_square_sum(chars[0], sigma, 0.0)
+                            + zero_square_sum(psi, sigma, 0.0)
+                            + zero_square_sum(chi, sigma, t)
+                            + zero_square_sum(product_character(psi, chi), sigma, t)
                         )
                         d_psi = float(psi.conductor)
                         rhs = (
@@ -490,23 +494,6 @@ def density_theorem_check(
 # -- large sieve --------------------------------------------------------------
 
 
-def _simpson_doubling(f, a: float, b: float, n0: int = 64) -> float:
-    """Composite Simpson, doubling the grid until successive values agree to 1e-8 (at most 14 times)."""
-    n = n0
-    prev = None
-    while True:
-        x = np.linspace(a, b, n + 1)
-        y = f(x)
-        h = (b - a) / n
-        val = float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-        if prev is not None and abs(val - prev) <= 1e-8 * max(abs(val), 1e-300):
-            return val
-        prev = val
-        n *= 2
-        if n > n0 * 2**14:
-            return val
-
-
 def largesieve_smoothing_check(
     q: int,
     T: float,
@@ -516,15 +503,21 @@ def largesieve_smoothing_check(
     """Character-averaged mean value of a prime Dirichlet polynomial.
 
     lhs = sum over characters mod q of the t-integral of
-    |sum_p b(p) chi(p) p^{-it}|^2 over [-T, T] (adaptive Simpson, relative
-    tolerance 1e-8); rhs = (1/log y) sum_p p |b(p)|^2.  The reported ratio
-    lhs/rhs is the empirical implied constant of this instance, held to
-    BUDGETS["largesieve_ratio"].
+    |sum_p b(p) chi(p) p^{-it}|^2 over [-T, T]; rhs = (1/log y) sum_p p
+    |b(p)|^2.  The reported ratio lhs/rhs is the empirical implied constant
+    of this instance, held to BUDGETS["largesieve_ratio"].
 
     A second report compares the t-integral against the weight-smoothed
     x-integral for the same coefficients (the smoothing inequality that
     feeds the sieve argument), using the weight at height T, held to
     BUDGETS["weight_smoothing_ratio"].
+
+    Every integral is an exact Gram sum, not a quadrature.  The integrand
+    |sum_p v_p p^{-it}|^2 is a trigonometric polynomial, so its t-integral
+    is v^H K v with K_pp' = 2 sin(T Delta) / Delta, Delta = log p - log p',
+    and K_pp = 2T.  The x-integral runs over the weights' whole support,
+    so it is b^H G b with G_pp' = (A/2) f_4n(2n + A Delta / 2): the
+    weight's Irwin--Hall density f_2n has the autocorrelation f_4n.
     """
     y, big_y = prime_window
 
@@ -544,20 +537,18 @@ def largesieve_smoothing_check(
         return [
             _report(f"largesieve.q{q}.empty", 0.0, 0.0, "<=", window=prime_window, note="zero coefficients")
         ]
-    logp = np.log(np.array(primes, dtype=float))
+    support = np.array(primes)
+    logp = np.log(support)
     b = np.array(values, dtype=complex)
-    chars = enumerate_characters(q)
-
-    def integrand_total(ts: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(ts, logp))
-        total = np.zeros(len(ts))
-        for chi in chars:
-            bc = b * char_value_vec(chi, np.array(primes))
-            total += np.abs(phases @ bc) ** 2
-        return total
-
-    lhs = _simpson_doubling(integrand_total, -T, T)
-    rhs = float(np.sum(np.array(primes, dtype=float) * np.abs(b) ** 2)) / math.log(y)
+    delta = logp[:, None] - logp
+    with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, overwritten below
+        k = 2.0 * np.sin(T * delta) / delta
+    np.fill_diagonal(k, 2.0 * T)
+    # The contractions are einsums, which make no BLAS call, so their bytes do
+    # not depend on the thread count.
+    twisted = b * np.array([char_value_vec(chi, support) for chi in enumerate_characters(q)])
+    lhs = float(np.einsum("cp,pr,cr->", twisted.conj(), k, twisted).real)
+    rhs = float(np.sum(support * np.abs(b) ** 2)) / math.log(y)
     ratio = lhs / rhs if rhs > 0 else math.inf
     reports.append(
         _report(
@@ -575,25 +566,10 @@ def largesieve_smoothing_check(
 
     # Smoothing comparison for the untwisted coefficient sequence.
     params = WeightParams(degree_n=1, height_T=max(T, 1.0))
-
-    def t_integrand(ts: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(-1j * np.outer(ts, logp)) @ b) ** 2
-
-    lhs_t = _simpson_doubling(t_integrand, -T, T)
-    half_support = 2.0 * params.degree_n / params.scale_A
-    u_lo = float(np.min(logp)) - half_support
-    u_hi = float(np.max(logp)) + half_support
-
-    def x_integrand(us: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(us), dtype=complex)
-        for lp, bp in zip(logp, b):
-            du = us - lp
-            mask = np.abs(du) < half_support
-            if mask.any():
-                acc[mask] += bp * psi_weight(np.exp(du[mask]), params)
-        return np.abs(acc) ** 2
-
-    rhs_x = _simpson_doubling(x_integrand, u_lo, u_hi, n0=512)
+    n, a = params.degree_n, params.scale_A
+    gram = (a / 2.0) * _irwin_hall(2 * n + a * delta / 2.0, 4 * n)
+    lhs_t = float(np.einsum("p,pr,r->", b.conj(), k, b).real)
+    rhs_x = float(np.einsum("p,pr,r->", b.conj(), gram, b).real)
     smoothing_ratio = lhs_t / rhs_x if rhs_x > 0 else math.inf
     reports.append(
         _report(
@@ -624,7 +600,8 @@ def selberg_smoothed_sum_check(
     lhs = sum over n = coset mod q with no prime factor <= z of
     (1/n) Psi(x/n); rhs = 1/(phi(q) V(z)) + budget * z^(2+2eps) / x, with
     budget = BUDGETS["selberg_error_budget"].  Direct summation over the
-    weight's support window.
+    class's progression in the weight's support window, sieved by
+    `rough_mask`.
     """
     if math.gcd(coset, q) != 1:
         raise ValueError("coset must be a unit residue")
@@ -632,10 +609,9 @@ def selberg_smoothed_sum_check(
     half = 2.0 * params.degree_n / params.scale_A
     lo = max(1, math.floor(x * math.exp(-half)))
     hi = math.ceil(x * math.exp(half))
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    n = n[(n % q) == (coset % q)]
-    if len(n):
-        n = n[rough_mask(n, z)]
+    first = lo + (coset - lo) % q
+    n = np.arange(first, hi + 1, q, dtype=np.int64)
+    n = n[rough_mask(first, q, len(n), z)]
     m = n.astype(float)
     lhs = float(np.sum(psi_weight(x / m, params) / m))
     phi_q = sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)

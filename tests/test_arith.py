@@ -71,7 +71,7 @@ class TestHarmonicAndRough:
 
     def test_rough_mask(self):
         n = np.arange(1, 50)
-        mask = rough_mask(n, 7.0)
+        mask = rough_mask(1, 1, len(n), 7.0)
         rough = set(n[mask].tolist())
         assert 1 in rough
         assert {11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}.issubset(rough)

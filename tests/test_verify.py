@@ -3,11 +3,12 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from zerokit.dirichlet.arith import primes_in_window
-from zerokit.dirichlet.characters import enumerate_characters
+from zerokit.dirichlet.arith import primes_in_window, primes_up_to, rough_mask
+from zerokit.dirichlet.characters import char_value, enumerate_characters
 from zerokit.dirichlet.hurwitz import hurwitz_zeta
 from zerokit.kernels import WeightParams, psi_weight
 from zerokit.verify import (
@@ -245,6 +246,50 @@ class TestLargeSieve:
         assert reports[0].passed and reports[0].lhs == 0.0
 
 
+class TestLargeSieveGramForms:
+    @pytest.mark.parametrize("q, T, window", [(5, 2.0, (100.0, 200.0)), (7, 3.0, (100.0, 300.0))])
+    def test_gram_sums_are_the_integrals(self, q, T, window):
+        # The check's three integrals are exact Gram sums; mpmath's quadrature
+        # of the integrands themselves must agree to 1e-12.  The x-integral is
+        # split at the weights' breakpoints log p + k 2/A, between which its
+        # integrand is a polynomial.
+        coeffs = {int(p): 1.0 / float(p) for p in primes_in_window(window[0] + 1, window[1] + 1) if math.gcd(int(p), q) == 1}
+        ratio, smoothing = largesieve_smoothing_check(q, T, window, coeffs)
+        params = WeightParams(degree_n=1, height_T=max(T, 1.0))
+        with mpmath.workdps(30):
+            logs = [mpmath.log(p) for p in coeffs]
+            b = [mpmath.mpf(v) for v in coeffs.values()]
+            twisted = [[v * mpmath.mpc(char_value(chi, p)) for v, p in zip(b, coeffs)] for chi in enumerate_characters(q)]
+
+            def t_integral(rows):
+                def integrand(t):
+                    phases = [mpmath.expj(-t * lp) for lp in logs]
+                    return mpmath.fsum(abs(mpmath.fdot(row, phases)) ** 2 for row in rows)
+
+                return mpmath.quad(integrand, mpmath.linspace(-T, T, 5))
+
+            a, n = mpmath.mpf(params.scale_A), params.degree_n
+
+            def weight(u):  # psi_weight(e^u) = (A/2) f_2n(A u / 2 + n), f the Irwin--Hall density
+                t = a * u / 2 + n
+                if not 0 < t < 2 * n:
+                    return mpmath.mpf(0)
+                terms = ((-1) ** j * mpmath.binomial(2 * n, j) * (t - j) ** (2 * n - 1) for j in range(int(t) + 1))
+                return a / 2 * mpmath.fsum(terms) / mpmath.factorial(2 * n - 1)
+
+            breaks = sorted({lp + k * 2 / a for lp in logs for k in range(-n, n + 1)})
+            x_integral = mpmath.quad(
+                lambda u: abs(mpmath.fsum(v * weight(u - lp) for v, lp in zip(b, logs))) ** 2, breaks, method="gauss-legendre"
+            )
+            expected = {
+                "lhs_integral": (ratio.context["lhs_integral"], t_integral(twisted)),
+                "t_integral": (smoothing.context["t_integral"], t_integral([b])),
+                "x_integral": (smoothing.context["x_integral"], x_integral),
+            }
+        for name, (got, exact) in expected.items():
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0), (q, name)
+
+
 class TestSelberg:
     def test_reference_case(self):
         params = WeightParams(degree_n=1, height_T=1.0)
@@ -314,12 +359,38 @@ class TestDetector:
         assert "ingredient" in report.context["note"]
 
 
-def test_recorder_reproduces_the_budgets():
+@pytest.fixture(scope="module")
+def recorder():
     path = Path(__file__).resolve().parents[1] / "scripts" / "record_budgets.py"
     spec = importlib.util.spec_from_file_location("record_budgets", path)
-    recorder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(recorder)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recorder_reproduces_the_budgets(recorder):
     assert recorder.measure_budgets() == BUDGETS
+
+
+def test_progression_sieve_matches_the_window_filter(recorder):
+    # At every Selberg instance the budgets are measured on, (q = 4, z = 15)
+    # among them, where 2 divides q: the progression's survivors are those of
+    # the whole support window filtered by n mod q and then by n mod p for
+    # every p <= z, in the same order, and the check's sum is theirs.
+    params = WeightParams(degree_n=1, height_T=1.0)
+    for q, coset, z, x in recorder.SELBERG_INSTANCES:
+        report = selberg_smoothed_sum_check(q, coset, z, x, params)
+        lo, hi = report.context["support"]
+        window = np.arange(lo, hi + 1, dtype=np.int64)
+        window = window[window % q == coset % q]
+        for p in primes_up_to(int(z)):
+            window = window[window % p != 0]
+        progression = np.arange(lo + (coset - lo) % q, hi + 1, q, dtype=np.int64)
+        survivors = progression[rough_mask(int(progression[0]), q, len(progression), z)]
+        assert np.array_equal(survivors, window), (q, coset, z, x)
+        assert report.context["survivors"] == len(window)
+        m = window.astype(float)
+        assert report.lhs == pytest.approx(float(np.sum(psi_weight(x / m, params) / m)), rel=1e-14, abs=0.0)
 
 
 def test_suite_output_is_deterministic(zero_library):

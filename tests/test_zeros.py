@@ -465,6 +465,50 @@ class TestScan:
             giant, near = lattice.giant[m // baby], lattice.baby[m % baby]
             assert Fraction((t - giant) - near) == Fraction(t) - Fraction(giant) - Fraction(near), t
 
+    def test_interpolant_radius_covers_its_own_rounding(self, monkeypatch):
+        # With no node error and a zero majorant (so no Hermite remainder),
+        # an interpolant radius is the barycentric sum's rounding term and
+        # the second-order remainder of the weights' correction.  Near
+        # t = 1000 the nodes C_j + D_i lie about 1e-13 off the equispaced
+        # lattice.  With the rotation set to 1, Z is Re S, and the float
+        # interpolant must lie within its radius of the same barycentric
+        # form through the same nodes and data in exact rationals.  Without
+        # either the rounding term or the weights' correction it does not.
+        from fractions import Fraction
+
+        import zerokit.dirichlet.zeros as zmod
+
+        rng = np.random.default_rng(1000)
+        h, r, width = zmod.GRID_STEP, TARGET_RADIUS, zmod.WINDOW
+        babies, giants = 64, 320
+        giant = np.arange(giants) * (babies * h) + rng.uniform(-1e-13, 1e-13, giants)
+        baby = np.arange(babies) * h
+        rows = giants * babies
+        nodes = [Fraction(giant[k // babies]) + Fraction(baby[k % babies]) for k in range(rows)]
+        offset = np.array([float(node - k * Fraction(h)) for k, node in enumerate(nodes)])
+        assert 5e-14 < np.max(np.abs(offset)) < 2e-13
+        sums = tuple(rng.uniform(-1.0, 1.0, (rows, 1)) + 1j * rng.uniform(-1.0, 1.0, (rows, 1)) for _ in range(2))
+        lattice = zmod._Lattice(sums, giant, baby, offset, np.zeros(rows), np.zeros((rows, 2)))
+        engine = ModulusEngine((ZETA,), 1010.0)
+        monkeypatch.setattr(engine, "_rotation", lambda s, odd: np.ones(np.shape(s)))
+        gammas = np.concatenate([rng.uniform(1000.0, 1010.0, 24), -rng.uniform(1000.0, 1010.0, 8)])
+        z, radius = engine._interpolate(lattice, gammas, np.zeros(len(gammas), dtype=int))
+        for j, gamma in enumerate(gammas):
+            start = int(zmod._window_start(np.array([abs(gamma)]), rows)[0])
+            window = range(start, start + width)
+            data = sums[0] if gamma > 0.0 else sums[1]
+            for side, sign in enumerate((-1, 1)):
+                x = abs(Fraction(gamma) + sign * Fraction(r))
+                exact = Fraction(0)
+                for i in window:
+                    ell = Fraction(1)
+                    for k in window:
+                        if k != i:
+                            ell *= (x - nodes[k]) / (nodes[i] - nodes[k])
+                    exact += ell * Fraction(data[i, 0].real)
+                assert 0.0 < radius[side, j] < 1e-12
+                assert abs(Fraction(z[side, j]) - exact) <= Fraction(radius[side, j]), (gamma, side)
+
     def test_inflated_majorant_falls_back_to_the_kernel(self, monkeypatch):
         # The majorant enters every interpolant radius: on the disk through
         # Hermite's remainder, on the line through the node error's
