@@ -34,7 +34,7 @@ from pathlib import Path
 from zerokit import constants
 from zerokit.constants import FieldParams
 from zerokit.dirichlet.zerocache import DependencyError, ZeroLibrary
-from zerokit.dirichlet.zeros import CountCertificationError
+from zerokit.dirichlet.zeros import MAX_HEIGHT, CountCertificationError
 from zerokit.verify import SUITES, TOLERANCES, default_suite, reports_to_json, summary_table, zero_data_needed
 
 EXIT_OK = 0
@@ -111,7 +111,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _guard(cfg: RunConfig, q: int, height: float) -> None:
-    """Refuse a scan beyond the desk scale (a usage error) unless --unsafe."""
+    """Refuse a scan beyond the desk scale (a usage error) unless --unsafe, and one the engine refuses in any case."""
+    if height >= MAX_HEIGHT:
+        raise ValueError(f"height {height} is not below the engine's exact-lattice limit {MAX_HEIGHT}")
     if cfg.unsafe:
         return
     if q > DESK_Q_LIMIT:
@@ -125,7 +127,7 @@ def _guard(cfg: RunConfig, q: int, height: float) -> None:
 
 def cmd_constants_derive(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    rows = constants.certification_report(alpha=args.alpha, eta=args.eta, epsilon=args.epsilon)
+    rows = constants.certification_report(alpha=args.alpha, eta=args.eta)
     if cfg.output_format == "json":
         print(constants.report_to_json(rows))
     else:
@@ -271,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     derive = constants_sub.add_parser("derive", help="derive and certify all explicit constants")
     derive.add_argument("--alpha", type=float, default=constants.REFERENCE_ALPHA)
     derive.add_argument("--eta", type=float, default=constants.REFERENCE_ETA)
-    derive.add_argument("--epsilon", type=float, default=constants.DENSITY_EPS_WIDE, help="validated, but changes no report row")
     derive.add_argument("--json", action="store_true")
     derive.set_defaults(func=cmd_constants_derive)
     optimize = constants_sub.add_parser("optimize-alpha", help="minimise the detection-exponent objective")

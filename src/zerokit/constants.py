@@ -156,7 +156,7 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class DetectorConstants:
-    """Derived constants of the zero-detector chain at (alpha, eta, epsilon).
+    """Derived constants of the zero-detector chain at (alpha, eta).
 
     ``k_lo_coeff`` / ``k_hi_coeff`` are the raw derived coefficients of the
     derivative-order range (times phi * r * conductor-aggregate);
@@ -167,8 +167,6 @@ class DetectorConstants:
 
     alpha: float
     eta: float
-    epsilon: float
-    phi: float
     A1: ErrorBounded
     A: ErrorBounded
     k_lo_coeff: ErrorBounded
@@ -183,7 +181,7 @@ class DetectorConstants:
     detect_exp_squared: ErrorBounded
 
 
-def derive_detector_constants(alpha: float, eta: float = REFERENCE_ETA, epsilon: float = DENSITY_EPS_WIDE) -> DetectorConstants:
+def derive_detector_constants(alpha: float, eta: float = REFERENCE_ETA) -> DetectorConstants:
     """Re-derive the detector constants from the parameter choices.
 
     Chain: C = (4e(1+alpha)/alpha)^alpha, A1 = 2 C (1+eta), A = sqrt(A1^2-1).
@@ -200,8 +198,6 @@ def derive_detector_constants(alpha: float, eta: float = REFERENCE_ETA, epsilon:
         raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    if not 0.0 < epsilon < 0.25:
-        raise ValueError("epsilon must lie in (0, 1/4)")
 
     a = ErrorBounded(float(alpha))
     base = ErrorBounded(4.0) * EB_E * (ErrorBounded(1.0) + a) / a
@@ -235,8 +231,6 @@ def derive_detector_constants(alpha: float, eta: float = REFERENCE_ETA, epsilon:
     return DetectorConstants(
         alpha=alpha,
         eta=eta,
-        epsilon=epsilon,
-        phi=phi_factor(epsilon),
         A1=a1,
         A=big_a,
         k_lo_coeff=k_lo,
@@ -579,14 +573,13 @@ def _entry(name: str, derived: ErrorBounded, published: float, direction: str) -
 def certification_report(
     alpha: float = REFERENCE_ALPHA,
     eta: float = REFERENCE_ETA,
-    epsilon: float = DENSITY_EPS_WIDE,
 ) -> list[CertEntry]:
     """Every derived-vs-published pair, at the given derivation parameters.
 
     The published targets stay fixed: running at non-reference parameters is
     exactly how one sees which constants break (and the CLI exits nonzero).
     """
-    c = derive_detector_constants(alpha, eta, epsilon)
+    c = derive_detector_constants(alpha, eta)
     rows = [
         _entry("A_lower", c.A, float(PUBLISHED["A_lower"]), ">="),
         _entry("A_upper", c.A, float(PUBLISHED["A_upper"]), "<="),

@@ -18,9 +18,8 @@ values of L, so the value kernel is the only Hurwitz kernel; it raises
 ArithmeticError when the phase of L does not close around the circle, i.e.
 when a zero or the pole lies inside it.
 
-The gamma factors come from Stirling's series (`loggamma`, `digamma`,
-`trigamma`), whose coefficients are read off the Hurwitz kernel's table of
-B_2j/(2j)!.
+The gamma factors come from Stirling's series (`loggamma`, `digamma`),
+whose coefficients are read off the Hurwitz kernel's table of B_2j/(2j)!.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "log_deriv_series",
     "loggamma",
     "root_number",
-    "trigamma",
     "trivial_ladder_start",
     "trivial_zero_sum",
 ]
@@ -224,13 +222,12 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @lru_cache(maxsize=None)
-def _stirling_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """B_2j/(2j(2j-1)), B_2j/(2j) and B_2j for j = 1..terms, from the table of B_2j/(2j)!."""
+def _stirling_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """B_2j/(2j(2j-1)) and B_2j/(2j) for j = 1..terms, from the table of B_2j/(2j)!."""
     table = list(enumerate(_bernoulli_over_factorial()[:terms], 1))
     return (
         tuple(b * math.factorial(2 * j - 2) for j, b in table),
         tuple(b * math.factorial(2 * j - 1) for j, b in table),
-        tuple(b * math.factorial(2 * j) for j, b in table),
     )
 
 
@@ -276,11 +273,6 @@ def loggamma(z):
     return out.reshape(z.shape)
 
 
-def _check_pole(s: complex) -> None:
-    if s.real <= 0.0 and s.imag == 0.0 and s.real == int(s.real):
-        raise GammaPoleError(s)
-
-
 def digamma(s: complex) -> complex:
     """Gamma'/Gamma(s), off the poles.
 
@@ -290,7 +282,8 @@ def digamma(s: complex) -> complex:
     scalar complex arithmetic.
     """
     s = complex(s)
-    _check_pole(s)
+    if s.real <= 0.0 and s.imag == 0.0 and s.real == int(s.real):
+        raise GammaPoleError(s)
     total = 0j
     while s.real < 0.0 or abs(s) < _STIRLING_RADIUS:
         total -= 1.0 / s
@@ -300,27 +293,6 @@ def digamma(s: complex) -> complex:
     for c in reversed(_stirling_coefficients(_STIRLING_TERMS)[1]):
         series = (series + c) * inv2
     return total + cmath.log(s) - 0.5 / s - series
-
-
-def trigamma(u: float) -> float:
-    """psi'(u) for real u off the poles.
-
-    psi'(u) = sum_{k<m} 1/(u + k)^2 + psi'(u + m), and at v = u + m >= 10
-    Stirling's series psi'(v) = 1/v + 1/(2 v^2) + sum_{j=1}^{K} B_2j / v^(2j+1),
-    whose remainder is at most the first neglected term for v > 0.
-    """
-    u = float(u)
-    _check_pole(complex(u))
-    total = 0.0
-    while u < _STIRLING_RADIUS:
-        total += 1.0 / (u * u)
-        u += 1.0
-    inv = 1.0 / u
-    inv2 = inv * inv
-    series = 0.0
-    for c in reversed(_stirling_coefficients(_STIRLING_TERMS)[2]):
-        series = series * inv2 + c
-    return total + inv * (1.0 + inv * (0.5 + inv * series))
 
 
 def gamma_factor_log_deriv(s: complex, chi: DirichletCharacter) -> complex:

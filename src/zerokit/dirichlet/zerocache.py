@@ -289,8 +289,9 @@ class ZeroLibrary:
         Conjugate pairs are scanned once and mirrored, and the characters to
         scan share one ModulusEngine.  The cache directory is created before
         any scan, so an unusable path fails first.  Returns a summary
-        {label: zero count | 'cached'}; persists the modulus file.  No limit
-        on q or the height applies here: the desk-scale guard is the CLI's.
+        {label: zero count | 'cached'}; persists the modulus file.  No desk-scale
+        limit on q or the height applies here (that guard is the CLI's); the
+        engine refuses a height from `zeros.MAX_HEIGHT` up.
         """
         self._load_modulus(q)
         summary: dict[str, int | str] = {}

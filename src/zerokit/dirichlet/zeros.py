@@ -46,7 +46,10 @@ in method but not in the evaluator.
 A scan to height T is *complete* when the number of zeros it locates on
 [-t_eff, t_eff] matches the count there.  The grid is the fixed lattice
 k GRID_STEP, and the count edge t_eff is the one of its EDGE_CANDIDATES nodes
-from the first >= T where |Z| is largest at both t_eff and -t_eff.  The
+from the first >= T where |Z| is largest at both t_eff and -t_eff.  GRID_STEP
+is a binary fraction, so every node below 2^31, and every sum of steps that
+makes one, is an exact float; the engine refuses a height from MAX_HEIGHT
+up, whose lattice would reach past 2^31.  The
 stored set keeps the zeros with |gamma| <= T, and its `complete_to_height`
 is the requested T.  Mismatches, and counts that cannot be certified, are
 reported as unverified windows (potential off-line zeros) of that character
@@ -68,6 +71,7 @@ from zerokit.dirichlet.hurwitz import hurwitz_bound, hurwitz_majorant, hurwitz_z
 from zerokit.dirichlet.lfunctions import completed_prefactor_phase, l_eval_vec, root_number
 
 __all__ = [
+    "MAX_HEIGHT",
     "CountCertificationError",
     "ModulusEngine",
     "ZeroSet",
@@ -87,8 +91,10 @@ NODES = 12
 TABLE_ENTRIES = 1 << 14
 # The sign-change grid is the lattice t_k = k GRID_STEP, at every height (a
 # quarter step in the cells rebanked near t = 0, after a failed sign check or
-# on a short count).
-GRID_STEP = 0.05
+# on a short count).  The step is 0.05 rounded to 16 significant bits, so each
+# node k GRID_STEP / 4 = 52429 k 2^-22 below 2^31 (|k| 52429 < 2^53) is an
+# exact float, and so is each sum of steps that makes one.
+GRID_STEP = 52429 / 2**20
 # Sign changes in cells with |t| < LOW are seeded from the quarter-step regrid:
 # there the gamma factor's singularities at t = -/+i (1/2 + a), a = 0 or 1 by
 # parity, lie closest to the line, and the lattice interpolant is least accurate.
@@ -99,6 +105,9 @@ RIGHT = 1.25
 WINDING_TOL = 0.1
 # The scan counts at the best of the EDGE_CANDIDATES lattice nodes from the first one >= T.
 EDGE_CANDIDATES = 11
+# The lattice runs at most EDGE_CANDIDATES + NODES nodes past the scan's height,
+# so a height from MAX_HEIGHT up would reach nodes that are not exact floats.
+MAX_HEIGHT = 2.0**31 - (EDGE_CANDIDATES + NODES) * GRID_STEP
 # A lattice-seeded ordinate is certified from the interpolant of the lattice's
 # unit sums through the WINDOW nodes around it, whose remainder Hermite's
 # formula bounds on the circle of radius DISK (in t) about the window's centre.
@@ -116,11 +125,10 @@ _WEIGHTS = np.array([(-1.0) ** k * math.comb(NODES - 1, k) for k in range(NODES)
 _DIFF = np.outer(1.0 / _WEIGHTS, _WEIGHTS) / (np.arange(NODES)[:, None] - np.arange(NODES) + np.diag([np.inf] * NODES))
 _DIFF -= np.diag(_DIFF.sum(axis=1))
 # The certificate's weights 1 / prod_{k != j} (j - k) of the nodes 0..WINDOW-1,
-# each within 2 units in the last place, and 1 / (j - k) off the diagonal.
+# each within 2 units in the last place.
 _LAGRANGE = np.array(
     [(-1.0) ** (WINDOW - 1 - j) / (math.factorial(j) * math.factorial(WINDOW - 1 - j)) for j in range(WINDOW)]
 )
-_RECIPROCALS = 1.0 / (np.arange(WINDOW)[:, None] - np.arange(WINDOW) + np.diag([np.inf] * WINDOW))
 # Units in the last place that the certificate's barycentric sum may lose, per
 # unit of sum_j |l_j(x) S_j| (`ModulusEngine._interpolate`).
 _SUM_ROUNDING = 11 * WINDOW
@@ -133,15 +141,11 @@ class CountCertificationError(RuntimeError):
 class _Lattice(NamedTuple):
     """The lattice's unit sums and the terms of their interpolant's error (`ModulusEngine._lattice`).
 
-    Row k is the node t_k = C_j + D_i, j = k // B and i = k % B, the exact
-    sum of a giant step and a baby step of the grid: the imaginary parts of
-    its c and d.
+    Row k is the node t_k = k GRID_STEP, the exact sum of a giant step and
+    a baby step of the grid (GRID_STEP is a binary fraction).
     """
 
     sums: tuple[np.ndarray, np.ndarray]  # S = H @ W at t_k and at -t_k, one column per character
-    giant: np.ndarray  # C
-    baby: np.ndarray  # D
-    offset: np.ndarray  # t_k - k GRID_STEP, each within one rounding
     error: np.ndarray  # bound on |computed S - S| at t_k and -t_k, every character
     # (A, B) per row: sum_a |zeta(s, a/q)| <= A + B / |s - 1| on the disks of
     # radius DISK about 1/2 + i t0, t0 <= t_k (`hurwitz_majorant`)
@@ -313,6 +317,8 @@ class ModulusEngine:
     """
 
     def __init__(self, chars: tuple[DirichletCharacter, ...], T: float):
+        if not 0.0 < T < MAX_HEIGHT:
+            raise ValueError(f"scan height must be positive and below MAX_HEIGHT = {MAX_HEIGHT}, got {T}")
         self.chars = tuple(chars)
         self.height = T
         self.modulus = self.chars[0].modulus
@@ -431,6 +437,7 @@ class ModulusEngine:
     def _lattice(self, c: np.ndarray, d: np.ndarray, sums: tuple[np.ndarray, np.ndarray]) -> _Lattice:
         """The lattice grid c + d's unit sums (`_bank`) with the error terms `_interpolate` needs, per row.
 
+        Row k of the grid is the node k GRID_STEP, an exact float.
         The node error costs one `hurwitz_bound` call per `_tables` chunk, at
         the lowest and the highest node of each giant step, with the chunk's
         shift N (the tallest point of the chunk is among them) and its
@@ -453,9 +460,8 @@ class ModulusEngine:
             line, pole = hurwitz_majorant(0.5, 0.5, top, shifts)
             error[part] = ends + rounding * (line + 2.0 * pole)
             majorant[part] = hurwitz_majorant(0.5 - DISK, 0.5 + DISK, top + DISK, shifts)
-        offset = _off_lattice(c.imag, len(d) * np.arange(len(c)))[:, None] + _off_lattice(d.imag, np.arange(len(d)))
         rows = np.repeat(np.arange(len(c)), len(d))
-        return _Lattice(sums, c.imag, d.imag, offset.ravel(), error[rows], majorant[rows])
+        return _Lattice(sums, error[rows], majorant[rows])
 
     def _interpolate(self, lattice: _Lattice, gammas: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Z of character owners[j] at gammas[j] -/+ TARGET_RADIUS from the lattice, and the values' error radii, as `_pair`.
@@ -478,50 +484,40 @@ class ModulusEngine:
           lattice's majorant with |s - 1| >= |t0 + i/2| - DISK (the caller
           keeps the disks clear of s = 1);
         * the rounding of the sum: _SUM_ROUNDING units in the last place of
-          sum_j |l_j(x) S_j|, with the weights' first-order correction below.
+          sum_j |l_j(x) S_j|.
 
-        The differences x - t_k are exact but for a few roundings, which keeps
-        l_j within a few hundred units in the last place: with m the node
-        nearest to |gamma|, |gamma| - t_m = (|gamma| - C) - D is exact
-        (Sterbenz, twice, as |gamma| lies within half a step of t_m), the
-        side's -/+ TARGET_RADIUS rounds once,
-        and (x - t_k) / GRID_STEP = (m - k) + (x - t_m + offset_m - offset_k)
-        / GRID_STEP, at least 1/2 for k != m.  The weights of the nodes
-        t_k = k GRID_STEP + offset_k are the equispaced ones times
-        1 / prod_{k != j} (1 + a_jk), a_jk = (offset_j - offset_k) /
-        ((j - k) GRID_STEP), taken as 1 - sum_k a_jk, which is within
-        3 A^2 of it for A = max_j sum_k |a_jk| <= 1/4.  Each bound is to first
-        order in the unit roundoff, as `hurwitz_bound`'s.
+        The nodes are the exact floats t_k = k GRID_STEP, so their weights are
+        the equispaced _LAGRANGE, and the differences x - t_k are exact but for
+        a few roundings, which keeps l_j within a few hundred units in the
+        last place: with m the node nearest to |gamma|, |gamma| - t_m is exact
+        (Sterbenz, as |gamma| lies within half a step of t_m), the side's
+        -/+ TARGET_RADIUS rounds once, and (x - t_k) / GRID_STEP = (m - k) +
+        (x - t_m) / GRID_STEP, at least 1/2 for k != m.  Each bound is to
+        first order in the unit roundoff, as `hurwitz_bound`'s.
         """
         h, r = GRID_STEP, TARGET_RADIUS
         t = np.abs(gammas)
-        start = _window_start(t, len(lattice.offset))
+        start = _window_start(t, len(lattice.error))
         nodes = start + np.arange(WINDOW)[:, None]  # (WINDOW, ordinates), as every array below
         m = np.rint(t / h).astype(int)
-        giant, baby = np.divmod(m, len(lattice.baby))
-        gap = ((t - lattice.giant[giant]) - lattice.baby[baby]) + np.array([[-r], [r]])  # x - t_m at |gamma| -/+ r
-        offsets = lattice.offset[nodes]
-        shift = lattice.offset[m] - offsets
-        xi = (m - nodes)[:, None, :] + (gap + shift[:, None, :]) / h  # (x - t_k) / GRID_STEP
+        gap = (t - m * h) + np.array([[-r], [r]])  # x - t_m at |gamma| -/+ r
+        xi = (m - nodes)[:, None, :] + gap / h  # (x - t_k) / GRID_STEP
         omega = np.prod(xi, axis=0)
-        correction = (offsets * _RECIPROCALS.sum(axis=1)[:, None] - np.einsum("jk,kn->jn", _RECIPROCALS, offsets)) / h
         with np.errstate(divide="ignore", invalid="ignore"):  # x on a node: nan, which clears nothing
-            ell = (_LAGRANGE[:, None] * (1.0 - correction))[:, None, :] * (omega / xi)
+            ell = _LAGRANGE[:, None, None] * (omega / xi)
         data = lattice.sums[0][nodes, owners]
         below = gammas < 0.0
         data[:, below] = lattice.sums[1][nodes[:, below], owners[below]]
         values = (ell * data.real[:, None, :]).sum(axis=0) + 1j * (ell * data.imag[:, None, :]).sum(axis=0)
 
-        spread = float(np.max(np.abs(lattice.offset)))
-        drift = 2.0 * spread * np.max(np.abs(_RECIPROCALS).sum(axis=1)) / h  # A
-        floor = np.prod(np.maximum(DISK - np.abs(np.arange(WINDOW) - (WINDOW - 1) / 2) * h - spread, 0.0))
-        reach = np.abs(gap) + np.abs(m - start - (WINDOW - 1) / 2) * h + spread  # |x - t0|
+        floor = np.prod(np.maximum(DISK - np.abs(np.arange(WINDOW) - (WINDOW - 1) / 2) * h, 0.0))
+        reach = np.abs(gap) + np.abs(m - start - (WINDOW - 1) / 2) * h  # |x - t0|
         growth, pole = lattice.majorant[nodes[-1]].T
         bound_s = growth + pole / (np.hypot(0.5, (start + (WINDOW - 1) / 2) * h) - DISK)
         with np.errstate(divide="ignore", invalid="ignore"):
-            valid = (reach < DISK) & (floor > 0.0) & (drift <= 0.25)
+            valid = (reach < DISK) & (floor > 0.0)
             hermite = np.where(valid, DISK * h**WINDOW * np.abs(omega) * bound_s / (floor * (DISK - reach)), np.inf)
-        weights = np.max(lattice.error[nodes], axis=0) + (_SUM_ROUNDING * 2.0**-53 + 3.0 * drift**2) * np.abs(data)
+        weights = np.max(lattice.error[nodes], axis=0) + _SUM_ROUNDING * 2.0**-53 * np.abs(data)
         error = (np.abs(ell) * weights[:, None, :]).sum(axis=0) + hermite
 
         # Back from |gamma| to gamma: for gamma < 0 the side |gamma| + r is gamma - r.
@@ -697,7 +693,7 @@ class ModulusEngine:
         """
         ok = np.zeros(len(gammas), dtype=bool)
         radii = np.full(len(gammas), TARGET_RADIUS)
-        centre = (_window_start(np.abs(gammas), len(lattice.offset)) + (WINDOW - 1) / 2) * GRID_STEP
+        centre = (_window_start(np.abs(gammas), len(lattice.error)) + (WINDOW - 1) / 2) * GRID_STEP
         pole = np.hypot(0.5, centre) <= DISK
         usable = np.flatnonzero(~pole)
         clear = np.zeros(len(usable), dtype=bool)
@@ -766,18 +762,6 @@ class ModulusEngine:
 def _window_start(t: np.ndarray, rows: int) -> np.ndarray:
     """First of the certificate's WINDOW lattice nodes for each |gamma| = t: its cell in the middle, within the rows."""
     return np.clip(np.floor(t / GRID_STEP).astype(int) - (WINDOW // 2 - 1), 0, max(rows - WINDOW, 0))
-
-
-def _off_lattice(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """values - steps GRID_STEP, the exact difference up to one rounding, for values within a few ulp of steps GRID_STEP.
-
-    Dekker's split GRID_STEP = hi + lo leaves hi 26 significant bits, so
-    steps hi and steps lo are exact for steps < 2^26; values - steps hi is
-    exact by Sterbenz's lemma, and only the subtraction of steps lo rounds.
-    """
-    split = GRID_STEP * 134217729.0  # 2^27 + 1
-    hi = split - (split - GRID_STEP)
-    return (values - steps * hi) - steps * (GRID_STEP - hi)
 
 
 def _window(values: np.ndarray, row: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -896,7 +880,8 @@ def scan_zeros(
     """The critical-line zeros with |gamma| <= T of primitive chi, as a ZeroSet; `ModulusEngine` gives the method.
 
     Refuses, with ValueError, a character that is not primitive, a T that is
-    not finite and positive, and an engine built for another height.
+    not in (0, MAX_HEIGHT) (the engine's refusal), and an engine built for
+    another height.
     `ZeroLibrary.ensure` passes the engine it built for every character it
     scans mod q; without one, a one-character engine is built here.
 
@@ -911,8 +896,6 @@ def scan_zeros(
     """
     if not chi.is_primitive:
         raise ValueError("scan_zeros requires a primitive character")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"scan height must be finite and positive, got {T}")
     if engine is None:
         engine = ModulusEngine((chi,), T)
     elif engine.height != T:

@@ -55,12 +55,12 @@ from zerokit.dirichlet.characters import (
     primitive_inducer,
     product_character,
 )
+from zerokit.dirichlet.hurwitz import hurwitz_zeta
 from zerokit.dirichlet.lfunctions import (
     digamma,
     gamma_factor_log_deriv,
     log_deriv_by_contour,
     log_deriv_series,
-    trigamma,
     trivial_ladder_start,
     trivial_zero_sum,
 )
@@ -337,10 +337,11 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
     """
     star = primitive_inducer(chi)
     # Gamma-factor ladder at -c, -c-2, ...:
-    # sum_{k>=0} 1/((sigma+c+2k)^2 + t^2) = Im psi(u+iv)/(4v), u=(sigma+c)/2, v=t/2.
+    # sum_{k>=0} 1/((sigma+c+2k)^2 + t^2) = Im psi(u+iv)/(4v), u=(sigma+c)/2, v=t/2,
+    # and psi'(u)/4 at t = 0.
     u = (sigma + trivial_ladder_start(star)) / 2.0
     if t == 0.0:
-        total = 0.25 * trigamma(u)
+        total = 0.25 * _trigamma(u)
     else:
         v = t / 2.0
         total = float(digamma(complex(u, v)).imag / (4.0 * v))
@@ -354,6 +355,12 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
             big_y = sigma * logp / (2.0 * math.pi)
             total += (logp / (2.0 * math.pi)) ** 2 * _lattice_inverse_square(big_x, big_y)
     return total
+
+
+@cache
+def _trigamma(u: float) -> float:
+    """psi'(u) = zeta(2, u) for real u > 0, from the Hurwitz kernel; every character shares the few u of a sigma grid."""
+    return hurwitz_zeta(2.0, u).real
 
 
 def _lattice_inverse_square(x: float, y: float) -> float:

@@ -50,6 +50,13 @@ class TestConstants:
         again = json.loads(json.dumps(rows))
         assert again == rows
 
+    def test_derive_has_no_epsilon(self, capsys):
+        # The report's rows hold at fixed epsilons, so the flag is gone: argparse refuses it.
+        with pytest.raises(SystemExit) as info:
+            main(["constants", "derive", "--epsilon", "0.2"])
+        assert info.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --epsilon 0.2" in capsys.readouterr().err
+
     def test_optimize(self, capsys):
         code, out, _ = run(capsys, "constants", "optimize-alpha", "--json")
         assert code == EXIT_OK
@@ -220,6 +227,23 @@ class TestZerosAndVerify:
         monkeypatch.setattr(cmod.ZeroLibrary, "ensure", lambda self, q, h: requests.append((q, h)) or {})
         assert run(capsys, *argv, "--unsafe")[0] == EXIT_OK
         assert requests == [(3, 1000.5)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "scan", "--q", "3", "--height", "1e10"],
+            ["verify", "--suite", "density", "--qmax", "1", "--height", "1e10", "--scan-missing"],
+        ],
+    )
+    def test_unsafe_keeps_the_exact_lattice_limit(self, capsys, tmp_path, argv):
+        # Past MAX_HEIGHT the lattice's nodes are not exact floats, and the
+        # engine refuses to scan: the CLI refuses first, --unsafe or not,
+        # before the cache directory is made.
+        cache = tmp_path / "cache"
+        code, out, err = run(capsys, *argv, "--unsafe", "--cache-dir", str(cache))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "exact-lattice limit" in err
+        assert not cache.exists()
 
     @pytest.mark.parametrize("height", ["-1", "0", "nan", "inf"])
     def test_bad_height_is_refused_before_the_cache(self, capsys, tmp_path, height):

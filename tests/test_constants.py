@@ -57,8 +57,7 @@ class TestDetectorConstants:
             assert eb.radius <= 1e-6
 
     def test_phi_invariant(self):
-        c = derive_detector_constants(REFERENCE_ALPHA, REFERENCE_ETA, epsilon=0.05)
-        assert c.phi == pytest.approx(1.0 + 0.2 / math.pi + 0.04)
+        assert phi_factor(0.05) == pytest.approx(1.0 + 0.2 / math.pi + 0.04)
 
     def test_stated_range_is_outward_rounding(self):
         c = derive_detector_constants(REFERENCE_ALPHA, REFERENCE_ETA)
@@ -72,8 +71,6 @@ class TestDetectorConstants:
             derive_detector_constants(0.0)
         with pytest.raises(ValueError):
             derive_detector_constants(0.15, eta=1.0)
-        with pytest.raises(ValueError):
-            derive_detector_constants(0.15, epsilon=0.3)
 
 
 class TestShortsumThresholds:

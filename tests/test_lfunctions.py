@@ -12,6 +12,7 @@ from zerokit.dirichlet.characters import (
     enumerate_characters,
     primitive_characters,
 )
+from zerokit.dirichlet.hurwitz import hurwitz_zeta
 from zerokit.dirichlet.lfunctions import (
     GammaPoleError,
     digamma,
@@ -21,7 +22,6 @@ from zerokit.dirichlet.lfunctions import (
     log_deriv_series,
     loggamma,
     root_number,
-    trigamma,
     trivial_ladder_start,
     trivial_zero_sum,
 )
@@ -259,12 +259,16 @@ class TestGammaKernel:
             assert abs(digamma(s) - ref) <= 1e-14 * max(1.0, abs(ref))
 
     def test_trigamma_on_the_positive_axis(self):
+        # psi'(u) = zeta(2, u): the repulsion suite's trivial-zero sum at
+        # t = 0 reads the trigamma function off the Hurwitz kernel.
         for u in np.concatenate([np.linspace(0.01, 20.0, 200), [1e-3, 0.25, 9.999, 10.0, 20.0]]):
             ref = float(mp.psi(1, float(u)))
-            assert trigamma(u) == pytest.approx(ref, rel=4e-15)
-        assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
-        with pytest.raises(GammaPoleError):
-            trigamma(-2.0)
+            value = hurwitz_zeta(2.0, u)
+            assert value.imag == 0.0 and value.real == pytest.approx(ref, rel=4e-15)
+        assert hurwitz_zeta(2.0, 1.0).real == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+        for a in (0.0, -2.0):
+            with pytest.raises(ValueError, match="Re a > 0"):
+                hurwitz_zeta(2.0, a)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("x", [0.05, 0.7, 3.0, 13.8])

@@ -224,6 +224,18 @@ class TestScan:
         assert zs.certified
         assert zs.complete_to_height >= 0.5
 
+    def test_a_height_past_the_exact_lattice_is_refused(self):
+        # The nodes k GRID_STEP / 4 are exact floats below 2^31 alone, and the
+        # lattice runs EDGE_CANDIDATES + NODES nodes past the height: the
+        # engine refuses from MAX_HEIGHT up, before it evaluates anything.
+        import zerokit.dirichlet.zeros as zmod
+
+        with pytest.raises(ValueError, match="MAX_HEIGHT"):
+            scan_zeros(CHI4, 1e10)
+        with pytest.raises(ValueError, match="MAX_HEIGHT"):
+            ModulusEngine((CHI4,), zmod.MAX_HEIGHT)
+        assert ModulusEngine((CHI4,), np.nextafter(zmod.MAX_HEIGHT, 0.0)).height < 2.0**31
+
     def test_real_character_symmetry(self):
         zs = scan_zeros(ZETA, 30.0)
         gammas = [z.gamma for z in zs.zeros]
@@ -438,57 +450,65 @@ class TestScan:
             assert np.all(nodes.error[rows] >= pointwise), (q, T)
 
     def test_interpolant_differences_are_exact(self, monkeypatch):
-        # The certificate's node offsets t_k - k GRID_STEP are the exact
-        # ones up to a rounding of each part, and |gamma| - t_m, for the
-        # node m nearest |gamma|, is exact in floating point.
+        # GRID_STEP is a binary fraction, so every node the engine evaluates
+        # is exact: the lattice's grid c + d is 0.5 + i k GRID_STEP, and a
+        # regrid node 0.5 + i k GRID_STEP / 4, bit for bit.  And |gamma| - t_m,
+        # for the node m nearest |gamma|, is exact in floating point.
         from fractions import Fraction
 
         import zerokit.dirichlet.zeros as zmod
 
-        seen = []
-        interpolate = zmod.ModulusEngine._interpolate
+        h = zmod.GRID_STEP
+        seen, lattices, regrids = [], [], []
+        interpolate, lattice, grid = zmod.ModulusEngine._interpolate, zmod.ModulusEngine._lattice, zmod.hurwitz_zeta_vec
 
-        def spied(engine, lattice, gammas, owners):
-            seen.append((lattice, gammas))
-            return interpolate(engine, lattice, gammas, owners)
+        def spied_interpolate(engine, nodes, gammas, owners):
+            seen.append(gammas)
+            return interpolate(engine, nodes, gammas, owners)
 
-        monkeypatch.setattr(zmod.ModulusEngine, "_interpolate", spied)
-        engine = ModulusEngine(primitive_characters(5), 300.0)
+        def spied_lattice(engine, c, d, sums):
+            lattices.append((c[:, None] + d).ravel())
+            return lattice(engine, c, d, sums)
+
+        def spied_grid(c, a, d, modulus):
+            if np.all(np.real(c) == 0.5) and np.all(np.real(d) == 0.0) and len(d) > 2:
+                regrids.append((np.asarray(c)[:, None] + d).ravel())
+            return grid(c, a, d=d, modulus=modulus)
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_interpolate", spied_interpolate)
+        monkeypatch.setattr(zmod.ModulusEngine, "_lattice", spied_lattice)
+        monkeypatch.setattr(zmod, "hurwitz_zeta_vec", spied_grid)
+        engine = ModulusEngine(primitive_characters(13), 300.0)
         engine.zero_set(engine.chars[0])
-        (lattice, gammas), = seen
-        baby, step = len(lattice.baby), Fraction(zmod.GRID_STEP)
-        for k in range(len(lattice.offset)):
-            exact = Fraction(lattice.giant[k // baby]) + Fraction(lattice.baby[k % baby]) - k * step
-            assert abs(Fraction(lattice.offset[k]) - exact) <= 2.0**-51 * abs(exact), k
+        (nodes,), gammas = lattices, np.concatenate(seen)
+        assert np.array_equal(nodes, 0.5 + 1j * h * np.arange(len(nodes)))
+        assert regrids and engine.certificates["regrid"] > 0
+        for points in regrids:
+            k = np.rint(points.imag / (h / 4.0))
+            assert np.array_equal(points, 0.5 + 1j * k * (h / 4.0))
+            assert all(Fraction(t) == int(j) * Fraction(h) / 4 for t, j in zip(points.imag, k))
         for t in np.abs(gammas):
-            m = int(np.rint(t / zmod.GRID_STEP))
-            giant, near = lattice.giant[m // baby], lattice.baby[m % baby]
-            assert Fraction((t - giant) - near) == Fraction(t) - Fraction(giant) - Fraction(near), t
+            m = int(np.rint(t / h))
+            assert Fraction(t - m * h) == Fraction(t) - m * Fraction(h), t
 
     def test_interpolant_radius_covers_its_own_rounding(self, monkeypatch):
         # With no node error and a zero majorant (so no Hermite remainder),
-        # an interpolant radius is the barycentric sum's rounding term and
-        # the second-order remainder of the weights' correction.  Near
-        # t = 1000 the nodes C_j + D_i lie about 1e-13 off the equispaced
-        # lattice.  With the rotation set to 1, Z is Re S, and the float
-        # interpolant must lie within its radius of the same barycentric
-        # form through the same nodes and data in exact rationals.  Without
-        # either the rounding term or the weights' correction it does not.
+        # an interpolant radius is the barycentric sum's rounding term.
+        # Near t = 1000, with the rotation set to 1, Z is Re S, and the
+        # float interpolant must lie within its radius of the same
+        # barycentric form through the nodes k GRID_STEP and the same data
+        # in exact rationals.  With the rounding term cut a hundredfold it
+        # does not.
         from fractions import Fraction
 
         import zerokit.dirichlet.zeros as zmod
 
         rng = np.random.default_rng(1000)
         h, r, width = zmod.GRID_STEP, TARGET_RADIUS, zmod.WINDOW
-        babies, giants = 64, 320
-        giant = np.arange(giants) * (babies * h) + rng.uniform(-1e-13, 1e-13, giants)
-        baby = np.arange(babies) * h
-        rows = giants * babies
-        nodes = [Fraction(giant[k // babies]) + Fraction(baby[k % babies]) for k in range(rows)]
-        offset = np.array([float(node - k * Fraction(h)) for k, node in enumerate(nodes)])
-        assert 5e-14 < np.max(np.abs(offset)) < 2e-13
+        rows = 64 * 320
+        nodes = [k * Fraction(h) for k in range(rows)]
         sums = tuple(rng.uniform(-1.0, 1.0, (rows, 1)) + 1j * rng.uniform(-1.0, 1.0, (rows, 1)) for _ in range(2))
-        lattice = zmod._Lattice(sums, giant, baby, offset, np.zeros(rows), np.zeros((rows, 2)))
+        lattice = zmod._Lattice(sums, np.zeros(rows), np.zeros((rows, 2)))
         engine = ModulusEngine((ZETA,), 1010.0)
         monkeypatch.setattr(engine, "_rotation", lambda s, odd: np.ones(np.shape(s)))
         gammas = np.concatenate([rng.uniform(1000.0, 1010.0, 24), -rng.uniform(1000.0, 1010.0, 8)])
@@ -714,16 +734,18 @@ class TestScan:
         stage = {k: [call for call, x in zip(calls, kinds) if x == k] for k in kinds}
         # the lattice: nodes 0..n as one grid of B = ceil(sqrt(n + 1)) baby
         # steps and the giant steps that cover them, n + 1 = 418 nodes to
-        # NODES // 2 + 1 past the highest count edge 20.5
+        # NODES // 2 + 1 past the highest count edge 410 GRID_STEP, each
+        # node exactly k GRID_STEP
         n = round(20.0 / zmod.GRID_STEP) + zmod.EDGE_CANDIDATES + zmod.NODES // 2
         baby = math.ceil(math.sqrt(n + 1))
         assert [(len(c), len(d)) for c, d in stage["lattice"]] == [(-(-(n + 1) // baby), baby)]
         c, d = stage["lattice"][0]
-        assert (c[:, None] + d).ravel()[: n + 1] == pytest.approx(0.5 + 1j * zmod.GRID_STEP * np.arange(n + 1), abs=1e-12)
+        assert np.array_equal((c[:, None] + d).ravel()[: n + 1], 0.5 + 1j * zmod.GRID_STEP * np.arange(n + 1))
         # the count: one c = i t_eff per distinct count edge, 16 abscissae d
         assert [len(d) for _, d in stage["count"]] == [16]
         c, d = stage["count"][0]
-        assert np.all((c.real == 0.0) & (c.imag >= 20.0) & (c.imag <= 20.5)) and len(c) <= zmod.EDGE_CANDIDATES
+        top = 20.0 + zmod.EDGE_CANDIDATES * zmod.GRID_STEP
+        assert np.all((c.real == 0.0) & (c.imag >= 20.0) & (c.imag <= top)) and len(c) <= zmod.EDGE_CANDIDATES
         assert d[0] == 0.5 and d[-1] == zmod.RIGHT
         # the regrid: one c per low cell, on the critical line, 15 quarter-step nodes d
         assert [len(d) for _, d in stage["regrid"]] == [5 + 2 * (zmod.NODES // 2 - 1)]
@@ -749,7 +771,7 @@ class TestScan:
         kept = np.min(np.abs(located[:, None] - stored[None, :]), axis=1) < 1e-12
         assert kept.sum() == len(stored)
         # the rest lie between T and the highest count edge
-        assert np.all((np.abs(located[~kept]) > 20.0) & (np.abs(located[~kept]) <= 20.5))
+        assert np.all((np.abs(located[~kept]) > 20.0) & (np.abs(located[~kept]) <= top))
 
     @pytest.mark.parametrize("T", [1e-9, 0.15, 7.35, 20.2, 51.089999, 51.0])
     def test_count_edges_are_lattice_nodes(self, monkeypatch, T):
@@ -779,7 +801,7 @@ class TestScan:
     def test_a_height_scans_the_grid_of_its_first_node(self, monkeypatch, T, q):
         # Scanned to T or to its first lattice node, a character reads one
         # grid, so its ordinates up to T are the same bits.  20.2's first
-        # node is 404 GRID_STEP = 20.200000000000003, whose grid must also
+        # node is 404 GRID_STEP = 20.200077056884766, whose grid must also
         # start its candidates at 404.  Mod 3 the character is real, mod 5
         # complex.
         import zerokit.dirichlet.zeros as zmod
