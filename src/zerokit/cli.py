@@ -16,7 +16,8 @@ suite reads zero data absent without --scan-missing).
 Configuration: flat key=value file via --config (an unknown key, or a
 tolerance that is not a finite number > 0, is a usage error); values are
 overridden by environment (EXPLICIT_ZERO_CACHE for the cache directory) and
-then by command-line flags.  Output is deterministic for a given
+then by command-line flags.  An empty cache directory from any of the three
+is a usage error.  Output is deterministic for a given
 configuration and cache state: fixed orderings, no timestamps.
 """
 
@@ -85,8 +86,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(file_values) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)}; known keys: {', '.join(CONFIG_KEYS)}")
-    if "cache_dir" in file_values:
-        cfg.cache_dir = file_values["cache_dir"]
     if "output_format" in file_values:
         cfg.output_format = file_values["output_format"]
         if cfg.output_format not in OUTPUT_FORMATS:
@@ -100,10 +99,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if not (math.isfinite(tolerance) and tolerance > 0.0):
                 raise ValueError(f"config key {key} must be a finite number > 0, got {value!r}")
             cfg.tolerances[key.removeprefix("tolerance.")] = tolerance
-    if ENV_CACHE_DIR in os.environ:
-        cfg.cache_dir = os.environ[ENV_CACHE_DIR]
-    if getattr(args, "cache_dir", None):
-        cfg.cache_dir = args.cache_dir
+    # An empty cache directory would put the cache files in the working directory.
+    for source, value in (
+        ("config key cache_dir", file_values.get("cache_dir")),
+        (ENV_CACHE_DIR, os.environ.get(ENV_CACHE_DIR)),
+        ("--cache-dir", getattr(args, "cache_dir", None)),
+    ):
+        if value == "":
+            raise ValueError(f"{source} is empty; name a cache directory")
+        if value is not None:
+            cfg.cache_dir = value
     if getattr(args, "json", False):
         cfg.output_format = "json"
     cfg.unsafe = bool(getattr(args, "unsafe", False))

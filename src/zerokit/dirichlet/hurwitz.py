@@ -21,12 +21,12 @@ entry's own a plus the floating-point error of the sum itself.
 One kernel, `hurwitz_zeta_vec(s, a, d=..., modulus=...)`, forms the terms
 (n+a)^-s.  It takes a grid of points s_p + d_q, any array s and a short row
 d of offsets (d = 0 by default), at one shift N, factors each term as
-(n+a)^-s_p (n+a)^-d_q, and sums over n: at d = 0 by a plain sum of the
-table of (n+a)^-s_p, at any other d by one batched matrix product of that
-table with one of (n+a)^-d_q (baby-step/giant-step).  One input gate,
-`_admit`, refuses what neither the kernel nor its bound can take.  One
-builder, `_terms` over the rows of `_rows`, forms every table, in blocks of
-the points s.  Without a modulus it takes one complex exp per row n + a.
+(n+a)^-s_p (n+a)^-d_q, and sums over n by one batched matrix product of
+the table of (n+a)^-s_p with one of (n+a)^-d_q (baby-step/giant-step; at
+d = 0 the second table holds exact ones).  One input gate, `_admit`,
+refuses what neither the kernel nor its bound can take.  One builder,
+`_terms` over the rows of `_rows`, forms every table, in blocks of the
+points s.  Without a modulus it takes one complex exp per row n + a.
 With `modulus=q`, every a is u/q with u prime to q, and (n + u/q)^-s =
 q^s m^-s with m = n q + u, completely multiplicative in m: only 1 and the
 primes up to N q + max u take an exp, each composite m is one complex
@@ -37,9 +37,9 @@ per point, and a table of B_2j/(2j)! (N+a)^-2j, one column per shift), and
 every grid with a modulus one error bound, `hurwitz_bound`, whose rounding
 part counts the prime factors and q^s.  The kernel's callers:
 
-* at d = 0, for any s with Re s > -40 and Re a > 0 (a complex a serves
-  `lfunctions.trivial_zero_sum`), and with the modulus for the L-values of
-  `lfunctions.l_eval_vec`;
+* without offsets, for any s with Re s > -40 and Re a > 0: a complex a
+  for `lfunctions.trivial_zero_sum`, a real one for `verify._trigamma`,
+  and with the modulus the L-values of `lfunctions.l_eval_vec`;
 * the zero engine (`zeros.ModulusEngine._tables`), with the modulus, whose
   every stage is one grid: the lattice as giant steps s and baby steps d,
   which seeds every zero and, through the interpolant of its unit sums,
@@ -69,7 +69,6 @@ from zerokit.dirichlet.arith import factorize, least_prime_factors
 __all__ = [
     "hurwitz_bound",
     "hurwitz_majorant",
-    "hurwitz_zeta",
     "hurwitz_zeta_vec",
 ]
 
@@ -104,7 +103,7 @@ def _shift_for(s: np.ndarray) -> int:
     tmax = float(np.max(np.abs(s.imag)))
     expo = lo + 2 * ORDER + 1
     if expo <= 1.0:
-        raise ValueError(f"hurwitz_zeta requires Re s > {-2 * ORDER}, where its remainder bound holds; got Re s = {lo}")
+        raise ValueError(f"hurwitz_zeta_vec requires Re s > {-2 * ORDER}, where its remainder bound holds; got Re s = {lo}")
     # N^expo >= |B_{2M+2}/(2M+2)!| |(s)_{2M+1}| |s+2M+1| / ((Re s+2M+1) TARGET),
     # each factor |s+i| at its worst corner (|s+i| is convex in Re s); the
     # expo-th root is taken factor by factor so that nothing overflows.
@@ -128,10 +127,10 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
     cumulative product.  The product runs in float64, never as a complex
     BLAS product: the float view of the Pochhammer matrix interleaves each
     point's real and imaginary parts, so the real product views as complex.
-    A complex shift a, as in `hurwitz_zeta`'s scalar a, splits each column
-    of the table into its real and imaginary parts, paired again after the
-    product.  The other pieces and the factors w and w^-s stay outside the
-    product, as `hurwitz_bound` counts them.
+    A complex shift a, as `lfunctions.trivial_zero_sum` passes, splits each
+    column of the table into its real and imaginary parts, paired again
+    after the product.  The other pieces and the factors w and w^-s stay
+    outside the product, as `hurwitz_bound` counts them.
     """
     # poly[j - 1] = (s)_{2j-1}: order j multiplies in (s + 2j - 3)(s + 2j - 2).
     points = s[:, 0]
@@ -183,14 +182,14 @@ def _admit(s: np.ndarray, shifts: np.ndarray, modulus: int | None) -> tuple[int,
     """
     units = None if modulus is None else _units(shifts, modulus)
     if np.any(shifts.real <= 0.0):
-        raise ValueError("hurwitz_zeta requires Re a > 0")
+        raise ValueError("hurwitz_zeta_vec requires Re a > 0")
     if np.any(s == 1.0):
-        raise ValueError("hurwitz_zeta has a pole at s = 1")
+        raise ValueError("hurwitz_zeta_vec has a pole at s = 1")
     n_shift = _shift_for(s)
     size = (n_shift + 1) * len(shifts) if units is None else n_shift * modulus + int(units.max())
     if size > TABLE_ROWS:
         raise ValueError(
-            f"hurwitz_zeta needs shift N = {n_shift} at these points: a term table of "
+            f"hurwitz_zeta_vec needs shift N = {n_shift} at these points: a term table of "
             f"{size} rows, beyond TABLE_ROWS = {TABLE_ROWS}"
         )
     return n_shift, size, units
@@ -256,32 +255,22 @@ def _terms(x: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     return table.take(rows.pick[:-1].T, axis=0), table.take(rows.pick[-1], axis=0)
 
 
-def _turned(d: np.ndarray) -> bool:
-    """Whether the kernel takes the product with a table of the offsets d: for every d but the single offset 0."""
-    return len(d) > 1 or d[0] != 0.0
-
-
 def _direct(c: np.ndarray, d: np.ndarray, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     """The sum over n < N and the row n = N of the terms at the grid points c_p + d_q, for `hurwitz_zeta_vec`.
 
     Both are (len(c) len(d), len(a)) arrays, row k = p len(d) + q.  The
     table of c is built in blocks of at most BLOCK_ENTRIES entries, each
-    freed before the next.  At d = 0 the sum over n is a plain sum, and any
-    other d takes one batched matrix product (`_turned`).
+    freed before the next, and summed over n by one batched matrix product
+    with the table of d, whose entries at d = 0 are exact ones.
     """
-    turned = _turned(d)
-    if turned:
-        fine, fine_last = _terms(d, rows)
-        fine = np.ascontiguousarray(fine.transpose(0, 2, 1))  # (len(a), len(d), N)
+    fine, fine_last = _terms(d, rows)
+    fine = np.ascontiguousarray(fine.transpose(0, 2, 1))  # (len(a), len(d), N)
     out, w_pow = (np.empty((len(c), len(d), rows.pick.shape[1]), dtype=complex) for _ in range(2))
     step = max(1, BLOCK_ENTRIES // rows.count)
     for lo in range(0, len(c), step):
         block = slice(lo, lo + step)
         coarse, last = _terms(c[block], rows)
-        if turned:
-            summed, last = np.matmul(fine, coarse), last[:, None] * fine_last[..., None]
-        else:  # n first, so that numpy adds the terms one n after another (pairwise only if n has one entry)
-            summed, last = np.sum(np.ascontiguousarray(coarse.transpose(1, 0, 2)), axis=0)[:, None], last[:, None]
+        summed, last = np.matmul(fine, coarse), last[:, None] * fine_last[..., None]
         # (len(a), len(d), len(block)) to the rows k = p len(d) + q of the block
         out[block], w_pow[block] = summed.transpose(2, 1, 0), last.transpose(2, 1, 0)
     return out.reshape(-1, out.shape[-1]), w_pow.reshape(-1, out.shape[-1])
@@ -294,9 +283,9 @@ def hurwitz_zeta_vec(s, a: complex | np.ndarray, *, d=0.0, modulus: int | None =
     d = 0, zeta(s, a) itself.  Each direct term is factored as
     (n+a)^-(s_p + d_q) = (n+a)^-s_p (n+a)^-d_q, from one table of each
     factor (`_terms`), that of s built for blocks of at most BLOCK_ENTRIES
-    entries.  At d = 0 the table of (n+a)^-s_p is summed over n < N; any
-    other d takes one batched matrix product per shift a of it with the
-    table of (n+a)^-d_q.  Row n = N of the tables gives the tail's w^-s,
+    entries.  The sum over n < N is one batched matrix product per shift a
+    of the table of (n+a)^-s_p with that of (n+a)^-d_q, which at d = 0
+    holds exact ones.  Row n = N of the tables gives the tail's w^-s,
     w = N + a.  The shift and the tail's Pochhammer symbols take the points
     s_p + d_q as rounded sums.
 
@@ -404,14 +393,12 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     every piece stays within (14 ORDER + 12) u plus that error:
     (14 ORDER + 9 + 7 k + |s| (3 log(N+a) + 5 log q)) u.  Each direct term,
     slack included, is off by (7 k - 3 + |s| (3 |log(n+a)| + 5 log q)) u.
-    At d = 0 the kernel adds the N direct terms, in any order, and the tail
-    into the result, within N + 1 units u of the sum of all magnitudes.
-    Every other d takes the matrix product (`_turned`), which sums each part
-    of a direct block as 2N real products, within sqrt 2 gamma_2N <= 3 N u
-    of the sum of the terms' magnitudes (Higham, sec. 3.1, in any order,
-    with or without fused multiply-adds), so it counts 3 N + 1 units.  The
-    sums run over m^-s, each magnitude q^-Re s times its term's, and q^s
-    scales them back.
+    Every grid, d = 0 included, takes the matrix product, which sums each
+    part of a direct block as 2N real products, within sqrt 2 gamma_2N <=
+    3 N u of the sum of the terms' magnitudes (Higham, sec. 3.1, in any
+    order, with or without fused multiply-adds), and adds the tail into the
+    result, so it counts 3 N + 1 units.  The sums run over m^-s, each
+    magnitude q^-Re s times its term's, and q^s scales them back.
 
     The offset part, when some d_q is not 0, with r = max |d|.  A direct term
     is the product of a table entry at s_p, |s_p| <= |s| + r, and one at
@@ -454,8 +441,7 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     terms = (7 * k - 3 + 5.0 * log_q * size) * direct + 3.0 * size * phase
     terms += (14 * ORDER + 9 + 7 * k + size * (3.0 * logw + 5.0 * log_q)) * tail
     paired = (7 * k + 4.0 * r * log_q) * direct + 4.0 * r * phase + (7 * k + 4.0 * r * (logw + log_q)) * tail
-    adds = 3 * n_shift if _turned(d) else n_shift
-    bound = _truncation(s, n_shift + shifts, poch) + 2.0**-53 * (terms + (adds + 1) * (direct + tail))
+    bound = _truncation(s, n_shift + shifts, poch) + 2.0**-53 * (terms + (3 * n_shift + 1) * (direct + tail))
     if r > 0.0:
         bound = bound + 2.0**-53 * paired
     return bound.reshape(shape)
@@ -488,8 +474,3 @@ def hurwitz_majorant(lo: float, hi: float, height: float, a: np.ndarray) -> tupl
     pieces = coeffs * poch * w[:, None] ** -(lo + 2 * steps[1 : ORDER + 2] - 1)
     pieces[:, -1] *= factors[-1] / expo  # the order M + 1 term times |s+2M+1| / (Re s+2M+1) bounds R_M
     return float(direct + (0.5 * w**-lo).sum() + pieces.sum()), float((w ** (1.0 - lo)).sum())
-
-
-def hurwitz_zeta(s: complex, a: complex) -> complex:
-    """Scalar Hurwitz zeta; pole error at s = 1."""
-    return complex(hurwitz_zeta_vec(np.array([complex(s)]), a)[0])

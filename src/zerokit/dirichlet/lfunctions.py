@@ -37,7 +37,7 @@ from zerokit.dirichlet.characters import (
     char_value,
     char_value_vec,
 )
-from zerokit.dirichlet.hurwitz import _bernoulli_over_factorial, hurwitz_zeta, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import _bernoulli_over_factorial, hurwitz_zeta_vec
 
 __all__ = [
     "GammaPoleError",
@@ -209,7 +209,7 @@ def trivial_zero_sum(chi: DirichletCharacter, s: complex, k: int) -> complex:
     Equals 2^-(k+1) zeta(k+1, (s+c)/2); needs k >= 1 and Re s + c > 0.
     """
     a = (complex(s) + trivial_ladder_start(chi)) / 2.0
-    return hurwitz_zeta(k + 1.0, a) / 2.0 ** (k + 1)
+    return complex(hurwitz_zeta_vec(k + 1.0, a)) / 2.0 ** (k + 1)
 
 
 # -- gamma kernel --------------------------------------------------------------

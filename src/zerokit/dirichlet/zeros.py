@@ -282,9 +282,10 @@ class ModulusEngine:
       whose radius adds the nodes' error (`_lattice`), Hermite's remainder
       on the circle of radius DISK and the sum's rounding.  The kernel
       check (`_check`) takes what the interpolant does not certify: an
-      ordinate whose disk reaches s = 1, and an interpolated check that
-      does not clear.  It evaluates both sides from one Hurwitz grid at
-      d = (-i r, +i r) (`_pair`), radius `_radius`; a kernel check whose
+      ordinate whose disk reaches s = 1, which has an infinite radius, and
+      an interpolated check that does not clear.  It evaluates both sides
+      from one Hurwitz grid at d = (-i r, +i r) (`_pair`), radius
+      `_radius`; a kernel check whose
       values differ in sign but do not clear is repeated at the wider
       CHECK_OFFSETS, and the one that clears is the zero's radius.
       Overlapping intervals, each zero's own radius wide, fail together;
@@ -481,8 +482,9 @@ class ModulusEngine:
           DISK |omega(x)| M / (min |omega| (DISK - |x - t0|)), where
           omega = prod_k (x - t_k), min |omega| on the circle is at least
           prod_k (DISK - |t_k - t0|), and M bounds |S| there, the
-          lattice's majorant with |s - 1| >= |t0 + i/2| - DISK (the caller
-          keeps the disks clear of s = 1);
+          lattice's majorant with |s - 1| >= |t0 + i/2| - DISK; a disk that
+          reaches s = 1, where that clearance is not positive, gives an
+          infinite radius;
         * the rounding of the sum: _SUM_ROUNDING units in the last place of
           sum_j |l_j(x) S_j|.
 
@@ -513,9 +515,10 @@ class ModulusEngine:
         floor = np.prod(np.maximum(DISK - np.abs(np.arange(WINDOW) - (WINDOW - 1) / 2) * h, 0.0))
         reach = np.abs(gap) + np.abs(m - start - (WINDOW - 1) / 2) * h  # |x - t0|
         growth, pole = lattice.majorant[nodes[-1]].T
-        bound_s = growth + pole / (np.hypot(0.5, (start + (WINDOW - 1) / 2) * h) - DISK)
+        clearance = np.hypot(0.5, (start + (WINDOW - 1) / 2) * h) - DISK
         with np.errstate(divide="ignore", invalid="ignore"):
-            valid = (reach < DISK) & (floor > 0.0)
+            bound_s = growth + pole / clearance
+            valid = (reach < DISK) & (floor > 0.0) & (clearance > 0.0)
             hermite = np.where(valid, DISK * h**WINDOW * np.abs(omega) * bound_s / (floor * (DISK - reach)), np.inf)
         weights = np.max(lattice.error[nodes], axis=0) + _SUM_ROUNDING * 2.0**-53 * np.abs(data)
         error = (np.abs(ell) * weights[:, None, :]).sum(axis=0) + hermite
@@ -687,26 +690,23 @@ class ModulusEngine:
         The interpolant (`_interpolate`) certifies an ordinate at
         TARGET_RADIUS when its two values change sign and both clear their
         radius.  The kernel check (`_check`) takes the rest: the ordinates
-        whose disk of radius DISK reaches s = 1 (|t0 + i/2| <= DISK) and
-        those whose interpolated values do not clear.  `certificates`
+        with an infinite radius, whose disk of radius DISK reaches s = 1,
+        and those whose interpolated values do not clear.  `certificates`
         counts them as "interpolant", "pole" and "unclear".
         """
         ok = np.zeros(len(gammas), dtype=bool)
         radii = np.full(len(gammas), TARGET_RADIUS)
-        centre = (_window_start(np.abs(gammas), len(lattice.error)) + (WINDOW - 1) / 2) * GRID_STEP
-        pole = np.hypot(0.5, centre) <= DISK
-        usable = np.flatnonzero(~pole)
-        clear = np.zeros(len(usable), dtype=bool)
-        for lo in range(0, len(usable), INTERPOLANT_BLOCK):
-            part = usable[lo : lo + INTERPOLANT_BLOCK]
+        pole = np.zeros(len(gammas), dtype=bool)
+        for lo in range(0, len(gammas), INTERPOLANT_BLOCK):
+            part = slice(lo, lo + INTERPOLANT_BLOCK)
             z, rho = self._interpolate(lattice, gammas[part], owners[part])
-            clear[lo : lo + len(part)] = (z[0] * z[1] < 0.0) & np.all(np.abs(z) > rho, axis=0)
-        ok[usable[clear]] = True
+            ok[part] = (z[0] * z[1] < 0.0) & np.all(np.abs(z) > rho, axis=0)
+            pole[part] = np.any(np.isinf(rho), axis=0)
+        self.certificates["interpolant"] += int(np.count_nonzero(ok))
+        self.certificates["pole"] += int(np.count_nonzero(pole))
+        self.certificates["unclear"] += int(np.count_nonzero(~ok & ~pole))
         rest = np.flatnonzero(~ok)
         ok[rest], radii[rest] = self._check(gammas[rest], owners[rest])
-        self.certificates["interpolant"] += int(np.count_nonzero(clear))
-        self.certificates["pole"] += int(np.count_nonzero(pole))
-        self.certificates["unclear"] += int(np.count_nonzero(~clear))
         return ok, radii
 
     def _check(self, gammas: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,7 @@ from zerokit.dirichlet.characters import (
     primitive_inducer,
     product_character,
 )
-from zerokit.dirichlet.hurwitz import hurwitz_zeta
+from zerokit.dirichlet.hurwitz import hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import (
     digamma,
     gamma_factor_log_deriv,
@@ -360,7 +360,7 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
 @cache
 def _trigamma(u: float) -> float:
     """psi'(u) = zeta(2, u) for real u > 0, from the Hurwitz kernel; every character shares the few u of a sigma grid."""
-    return hurwitz_zeta(2.0, u).real
+    return float(hurwitz_zeta_vec(2.0, u).real)
 
 
 def _lattice_inverse_square(x: float, y: float) -> float:
@@ -394,6 +394,7 @@ def repulsion_sums_check(
     zero_square_sum = cache(lambda chi, sigma, t: _zero_square_sum(library, chi, sigma, t, T_zeros))
     for q in range(1, q_max + 1):
         chars = enumerate_characters(q)
+        labels = {chi: char_label(chi) for chi in chars}
         for chi in chars:
             for sigma in sigma_grid:
                 for t in REPULSION_HEIGHTS:
@@ -404,7 +405,7 @@ def repulsion_sums_check(
                     branch = "primitive" if chi.is_primitive else "unconditional"
                     reports.append(
                         _report(
-                            f"repulsion.trivial_sum.{char_label(chi)}.s{sigma}.t{t}",
+                            f"repulsion.trivial_sum.{labels[chi]}.s{sigma}.t{t}",
                             exact,
                             bound,
                             "<=",
@@ -438,7 +439,7 @@ def repulsion_sums_check(
                         ) / alpha
                         reports.append(
                             _report(
-                                f"repulsion.four_sum.q{q}.psi{char_label(psi)}.chi{char_label(chi)}.s{sigma}.t{t}",
+                                f"repulsion.four_sum.q{q}.psi{labels[psi]}.chi{labels[chi]}.s{sigma}.t{t}",
                                 lhs,
                                 rhs,
                                 "<=",

@@ -563,6 +563,25 @@ class TestZerosAndVerify:
         assert (tmp_path / "flag" / "zeros_q0004.csv").exists()
         assert not (tmp_path / "from_config").exists()
 
+    @pytest.mark.parametrize("source", ["config key cache_dir", "EXPLICIT_ZERO_CACHE", "--cache-dir"])
+    def test_empty_cache_dir_is_a_usage_error(self, capsys, tmp_path, monkeypatch, source):
+        # An empty cache directory would put the cache files in the working
+        # directory: refused from each source before anything is written.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("EXPLICIT_ZERO_CACHE", raising=False)
+        argv = ["zeros", "scan", "--q", "3", "--height", "5"]
+        if source == "config key cache_dir":
+            (tmp_path / "run.cfg").write_text("cache_dir =\n")
+            argv = ["--config", "run.cfg"] + argv
+        elif source == "EXPLICIT_ZERO_CACHE":
+            monkeypatch.setenv("EXPLICIT_ZERO_CACHE", "")
+        else:
+            argv += ["--cache-dir", ""]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and source in err
+        assert {p.name for p in tmp_path.iterdir()} <= {"run.cfg"}
+
     @pytest.mark.parametrize("line", ["qmax = 3", "q_max = 2", "height = 5", "tolerance.density = 1e-3"])
     def test_unknown_config_key_is_a_usage_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"

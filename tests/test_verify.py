@@ -9,7 +9,6 @@ import pytest
 
 from zerokit.dirichlet.arith import primes_in_window, primes_up_to, rough_mask
 from zerokit.dirichlet.characters import char_value, enumerate_characters
-from zerokit.dirichlet.hurwitz import hurwitz_zeta
 from zerokit.kernels import WeightParams, psi_weight
 from zerokit.verify import (
     BUDGETS,

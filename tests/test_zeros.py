@@ -567,6 +567,32 @@ class TestScan:
         assert everywhere.certificates["interpolant"] == 0
         assert everywhere.certificates["unclear"] == default.certificates["interpolant"] + default.certificates["unclear"]
 
+    def test_a_disk_that_reaches_the_pole_has_an_infinite_radius(self, monkeypatch):
+        # Hermite's remainder bounds S on the circle of radius DISK about the
+        # window's centre t0, which must stay clear of s = 1: an ordinate
+        # with |t0 + i/2| <= DISK has an infinite radius on both sides, and
+        # every other ordinate a finite one.
+        import zerokit.dirichlet.zeros as zmod
+
+        lattices = []
+        lattice = zmod.ModulusEngine._lattice
+
+        def spied(engine, c, d, sums):
+            lattices.append(lattice(engine, c, d, sums))
+            return lattices[-1]
+
+        monkeypatch.setattr(zmod.ModulusEngine, "_lattice", spied)
+        engine = ModulusEngine((ZETA,), 30.0)
+        engine.zero_set(ZETA)
+        (nodes,) = lattices
+        gammas = np.linspace(-4.0, 4.0, 801)
+        _, radius = engine._interpolate(nodes, gammas, np.zeros(len(gammas), dtype=int))
+        centre = (zmod._window_start(np.abs(gammas), len(nodes.error)) + (zmod.WINDOW - 1) / 2) * zmod.GRID_STEP
+        reaches = np.abs(0.5 + 1j * centre) <= zmod.DISK
+        assert reaches.any() and not reaches.all()
+        assert np.all(np.isinf(radius[:, reaches]))
+        assert np.all(np.isfinite(radius[:, ~reaches]))
+
     def test_only_the_disks_around_the_pole_fall_back(self, monkeypatch):
         # Mod 5 to 60 the interpolant certifies every ordinate whose disk
         # of radius DISK stays clear of s = 1, so no ordinate with
