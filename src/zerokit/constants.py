@@ -489,14 +489,14 @@ def evaluate_repulsion_bound(kind: str, beta1: float, p: FieldParams, c: float) 
 
 
 def zero_circle_bound(
-    r: float,
+    r: float | np.ndarray,
     p: FieldParams,
     Nf_chi: float,
-    t: float,
+    t: float | np.ndarray,
     is_principal: bool,
     kind: str = "classical",
     epsilon: float = DENSITY_EPS_WIDE,
-) -> float:
+) -> float | np.ndarray:
     """Right-hand side of the zeros-in-a-circle counting bounds.
 
     classical (0 < r <= 1):
@@ -505,29 +505,40 @@ def zero_circle_bound(
     convexity (0 < r < eps < 1/4):
         phi(eps) (2 log D_K + log Nf + n_K log(|t|+3) + implied n_K) r
         + 4 + 4 delta.
+
+    r and t may be arrays of one shape, one disk per entry.  Each entry is
+    then the scalar call's value bit for bit: its log(|t|+3) is math.log's,
+    and the rest is the scalar's sequence of correctly rounded operations.
     """
     if Nf_chi < 1.0:
         raise ValueError("Nf_chi must be >= 1")
     delta = 1.0 if is_principal else 0.0
+    if isinstance(t, np.ndarray):
+        heights = np.abs(t) + 3.0
+        log_height = np.fromiter(map(math.log, heights.ravel().tolist()), dtype=float, count=heights.size)
+        log_height = log_height.reshape(heights.shape)
+    else:
+        log_height = math.log(abs(t) + 3.0)
+    radii = np.asarray(r)
     if kind == "classical":
-        if not 0.0 < r <= 1.0:
+        if not ((0.0 < radii) & (radii <= 1.0)).all():
             raise ValueError("classical bound requires 0 < r <= 1")
         slope = (
             4.0 * math.log(p.D_K)
             + 2.0 * math.log(Nf_chi)
-            + 2.0 * p.n_K * math.log(abs(t) + 3.0)
+            + 2.0 * p.n_K * log_height
             + 2.0 * p.n_K
             + 4.0
             + 4.0 * delta
         )
         return slope * r + 4.0 + 4.0 * delta
     if kind == "convexity":
-        if not (0.0 < r < epsilon < 0.25):
+        if not (((0.0 < radii) & (radii < epsilon)).all() and epsilon < 0.25):
             raise ValueError("convexity bound requires 0 < r < epsilon < 1/4")
         slope = phi_factor(epsilon) * (
             2.0 * math.log(p.D_K)
             + math.log(Nf_chi)
-            + p.n_K * math.log(abs(t) + 3.0)
+            + p.n_K * log_height
             + p.implied_nk_constant * p.n_K
         )
         return slope * r + 4.0 + 4.0 * delta

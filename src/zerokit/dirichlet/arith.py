@@ -3,8 +3,8 @@
 These are the degree-one instances of the ideal sums the inequalities quote:
 the harmonic sum V(z), the rough-number mask of the sieve check, and the
 prime windows used by the detector and the large-sieve checks.  The integer
-factorisation and the walk over prime powers that the character, L-function
-and harness code share live here too.  Everything is direct sieve-and-sum;
+factorisation and the table of prime powers that the L-function and harness
+code share live here too.  Everything is direct sieve-and-sum;
 desk-scale guards keep runtimes predictable.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -94,20 +93,22 @@ def primes_in_window(lo: float, hi: float) -> np.ndarray:
     return primes[(primes >= lo) & (primes < hi)]
 
 
-def prime_powers(cutoff: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """For m = 1, 2, ...: (m, the primes p with p^m <= cutoff, their p^m).
+def prime_powers(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prime powers p^m <= cutoff as one flat table (m, p, p^m), ordered by m, then p.
 
-    Both arrays are exact int64; iteration stops at the first empty m.
+    All three columns are exact int64, read from the cached prime sieve.
     """
     primes = primes_up_to(cutoff)
-    for m in range(1, int(cutoff).bit_length()):
-        if m > 1:
-            # Exact in int64: after step m - 1 every p <= cutoff^(1/(m-1)), so
-            # p^m <= cutoff^2 <= DESK_SUM_LIMIT^2 = 1e16 < 2^63.
-            primes = primes[primes**m <= cutoff]
-        if len(primes) == 0:
-            return
-        yield m, primes, primes**m
+    exponents, bases = [np.ones(len(primes), dtype=np.int64)], [primes]
+    # Exact in int64: each round keeps the p with p^(m-1) <= cutoff, so
+    # p^m <= cutoff^2 <= DESK_SUM_LIMIT^2 = 1e16 < 2^63.
+    m = 2
+    while len(primes := primes[primes**m <= cutoff]):
+        exponents.append(np.full(len(primes), m, dtype=np.int64))
+        bases.append(primes)
+        m += 1
+    m_col, p_col = np.concatenate(exponents), np.concatenate(bases)
+    return m_col, p_col, p_col**m_col
 
 
 def harmonic_sum(z: float) -> float:

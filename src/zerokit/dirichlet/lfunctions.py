@@ -319,11 +319,9 @@ def log_deriv_series(s: complex, chi: DirichletCharacter, k: int, cutoff: int) -
         raise ValueError("log_deriv_series requires Re s > 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = 0j
     inv_kfac = 1.0 / math.factorial(k)
-    for m, primes, powers in prime_powers(cutoff):
-        logs = np.log(primes.astype(float))
-        weights = logs * (m * logs) ** k if k > 0 else logs
-        terms = weights * char_value_vec(chi, powers) * np.exp(-(m * s) * logs)
-        total += complex(terms.sum())
-    return inv_kfac * total
+    m, primes, powers = prime_powers(cutoff)
+    logs = np.log(primes.astype(float))
+    weights = logs * (m * logs) ** k if k > 0 else logs
+    terms = weights * char_value_vec(chi, powers) * np.exp(-(m * s) * logs)
+    return inv_kfac * complex(terms.sum())

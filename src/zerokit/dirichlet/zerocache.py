@@ -178,7 +178,9 @@ def read_zero_cache(cache_dir: str | Path, q: int) -> dict[tuple[int, ...], Zero
     first = np.unique(group, return_index=True)[1]
 
     def failed(errors: dict[int, str]) -> np.ndarray:
-        return np.isin(np.arange(rows), list(errors))
+        mask = np.zeros(rows, dtype=bool)
+        mask[list(errors)] = True
+        return mask
 
     def spread(i: int) -> str:
         return f"gamma {field(i, 3)} is not finite or radius {field(i, 4)} not finite and positive"
@@ -254,12 +256,17 @@ class ZeroLibrary:
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self._memory: dict[tuple[int, tuple[int, ...]], ZeroSet] = {}
+        self._loaded: set[int] = set()  # the moduli whose file has been read
 
     # -- lookup ---------------------------------------------------------------
 
     def _load_modulus(self, q: int) -> None:
+        """Read the file of modulus q, at most once per library; a set already in memory is kept."""
+        if q in self._loaded:
+            return
         for exps, zs in read_zero_cache(self.cache_dir, q).items():
             self._memory.setdefault((q, exps), zs)
+        self._loaded.add(q)
 
     def get(self, chi: DirichletCharacter, height: float) -> ZeroSet:
         """Zero set of chi complete to `height` (resolving imprimitive chi).

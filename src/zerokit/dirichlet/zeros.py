@@ -208,16 +208,19 @@ class ZeroSet:
         """Whether the set is complete to `height`, up to a 1e-12 rounding slack."""
         return height <= self.complete_to_height + 1e-12
 
-    def count_above(self, sigma: float, T: float) -> int:
+    def count_above(self, sigma: float | np.ndarray, T: float) -> int | np.ndarray:
         """Zeros with beta > sigma and |gamma| <= T.
 
         A zero whose enclosure [beta - r, beta + r] straddles sigma is counted
         (conservative for upper-bound comparisons) — at desk scale every zero
-        sits at beta = 1/2, so this resolves the sigma = 1/2 boundary.
+        sits at beta = 1/2, so this resolves the sigma = 1/2 boundary.  An
+        array of sigmas gets an int array of counts, one per sigma.
         """
         if not self.covers(T):
             raise ValueError("request exceeds the certified height")
-        return int(np.count_nonzero((np.abs(self.gamma) <= T) & (self.beta + self.radius > sigma)))
+        tops = (self.beta + self.radius)[np.abs(self.gamma) <= T]
+        counts = (tops > np.asarray(sigma, dtype=float)[..., None]).sum(axis=-1)
+        return int(counts) if counts.ndim == 0 else counts
 
     def mirrored(self, character: DirichletCharacter) -> "ZeroSet":
         """The zero set of the conjugate character (ordinates and windows negated)."""
@@ -227,14 +230,20 @@ class ZeroSet:
         )
 
 
-def count_zeros_circle(zs: ZeroSet, r: float, center: complex) -> int:
-    """Zeros in the closed disk |s - rho| <= r."""
-    if r <= 0.0:
+def count_zeros_circle(zs: ZeroSet, r: float | np.ndarray, center: complex | np.ndarray) -> int | np.ndarray:
+    """Zeros in the closed disk |s - rho| <= r.
+
+    r and center may also be arrays of one shape, one disk per entry; the
+    counts then come back as an int array of that shape.
+    """
+    r, center = np.asarray(r, dtype=float), np.asarray(center, dtype=complex)
+    if (r <= 0.0).any():
         raise ValueError("radius must be positive")
-    center = complex(center)
-    if not zs.covers(abs(center.imag) + r):
+    if not zs.covers(float((np.abs(center.imag) + r).max())):
         raise ValueError("disk exceeds the zero set's certified height")
-    return int(np.count_nonzero(np.hypot(center.real - zs.beta, center.imag - zs.gamma) <= r))
+    inside = np.hypot(center.real[..., None] - zs.beta, center.imag[..., None] - zs.gamma) <= r[..., None]
+    counts = inside.sum(axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 # -- critical-line scanning ---------------------------------------------------

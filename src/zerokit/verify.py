@@ -90,6 +90,13 @@ TOLERANCES = {"explicit_formula": 0.05, "hadamard": 1e-4}
 BUDGETS = {"largesieve_ratio": 6.591, "weight_smoothing_ratio": 9.427, "selberg_error_budget": 0.15}
 # The circle check's largest disk radius: its disks reach T + CIRCLE_REACH.
 CIRCLE_REACH = 1.0
+# The circle check counts at most CIRCLE_CELLS (sample, zero) pairs at a time.
+CIRCLE_CELLS = 1 << 18
+# The circle check's bound variants: (name, bound kind, r range, sigma - 1 range, extra bound arguments).
+_CIRCLE_VARIANTS = (("classical", "classical", (1e-3, CIRCLE_REACH), (1e-6, 1.0), {}),) + tuple(
+    (f"convexity.eps{eps}", "convexity", (1e-6, eps * (1.0 - 1e-9)), (1e-9, eps), {"epsilon": eps})
+    for eps in (DENSITY_EPS_WIDE, DENSITY_EPS_NARROW)
+)
 # The explicit-formula and Hadamard checks read zeta and chi mod 4 to height 100 at most.
 DEEP_HEIGHT = 101.0
 # eps of the sieve error term z^(2 + 2 eps) / x.
@@ -171,31 +178,34 @@ def circle_lemma_check(
     random configurations (r, s = sigma + it) with sigma > 1 and |t| <= T per
     bound variant (the classical bound, and the convexity bound at the two
     density epsilons), counts zeros from the library (complete to T + 1), and
-    reports the worst sample per (character, variant).  The draws come from
-    the fixed seed 2054, so the report is deterministic.
+    reports the worst sample per (character, variant): the first with the
+    smallest rhs - lhs.  The draws come from the fixed seed 2054, one sample
+    being the three draws r, sigma - 1 and t in turn, so the report is
+    deterministic.  Samples are drawn and counted in blocks of at most
+    CIRCLE_CELLS (sample, zero) pairs, which bounds the memory at any
+    `samples` without changing the stream.
     """
     if samples < 1:
         raise ValueError("circle_lemma_check needs samples >= 1")
-    # (name, bound kind, r range, sigma - 1 range, extra bound arguments)
-    variants = [("classical", "classical", (1e-3, CIRCLE_REACH), (1e-6, 1.0), {})]
-    for eps in (DENSITY_EPS_WIDE, DENSITY_EPS_NARROW):
-        variants.append((f"convexity.eps{eps}", "convexity", (1e-6, eps * (1.0 - 1e-9)), (1e-9, eps), {"epsilon": eps}))
     rng = np.random.default_rng(2054)
+    p = FieldParams(n_K=1, D_K=1.0)
     reports = []
     for q in range(1, q_max + 1):
         for chi in primitive_characters(q):
             zs = library.get(chi, T + CIRCLE_REACH)
-            p = FieldParams(n_K=1, D_K=1.0)
-            for name, kind, r_range, sigma_range, extra in variants:
+            block = max(1, CIRCLE_CELLS // max(1, len(zs.gamma)))
+            for name, kind, r_range, sigma_range, extra in _CIRCLE_VARIANTS:
+                low, high = (r_range[0], sigma_range[0], -T), (r_range[1], sigma_range[1], T)
                 worst = None
-                for _ in range(samples):
-                    r = float(rng.uniform(*r_range))
-                    sigma = 1.0 + float(rng.uniform(*sigma_range))
-                    t = float(rng.uniform(-T, T))
-                    lhs = count_zeros_circle(zs, r, complex(sigma, t))
+                for start in range(0, samples, block):
+                    # Row i of one (size, 3) draw is the scalar stream's r, sigma - 1, t of sample start + i.
+                    r, offset, t = rng.uniform(low, high, size=(min(block, samples - start), 3)).T
+                    sigma = 1.0 + offset
+                    lhs = count_zeros_circle(zs, r, sigma + 1j * t)
                     rhs = zero_circle_bound(r, p, chi.conductor, t, chi.is_principal, kind, **extra)
-                    if worst is None or rhs - lhs < worst[0]:
-                        worst = (rhs - lhs, lhs, rhs, r, sigma, t)
+                    i = int(np.argmin(rhs - lhs))
+                    if worst is None or rhs[i] - lhs[i] < worst[0]:
+                        worst = (rhs[i] - lhs[i], int(lhs[i]), float(rhs[i]), float(r[i]), float(sigma[i]), float(t[i]))
                 reports.append(
                     _report(
                         f"circle.{name}.{char_label(chi)}",
@@ -387,15 +397,15 @@ def repulsion_sums_check(
         valid lower bound: terms are nonnegative), against the logarithmic
         bound at sigma = alpha + 1 on the sigma grid.
 
-    Each zero sum is evaluated once per (character, sigma, t) and call.
+    Each character's zero sums at every (sigma, t) are one broadcast, made
+    once per call.
     """
     reports = []
     sigma_grid = list(sigma_grid)
-    zero_square_sum = cache(lambda chi, sigma, t: _zero_square_sum(library, chi, sigma, t, T_zeros))
     for q in range(1, q_max + 1):
         chars = enumerate_characters(q)
-        labels = {chi: char_label(chi) for chi in chars}
-        for chi in chars:
+        labels = [char_label(chi) for chi in chars]
+        for label, chi in zip(labels, chars):
             for sigma in sigma_grid:
                 for t in REPULSION_HEIGHTS:
                     exact = _trivial_zero_square_sum_exact(chi, sigma, t)
@@ -405,7 +415,7 @@ def repulsion_sums_check(
                     branch = "primitive" if chi.is_primitive else "unconditional"
                     reports.append(
                         _report(
-                            f"repulsion.trivial_sum.{labels[chi]}.s{sigma}.t{t}",
+                            f"repulsion.trivial_sum.{label}.s{sigma}.t{t}",
                             exact,
                             bound,
                             "<=",
@@ -414,22 +424,25 @@ def repulsion_sums_check(
                             branch=branch,
                         )
                     )
-        # (b) four-sum for real psi, arbitrary chi.
-        real_chars = [c for c in chars if conjugate_character(c) == c]
-        for psi in real_chars:
-            for chi in chars:
-                for sigma in sigma_grid:
+        # (b) four-sum for real psi, arbitrary chi, at the sigmas with alpha = sigma - 1 >= 1.
+        four_sigmas = [sigma for sigma in sigma_grid if sigma - 1.0 >= 1.0]
+        if not four_sigmas:
+            continue
+        # sums[i][a][b] is the zero sum of chars[i] at sigma = four_sigmas[a], t = REPULSION_HEIGHTS[b].
+        points = np.array([[complex(sigma, t) for t in REPULSION_HEIGHTS] for sigma in four_sigmas])
+        sums = [_zero_square_sums(library, chi, points, T_zeros).tolist() for chi in chars]
+        index = {chi.exponents: i for i, chi in enumerate(chars)}
+        level = REPULSION_HEIGHTS.index(0.0)
+        for h, psi in enumerate(chars):
+            if conjugate_character(psi) != psi:
+                continue
+            d_psi = float(psi.conductor)
+            for i, chi in enumerate(chars):
+                j = index[product_character(psi, chi).exponents]
+                for a, sigma in enumerate(four_sigmas):
                     alpha = sigma - 1.0
-                    if alpha < 1.0:
-                        continue
-                    for t in REPULSION_HEIGHTS:
-                        lhs = (
-                            zero_square_sum(chars[0], sigma, 0.0)
-                            + zero_square_sum(psi, sigma, 0.0)
-                            + zero_square_sum(chi, sigma, t)
-                            + zero_square_sum(product_character(psi, chi), sigma, t)
-                        )
-                        d_psi = float(psi.conductor)
+                    for b, t in enumerate(REPULSION_HEIGHTS):
+                        lhs = sums[0][a][level] + sums[h][a][level] + sums[i][a][b] + sums[j][a][b]
                         rhs = (
                             0.5 * math.log(q * q * d_psi)
                             + (math.log(alpha + 2.0) + 2.0 / (alpha + 1.0) - 2.0 * math.log(math.pi))
@@ -439,7 +452,7 @@ def repulsion_sums_check(
                         ) / alpha
                         reports.append(
                             _report(
-                                f"repulsion.four_sum.q{q}.psi{labels[psi]}.chi{labels[chi]}.s{sigma}.t{t}",
+                                f"repulsion.four_sum.q{q}.psi{labels[h]}.chi{labels[i]}.s{sigma}.t{t}",
                                 lhs,
                                 rhs,
                                 "<=",
@@ -452,9 +465,11 @@ def repulsion_sums_check(
     return reports
 
 
-def _zero_square_sum(library: ZeroLibrary, chi: DirichletCharacter, sigma: float, t: float, T_zeros: float) -> float:
+def _zero_square_sums(library: ZeroLibrary, chi: DirichletCharacter, points: np.ndarray, T_zeros: float) -> np.ndarray:
+    """sum over the zeros rho of chi with |gamma| <= T_zeros of 1/|s - rho|^2, at every s of `points`."""
     rho = _zeros_to(library.get(chi, T_zeros), T_zeros)
-    return float(np.sum(1.0 / np.abs(complex(sigma, t) - rho) ** 2))
+    # A sum over the last, contiguous axis adds each point's terms as the one-point sum would.
+    return np.sum(1.0 / np.abs(points[..., None] - rho) ** 2, axis=-1)
 
 
 # -- density ------------------------------------------------------------------
@@ -474,12 +489,12 @@ def density_theorem_check(
     records the minimal leading constant that would make the case pass.
     """
     reports = []
+    sigma_grid = list(sigma_grid)
+    sigmas = np.array(sigma_grid, dtype=float)
     for q in range(1, q_max + 1):
-        for sigma in sigma_grid:
-            lhs = 0
-            for chi in enumerate_characters(q):
-                zs = library.get(chi, T)
-                lhs += zs.count_above(sigma, T)
+        # One count per character over the whole sigma grid.
+        counts = sum(library.get(chi, T).count_above(sigmas, T) for chi in enumerate_characters(q))
+        for sigma, lhs in zip(sigma_grid, counts.tolist()):
             exponent = density_exponent_for(sigma)
             p = FieldParams(n_K=1, D_K=1.0, Q=float(q), T=float(T))
             bound = evaluate_density_bound(sigma, p, exponent, 1.0)
@@ -663,10 +678,13 @@ def detector_series_identity_check(
 ) -> CheckReport:
     """Kernel-weighted prime series versus the normalised k-th derivative.
 
-    Both sides run over the same prime powers p^m <= cutoff, summed in two
-    different orders with two different evaluation routes (log-space kernel
-    vs direct derivative normalisation), so agreement checks the numerics of
-    the kernel path exactly; truncation cancels.
+    Both sides sum the same terms, one per prime power p^m <= cutoff, in
+    the same order (the flat `prime_powers` table, m then p), so truncation
+    cancels.  What differs is how each term is computed: the lhs weighs
+    n^(-1-i tau) by the log-space kernel r E_k(r log n), exp(k log(r log n)
+    - r log n - log k!), while the rhs weighs n^(-(1+r+i tau)) by
+    (log p)(m log p)^k and scales by r^(k+1)/k! afterwards.  Agreement
+    checks the numerics of the kernel path.
 
     lhs = sum_n Lambda(n) chi*(n) n^(-1-i tau) r E_k(r log n);
     rhs = r^(k+1) * series for (-1)^(k+1)/k! (d/ds)^k L'/L at 1 + r + i tau.
@@ -677,12 +695,11 @@ def detector_series_identity_check(
     star = primitive_inducer(chi)
     tolerance = 1e-8 if k == 0 else 1e-6
 
-    lhs = 0j
-    for m, primes, powers in prime_powers(cutoff):
-        lam = np.log(primes.astype(float))
-        logn = m * lam
-        kernel = e_kernel(r * logn, k)
-        lhs += complex(np.sum(lam * char_value_vec(star, powers) * np.exp(-(1.0 + 1j * tau) * logn) * r * kernel))
+    m, primes, powers = prime_powers(cutoff)
+    lam = np.log(primes.astype(float))
+    logn = m * lam
+    kernel = e_kernel(r * logn, k)
+    lhs = complex(np.sum(lam * char_value_vec(star, powers) * np.exp(-(1.0 + 1j * tau) * logn) * r * kernel))
 
     xi = 1.0 + r + 1j * tau
     rhs = r ** (k + 1) * log_deriv_series(xi, star, k, cutoff)

@@ -9,6 +9,13 @@
   one-character view of `zeros.ModulusEngine._counts`.
 * `z_enclosure`: an interval holding zeta's Z(t), the referee of the zero
   engine's sign checks, the kernel's and the interpolant's.
+* `circle_rows_by_sample`: the circle check one scalar draw and one disk
+  count at a time, the reference for `verify.circle_lemma_check`'s blocks.
+* `detector_lhs_by_m`, `log_deriv_series_by_m`: the two sides of the
+  detector's series identity summed one exponent m at a time, the
+  references for their one-pass forms.
+* `zero_square_sum`: one repulsion zero sum at one point, the reference for
+  `verify._zero_square_sums`.
 """
 
 from __future__ import annotations
@@ -19,11 +26,21 @@ import math
 import numpy as np
 from mpmath import iv, mp
 
+from zerokit.constants import FieldParams, zero_circle_bound
 from zerokit.dirichlet import hurwitz
-from zerokit.dirichlet.arith import factorize
-from zerokit.dirichlet.characters import DirichletCharacter, char_value, primitive_inducer
+from zerokit.dirichlet.arith import factorize, primes_up_to
+from zerokit.dirichlet.characters import (
+    DirichletCharacter,
+    char_label,
+    char_value,
+    char_value_vec,
+    primitive_characters,
+    primitive_inducer,
+)
 from zerokit.dirichlet.lfunctions import GammaPoleError, l_eval_vec, loggamma
 from zerokit.dirichlet.zeros import CountCertificationError, ModulusEngine
+from zerokit.kernels import e_kernel
+from zerokit.verify import _CIRCLE_VARIANTS, CIRCLE_REACH, _report, _zeros_to
 
 _LOG_PI = math.log(math.pi)
 
@@ -135,3 +152,84 @@ def z_enclosure(gamma: float, offset: float):
         return (prefactor * total).real / abs(prefactor)
     finally:
         iv.prec = prec
+
+
+def circle_rows_by_sample(library, q_max: int, T: float, samples: int) -> list:
+    """`verify.circle_lemma_check`'s rows, one scalar draw of r, sigma - 1 and t and one disk count at a time."""
+    rng = np.random.default_rng(2054)
+    reports = []
+    for q in range(1, q_max + 1):
+        for chi in primitive_characters(q):
+            zs = library.get(chi, T + CIRCLE_REACH)
+            p = FieldParams(n_K=1, D_K=1.0)
+            for name, kind, r_range, sigma_range, extra in _CIRCLE_VARIANTS:
+                worst = None
+                for _ in range(samples):
+                    r = float(rng.uniform(*r_range))
+                    sigma = 1.0 + float(rng.uniform(*sigma_range))
+                    t = float(rng.uniform(-T, T))
+                    if not zs.covers(abs(t) + r):
+                        raise ValueError("disk exceeds the zero set's certified height")
+                    lhs = int(np.count_nonzero(np.hypot(sigma - zs.beta, t - zs.gamma) <= r))
+                    rhs = zero_circle_bound(r, p, chi.conductor, t, chi.is_principal, kind, **extra)
+                    if worst is None or rhs - lhs < worst[0]:
+                        worst = (rhs - lhs, lhs, rhs, r, sigma, t)
+                reports.append(
+                    _report(
+                        f"circle.{name}.{char_label(chi)}",
+                        worst[1],
+                        worst[2],
+                        "<=",
+                        samples=samples,
+                        **extra,
+                        r=worst[3],
+                        sigma=worst[4],
+                        t=worst[5],
+                    )
+                )
+    return reports
+
+
+def _prime_powers_by_m(cutoff: int):
+    """For m = 1, 2, ...: (m, the primes p with p^m <= cutoff, their p^m), stopping at the first empty m."""
+    primes = primes_up_to(cutoff)
+    m = 1
+    while len(primes := primes[primes**m <= cutoff]):
+        yield m, primes, primes**m
+        m += 1
+
+
+def detector_lhs_by_m(chi: DirichletCharacter, r: float, tau: float, k: int, cutoff: int) -> tuple[complex, float]:
+    """sum_n Lambda(n) chi*(n) n^(-1-i tau) r E_k(r log n) over p^m <= cutoff, one m at a time.
+
+    Returns the sum and the sum of its terms' moduli.
+    """
+    star = primitive_inducer(chi)
+    total, scale = 0j, 0.0
+    for m, primes, powers in _prime_powers_by_m(cutoff):
+        lam = np.log(primes.astype(float))
+        logn = m * lam
+        terms = lam * char_value_vec(star, powers) * np.exp(-(1.0 + 1j * tau) * logn) * r * e_kernel(r * logn, k)
+        total += complex(np.sum(terms))
+        scale += float(np.sum(np.abs(terms)))
+    return total, scale
+
+
+def log_deriv_series_by_m(s: complex, chi: DirichletCharacter, k: int, cutoff: int) -> tuple[complex, float]:
+    """`lfunctions.log_deriv_series`, one m at a time, and the sum of its terms' moduli."""
+    s = complex(s)
+    inv_kfac = 1.0 / math.factorial(k)
+    total, scale = 0j, 0.0
+    for m, primes, powers in _prime_powers_by_m(cutoff):
+        logs = np.log(primes.astype(float))
+        weights = logs * (m * logs) ** k if k > 0 else logs
+        terms = weights * char_value_vec(chi, powers) * np.exp(-(m * s) * logs)
+        total += complex(terms.sum())
+        scale += float(np.sum(np.abs(terms)))
+    return inv_kfac * total, inv_kfac * scale
+
+
+def zero_square_sum(library, chi: DirichletCharacter, sigma: float, t: float, T_zeros: float) -> float:
+    """sum over the zeros rho of chi with |gamma| <= T_zeros of 1/|sigma + it - rho|^2."""
+    rho = _zeros_to(library.get(chi, T_zeros), T_zeros)
+    return float(np.sum(1.0 / np.abs(complex(sigma, t) - rho) ** 2))

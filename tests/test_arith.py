@@ -53,11 +53,14 @@ class TestPrimes:
             while pm <= cutoff:
                 expected.setdefault(m, []).append((p, pm))
                 m, pm = m + 1, pm * p
-        got = {}
-        for m, primes, powers in prime_powers(cutoff):
-            assert primes.dtype == powers.dtype == np.int64
-            got[m] = list(zip(primes.tolist(), powers.tolist()))
+        exponents, primes, powers = prime_powers(cutoff)
+        assert exponents.dtype == primes.dtype == powers.dtype == np.int64
+        got: dict[int, list[tuple[int, int]]] = {}
+        for m, p, pm in zip(exponents.tolist(), primes.tolist(), powers.tolist()):
+            got.setdefault(m, []).append((p, pm))
         assert got == expected
+        # The table runs m by m, and p increasing within each m.
+        assert list(zip(exponents.tolist(), primes.tolist())) == sorted(zip(exponents.tolist(), primes.tolist()))
 
 
 class TestHarmonicAndRough:

@@ -251,6 +251,32 @@ class TestZeroCircleBound:
         with pytest.raises(ValueError):
             zero_circle_bound(0.1, Q_FIELD, 1.0, 0.0, False, "convexity", epsilon=0.05)
 
+    @pytest.mark.parametrize(
+        "field, kind, r_top, extra",
+        [
+            (Q_FIELD, "classical", 1.0, {}),
+            (FieldParams(n_K=3, D_K=49.0), "classical", 1.0, {}),
+            (Q_FIELD, "convexity", 0.05, {"epsilon": 0.05}),
+            (FieldParams(n_K=2, D_K=5.0, implied_nk_constant=1.7), "convexity", 0.1, {"epsilon": 0.1}),
+        ],
+    )
+    def test_an_array_of_disks_is_the_scalar_bounds(self, field, kind, r_top, extra):
+        rng = np.random.default_rng(11)
+        r = rng.uniform(1e-9, r_top * (1.0 - 1e-9), size=(4, 50))
+        t = rng.uniform(-1e4, 1e4, size=(4, 50))
+        t[0, :3] = (0.0, -0.0, 1e300)
+        for principal in (False, True):
+            values = zero_circle_bound(r, field, 7.0, t, principal, kind, **extra)
+            scalars = [
+                [zero_circle_bound(a, field, 7.0, b, principal, kind, **extra) for a, b in zip(row_r, row_t)]
+                for row_r, row_t in zip(r.tolist(), t.tolist())
+            ]
+            assert values.tolist() == scalars
+        # One disk outside the bound's radius range refuses the whole array.
+        outside = 1.5 if kind == "classical" else r_top
+        with pytest.raises(ValueError):
+            zero_circle_bound(np.append(r[0], outside), field, 7.0, np.append(t[0], 0.0), False, kind, **extra)
+
 
 class TestCertificationReport:
     def test_reference_report_all_pass(self):

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -8,15 +9,17 @@ import numpy as np
 import pytest
 
 from zerokit.dirichlet.arith import primes_in_window, primes_up_to, rough_mask
-from zerokit.dirichlet.characters import char_value, enumerate_characters
+from zerokit.dirichlet.characters import char_value, enumerate_characters, primitive_inducer
+from zerokit.dirichlet.lfunctions import log_deriv_series
 from zerokit.kernels import WeightParams, psi_weight
+from zerokit import verify
 from zerokit.verify import (
     BUDGETS,
     SUITES,
     CheckReport,
     _lattice_inverse_square,
     _trivial_zero_square_sum_exact,
-    _zero_square_sum,
+    _zero_square_sums,
     circle_lemma_check,
     default_suite,
     density_theorem_check,
@@ -31,6 +34,8 @@ from zerokit.verify import (
     summary_table,
     zero_data_needed,
 )
+
+from oracles import circle_rows_by_sample, detector_lhs_by_m, log_deriv_series_by_m, zero_square_sum
 
 ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]
@@ -72,6 +77,35 @@ class TestCircleLemma:
         # tiny disks hold zero zeros; the bound keeps its additive floor >= 4
         reports = circle_lemma_check(zero_library, q_max=3, T=10.0, samples=4)
         assert all(r.rhs >= 4.0 for r in reports)
+
+    @pytest.mark.parametrize(
+        "q_max, T, samples", [(1, 10.0, 1), (3, 30.0, 1), (7, 30.0, 10), (10, 50.0, 37), (20, 20.0, 3)]
+    )
+    def test_batched_rows_are_the_per_sample_rows(self, zero_library, q_max, T, samples):
+        # The blocked draw continues the scalar stream: the same r, sigma and t,
+        # and the same first-smallest rhs - lhs, bit for bit.
+        batched = circle_lemma_check(zero_library, q_max, T, samples)
+        assert reports_to_json(batched) == reports_to_json(circle_rows_by_sample(zero_library, q_max, T, samples))
+
+    @pytest.mark.parametrize("cells", [1, 7, 100])
+    def test_rows_do_not_depend_on_the_block_size(self, zero_library, monkeypatch, cells):
+        # One sample per block at cells = 1; blocks that cut a variant's
+        # samples unevenly at the others.
+        monkeypatch.setattr(verify, "CIRCLE_CELLS", cells)
+        batched = circle_lemma_check(zero_library, 5, 30.0, 23)
+        assert reports_to_json(batched) == reports_to_json(circle_rows_by_sample(zero_library, 5, 30.0, 23))
+
+    def test_memory_is_bounded_at_many_samples(self, zero_library):
+        # Without blocks, the (sample, zero) pairs of 10^5 samples would take
+        # tens of MB per temporary, and grow with the sample count.
+        tracemalloc.start()
+        try:
+            reports = circle_lemma_check(zero_library, q_max=3, T=30.0, samples=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert len(reports) == 6 and all(r.passed for r in reports)
 
 
 class TestExplicitFormula:
@@ -158,15 +192,22 @@ class TestRepulsionSums:
 
     def test_four_sum_trivial_psi_degenerates_to_double(self, zero_library):
         # psi = chi = trivial: the aggregate is 4x the single-function sum
-        zeta_sum = _zero_square_sum(zero_library, ZETA, 2.0, 0.0, 40.0)
+        zeta_sum = float(_zero_square_sums(zero_library, ZETA, np.array(2.0 + 0j), 40.0))
         reports = repulsion_sums_check(zero_library, 1, (2.0,), 40.0)
         four = [r for r in reports if "four_sum" in r.name and r.name.endswith(".t0.0")]
         assert len(four) == 1
         assert four[0].lhs == pytest.approx(4.0 * zeta_sum, rel=1e-12)
 
+    def test_batched_sums_are_the_one_point_sums(self, zero_library):
+        points = np.array([[complex(sigma, t) for t in (0.0, 2.5, -7.0)] for sigma in (2.0, 3.0, 1.5)])
+        for chi in enumerate_characters(8) + enumerate_characters(1):
+            sums = verify._zero_square_sums(zero_library, chi, points, 30.0)
+            expected = [[zero_square_sum(zero_library, chi, s.real, s.imag, 30.0) for s in row] for row in points]
+            assert sums.tolist() == expected
+
     def test_partial_sums_monotone_in_height(self, zero_library):
-        low = _zero_square_sum(zero_library, CHI4, 2.0, 0.0, 20.0)
-        high = _zero_square_sum(zero_library, CHI4, 2.0, 0.0, 50.0)
+        low = float(_zero_square_sums(zero_library, CHI4, np.array(2.0 + 0j), 20.0))
+        high = float(_zero_square_sums(zero_library, CHI4, np.array(2.0 + 0j), 50.0))
         assert high >= low
 
     def test_far_right_sums_shrink(self, zero_library):
@@ -352,6 +393,33 @@ class TestDetector:
         report = detector_series_identity_check(chi12, 0.4, 0.7, 2, 10**4)
         assert report.passed
         assert "q3" in report.name
+
+    @pytest.mark.parametrize(
+        "chi, r, tau, k, cutoff",
+        [
+            (ZETA, 0.5, 0.0, 2, 10**5),
+            (CHI4, 0.5, 1.0, 3, 10**5),
+            (ZETA, 0.3, 0.0, 0, 10**5),
+            (enumerate_characters(12)[1], 0.4, 0.7, 2, 10**4),
+            (enumerate_characters(7)[2], 0.05, 30.0, 4, 10**6),
+        ],
+    )
+    def test_both_routes_are_their_per_m_sums(self, chi, r, tau, k, cutoff):
+        # One pass over the flat table against one sum per exponent m: only
+        # the order of the additions differs, so the two agree to rounding,
+        # 1e-15 of the sum of the terms' moduli.
+        report = detector_series_identity_check(chi, r, tau, k, cutoff)
+        lhs, lhs_scale = detector_lhs_by_m(chi, r, tau, k, cutoff)
+        assert abs(complex(report.context["lhs_value"]) - lhs) <= 1e-15 * lhs_scale
+        rhs, rhs_scale = log_deriv_series_by_m(1.0 + r + 1j * tau, primitive_inducer(chi), k, cutoff)
+        assert abs(complex(report.context["rhs_value"]) - r ** (k + 1) * rhs) <= 1e-15 * r ** (k + 1) * rhs_scale
+
+    @pytest.mark.parametrize("chi", [ZETA, CHI4, enumerate_characters(7)[2]])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_log_deriv_series_is_its_per_m_sum(self, chi, k):
+        for s in (2.5, 1.3 + 7.0j, 1.01 - 40.0j):
+            total, scale = log_deriv_series_by_m(s, chi, k, 10**6)
+            assert abs(log_deriv_series(s, chi, k, 10**6) - total) <= 1e-15 * scale
 
     def test_scale_note_recorded(self):
         report = detector_series_identity_check(ZETA, 0.5, 0.0, 2, 10**4)

@@ -56,6 +56,12 @@ class TestRecords:
         with pytest.raises(ValueError):
             zs.count_above(0.5, 30.0)
 
+    def test_count_above_an_array_of_sigmas(self):
+        zs = ZeroSet(ZETA, [0.5, 0.5, 0.5], [-14.0, 14.0, 21.0], [1e-9] * 3, 20.0)
+        sigmas = np.array([0.4, 0.5, 0.6])
+        counts = zs.count_above(sigmas, 15.0)
+        assert counts.tolist() == [zs.count_above(float(sigma), 15.0) for sigma in sigmas] == [2, 2, 0]
+
 
 class TestColumns:
     """A zero set is three read-only float64 columns sorted by ordinate."""
@@ -1097,8 +1103,37 @@ class TestCircleCounts:
         with pytest.raises(ValueError):
             count_zeros_circle(zeta_set, 3.0, 0.5 + 15.0j)
 
+    def test_an_array_of_disks_counts_each_disk(self, zeta_set):
+        r = np.array([0.2, 0.6, 0.01, 14.0, 1.0])
+        centers = np.array([1.0 + 14.0j, 1.0 + 14.0j, 0.5 + 14.13j, 0.5 + 0.0j, 1.0 - 14.0j])
+        counts = count_zeros_circle(zeta_set, r, centers)
+        assert counts.tolist() == [count_zeros_circle(zeta_set, float(a), complex(c)) for a, c in zip(r, centers)]
+        assert counts.tolist() == [0, 1, 1, 0, 1]
+        # One disk past the certified height refuses the whole array.
+        with pytest.raises(ValueError):
+            count_zeros_circle(zeta_set, np.array([0.2, 3.0]), np.array([1.0 + 14.0j, 0.5 + 15.0j]))
+
 
 class TestLibraryAndCache:
+    def test_each_modulus_file_is_read_once(self, zero_library, monkeypatch):
+        import zerokit.dirichlet.zerocache as zcache
+
+        reads = []
+
+        def counting_read(cache_dir, q):
+            reads.append(q)
+            return read_zero_cache(cache_dir, q)
+
+        monkeypatch.setattr(zcache, "read_zero_cache", counting_read)
+        library = ZeroLibrary(zero_library.cache_dir)
+        for q in (5, 1, 2):  # q = 2 has no primitive character and no file
+            assert set(library.ensure(q, 20.0).values()) <= {"cached"}
+            assert set(library.ensure(q, 20.0).values()) <= {"cached"}
+        assert library.get(enumerate_characters(5)[1], 20.0) is library.get(enumerate_characters(5)[1], 30.0)
+        library.get(enumerate_characters(2)[0], 20.0)  # resolves to zeta, already read
+        library.get(enumerate_characters(3)[1], 20.0)
+        assert sorted(reads) == [1, 2, 3, 5]
+
     def test_round_trip(self, tmp_path):
         zs = scan_zeros(CHI4, 12.0)
         write_zero_cache(tmp_path, {CHI4.exponents: zs})
