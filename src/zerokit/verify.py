@@ -119,7 +119,7 @@ class CheckReport:
     name: str
     lhs: float
     rhs: float
-    direction: str  # "<=" or ">="
+    direction: str  # always "<=": every check states lhs <= rhs
     margin: float
     passed: bool
     context: dict = field(default_factory=dict)
@@ -136,13 +136,13 @@ class CheckReport:
         }
 
 
-def _report(name: str, lhs: float, rhs: float, direction: str, **context) -> CheckReport:
-    margin = (rhs - lhs) if direction == "<=" else (lhs - rhs)
+def _report(name: str, lhs: float, rhs: float, **context) -> CheckReport:
+    margin = rhs - lhs
     return CheckReport(
         name=name,
         lhs=float(lhs),
         rhs=float(rhs),
-        direction=direction,
+        direction="<=",
         margin=float(margin),
         passed=bool(margin >= 0.0),
         context=context,
@@ -211,7 +211,6 @@ def circle_lemma_check(
                         f"circle.{name}.{char_label(chi)}",
                         worst[1],
                         worst[2],
-                        "<=",
                         samples=samples,
                         **extra,
                         r=worst[3],
@@ -269,7 +268,6 @@ def explicit_formula_residual(
         f"explicit_formula.{char_label(chi)}.s{s}",
         residual,
         tolerance,
-        "<=",
         s=str(s),
         T_zeros=T_zeros,
         lhs_value=lhs,
@@ -325,7 +323,6 @@ def hadamard_derivative_check(
         f"hadamard.{char_label(chi)}.k{k}.s{s}",
         diff,
         tolerance,
-        "<=",
         s=str(s),
         k=k,
         T_zeros=T_zeros,
@@ -418,7 +415,6 @@ def repulsion_sums_check(
                             f"repulsion.trivial_sum.{label}.s{sigma}.t{t}",
                             exact,
                             bound,
-                            "<=",
                             sigma=sigma,
                             t=t,
                             branch=branch,
@@ -455,7 +451,6 @@ def repulsion_sums_check(
                                 f"repulsion.four_sum.q{q}.psi{labels[h]}.chi{labels[i]}.s{sigma}.t{t}",
                                 lhs,
                                 rhs,
-                                "<=",
                                 sigma=sigma,
                                 t=t,
                                 T_zeros=T_zeros,
@@ -504,7 +499,6 @@ def density_theorem_check(
                     f"density.q{q}.sigma{sigma}",
                     float(lhs),
                     bound.value,
-                    "<=",
                     sigma=sigma,
                     T=T,
                     exponent=exponent,
@@ -558,7 +552,7 @@ def largesieve_smoothing_check(
     reports = []
     if not primes:
         return [
-            _report(f"largesieve.q{q}.empty", 0.0, 0.0, "<=", window=prime_window, note="zero coefficients")
+            _report(f"largesieve.q{q}.empty", 0.0, 0.0, window=prime_window, note="zero coefficients")
         ]
     support = np.array(primes)
     logp = np.log(support)
@@ -578,7 +572,6 @@ def largesieve_smoothing_check(
             f"largesieve.q{q}.ratio",
             ratio,
             BUDGETS["largesieve_ratio"],
-            "<=",
             T=T,
             window=prime_window,
             n_primes=len(primes),
@@ -599,7 +592,6 @@ def largesieve_smoothing_check(
             f"largesieve.q{q}.smoothing",
             smoothing_ratio,
             BUDGETS["weight_smoothing_ratio"],
-            "<=",
             T=T,
             t_integral=lhs_t,
             x_integral=rhs_x,
@@ -644,7 +636,6 @@ def selberg_smoothed_sum_check(
         f"selberg.q{q}.coset{coset}.z{z}.x{x}",
         lhs,
         rhs,
-        "<=",
         main_term=main,
         error_budget=error_budget,
         eps=SELBERG_EPS,
@@ -708,7 +699,6 @@ def detector_series_identity_check(
         f"detector.series_identity.{char_label(star)}.k{k}.r{r}",
         diff,
         tolerance,
-        "<=",
         tau=tau,
         cutoff=cutoff,
         lhs_value=str(lhs),
@@ -767,7 +757,7 @@ def default_suite(
         reports.append(selberg_smoothed_sum_check(5, 2, 20.0, 1e5, params))
         v = harmonic_sum(1e3)
         reports.append(
-            _report("selberg.harmonic_lower.z1000", 0.9 * math.log(1e3), v, "<=", note="V(z) >= 0.9 log z")
+            _report("selberg.harmonic_lower.z1000", 0.9 * math.log(1e3), v, note="V(z) >= 0.9 log z")
         )
     if "detector" in suites:
         reports.append(detector_series_identity_check(zeta, 0.5, 0.0, 2, 10**5))

@@ -179,7 +179,6 @@ def circle_rows_by_sample(library, q_max: int, T: float, samples: int) -> list:
                         f"circle.{name}.{char_label(chi)}",
                         worst[1],
                         worst[2],
-                        "<=",
                         samples=samples,
                         **extra,
                         r=worst[3],

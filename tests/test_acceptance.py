@@ -14,13 +14,8 @@ import numpy as np
 import pytest
 
 from zerokit.constants import (
-    REFERENCE_ALPHA,
-    REFERENCE_ETA,
     certification_report,
-    derive_density_exponent,
-    derive_detector_constants,
     derive_repulsion_coeffs,
-    derive_shortsum_thresholds,
     optimize_alpha,
 )
 from zerokit.dirichlet.characters import (
@@ -51,30 +46,34 @@ def _stamp(number: int, name: str, started: float, limit: float) -> None:
 
 def test_criterion_1_constant_certification():
     started = time.perf_counter()
-    c = derive_detector_constants(REFERENCE_ALPHA, REFERENCE_ETA)
-    assert 3.752 <= c.A.lower and c.A.upper <= 3.753
-    assert c.k_lo_coeff.clears(25.0, ">=")
-    assert c.k_hi_coeff.clears(28.8, "<=")
-    assert c.big_deriv_exp.clears(16.6, "<=")
-    assert c.detect_exp_squared.clears(73.2, "<=")
-    y, x, tail = derive_shortsum_thresholds(c)
-    assert y.clears(2.3, "<=")
-    assert x.clears(122.0, "<=")
-    assert tail.clears(16.8, ">=")
-    assert derive_density_exponent(0.05).clears(81.0, "<=")
-    assert derive_density_exponent(0.001).clears(74.0, "<=")
-    for eb in (c.A, c.k_lo_coeff, c.k_hi_coeff, c.big_deriv_exp, c.detect_exp_squared, y, x, tail):
-        assert eb.radius <= 1e-6
-    assert all(row.passed for row in certification_report())
+    rows = {row.name: row for row in certification_report()}
+    targets = [
+        ("A_lower", 3.752, ">="),
+        ("A_upper", 3.753, "<="),
+        ("k_lo_coeff", 25.0, ">="),
+        ("k_hi_coeff", 28.8, "<="),
+        ("big_deriv_exp", 16.6, "<="),
+        ("detect_exp_squared", 73.2, "<="),
+        ("y_coeff", 2.3, "<="),
+        ("x_coeff", 122.0, "<="),
+        ("tail_exp", 16.8, ">="),
+        ("density_exponent_wide", 81.0, "<="),
+        ("density_exponent_narrow", 74.0, "<="),
+    ]
+    for name, published, direction in targets:
+        assert (rows[name].published, rows[name].direction, rows[name].passed) == (published, direction, True), name
+        assert rows[name].derived_radius <= 1e-6, name
+    assert all(row.passed for row in rows.values())
     _stamp(1, "constant certification", started, 1.0)
 
 
 def test_criterion_2_repulsion_coefficients():
     started = time.perf_counter()
-    quad = derive_repulsion_coeffs("quadratic", alpha=18.0)
-    triv = derive_repulsion_coeffs("trivial", alpha=18.0)
-    assert quad.published == (51, 54, 26, 74) and quad.dominated()
-    assert triv.published == (26, 13, 13, 37) and triv.dominated()
+    rows = {row.name: row for row in certification_report()}
+    for kind, published in (("quadratic", (51, 54, 26, 74)), ("trivial", (26, 13, 13, 37))):
+        kind_rows = [rows[f"repulsion_{kind}_a{i}"] for i in range(1, 5)]
+        assert [row.published for row in kind_rows] == list(published)
+        assert all(row.direction == "<=" and row.passed for row in kind_rows)
     limit = derive_repulsion_coeffs("quadratic", alpha=1e6)
     assert abs(limit.a1.value - 48.0) <= 1e-3
     assert abs(limit.a2.value - 48.0) <= 1e-3

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from zerokit.cli import EXIT_FAIL, main
 from zerokit.constants import (
     PUBLISHED,
     REFERENCE_ALPHA,
     REFERENCE_ETA,
-    CertificationError,
     FieldParams,
     certification_report,
     derive_density_exponent,
     derive_detector_constants,
     derive_repulsion_coeffs,
-    derive_shortsum_thresholds,
     evaluate_density_bound,
     evaluate_repulsion_bound,
     optimize_alpha,
@@ -66,6 +65,23 @@ class TestDetectorConstants:
         assert c.k_lo_stated <= c.k_lo_coeff.lower
         assert c.k_hi_stated >= c.k_hi_coeff.upper
 
+    def test_a_tenth_just_inside_the_enclosure_is_not_stated(self):
+        # k_lo_coeff.lower is 24.99999999999996 here, 4e-14 below 25.0.
+        c = derive_detector_constants(0.150232300232133, REFERENCE_ETA)
+        assert c.k_lo_coeff.lower < 25.0
+        assert c.k_lo_stated == 24.9
+        assert c.k_hi_stated == 28.8
+
+    def test_stated_range_contains_the_enclosure_over_alpha(self):
+        # The two extra points put k_lo_coeff.lower one float below 25.8 and
+        # k_hi_coeff.upper one float above 26.7: ten times each rounds onto
+        # the integer, and only the outward step keeps the range outside.
+        edges = [0.13991416364092005, 0.2306485086148127]
+        for alpha in np.linspace(0.02, 0.89, 4001)[1:-1].tolist() + edges:
+            c = derive_detector_constants(alpha, REFERENCE_ETA)
+            assert c.k_lo_stated <= c.k_lo_coeff.lower and c.k_hi_stated >= c.k_hi_coeff.upper, alpha
+            assert c.k_lo_coeff.lower - c.k_lo_stated < 0.2 and c.k_hi_stated - c.k_hi_coeff.upper < 0.2, alpha
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             derive_detector_constants(0.0)
@@ -75,18 +91,16 @@ class TestDetectorConstants:
 
 class TestShortsumThresholds:
     def test_reference_values(self):
-        c = derive_detector_constants(REFERENCE_ALPHA, REFERENCE_ETA)
-        y, x, tail = derive_shortsum_thresholds(c)
-        assert y.value == pytest.approx(25.0 / (4.0 * math.e))
-        assert y.clears(2.3, "<=")
-        assert x.value == pytest.approx((2.0 / 0.99) * math.log(8.0 / 0.99) * 28.8)
-        assert x.clears(122.0, "<=")
-        assert tail.value == pytest.approx(25.0 * math.log(3.95 / 2.01))
-        assert tail.clears(16.8, ">=")
-
-    def test_requires_reference_parameters(self):
-        with pytest.raises(ValueError):
-            derive_shortsum_thresholds(derive_detector_constants(0.2, REFERENCE_ETA))
+        rows = {r.name: r for r in certification_report()}
+        assert rows["y_coeff"].derived_value == pytest.approx(25.0 / (4.0 * math.e))
+        assert rows["x_coeff"].derived_value == pytest.approx((2.0 / 0.99) * math.log(8.0 / 0.99) * 28.8)
+        assert rows["tail_exp"].derived_value == pytest.approx(25.0 * math.log(3.95 / 2.01))
+        assert [(rows[name].published, rows[name].direction) for name in ("y_coeff", "x_coeff", "tail_exp")] == [
+            (2.3, "<="),
+            (122.0, "<="),
+            (16.8, ">="),
+        ]
+        assert rows["y_coeff"].passed and rows["x_coeff"].passed and rows["tail_exp"].passed
 
 
 class TestDensityExponent:
@@ -128,15 +142,19 @@ class TestRepulsionCoeffs:
         rc = derive_repulsion_coeffs("quadratic")
         values = [eb.value for eb in rc.derived()]
         assert values == pytest.approx([50.7037, 53.6839, 25.3519, 73.6653], abs=2e-3)
-        assert rc.published == (51, 54, 26, 74)
-        assert rc.dominated()
+        rows = [r for r in certification_report() if r.name.startswith("repulsion_quadratic_")]
+        assert [r.derived_value for r in rows] == values
+        assert [r.published for r in rows] == [51, 54, 26, 74]
+        assert all(r.passed for r in rows)
 
     def test_trivial_at_pivot(self):
         rc = derive_repulsion_coeffs("trivial")
         values = [eb.value for eb in rc.derived()]
         assert values == pytest.approx([25.3519, 12.6759, 12.6759, 32.9702], abs=2e-3)
-        assert rc.published == (26, 13, 13, 37)
-        assert rc.dominated()
+        rows = [r for r in certification_report() if r.name.startswith("repulsion_trivial_")]
+        assert [r.derived_value for r in rows] == values
+        assert [r.published for r in rows] == [26, 13, 13, 37]
+        assert all(r.passed for r in rows)
 
     def test_large_pivot_limits(self):
         rc = derive_repulsion_coeffs("quadratic", alpha=1e6)
@@ -302,6 +320,16 @@ class TestCertificationReport:
         assert "density_exponent_wide" in names
         assert "density_exponent_narrow" in names
 
+    def test_one_row_per_published_target_in_order(self):
+        expected = []
+        for name, target in PUBLISHED.items():
+            if isinstance(target, tuple):
+                expected += [(f"{name}_a{i}", float(t)) for i, t in enumerate(target, start=1)]
+            else:
+                expected.append((name, target))
+        assert [(r.name, r.published) for r in certification_report()] == expected
+        assert len(expected) == 20
+
 
 def test_published_table_is_exact_decimals():
     assert PUBLISHED["k_lo_coeff"] == 25.0
@@ -310,11 +338,18 @@ def test_published_table_is_exact_decimals():
     assert PUBLISHED["repulsion_trivial"] == (26, 13, 13, 37)
 
 
-def test_certification_error_names_failing_constant(monkeypatch):
-    import zerokit.constants as consts
-
-    monkeypatch.setitem(PUBLISHED, "y_coeff", 2.29)
-    c = derive_detector_constants(REFERENCE_ALPHA, REFERENCE_ETA)
-    with pytest.raises(CertificationError) as err:
-        derive_shortsum_thresholds(c)
-    assert "y_coeff" in err.value.failures
+@pytest.mark.parametrize(
+    "key, target, failing",
+    [
+        ("y_coeff", 2.29, "y_coeff"),
+        ("density_exponent_narrow", 73.0, "density_exponent_narrow"),
+        ("repulsion_trivial", (26, 13, 13, 32), "repulsion_trivial_a4"),
+    ],
+    ids=["y_coeff", "density_exponent_narrow", "repulsion_trivial"],
+)
+def test_a_tightened_target_fails_its_row_alone(monkeypatch, capsys, key, target, failing):
+    monkeypatch.setitem(PUBLISHED, key, target)
+    assert [r.name for r in certification_report() if not r.passed] == [failing]
+    assert main(["constants", "derive"]) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("FAIL")] == [failing]

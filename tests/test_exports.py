@@ -30,7 +30,6 @@ def test_every_export_resolves_and_packages_reexport_nothing():
 # the tests reach belongs under tests/ (tests/oracles.py holds the
 # references), and one nothing reaches is deleted.
 UNREACHED = {
-    "derive_shortsum_thresholds": "acceptance criterion 1 certifies the short-sum thresholds it derives",
     "lmo_witness": "acceptance criterion 4 checks it; the ROADMAP plans it for the detector rows of verify",
     "ks_witness": "acceptance criterion 4 checks it; the ROADMAP plans it for the detector rows of verify",
     "ks_ratio": "acceptance criterion 4 checks it; the ROADMAP plans it for the detector rows of verify",
