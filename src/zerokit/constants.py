@@ -41,6 +41,8 @@ import numpy as np
 from zerokit.errorbounded import EB_E, EB_PI, ErrorBounded, eb_exp, eb_log, eb_pow, eb_sqrt
 
 __all__ = [
+    "DENSITY_EPS_NARROW",
+    "DENSITY_EPS_WIDE",
     "PUBLISHED",
     "REFERENCE_ALPHA",
     "REFERENCE_ETA",

@@ -93,10 +93,12 @@ def primes_in_window(lo: float, hi: float) -> np.ndarray:
     return primes[(primes >= lo) & (primes < hi)]
 
 
+@lru_cache(maxsize=8)
 def prime_powers(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prime powers p^m <= cutoff as one flat table (m, p, p^m), ordered by m, then p.
 
     All three columns are exact int64, read from the cached prime sieve.
+    The table is cached per cutoff, so its columns are read-only.
     """
     primes = primes_up_to(cutoff)
     exponents, bases = [np.ones(len(primes), dtype=np.int64)], [primes]
@@ -108,7 +110,10 @@ def prime_powers(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bases.append(primes)
         m += 1
     m_col, p_col = np.concatenate(exponents), np.concatenate(bases)
-    return m_col, p_col, p_col**m_col
+    table = m_col, p_col, p_col**m_col
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def harmonic_sum(z: float) -> float:

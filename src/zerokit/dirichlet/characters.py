@@ -1,19 +1,23 @@
-"""Dirichlet character enumeration via CRT decomposition of (Z/qZ)^*.
+"""Dirichlet characters mod q, labelled on fixed CRT generators of (Z/qZ)^*.
 
-Characters are indexed by their exponent vector on a fixed generator set:
-the smallest primitive root for each odd prime-power factor, the residue 3
-for the factor 4, and the pair (-1, 5) for factors 2^k with k >= 3.  The
-exponent vector is a deterministic label, used for cache files and for the
-fixed enumeration order.
+The generators are the smallest primitive root for each odd prime-power
+factor, the residue 3 for the factor 4, and the pair (-1, 5) for factors 2^k
+with k >= 3.  A character's exponent vector e on them is its label, which
+names cache files and fixes the enumeration order.
 
-Character values are held exactly as numerators over the unit-group exponent
-(chi(n) = e^(2 pi i * num / L)), so conductor, parity, and primitivity are
-integer computations; complex values are materialised only on demand.
+Each modulus has one read-only discrete-log table, logs[j, n]: the exponent
+of residue n on generator j, or -1 where gcd(n, q) > 1, filled once per
+prime-power factor by walking its local generators' powers.  With o_j the
+orders and L their lcm, chi(n) = e^(2 pi i k(n) / L) on the units, where
+k(n) = sum_j e_j (L / o_j) logs[j, n] mod L is one integer array per
+character.  Conductor, parity and the primitive inducer are exact integer
+comparisons on it; the complex values are read from it by index.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,63 +54,47 @@ def _primitive_root(pe: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 class _UnitGroup:
-    """Cached CRT structure of (Z/qZ)^*: generators, orders, discrete logs."""
+    """(Z/qZ)^* on the labelling generators: their orders and the discrete-log table."""
 
     def __init__(self, q: int):
         if q < 1:
             raise ValueError("modulus must be >= 1")
-        self.q = q
-        self.generators: list[int] = []
         self.orders: list[int] = []
-        self.component_mod: list[int] = []
-        self._dlogs: list[dict[int, int]] = []
-
+        residues = np.arange(q)
+        divisors = np.flatnonzero(q % np.arange(1, q + 1) == 0) + 1
+        # kernels[i]: the units = 1 mod divisors[i]; kernels[0] holds them all.
+        self.divisors = divisors.tolist()
+        self.kernels = (residues % divisors[:, None] == 1 % divisors[:, None]) & (np.gcd(residues, q) == 1)
+        self.units = self.kernels[0]
+        rows = [np.empty((0, q), dtype=np.int64)]  # q = 1 and q = 2 have no generators
         for p, e in factorize(q):
             pe = p**e
-            cof = q // pe
             if p == 2 and e == 1:
                 continue  # (Z/2Z)^* is trivial
             if p == 2 and e >= 3:
-                local = [(pe - 1, 2), (5, 1 << (e - 2))]
-                tables: list[dict[int, int]] = [{}, {}]
-                for a in range(2):
-                    for b in range(1 << (e - 2)):
-                        r = pow(pe - 1, a, pe) * pow(5, b, pe) % pe
-                        tables[0][r] = a
-                        tables[1][r] = b
+                # 5 walks the units = 1 mod 4; times -1, the units = 3 mod 4.
+                local_orders = [2, 1 << (e - 2)]
+                fives = np.array([pow(5, k, pe) for k in range(local_orders[1])])
+                local = np.full((2, pe), -1, dtype=np.int64)
+                local[0, fives], local[0, pe - fives] = 0, 1
+                local[1, fives] = local[1, pe - fives] = range(local_orders[1])
             else:
+                local_orders = [pe - pe // p]
                 g = 3 if pe == 4 else _primitive_root(pe, p)
-                order = pe - pe // p
-                local = [(g, order)]
-                tables = [{}]
-                acc = 1
-                for k in range(order):
-                    tables[0][acc] = k
-                    acc = acc * g % pe
-            for g, order in local:
-                self.generators.append(self._crt_lift(g, pe, cof))
-                self.orders.append(order)
-                self.component_mod.append(pe)
-            self._dlogs.extend(tables)
+                local = np.full((1, pe), -1, dtype=np.int64)
+                local[0, [pow(g, k, pe) for k in range(local_orders[0])]] = range(local_orders[0])
+            self.orders += local_orders
+            rows.append(local[:, residues % pe])
+        self.logs = np.where(self.units, np.concatenate(rows), -1)
+        self.exponent_lcm = math.lcm(*self.orders)
+        self.steps = np.array([self.exponent_lcm // order for order in self.orders], dtype=np.int64)  # L / o_j
+        for table in (self.logs, self.kernels, self.units, self.steps):
+            table.flags.writeable = False
 
-        self.exponent_lcm = math.lcm(*self.orders) if self.orders else 1
-
-    @staticmethod
-    def _crt_lift(g: int, pe: int, cof: int) -> int:
-        """Lift g mod pe to a unit that is 1 modulo the cofactor."""
-        if cof == 1:
-            return g % pe
-        inv = pow(pe, -1, cof)
-        return (g + pe * ((1 - g) * inv % cof)) % (pe * cof)
-
-    def dlog_vector(self, n: int) -> tuple[int, ...] | None:
-        """Exponent of n on each generator; None when gcd(n, q) > 1."""
-        n %= self.q
-        if self.q == 1:
-            return ()
-        if math.gcd(n, self.q) != 1:
-            return None
-        return tuple(dl[n % m] for dl, m in zip(self._dlogs, self.component_mod))
+    def numerators(self, exponents: tuple[int, ...]) -> np.ndarray:
+        """k(n) with chi(n) = e^(2 pi i k(n) / L) for the units n, and -1 for the other residues."""
+        k = np.array(exponents, dtype=np.int64) * self.steps @ self.logs % self.exponent_lcm
+        return np.where(self.units, k, -1)
 
 
 @dataclass(frozen=True)
@@ -124,46 +112,21 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
 
-def _char_log_num(group: _UnitGroup, exponents: tuple[int, ...], n: int) -> int | None:
-    """Numerator k of chi(n) = e^(2 pi i k / L), or None on non-units."""
-    vec = group.dlog_vector(n)
-    if vec is None:
-        return None
-    L = group.exponent_lcm
-    return sum(a * d * (L // order) for a, d, order in zip(exponents, vec, group.orders)) % L
-
-
-def _conductor(group: _UnitGroup, exponents: tuple[int, ...]) -> int:
-    """Smallest f | q such that chi is trivial on units congruent to 1 mod f; f = q qualifies, as only n = 1 is 1 mod q."""
-    q = group.q
-    return next(
-        f
-        for f in range(1, q + 1)
-        if q % f == 0
-        and all(_char_log_num(group, exponents, n) == 0 for n in range(1, q + 1) if n % f == 1 % f and math.gcd(n, q) == 1)
-    )
-
-
 def _build_character(q: int, exponents: tuple[int, ...]) -> DirichletCharacter:
     group = _UnitGroup(q)
-    if q == 1:
-        return DirichletCharacter(1, (), 1, True, "even")
-    principal = all(e == 0 for e in exponents)
-    parity = "even" if _char_log_num(group, exponents, q - 1) == 0 else "odd"
-    return DirichletCharacter(q, exponents, _conductor(group, exponents), principal, parity)
+    k = group.numerators(exponents)
+    # The smallest f | q with chi trivial on the units = 1 mod f; f = q
+    # qualifies, as only n = 1 is 1 mod q.
+    conductor = group.divisors[(group.kernels & (k != 0)).any(axis=1).argmin()]
+    parity = "even" if k[q - 1] == 0 else "odd"
+    return DirichletCharacter(q, exponents, conductor, all(e == 0 for e in exponents), parity)
 
 
 @lru_cache(maxsize=None)
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, ordered by exponent vector."""
-    group = _UnitGroup(q)
-    if not group.orders:
-        return (_build_character(q, ()),)
-
-    vectors: list[tuple[int, ...]] = [()]
-    for order in group.orders:
-        vectors = [v + (e,) for v in vectors for e in range(order)]
-    return tuple(_build_character(q, vec) for vec in sorted(vectors))
+    orders = _UnitGroup(q).orders
+    return tuple(_build_character(q, vec) for vec in itertools.product(*(range(order) for order in orders)))
 
 
 def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
@@ -171,35 +134,30 @@ def primitive_characters(q: int) -> tuple[DirichletCharacter, ...]:
 
 
 @lru_cache(maxsize=None)
-def _value_table(chi: DirichletCharacter) -> tuple[complex, ...]:
+def _roots_of_unity(L: int) -> np.ndarray:
+    """e^(2 pi i k / L) for 0 <= k < L, exact on the fourth roots of unity."""
+    exact = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
+    return np.array([exact[4 * k // L] if 4 * k % L == 0 else cmath.exp(2j * cmath.pi * k / L) for k in range(L)])
+
+
+@lru_cache(maxsize=None)
+def _value_table(chi: DirichletCharacter) -> np.ndarray:
+    """chi(n) for 0 <= n < q, read-only; zero exactly on non-units."""
     group = _UnitGroup(chi.modulus)
-    L = group.exponent_lcm
-    table = []
-    for n in range(chi.modulus):
-        k = _char_log_num(group, chi.exponents, n)
-        if k is None:
-            table.append(0j)
-        elif 4 * k % L == 0:
-            # exact values on the fourth roots of unity
-            table.append({0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}[4 * k // L])
-        else:
-            table.append(cmath.exp(2j * cmath.pi * k / L))
-    return tuple(table)
+    k = group.numerators(chi.exponents)
+    table = np.where(group.units, _roots_of_unity(group.exponent_lcm)[k], 0j)
+    table.flags.writeable = False
+    return table
 
 
 def char_value(chi: DirichletCharacter, n: int) -> complex:
     """chi(n); zero exactly on non-units."""
-    if chi.modulus == 1:
-        return 1 + 0j
-    return _value_table(chi)[n % chi.modulus]
+    return complex(_value_table(chi)[n % chi.modulus])
 
 
 def char_value_vec(chi: DirichletCharacter, n: np.ndarray) -> np.ndarray:
     """Vectorised chi(n) for an integer array n."""
-    if chi.modulus == 1:
-        return np.ones(np.asarray(n).shape, dtype=complex)
-    table = np.asarray(_value_table(chi))
-    return table[np.asarray(n) % chi.modulus]
+    return _value_table(chi)[np.asarray(n) % chi.modulus]
 
 
 @lru_cache(maxsize=None)
@@ -229,18 +187,12 @@ def primitive_inducer(chi: DirichletCharacter) -> DirichletCharacter:
     if chi.is_primitive:
         return chi
     f, q = chi.conductor, chi.modulus
-    group = _UnitGroup(q)
-    cand_group = _UnitGroup(f)
-    lq, lf = group.exponent_lcm, cand_group.exponent_lcm
-    for cand in enumerate_characters(f):
-        if cand.conductor != f:
-            continue
-        # chi(n) = cand(n) on units of q: compare the exact phases k/L as rationals.
-        if all(
-            _char_log_num(group, chi.exponents, n) * lf == _char_log_num(cand_group, cand.exponents, n % f) * lq
-            for n in range(1, q + 1)
-            if math.gcd(n, q) == 1
-        ):
+    group, cand_group = _UnitGroup(q), _UnitGroup(f)
+    units = np.flatnonzero(group.units)
+    # chi(n) = cand(n) on the units of q: compare the exact phases k/L as rationals.
+    phases = group.numerators(chi.exponents)[units] * cand_group.exponent_lcm
+    for cand in primitive_characters(f):
+        if np.array_equal(cand_group.numerators(cand.exponents)[units % f] * group.exponent_lcm, phases):
             return cand
     raise ArithmeticError(f"no inducing character found for {chi}")
 

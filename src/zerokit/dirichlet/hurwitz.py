@@ -67,6 +67,7 @@ import numpy as np
 from zerokit.dirichlet.arith import factorize, least_prime_factors
 
 __all__ = [
+    "bernoulli_over_factorial",
     "hurwitz_bound",
     "hurwitz_majorant",
     "hurwitz_zeta_vec",
@@ -79,7 +80,7 @@ TABLE_ROWS = 1 << 26  # largest size `_rows` may allocate: its sieve's N q + max
 
 
 @lru_cache(maxsize=1)
-def _bernoulli_over_factorial() -> tuple[float, ...]:
+def bernoulli_over_factorial() -> tuple[float, ...]:
     """B_{2j}/(2j)! for j = 1..ORDER+2, exactly computed then rounded once."""
     count = ORDER + 2
     top = 2 * count
@@ -110,7 +111,7 @@ def _shift_for(s: np.ndarray) -> int:
     root = 1.0 / expo
     steps = np.arange(2 * ORDER + 2)
     factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), tmax) ** root
-    shift = np.multiply.reduce(factors, initial=(abs(_bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root)
+    shift = np.multiply.reduce(factors, initial=(abs(bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root)
     return max(1, math.ceil(shift))
 
 
@@ -140,7 +141,7 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
         np.multiply(poly[j - 1], (points + (2 * j - 1)) * (points + 2 * j), out=poly[j])
     # powers[j - 1] = B_2j/(2j)! x^j, x^j by a cumulative product.
     powers = np.cumprod(np.repeat(1.0 / (w * w), ORDER, axis=0), axis=0)
-    powers *= np.array(_bernoulli_over_factorial()[:ORDER])[:, None]
+    powers *= np.array(bernoulli_over_factorial()[:ORDER])[:, None]
     # Rows of the float views: the parts of each column of powers, times the
     # (real, imaginary) pair of each coefficient, so the result views as complex.
     prod = (powers.view(float).T @ poly.view(float)).view(complex)
@@ -329,7 +330,7 @@ def _truncation(s: np.ndarray, w: np.ndarray, poch: np.ndarray) -> np.ndarray:
     has passed `_shift_for`, so Re s + 2M + 1 > 1.
     """
     expo = s.real[:, None] + 2 * ORDER + 1
-    mag = abs(_bernoulli_over_factorial()[ORDER]) * poch[:, ORDER:] * w ** -expo
+    mag = abs(bernoulli_over_factorial()[ORDER]) * poch[:, ORDER:] * w ** -expo
     return mag * np.abs(s[:, None] + 2 * ORDER + 1) / expo
 
 
@@ -417,7 +418,7 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
     logw = np.log(n_shift + shifts)
     poch = _pochhammer(s)
-    coeffs = np.abs(np.array(_bernoulli_over_factorial()[:ORDER]))
+    coeffs = np.abs(np.array(bernoulli_over_factorial()[:ORDER]))
     # Per point and shift: the direct block's sum_{n<N} (n+a)^-Re s, its
     # phase weight sum_{n<N} (n+a)^-Re s |log(n+a)|, and the tail's
     # |w^(1-s)/(s-1)| + |w^-s|/2 + sum_j |B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1)|.
@@ -470,7 +471,7 @@ def hurwitz_majorant(lo: float, hi: float, height: float, a: np.ndarray) -> tupl
     steps = np.arange(2 * ORDER + 2)
     factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), height)
     poch = np.cumprod(factors[:-1])[::2]  # max |(s)_{2j-1}|, j = 1..ORDER+1
-    coeffs = np.abs(np.array(_bernoulli_over_factorial()[: ORDER + 1]))
+    coeffs = np.abs(np.array(bernoulli_over_factorial()[: ORDER + 1]))
     pieces = coeffs * poch * w[:, None] ** -(lo + 2 * steps[1 : ORDER + 2] - 1)
     pieces[:, -1] *= factors[-1] / expo  # the order M + 1 term times |s+2M+1| / (Re s+2M+1) bounds R_M
     return float(direct + (0.5 * w**-lo).sum() + pieces.sum()), float((w ** (1.0 - lo)).sum())

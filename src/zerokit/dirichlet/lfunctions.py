@@ -37,7 +37,7 @@ from zerokit.dirichlet.characters import (
     char_value,
     char_value_vec,
 )
-from zerokit.dirichlet.hurwitz import _bernoulli_over_factorial, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import bernoulli_over_factorial, hurwitz_zeta_vec
 
 __all__ = [
     "GammaPoleError",
@@ -45,6 +45,7 @@ __all__ = [
     "digamma",
     "gamma_factor_log_deriv",
     "l_eval_vec",
+    "log_deriv_by_contour",
     "log_deriv_series",
     "loggamma",
     "root_number",
@@ -224,7 +225,7 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 @lru_cache(maxsize=None)
 def _stirling_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """B_2j/(2j(2j-1)) and B_2j/(2j) for j = 1..terms, from the table of B_2j/(2j)!."""
-    table = list(enumerate(_bernoulli_over_factorial()[:terms], 1))
+    table = list(enumerate(bernoulli_over_factorial()[:terms], 1))
     return (
         tuple(b * math.factorial(2 * j - 2) for j, b in table),
         tuple(b * math.factorial(2 * j - 1) for j, b in table),

@@ -30,6 +30,7 @@ __all__ = [
     "e_kernel",
     "e_kernel_bound_check",
     "e_kernel_partial_sum",
+    "irwin_hall",
     "psi_mellin",
     "psi_weight",
 ]
@@ -76,11 +77,11 @@ def psi_weight(x: float | np.ndarray, p: WeightParams) -> float | np.ndarray:
     if np.any(x <= 0.0):
         raise ValueError("psi_weight requires x > 0")
     n, a = p.degree_n, p.scale_A
-    out = _irwin_hall(a * np.log(x) / 2.0 + n, 2 * n) * (a / 2.0)
+    out = irwin_hall(a * np.log(x) / 2.0 + n, 2 * n) * (a / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _irwin_hall(t: np.ndarray, m: int) -> np.ndarray:
+def irwin_hall(t: np.ndarray, m: int) -> np.ndarray:
     """The Irwin--Hall density f_m of degree m >= 2 at t, folded about its centre m/2 (`psi_weight`)."""
     t = np.minimum(t, m - t)
     out = np.zeros(t.shape)

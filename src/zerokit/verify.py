@@ -66,10 +66,12 @@ from zerokit.dirichlet.lfunctions import (
 )
 from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.dirichlet.zeros import ZeroSet, count_zeros_circle
-from zerokit.kernels import WeightParams, _irwin_hall, e_kernel, psi_weight
+from zerokit.kernels import WeightParams, e_kernel, irwin_hall, psi_weight
 
 __all__ = [
     "CheckReport",
+    "SUITES",
+    "TOLERANCES",
     "circle_lemma_check",
     "default_suite",
     "density_theorem_check",
@@ -583,7 +585,7 @@ def largesieve_smoothing_check(
     # Smoothing comparison for the untwisted coefficient sequence.
     params = WeightParams(degree_n=1, height_T=max(T, 1.0))
     n, a = params.degree_n, params.scale_A
-    gram = (a / 2.0) * _irwin_hall(2 * n + a * delta / 2.0, 4 * n)
+    gram = (a / 2.0) * irwin_hall(2 * n + a * delta / 2.0, 4 * n)
     lhs_t = float(np.einsum("p,pr,r->", b.conj(), k, b).real)
     rhs_x = float(np.einsum("p,pr,r->", b.conj(), gram, b).real)
     smoothing_ratio = lhs_t / rhs_x if rhs_x > 0 else math.inf

@@ -1,5 +1,11 @@
 """Reference implementations the tests compare against; no command runs them.
 
+* `unit_generators`, `character_phases`, `conductor_by_definition`: the
+  labelling generators of (Z/qZ)^* as CRT lifts, each character's exact
+  phases from chi(g_j) = e^(2 pi i e_j / o_j) by walking the generators'
+  exponent box, and the conductor as the smallest f | q with chi = 1 on the
+  units = 1 mod f: the references for the discrete-log table of
+  `characters`.
 * `l_eval`, `l_eval_by_inducer`: L(s, chi) at one point, directly and
   through the primitive inducer (the reference for imprimitive L-values).
 * `gamma_factor`, `completed_l`: the gamma factor and the completed
@@ -21,7 +27,9 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from mpmath import iv, mp
@@ -43,6 +51,56 @@ from zerokit.kernels import e_kernel
 from zerokit.verify import _CIRCLE_VARIANTS, CIRCLE_REACH, _report, _zeros_to
 
 _LOG_PI = math.log(math.pi)
+
+
+def _order(g: int, q: int) -> int:
+    """The multiplicative order of the unit g mod q, by walking its powers."""
+    order, power = 1, g % q
+    while power != 1 % q:
+        order, power = order + 1, power * g % q
+    return order
+
+
+def unit_generators(q: int) -> list[tuple[int, int]]:
+    """The generators of (Z/qZ)^* that label the characters, with their orders.
+
+    Each is the CRT lift of a local generator g mod p^e (the smallest
+    primitive root for odd p, 3 for 4, and -1 then 5 for 2^e with e >= 3):
+    the n mod q with n = g mod p^e and n = 1 modulo q / p^e.
+    """
+    generators = []
+    for p, e in factorize(q):
+        pe, cof = p**e, q // p**e
+        if p == 2:
+            local = [] if e == 1 else [3] if e == 2 else [pe - 1, 5]
+        else:
+            local = [next(g for g in range(2, pe) if g % p and _order(g, pe) == pe - pe // p)]
+        for g in local:
+            lift = (g + pe * ((1 - g) * pow(pe, -1, cof) % cof)) % q
+            generators.append((lift, _order(lift, q)))
+    return generators
+
+
+def character_phases(chi: DirichletCharacter) -> list[Fraction | None]:
+    """chi(n) = e^(2 pi i phase) for 0 <= n < q: the exact phase in [0, 1) on the units, None off them."""
+    q = chi.modulus
+    generators = unit_generators(q)
+    phases: list[Fraction | None] = [None] * q
+    for logs in itertools.product(*(range(order) for _, order in generators)):
+        n = math.prod(pow(g, a, q) for (g, _), a in zip(generators, logs)) % q
+        phase = sum((Fraction(e * a, order) for e, a, (_, order) in zip(chi.exponents, logs, generators)), Fraction(0))
+        phases[n] = phase % 1
+    return phases
+
+
+def conductor_by_definition(phases: list[Fraction | None]) -> int:
+    """The smallest f | q with chi(n) = 1 on every unit n = 1 mod f."""
+    q = len(phases)
+    return next(
+        f
+        for f in range(1, q + 1)
+        if q % f == 0 and all(phase == 0 for n, phase in enumerate(phases) if phase is not None and n % f == 1 % f)
+    )
 
 
 def l_eval(s: complex, chi: DirichletCharacter) -> complex:

@@ -16,6 +16,8 @@ from zerokit.dirichlet.characters import (
     product_character,
 )
 
+from oracles import character_phases, conductor_by_definition, unit_generators
+
 
 def euler_phi(q: int) -> int:
     return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
@@ -137,3 +139,39 @@ class TestStructure:
         assert char_label(enumerate_characters(8)[3]) == "q8.e1;1"
         assert exponent_key(enumerate_characters(1)[0]) == "-"
         assert exponent_key(enumerate_characters(8)[3]) == "1;1"
+
+
+class TestAgainstDefinitions:
+    def test_discrete_log_table_rebuilds_every_unit(self):
+        # prod_j g_j^logs[j, n] = n mod q on the CRT-lifted generators, with
+        # 0 <= logs[j, n] < o_j = ord(g_j) and prod_j o_j = phi(q): the table
+        # is the inverse of the exponent box's bijection onto the units.
+        for q in range(1, 401):
+            group = _UnitGroup(q)
+            assert not group.logs.flags.writeable
+            generators = unit_generators(q)
+            assert [order for _, order in generators] == group.orders, q
+            assert math.prod(group.orders) == euler_phi(q), q
+            for n, logs in enumerate(group.logs.T.tolist()):
+                if math.gcd(n, q) > 1:
+                    assert logs == [-1] * len(generators), (q, n)
+                    continue
+                assert all(0 <= a < order for a, (_, order) in zip(logs, generators)), (q, n)
+                assert math.prod(pow(g, a, q) for (g, _), a in zip(generators, logs)) % q == n, (q, n)
+
+    @pytest.mark.parametrize("q", range(1, 61))
+    def test_conductor_parity_values_and_inducer(self, q):
+        units = [n for n in range(q) if math.gcd(n, q) == 1]
+        for chi in enumerate_characters(q):
+            phases = character_phases(chi)
+            assert [n for n in range(q) if phases[n] is not None] == units
+            assert chi.conductor == conductor_by_definition(phases)
+            assert chi.parity == ("even" if phases[-1] == 0 else "odd")
+            assert chi.is_principal == all(phases[n] == 0 for n in units)
+            for n in range(q):
+                expected = 0j if phases[n] is None else cmath.exp(2j * math.pi * phases[n])
+                assert abs(char_value(chi, n) - expected) <= 1e-12, (chi, n)
+            star = primitive_inducer(chi)
+            star_phases = character_phases(star)
+            assert star.modulus == chi.conductor == conductor_by_definition(star_phases)
+            assert all(phases[n] == star_phases[n % star.modulus] for n in units)

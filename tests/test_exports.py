@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -63,6 +64,23 @@ def _reached(tree: ast.Module) -> set[str]:
                 continue
             reached |= names - {own}
     return reached
+
+
+def test_src_imports_only_exported_names():
+    # The reverse of the reached-check below: a name that one src module
+    # imports from another belongs to the defining module's interface, so
+    # that module's __all__ lists it.  Submodules are imported by name.
+    unlisted = []
+    for path in sorted(Path(zerokit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("zerokit")):
+                assert not node.level, f"{path.name}: relative import"
+                module = importlib.import_module(node.module)
+                exported = getattr(module, "__all__", ())
+                for name in (alias.name for alias in node.names):
+                    if not inspect.ismodule(getattr(module, name)) and name not in exported:
+                        unlisted.append(f"{path.name}: {node.module}.{name}")
+    assert not unlisted, unlisted
 
 
 def test_src_exports_only_what_src_reaches():

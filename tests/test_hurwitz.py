@@ -348,7 +348,7 @@ class TestCertifiedTruncation:
             tmax = float(np.max(np.abs(s.imag)))
             expo = lo + 2 * hurwitz.ORDER + 1
             root = 1.0 / expo
-            shift = (abs(hurwitz._bernoulli_over_factorial()[hurwitz.ORDER]) / (expo * TARGET)) ** root
+            shift = (abs(hurwitz.bernoulli_over_factorial()[hurwitz.ORDER]) / (expo * TARGET)) ** root
             for i in range(2 * hurwitz.ORDER + 2):
                 shift *= math.hypot(max(abs(lo + i), abs(hi + i)), tmax) ** root
             return max(1, math.ceil(shift))
@@ -374,7 +374,7 @@ class TestCertifiedTruncation:
             poch = poch * (s + i)
         w = hurwitz._shift_for(s) + 0.25
         expo = s.real + 2 * hurwitz.ORDER + 1
-        mag = abs(hurwitz._bernoulli_over_factorial()[hurwitz.ORDER]) * np.abs(poch) * w ** (-expo)
+        mag = abs(hurwitz.bernoulli_over_factorial()[hurwitz.ORDER]) * np.abs(poch) * w ** (-expo)
         reference = mag * np.abs(s + 2 * hurwitz.ORDER + 1) / expo
         assert _truncation(s, 0.25) == pytest.approx(reference, rel=1e-13)
 

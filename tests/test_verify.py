@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zerokit.dirichlet.arith import primes_in_window, primes_up_to, rough_mask
+from zerokit.dirichlet.arith import prime_powers, primes_in_window, primes_up_to, rough_mask
 from zerokit.dirichlet.characters import char_value, enumerate_characters, primitive_inducer
 from zerokit.dirichlet.lfunctions import log_deriv_series
 from zerokit.kernels import WeightParams, psi_weight
@@ -424,6 +424,14 @@ class TestDetector:
     def test_scale_note_recorded(self):
         report = detector_series_identity_check(ZETA, 0.5, 0.0, 2, 10**4)
         assert "ingredient" in report.context["note"]
+
+    def test_both_routes_read_one_prime_power_table(self):
+        # The kernel route and log_deriv_series share the table cached for
+        # the cutoff, so its columns are read-only.
+        prime_powers.cache_clear()
+        detector_series_identity_check(CHI4, 0.5, 1.0, 3, 10**5)
+        assert prime_powers.cache_info().misses == 1
+        assert not any(column.flags.writeable for column in prime_powers(10**5))
 
 
 @pytest.fixture(scope="module")
