@@ -247,12 +247,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         hadamard_k=args.k,
         tolerances=cfg.tolerances,
     )
+    report_json = reports_to_json(reports) if cfg.output_format == "json" or args.report_file else None
     if cfg.output_format == "json":
-        print(reports_to_json(reports))
+        print(report_json)
     else:
         print(summary_table(reports))
     if args.report_file:
-        Path(args.report_file).write_text(reports_to_json(reports) + "\n")
+        Path(args.report_file).write_text(report_json + "\n")
     failures = [r for r in reports if not r.passed]
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

@@ -31,7 +31,6 @@ CLI labels them as such.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -39,6 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from zerokit.errorbounded import EB_E, EB_PI, ErrorBounded, eb_exp, eb_log, eb_pow, eb_sqrt
+from zerokit.jsonrows import json_rows, json_value
 
 __all__ = [
     "DENSITY_EPS_NARROW",
@@ -575,4 +575,10 @@ def certification_report(
 
 
 def report_to_json(rows: list[CertEntry]) -> str:
-    return json.dumps([r.to_dict() for r in rows], indent=2, allow_nan=False)
+    """The rows' `to_dict` rows as json.dumps(rows, indent=2, allow_nan=False) writes them, one f-string per row."""
+    return json_rows(
+        f'{{\n    "name": {json_value(r.name)},\n    "derived_value": {json_value(r.derived_value)},'
+        f'\n    "derived_radius": {json_value(r.derived_radius)},\n    "published": {json_value(r.published)},'
+        f'\n    "direction": {json_value(r.direction)},\n    "pass": {json_value(r.passed)}\n  }}'
+        for r in rows
+    )

@@ -95,71 +95,90 @@ def _l_at_one(chi: DirichletCharacter) -> complex:
 
 
 def log_deriv_by_contour(
-    s: complex,
+    s,
     chi: DirichletCharacter,
-    k: int,
-    radius: float | None = None,
+    k,
+    radius=None,
     *,
     tolerance: float | None = None,
-) -> complex:
-    """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L.
+):
+    """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L, at every centre s.
 
-    (d/ds)^k L'/L is the (k+1)-th derivative of log L, so trapezoidal
-    quadrature of the Cauchy integral of log L(w) on a circle around s gives
-    it from values of L alone: one Hurwitz kernel serves L and all of its
-    log-derivatives.  log L is log|L| plus the phase of L unwrapped along the
-    circle.  That branch is analytic inside the circle only when the circle
-    encloses no zero and no pole, which is exactly when the unwrapped phase
-    closes; otherwise ArithmeticError is raised.  The default radius keeps the
-    circle inside Re w > 1/2 and away from w = 1 for Re s > 1.  The quadrature
-    error decays geometrically in the node count, so this route reaches ~1e-13
-    and is independent of both the prime series and any zero data.
+    s is an array of centres and k (an order each) and radius (None, or one
+    each) broadcast against it; the result has the broadcast shape, and is
+    a scalar for scalar arguments.  (d/ds)^k L'/L is the (k+1)-th
+    derivative of log L, so trapezoidal quadrature of the Cauchy integral
+    of log L(w) on a circle around s gives it from values of L alone: one
+    Hurwitz kernel serves L and all of its log-derivatives, and every
+    circle's nodes go into one `l_eval_vec` call.  log L is log|L| plus the
+    phase of L unwrapped along the circle.  That branch is analytic inside
+    the circle only when the circle encloses no zero and no pole, which is
+    exactly when the unwrapped phase closes; otherwise ArithmeticError is
+    raised, naming the first such circle.  The default radius keeps each
+    circle inside Re w > 1/2 and away from w = 1 for Re s > 1.  The
+    quadrature error decays geometrically in the node count, so this route
+    reaches ~1e-13 and is independent of both the prime series and any zero
+    data.
 
     Its rounding error does not decay: each node's log L carries a relative
     error of a few units in 2^-53, and the sum is divided by radius^(k+1).
     With a `tolerance`, an order k whose rounding estimate
-    10 (k+1) 2^-53 max|log L| / radius^(k+1), max over the nodes, exceeds
-    it is refused (ValueError): at that order a comparison at the
-    tolerance would measure the rounding, not the data.
+    10 (k+1) 2^-53 max|log L| / radius^(k+1), max over the circle's nodes,
+    exceeds it is refused (ValueError): at that order a comparison at the
+    tolerance would measure the rounding, not the data.  The L-values of one
+    call share the Hurwitz kernel's shift, so a circle's value can differ
+    from that of a call of its own by rounding, amplified by 1/radius^(k+1).
     """
-    s = complex(s)
-    if s.real <= 1.0:
+    centres, orders = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(k))
+    if np.any(centres.real <= 1.0):
         raise ValueError("requires Re s > 1")
     if radius is None:
         # Keep the circle away from w = 1: even without a pole there, the
         # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
         # nearby.  0.4 of the distance keeps the quadrature error geometric.
-        radius = 0.4 * min(s.real - 0.5, abs(s - 1.0))
+        radius = 0.4 * np.minimum(centres.real - 0.5, np.abs(centres - 1.0))
+    centres, orders, radii = np.broadcast_arrays(centres, orders, np.asarray(radius, dtype=float))
+    shape = centres.shape
+    centres, orders, radii = centres.ravel(), orders.ravel().tolist(), radii.ravel()
     nodes = 128
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    values = l_eval_vec(s + radius * np.exp(1j * theta), chi)
-    phase = np.unwrap(np.angle(np.append(values, values[0])))
-    winding = (phase[-1] - phase[0]) / (2.0 * math.pi)
-    if abs(winding) > 0.5:
-        raise ArithmeticError(
-            f"L(w, {char_label(chi)}) winds {winding:+.0f} times around |w - {s}| = {radius}: "
-            "a zero or pole lies inside the circle"
-        )
-    log_l = np.log(np.abs(values)) + 1j * phase[:-1]
+    # One row of nodes per circle.
+    values = l_eval_vec(centres[:, None] + radii[:, None] * np.exp(1j * theta), chi)
+    phase = np.unwrap(np.angle(np.concatenate([values, values[:, :1]], axis=1)), axis=1)
+    winding = (phase[:, -1] - phase[:, 0]) / (2.0 * math.pi)
+    for centre, r, turns in zip(centres.tolist(), radii.tolist(), winding.tolist()):
+        if abs(turns) > 0.5:
+            raise ArithmeticError(
+                f"L(w, {char_label(chi)}) winds {turns:+.0f} times around |w - {centre}| = {r}: "
+                "a zero or pole lies inside the circle"
+            )
+    log_l = np.log(np.abs(values)) + 1j * phase[:, :-1]
     # radius^(k+1) underflows for a large order k (near k = 440 at s = 3/2),
     # and the coefficient overflows with it: refuse the order, never return
     # inf.  An order k beyond float64 cannot even be multiplied in.
+    exponent = np.array([_float_or_inf(order) for order in orders]) + 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            coeff = np.sum(log_l * np.exp(-1j * (k + 1) * theta)) / (nodes * radius ** (k + 1))
-            value = complex((-1.0) ** (k + 1) * (k + 1) * coeff)
-        except OverflowError:
-            value = complex(math.nan)
-    if not cmath.isfinite(value):
-        raise ValueError(f"order k = {k} is out of float64 range: (d/ds)^k L'/L at {s} is not finite")
-    if tolerance is not None:
-        rounding = 10.0 * (k + 1) * 2.0**-53 * float(np.max(np.abs(log_l))) / radius ** (k + 1)
-        if rounding > tolerance:
+        scale = radii**exponent
+        coeff = np.sum(log_l * np.exp(-1j * exponent[:, None] * theta), axis=1) / (nodes * scale)
+        out = (-1.0) ** exponent * exponent * coeff
+        rounding = 10.0 * exponent * 2.0**-53 * np.max(np.abs(log_l), axis=1) / scale
+    for centre, order, value, error in zip(centres.tolist(), orders, out.tolist(), rounding.tolist()):
+        if not cmath.isfinite(value):
+            raise ValueError(f"order k = {order} is out of float64 range: (d/ds)^k L'/L at {centre} is not finite")
+        if tolerance is not None and error > tolerance:
             raise ValueError(
-                f"order k = {k} is too high at {s}: the contour's rounding estimate {rounding:.3g} "
+                f"order k = {order} is too high at {centre}: the contour's rounding estimate {error:.3g} "
                 f"exceeds the tolerance {tolerance}"
             )
-    return value
+    return out.reshape(shape)[()]
+
+
+def _float_or_inf(order: int) -> float:
+    """The order as a float, inf beyond float64 (so its circle's value is not finite)."""
+    try:
+        return float(order)
+    except OverflowError:
+        return math.inf
 
 
 # -- completed function --------------------------------------------------------
@@ -204,13 +223,15 @@ def trivial_ladder_start(chi: DirichletCharacter) -> int:
     return 2 if chi.is_principal else 0
 
 
-def trivial_zero_sum(chi: DirichletCharacter, s: complex, k: int) -> complex:
-    """sum over the trivial zeros omega of 1/(s - omega)^(k+1), exactly.
+def trivial_zero_sum(chi: DirichletCharacter, s, k: int):
+    """sum over the trivial zeros omega of 1/(s - omega)^(k+1), exactly, at every s of an array.
 
-    Equals 2^-(k+1) zeta(k+1, (s+c)/2); needs k >= 1 and Re s + c > 0.
+    Equals 2^-(k+1) zeta(k+1, (s+c)/2), every s in one Hurwitz call; needs
+    k >= 1 and Re s + c > 0.  The result has the shape of s, and is a
+    scalar for a scalar s.
     """
-    a = (complex(s) + trivial_ladder_start(chi)) / 2.0
-    return complex(hurwitz_zeta_vec(k + 1.0, a)) / 2.0 ** (k + 1)
+    a = (np.asarray(s, dtype=complex) + trivial_ladder_start(chi)) / 2.0
+    return (hurwitz_zeta_vec(k + 1.0, a) / 2.0 ** (k + 1))[()]
 
 
 # -- gamma kernel --------------------------------------------------------------

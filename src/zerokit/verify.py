@@ -27,11 +27,10 @@ and the checks assert against these frozen values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from zerokit.dirichlet.lfunctions import (
 )
 from zerokit.dirichlet.zerocache import ZeroLibrary
 from zerokit.dirichlet.zeros import ZeroSet, count_zeros_circle
+from zerokit.jsonrows import json_rows, json_value
 from zerokit.kernels import WeightParams, e_kernel, irwin_hall, psi_weight
 
 __all__ = [
@@ -152,7 +152,13 @@ def _report(name: str, lhs: float, rhs: float, **context) -> CheckReport:
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
+    """The reports' `to_dict` rows as json.dumps(rows, indent=2, allow_nan=False) writes them, one f-string per row."""
+    return json_rows(
+        f'{{\n    "name": {json_value(r.name)},\n    "lhs": {json_value(r.lhs)},\n    "rhs": {json_value(r.rhs)},'
+        f'\n    "direction": {json_value(r.direction)},\n    "margin": {json_value(r.margin)},'
+        f'\n    "pass": {json_value(r.passed)},\n    "context": {json_value(r.context, "    ")}\n  }}'
+        for r in reports
+    )
 
 
 def summary_table(reports: Iterable[CheckReport]) -> str:
@@ -235,103 +241,115 @@ def _zeros_to(zs: ZeroSet, T_zeros: float) -> np.ndarray:
 def explicit_formula_residual(
     library: ZeroLibrary,
     chi: DirichletCharacter,
-    s: complex,
-    T_zeros: float,
+    points: Sequence[tuple[complex, float]],
     tolerance: float = TOLERANCES["explicit_formula"],
-) -> CheckReport:
-    """Residual of the log-derivative explicit formula at s, zeros to T_zeros.
+) -> list[CheckReport]:
+    """Residual of the log-derivative explicit formula at each point (s, T_zeros): one report per point.
 
-    lhs: -Re{L'/L(s)} from the analytic evaluator.  rhs: (1/2) log D_chi +
-    principal terms - truncated zero sum + gamma term.  The truncation tail
-    (estimated as 2 * count / T_zeros from the strip's zero density) is
-    reported in the context, not folded into the comparison.
+    lhs: -Re{L'/L(s)} from the analytic evaluator, every point's contour in
+    one `log_deriv_by_contour` call.  rhs: (1/2) log D_chi + principal
+    terms - zero sum truncated to |gamma| <= T_zeros + gamma term.  The
+    truncation tail (estimated as 2 * count / T_zeros from the strip's zero
+    density) is reported in the context, not folded into the comparison.
     """
     if not chi.is_primitive:
         raise ValueError("explicit formula check requires a primitive character")
-    s = complex(s)
-    if not 1.0 < s.real <= 3.0:
+    points = [(complex(s), T_zeros) for s, T_zeros in points]
+    if not all(1.0 < s.real <= 3.0 for s, _ in points):
         raise ValueError("requires 1 < Re s <= 3")
-    zs = library.get(chi, T_zeros)
+    zero_sets = [library.get(chi, T_zeros) for _, T_zeros in points]
 
-    lhs = log_deriv_by_contour(s, chi, 0).real  # -Re{L'/L(s)}
+    lhs_values = log_deriv_by_contour([s for s, _ in points], chi, 0).real  # -Re{L'/L(s)}
     delta = 1.0 if chi.is_principal else 0.0
-    rho = _zeros_to(zs, T_zeros)
-    zero_sum = float(np.sum((1.0 / (s - rho)).real))
-    rhs = (
-        0.5 * math.log(chi.conductor)
-        + delta * ((1.0 / (s - 1.0)).real + (1.0 / s).real)
-        - zero_sum
-        + gamma_factor_log_deriv(s, chi).real
-    )
-    n_trunc = len(rho)
-    tail_estimate = 2.0 * n_trunc / T_zeros
-    residual = abs(lhs - rhs)
-    return _report(
-        f"explicit_formula.{char_label(chi)}.s{s}",
-        residual,
-        tolerance,
-        s=str(s),
-        T_zeros=T_zeros,
-        lhs_value=lhs,
-        rhs_value=rhs,
-        truncated_zeros=n_trunc,
-        heuristic_tail=tail_estimate,
-    )
+    reports = []
+    for (s, T_zeros), zs, lhs in zip(points, zero_sets, lhs_values.tolist()):
+        rho = _zeros_to(zs, T_zeros)
+        zero_sum = float(np.sum((1.0 / (s - rho)).real))
+        rhs = (
+            0.5 * math.log(chi.conductor)
+            + delta * ((1.0 / (s - 1.0)).real + (1.0 / s).real)
+            - zero_sum
+            + gamma_factor_log_deriv(s, chi).real
+        )
+        n_trunc = len(rho)
+        tail_estimate = 2.0 * n_trunc / T_zeros
+        residual = abs(lhs - rhs)
+        reports.append(
+            _report(
+                f"explicit_formula.{char_label(chi)}.s{s}",
+                residual,
+                tolerance,
+                s=str(s),
+                T_zeros=T_zeros,
+                lhs_value=lhs,
+                rhs_value=rhs,
+                truncated_zeros=n_trunc,
+                heuristic_tail=tail_estimate,
+            )
+        )
+    return reports
 
 
 def hadamard_derivative_check(
     library: ZeroLibrary,
     chi: DirichletCharacter,
     k: int,
-    s: complex,
-    T_zeros: float,
+    points: Sequence[tuple[complex, float]],
     tolerance: float = TOLERANCES["hadamard"],
-) -> CheckReport:
-    """Derivative-side vs zero-side of the higher-derivative identity.
+) -> list[CheckReport]:
+    """Derivative side vs zero side of the order-k derivative identity at each point (s, T_zeros): one report per point.
 
     lhs: (-1)^(k+1)/k! (d/ds)^k L'/L(s) by contour differentiation (route
-    independent of zero data and of the prime series).  rhs:
-    delta/(s-1)^(k+1) - sum over nontrivial zeros (|gamma| <= T_zeros)
-    - sum over trivial zeros (exact, in closed form).  Requires k >= 2 for
-    absolute convergence of the zero sum; the nontrivial tail bound is added
-    to the context.  An order whose contour rounding error may exceed the
-    tolerance is refused with ValueError (`log_deriv_by_contour`), rather
-    than reported as a failure of the zero data.
+    independent of zero data and of the prime series), every point's
+    contour in one `log_deriv_by_contour` call.  rhs: delta/(s-1)^(k+1) -
+    sum over nontrivial zeros (|gamma| <= T_zeros) - sum over trivial zeros
+    (exact, in closed form, every point's in one `trivial_zero_sum` call).
+    Requires k >= 2 for absolute convergence of the zero sum; the
+    nontrivial tail bound is added to the context.  An order whose contour
+    rounding error may exceed the tolerance at a point is refused with
+    ValueError (`log_deriv_by_contour`), rather than reported as a failure
+    of the zero data.
     """
     if k < 2:
         raise ValueError("the zero sum requires k >= 2")
     if not chi.is_primitive:
         raise ValueError("requires a primitive character")
-    s = complex(s)
-    if not 1.0 < s.real <= 2.0:
+    points = [(complex(s), T_zeros) for s, T_zeros in points]
+    if not all(1.0 < s.real <= 2.0 for s, _ in points):
         raise ValueError("requires 1 < Re s <= 2")
-    zs = library.get(chi, T_zeros)
+    zero_sets = [library.get(chi, T_zeros) for _, T_zeros in points]
 
-    lhs = log_deriv_by_contour(s, chi, k, tolerance=tolerance)
+    centres = [s for s, _ in points]
+    lhs_values = log_deriv_by_contour(centres, chi, k, tolerance=tolerance)
+    trivial = trivial_zero_sum(chi, centres, k)
     delta = 1.0 if chi.is_principal else 0.0
+    reports = []
+    for (s, T_zeros), zs, lhs, trivial_sum in zip(points, zero_sets, lhs_values.tolist(), trivial.tolist()):
+        # (1 / (s - rho))^(k+1) underflows to 0 for a far zero, where (s - rho)^(k+1) would overflow.
+        nontrivial = complex(np.sum((1.0 / (s - _zeros_to(zs, T_zeros))) ** (k + 1)))
+        rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial_sum
 
-    # (1 / (s - rho))^(k+1) underflows to 0 for a far zero, where (s - rho)^(k+1) would overflow.
-    nontrivial = complex(np.sum((1.0 / (s - _zeros_to(zs, T_zeros))) ** (k + 1)))
-    rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial_zero_sum(chi, s, k)
+        # Tail of the nontrivial sum: |s - rho| >= |gamma| - |Im s| for tall zeros.
+        t_gap = T_zeros - abs(s.imag)
+        density = math.log(chi.conductor * (T_zeros + 3.0)) / (2.0 * math.pi)
+        # Negative powers underflow to 0 at a large k, where positive ones would overflow.
+        tail_bound = 2.0 * density * max(t_gap, 1.0) ** -k / k + 2.0 * max(t_gap, 1.0) ** -(k + 1)
 
-    # Tail of the nontrivial sum: |s - rho| >= |gamma| - |Im s| for tall zeros.
-    t_gap = T_zeros - abs(s.imag)
-    density = math.log(chi.conductor * (T_zeros + 3.0)) / (2.0 * math.pi)
-    # Negative powers underflow to 0 at a large k, where positive ones would overflow.
-    tail_bound = 2.0 * density * max(t_gap, 1.0) ** -k / k + 2.0 * max(t_gap, 1.0) ** -(k + 1)
-
-    diff = abs(lhs - rhs)
-    return _report(
-        f"hadamard.{char_label(chi)}.k{k}.s{s}",
-        diff,
-        tolerance,
-        s=str(s),
-        k=k,
-        T_zeros=T_zeros,
-        lhs_value=str(lhs),
-        rhs_value=str(rhs),
-        nontrivial_tail_bound=tail_bound,
-    )
+        diff = abs(lhs - rhs)
+        reports.append(
+            _report(
+                f"hadamard.{char_label(chi)}.k{k}.s{s}",
+                diff,
+                tolerance,
+                s=str(s),
+                k=k,
+                T_zeros=T_zeros,
+                lhs_value=str(lhs),
+                rhs_value=str(rhs),
+                nontrivial_tail_bound=tail_bound,
+            )
+        )
+    return reports
 
 
 # -- repulsion zero sums -------------------------------------------------------
@@ -736,16 +754,13 @@ def default_suite(
     if "circle" in suites:
         reports += circle_lemma_check(library, q_max, T, samples)
     if "explicit_formula" in suites:
-        reports.append(explicit_formula_residual(library, zeta, 2.0, 50.0, ef_tol))
-        reports.append(explicit_formula_residual(library, chi4, 2.0, 50.0, ef_tol))
         # Farther from the strip the per-zero terms shrink like (sigma-1/2)/gamma^2
         # but their total tail does not: use the deeper zero data at s = 3.
-        reports.append(explicit_formula_residual(library, zeta, 3.0, 100.0, ef_tol))
-        reports.append(explicit_formula_residual(library, chi4, 3.0, 100.0, ef_tol))
+        for chi in (zeta, chi4):
+            reports += explicit_formula_residual(library, chi, [(2.0, 50.0), (3.0, 100.0)], ef_tol)
     if "hadamard" in suites:
-        reports.append(hadamard_derivative_check(library, zeta, hadamard_k, 1.5, 100.0, hd_tol))
-        reports.append(hadamard_derivative_check(library, zeta, hadamard_k, 2.0, 100.0, hd_tol))
-        reports.append(hadamard_derivative_check(library, chi4, max(hadamard_k, 3), 1.5, 100.0, hd_tol))
+        reports += hadamard_derivative_check(library, zeta, hadamard_k, [(1.5, 100.0), (2.0, 100.0)], hd_tol)
+        reports += hadamard_derivative_check(library, chi4, max(hadamard_k, 3), [(1.5, 100.0)], hd_tol)
     if "repulsion" in suites:
         reports += repulsion_sums_check(library, min(q_max, 8), (2.0, 3.0), T)
     if "density" in suites:

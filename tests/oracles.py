@@ -22,12 +22,15 @@
   references for their one-pass forms.
 * `zero_square_sum`: one repulsion zero sum at one point, the reference for
   `verify._zero_square_sums`.
+* `rows_json`: report rows through json.dumps(indent=2, allow_nan=False),
+  the reference for the row writers of `jsonrows`.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -290,3 +293,8 @@ def zero_square_sum(library, chi: DirichletCharacter, sigma: float, t: float, T_
     """sum over the zeros rho of chi with |gamma| <= T_zeros of 1/|sigma + it - rho|^2."""
     rho = _zeros_to(library.get(chi, T_zeros), T_zeros)
     return float(np.sum(1.0 / np.abs(complex(sigma, t) - rho) ** 2))
+
+
+def rows_json(rows: list) -> str:
+    """The JSON text of report rows as the json module writes it (its pure-Python encoder, which indent=2 selects)."""
+    return json.dumps(rows, indent=2, allow_nan=False)

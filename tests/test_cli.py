@@ -604,6 +604,15 @@ class TestZerosAndVerify:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and "r.json" in err
 
+    def test_report_file_holds_the_json_report(self, capsys, tmp_path):
+        # With --json or without, the file is the text --json prints.
+        for flags in (("--json",), ()):
+            report = tmp_path / f"report{len(flags)}.json"
+            argv = ("verify", "--suite", "selberg", "--cache-dir", str(tmp_path / "zeros"))
+            code, _, _ = run(capsys, *argv, *flags, "--report-file", str(report))
+            assert code == EXIT_OK
+            assert report.read_text() == run(capsys, *argv, "--json")[1]
+
     def test_cache_dir_below_a_file_is_a_usage_error(self, capsys, tmp_path):
         (tmp_path / "afile").write_text("")
         code, _, err = run(capsys, "zeros", "scan", "--q", "3", "--height", "5", "--cache-dir", str(tmp_path / "afile" / "sub"))

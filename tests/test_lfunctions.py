@@ -197,6 +197,21 @@ class TestTrivialZeros:
             ref = complex(mp.zeta(k + 1, (mp.mpc(s) + c) / 2) / 2 ** (k + 1))
         assert abs(trivial_zero_sum(chi, s, k) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("chi,c", [(ZETA, 2), (CHI4, 1), (CHI5_EVEN, 0)], ids=["zeta", "chi4", "chi5_even"])
+    def test_array_form_against_scalar_form_and_mpmath(self, chi, c, k):
+        # One Hurwitz call for every point; each is the point's own call up to
+        # the rounding of the kernel's batched tail.
+        s = np.array([[1.5, 2.0], [1.5 + 3.0j, 2.5 - 1.0j]])
+        sums = trivial_zero_sum(chi, s, k)
+        assert sums.shape == s.shape
+        for value, point in zip(sums.ravel(), s.ravel()):
+            alone = trivial_zero_sum(chi, point, k)
+            assert abs(value - alone) <= 1e-15 * abs(alone)
+            with mp.workdps(30):
+                ref = complex(mp.zeta(k + 1, (mp.mpc(point) + c) / 2) / 2 ** (k + 1))
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+
     @pytest.mark.parametrize("chi", [ZETA, CHI4, CHI5_EVEN], ids=["zeta", "chi4", "chi5_even"])
     def test_closed_form_sum_matches_the_ladder(self, chi):
         # 2000 ladder points leave a tail below 3e-12 at k = 3
@@ -401,6 +416,35 @@ class TestLogDerivContour:
     def test_domain(self):
         with pytest.raises(ValueError):
             log_deriv_by_contour(1.0, CHI4, 1)
+        with pytest.raises(ValueError):
+            log_deriv_by_contour([2.0, 1.0], CHI4, 1)
+
+    @pytest.mark.parametrize(
+        "chi,centres,orders",
+        [(ZETA, [2.0, 3.0, 1.5, 2.0], [0, 0, 2, 2]), (CHI4, [2.0, 3.0, 1.5], [0, 0, 3])],
+        ids=["zeta", "chi4"],
+    )
+    def test_batch_matches_one_call_per_circle(self, chi, centres, orders):
+        # The circles of the explicit-formula and Hadamard rows of verify's
+        # default suite.  One call's L-values share the Hurwitz shift, so a
+        # circle moves only by rounding, amplified by 1/radius^(k+1).
+        batch = log_deriv_by_contour(centres, chi, orders)
+        assert batch.shape == (len(centres),)
+        for value, s, k in zip(batch, centres, orders):
+            alone = log_deriv_by_contour(s, chi, k)
+            assert np.ndim(alone) == 0
+            assert abs(value - alone) <= 1e-11 * abs(alone)
+        grid = log_deriv_by_contour(np.reshape(centres[:2], (2, 1)), chi, [[0, 1]])
+        assert grid.shape == (2, 2)
+
+    def test_batch_names_its_bad_circle(self):
+        with pytest.raises(ArithmeticError, match=r"winds .* around \|w - \(1\.2\+0j\)\| = 0\.5: "):
+            log_deriv_by_contour([2.0, 1.2, 3.0], ZETA, 0, radius=[0.4, 0.5, 0.8])
+
+    def test_batch_refuses_its_too_high_order(self):
+        assert log_deriv_by_contour([2.0, 1.5], ZETA, [2, 12], tolerance=1e-4).shape == (2,)
+        with pytest.raises(ValueError, match=r"order k = 16 is too high at \(1\.5\+0j\)"):
+            log_deriv_by_contour([2.0, 1.5], ZETA, [2, 16], tolerance=1e-4)
 
 
 class TestConvexityEnvelope:

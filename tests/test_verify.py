@@ -110,40 +110,39 @@ class TestCircleLemma:
 
 class TestExplicitFormula:
     def test_zeta_at_two(self, zero_library):
-        r = explicit_formula_residual(zero_library, ZETA, 2.0, 50.0)
+        [r] = explicit_formula_residual(zero_library, ZETA, [(2.0, 50.0)])
         assert r.passed
         assert r.lhs <= 0.05
 
     def test_chi4_at_two(self, zero_library):
-        r = explicit_formula_residual(zero_library, CHI4, 2.0, 50.0)
+        [r] = explicit_formula_residual(zero_library, CHI4, [(2.0, 50.0)])
         assert r.passed
 
     def test_residual_shrinks_with_more_zeros(self, zero_library):
-        shallow = explicit_formula_residual(zero_library, ZETA, 2.0, 30.0)
-        deep = explicit_formula_residual(zero_library, ZETA, 2.0, 100.0)
+        shallow, deep = explicit_formula_residual(zero_library, ZETA, [(2.0, 30.0), (2.0, 100.0)])
         assert deep.lhs < shallow.lhs
 
     def test_requires_primitive(self, zero_library):
         with pytest.raises(ValueError):
-            explicit_formula_residual(zero_library, enumerate_characters(12)[0], 2.0, 30.0)
+            explicit_formula_residual(zero_library, enumerate_characters(12)[0], [(2.0, 30.0)])
 
 
 class TestHadamard:
     def test_zeta_k2(self, zero_library):
-        r = hadamard_derivative_check(zero_library, ZETA, 2, 1.5, 100.0, 1e-4)
+        [r] = hadamard_derivative_check(zero_library, ZETA, 2, [(1.5, 100.0)], 1e-4)
         assert r.passed and r.lhs <= 1e-4
 
     def test_chi4_k3(self, zero_library):
-        r = hadamard_derivative_check(zero_library, CHI4, 3, 1.5, 100.0, 1e-5)
+        [r] = hadamard_derivative_check(zero_library, CHI4, 3, [(1.5, 100.0)], 1e-5)
         assert r.passed and r.lhs <= 1e-5
 
     def test_zeta_k2_at_two(self, zero_library):
-        r = hadamard_derivative_check(zero_library, ZETA, 2, 2.0, 100.0, 1e-5)
+        [r] = hadamard_derivative_check(zero_library, ZETA, 2, [(2.0, 100.0)], 1e-5)
         assert r.passed
 
     def test_rejects_low_order(self, zero_library):
         with pytest.raises(ValueError):
-            hadamard_derivative_check(zero_library, ZETA, 1, 1.5, 50.0)
+            hadamard_derivative_check(zero_library, ZETA, 1, [(1.5, 50.0)])
 
     @pytest.mark.parametrize("chi", [ZETA, CHI4], ids=["q1", "q4"])
     def test_order_twelve_passes_and_sixteen_is_refused(self, zero_library, chi):
@@ -151,9 +150,10 @@ class TestHadamard:
         # 10 (k+1) 2^-53 max|log L| / 0.2^(k+1) stays below the 1e-4
         # tolerance at k = 12 and passes it at k = 16, where the correct
         # zero data would otherwise fail by about 1e-3.
-        assert hadamard_derivative_check(zero_library, chi, 12, 1.5, 100.0).passed
+        [r] = hadamard_derivative_check(zero_library, chi, 12, [(1.5, 100.0)])
+        assert r.passed
         with pytest.raises(ValueError, match="order k = 16 is too high at"):
-            hadamard_derivative_check(zero_library, chi, 16, 1.5, 100.0)
+            hadamard_derivative_check(zero_library, chi, 16, [(1.5, 100.0)])
 
 
 class TestRepulsionSums:
