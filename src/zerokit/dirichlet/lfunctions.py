@@ -14,9 +14,9 @@ root number is the normalised Gauss sum w(chi) = tau(chi) / (i^b sqrt(q)).
 Logarithmic derivatives (d/ds)^k L'/L come from two independent routes: the
 prime-power series (`log_deriv_series`, Re s > 1) and Cauchy differentiation
 of log L on a circle (`log_deriv_by_contour`).  The contour route needs only
-values of L, so the value kernel is the only Hurwitz kernel; it raises
-ArithmeticError when the phase of L does not close around the circle, i.e.
-when a zero or the pole lies inside it.
+values of L, so the value kernel is the only Hurwitz kernel; it takes log L
+as the principal logarithm, which the Euler product proves right on circles
+inside Re w >= BRANCH_SIGMA, and refuses any other circle.
 
 The gamma factors come from Stirling's series (`loggamma`, `digamma`),
 whose coefficients are read off the Hurwitz kernel's table of B_2j/(2j)!.
@@ -33,7 +33,6 @@ import numpy as np
 from zerokit.dirichlet.arith import prime_powers
 from zerokit.dirichlet.characters import (
     DirichletCharacter,
-    char_label,
     char_value,
     char_value_vec,
 )
@@ -54,6 +53,11 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
+
+# For Re w = sigma > 1 the Euler product gives |Im log L(w, chi)| <= log zeta(sigma),
+# and log zeta(1.05) = 3.02 < pi: on Re w >= BRANCH_SIGMA, L has no zero and
+# no pole, and log L is the principal logarithm of L.
+BRANCH_SIGMA = 1.05
 
 
 class GammaPoleError(ArithmeticError):
@@ -94,66 +98,58 @@ def _l_at_one(chi: DirichletCharacter) -> complex:
     return -sum(char_value(chi, a) * digamma(a / q) for a in range(1, q) if char_value(chi, a) != 0) / q
 
 
-def log_deriv_by_contour(
-    s,
-    chi: DirichletCharacter,
-    k,
-    radius=None,
-    *,
-    tolerance: float | None = None,
-):
+def log_deriv_by_contour(s, chi: DirichletCharacter, k, *, tolerance: float | None = None):
     """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L, at every centre s.
 
-    s is an array of centres and k (an order each) and radius (None, or one
-    each) broadcast against it; the result has the broadcast shape, and is
-    a scalar for scalar arguments.  (d/ds)^k L'/L is the (k+1)-th
-    derivative of log L, so trapezoidal quadrature of the Cauchy integral
-    of log L(w) on a circle around s gives it from values of L alone: one
-    Hurwitz kernel serves L and all of its log-derivatives, and every
-    circle's nodes go into one `l_eval_vec` call.  log L is log|L| plus the
-    phase of L unwrapped along the circle.  That branch is analytic inside
-    the circle only when the circle encloses no zero and no pole, which is
-    exactly when the unwrapped phase closes; otherwise ArithmeticError is
-    raised, naming the first such circle.  The default radius keeps each
-    circle inside Re w > 1/2 and away from w = 1 for Re s > 1.  The
-    quadrature error decays geometrically in the node count, so this route
-    reaches ~1e-13 and is independent of both the prime series and any zero
-    data.
+    s is an array of centres and k an order each (an integer >= 0),
+    broadcast against it; the result has the broadcast shape, and is a
+    scalar for scalar arguments.  (d/ds)^k L'/L is the (k+1)-th derivative
+    of log L, so trapezoidal quadrature of the Cauchy integral of log L(w)
+    on a circle around s gives it from values of L alone: one Hurwitz kernel
+    serves L and all of its log-derivatives, and every circle's nodes go
+    into one `l_eval_vec` call.  Each circle has radius
+    r = 0.4 min(Re s - 1/2, |s - 1|).  On a circle inside Re w >=
+    BRANCH_SIGMA the Euler product bounds |Im log L| by
+    log zeta(BRANCH_SIGMA) < pi, so log L there is log|L| + i Arg L, the
+    principal logarithm, analytic inside the circle.  A circle with
+    Re s - r < BRANCH_SIGMA (or not a number) is refused with ValueError,
+    naming the first such circle.  The quadrature error decays
+    geometrically in the node count, so this route reaches ~1e-13 and is
+    independent of both the prime series and any zero data.
 
     Its rounding error does not decay: each node's log L carries a relative
-    error of a few units in 2^-53, and the sum is divided by radius^(k+1).
+    error of a few units in 2^-53, and the sum is divided by r^(k+1).
     With a `tolerance`, an order k whose rounding estimate
-    10 (k+1) 2^-53 max|log L| / radius^(k+1), max over the circle's nodes,
+    10 (k+1) 2^-53 max|log L| / r^(k+1), max over the circle's nodes,
     exceeds it is refused (ValueError): at that order a comparison at the
     tolerance would measure the rounding, not the data.  The L-values of one
     call share the Hurwitz kernel's shift, so a circle's value can differ
-    from that of a call of its own by rounding, amplified by 1/radius^(k+1).
+    from that of a call of its own by rounding, amplified by 1/r^(k+1).
     """
     centres, orders = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(k))
-    if np.any(centres.real <= 1.0):
-        raise ValueError("requires Re s > 1")
-    if radius is None:
-        # Keep the circle away from w = 1: even without a pole there, the
-        # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
-        # nearby.  0.4 of the distance keeps the quadrature error geometric.
-        radius = 0.4 * np.minimum(centres.real - 0.5, np.abs(centres - 1.0))
-    centres, orders, radii = np.broadcast_arrays(centres, orders, np.asarray(radius, dtype=float))
     shape = centres.shape
-    centres, orders, radii = centres.ravel(), orders.ravel().tolist(), radii.ravel()
+    centres, orders = centres.ravel(), orders.ravel().tolist()
+    for order in orders:
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"order k = {order!r} is not an integer >= 0")
+    # Keep the circle away from w = 1: even without a pole there, the
+    # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
+    # nearby.  0.4 of the distance keeps the quadrature error geometric.
+    with np.errstate(invalid="ignore"):
+        radii = 0.4 * np.minimum(centres.real - 0.5, np.abs(centres - 1.0))
+        outside = np.flatnonzero(~(centres.real - radii >= BRANCH_SIGMA))
+    if outside.size:
+        first = outside[0]
+        raise ValueError(
+            f"the circle |w - {centres[first]}| = {radii[first]} reaches left of Re w = {BRANCH_SIGMA}, "
+            "where the Euler product no longer proves the branch of log L"
+        )
     nodes = 128
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     # One row of nodes per circle.
     values = l_eval_vec(centres[:, None] + radii[:, None] * np.exp(1j * theta), chi)
-    phase = np.unwrap(np.angle(np.concatenate([values, values[:, :1]], axis=1)), axis=1)
-    winding = (phase[:, -1] - phase[:, 0]) / (2.0 * math.pi)
-    for centre, r, turns in zip(centres.tolist(), radii.tolist(), winding.tolist()):
-        if abs(turns) > 0.5:
-            raise ArithmeticError(
-                f"L(w, {char_label(chi)}) winds {turns:+.0f} times around |w - {centre}| = {r}: "
-                "a zero or pole lies inside the circle"
-            )
-    log_l = np.log(np.abs(values)) + 1j * phase[:, :-1]
-    # radius^(k+1) underflows for a large order k (near k = 440 at s = 3/2),
+    log_l = np.log(np.abs(values)) + 1j * np.angle(values)
+    # r^(k+1) underflows for a large order k (near k = 440 at s = 3/2),
     # and the coefficient overflows with it: refuse the order, never return
     # inf.  An order k beyond float64 cannot even be multiplied in.
     exponent = np.array([_float_or_inf(order) for order in orders]) + 1.0

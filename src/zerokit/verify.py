@@ -305,10 +305,11 @@ def hadamard_derivative_check(
     sum over nontrivial zeros (|gamma| <= T_zeros) - sum over trivial zeros
     (exact, in closed form, every point's in one `trivial_zero_sum` call).
     Requires k >= 2 for absolute convergence of the zero sum; the
-    nontrivial tail bound is added to the context.  An order whose contour
-    rounding error may exceed the tolerance at a point is refused with
-    ValueError (`log_deriv_by_contour`), rather than reported as a failure
-    of the zero data.
+    nontrivial tail bound is added to the context.  A point whose contour
+    reaches left of Re w = BRANCH_SIGMA, or an order whose contour rounding
+    error may exceed the tolerance at a point, is refused with ValueError
+    (`log_deriv_by_contour`), rather than reported as a failure of the zero
+    data.
     """
     if k < 2:
         raise ValueError("the zero sum requires k >= 2")

@@ -90,3 +90,21 @@ def test_src_exports_only_what_src_reaches():
     unreached = exported - reached
     assert not unreached - set(UNREACHED), f"exported, reached by no src code: {sorted(unreached - set(UNREACHED))}"
     assert not set(UNREACHED) - unreached, f"listed, but reached by src or no longer exported: {sorted(set(UNREACHED) - unreached)}"
+
+
+def test_src_imports_only_what_it_uses():
+    # A name a src module imports and never reads is a leftover of deleted
+    # code.  A name the module lists in __all__ counts as read.
+    unused = []
+    for path in sorted(Path(zerokit.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, read = set(), set(_exports(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unused, unused

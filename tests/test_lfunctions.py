@@ -409,15 +409,40 @@ class TestLogDerivContour:
         ref = self.reference(chi, s, k)
         assert abs(log_deriv_by_contour(s, chi, k) - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_circle_around_the_pole_raises(self):
-        with pytest.raises(ArithmeticError, match="winds"):
-            log_deriv_by_contour(1.2, ZETA, 0, radius=0.5)
+    def test_circle_left_of_the_branch_raises(self):
+        # Centre 1.05 has radius 0.02, so its circle reaches Re w = 1.03.
+        with pytest.raises(ValueError, match=r"\|w - \(1\.05\+0j\)\| = 0\.02.* reaches left of Re w = 1\.05"):
+            log_deriv_by_contour(1.05, ZETA, 0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             log_deriv_by_contour(1.0, CHI4, 1)
         with pytest.raises(ValueError):
             log_deriv_by_contour([2.0, 1.0], CHI4, 1)
+        for bad in (math.nan, complex(2.0, math.nan), math.inf, -math.inf):
+            with pytest.raises(ValueError, match="reaches left of"):
+                log_deriv_by_contour(bad, ZETA, 0)
+
+    @pytest.mark.parametrize("k", [-1, -2, 0.5, 2.0])
+    def test_refuses_orders_that_are_not_integers_at_least_zero(self, k):
+        with pytest.raises(ValueError, match=rf"order k = {k!r} is not an integer >= 0"):
+            log_deriv_by_contour(2.0, ZETA, k)
+        with pytest.raises(ValueError, match="is not an integer >= 0"):
+            log_deriv_by_contour([2.0, 3.0], ZETA, [2, k])
+
+    def test_branch_premise(self):
+        # The principal logarithm is log L on every admitted circle because
+        # log zeta(BRANCH_SIGMA) < pi bounds |Im log L| there.  On each of
+        # verify's default circles Arg L stays within log zeta(Re s - r),
+        # the Euler-product bound at the circle's leftmost point.
+        assert mp.log(mp.zeta(lfunctions.BRANCH_SIGMA)) < mp.pi
+        theta = 2.0 * math.pi * np.arange(128) / 128
+        for chi in (ZETA, CHI4):
+            for s in (1.5, 2.0, 3.0):
+                r = 0.4 * min(s - 0.5, abs(s - 1.0))
+                assert s - r >= lfunctions.BRANCH_SIGMA
+                values = l_eval_vec(s + r * np.exp(1j * theta), chi)
+                assert np.max(np.abs(np.angle(values))) <= mp.log(mp.zeta(s - r))
 
     @pytest.mark.parametrize(
         "chi,centres,orders",
@@ -438,8 +463,8 @@ class TestLogDerivContour:
         assert grid.shape == (2, 2)
 
     def test_batch_names_its_bad_circle(self):
-        with pytest.raises(ArithmeticError, match=r"winds .* around \|w - \(1\.2\+0j\)\| = 0\.5: "):
-            log_deriv_by_contour([2.0, 1.2, 3.0], ZETA, 0, radius=[0.4, 0.5, 0.8])
+        with pytest.raises(ValueError, match=r"\|w - \(1\.05\+0j\)\| = .* reaches left of "):
+            log_deriv_by_contour([2.0, 1.05, 3.0], ZETA, 0)
 
     def test_batch_refuses_its_too_high_order(self):
         assert log_deriv_by_contour([2.0, 1.5], ZETA, [2, 12], tolerance=1e-4).shape == (2,)
