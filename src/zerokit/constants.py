@@ -450,9 +450,9 @@ def evaluate_repulsion_bound(kind: str, beta1: float, p: FieldParams, c: float) 
 def zero_circle_bound(
     r: float | np.ndarray,
     p: FieldParams,
-    Nf_chi: float,
+    Nf_chi: float | np.ndarray,
     t: float | np.ndarray,
-    is_principal: bool,
+    is_principal: bool | np.ndarray,
     kind: str = "classical",
     epsilon: float = DENSITY_EPS_WIDE,
 ) -> float | np.ndarray:
@@ -465,26 +465,22 @@ def zero_circle_bound(
         phi(eps) (2 log D_K + log Nf + n_K log(|t|+3) + implied n_K) r
         + 4 + 4 delta.
 
-    r and t may be arrays of one shape, one disk per entry.  Each entry is
-    then the scalar call's value bit for bit: its log(|t|+3) is math.log's,
-    and the rest is the scalar's sequence of correctly rounded operations.
+    r, t, Nf_chi and is_principal may be arrays of one shape, one disk per
+    entry.  Each entry is then the scalar call's value bit for bit: its
+    log(|t|+3) and log Nf are math.log's, and the rest is the scalar's
+    sequence of correctly rounded operations.
     """
-    if Nf_chi < 1.0:
+    if np.any(np.asarray(Nf_chi) < 1.0):
         raise ValueError("Nf_chi must be >= 1")
-    delta = 1.0 if is_principal else 0.0
-    if isinstance(t, np.ndarray):
-        heights = np.abs(t) + 3.0
-        log_height = np.fromiter(map(math.log, heights.ravel().tolist()), dtype=float, count=heights.size)
-        log_height = log_height.reshape(heights.shape)
-    else:
-        log_height = math.log(abs(t) + 3.0)
+    delta = np.where(is_principal, 1.0, 0.0) if isinstance(is_principal, np.ndarray) else float(is_principal)
+    log_height = _math_log(abs(t) + 3.0)
     radii = np.asarray(r)
     if kind == "classical":
         if not ((0.0 < radii) & (radii <= 1.0)).all():
             raise ValueError("classical bound requires 0 < r <= 1")
         slope = (
             4.0 * math.log(p.D_K)
-            + 2.0 * math.log(Nf_chi)
+            + 2.0 * _math_log(Nf_chi)
             + 2.0 * p.n_K * log_height
             + 2.0 * p.n_K
             + 4.0
@@ -496,12 +492,19 @@ def zero_circle_bound(
             raise ValueError("convexity bound requires 0 < r < epsilon < 1/4")
         slope = phi_factor(epsilon) * (
             2.0 * math.log(p.D_K)
-            + math.log(Nf_chi)
+            + _math_log(Nf_chi)
             + p.n_K * log_height
             + p.implied_nk_constant * p.n_K
         )
         return slope * r + 4.0 + 4.0 * delta
     raise ValueError("kind must be 'classical' or 'convexity'")
+
+
+def _math_log(x: float | np.ndarray) -> float | np.ndarray:
+    """math.log(x), entry by entry for an array (np.log may differ from it in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+    return math.log(x)
 
 
 # -- certification report ----------------------------------------------------

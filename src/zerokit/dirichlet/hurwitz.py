@@ -58,8 +58,6 @@ takes it on a disk about the critical line.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +65,7 @@ import numpy as np
 from zerokit.dirichlet.arith import factorize, least_prime_factors
 
 __all__ = [
-    "bernoulli_over_factorial",
+    "BERNOULLI_OVER_FACTORIAL",
     "hurwitz_bound",
     "hurwitz_majorant",
     "hurwitz_zeta_vec",
@@ -79,21 +77,32 @@ BLOCK_ENTRIES = 1 << 14  # term-table entries per block of points (256 KiB)
 TABLE_ROWS = 1 << 26  # largest size `_rows` may allocate: its sieve's N q + max u with a modulus q, else (N + 1) len(a) rows
 
 
-@lru_cache(maxsize=1)
-def bernoulli_over_factorial() -> tuple[float, ...]:
-    """B_{2j}/(2j)! for j = 1..ORDER+2, exactly computed then rounded once."""
-    count = ORDER + 2
-    top = 2 * count
-    bern = [Fraction(1)]
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * bern[j]
-        bern.append(-acc / (m + 1))
-    out = []
-    for j in range(1, count + 1):
-        out.append(float(bern[2 * j] / math.factorial(2 * j)))
-    return tuple(out)
+# B_2j/(2j)! for j = 1..ORDER+2, each the float nearest the exact rational
+# (tests/oracles.py has the exact recurrence).
+BERNOULLI_OVER_FACTORIAL = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
+    3.534707039629467e-21,
+    -8.953517427037546e-23,
+    2.267952452337683e-24,
+    -5.744790668872202e-26,
+    1.455172475614865e-27,
+    -3.6859949406653103e-29,
+    9.336734257095045e-31,
+    -2.36502241570063e-32,
+    5.990671762482134e-34,
+    -1.5174548844682903e-35,
+)
 
 
 def _shift_for(s: np.ndarray) -> int:
@@ -111,7 +120,7 @@ def _shift_for(s: np.ndarray) -> int:
     root = 1.0 / expo
     steps = np.arange(2 * ORDER + 2)
     factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), tmax) ** root
-    shift = np.multiply.reduce(factors, initial=(abs(bernoulli_over_factorial()[ORDER]) / (expo * TARGET)) ** root)
+    shift = np.multiply.reduce(factors, initial=(abs(BERNOULLI_OVER_FACTORIAL[ORDER]) / (expo * TARGET)) ** root)
     return max(1, math.ceil(shift))
 
 
@@ -141,7 +150,7 @@ def _add_tail(out: np.ndarray, s: np.ndarray, w: np.ndarray, w_pow: np.ndarray) 
         np.multiply(poly[j - 1], (points + (2 * j - 1)) * (points + 2 * j), out=poly[j])
     # powers[j - 1] = B_2j/(2j)! x^j, x^j by a cumulative product.
     powers = np.cumprod(np.repeat(1.0 / (w * w), ORDER, axis=0), axis=0)
-    powers *= np.array(bernoulli_over_factorial()[:ORDER])[:, None]
+    powers *= np.array(BERNOULLI_OVER_FACTORIAL[:ORDER])[:, None]
     # Rows of the float views: the parts of each column of powers, times the
     # (real, imaginary) pair of each coefficient, so the result views as complex.
     prod = (powers.view(float).T @ poly.view(float)).view(complex)
@@ -330,7 +339,7 @@ def _truncation(s: np.ndarray, w: np.ndarray, poch: np.ndarray) -> np.ndarray:
     has passed `_shift_for`, so Re s + 2M + 1 > 1.
     """
     expo = s.real[:, None] + 2 * ORDER + 1
-    mag = abs(bernoulli_over_factorial()[ORDER]) * poch[:, ORDER:] * w ** -expo
+    mag = abs(BERNOULLI_OVER_FACTORIAL[ORDER]) * poch[:, ORDER:] * w ** -expo
     return mag * np.abs(s[:, None] + 2 * ORDER + 1) / expo
 
 
@@ -418,12 +427,13 @@ def hurwitz_bound(s, a: float | np.ndarray, *, d=0.0, modulus: int) -> np.ndarra
     log_n = np.log(np.arange(n_shift)[:, None] + shifts)  # (N, len(a))
     logw = np.log(n_shift + shifts)
     poch = _pochhammer(s)
-    coeffs = np.abs(np.array(bernoulli_over_factorial()[:ORDER]))
+    coeffs = np.abs(np.array(BERNOULLI_OVER_FACTORIAL[:ORDER]))
     # Per point and shift: the direct block's sum_{n<N} (n+a)^-Re s, its
     # phase weight sum_{n<N} (n+a)^-Re s |log(n+a)|, and the tail's
     # |w^(1-s)/(s-1)| + |w^-s|/2 + sum_j |B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1)|.
     direct, phase, tail = (np.empty((len(s), len(shifts))) for _ in range(3))
-    for sigma in np.unique(flat.real):
+    # Each distinct Re s in turn: a set, as np.unique would import numpy.ma.
+    for sigma in set(s.real.tolist()):
         rows = flat[:, 0].real == sigma
         mag = np.exp(-sigma * log_n)
         direct[rows] = mag.sum(axis=0)
@@ -471,7 +481,7 @@ def hurwitz_majorant(lo: float, hi: float, height: float, a: np.ndarray) -> tupl
     steps = np.arange(2 * ORDER + 2)
     factors = np.hypot(np.maximum(np.abs(lo + steps), np.abs(hi + steps)), height)
     poch = np.cumprod(factors[:-1])[::2]  # max |(s)_{2j-1}|, j = 1..ORDER+1
-    coeffs = np.abs(np.array(bernoulli_over_factorial()[: ORDER + 1]))
+    coeffs = np.abs(np.array(BERNOULLI_OVER_FACTORIAL[: ORDER + 1]))
     pieces = coeffs * poch * w[:, None] ** -(lo + 2 * steps[1 : ORDER + 2] - 1)
     pieces[:, -1] *= factors[-1] / expo  # the order M + 1 term times |s+2M+1| / (Re s+2M+1) bounds R_M
     return float(direct + (0.5 * w**-lo).sum() + pieces.sum()), float((w ** (1.0 - lo)).sum())

@@ -36,11 +36,13 @@ from zerokit.dirichlet.characters import (
     char_value,
     char_value_vec,
 )
-from zerokit.dirichlet.hurwitz import bernoulli_over_factorial, hurwitz_zeta_vec
+from zerokit.dirichlet.hurwitz import BERNOULLI_OVER_FACTORIAL, hurwitz_zeta_vec
 
 __all__ = [
+    "BRANCH_SIGMA",
     "GammaPoleError",
     "completed_prefactor_phase",
+    "contour_admits",
     "digamma",
     "gamma_factor_log_deriv",
     "l_eval_vec",
@@ -98,7 +100,28 @@ def _l_at_one(chi: DirichletCharacter) -> complex:
     return -sum(char_value(chi, a) * digamma(a / q) for a in range(1, q) if char_value(chi, a) != 0) / q
 
 
-def log_deriv_by_contour(s, chi: DirichletCharacter, k, *, tolerance: float | None = None):
+def contour_admits(s) -> np.ndarray:
+    """Whether `log_deriv_by_contour` takes a circle about each centre s: one inside Re w >= BRANCH_SIGMA.
+
+    The circle about s has radius r = 0.4 min(Re s - 1/2, |s - 1|), so the
+    admitted centres are those with Re s - r >= BRANCH_SIGMA (a NaN is
+    not).  None has Re s < 13/12, the bound on the real axis, and every
+    centre with Re s >= 17/12 is admitted.
+    """
+    centres = np.asarray(s, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        return centres.real - _contour_radius(centres) >= BRANCH_SIGMA
+
+
+def _contour_radius(centres: np.ndarray) -> np.ndarray:
+    # Keep the circle away from w = 1: even without a pole there, the
+    # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
+    # nearby.  0.4 of the distance keeps the quadrature error geometric.
+    with np.errstate(invalid="ignore"):
+        return 0.4 * np.minimum(centres.real - 0.5, np.abs(centres - 1.0))
+
+
+def log_deriv_by_contour(s, chi: DirichletCharacter, k, *, tolerance=None):
     """(-1)^(k+1)/k! * (d/ds)^k L'/L(s, chi) by Cauchy differentiation of log L, at every centre s.
 
     s is an array of centres and k an order each (an integer >= 0),
@@ -106,38 +129,39 @@ def log_deriv_by_contour(s, chi: DirichletCharacter, k, *, tolerance: float | No
     scalar for scalar arguments.  (d/ds)^k L'/L is the (k+1)-th derivative
     of log L, so trapezoidal quadrature of the Cauchy integral of log L(w)
     on a circle around s gives it from values of L alone: one Hurwitz kernel
-    serves L and all of its log-derivatives, and every circle's nodes go
-    into one `l_eval_vec` call.  Each circle has radius
+    serves L and all of its log-derivatives, every circle's nodes go into
+    one `l_eval_vec` call, and a centre given more than once (at several
+    orders) is one circle.  Each circle has radius
     r = 0.4 min(Re s - 1/2, |s - 1|).  On a circle inside Re w >=
     BRANCH_SIGMA the Euler product bounds |Im log L| by
     log zeta(BRANCH_SIGMA) < pi, so log L there is log|L| + i Arg L, the
     principal logarithm, analytic inside the circle.  A circle with
-    Re s - r < BRANCH_SIGMA (or not a number) is refused with ValueError,
-    naming the first such circle.  The quadrature error decays
-    geometrically in the node count, so this route reaches ~1e-13 and is
-    independent of both the prime series and any zero data.
+    Re s - r < BRANCH_SIGMA (or not a number; see `contour_admits`) is
+    refused with ValueError, naming the first such circle.  The quadrature
+    error decays geometrically in the node count, so this route reaches
+    ~1e-13 and is independent of both the prime series and any zero data.
 
     Its rounding error does not decay: each node's log L carries a relative
     error of a few units in 2^-53, and the sum is divided by r^(k+1).
-    With a `tolerance`, an order k whose rounding estimate
+    With a `tolerance` (a float, or one per centre broadcast like k, inf
+    for none), an order k whose rounding estimate
     10 (k+1) 2^-53 max|log L| / r^(k+1), max over the circle's nodes,
     exceeds it is refused (ValueError): at that order a comparison at the
     tolerance would measure the rounding, not the data.  The L-values of one
     call share the Hurwitz kernel's shift, so a circle's value can differ
     from that of a call of its own by rounding, amplified by 1/r^(k+1).
     """
-    centres, orders = np.broadcast_arrays(np.asarray(s, dtype=complex), np.asarray(k))
+    limit = math.inf if tolerance is None else tolerance
+    centres, orders, limits = np.broadcast_arrays(
+        np.asarray(s, dtype=complex), np.asarray(k), np.asarray(limit, dtype=float)
+    )
     shape = centres.shape
-    centres, orders = centres.ravel(), orders.ravel().tolist()
+    centres, orders, limits = centres.ravel(), orders.ravel().tolist(), limits.ravel().tolist()
     for order in orders:
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"order k = {order!r} is not an integer >= 0")
-    # Keep the circle away from w = 1: even without a pole there, the
-    # per-residue Hurwitz terms cancel one at w = 1 and lose all digits
-    # nearby.  0.4 of the distance keeps the quadrature error geometric.
-    with np.errstate(invalid="ignore"):
-        radii = 0.4 * np.minimum(centres.real - 0.5, np.abs(centres - 1.0))
-        outside = np.flatnonzero(~(centres.real - radii >= BRANCH_SIGMA))
+    radii = _contour_radius(centres)
+    outside = np.flatnonzero(~contour_admits(centres))
     if outside.size:
         first = outside[0]
         raise ValueError(
@@ -146,9 +170,13 @@ def log_deriv_by_contour(s, chi: DirichletCharacter, k, *, tolerance: float | No
         )
     nodes = 128
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    # One row of nodes per circle.
-    values = l_eval_vec(centres[:, None] + radii[:, None] * np.exp(1j * theta), chi)
-    log_l = np.log(np.abs(values)) + 1j * np.angle(values)
+    # One row of nodes per distinct centre, in order of first appearance:
+    # the orders at one centre share its circle.
+    circle: dict[complex, int] = {}
+    row = [circle.setdefault(centre, len(circle)) for centre in centres.tolist()]
+    distinct = np.array(list(circle), dtype=complex)
+    values = l_eval_vec(distinct[:, None] + _contour_radius(distinct)[:, None] * np.exp(1j * theta), chi)
+    log_l = (np.log(np.abs(values)) + 1j * np.angle(values))[row]
     # r^(k+1) underflows for a large order k (near k = 440 at s = 3/2),
     # and the coefficient overflows with it: refuse the order, never return
     # inf.  An order k beyond float64 cannot even be multiplied in.
@@ -158,13 +186,13 @@ def log_deriv_by_contour(s, chi: DirichletCharacter, k, *, tolerance: float | No
         coeff = np.sum(log_l * np.exp(-1j * exponent[:, None] * theta), axis=1) / (nodes * scale)
         out = (-1.0) ** exponent * exponent * coeff
         rounding = 10.0 * exponent * 2.0**-53 * np.max(np.abs(log_l), axis=1) / scale
-    for centre, order, value, error in zip(centres.tolist(), orders, out.tolist(), rounding.tolist()):
+    for centre, order, value, error, limit in zip(centres.tolist(), orders, out.tolist(), rounding.tolist(), limits):
         if not cmath.isfinite(value):
             raise ValueError(f"order k = {order} is out of float64 range: (d/ds)^k L'/L at {centre} is not finite")
-        if tolerance is not None and error > tolerance:
+        if error > limit:
             raise ValueError(
                 f"order k = {order} is too high at {centre}: the contour's rounding estimate {error:.3g} "
-                f"exceeds the tolerance {tolerance}"
+                f"exceeds the tolerance {limit}"
             )
     return out.reshape(shape)[()]
 
@@ -242,7 +270,7 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 @lru_cache(maxsize=None)
 def _stirling_coefficients(terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """B_2j/(2j(2j-1)) and B_2j/(2j) for j = 1..terms, from the table of B_2j/(2j)!."""
-    table = list(enumerate(bernoulli_over_factorial()[:terms], 1))
+    table = list(enumerate(BERNOULLI_OVER_FACTORIAL[:terms], 1))
     return (
         tuple(b * math.factorial(2 * j - 2) for j, b in table),
         tuple(b * math.factorial(2 * j - 1) for j, b in table),

@@ -404,7 +404,8 @@ class ModulusEngine:
 
     def _turn(self, cols: np.ndarray, s: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """e^(i theta) q^-s S at the points s and at their conjugates, from `_bank`'s sums there (Z is the real part)."""
-        parities = np.unique(self._odd[cols])
+        # The sorted distinct parities (np.unique would import numpy.ma).
+        parities = np.array(sorted(set(self._odd[cols].tolist())))
         rotation = self._rotation(s[:, None], parities)[:, np.searchsorted(parities, self._odd[cols])]
         return rotation * upper, rotation.conj() * lower
 
@@ -567,7 +568,7 @@ class ModulusEngine:
         their counts.
         """
         t_eff = np.asarray(t_eff, dtype=float)
-        heights = np.unique(t_eff)
+        heights = np.array(sorted(set(t_eff.tolist())))  # np.unique would import numpy.ma
         edge = np.linspace(0.5, RIGHT, int(math.ceil((RIGHT - 0.5) / GRID_STEP)) + 1)
         every = np.arange(len(self.chars))
         s = (1j * heights[:, None] + edge).ravel()

@@ -27,10 +27,10 @@ and the checks assert against these frozen values.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,8 @@ from zerokit.dirichlet.characters import (
 )
 from zerokit.dirichlet.hurwitz import hurwitz_zeta_vec
 from zerokit.dirichlet.lfunctions import (
+    BRANCH_SIGMA,
+    contour_admits,
     digamma,
     gamma_factor_log_deriv,
     log_deriv_by_contour,
@@ -114,9 +116,14 @@ DETECTOR_SCALE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """A directed two-sided comparison with its margin and context."""
+class CheckReport(NamedTuple):
+    """A directed two-sided comparison with its margin and context.
+
+    An immutable record, as a frozen dataclass would be, at a third of its
+    construction cost: a verify run makes one per row.  A row made without
+    a context shares the one empty default dict, so treat contexts as
+    read-only.
+    """
 
     name: str
     lhs: float
@@ -124,7 +131,7 @@ class CheckReport:
     direction: str  # always "<=": every check states lhs <= rhs
     margin: float
     passed: bool
-    context: dict = field(default_factory=dict)
+    context: dict = {}
 
     def to_dict(self) -> dict:
         return {
@@ -140,15 +147,16 @@ class CheckReport:
 
 def _report(name: str, lhs: float, rhs: float, **context) -> CheckReport:
     margin = rhs - lhs
-    return CheckReport(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        direction="<=",
-        margin=float(margin),
-        passed=bool(margin >= 0.0),
-        context=context,
-    )
+    return CheckReport(name, float(lhs), float(rhs), "<=", float(margin), bool(margin >= 0.0), context)
+
+
+def _reports(names: Iterable[str], lhs, rhs, contexts: Iterable[dict]) -> list[CheckReport]:
+    """`_report(name, lhs, rhs, **context)` per entry of lhs and rhs (broadcast, in C order), in one array pass."""
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    margin = rhs - lhs
+    lows, highs, gaps = (column.ravel().tolist() for column in (lhs, rhs, margin))
+    passed = (margin >= 0.0).ravel().tolist()
+    return list(map(CheckReport, names, lows, highs, itertools.repeat("<="), gaps, passed, contexts))
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
@@ -186,47 +194,88 @@ def circle_lemma_check(
     random configurations (r, s = sigma + it) with sigma > 1 and |t| <= T per
     bound variant (the classical bound, and the convexity bound at the two
     density epsilons), counts zeros from the library (complete to T + 1), and
-    reports the worst sample per (character, variant): the first with the
-    smallest rhs - lhs.  The draws come from the fixed seed 2054, one sample
-    being the three draws r, sigma - 1 and t in turn, so the report is
-    deterministic.  Samples are drawn and counted in blocks of at most
-    CIRCLE_CELLS (sample, zero) pairs, which bounds the memory at any
-    `samples` without changing the stream.
+    reports the worst sample per (character, variant) row: the first with
+    the smallest rhs - lhs.  The draws come from the fixed seed 2054, one
+    sample being the three draws r, sigma - 1 and t in turn, row after row,
+    so the report is deterministic.
+
+    The rows' samples form one stream, cut into blocks of at most
+    CIRCLE_CELLS (sample, zero) pairs (`_circle_blocks`), which bounds the
+    memory at any `samples` without changing the stream.  Each block is one
+    draw, one disk count per character in it (over its three variants) and
+    one bound evaluation per variant.
     """
     if samples < 1:
         raise ValueError("circle_lemma_check needs samples >= 1")
-    rng = np.random.default_rng(2054)
+    chars = [chi for q in range(1, q_max + 1) for chi in primitive_characters(q)]
+    zero_sets = [library.get(chi, T + CIRCLE_REACH) for chi in chars]
     p = FieldParams(n_K=1, D_K=1.0)
-    reports = []
-    for q in range(1, q_max + 1):
-        for chi in primitive_characters(q):
-            zs = library.get(chi, T + CIRCLE_REACH)
-            block = max(1, CIRCLE_CELLS // max(1, len(zs.gamma)))
-            for name, kind, r_range, sigma_range, extra in _CIRCLE_VARIANTS:
-                low, high = (r_range[0], sigma_range[0], -T), (r_range[1], sigma_range[1], T)
-                worst = None
-                for start in range(0, samples, block):
-                    # Row i of one (size, 3) draw is the scalar stream's r, sigma - 1, t of sample start + i.
-                    r, offset, t = rng.uniform(low, high, size=(min(block, samples - start), 3)).T
-                    sigma = 1.0 + offset
-                    lhs = count_zeros_circle(zs, r, sigma + 1j * t)
-                    rhs = zero_circle_bound(r, p, chi.conductor, t, chi.is_principal, kind, **extra)
-                    i = int(np.argmin(rhs - lhs))
-                    if worst is None or rhs[i] - lhs[i] < worst[0]:
-                        worst = (rhs[i] - lhs[i], int(lhs[i]), float(rhs[i]), float(r[i]), float(sigma[i]), float(t[i]))
-                reports.append(
-                    _report(
-                        f"circle.{name}.{char_label(chi)}",
-                        worst[1],
-                        worst[2],
-                        samples=samples,
-                        **extra,
-                        r=worst[3],
-                        sigma=worst[4],
-                        t=worst[5],
-                    )
-                )
-    return reports
+    rng = np.random.default_rng(2054)
+    n_variants = len(_CIRCLE_VARIANTS)
+    # Row i is (chars[i // n_variants], _CIRCLE_VARIANTS[i % n_variants]), and
+    # slot j of the stream is sample j % samples of row j // samples.
+    span = n_variants * samples
+    low = np.array([(r_range[0], sigma_range[0], -T) for _, _, r_range, sigma_range, _ in _CIRCLE_VARIANTS])
+    high = np.array([(r_range[1], sigma_range[1], T) for _, _, r_range, sigma_range, _ in _CIRCLE_VARIANTS])
+    conductors = np.array([float(chi.conductor) for chi in chars])
+    principal = np.array([chi.is_principal for chi in chars])
+    # Per row, the smallest margin rhs - lhs so far and its sample's (lhs, rhs, r, sigma, t).
+    least = np.full(len(chars) * n_variants, np.inf)
+    worst = np.empty((len(chars) * n_variants, 5))
+    for start, stop in _circle_blocks([len(zs.gamma) for zs in zero_sets], span):
+        row = np.arange(start, stop) // samples
+        char, variant = np.divmod(row, n_variants)
+        r, offset, t = rng.uniform(low[variant], high[variant]).T
+        sigma = 1.0 + offset
+        lhs = np.empty(stop - start, dtype=np.int64)
+        for c in range(char[0], char[-1] + 1):
+            part = slice(max(c * span, start) - start, min((c + 1) * span, stop) - start)
+            lhs[part] = count_zeros_circle(zero_sets[c], r[part], sigma[part] + 1j * t[part])
+        rhs = np.empty(stop - start)
+        for v, (_, kind, _, _, extra) in enumerate(_CIRCLE_VARIANTS):
+            at = variant == v
+            if at.any():
+                rhs[at] = zero_circle_bound(r[at], p, conductors[char[at]], t[at], principal[char[at]], kind, **extra)
+        margin = rhs - lhs
+        # The block's rows, the offset of each one's first sample in the block,
+        # and the first sample with the row's smallest margin (the margins are finite).
+        rows = np.arange(row[0], row[-1] + 1)
+        cuts = np.maximum(rows * samples, start) - start
+        smallest = np.minimum.reduceat(margin, cuts)
+        hits = np.flatnonzero(margin == np.repeat(smallest, np.diff(cuts, append=stop - start)))
+        first = hits[np.searchsorted(hits, cuts)]
+        better = smallest < least[rows]  # strictly: an earlier block keeps a tie
+        least[rows[better]] = smallest[better]
+        worst[rows[better]] = np.column_stack([column[first[better]] for column in (lhs, rhs, r, sigma, t)])
+    names = [f"circle.{name}.{label}" for label in map(char_label, chars) for name, *_ in _CIRCLE_VARIANTS]
+    contexts = [
+        {"samples": samples, **extra, "r": r, "sigma": sigma, "t": t}
+        for (*_, extra), (r, sigma, t) in zip(itertools.cycle(_CIRCLE_VARIANTS), worst[:, 2:].tolist())
+    ]
+    return _reports(names, worst[:, 0], worst[:, 1], contexts)
+
+
+def _circle_blocks(zero_counts: list[int], span: int) -> Iterator[tuple[int, int]]:
+    """Consecutive stream slots [start, stop), each block of at most CIRCLE_CELLS (sample, zero) pairs or of one slot.
+
+    Character c owns the `span` slots from c span on, each of
+    max(1, zero_counts[c]) pairs.
+    """
+    start = stop = cells = 0
+    for count in zero_counts:
+        weight, end = max(1, count), stop + span
+        while stop < end:
+            take = min(end - stop, max(0, CIRCLE_CELLS - cells) // weight)
+            if not take:
+                if cells:  # the block is full
+                    yield start, stop
+                    start, cells = stop, 0
+                    continue
+                take = 1  # one slot alone is over the budget
+            stop += take
+            cells += take * weight
+    if stop > start:
+        yield start, stop
 
 
 # -- explicit formula ---------------------------------------------------------
@@ -238,31 +287,83 @@ def _zeros_to(zs: ZeroSet, T_zeros: float) -> np.ndarray:
     return zs.beta[kept] + 1j * zs.gamma[kept]
 
 
+def _contour_points(points: Sequence[tuple[complex, float]], re_max: float) -> list[tuple[complex, float]]:
+    """The points (s, T_zeros) as complex s, refused (ValueError) unless Re s <= re_max and the contour takes s."""
+    points = [(complex(s), T_zeros) for s, T_zeros in points]
+    centres = [s for s, _ in points]
+    if not (all(s.real <= re_max for s in centres) and contour_admits(centres).all()):
+        raise ValueError(
+            f"requires Re s <= {re_max:g} and a contour circle about s inside Re w >= {BRANCH_SIGMA} "
+            "(Re s >= 13/12 on the real axis)"
+        )
+    return points
+
+
+class _SharedContours:
+    """The contour derivatives of a run's explicit-formula and Hadamard checks, one L-call per character.
+
+    `want` registers the orders k a check will read at its centres s, with
+    the contour's rounding tolerance (None for no refusal).  `read` first
+    evaluates every pair registered for the character and not yet evaluated,
+    in one `log_deriv_by_contour` call, so checks that registered before
+    either reads share the character's circles: zeta's s = 2 serves k = 0
+    and k = 2.  The call runs inside the first check that reads the
+    character.
+    """
+
+    def __init__(self) -> None:
+        self._wanted: dict[DirichletCharacter, dict[tuple[complex, int], float]] = {}
+        self._values: dict[DirichletCharacter, dict[tuple[complex, int], complex]] = {}
+
+    def want(self, chi: DirichletCharacter, centres: Iterable[complex], k: int, tolerance: float | None = None) -> None:
+        wanted = self._wanted.setdefault(chi, {})
+        for s in centres:
+            wanted.setdefault((complex(s), k), math.inf if tolerance is None else tolerance)
+
+    def read(
+        self, chi: DirichletCharacter, centres: Sequence[complex], k: int, tolerance: float | None = None
+    ) -> list[complex]:
+        self.want(chi, centres, k, tolerance)
+        values = self._values.setdefault(chi, {})
+        pending = {pair: limit for pair, limit in self._wanted[chi].items() if pair not in values}
+        if pending:
+            found = log_deriv_by_contour(
+                [s for s, _ in pending], chi, [order for _, order in pending], tolerance=list(pending.values())
+            )
+            values.update(zip(pending, found.tolist()))
+        return [values[complex(s), k] for s in centres]
+
+
 def explicit_formula_residual(
     library: ZeroLibrary,
     chi: DirichletCharacter,
     points: Sequence[tuple[complex, float]],
     tolerance: float = TOLERANCES["explicit_formula"],
+    *,
+    contours: _SharedContours | None = None,
 ) -> list[CheckReport]:
     """Residual of the log-derivative explicit formula at each point (s, T_zeros): one report per point.
 
     lhs: -Re{L'/L(s)} from the analytic evaluator, every point's contour in
-    one `log_deriv_by_contour` call.  rhs: (1/2) log D_chi + principal
-    terms - zero sum truncated to |gamma| <= T_zeros + gamma term.  The
-    truncation tail (estimated as 2 * count / T_zeros from the strip's zero
-    density) is reported in the context, not folded into the comparison.
+    one `log_deriv_by_contour` call (shared with the run's Hadamard check
+    when `default_suite` passes its `contours`).  rhs: (1/2) log D_chi +
+    principal terms - zero sum truncated to |gamma| <= T_zeros + gamma
+    term.  The truncation tail (estimated as 2 * count / T_zeros from the
+    strip's zero density) is reported in the context, not folded into the
+    comparison.  A point with Re s > 3, or whose contour circle reaches
+    left of Re w = BRANCH_SIGMA (`contour_admits`), is refused with
+    ValueError before any zero data is read.
     """
     if not chi.is_primitive:
         raise ValueError("explicit formula check requires a primitive character")
-    points = [(complex(s), T_zeros) for s, T_zeros in points]
-    if not all(1.0 < s.real <= 3.0 for s, _ in points):
-        raise ValueError("requires 1 < Re s <= 3")
+    points = _contour_points(points, 3.0)
     zero_sets = [library.get(chi, T_zeros) for _, T_zeros in points]
 
-    lhs_values = log_deriv_by_contour([s for s, _ in points], chi, 0).real  # -Re{L'/L(s)}
+    log_derivs = (contours or _SharedContours()).read(chi, [s for s, _ in points], 0)  # -L'/L(s)
     delta = 1.0 if chi.is_principal else 0.0
     reports = []
-    for (s, T_zeros), zs, lhs in zip(points, zero_sets, lhs_values.tolist()):
+    for (s, T_zeros), zs, log_deriv in zip(points, zero_sets, log_derivs):
+        lhs = log_deriv.real
         rho = _zeros_to(zs, T_zeros)
         zero_sum = float(np.sum((1.0 / (s - rho)).real))
         rhs = (
@@ -296,36 +397,39 @@ def hadamard_derivative_check(
     k: int,
     points: Sequence[tuple[complex, float]],
     tolerance: float = TOLERANCES["hadamard"],
+    *,
+    contours: _SharedContours | None = None,
 ) -> list[CheckReport]:
     """Derivative side vs zero side of the order-k derivative identity at each point (s, T_zeros): one report per point.
 
     lhs: (-1)^(k+1)/k! (d/ds)^k L'/L(s) by contour differentiation (route
     independent of zero data and of the prime series), every point's
-    contour in one `log_deriv_by_contour` call.  rhs: delta/(s-1)^(k+1) -
-    sum over nontrivial zeros (|gamma| <= T_zeros) - sum over trivial zeros
-    (exact, in closed form, every point's in one `trivial_zero_sum` call).
-    Requires k >= 2 for absolute convergence of the zero sum; the
-    nontrivial tail bound is added to the context.  A point whose contour
-    reaches left of Re w = BRANCH_SIGMA, or an order whose contour rounding
-    error may exceed the tolerance at a point, is refused with ValueError
-    (`log_deriv_by_contour`), rather than reported as a failure of the zero
+    contour in one `log_deriv_by_contour` call (shared with the run's
+    explicit-formula check when `default_suite` passes its `contours`).
+    rhs: delta/(s-1)^(k+1) - sum over nontrivial zeros (|gamma| <= T_zeros)
+    - sum over trivial zeros (exact, in closed form, every point's in one
+    `trivial_zero_sum` call).  Requires k >= 2 for absolute convergence of
+    the zero sum; the nontrivial tail bound is added to the context.  A
+    point with Re s > 2, or whose contour circle reaches left of Re w =
+    BRANCH_SIGMA (`contour_admits`), is refused with ValueError before any
+    zero data is read; an order whose contour rounding error may exceed the
+    tolerance at a point is refused with ValueError by
+    `log_deriv_by_contour`, rather than reported as a failure of the zero
     data.
     """
     if k < 2:
         raise ValueError("the zero sum requires k >= 2")
     if not chi.is_primitive:
         raise ValueError("requires a primitive character")
-    points = [(complex(s), T_zeros) for s, T_zeros in points]
-    if not all(1.0 < s.real <= 2.0 for s, _ in points):
-        raise ValueError("requires 1 < Re s <= 2")
+    points = _contour_points(points, 2.0)
     zero_sets = [library.get(chi, T_zeros) for _, T_zeros in points]
 
     centres = [s for s, _ in points]
-    lhs_values = log_deriv_by_contour(centres, chi, k, tolerance=tolerance)
+    lhs_values = (contours or _SharedContours()).read(chi, centres, k, tolerance)
     trivial = trivial_zero_sum(chi, centres, k)
     delta = 1.0 if chi.is_principal else 0.0
     reports = []
-    for (s, T_zeros), zs, lhs, trivial_sum in zip(points, zero_sets, lhs_values.tolist(), trivial.tolist()):
+    for (s, T_zeros), zs, lhs, trivial_sum in zip(points, zero_sets, lhs_values, trivial.tolist()):
         # (1 / (s - rho))^(k+1) underflows to 0 for a far zero, where (s - rho)^(k+1) would overflow.
         nontrivial = complex(np.sum((1.0 / (s - _zeros_to(zs, T_zeros))) ** (k + 1)))
         rhs = delta / (s - 1.0) ** (k + 1) - nontrivial - trivial_sum
@@ -356,18 +460,28 @@ def hadamard_derivative_check(
 # -- repulsion zero sums -------------------------------------------------------
 
 
-def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: float) -> float:
-    """sum over trivial zeros of 1/|sigma + it - omega|^2, exactly.
+def _trivial_ladders(chi: DirichletCharacter) -> tuple[int, tuple[tuple[int, float], ...]]:
+    """The trivial zeros of the L-function of chi (not necessarily primitive), as ladders.
 
-    Trivial zeros of the L-function of chi (not necessarily primitive): the
-    primitive inducer's gamma-factor zeros plus, per prime p | q coprime to
-    the conductor, the vertical ladders of the finite Euler factor.
+    They are the primitive inducer's gamma-factor zeros at -c, -c-2, ...
+    (c = `trivial_ladder_start`) plus, per prime p | q coprime to the
+    conductor, the vertical ladder of the finite Euler factor
+    1 - chi*(p) p^-s, at angle theta = arg chi*(p): (c, ((p, theta), ...)).
     """
     star = primitive_inducer(chi)
+    euler = tuple(
+        (p, float(np.angle(char_value(star, p)))) for p, _ in factorize(chi.modulus) if chi.conductor % p != 0
+    )
+    return trivial_ladder_start(star), euler
+
+
+def _ladder_square_sum(ladders: tuple[int, tuple[tuple[int, float], ...]], sigma: float, t: float) -> float:
+    """sum over the zeros omega of `_trivial_ladders`' ladders of 1/|sigma + it - omega|^2, exactly."""
+    start, euler = ladders
     # Gamma-factor ladder at -c, -c-2, ...:
     # sum_{k>=0} 1/((sigma+c+2k)^2 + t^2) = Im psi(u+iv)/(4v), u=(sigma+c)/2, v=t/2,
     # and psi'(u)/4 at t = 0.
-    u = (sigma + trivial_ladder_start(star)) / 2.0
+    u = (sigma + start) / 2.0
     if t == 0.0:
         total = 0.25 * _trigamma(u)
     else:
@@ -375,13 +489,11 @@ def _trivial_zero_square_sum_exact(chi: DirichletCharacter, sigma: float, t: flo
         total = float(digamma(complex(u, v)).imag / (4.0 * v))
 
     # Euler-factor ladders for p | q with p coprime to the conductor.
-    for p, _ in factorize(chi.modulus):
-        if chi.conductor % p != 0:
-            theta = float(np.angle(char_value(star, p)))
-            logp = math.log(p)
-            big_x = (t * logp - theta) / (2.0 * math.pi)
-            big_y = sigma * logp / (2.0 * math.pi)
-            total += (logp / (2.0 * math.pi)) ** 2 * _lattice_inverse_square(big_x, big_y)
+    for p, theta in euler:
+        logp = math.log(p)
+        big_x = (t * logp - theta) / (2.0 * math.pi)
+        big_y = sigma * logp / (2.0 * math.pi)
+        total += (logp / (2.0 * math.pi)) ** 2 * _lattice_inverse_square(big_x, big_y)
     return total
 
 
@@ -415,70 +527,90 @@ def repulsion_sums_check(
         valid lower bound: terms are nonnegative), against the logarithmic
         bound at sigma = alpha + 1 on the sigma grid.
 
-    Each character's zero sums at every (sigma, t) are one broadcast, made
-    once per call.
+    The rows come from tables made once per call: each distinct ladder sum
+    (keyed by the ladders, sigma and t), each distinct four-sum bound (keyed
+    by q, d_psi, sigma and t) and each primitive character's zero sums at
+    every (sigma, t), one broadcast, are computed once; an imprimitive
+    character reads its inducer's.  Each modulus's four-sum aggregates are
+    one array sum, and each modulus's rows of either kind one `_reports`
+    pass.
     """
     reports = []
     sigma_grid = list(sigma_grid)
+    grid = [(sigma, t) for sigma in sigma_grid for t in REPULSION_HEIGHTS]
+    suffixes = [f".s{sigma}.t{t}" for sigma, t in grid]
+    # (b) is checked at the sigmas with alpha = sigma - 1 >= 1.
+    four_sigmas = [sigma for sigma in sigma_grid if sigma - 1.0 >= 1.0]
+    four_grid = [(sigma, t) for sigma in four_sigmas for t in REPULSION_HEIGHTS]
+    four_suffixes = [f".s{sigma}.t{t}" for sigma, t in four_grid]
+    points = np.array([[complex(sigma, t) for t in REPULSION_HEIGHTS] for sigma in four_sigmas])
+    level = REPULSION_HEIGHTS.index(0.0)
+    # The tables: each distinct ladder sum, primitive character's zero sums and
+    # four-sum bound, computed once per call.
+    ladder_sum, four_bound = cache(_ladder_square_sum), cache(_four_sum_bound)
+    zero_sums = cache(lambda star: _zero_square_sums(library, star, points, T_zeros))
     for q in range(1, q_max + 1):
         chars = enumerate_characters(q)
         labels = [char_label(chi) for chi in chars]
-        for label, chi in zip(labels, chars):
-            for sigma in sigma_grid:
-                for t in REPULSION_HEIGHTS:
-                    exact = _trivial_zero_square_sum_exact(chi, sigma, t)
-                    bound = 0.5 / sigma + 1.0 / sigma**2
-                    if not chi.is_primitive:
-                        bound += (0.5 / sigma + 2.0 / (sigma**2 * math.log(2.0))) * math.log(q)
-                    branch = "primitive" if chi.is_primitive else "unconditional"
-                    reports.append(
-                        _report(
-                            f"repulsion.trivial_sum.{label}.s{sigma}.t{t}",
-                            exact,
-                            bound,
-                            sigma=sigma,
-                            t=t,
-                            branch=branch,
-                        )
-                    )
-        # (b) four-sum for real psi, arbitrary chi, at the sigmas with alpha = sigma - 1 >= 1.
-        four_sigmas = [sigma for sigma in sigma_grid if sigma - 1.0 >= 1.0]
+        ladders = [_trivial_ladders(chi) for chi in chars]
+        reports += _reports(
+            [f"repulsion.trivial_sum.{label}{suffix}" for label in labels for suffix in suffixes],
+            [ladder_sum(ladder, sigma, t) for ladder in ladders for sigma, t in grid],
+            [_trivial_bound(q, chi.is_primitive, sigma) for chi in chars for sigma, _ in grid],
+            [
+                {"sigma": sigma, "t": t, "branch": "primitive" if chi.is_primitive else "unconditional"}
+                for chi in chars
+                for sigma, t in grid
+            ],
+        )
         if not four_sigmas:
             continue
-        # sums[i][a][b] is the zero sum of chars[i] at sigma = four_sigmas[a], t = REPULSION_HEIGHTS[b].
-        points = np.array([[complex(sigma, t) for t in REPULSION_HEIGHTS] for sigma in four_sigmas])
-        sums = [_zero_square_sums(library, chi, points, T_zeros).tolist() for chi in chars]
+        # (b) four-sum for real psi, arbitrary chi.  sums[i, a, b] is the zero
+        # sum of chars[i] at sigma = four_sigmas[a], t = REPULSION_HEIGHTS[b].
+        sums = np.array([zero_sums(primitive_inducer(chi)) for chi in chars])
         index = {chi.exponents: i for i, chi in enumerate(chars)}
-        level = REPULSION_HEIGHTS.index(0.0)
-        for h, psi in enumerate(chars):
-            if conjugate_character(psi) != psi:
-                continue
-            d_psi = float(psi.conductor)
-            for i, chi in enumerate(chars):
-                j = index[product_character(psi, chi).exponents]
-                for a, sigma in enumerate(four_sigmas):
-                    alpha = sigma - 1.0
-                    for b, t in enumerate(REPULSION_HEIGHTS):
-                        lhs = sums[0][a][level] + sums[h][a][level] + sums[i][a][b] + sums[j][a][b]
-                        rhs = (
-                            0.5 * math.log(q * q * d_psi)
-                            + (math.log(alpha + 2.0) + 2.0 / (alpha + 1.0) - 2.0 * math.log(math.pi))
-                            + math.log(alpha + 2.0 + abs(t))
-                            + 4.0 / alpha
-                            + 4.0 / (alpha + 1.0)
-                        ) / alpha
-                        reports.append(
-                            _report(
-                                f"repulsion.four_sum.q{q}.psi{labels[h]}.chi{labels[i]}.s{sigma}.t{t}",
-                                lhs,
-                                rhs,
-                                sigma=sigma,
-                                t=t,
-                                T_zeros=T_zeros,
-                                note="lhs is a truncated lower bound of the full sum",
-                            )
-                        )
+        real = [h for h, psi in enumerate(chars) if conjugate_character(psi) == psi]
+        partner = [[index[product_character(chars[h], chi).exponents] for chi in chars] for h in real]
+        # aggregate[h, i, a, b] = sums[0, a, level] + sums[real[h], a, level]
+        #                        + sums[i, a, b] + sums[partner[h][i], a, b], added in that order.
+        aggregate = (sums[0, :, level, None] + sums[real][:, None, :, level, None]) + sums[None] + sums[partner]
+        bounds = [[four_bound(q, float(chars[h].conductor), sigma, t) for sigma, t in four_grid] for h in real]
+        reports += _reports(
+            [
+                f"repulsion.four_sum.q{q}.psi{labels[h]}.chi{label}{suffix}"
+                for h in real
+                for label in labels
+                for suffix in four_suffixes
+            ],
+            aggregate,
+            np.reshape(bounds, (len(real), 1, len(four_sigmas), len(REPULSION_HEIGHTS))),
+            [
+                {"sigma": sigma, "t": t, "T_zeros": T_zeros, "note": "lhs is a truncated lower bound of the full sum"}
+                for _ in range(len(real) * len(chars))
+                for sigma, t in four_grid
+            ],
+        )
     return reports
+
+
+def _trivial_bound(q: int, primitive: bool, sigma: float) -> float:
+    """The bound on the trivial-zero square sum: the parity bound, plus the modulus term off the primitive branch."""
+    bound = 0.5 / sigma + 1.0 / sigma**2
+    if not primitive:
+        bound += (0.5 / sigma + 2.0 / (sigma**2 * math.log(2.0))) * math.log(q)
+    return bound
+
+
+def _four_sum_bound(q: int, d_psi: float, sigma: float, t: float) -> float:
+    """The logarithmic bound on the four-sum aggregate at sigma = alpha + 1 and height t."""
+    alpha = sigma - 1.0
+    return (
+        0.5 * math.log(q * q * d_psi)
+        + (math.log(alpha + 2.0) + 2.0 / (alpha + 1.0) - 2.0 * math.log(math.pi))
+        + math.log(alpha + 2.0 + abs(t))
+        + 4.0 / alpha
+        + 4.0 / (alpha + 1.0)
+    ) / alpha
 
 
 def _zero_square_sums(library: ZeroLibrary, chi: DirichletCharacter, points: np.ndarray, T_zeros: float) -> np.ndarray:
@@ -752,16 +884,27 @@ def default_suite(
     zeta = enumerate_characters(1)[0]
     chi4 = enumerate_characters(4)[1]
 
+    # Farther from the strip the per-zero terms shrink like (sigma-1/2)/gamma^2
+    # but their total tail does not: use the deeper zero data at s = 3.
+    ef_points = [(2.0, 50.0), (3.0, 100.0)]
+    hadamard_runs = [(zeta, hadamard_k, [(1.5, 100.0), (2.0, 100.0)]), (chi4, max(hadamard_k, 3), [(1.5, 100.0)])]
+    # Both suites' circles of one character are one contour call.
+    contours = _SharedContours()
+    if "explicit_formula" in suites:
+        for chi in (zeta, chi4):
+            contours.want(chi, [s for s, _ in ef_points], 0)
+    if "hadamard" in suites:
+        for chi, k, points in hadamard_runs:
+            contours.want(chi, [s for s, _ in points], k, hd_tol)
+
     if "circle" in suites:
         reports += circle_lemma_check(library, q_max, T, samples)
     if "explicit_formula" in suites:
-        # Farther from the strip the per-zero terms shrink like (sigma-1/2)/gamma^2
-        # but their total tail does not: use the deeper zero data at s = 3.
         for chi in (zeta, chi4):
-            reports += explicit_formula_residual(library, chi, [(2.0, 50.0), (3.0, 100.0)], ef_tol)
+            reports += explicit_formula_residual(library, chi, ef_points, ef_tol, contours=contours)
     if "hadamard" in suites:
-        reports += hadamard_derivative_check(library, zeta, hadamard_k, [(1.5, 100.0), (2.0, 100.0)], hd_tol)
-        reports += hadamard_derivative_check(library, chi4, max(hadamard_k, 3), [(1.5, 100.0)], hd_tol)
+        for chi, k, points in hadamard_runs:
+            reports += hadamard_derivative_check(library, chi, k, points, hd_tol, contours=contours)
     if "repulsion" in suites:
         reports += repulsion_sums_check(library, min(q_max, 8), (2.0, 3.0), T)
     if "density" in suites:

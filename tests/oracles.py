@@ -6,6 +6,9 @@
   exponent box, and the conductor as the smallest f | q with chi = 1 on the
   units = 1 mod f: the references for the discrete-log table of
   `characters`.
+* `bernoulli_over_factorial`: B_2j/(2j)! for j = 1..ORDER+2 by the exact
+  recurrence of the Bernoulli numbers, rounded once: the reference for the
+  literals of `hurwitz.BERNOULLI_OVER_FACTORIAL`.
 * `l_eval`, `l_eval_by_inducer`: L(s, chi) at one point, directly and
   through the primitive inducer (the reference for imprimitive L-values).
 * `gamma_factor`, `completed_l`: the gamma factor and the completed
@@ -22,6 +25,9 @@
   references for their one-pass forms.
 * `zero_square_sum`: one repulsion zero sum at one point, the reference for
   `verify._zero_square_sums`.
+* `trivial_zero_square_sum`, `repulsion_rows`: one trivial-zero square sum,
+  and the repulsion check one row at a time, the references for
+  `verify.repulsion_sums_check`'s tables and array passes.
 * `rows_json`: report rows through json.dumps(indent=2, allow_nan=False),
   the reference for the row writers of `jsonrows`.
 """
@@ -45,13 +51,25 @@ from zerokit.dirichlet.characters import (
     char_label,
     char_value,
     char_value_vec,
+    conjugate_character,
+    enumerate_characters,
     primitive_characters,
     primitive_inducer,
+    product_character,
 )
-from zerokit.dirichlet.lfunctions import GammaPoleError, l_eval_vec, loggamma
+from zerokit.dirichlet.lfunctions import GammaPoleError, digamma, l_eval_vec, loggamma, trivial_ladder_start
 from zerokit.dirichlet.zeros import CountCertificationError, ModulusEngine
 from zerokit.kernels import e_kernel
-from zerokit.verify import _CIRCLE_VARIANTS, CIRCLE_REACH, _report, _zeros_to
+from zerokit.verify import (
+    _CIRCLE_VARIANTS,
+    CIRCLE_REACH,
+    REPULSION_HEIGHTS,
+    _lattice_inverse_square,
+    _report,
+    _trigamma,
+    _zero_square_sums,
+    _zeros_to,
+)
 
 _LOG_PI = math.log(math.pi)
 
@@ -104,6 +122,22 @@ def conductor_by_definition(phases: list[Fraction | None]) -> int:
         for f in range(1, q + 1)
         if q % f == 0 and all(phase == 0 for n, phase in enumerate(phases) if phase is not None and n % f == 1 % f)
     )
+
+
+def bernoulli_over_factorial() -> tuple[float, ...]:
+    """B_{2j}/(2j)! for j = 1..ORDER+2, exactly computed then rounded once."""
+    count = hurwitz.ORDER + 2
+    top = 2 * count
+    bern = [Fraction(1)]
+    for m in range(1, top + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * bern[j]
+        bern.append(-acc / (m + 1))
+    out = []
+    for j in range(1, count + 1):
+        out.append(float(bern[2 * j] / math.factorial(2 * j)))
+    return tuple(out)
 
 
 def l_eval(s: complex, chi: DirichletCharacter) -> complex:
@@ -298,3 +332,97 @@ def zero_square_sum(library, chi: DirichletCharacter, sigma: float, t: float, T_
 def rows_json(rows: list) -> str:
     """The JSON text of report rows as the json module writes it (its pure-Python encoder, which indent=2 selects)."""
     return json.dumps(rows, indent=2, allow_nan=False)
+
+
+def trivial_zero_square_sum(chi: DirichletCharacter, sigma: float, t: float) -> float:
+    """sum over trivial zeros of 1/|sigma + it - omega|^2, exactly.
+
+    Trivial zeros of the L-function of chi (not necessarily primitive): the
+    primitive inducer's gamma-factor zeros plus, per prime p | q coprime to
+    the conductor, the vertical ladders of the finite Euler factor.
+    """
+    star = primitive_inducer(chi)
+    # Gamma-factor ladder at -c, -c-2, ...:
+    # sum_{k>=0} 1/((sigma+c+2k)^2 + t^2) = Im psi(u+iv)/(4v), u=(sigma+c)/2, v=t/2,
+    # and psi'(u)/4 at t = 0.
+    u = (sigma + trivial_ladder_start(star)) / 2.0
+    if t == 0.0:
+        total = 0.25 * _trigamma(u)
+    else:
+        v = t / 2.0
+        total = float(digamma(complex(u, v)).imag / (4.0 * v))
+
+    # Euler-factor ladders for p | q with p coprime to the conductor.
+    for p, _ in factorize(chi.modulus):
+        if chi.conductor % p != 0:
+            theta = float(np.angle(char_value(star, p)))
+            logp = math.log(p)
+            big_x = (t * logp - theta) / (2.0 * math.pi)
+            big_y = sigma * logp / (2.0 * math.pi)
+            total += (logp / (2.0 * math.pi)) ** 2 * _lattice_inverse_square(big_x, big_y)
+    return total
+
+
+def repulsion_rows(library, q_max: int, sigma_grid, T_zeros: float) -> list:
+    """`verify.repulsion_sums_check`'s rows, one trivial sum, one bound and one report at a time."""
+    reports = []
+    sigma_grid = list(sigma_grid)
+    for q in range(1, q_max + 1):
+        chars = enumerate_characters(q)
+        labels = [char_label(chi) for chi in chars]
+        for label, chi in zip(labels, chars):
+            for sigma in sigma_grid:
+                for t in REPULSION_HEIGHTS:
+                    exact = trivial_zero_square_sum(chi, sigma, t)
+                    bound = 0.5 / sigma + 1.0 / sigma**2
+                    if not chi.is_primitive:
+                        bound += (0.5 / sigma + 2.0 / (sigma**2 * math.log(2.0))) * math.log(q)
+                    branch = "primitive" if chi.is_primitive else "unconditional"
+                    reports.append(
+                        _report(
+                            f"repulsion.trivial_sum.{label}.s{sigma}.t{t}",
+                            exact,
+                            bound,
+                            sigma=sigma,
+                            t=t,
+                            branch=branch,
+                        )
+                    )
+        # (b) four-sum for real psi, arbitrary chi, at the sigmas with alpha = sigma - 1 >= 1.
+        four_sigmas = [sigma for sigma in sigma_grid if sigma - 1.0 >= 1.0]
+        if not four_sigmas:
+            continue
+        # sums[i][a][b] is the zero sum of chars[i] at sigma = four_sigmas[a], t = REPULSION_HEIGHTS[b].
+        points = np.array([[complex(sigma, t) for t in REPULSION_HEIGHTS] for sigma in four_sigmas])
+        sums = [_zero_square_sums(library, chi, points, T_zeros).tolist() for chi in chars]
+        index = {chi.exponents: i for i, chi in enumerate(chars)}
+        level = REPULSION_HEIGHTS.index(0.0)
+        for h, psi in enumerate(chars):
+            if conjugate_character(psi) != psi:
+                continue
+            d_psi = float(psi.conductor)
+            for i, chi in enumerate(chars):
+                j = index[product_character(psi, chi).exponents]
+                for a, sigma in enumerate(four_sigmas):
+                    alpha = sigma - 1.0
+                    for b, t in enumerate(REPULSION_HEIGHTS):
+                        lhs = sums[0][a][level] + sums[h][a][level] + sums[i][a][b] + sums[j][a][b]
+                        rhs = (
+                            0.5 * math.log(q * q * d_psi)
+                            + (math.log(alpha + 2.0) + 2.0 / (alpha + 1.0) - 2.0 * math.log(math.pi))
+                            + math.log(alpha + 2.0 + abs(t))
+                            + 4.0 / alpha
+                            + 4.0 / (alpha + 1.0)
+                        ) / alpha
+                        reports.append(
+                            _report(
+                                f"repulsion.four_sum.q{q}.psi{labels[h]}.chi{labels[i]}.s{sigma}.t{t}",
+                                lhs,
+                                rhs,
+                                sigma=sigma,
+                                t=t,
+                                T_zeros=T_zeros,
+                                note="lhs is a truncated lower bound of the full sum",
+                            )
+                        )
+    return reports

@@ -731,6 +731,24 @@ def test_one_parser_per_process(capsys, tmp_path, monkeypatch):
         assert done.stdout == out
 
 
+def test_a_scan_never_imports_numpy_ma(tmp_path):
+    # np.unique without return_index checks np.ma.is_masked, and importing
+    # numpy.ma costs a fresh process 12-15 ms; the engine does without it.
+    script = f"""
+import sys
+from zerokit.cli import main
+code = main(["zeros", "scan", "--q", "5", "--height", "31", "--cache-dir", {str(tmp_path / "cache")!r}])
+print(code, "numpy.ma" in sys.modules)
+"""
+    src = str(Path(zerokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
 def test_runtime_never_imports_scipy(tmp_path):
     # scipy is a test-only dependency: a scan and the whole verify suite, run
     # in one fresh process, leave no scipy module behind, imported at start-up

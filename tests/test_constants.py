@@ -295,6 +295,24 @@ class TestZeroCircleBound:
         with pytest.raises(ValueError):
             zero_circle_bound(np.append(r[0], outside), field, 7.0, np.append(t[0], 0.0), False, kind, **extra)
 
+    @pytest.mark.parametrize("kind, extra", [("classical", {}), ("convexity", {"epsilon": 0.05})])
+    def test_arrays_of_characters_are_the_scalar_bounds(self, kind, extra):
+        # One disk per entry with its own conductor and principality, as the
+        # circle check evaluates a variant over every character at once.
+        rng = np.random.default_rng(5)
+        r = rng.uniform(1e-6, 0.049, size=60)
+        t = rng.uniform(-50.0, 50.0, size=60)
+        conductors = rng.integers(1, 400, size=60).astype(float)
+        principal = conductors == 1.0
+        values = zero_circle_bound(r, Q_FIELD, conductors, t, principal, kind, **extra)
+        scalars = [
+            zero_circle_bound(a, Q_FIELD, int(f), b, bool(p), kind, **extra)
+            for a, f, b, p in zip(r.tolist(), conductors.tolist(), t.tolist(), principal.tolist())
+        ]
+        assert values.tolist() == scalars
+        with pytest.raises(ValueError, match="Nf_chi must be >= 1"):
+            zero_circle_bound(r, Q_FIELD, np.append(conductors[1:], 0.5), t, principal, kind, **extra)
+
 
 class TestCertificationReport:
     def test_reference_report_all_pass(self):

@@ -15,7 +15,7 @@ from zerokit.dirichlet.hurwitz import (
 )
 from zerokit.dirichlet.lfunctions import l_eval_vec
 
-from oracles import l_eval
+from oracles import bernoulli_over_factorial, l_eval
 
 mp.mp.dps = 35
 
@@ -69,6 +69,12 @@ def _truncation(s, a):
 
 
 class TestValues:
+    def test_bernoulli_literals_are_the_exact_recurrence(self):
+        # Each literal is the float nearest B_2j/(2j)!, as the Fraction
+        # recurrence rounds it once.
+        assert hurwitz.BERNOULLI_OVER_FACTORIAL == bernoulli_over_factorial()
+        assert all(type(value) is float for value in hurwitz.BERNOULLI_OVER_FACTORIAL)
+
     def test_reduces_to_zeta(self):
         assert hurwitz_zeta_vec(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-13)
 
@@ -348,7 +354,7 @@ class TestCertifiedTruncation:
             tmax = float(np.max(np.abs(s.imag)))
             expo = lo + 2 * hurwitz.ORDER + 1
             root = 1.0 / expo
-            shift = (abs(hurwitz.bernoulli_over_factorial()[hurwitz.ORDER]) / (expo * TARGET)) ** root
+            shift = (abs(hurwitz.BERNOULLI_OVER_FACTORIAL[hurwitz.ORDER]) / (expo * TARGET)) ** root
             for i in range(2 * hurwitz.ORDER + 2):
                 shift *= math.hypot(max(abs(lo + i), abs(hi + i)), tmax) ** root
             return max(1, math.ceil(shift))
@@ -374,7 +380,7 @@ class TestCertifiedTruncation:
             poch = poch * (s + i)
         w = hurwitz._shift_for(s) + 0.25
         expo = s.real + 2 * hurwitz.ORDER + 1
-        mag = abs(hurwitz.bernoulli_over_factorial()[hurwitz.ORDER]) * np.abs(poch) * w ** (-expo)
+        mag = abs(hurwitz.BERNOULLI_OVER_FACTORIAL[hurwitz.ORDER]) * np.abs(poch) * w ** (-expo)
         reference = mag * np.abs(s + 2 * hurwitz.ORDER + 1) / expo
         assert _truncation(s, 0.25) == pytest.approx(reference, rel=1e-13)
 

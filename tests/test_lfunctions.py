@@ -471,6 +471,33 @@ class TestLogDerivContour:
         with pytest.raises(ValueError, match=r"order k = 16 is too high at \(1\.5\+0j\)"):
             log_deriv_by_contour([2.0, 1.5], ZETA, [2, 16], tolerance=1e-4)
 
+    def test_tolerance_per_centre(self):
+        # inf is no refusal: the order-16 circle at 3/2 passes at inf and is refused at 1e-4.
+        log_deriv_by_contour([2.0, 1.5], ZETA, [2, 16], tolerance=[1e-4, math.inf])
+        with pytest.raises(ValueError, match=r"order k = 16 is too high at \(1\.5\+0j\).* tolerance 0\.0001$"):
+            log_deriv_by_contour([1.5, 1.5], ZETA, [0, 16], tolerance=[math.inf, 1e-4])
+
+    def test_a_centre_at_several_orders_is_one_circle(self, monkeypatch):
+        shapes = []
+        l_eval = lfunctions.l_eval_vec
+        monkeypatch.setattr(lfunctions, "l_eval_vec", lambda s, chi: shapes.append(np.shape(s)) or l_eval(s, chi))
+        shared = log_deriv_by_contour([2.0, 3.0, 1.5, 2.0], ZETA, [0, 0, 2, 2])
+        assert shapes == [(3, 128)]
+        # The distinct circles' call has the same nodes, so the same shift: the same bits.
+        assert shared.tolist() == log_deriv_by_contour([2.0, 3.0, 1.5, 2.0 + 0j], ZETA, [0, 0, 2, 2]).tolist()
+        assert shared[1] == log_deriv_by_contour([2.0, 3.0, 1.5], ZETA, [0, 0, 2])[1]
+
+    def test_admitted_centres_are_the_ones_it_takes(self):
+        centres = [1.05, 13 / 12 - 1e-9, 13 / 12 + 1e-9, 1.2 + 3j, 17 / 12 + 50j, 1.3 + 0.1j, math.nan, 2.0]
+        admitted = lfunctions.contour_admits(centres)
+        assert admitted.tolist() == [False, False, True, False, True, True, False, True]
+        for s, ok in zip(centres, admitted):
+            if ok:
+                log_deriv_by_contour(s, ZETA, 0)
+            else:
+                with pytest.raises(ValueError, match="reaches left of"):
+                    log_deriv_by_contour(s, ZETA, 0)
+
 
 class TestConvexityEnvelope:
     def test_rademacher_shape_constant(self):

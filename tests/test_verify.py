@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from zerokit.dirichlet.arith import prime_powers, primes_in_window, primes_up_to, rough_mask
+from zerokit.dirichlet import lfunctions
 from zerokit.dirichlet.characters import char_value, enumerate_characters, primitive_inducer
 from zerokit.dirichlet.lfunctions import log_deriv_series
 from zerokit.kernels import WeightParams, psi_weight
@@ -18,7 +19,8 @@ from zerokit.verify import (
     SUITES,
     CheckReport,
     _lattice_inverse_square,
-    _trivial_zero_square_sum_exact,
+    _ladder_square_sum,
+    _trivial_ladders,
     _zero_square_sums,
     circle_lemma_check,
     default_suite,
@@ -35,10 +37,24 @@ from zerokit.verify import (
     zero_data_needed,
 )
 
-from oracles import circle_rows_by_sample, detector_lhs_by_m, log_deriv_series_by_m, zero_square_sum
+from oracles import (
+    circle_rows_by_sample,
+    detector_lhs_by_m,
+    log_deriv_series_by_m,
+    repulsion_rows,
+    trivial_zero_square_sum,
+    zero_square_sum,
+)
 
 ZETA = enumerate_characters(1)[0]
 CHI4 = enumerate_characters(4)[1]
+
+
+CIRCLE_CASES = [(1, 10.0, 1), (3, 30.0, 1), (7, 30.0, 10), (10, 50.0, 37), (20, 20.0, 3)]
+
+
+def trivial_sum(chi, sigma: float, t: float) -> float:
+    return _ladder_square_sum(_trivial_ladders(chi), sigma, t)
 
 
 class TestReportShape:
@@ -78,12 +94,18 @@ class TestCircleLemma:
         reports = circle_lemma_check(zero_library, q_max=3, T=10.0, samples=4)
         assert all(r.rhs >= 4.0 for r in reports)
 
-    @pytest.mark.parametrize(
-        "q_max, T, samples", [(1, 10.0, 1), (3, 30.0, 1), (7, 30.0, 10), (10, 50.0, 37), (20, 20.0, 3)]
-    )
+    @pytest.mark.parametrize("q_max, T, samples", CIRCLE_CASES)
     def test_batched_rows_are_the_per_sample_rows(self, zero_library, q_max, T, samples):
         # The blocked draw continues the scalar stream: the same r, sigma and t,
         # and the same first-smallest rhs - lhs, bit for bit.
+        batched = circle_lemma_check(zero_library, q_max, T, samples)
+        assert reports_to_json(batched) == reports_to_json(circle_rows_by_sample(zero_library, q_max, T, samples))
+
+    @pytest.mark.parametrize("q_max, T, samples", CIRCLE_CASES)
+    def test_rows_spanning_blocks_are_the_per_sample_rows(self, zero_library, monkeypatch, q_max, T, samples):
+        # At 40 cells a block holds one to four samples, so a row spans
+        # several blocks and a block crosses rows and characters.
+        monkeypatch.setattr(verify, "CIRCLE_CELLS", 40)
         batched = circle_lemma_check(zero_library, q_max, T, samples)
         assert reports_to_json(batched) == reports_to_json(circle_rows_by_sample(zero_library, q_max, T, samples))
 
@@ -94,6 +116,20 @@ class TestCircleLemma:
         monkeypatch.setattr(verify, "CIRCLE_CELLS", cells)
         batched = circle_lemma_check(zero_library, 5, 30.0, 23)
         assert reports_to_json(batched) == reports_to_json(circle_rows_by_sample(zero_library, 5, 30.0, 23))
+
+    def test_blocks_cover_the_stream_within_the_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(verify, "CIRCLE_CELLS", 12)
+        counts, span = [0, 5, 13, 2, 30], 7
+        blocks = list(verify._circle_blocks(counts, span))
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == span * len(counts)
+        weights = np.repeat([max(1, count) for count in counts], span)
+        for start, stop in blocks:
+            cells = int(weights[start:stop].sum())
+            assert cells <= 12 or stop - start == 1
+            # A block stops only where the next slot would not fit.
+            if stop < len(weights):
+                assert cells + weights[stop] > 12
 
     def test_memory_is_bounded_at_many_samples(self, zero_library):
         # Without blocks, the (sample, zero) pairs of 10^5 samples would take
@@ -126,6 +162,12 @@ class TestExplicitFormula:
         with pytest.raises(ValueError):
             explicit_formula_residual(zero_library, enumerate_characters(12)[0], [(2.0, 30.0)])
 
+    @pytest.mark.parametrize("s", [1.05, 1.08, 1.2 + 5j, 3.5, float("nan")])
+    def test_refuses_what_the_contour_refuses_before_reading_zeros(self, zero_library, monkeypatch, s):
+        monkeypatch.setattr(zero_library, "get", lambda *args: pytest.fail("zero data read"))
+        with pytest.raises(ValueError, match=r"requires Re s <= 3 and a contour circle about s inside Re w >= 1\.05"):
+            explicit_formula_residual(zero_library, ZETA, [(2.0, 50.0), (s, 50.0)])
+
 
 class TestHadamard:
     def test_zeta_k2(self, zero_library):
@@ -144,6 +186,19 @@ class TestHadamard:
         with pytest.raises(ValueError):
             hadamard_derivative_check(zero_library, ZETA, 1, [(1.5, 50.0)])
 
+    def test_refuses_what_the_contour_refuses_before_reading_zeros(self, zero_library, monkeypatch):
+        # Re s = 1.05 passed the former check 1 < Re s <= 2, but its circle
+        # (radius 0.02) reaches left of BRANCH_SIGMA: verify refuses it itself,
+        # with a ValueError (exit 2 from the CLI), before any zero data is read.
+        monkeypatch.setattr(zero_library, "get", lambda *args: pytest.fail("zero data read"))
+        with pytest.raises(ValueError, match=r"^requires Re s <= 2 and a contour circle about s inside Re w >= 1\.05"):
+            hadamard_derivative_check(zero_library, ZETA, 2, [(1.05, 100.0)])
+
+    def test_admits_the_contour_edge(self, zero_library):
+        # 13/12 is the smallest real centre whose circle stays in Re w >= 1.05.
+        [r] = hadamard_derivative_check(zero_library, ZETA, 2, [(13 / 12 + 1e-12, 100.0)], 1.0)
+        assert math.isfinite(r.lhs)
+
     @pytest.mark.parametrize("chi", [ZETA, CHI4], ids=["q1", "q4"])
     def test_order_twelve_passes_and_sixteen_is_refused(self, zero_library, chi):
         # At s = 3/2 the contour's radius is 0.2: its rounding estimate
@@ -156,7 +211,75 @@ class TestHadamard:
             hadamard_derivative_check(zero_library, chi, 16, [(1.5, 100.0)])
 
 
+class TestSharedContours:
+    def test_default_suite_makes_one_l_call_per_character(self, zero_library, monkeypatch):
+        # The explicit-formula and Hadamard suites share each character's
+        # circles: zeta's {2, 3} and {3/2, 2} are three circles in one call.
+        calls = []
+        l_eval_vec = lfunctions.l_eval_vec
+
+        def counting(s, chi):
+            calls.append((chi.modulus, np.shape(s)))
+            return l_eval_vec(s, chi)
+
+        monkeypatch.setattr(lfunctions, "l_eval_vec", counting)
+        reports = default_suite(zero_library, suites=("explicit_formula", "hadamard"))
+        assert calls == [(1, (3, 128)), (4, (3, 128))]
+        assert len(reports) == 7 and all(r.passed for r in reports)
+
+    def test_shared_rows_match_the_standalone_rows(self, zero_library):
+        # Shared circles change only the L-call's Hurwitz shift, so every
+        # value agrees with its own call's to the contour's rounding.
+        shared = {r.name: r for r in default_suite(zero_library, suites=("explicit_formula", "hadamard"))}
+        alone = explicit_formula_residual(zero_library, CHI4, [(2.0, 50.0), (3.0, 100.0)])
+        alone += hadamard_derivative_check(zero_library, ZETA, 2, [(1.5, 100.0), (2.0, 100.0)])
+        alone += hadamard_derivative_check(zero_library, CHI4, 3, [(1.5, 100.0)])
+        for r in alone:
+            value = complex(shared[r.name].context["lhs_value"])
+            assert value == pytest.approx(complex(r.context["lhs_value"]), rel=1e-11, abs=0.0), r.name
+            assert shared[r.name].context["rhs_value"] == r.context["rhs_value"]
+
+    def test_a_pair_read_twice_is_evaluated_once(self, monkeypatch):
+        calls = []
+        contour = verify.log_deriv_by_contour
+        monkeypatch.setattr(verify, "log_deriv_by_contour", lambda *a, **k: calls.append(a) or contour(*a, **k))
+        contours = verify._SharedContours()
+        contours.want(ZETA, [2.0, 3.0], 0)
+        contours.want(ZETA, [2.0], 2, 1e-4)
+        first = contours.read(ZETA, [3.0, 2.0], 0)
+        assert contours.read(ZETA, [2.0], 2, 1e-4) == contours.read(ZETA, [2.0], 2)
+        assert first == contours.read(ZETA, [3.0, 2.0], 0)
+        assert len(calls) == 1 and list(calls[0][2]) == [0, 0, 2]
+
+    def test_tolerance_refuses_only_its_own_pairs(self):
+        # The k = 16 circle at 3/2 exceeds 1e-4 (the Hadamard check's
+        # refusal); k = 0 at the same centre, registered without one, does not.
+        contours = verify._SharedContours()
+        contours.want(ZETA, [1.5], 0)
+        contours.want(ZETA, [1.5], 16, 1e-4)
+        with pytest.raises(ValueError, match="order k = 16 is too high at"):
+            contours.read(ZETA, [1.5], 0)
+        alone = verify._SharedContours()
+        assert math.isfinite(alone.read(ZETA, [1.5], 0)[0].real)
+
+
 class TestRepulsionSums:
+    @pytest.mark.parametrize("sigma_grid", [(2.0,), (2.0, 3.0), (50.0,), (3.0, 1.5, 3.0)])
+    @pytest.mark.parametrize("q_max", [1, 4, 8])
+    def test_array_pass_is_the_row_by_row_loop(self, zero_library, q_max, sigma_grid):
+        # The tables and array sums add the same numbers in the same order
+        # as one row at a time: the rows agree bit for bit, a repeated sigma
+        # repeating its rows.
+        batched = repulsion_sums_check(zero_library, q_max, sigma_grid, 30.0)
+        expected = repulsion_rows(zero_library, q_max, sigma_grid, 30.0)
+        assert reports_to_json(batched) == reports_to_json(expected)
+
+    def test_ladder_sums_are_the_scalar_sums(self):
+        for q in range(1, 13):
+            for chi in enumerate_characters(q):
+                for sigma, t in ((2.0, 0.0), (3.0, 2.5), (1.5, -4.0)):
+                    assert trivial_sum(chi, sigma, t) == trivial_zero_square_sum(chi, sigma, t), (chi, sigma, t)
+
     def test_lattice_identity_against_partial_sum(self):
         # closed form vs direct lattice partial sums plus the integral tail
         K = 20000
@@ -168,22 +291,22 @@ class TestRepulsionSums:
     def test_trivial_sum_odd_character_example(self):
         # ladder at -1, -3, ...: sum 1/(sigma - omega)^2 at sigma = 2 equals
         # pi^2/8 - 1
-        exact = _trivial_zero_square_sum_exact(CHI4, 2.0, 0.0)
+        exact = trivial_sum(CHI4, 2.0, 0.0)
         assert exact == pytest.approx(math.pi**2 / 8.0 - 1.0, abs=1e-10)
         assert exact <= 0.5  # parity bound (1/(2 sigma) + 1/sigma^2) at sigma=2
 
     def test_trivial_sum_against_direct_ladder(self):
         for chi in (ZETA, CHI4):
             for sigma, t in ((2.0, 0.0), (3.0, 2.5)):
-                exact = _trivial_zero_square_sum_exact(chi, sigma, t)
+                exact = trivial_sum(chi, sigma, t)
                 start = 2.0 if chi is ZETA else 1.0
                 direct = sum(1.0 / ((sigma + start + 2 * k) ** 2 + t * t) for k in range(200000))
                 assert exact == pytest.approx(direct, rel=1e-4)
 
     def test_imprimitive_includes_euler_ladders(self):
         principal12 = enumerate_characters(12)[0]
-        bare = _trivial_zero_square_sum_exact(ZETA, 2.0, 0.0)
-        with_euler = _trivial_zero_square_sum_exact(principal12, 2.0, 0.0)
+        bare = trivial_sum(ZETA, 2.0, 0.0)
+        with_euler = trivial_sum(principal12, 2.0, 0.0)
         assert with_euler > bare
 
     def test_suite_passes(self, zero_library):
